@@ -42,11 +42,18 @@ def knn_indices(
 ) -> np.ndarray | tuple[np.ndarray, F64]:
     """Exact k nearest neighbors per point, self excluded.
 
-    Ties are broken by the smaller point index (stable argsort on exact
-    Euclidean distances), so results are reproducible bit-for-bit. k is
-    clamped to n - 1.
+    Squared distances are built in row blocks of about 32 MB. Each row's
+    k-th smallest squared distance is found by partial selection
+    (np.partition, linear time per row) rather than a full sort; every
+    entry at or below it is kept, so ties straddling the boundary all
+    compete, and those candidates are ordered by (distance, index).
+    Neighbors therefore come in ascending exact distance with ties broken
+    by the smaller point index -- the order of a stable argsort of the
+    whole row -- and results are reproducible bit-for-bit. k is clamped
+    to n - 1.
 
-    Returns (N, k') int64 indices, plus matching distances when asked.
+    Returns (N, k') int64 indices, plus matching distances when asked:
+    the square roots of the same squared distances the ranking used.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -72,10 +79,21 @@ def knn_indices(
         np.maximum(d2, 0.0, out=d2)
         rows = np.arange(start, stop)
         d2[rows - start, rows] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
-        idx[start:stop] = order
+        # copy, so the partitioned block is freed before the candidate pass
+        kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1].copy()
+        # "not above" rather than "<=": a NaN from overflowing squares sorts
+        # last, exactly as it does in a full sort of the row
+        cand_row, cand_col = np.nonzero(~(d2 > kth[:, None]))
+        cand_d2 = d2[cand_row, cand_col]
+        # nonzero lists columns in ascending order within a row, and lexsort
+        # is stable, so equal distances keep the smaller index first
+        order = np.lexsort((cand_d2, cand_row))
+        counts = np.bincount(cand_row, minlength=stop - start)
+        first = np.cumsum(counts) - counts
+        pick = order[first[:, None] + np.arange(k_eff)]
+        idx[start:stop] = cand_col[pick]
         if dst is not None:
-            dst[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+            dst[start:stop] = np.sqrt(cand_d2[pick])
     if return_distances:
         return idx, dst
     return idx

@@ -366,28 +366,18 @@ def register_scene(scene: SyntheticScene, config: PipelineConfig) -> Registratio
     cell_members = [np.flatnonzero(cells == c) for c in cells_present]
     depth_at = scene.depth.values[vs, us]
 
-    best: dict[int, tuple[float, int]] = {}
+    fine = []
     patches = []
     for t_row, c_row, _score in coarse:
         members_i = tile_members[t_row]
         members_j = cell_members[c_row]
-        sub = fine_match(
+        fine.append(fine_match(
             f_img_final[members_i],
             f_cloud_final[members_j],
             pixels[members_i],
             members_j,
             config.min_fine_score,
-        )
-        for k_row in range(len(sub)):
-            u, v = sub.pixels[k_row]
-            pixel_row = int(members_i[np.flatnonzero(
-                (pixels[members_i, 0] == u) & (pixels[members_i, 1] == v)
-            )[0]])
-            score = float(sub.scores[k_row])
-            point = int(sub.point_indices[k_row])
-            kept = best.get(pixel_row)
-            if kept is None or score > kept[0]:
-                best[pixel_row] = (score, point)
+        ))
         patches.append(
             patch_overlap(
                 int(tiles_present[t_row]),
@@ -400,16 +390,39 @@ def register_scene(scene: SyntheticScene, config: PipelineConfig) -> Registratio
             )
         )
 
-    order = sorted(best, key=lambda row: (vs[row], us[row]))
-    corrs = CorrespondenceSet(
-        pixels[order],
-        np.array([best[row][1] for row in order], dtype=np.int64),
-        np.array([best[row][0] for row in order]),
-    )
+    corrs = _best_per_pixel(pixels, fine)
     estimate = pnp_ransac(
         corrs, scene.cloud, scene.intrinsics, config.ransac(seed=scene.seed)
     )
     return RegistrationResult(estimate, corrs, tuple(patches), agreement, blend)
+
+
+def _best_per_pixel(pixels: F64, fine: list[CorrespondenceSet]) -> CorrespondenceSet:
+    """Keep each pixel's best fine match across all coarse pairs.
+
+    An emitted pixel belongs to the first row of `pixels` holding exactly
+    that pixel. On an exact score tie the earliest emission wins. Rows come
+    out ordered by integer pixel (v, u), equal keys by first emission.
+    """
+    scores = np.concatenate([np.zeros(0)] + [sub.scores for sub in fine])
+    points = np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [sub.point_indices for sub in fine]
+    )
+    stacked = np.concatenate([pixels] + [sub.pixels for sub in fine])
+    _, first, inverse = np.unique(stacked, axis=0, return_index=True, return_inverse=True)
+    rows = first[inverse.reshape(-1)[pixels.shape[0]:]]
+    # highest score first within a row; lexsort is stable, so among equal
+    # scores the earliest emission leads
+    ranked = np.lexsort((-scores, rows))
+    kept, lead = np.unique(rows[ranked], return_index=True)
+    winner = ranked[lead]
+    _, first_emission = np.unique(rows, return_index=True)
+    us = pixels[kept, 0].astype(np.int64)
+    vs = pixels[kept, 1].astype(np.int64)
+    order = np.lexsort((first_emission, us, vs))
+    return CorrespondenceSet(
+        pixels[kept[order]], points[winner[order]], scores[winner[order]]
+    )
 
 
 def _corrupt_guidance(

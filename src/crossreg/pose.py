@@ -258,7 +258,10 @@ def pnp_ransac(
     Classic loop: sample min_sample correspondences, solve, count strict
     reprojection inliers, keep the best (ties keep the earlier hypothesis),
     stop early once the usual confidence bound is met, then refit on all
-    inliers and recompute the mask with the refit pose.
+    inliers and recompute the mask with the refit pose. When the refit
+    fails (a degenerate inlier set) or leaves fewer than min_sample
+    inliers, the voted mask is kept; a failed refit also keeps the voted
+    hypothesis's pose.
     """
     n = len(corrs)
     if n < config.min_sample:
@@ -282,6 +285,7 @@ def pnp_ransac(
 
     best_count = 0
     best_mask: np.ndarray | None = None
+    best_pose: tuple[F64, F64] | None = None
     needed = config.max_iterations
     for iteration in range(config.max_iterations):
         sample = rng.choice(n, size=config.min_sample, replace=False)
@@ -297,6 +301,7 @@ def pnp_ransac(
         if count > best_count:
             best_count = count
             best_mask = mask
+            best_pose = (rot, tra)
             if best_count == n:
                 break
             # adaptive stopping: enough iterations for the current inlier rate
@@ -315,10 +320,16 @@ def pnp_ransac(
     kept = CorrespondenceSet(
         corrs.pixels[best_mask], corrs.point_indices[best_mask], corrs.scores[best_mask]
     )
-    transform = pnp_solve(kept, cloud, intrinsics)
-    final_mask = inlier_mask(transform.rotation, transform.translation)
-    if int(final_mask.sum()) < config.min_sample:
-        final_mask = best_mask  # refit degraded the consensus; keep the vote
+    try:
+        transform = pnp_solve(kept, cloud, intrinsics)
+    except DegenerateConfigurationError:
+        # the inliers as a whole are degenerate; keep the voted hypothesis
+        transform = RigidTransform(*best_pose)
+        final_mask = best_mask
+    else:
+        final_mask = inlier_mask(transform.rotation, transform.translation)
+        if int(final_mask.sum()) < config.min_sample:
+            final_mask = best_mask  # refit degraded the consensus; keep the vote
 
     res, _ = _reprojection_residuals(
         pts[final_mask], obs[final_mask], intrinsics, transform.rotation, transform.translation

@@ -130,6 +130,18 @@ class TestRegister:
         )
         assert code == 2
 
+    def test_degenerate_refit_scene_registers(self, tmp_path):
+        # the final PnP refit on this scene's voted inliers is degenerate
+        refit = ["--set", "point_count=800", "--set", "outlier_fraction=0.4",
+                 "--set", "min_fine_score=0.2"]
+        scenes = tmp_path / "scenes"
+        assert run("synth", "--out", str(scenes), "--set", "scene_count=1",
+                   "--set", "base_seed=1", *refit) == 0
+        out = tmp_path / "res"
+        assert run("register", "--scene", str(scenes / "scene_0000"),
+                   "--out", str(out), *refit) == 0
+        assert (out / "pose.json").is_file()
+
     def test_missing_bundle_exit_1(self, tmp_path):
         assert run("register", "--scene", str(tmp_path / "nope"), "--out", str(tmp_path / "r")) == 1
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossreg.errors import ChannelMismatchError
 from crossreg.graph import (
@@ -29,6 +31,58 @@ def brute_force_knn(points: np.ndarray, k: int) -> list[list[int]]:
         )
         out.append([j for _, j in ranked[: min(k, n - 1)]])
     return out
+
+
+def argsort_knn(points, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the full stable argsort of every squared-distance row.
+
+    Same distance blocks and chunking as knn_indices, but each row is
+    sorted completely, so ties go to the smaller index by stability.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    k_eff = min(k, n - 1)
+    idx = np.empty((n, k_eff), dtype=np.int64)
+    dst = np.empty((n, k_eff))
+    sq = np.einsum("nd,nd->n", pts, pts)
+    chunk = max(1, int(4_000_000 // max(n, 1)))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (pts[start:stop] @ pts.T)
+        np.maximum(d2, 0.0, out=d2)
+        rows = np.arange(start, stop)
+        d2[rows - start, rows] = np.inf
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+        idx[start:stop] = order
+        dst[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    return idx, dst
+
+
+def assert_matches_argsort(points, k: int) -> None:
+    got_idx, got_dst = knn_indices(points, k, return_distances=True)
+    want_idx, want_dst = argsort_knn(points, k)
+    np.testing.assert_array_equal(got_idx, want_idx)
+    assert got_dst.tobytes() == want_dst.tobytes()
+
+
+@st.composite
+def point_sets(draw, min_n: int = 2, max_n: int = 60):
+    """(N, d) points, d in 1..3, from one of several tie-heavy layouts."""
+    n = draw(st.integers(min_n, max_n))
+    d = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    layout = draw(st.sampled_from(["uniform", "int_grid", "duplicates", "all_equal"]))
+    rng = np.random.default_rng(seed)
+    if layout == "uniform":
+        return rng.uniform(-1.0, 1.0, (n, d))
+    if layout == "int_grid":
+        # few grid values per axis: many exactly equal distances
+        side = draw(st.integers(2, 6))
+        return rng.integers(0, side, (n, d)).astype(np.float64)
+    if layout == "duplicates":
+        base = rng.uniform(-1.0, 1.0, (draw(st.integers(1, n)), d))
+        return base[rng.integers(0, base.shape[0], n)]
+    return np.full((n, d), rng.uniform(-1.0, 1.0))
 
 
 class TestKnn:
@@ -73,6 +127,45 @@ class TestKnn:
     def test_rejects_self_loops(self):
         with pytest.raises(ValueError):
             KnnGraph(np.zeros((3, 2)), np.array([[0], [0], [1]]))
+
+    @given(points=point_sets(), k=st.integers(1, 12))
+    def test_matches_argsort_oracle(self, points, k):
+        assert_matches_argsort(points, k)
+
+    @given(points=point_sets(max_n=12), extra=st.integers(0, 4))
+    def test_k_at_or_above_n_minus_1(self, points, extra):
+        k = points.shape[0] - 1 + extra
+        assert_matches_argsort(points, k)
+        assert knn_indices(points, k).shape == (points.shape[0], points.shape[0] - 1)
+
+    @given(points=point_sets(min_n=2, max_n=2), k=st.integers(1, 3))
+    def test_two_points(self, points, k):
+        assert_matches_argsort(points, k)
+        np.testing.assert_array_equal(knn_indices(points, k), [[1], [0]])
+
+    def test_pixel_grid_ties(self):
+        # lifted-pixel layout: a dense integer grid where every interior
+        # point has four neighbors tied at distance 1 and four at sqrt 2
+        vs, us = np.mgrid[0:20, 0:30]
+        pixels = np.column_stack([us.ravel(), vs.ravel()]).astype(np.float64)
+        for k in (3, 4, 5, 8, 9):
+            assert_matches_argsort(pixels, k)
+
+    def test_overflowing_squares_keep_sort_order(self):
+        # between two points near 1e200 the squared distance is inf - inf,
+        # NaN, so the k-th entry of a row can be NaN; selection must still
+        # follow the full sort, which puts NaN after inf
+        pts = np.array([[1e200, 0.0], [1e200, 1.0], [1e200, 2.0], [0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 2, 3):
+                assert_matches_argsort(pts, k)
+
+    @settings(max_examples=4)
+    @given(points=point_sets(min_n=2001, max_n=2600), k=st.integers(1, 9))
+    def test_multi_chunk_path(self, points, k):
+        # above 2000 points a 4M-entry block holds fewer rows than points
+        assert 4_000_000 // points.shape[0] < points.shape[0]
+        assert_matches_argsort(points, k)
 
     def test_rejects_tiny_input(self):
         with pytest.raises(ValueError):

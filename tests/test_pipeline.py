@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crossreg.errors import ConfigError, LengthMismatchError
 from crossreg.geometry import CameraIntrinsics
+from crossreg.matching import CorrespondenceSet
 from crossreg.normals import DepthMap
 from crossreg.pipeline import (
     PipelineConfig,
     SWEEP_DEFAULTS,
+    _best_per_pixel,
     ablation_rows,
     apply_sweep_setting,
     evaluate_scene,
@@ -19,6 +23,11 @@ from crossreg.pipeline import (
 from crossreg.synth import SceneSpec, generate_scene
 
 SMALL_K = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=12.0, width=32, height=24)
+
+# A scene whose voted inliers are degenerate as a whole: the final PnP refit
+# raises, and registration must fall back to the voted hypothesis.
+DEGENERATE_REFIT = dict(point_count=800, outlier_fraction=0.4, min_fine_score=0.2)
+DEGENERATE_REFIT_SEED = 1
 
 
 def small_config(**overrides) -> PipelineConfig:
@@ -245,6 +254,78 @@ class TestRegisterScene:
         assert blended.blend == 0.5
         full = register_scene(scene, cfg.replace(epoch=25))
         assert full.blend == 1.0
+
+
+def best_per_pixel_loop(pixels: np.ndarray, fine) -> CorrespondenceSet:
+    """Oracle: per-match pixel search and a best-score dict, one match at a time."""
+    best: dict[int, tuple[float, int]] = {}
+    for sub in fine:
+        for k_row in range(len(sub)):
+            u, v = sub.pixels[k_row]
+            row = int(np.flatnonzero((pixels[:, 0] == u) & (pixels[:, 1] == v))[0])
+            score = float(sub.scores[k_row])
+            kept = best.get(row)
+            if kept is None or score > kept[0]:
+                best[row] = (score, int(sub.point_indices[k_row]))
+    us = pixels[:, 0].astype(np.int64)
+    vs = pixels[:, 1].astype(np.int64)
+    order = sorted(best, key=lambda row: (vs[row], us[row]))
+    return CorrespondenceSet(
+        pixels[order],
+        np.array([best[row][1] for row in order], dtype=np.int64),
+        np.array([best[row][0] for row in order]),
+    )
+
+
+@st.composite
+def fine_emissions(draw):
+    """A pixel table with repeats and fractional pixels, plus fine-match
+    outputs over it whose scores tie often."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m = draw(st.integers(1, 40))
+    # fractional offsets make distinct pixels share an integer (v, u)
+    pixels = rng.integers(0, 5, (m, 2)) + rng.choice([0.0, 0.25, 0.5], (m, 2))
+    fine = []
+    for _ in range(draw(st.integers(0, 6))):
+        rows = np.flatnonzero(rng.uniform(size=m) < 0.5)
+        fine.append(CorrespondenceSet(
+            pixels[rows],
+            rng.integers(0, 50, rows.size),
+            rng.choice([0.2, 0.5, 0.9], rows.size),
+        ))
+    return pixels, fine
+
+
+class TestBestPerPixel:
+    @given(fine_emissions())
+    def test_matches_loop_oracle(self, case):
+        pixels, fine = case
+        got = _best_per_pixel(pixels, fine)
+        want = best_per_pixel_loop(pixels, fine)
+        assert got.pixels.tobytes() == want.pixels.tobytes()
+        np.testing.assert_array_equal(got.point_indices, want.point_indices)
+        assert got.scores.tobytes() == want.scores.tobytes()
+
+    def test_no_emissions_is_empty(self):
+        assert len(_best_per_pixel(np.zeros((3, 2)), [])) == 0
+
+
+class TestDegenerateRefit:
+    def test_scene_registers(self):
+        cfg = PipelineConfig(**DEGENERATE_REFIT)
+        scene = generate_scene(cfg.scene_spec(), seed=DEGENERATE_REFIT_SEED)
+        result = register_scene(scene, cfg)
+        assert result.estimate.inlier_count >= cfg.ransac_min_sample
+        assert result.estimate.inlier_mask.shape == (len(result.correspondences),)
+
+    def test_ablation_rows_return_rows(self):
+        cfg = PipelineConfig(
+            **DEGENERATE_REFIT, scene_count=1, base_seed=DEGENERATE_REFIT_SEED
+        )
+        rows = ablation_rows(cfg, "mask_ratio", (0.0,))
+        assert len(rows) == 1
+        assert rows[0][0] == 0.0
 
 
 class TestEvaluationReport:

@@ -12,6 +12,7 @@ from crossreg.errors import (
 )
 from crossreg.geometry import CameraIntrinsics, RigidTransform, rotation_from_axis_angle
 from crossreg.matching import CorrespondenceSet
+from crossreg import pose
 from crossreg.pose import PoseEstimate, RansacConfig, pnp_ransac, pnp_solve
 
 K = CameraIntrinsics(fx=500.0, fy=480.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -152,6 +153,23 @@ class TestPnpRansac:
         corrs = CorrespondenceSet(pixels, np.arange(40), np.ones(40))
         with pytest.raises(NoConsensusError):
             pnp_ransac(corrs, cloud, K, RansacConfig(seed=2, max_iterations=200))
+
+    def test_degenerate_refit_keeps_voted_hypothesis(self, monkeypatch):
+        gt, cloud, corrs, rng = make_instance(91, n=60)
+        contaminated, truth = plant_outliers(corrs, 0.3, rng)
+
+        def degenerate_refit(*args, **kwargs):
+            raise DegenerateConfigurationError("inlier set is degenerate")
+
+        monkeypatch.setattr(pose, "pnp_solve", degenerate_refit)
+        est = pnp_ransac(contaminated, cloud, K, RansacConfig(seed=3))
+        # the kept mask is exactly the vote of the kept pose
+        cam = est.transform.apply(cloud)
+        du = K.fx * cam[:, 0] / cam[:, 2] + K.cx - contaminated.pixels[:, 0]
+        dv = K.fy * cam[:, 1] / cam[:, 2] + K.cy - contaminated.pixels[:, 1]
+        np.testing.assert_array_equal(est.inlier_mask, du * du + dv * dv < 8.0**2)
+        np.testing.assert_array_equal(est.inlier_mask, truth)
+        assert rotation_angle_deg(gt.rotation.T @ est.transform.rotation) < 0.1
 
     def test_too_few_for_ransac(self):
         gt, cloud, corrs, _ = make_instance(8, n=5)
