@@ -32,8 +32,6 @@ from .geometry import (
     RigidTransform,
     backproject_pixel,
     backproject_pixels,
-    fourier_embed,
-    fourier_embed_positions,
     project_point,
     project_points,
     rotation_from_axis_angle,
@@ -61,14 +59,11 @@ from .losses import (
     warmup_weight,
 )
 from .matching import (
-    Correspondence,
     CorrespondenceSet,
-    LabelThresholds,
     PatchPair,
     coarse_match,
     cosine_score_map,
     fine_match,
-    label_fine_pairs,
     patch_overlap,
 )
 from .metrics import (

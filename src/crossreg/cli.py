@@ -12,19 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    REGISTRATION_FAILURES,
     ConfigError,
     CrossregError,
-    EmptyCorrespondencesError,
-    InsufficientPointsError,
     LengthMismatchError,
-    NoConsensusError,
 )
+from .geometry import unit_rows
 from .io import (
     load_scene_bundle,
     read_correspondences,
@@ -59,6 +57,7 @@ from .pipeline import (
     ablation_rows,
     evaluate_scene,
     evaluation_report,
+    parallel_map,
     register_scene,
 )
 from .synth import generate_scene
@@ -77,6 +76,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
+
+
+def _job_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def _add_config_flags(sub) -> None:
@@ -130,12 +139,7 @@ def cmd_synth(args) -> int:
     config = load_config(args)
     out = Path(args.out)
     tasks = [(config, str(out), i) for i in range(config.scene_count)]
-    if args.jobs > 1:
-        with get_context("fork").Pool(processes=args.jobs) as pool:
-            pool.map(_synth_one, tasks)
-    else:
-        for task in tasks:
-            _synth_one(task)
+    parallel_map(_synth_one, tasks, args.jobs)
     print(f"wrote {config.scene_count} scene bundles under {out}")
     return EXIT_OK
 
@@ -150,7 +154,7 @@ def cmd_register(args) -> int:
     scene = load_scene_bundle(args.scene)
     try:
         result = register_scene(scene, config)
-    except (NoConsensusError, InsufficientPointsError, EmptyCorrespondencesError) as exc:
+    except REGISTRATION_FAILURES as exc:
         print(f"registration failed: {exc}", file=sys.stderr)
         return EXIT_REGISTRATION_FAILED
     out = Path(args.out)
@@ -170,14 +174,9 @@ def cmd_register(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _scene_dirs(parent: Path) -> list[Path]:
-    if (parent / "cloud.ply").is_file():
-        return [parent]
-    return sorted(p for p in parent.iterdir() if p.is_dir())
-
-
-def _result_dirs(parent: Path) -> list[Path]:
-    if (parent / "pose.json").is_file():
+def _run_dirs(parent: Path, marker: str) -> list[Path]:
+    """parent itself when it holds `marker`, else its subdirectories in order."""
+    if (parent / marker).is_file():
         return [parent]
     return sorted(p for p in parent.iterdir() if p.is_dir())
 
@@ -193,8 +192,8 @@ def _eval_one(args):
 
 def cmd_eval(args) -> int:
     config = load_config(args)
-    scenes = _scene_dirs(Path(args.scenes))
-    results = _result_dirs(Path(args.results))
+    scenes = _run_dirs(Path(args.scenes), "cloud.ply")
+    results = _run_dirs(Path(args.results), "pose.json")
     if len(scenes) != len(results):
         raise LengthMismatchError(
             f"{len(scenes)} scenes but {len(results)} results"
@@ -202,11 +201,7 @@ def cmd_eval(args) -> int:
     if not scenes:
         raise LengthMismatchError(f"no scene bundles under {args.scenes}")
     tasks = [(config, str(s), str(r)) for s, r in zip(scenes, results)]
-    if args.jobs > 1:
-        with get_context("fork").Pool(processes=args.jobs) as pool:
-            evaluations = pool.map(_eval_one, tasks)
-    else:
-        evaluations = [_eval_one(t) for t in tasks]
+    evaluations = parallel_map(_eval_one, tasks, args.jobs)
     report = evaluation_report(evaluations)
     write_json(args.out, report)
     mean = report["mean"]
@@ -252,10 +247,11 @@ def cmd_normals(args) -> int:
     scene = load_scene_bundle(args.scene)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    k = max(config.k_neighbors, 3)  # the normal estimators' own floor
     if config.adaptive_k:
-        field = estimate_point_normals_adaptive(scene.cloud, k0=config.k_neighbors)
+        field = estimate_point_normals_adaptive(scene.cloud, k0=k)
     else:
-        field = estimate_point_normals(scene.cloud, max(config.k_neighbors, 3))
+        field = estimate_point_normals(scene.cloud, k)
     write_normals(out / "point_normals.bin", field)
     write_normals(out / "depth_normals.bin", metric_normals_from_depth(scene.depth, scene.intrinsics))
     print(
@@ -267,10 +263,6 @@ def cmd_normals(args) -> int:
 # --------------------------------------------------------------------------- #
 #  losses
 # --------------------------------------------------------------------------- #
-
-
-def _unit(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def _tangent(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
@@ -293,10 +285,10 @@ def cmd_losses(args) -> int:
         np.random.SeedSequence((config.base_seed, _LOSS_FIXTURE_STREAM))
     )
     m = 24
-    f_img = _unit(rng.standard_normal((m, config.channels)))
-    f_cloud = _unit(f_img + 0.1 * rng.standard_normal((m, config.channels)))
-    target = _unit(rng.standard_normal((m, 3)))
-    predicted = _unit(target + 0.05 * rng.standard_normal((m, 3)))
+    f_img = unit_rows(rng.standard_normal((m, config.channels)))
+    f_cloud = unit_rows(f_img + 0.1 * rng.standard_normal((m, config.channels)))
+    target = unit_rows(rng.standard_normal((m, 3)))
+    predicted = unit_rows(target + 0.05 * rng.standard_normal((m, 3)))
     all_valid = np.ones(m, dtype=bool)
     pred_field = NormalField(predicted, all_valid)
     tgt_field = NormalField(target, all_valid)
@@ -349,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = subs.add_parser("synth", help="generate seeded scene bundles")
     synth.add_argument("--out", required=True, help="parent directory for bundles")
-    synth.add_argument("--jobs", type=int, default=1)
+    synth.add_argument("--jobs", type=_job_count, default=1)
     _add_config_flags(synth)
     synth.set_defaults(func=cmd_synth)
 
@@ -363,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--scenes", required=True, help="bundle dir or parent of bundles")
     evaluate.add_argument("--results", required=True, help="result dir or parent of results")
     evaluate.add_argument("--out", required=True, help="report JSON path")
-    evaluate.add_argument("--jobs", type=int, default=1)
+    evaluate.add_argument("--jobs", type=_job_count, default=1)
     _add_config_flags(evaluate)
     evaluate.set_defaults(func=cmd_eval)
 
@@ -371,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--sweep", required=True, choices=SWEEP_NAMES)
     ablate.add_argument("--values", help="JSON list of sweep values (default: built-in)")
     ablate.add_argument("--out", required=True, help="CSV path")
-    ablate.add_argument("--jobs", type=int, default=1)
+    ablate.add_argument("--jobs", type=_job_count, default=1)
     _add_config_flags(ablate)
     ablate.set_defaults(func=cmd_ablate)
 

@@ -75,3 +75,12 @@ class ConfigError(CrossregError, ValueError):
 
 class BundleError(CrossregError, ValueError):
     """Scene bundle directory is missing or malformed."""
+
+
+# register_scene outcomes meaning the scene did not register, as opposed to
+# bad input: the CLI exits 2 on them and a sweep scores the scene as a miss.
+REGISTRATION_FAILURES = (
+    NoConsensusError,
+    InsufficientPointsError,
+    EmptyCorrespondencesError,
+)

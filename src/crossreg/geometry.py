@@ -1,4 +1,4 @@
-"""Rigid transforms, pinhole camera operations, and positional encodings.
+"""Rigid transforms, pinhole camera operations, and row normalization.
 
 Conventions used throughout the package:
 
@@ -51,6 +51,12 @@ def as_points(x, name: str = "points") -> F64:
 
 def as_vec3(x, name: str = "vector") -> F64:
     return as_float_array(x, shape=(3,), name=name)
+
+
+def unit_rows(rows) -> F64:
+    """Scale each vector along the last axis to unit length; zero rows stay zero."""
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows / np.where(norms > 0.0, norms, 1.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -110,11 +116,6 @@ class RigidTransform:
         mat[:3, :3] = self.rotation
         mat[:3, 3] = self.translation
         return mat
-
-
-def apply_transform(transform: RigidTransform, points) -> F64:
-    """Free-function alias for RigidTransform.apply."""
-    return transform.apply(points)
 
 
 def rotation_from_axis_angle(axis_angle) -> F64:
@@ -211,54 +212,4 @@ def backproject_pixels(intrinsics: CameraIntrinsics, uv, depths) -> F64:
     out[:, 0] = (uv[:, 0] - intrinsics.cx) * d / intrinsics.fx
     out[:, 1] = (uv[:, 1] - intrinsics.cy) * d / intrinsics.fy
     out[:, 2] = d
-    return out
-
-
-# --------------------------------------------------------------------------- #
-#  Positional encoding
-# --------------------------------------------------------------------------- #
-
-
-def fourier_embed(x: float, num_frequencies: int) -> F64:
-    """Embed a scalar as [x, sin(2^0 x), cos(2^0 x), ..., sin(2^(L-1) x), cos(2^(L-1) x)].
-
-    Output length is 2 * num_frequencies + 1.
-    """
-    if num_frequencies < 1:
-        raise ValueError(f"num_frequencies must be >= 1, got {num_frequencies}")
-    xf = float(x)
-    if not np.isfinite(xf):
-        raise ValueError("x must be finite")
-    out = np.empty(2 * num_frequencies + 1)
-    out[0] = xf
-    freqs = np.ldexp(1.0, np.arange(num_frequencies))
-    out[1::2] = np.sin(freqs * xf)
-    out[2::2] = np.cos(freqs * xf)
-    return out
-
-
-def fourier_embed_positions(positions, num_frequencies: int) -> F64:
-    """Component-wise Fourier embedding of (N, d) positions, concatenated.
-
-    Each of the d components expands to its own 2L+1 block, so the output
-    has shape (N, d * (2 * num_frequencies + 1)).
-    """
-    if num_frequencies < 1:
-        raise ValueError(f"num_frequencies must be >= 1, got {num_frequencies}")
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.ndim != 2:
-        raise ValueError(f"positions must be (N, d), got {pos.shape}")
-    if not np.all(np.isfinite(pos)):
-        raise ValueError("positions contain non-finite values")
-    n, d = pos.shape
-    width = 2 * num_frequencies + 1
-    freqs = np.ldexp(1.0, np.arange(num_frequencies))
-    out = np.empty((n, d * width))
-    for comp in range(d):
-        block = out[:, comp * width : (comp + 1) * width]
-        col = pos[:, comp]
-        block[:, 0] = col
-        arg = col[:, None] * freqs[None, :]
-        block[:, 1::2] = np.sin(arg)
-        block[:, 2::2] = np.cos(arg)
     return out

@@ -15,7 +15,7 @@ from .errors import ChannelMismatchError
 from .geometry import F64
 
 # (name, shape builder) pairs fixing the canonical parameter order used by
-# the deterministic initializer and the blob/sidecar serialization.
+# the deterministic initializer and the shape checks.
 PARAM_LAYOUT: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("query_proj", ("C", "C")),
     ("key_proj", ("C", "C")),
@@ -54,6 +54,8 @@ def knn_indices(
 
     Returns (N, k') int64 indices, plus matching distances when asked:
     the square roots of the same squared distances the ranking used.
+    Raises ValueError when coordinates are so large that squared
+    distances would overflow.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -70,6 +72,9 @@ def knn_indices(
     idx = np.empty((n, k_eff), dtype=np.int64)
     dst = np.empty((n, k_eff)) if return_distances else None
     sq = np.einsum("nd,nd->n", pts, pts)
+    # |a|^2 + |b|^2 - 2 a.b never exceeds 4 max|p|^2 at any step
+    if not np.isfinite(4.0 * sq.max()):
+        raise ValueError("points too large: squared distances overflow float64")
     # chunked brute force keeps the distance matrix under ~32 MB
     chunk = max(1, int(4_000_000 // max(n, 1)))
     for start in range(0, n, chunk):
@@ -81,9 +86,7 @@ def knn_indices(
         d2[rows - start, rows] = np.inf
         # copy, so the partitioned block is freed before the candidate pass
         kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1].copy()
-        # "not above" rather than "<=": a NaN from overflowing squares sorts
-        # last, exactly as it does in a full sort of the row
-        cand_row, cand_col = np.nonzero(~(d2 > kth[:, None]))
+        cand_row, cand_col = np.nonzero(d2 <= kth[:, None])
         cand_d2 = d2[cand_row, cand_col]
         # nonzero lists columns in ascending order within a row, and lexsort
         # is stable, so equal distances keep the smaller index first

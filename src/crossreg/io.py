@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BundleError
-from .geometry import CameraIntrinsics, F64, RigidTransform, as_points
-from .graph import PARAM_LAYOUT, GraphAttentionParams
+from .geometry import CameraIntrinsics, F64, RigidTransform, as_points, unit_rows
 from .matching import CorrespondenceSet, PatchPair
 from .normals import DepthMap, NormalField
 from .pose import PoseEstimate
@@ -25,8 +24,6 @@ from .synth import SyntheticScene
 __all__ = [
     "write_ply",
     "read_ply",
-    "write_xyz",
-    "read_xyz",
     "write_depth",
     "read_depth",
     "write_normals",
@@ -41,8 +38,6 @@ __all__ = [
     "read_correspondences",
     "write_patches",
     "read_patches",
-    "write_attention_params",
-    "read_attention_params",
     "save_scene_bundle",
     "load_scene_bundle",
     "BUNDLE_FILES",
@@ -93,20 +88,6 @@ def read_ply(path) -> F64:
     if count == 0:
         return np.zeros((0, 3))
     return np.array([[float(t) for t in row.split()[:3]] for row in rows])
-
-
-def write_xyz(path, points) -> None:
-    pts = as_points(points, name="points")
-    Path(path).write_text(
-        "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pts.tolist())
-    )
-
-
-def read_xyz(path) -> F64:
-    rows = [line.split() for line in Path(path).read_text().splitlines() if line.strip()]
-    if not rows:
-        return np.zeros((0, 3))
-    return np.array([[float(t) for t in row[:3]] for row in rows])
 
 
 # --------------------------------------------------------------------------- #
@@ -161,9 +142,7 @@ def read_normals(path) -> NormalField:
         arr = arr[0]
     valid = np.all(np.isfinite(arr), axis=-1)
     # Re-normalize to absorb float32 quantization of unit vectors.
-    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
-    arr = np.where(valid[..., None], arr / np.where(norms > 0, norms, 1.0), 0.0)
-    return NormalField(arr, valid)
+    return NormalField(np.where(valid[..., None], unit_rows(arr), 0.0), valid)
 
 
 # --------------------------------------------------------------------------- #
@@ -238,9 +217,10 @@ def read_pose(path) -> RigidTransform:
 
 def write_correspondences(path, corrs: CorrespondenceSet) -> None:
     lines = ["u,v,point_index,score"]
-    lines.extend(
-        f"{c.pixel[0]!r},{c.pixel[1]!r},{c.point_index},{c.score!r}" for c in corrs
+    columns = zip(
+        corrs.pixels.tolist(), corrs.point_indices.tolist(), corrs.scores.tolist()
     )
+    lines.extend(f"{u!r},{v!r},{idx},{score!r}" for (u, v), idx, score in columns)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -286,42 +266,6 @@ def read_patches(path) -> tuple[PatchPair, ...]:
         img_id, cloud_id, o2, o3 = line.split(",")
         out.append(PatchPair(int(img_id), int(cloud_id), float(o2), float(o3)))
     return tuple(out)
-
-
-# --------------------------------------------------------------------------- #
-#  Attention parameters: float32 blob + JSON sidecar
-# --------------------------------------------------------------------------- #
-
-
-def write_attention_params(path, params: GraphAttentionParams) -> None:
-    path = Path(path)
-    parts = [np.asarray(getattr(params, name), dtype="<f4").ravel() for name, _ in PARAM_LAYOUT]
-    path.write_bytes(np.concatenate(parts).tobytes())
-    sidecar = {
-        "channels": params.channels,
-        "dtype": "<f4",
-        "seed": params.seed,
-        "shapes": {name: list(np.asarray(getattr(params, name)).shape) for name, _ in PARAM_LAYOUT},
-    }
-    write_json(path.with_suffix(path.suffix + ".json"), sidecar)
-
-
-def read_attention_params(path) -> GraphAttentionParams:
-    path = Path(path)
-    sidecar = read_json(path.with_suffix(path.suffix + ".json"))
-    data = np.frombuffer(path.read_bytes(), dtype="<f4").astype(np.float64)
-    fields = {}
-    offset = 0
-    for name, _ in PARAM_LAYOUT:
-        shape = tuple(sidecar["shapes"][name])
-        size = int(np.prod(shape))
-        fields[name] = data[offset : offset + size].reshape(shape)
-        offset += size
-    if offset != data.size:
-        raise BundleError(f"{path}: parameter blob size mismatch")
-    return GraphAttentionParams(
-        channels=int(sidecar["channels"]), seed=int(sidecar["seed"]), **fields
-    )
 
 
 # --------------------------------------------------------------------------- #

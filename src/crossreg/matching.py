@@ -2,46 +2,34 @@
 
 Scores are plain cosine similarities. Coarse matching keeps mutual
 top-k patch pairs; fine matching keeps mutual argmax pixel/point pairs
-above a score floor. Labeling and patch overlap implement the
-supervision-side distance rules.
+above a score floor. Patch overlap applies the supervision-side
+positive-pair rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
-from .errors import (
-    ChannelMismatchError,
-    EmptyPatchError,
-    MissingDepthError,
-)
+from .errors import ChannelMismatchError, EmptyPatchError
 from .geometry import (
     F64,
     CameraIntrinsics,
     RigidTransform,
     as_points,
-    backproject_pixel,
     backproject_pixels,
+    unit_rows,
 )
 
-Label = Literal["positive", "negative", "ignored"]
+# A pixel/point pair is positive when its 3D gap is below POS_3D_M meters
+# and its reprojection gap below POS_2D_PX pixels (both strict).
+POS_3D_M = 0.0375
+POS_2D_PX = 8.0
 
 
 # --------------------------------------------------------------------------- #
 #  Correspondences
 # --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """One pixel/point match: pixel (u, v), cloud point index, cosine score."""
-
-    pixel: tuple[float, float]
-    point_index: int
-    score: float
 
 
 @dataclass(frozen=True)
@@ -73,14 +61,6 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return self.pixels.shape[0]
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield Correspondence(
-                (float(self.pixels[i, 0]), float(self.pixels[i, 1])),
-                int(self.point_indices[i]),
-                float(self.scores[i]),
-            )
-
 
 # --------------------------------------------------------------------------- #
 #  Score maps
@@ -93,8 +73,7 @@ def _normalize_rows(features, name: str) -> F64:
         raise ValueError(f"{name}: expected (M, C), got {feats.shape}")
     if not np.all(np.isfinite(feats)):
         raise ValueError(f"{name}: contains non-finite values")
-    norms = np.linalg.norm(feats, axis=1, keepdims=True)
-    return feats / np.where(norms > 0.0, norms, 1.0)
+    return unit_rows(feats)
 
 
 def cosine_score_map(f_img, f_cloud) -> F64:
@@ -184,60 +163,6 @@ def fine_match(
 
 
 # --------------------------------------------------------------------------- #
-#  Supervision labels
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class LabelThresholds:
-    """Distance gates for positive/negative supervision labels (m and px)."""
-
-    pos_3d: float = 0.0375
-    pos_2d: float = 8.0
-    neg_3d: float = 0.10
-    neg_2d: float = 12.0
-
-
-def label_fine_pairs(
-    corr: Correspondence,
-    cloud,
-    depth_at_pixel: float,
-    intrinsics: CameraIntrinsics,
-    gt_transform: RigidTransform,
-    thresholds: LabelThresholds = LabelThresholds(),
-) -> Label:
-    """Classify one correspondence as positive, negative, or ignored.
-
-    positive: 3D gap < pos_3d AND pixel gap < pos_2d (both strict);
-    negative: 3D gap > neg_3d OR pixel gap > neg_2d (both strict);
-    anything between is ignored. A transformed point behind the camera
-    cannot reproject, so its pixel gap counts as infinite.
-    """
-    pts = as_points(cloud, name="cloud")
-    if not 0 <= corr.point_index < pts.shape[0]:
-        raise IndexError(f"point index {corr.point_index} out of range")
-    if not np.isfinite(depth_at_pixel) or depth_at_pixel <= 0.0:
-        raise MissingDepthError(f"invalid depth {depth_at_pixel} at pixel {corr.pixel}")
-
-    u, v = corr.pixel
-    transformed = gt_transform.apply(pts[corr.point_index])
-    lifted = backproject_pixel(intrinsics, u, v, depth_at_pixel)
-    d3 = float(np.linalg.norm(transformed - lifted))
-    if transformed[2] > 0.0:
-        pu = intrinsics.fx * transformed[0] / transformed[2] + intrinsics.cx
-        pv = intrinsics.fy * transformed[1] / transformed[2] + intrinsics.cy
-        d2 = float(np.hypot(pu - u, pv - v))
-    else:
-        d2 = np.inf
-
-    if d3 < thresholds.pos_3d and d2 < thresholds.pos_2d:
-        return "positive"
-    if d3 > thresholds.neg_3d or d2 > thresholds.neg_2d:
-        return "negative"
-    return "ignored"
-
-
-# --------------------------------------------------------------------------- #
 #  Patch overlap
 # --------------------------------------------------------------------------- #
 
@@ -264,15 +189,15 @@ def patch_overlap(
     points,
     intrinsics: CameraIntrinsics,
     gt_transform: RigidTransform,
-    thresholds: LabelThresholds = LabelThresholds(),
 ) -> PatchPair:
     """Bidirectional overlap between an image patch and a cloud patch.
 
-    A pixel/point pair counts as overlapped when it would be labeled
-    positive (3D gap < pos_3d and pixel gap < pos_2d). overlap_2d is the
-    fraction of patch pixels touching any point; overlap_3d the fraction
-    of patch points touching any pixel. Pixels without valid depth stay
-    in the denominator but can touch nothing.
+    A pixel/point pair counts as overlapped when it is positive (3D gap
+    < POS_3D_M and pixel gap < POS_2D_PX; a point behind the camera has
+    an infinite pixel gap). overlap_2d is the fraction of patch pixels
+    touching any point; overlap_3d the fraction of patch points touching
+    any pixel. Pixels without valid depth stay in the denominator but can
+    touch nothing.
     """
     pix = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     dep = np.asarray(pixel_depths, dtype=np.float64).reshape(-1)
@@ -299,7 +224,7 @@ def patch_overlap(
             du = pu[None, :] - pix[liftable][:, 0:1]
             dv = pv[None, :] - pix[liftable][:, 1:2]
             d2[:, in_front] = np.hypot(du, dv)
-        hit[liftable] = (d3 < thresholds.pos_3d) & (d2 < thresholds.pos_2d)
+        hit[liftable] = (d3 < POS_3D_M) & (d2 < POS_2D_PX)
 
     overlap_2d = float(hit.any(axis=1).mean())
     overlap_3d = float(hit.any(axis=0).mean())

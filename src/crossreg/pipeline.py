@@ -16,18 +16,18 @@ and the emitted correspondences reproduce the ground truth.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
+from . import geometry
 from .errors import (
+    REGISTRATION_FAILURES,
     ConfigError,
     DegenerateNeighborhoodError,
-    EmptyCorrespondencesError,
-    InsufficientPointsError,
     LengthMismatchError,
-    NoConsensusError,
 )
 from .geometry import CameraIntrinsics, F64, RigidTransform, backproject_pixels
 from .graph import (
@@ -76,7 +76,14 @@ _GUIDANCE_STREAM = 7
 _SWAP_STREAM = 8
 _SWAP_CANDIDATES = 16
 
-SWEEP_NAMES = ("gaussian_sigma", "mask_ratio", "k", "warmup")
+# sweep name -> the config field it sets
+_SWEEP_FIELDS = {
+    "gaussian_sigma": "gaussian_sigma_m",
+    "mask_ratio": "mask_ratio",
+    "k": "k_neighbors",
+    "warmup": "epoch",
+}
+SWEEP_NAMES = tuple(_SWEEP_FIELDS)
 
 SWEEP_DEFAULTS: dict[str, tuple] = {
     "gaussian_sigma": (0.0, 0.005, 0.01, 0.015),
@@ -96,6 +103,7 @@ __all__ = [
     "evaluation_report",
     "apply_sweep_setting",
     "ablation_rows",
+    "parallel_map",
 ]
 
 
@@ -183,28 +191,27 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "PipelineConfig":
-        known = {f.name: f.default for f in fields(cls)}
-        unknown = sorted(set(mapping) - set(known))
+        unknown = sorted(set(mapping) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        coerced = {}
-        for key, raw in mapping.items():
-            default = known[key]
-            if isinstance(default, bool):
-                if not isinstance(raw, bool):
-                    raise ConfigError(f"{key} expects true/false, got {raw!r}")
-                coerced[key] = raw
-            elif isinstance(default, int):
-                if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                    raise ConfigError(f"{key} expects an integer, got {raw!r}")
-                if float(raw) != int(raw):
-                    raise ConfigError(f"{key} expects an integer, got {raw!r}")
-                coerced[key] = int(raw)
-            else:
-                if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                    raise ConfigError(f"{key} expects a number, got {raw!r}")
-                coerced[key] = float(raw)
-        return cls(**coerced)
+        return cls(**{key: cls._coerce(key, raw) for key, raw in mapping.items()})
+
+    @classmethod
+    def _coerce(cls, key: str, raw):
+        """raw as the type of field `key`; ConfigError when it is not one."""
+        default = cls.__dataclass_fields__[key].default
+        if isinstance(default, bool):
+            if not isinstance(raw, bool):
+                raise ConfigError(f"{key} expects true/false, got {raw!r}")
+            return raw
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            kind = "an integer" if isinstance(default, int) else "a number"
+            raise ConfigError(f"{key} expects {kind}, got {raw!r}")
+        if isinstance(default, int):
+            if float(raw) != int(raw):
+                raise ConfigError(f"{key} expects an integer, got {raw!r}")
+            return int(raw)
+        return float(raw)
 
     def replace(self, **updates) -> "PipelineConfig":
         return dataclasses.replace(self, **updates)
@@ -244,11 +251,6 @@ class PipelineConfig:
 # --------------------------------------------------------------------------- #
 #  Geometry-aware feature construction
 # --------------------------------------------------------------------------- #
-
-
-def _unit_rows(rows: F64) -> F64:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return rows / np.where(norms > 0.0, norms, 1.0)
 
 
 def lifted_pixel_normals(
@@ -346,8 +348,8 @@ def register_scene(scene: SyntheticScene, config: PipelineConfig) -> Registratio
         clean_normals.valid[vs, us][:, None], clean_normals.normals[vs, us], 0.0
     )
     weight = config.normal_channel_weight
-    f_img_aug = _unit_rows(np.hstack([f_img, weight * img_n]))
-    f_cloud_aug = _unit_rows(np.hstack([f_cloud, weight * cloud_n]))
+    f_img_aug = geometry.unit_rows(np.hstack([f_img, weight * img_n]))
+    f_cloud_aug = geometry.unit_rows(np.hstack([f_cloud, weight * cloud_n]))
 
     params = GraphAttentionParams.initialize(config.channels + 3, config.param_seed)
     blend = warmup_weight(config.epoch, config.warmup())
@@ -448,7 +450,7 @@ def _corrupt_guidance(
         rng = np.random.default_rng(
             np.random.SeedSequence((scene.seed, config.noise_seed, _GUIDANCE_STREAM))
         )
-        f_img = _unit_rows(f_img + rng.normal(0.0, sigma_sup, f_img.shape))
+        f_img = geometry.unit_rows(f_img + rng.normal(0.0, sigma_sup, f_img.shape))
 
     swap_p = min(1.0, config.guidance_swap_scale * (1.0 - agreement))
     if swap_p > 0.0:
@@ -541,20 +543,27 @@ def evaluation_report(evaluations: list[SceneEvaluation]) -> dict:
 
 
 def apply_sweep_setting(config: PipelineConfig, sweep: str, value) -> PipelineConfig:
-    if sweep == "gaussian_sigma":
-        return config.replace(gaussian_sigma_m=float(value))
-    if sweep == "mask_ratio":
-        return config.replace(mask_ratio=float(value))
-    if sweep == "k":
-        return config.replace(k_neighbors=int(value))
-    if sweep == "warmup":
-        return config.replace(epoch=int(value))
-    raise ConfigError(f"unknown sweep '{sweep}', expected one of {SWEEP_NAMES}")
+    """config with the sweep's field set to value, coerced as a config value."""
+    if sweep not in _SWEEP_FIELDS:
+        raise ConfigError(f"unknown sweep '{sweep}', expected one of {SWEEP_NAMES}")
+    key = _SWEEP_FIELDS[sweep]
+    return config.replace(**{key: PipelineConfig._coerce(key, value)})
 
 
-def _run_batch_setting(args) -> tuple[float, float, float]:
-    config, sweep, value = args
-    tuned = apply_sweep_setting(config, sweep, value)
+def parallel_map(fn, tasks, jobs: int) -> list:
+    """[fn(t) for t in tasks], in forked worker processes when jobs > 1.
+
+    Never starts more workers than there are tasks; results keep task order.
+    """
+    tasks = list(tasks)
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+        return pool.map(fn, tasks)
+
+
+def _run_batch_setting(tuned: PipelineConfig) -> tuple[float, float, float]:
     irs = []
     rmses = []
     for i in range(tuned.scene_count):
@@ -569,7 +578,7 @@ def _run_batch_setting(args) -> tuple[float, float, float]:
             )
             irs.append(ev.inlier_ratio)
             rmses.append(ev.rmse_m)
-        except (InsufficientPointsError, NoConsensusError, EmptyCorrespondencesError):
+        except REGISTRATION_FAILURES:
             irs.append(0.0)
             rmses.append(np.inf)
     return (
@@ -586,14 +595,9 @@ def ablation_rows(
     values = list(values)
     if not values:
         raise ConfigError("ablation sweep needs at least one value")
-    tasks = [(config, sweep, v) for v in values]
-    if jobs > 1:
-        from multiprocessing import get_context
-
-        with get_context("fork").Pool(processes=jobs) as pool:
-            stats = pool.map(_run_batch_setting, tasks)
-    else:
-        stats = [_run_batch_setting(t) for t in tasks]
+    # every value is checked before any scene is registered
+    tuned = [apply_sweep_setting(config, sweep, v) for v in values]
+    stats = parallel_map(_run_batch_setting, tuned, jobs)
     return [
         (float(value), ir, fmr, rr)
         for value, (ir, fmr, rr) in zip(values, stats)

@@ -27,6 +27,7 @@ from .geometry import (
     as_points,
     as_vec3,
     rotation_from_axis_angle,
+    unit_rows,
 )
 from .matching import CorrespondenceSet
 from .normals import DepthMap
@@ -51,11 +52,6 @@ __all__ = [
     "corrupt_depth",
     "synthesize_features",
 ]
-
-
-def _unit_rows(rows: F64) -> F64:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return rows / np.where(norms > 0.0, norms, 1.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -129,7 +125,7 @@ class Sphere:
 
     def sample(self, rng: np.random.Generator, count: int) -> F64:
         c = as_vec3(self.center, name="center")
-        dirs = _unit_rows(rng.standard_normal((count, 3)))
+        dirs = unit_rows(rng.standard_normal((count, 3)))
         return c + self.radius * dirs
 
 
@@ -322,7 +318,7 @@ def synthesize_features(
     n = scene.cloud.shape[0]
     m = len(scene.gt_correspondences)
     base_rng = np.random.default_rng(np.random.SeedSequence((scene.seed, _BASE_STREAM)))
-    base = _unit_rows(base_rng.standard_normal((n, channels)))
+    base = unit_rows(base_rng.standard_normal((n, channels)))
     f_cloud = base.copy()
     f_img = base[scene.gt_correspondences.point_indices].copy()
 
@@ -333,8 +329,8 @@ def synthesize_features(
         cloud_rng = np.random.default_rng(
             np.random.SeedSequence((scene.seed, noise.seed, _CLOUD_NOISE_STREAM))
         )
-        f_img = _unit_rows(f_img + img_rng.normal(0.0, noise.feature_noise_sigma, f_img.shape))
-        f_cloud = _unit_rows(
+        f_img = unit_rows(f_img + img_rng.normal(0.0, noise.feature_noise_sigma, f_img.shape))
+        f_cloud = unit_rows(
             f_cloud + cloud_rng.normal(0.0, noise.feature_noise_sigma, f_cloud.shape)
         )
 
@@ -344,5 +340,5 @@ def synthesize_features(
             np.random.SeedSequence((scene.seed, noise.seed, _OUTLIER_STREAM))
         )
         rows = out_rng.choice(m, size=outliers, replace=False)
-        f_img[rows] = _unit_rows(out_rng.standard_normal((outliers, channels)))
+        f_img[rows] = unit_rows(out_rng.standard_normal((outliers, channels)))
     return f_img, f_cloud

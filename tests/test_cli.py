@@ -72,6 +72,20 @@ class TestConfigPlumbing:
             run("transmogrify")
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    @pytest.mark.parametrize("command", [
+        ["synth", "--out", "s"],
+        ["eval", "--scenes", "s", "--results", "r", "--out", "e.json"],
+        ["ablate", "--sweep", "k", "--out", "a.csv"],
+    ])
+    def test_jobs_below_one_exits_1(self, tmp_path, monkeypatch, capsys, command, jobs):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--jobs", jobs)
+        assert exc.value.code == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestSynth:
     def test_writes_bundles(self, tmp_path):
@@ -221,6 +235,18 @@ class TestAblate:
         assert run("ablate", "--sweep", "k", "--values", "[]",
                    "--out", str(tmp_path / "x.csv")) == 1
 
+    @pytest.mark.parametrize("sweep, values", [
+        ("mask_ratio", '["a"]'),
+        ("k", "[null]"),
+        ("k", "[2.5]"),
+        ("warmup", "[true]"),
+    ])
+    def test_values_the_config_rejects_exit_1(self, tmp_path, capsys, sweep, values):
+        out = tmp_path / "x.csv"
+        assert run("ablate", "--sweep", sweep, "--values", values, "--out", str(out)) == 1
+        assert "expects" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_sweep_name_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("ablate", "--sweep", "blur", "--out", str(tmp_path / "x.csv"))
@@ -245,6 +271,17 @@ class TestNormals:
         assert run("normals", "--scene", str(scenes / "scene_0000"), "--out", str(a)) == 0
         assert run("normals", "--scene", str(scenes / "scene_0000"), "--out", str(b)) == 0
         assert file_bytes(a) == file_bytes(b)
+
+
+    def test_adaptive_k_below_three_floors_at_three(self, tmp_path):
+        scene = str(synth_scenes(tmp_path) / "scene_0000")
+        low, floor = tmp_path / "low", tmp_path / "floor"
+        adaptive = ["--set", "adaptive_k=true"]
+        assert run("normals", "--scene", scene, "--out", str(low), *adaptive,
+                   "--set", "k_neighbors=2") == 0
+        assert run("normals", "--scene", scene, "--out", str(floor), *adaptive,
+                   "--set", "k_neighbors=3") == 0
+        assert file_bytes(low) == file_bytes(floor)
 
 
 class TestLosses:

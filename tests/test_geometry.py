@@ -1,4 +1,4 @@
-"""Transforms, camera model, and positional encoding against independent oracles."""
+"""Transforms, camera model, and row normalization against independent oracles."""
 
 import math
 
@@ -9,14 +9,12 @@ from crossreg.errors import InvalidRotationError, NonPositiveDepthError
 from crossreg.geometry import (
     CameraIntrinsics,
     RigidTransform,
-    apply_transform,
     backproject_pixel,
     backproject_pixels,
-    fourier_embed,
-    fourier_embed_positions,
     project_point,
     project_points,
     rotation_from_axis_angle,
+    unit_rows,
 )
 
 
@@ -44,9 +42,7 @@ class TestRigidTransform:
             pts_h = np.concatenate([pts, np.ones((40, 1))], axis=1)
             expected = (pts_h @ hom.T)[:, :3]
             np.testing.assert_allclose(transform.apply(pts), expected, atol=1e-12)
-            np.testing.assert_allclose(
-                apply_transform(transform, pts[0]), expected[0], atol=1e-12
-            )
+            np.testing.assert_allclose(transform.apply(pts[0]), expected[0], atol=1e-12)
 
     def test_compose_then_apply_equals_sequential(self):
         rng = np.random.default_rng(11)
@@ -139,34 +135,19 @@ class TestCamera:
             CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=240.0, width=640, height=480)
 
 
-class TestFourierEmbed:
-    def test_term_by_term_small_case(self):
-        # frequencies 2^0 and 2^1 at x = 0.5
-        x = 0.5
-        got = fourier_embed(x, 2)
-        expected = np.array(
-            [x, math.sin(x), math.cos(x), math.sin(2 * x), math.cos(2 * x)]
-        )
-        np.testing.assert_allclose(got, expected, rtol=0, atol=0)
+class TestUnitRows:
+    def test_matches_per_row_division(self):
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((30, 5))
+        got = unit_rows(rows)
+        for i in range(30):
+            norm = math.sqrt(sum(x * x for x in rows[i].tolist()))
+            assert got[i].tolist() == [x / norm for x in rows[i].tolist()]
 
-    def test_zero_input(self):
-        np.testing.assert_array_equal(fourier_embed(0.0, 2), [0.0, 0.0, 1.0, 0.0, 1.0])
-
-    def test_length_rule(self):
-        for L in (1, 3, 7):
-            assert fourier_embed(1.234, L).shape == (2 * L + 1,)
-
-    def test_positions_concatenate_components(self):
-        pos = np.array([[0.5, -1.0], [2.0, 0.25]])
-        got = fourier_embed_positions(pos, 3)
-        assert got.shape == (2, 2 * (2 * 3 + 1))
-        for i in range(2):
-            for comp in range(2):
-                block = got[i, comp * 7 : (comp + 1) * 7]
-                np.testing.assert_allclose(
-                    block, fourier_embed(pos[i, comp], 3), atol=0
-                )
-
-    def test_rejects_bad_frequency_count(self):
-        with pytest.raises(ValueError):
-            fourier_embed(1.0, 0)
+    def test_zero_rows_stay_zero_and_last_axis_is_used(self):
+        grid = np.zeros((2, 3, 3))
+        grid[0, 1] = [3.0, 0.0, 4.0]
+        got = unit_rows(grid)
+        np.testing.assert_array_equal(got[0, 1], [0.6, 0.0, 0.8])
+        got[0, 1] = 0.0
+        assert not np.any(got)

@@ -151,14 +151,20 @@ class TestKnn:
         for k in (3, 4, 5, 8, 9):
             assert_matches_argsort(pixels, k)
 
-    def test_overflowing_squares_keep_sort_order(self):
-        # between two points near 1e200 the squared distance is inf - inf,
-        # NaN, so the k-th entry of a row can be NaN; selection must still
-        # follow the full sort, which puts NaN after inf
+    def test_overflowing_squares_are_rejected(self):
+        # near 1e200 the squared distances are inf - inf = NaN, which once
+        # listed points as their own neighbors
         pts = np.array([[1e200, 0.0], [1e200, 1.0], [1e200, 2.0], [0.0, 0.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in (1, 2, 3):
-                assert_matches_argsort(pts, k)
+        with np.errstate(over="ignore"):
+            for call in (knn_indices, build_knn_graph):
+                with pytest.raises(ValueError, match="overflow"):
+                    call(pts, 1)
+
+    def test_largest_safe_coordinates_pass(self):
+        # 4 * |p|^2 just below the float64 maximum still ranks exactly
+        big = math.sqrt(np.finfo(np.float64).max / 4.0) / math.sqrt(2.0) * 0.999
+        pts = np.array([[big, big], [-big, -big], [0.0, 0.0]])
+        assert_matches_argsort(pts, 2)
 
     @settings(max_examples=4)
     @given(points=point_sets(min_n=2001, max_n=2600), k=st.integers(1, 9))

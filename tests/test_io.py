@@ -4,25 +4,20 @@ import numpy as np
 import pytest
 
 from crossreg.errors import BundleError
-from crossreg.graph import GraphAttentionParams
 from crossreg.io import (
     load_scene_bundle,
-    read_attention_params,
     read_correspondences,
     read_depth,
     read_intrinsics,
     read_normals,
     read_ply,
-    read_xyz,
     save_scene_bundle,
-    write_attention_params,
     write_correspondences,
     write_depth,
     write_intrinsics,
     write_normals,
     write_ply,
     write_pose_estimate,
-    write_xyz,
 )
 from crossreg.matching import CorrespondenceSet
 from crossreg.normals import DepthMap, NormalField
@@ -60,11 +55,6 @@ class TestPointClouds:
         (tmp_path / "cut.ply").write_text("\n".join(text[:-2]) + "\n")
         with pytest.raises(BundleError):
             read_ply(tmp_path / "cut.ply")
-
-    def test_xyz_round_trip_exact(self, tmp_path):
-        pts = random_cloud(seed=2)
-        write_xyz(tmp_path / "c.xyz", pts)
-        np.testing.assert_array_equal(read_xyz(tmp_path / "c.xyz"), pts)
 
 
 class TestRasters:
@@ -156,26 +146,6 @@ class TestJsonRecords:
         (tmp_path / "c.csv").write_text("a,b,c\n")
         with pytest.raises(BundleError):
             read_correspondences(tmp_path / "c.csv")
-
-
-class TestAttentionParams:
-    def test_round_trip_within_float32(self, tmp_path):
-        params = GraphAttentionParams.initialize(channels=16, seed=3)
-        write_attention_params(tmp_path / "w.bin", params)
-        back = read_attention_params(tmp_path / "w.bin")
-        assert back.channels == 16 and back.seed == 3
-        for name in ("query_proj", "key_proj", "value_proj", "gate_w1", "gate_b1"):
-            got = getattr(back, name)
-            want = getattr(params, name)
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() < 1e-7
-
-    def test_rewrite_byte_identical(self, tmp_path):
-        params = GraphAttentionParams.initialize(channels=8, seed=1)
-        write_attention_params(tmp_path / "a.bin", params)
-        write_attention_params(tmp_path / "b.bin", params)
-        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
-        assert (tmp_path / "a.bin.json").read_bytes() == (tmp_path / "b.bin.json").read_bytes()
 
 
 class TestSceneBundle:

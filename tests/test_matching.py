@@ -1,18 +1,26 @@
 """Matching primitives against brute-force oracles and hand geometry."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from crossreg.errors import ChannelMismatchError, EmptyPatchError, MissingDepthError
-from crossreg.geometry import CameraIntrinsics, RigidTransform, project_point
+from crossreg.errors import ChannelMismatchError, EmptyPatchError
+from crossreg.geometry import (
+    CameraIntrinsics,
+    RigidTransform,
+    project_point,
+    rotation_from_axis_angle,
+)
 from crossreg.matching import (
-    Correspondence,
+    POS_2D_PX,
+    POS_3D_M,
     CorrespondenceSet,
-    LabelThresholds,
     coarse_match,
     cosine_score_map,
     fine_match,
-    label_fine_pairs,
     patch_overlap,
 )
 
@@ -39,6 +47,50 @@ def oracle_coarse(scores: np.ndarray, top_k: int) -> list[tuple[int, int, float]
     ]
     pairs.sort(key=lambda p: (-p[2], p[0], p[1]))
     return pairs
+
+
+def positive_pair(pixel, depth: float, transformed, intrinsics) -> bool:
+    """Scalar oracle of the positive-pair rule: 3D gap < POS_3D_M and pixel gap
+    < POS_2D_PX, both strict. A pixel without valid depth touches nothing, and
+    a point at or behind the camera plane has an infinite pixel gap."""
+    if not math.isfinite(depth) or depth <= 0.0:
+        return False
+    u, v = pixel
+    x, y, z = transformed
+    lifted = (
+        (u - intrinsics.cx) * depth / intrinsics.fx,
+        (v - intrinsics.cy) * depth / intrinsics.fy,
+        depth,
+    )
+    d3 = math.sqrt(sum((a - b) * (a - b) for a, b in zip(lifted, (x, y, z))))
+    if z > 0.0:
+        pu = intrinsics.fx * x / z + intrinsics.cx
+        pv = intrinsics.fy * y / z + intrinsics.cy
+        d2 = float(np.hypot(pu - u, pv - v))
+    else:
+        d2 = math.inf
+    return d3 < POS_3D_M and d2 < POS_2D_PX
+
+
+def oracle_overlap(pixels, depths, points, intrinsics, gt_transform) -> tuple[float, float]:
+    # the same batch transform patch_overlap applies, so only the rule differs
+    transformed = gt_transform.apply(points).tolist()
+    hit = [
+        [positive_pair(p, d, t, intrinsics) for t in transformed]
+        for p, d in zip(pixels.tolist(), depths.tolist())
+    ]
+    overlap_2d = sum(any(row) for row in hit) / len(hit)
+    overlap_3d = sum(any(col) for col in zip(*hit)) / len(transformed)
+    return overlap_2d, overlap_3d
+
+
+def single_pair_overlap(pixel, depth: float, point, gt_transform=None) -> bool:
+    """Whether one pixel and one point form a positive pair, via patch_overlap."""
+    pair = patch_overlap(
+        0, 0, np.array([pixel]), np.array([depth]), np.array([point]), K,
+        gt_transform or IDENTITY,
+    )
+    return pair.overlap_ratio == 1.0
 
 
 def oracle_fine(scores: np.ndarray, min_score: float) -> list[tuple[int, int]]:
@@ -132,9 +184,9 @@ class TestFineMatch:
             scores = cosine_score_map(f_img, f_cloud)
             expected = oracle_fine(scores, floor)
             assert len(got) == len(expected)
-            for corr, (i, j) in zip(got, expected):
-                assert corr.point_index == j
-                np.testing.assert_array_equal(corr.pixel, pix[i])
+            rows = [i for i, _ in expected]
+            np.testing.assert_array_equal(got.point_indices, [j for _, j in expected])
+            np.testing.assert_array_equal(got.pixels, pix[rows].reshape(-1, 2))
 
     def test_min_score_floor(self):
         f_img = np.array([[1.0, 0.0], [0.6, 0.8]])
@@ -155,58 +207,97 @@ class TestFineMatch:
 
 
 class TestLabels:
+    """The positive-pair rule, one pixel and one point at a time."""
+
     def test_exact_match_positive(self):
-        point = np.array([[0.1, -0.05, 2.0]])
-        u, v = project_point(K, point[0])
-        corr = Correspondence((u, v), 0, 1.0)
-        assert label_fine_pairs(corr, point, 2.0, K, IDENTITY) == "positive"
+        point = [0.1, -0.05, 2.0]
+        assert single_pair_overlap(project_point(K, point), 2.0, point)
 
     def test_pixel_gap_buckets(self):
-        point = np.array([[0.0, 0.0, 2.0]])  # projects to the principal point
-        for du, expected in [(7.9, "positive"), (9.0, "ignored"), (12.1, "negative")]:
-            corr = Correspondence((320.0 + du, 240.0), 0, 1.0)
-            # keep the 3D gap tiny by lifting at the matching depth along the ray
-            assert label_fine_pairs(corr, point, 2.0, K, IDENTITY) == expected, du
+        point = [0.0, 0.0, 2.0]  # projects to the principal point
+        for du, expected in [(7.9, True), (9.0, False), (12.1, False)]:
+            # the 3D gap stays under POS_3D_M: lifting at the point's depth
+            assert single_pair_overlap((320.0 + du, 240.0), 2.0, point) == expected, du
 
     def test_depth_gap_buckets(self):
-        point = np.array([[0.0, 0.0, 2.0]])
-        corr = Correspondence((320.0, 240.0), 0, 1.0)
-        cases = [
-            (2.0, "positive"),
-            (2.0375, "ignored"),
-            (2.09, "ignored"),
-            (2.2, "negative"),
-        ]
-        for depth, expected in cases:
-            assert label_fine_pairs(corr, point, depth, K, IDENTITY) == expected, depth
+        point = [0.0, 0.0, 2.0]
+        for depth, expected in [(2.0, True), (2.0375, False), (2.09, False), (2.2, False)]:
+            assert single_pair_overlap((320.0, 240.0), depth, point) == expected, depth
 
     def test_boundaries_are_strict(self):
-        # thresholds chosen binary-exact so the gap lands exactly on them
-        point = np.array([[0.0, 0.0, 2.0]])
-        corr = Correspondence((320.0, 240.0), 0, 1.0)
-        thr = LabelThresholds(pos_3d=0.03125, pos_2d=8.0, neg_3d=0.125, neg_2d=12.0)
-        # d3 exactly pos_3d: strict < fails, so not positive
-        assert label_fine_pairs(corr, point, 2.03125, K, IDENTITY, thr) == "ignored"
-        # d3 exactly neg_3d: strict > fails, so not negative
-        assert label_fine_pairs(corr, point, 2.125, K, IDENTITY, thr) == "ignored"
-        assert label_fine_pairs(corr, point, 2.1250001, K, IDENTITY, thr) == "negative"
+        # gaps that land exactly on the constants: 0.075 - 0.0375 and 2 * 0.0375
+        # are exact, and the pixel gap is exactly 8
+        assert 2 * POS_3D_M == 0.075 and POS_2D_PX == 8.0
+        on_axis = [0.0, 0.0, POS_3D_M]
+        assert not single_pair_overlap((320.0, 240.0), 0.075, on_axis)
+        assert single_pair_overlap((320.0, 240.0), np.nextafter(0.075, 0.0), on_axis)
+        assert not single_pair_overlap((328.0, 240.0), 2.0, [0.0, 0.0, 2.0])
+        assert single_pair_overlap((327.999, 240.0), 2.0, [0.0, 0.0, 2.0])
 
     def test_point_behind_camera_is_negative(self):
-        point = np.array([[0.0, 0.0, -1.0]])
-        corr = Correspondence((320.0, 240.0), 0, 1.0)
-        assert label_fine_pairs(corr, point, 2.0, K, IDENTITY) == "negative"
-
-    def test_invalid_depth_raises(self):
-        corr = Correspondence((320.0, 240.0), 0, 1.0)
-        with pytest.raises(MissingDepthError):
-            label_fine_pairs(corr, np.array([[0.0, 0.0, 2.0]]), 0.0, K, IDENTITY)
+        for z in (-1.0, 0.0):
+            assert not single_pair_overlap((320.0, 240.0), 2.0, [0.0, 0.0, z])
 
     def test_respects_gt_transform(self):
         # the gt transform moves the point onto the pixel's ray
         t = RigidTransform(np.eye(3), np.array([0.0, 0.0, 1.0]))
-        point = np.array([[0.0, 0.0, 1.0]])
-        corr = Correspondence((320.0, 240.0), 0, 1.0)
-        assert label_fine_pairs(corr, point, 2.0, K, t) == "positive"
+        assert single_pair_overlap((320.0, 240.0), 2.0, [0.0, 0.0, 1.0], t)
+        assert not single_pair_overlap((320.0, 240.0), 2.0, [0.0, 0.0, 1.0])
+
+
+_PIXEL = st.sampled_from([(320, 240), (328, 240)]) | st.tuples(
+    st.integers(312, 328), st.integers(236, 244)
+)
+_DEPTH = st.sampled_from([0.075, 2.0, math.nan, math.inf, 0.0, -1.0]) | st.floats(0.01, 3.0)
+_TRANSFORM = st.sampled_from([
+    IDENTITY,
+    RigidTransform(np.eye(3), np.array([0.0, 0.0, 1.0])),
+    RigidTransform(rotation_from_axis_angle([0.0, 0.01, 0.0]), np.array([0.1, 0.0, 0.0])),
+])
+
+
+@st.composite
+def _patch(draw):
+    """Pixels with depths, and camera-frame points planted near their lifts.
+
+    A point sits on the ray of a pixel shifted by du px, at that pixel's
+    depth plus dz, or on or behind the camera plane.
+    """
+    pixels = draw(st.lists(_PIXEL, min_size=1, max_size=5))
+    depths = [draw(_DEPTH) for _ in pixels]
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        i = draw(st.integers(0, len(pixels) - 1))
+        u, v = pixels[i]
+        du = draw(st.sampled_from([0, -8]) | st.integers(-12, 12))
+        dz = draw(st.sampled_from([0.0, -POS_3D_M]) | st.floats(-0.06, 0.06))
+        base = depths[i] if math.isfinite(depths[i]) and depths[i] > 0.0 else 2.0
+        z = draw(st.sampled_from([base + dz, base + dz, -1.0, 0.0]))
+        points.append(((u + du - K.cx) * z / K.fx, (v - K.cy) * z / K.fy, z))
+    return np.array(pixels, dtype=np.float64), np.array(depths), np.array(points)
+
+
+# Pairs exactly on each gate and one step inside it: (320, 240) lifted at
+# 0.075 is POS_3D_M from (0, 0, POS_3D_M); (328, 240) is 8 px from the
+# projection of (0, 0, 2) while their 3D gap is 0.032.
+_ON_GATES = (
+    np.array([[320.0, 240.0], [328.0, 240.0], [320.0, 240.0], [327.999, 240.0]]),
+    np.array([0.075, 2.0, np.nextafter(0.075, 0.0), 2.0]),
+    np.array([[0.0, 0.0, POS_3D_M], [0.0, 0.0, 2.0]]),
+)
+
+
+class TestPatchOverlapOracle:
+    @example(patch=tuple(a[:2] for a in _ON_GATES), gt_transform=IDENTITY)
+    @example(patch=(_ON_GATES[0][2:], _ON_GATES[1][2:], _ON_GATES[2]), gt_transform=IDENTITY)
+    @given(patch=_patch(), gt_transform=_TRANSFORM)
+    def test_matches_scalar_positive_rule(self, patch, gt_transform):
+        pix, dep, cam_points = patch
+        pts = gt_transform.inverse().apply(cam_points)
+        pair = patch_overlap(0, 0, pix, dep, pts, K, gt_transform)
+        assert (pair.overlap_2d, pair.overlap_3d) == oracle_overlap(
+            pix, dep, pts, K, gt_transform
+        )
 
 
 class TestPatchOverlap:
@@ -250,13 +341,15 @@ class TestPatchOverlap:
 
 
 class TestCorrespondenceSet:
-    def test_iteration_and_length(self):
+    def test_columns_and_length(self):
         cs = CorrespondenceSet(
             np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5, 6]), np.array([0.9, 0.8])
         )
         assert len(cs) == 2
-        items = list(cs)
-        assert items[0] == Correspondence((1.0, 2.0), 5, 0.9)
+        assert cs.pixels.dtype == np.float64 and cs.point_indices.dtype == np.int64
+        assert (cs.pixels[0].tolist(), int(cs.point_indices[0]), float(cs.scores[0])) == (
+            [1.0, 2.0], 5, 0.9
+        )
 
     def test_rejects_misaligned_columns(self):
         with pytest.raises(ValueError):

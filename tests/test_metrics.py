@@ -92,10 +92,9 @@ class TestInlierRatio:
         jit = cloud + np.random.default_rng(4).normal(0, 0.03, cloud.shape)
         got = inlier_ratio(corrs, jit, depth, K, gt, tau1=0.05)
         hits = 0
-        for c in corrs:
-            u, v = c.pixel
+        for (u, v), idx in zip(corrs.pixels.tolist(), corrs.point_indices.tolist()):
             lifted = backproject_pixel(K, u, v, depth.values[int(v), int(u)])
-            if np.linalg.norm(gt.apply(jit[c.point_index]) - lifted) < 0.05:
+            if np.linalg.norm(gt.apply(jit[idx]) - lifted) < 0.05:
                 hits += 1
         assert got == hits / 20
 

@@ -1,10 +1,13 @@
 """End-to-end pipeline tests: config schema, lifted normals, register, ablate."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import crossreg.pipeline as pipeline
 from crossreg.errors import ConfigError, LengthMismatchError
 from crossreg.geometry import CameraIntrinsics
 from crossreg.matching import CorrespondenceSet
@@ -18,6 +21,7 @@ from crossreg.pipeline import (
     evaluate_scene,
     evaluation_report,
     lifted_pixel_normals,
+    parallel_map,
     register_scene,
 )
 from crossreg.synth import SceneSpec, generate_scene
@@ -188,10 +192,10 @@ class TestRegisterScene:
                 scene.gt_correspondences.pixels, scene.gt_correspondences.point_indices
             )
         }
-        for corr in result.correspondences:
-            key = (int(corr.pixel[0]), int(corr.pixel[1]))
-            assert truth[key] == corr.point_index
-            assert corr.score == pytest.approx(1.0, abs=1e-9)
+        corrs = result.correspondences
+        for (u, v), idx in zip(corrs.pixels.tolist(), corrs.point_indices.tolist()):
+            assert truth[(int(u), int(v))] == idx
+        np.testing.assert_allclose(corrs.scores, 1.0, rtol=0, atol=1e-9)
 
     def test_noiseless_pose_recovery(self):
         for seed in range(3):
@@ -377,6 +381,37 @@ class TestSweeps:
     def test_ablation_rows_empty_values_rejected(self):
         with pytest.raises(ConfigError):
             ablation_rows(small_config(), "k", ())
+
+    def test_bad_sweep_value_rejected_before_any_registration(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "generate_scene", None)  # would fail if reached
+        for sweep, value in (("k", 2.5), ("k", None), ("warmup", True), ("mask_ratio", "a")):
+            with pytest.raises(ConfigError):
+                ablation_rows(small_config(), sweep, (0, value))
+
+    def test_parallel_map_never_starts_more_workers_than_tasks(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+        assert parallel_map(abs, [-1, -2], jobs=8) == [1, 2]
+        assert parallel_map(abs, [-3], jobs=8) == [3]
+        assert parallel_map(abs, [-4, -5, -6], jobs=1) == [4, 5, 6]
+        assert started == [2]
 
     def test_ablation_parallel_matches_serial(self):
         cfg = small_config()

@@ -5,7 +5,7 @@ import pytest
 
 from crossreg.errors import EmptyVisibleSetError
 from crossreg.geometry import CameraIntrinsics, RigidTransform, project_points
-from crossreg.matching import fine_match, label_fine_pairs
+from crossreg.matching import fine_match, patch_overlap
 from crossreg.normals import DepthMap, depth_to_normals
 from crossreg.synth import (
     Box,
@@ -76,22 +76,23 @@ class TestGenerateScene:
         proj = project_points(scene.intrinsics, moved)
         gaps = np.abs(proj - scene.gt_correspondences.pixels)
         assert gaps.max() <= 0.5 + 1e-9
-        for c, z in zip(scene.gt_correspondences, moved[:, 2]):
-            u, v = c.pixel
+        for (u, v), z in zip(scene.gt_correspondences.pixels.tolist(), moved[:, 2]):
             assert abs(scene.depth.values[int(v), int(u)] - z) < 1e-6
 
     def test_every_gt_pair_labels_positive(self):
         scene = generate_scene(SceneSpec(point_count=1200), seed=5)
-        for c in scene.gt_correspondences:
-            u, v = c.pixel
-            label = label_fine_pairs(
-                c,
-                scene.cloud,
-                scene.depth.values[int(v), int(u)],
+        gt = scene.gt_correspondences
+        for (u, v), idx in zip(gt.pixels.tolist(), gt.point_indices.tolist()):
+            pair = patch_overlap(
+                0,
+                0,
+                [(u, v)],
+                [scene.depth.values[int(v), int(u)]],
+                scene.cloud[[idx]],
                 scene.intrinsics,
                 scene.gt_transform,
             )
-            assert label == "positive"
+            assert pair.overlap_ratio == 1.0
 
     def test_identity_pose_matches_direct_projection(self):
         spec = SceneSpec(point_count=800, max_rotation_deg=0.0, max_translation_m=0.0)
@@ -219,7 +220,10 @@ class TestSynthesizeFeatures:
             f_img, f_cloud = synthesize_features(self.scene, 64, cfg)
             matched = fine_match(f_img, f_cloud, pixels, np.arange(f_cloud.shape[0]))
             by_pixel = {tuple(p): i for p, i in zip(pixels, idx)}
-            correct = sum(1 for c in matched if by_pixel[c.pixel] == c.point_index)
+            correct = sum(
+                by_pixel[tuple(p)] == i
+                for p, i in zip(matched.pixels.tolist(), matched.point_indices.tolist())
+            )
             fractions.append(correct / len(idx))
         assert fractions[0] == 1.0
         assert fractions[0] >= fractions[1] >= fractions[2]
@@ -232,7 +236,10 @@ class TestSynthesizeFeatures:
             f_img, f_cloud, self.scene.gt_correspondences.pixels, np.arange(f_cloud.shape[0])
         )
         by_pixel = {tuple(p): i for p, i in zip(self.scene.gt_correspondences.pixels, idx)}
-        correct = sum(1 for c in matched if by_pixel[c.pixel] == c.point_index)
+        correct = sum(
+            by_pixel[tuple(p)] == i
+            for p, i in zip(matched.pixels.tolist(), matched.point_indices.tolist())
+        )
         assert correct / len(idx) < 0.05
 
     def test_channel_floor(self):
