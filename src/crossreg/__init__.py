@@ -92,11 +92,13 @@ from .pipeline import (
     PipelineConfig,
     RegistrationResult,
     SWEEP_DEFAULTS,
+    ScenePrep,
     ablation_rows,
     apply_sweep_setting,
     evaluate_scene,
     evaluation_report,
     lifted_pixel_normals,
+    prepare_scene,
     register_scene,
 )
 from .pose import PoseEstimate, RansacConfig, pnp_ransac, pnp_solve

@@ -135,11 +135,12 @@ def registration_rmse(cloud, est_transform: RigidTransform, gt_transform: RigidT
 
 
 def registration_recall(rmses, tau3: float = TAU3_M) -> float:
-    """Fraction of scenes whose RMSE is strictly below tau3."""
-    vals = as_float_array(rmses, name="rmses").reshape(-1)
+    """Fraction of scenes whose RMSE is strictly below tau3; +inf (unregistered) misses."""
+    vals = np.asarray(rmses, dtype=np.float64).reshape(-1)
     if vals.size == 0:
         raise EmptySampleError("registration recall of an empty batch")
-    return float(np.count_nonzero(vals < tau3) / vals.size)
+    hits = as_float_array(vals[vals != np.inf], name="rmses") < tau3
+    return float(np.count_nonzero(hits) / vals.size)
 
 
 def patch_inlier_ratio(pairs: Sequence[PatchPair], threshold: float = PIR_THRESHOLD) -> float:

@@ -16,6 +16,7 @@ and the emitted correspondences reproduce the ground truth.
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
 from dataclasses import dataclass, fields
 from typing import Mapping
@@ -32,6 +33,7 @@ from .errors import (
 from .geometry import CameraIntrinsics, F64, RigidTransform, backproject_pixels
 from .graph import (
     GraphAttentionParams,
+    KnnGraph,
     build_knn_graph,
     gated_fusion,
     light_gat_forward,
@@ -92,12 +94,17 @@ SWEEP_DEFAULTS: dict[str, tuple] = {
     "warmup": (0, 5, 15, 25),
 }
 
+# the config fields a ScenePrep depends on
+_PREP_FIELDS = ("k_neighbors", "adaptive_k", "tile_rows", "tile_cols", "voxel_size")
+
 __all__ = [
     "PipelineConfig",
     "RegistrationResult",
+    "ScenePrep",
     "SWEEP_NAMES",
     "SWEEP_DEFAULTS",
     "lifted_pixel_normals",
+    "prepare_scene",
     "register_scene",
     "evaluate_scene",
     "evaluation_report",
@@ -153,6 +160,10 @@ class PipelineConfig:
     max_translation_m: float = 0.5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.k_neighbors < 2:
             raise ConfigError(f"k_neighbors must be >= 2, got {self.k_neighbors}")
         if self.channels < 4:
@@ -319,12 +330,52 @@ class RegistrationResult:
     blend: float
 
 
-def register_scene(scene: SyntheticScene, config: PipelineConfig) -> RegistrationResult:
+@dataclass(frozen=True)
+class ScenePrep:
+    """The work of a registration fixed by its scene and _PREP_FIELDS alone."""
+
+    scene: SyntheticScene
+    key: tuple
+    clean_normals: NormalField
+    pixel_graph: KnnGraph | None  # None below 2 nodes: refinement is skipped
+    cloud_graph: KnnGraph | None
+    tiles: np.ndarray
+    cells: np.ndarray
+    cell_count: int
+
+
+def _prep_key(config: PipelineConfig) -> tuple:
+    return tuple(getattr(config, name) for name in _PREP_FIELDS)
+
+
+def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
+    """Clean lifted normals, both refinement graphs, tile and voxel ids."""
+    pixels = scene.gt_correspondences.pixels
+    k = config.k_neighbors
+    cells, cell_count = _voxel_ids(scene.cloud, config.voxel_size)
+    return ScenePrep(
+        scene,
+        _prep_key(config),
+        lifted_pixel_normals(scene.depth, scene.intrinsics, k, config.adaptive_k),
+        build_knn_graph(pixels, k) if pixels.shape[0] >= 2 else None,
+        build_knn_graph(scene.cloud, k) if scene.cloud.shape[0] >= 2 else None,
+        _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols),
+        cells,
+        cell_count,
+    )
+
+
+def register_scene(
+    scene: SyntheticScene, config: PipelineConfig, prep: ScenePrep | None = None
+) -> RegistrationResult:
+    """Register one scene; prep, from prepare_scene(scene, config), is reused."""
+    if prep is None:
+        prep = prepare_scene(scene, config)
+    elif prep.scene is not scene or prep.key != _prep_key(config):
+        raise ConfigError(f"prep is for another scene or other {', '.join(_PREP_FIELDS)}")
     corruption = config.corruption()
     live_depth = corrupt_depth(scene.depth, corruption)
-    clean_normals = lifted_pixel_normals(
-        scene.depth, scene.intrinsics, config.k_neighbors, config.adaptive_k
-    )
+    clean_normals = prep.clean_normals
     live_normals = lifted_pixel_normals(
         live_depth, scene.intrinsics, config.k_neighbors, config.adaptive_k
     )
@@ -353,15 +404,14 @@ def register_scene(scene: SyntheticScene, config: PipelineConfig) -> Registratio
 
     params = GraphAttentionParams.initialize(config.channels + 3, config.param_seed)
     blend = warmup_weight(config.epoch, config.warmup())
-    f_img_final = _refine(pixels, f_img_aug, params, config.k_neighbors, blend)
-    f_cloud_final = _refine(scene.cloud, f_cloud_aug, params, config.k_neighbors, blend)
+    f_img_final = _refine(prep.pixel_graph, f_img_aug, params, blend)
+    f_cloud_final = _refine(prep.cloud_graph, f_cloud_aug, params, blend)
 
-    tiles = _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols)
-    cells, cell_count = _voxel_ids(scene.cloud, config.voxel_size)
+    tiles, cells = prep.tiles, prep.cells
     tile_desc, tiles_present = _group_means(
         f_img_final, tiles, config.tile_rows * config.tile_cols
     )
-    cell_desc, cells_present = _group_means(f_cloud_final, cells, cell_count)
+    cell_desc, cells_present = _group_means(f_cloud_final, cells, prep.cell_count)
     coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
 
     tile_members = [np.flatnonzero(tiles == t) for t in tiles_present]
@@ -473,11 +523,10 @@ def _corrupt_guidance(
 
 
 def _refine(
-    positions, features: F64, params: GraphAttentionParams, k: int, blend: float
+    graph: KnnGraph | None, features: F64, params: GraphAttentionParams, blend: float
 ) -> F64:
-    if features.shape[0] < 2:
+    if graph is None:
         return features
-    graph = build_knn_graph(positions, k)
     refined = gated_fusion(features, light_gat_forward(graph, features, params), params)
     return (1.0 - blend) * features + blend * refined
 
@@ -563,29 +612,27 @@ def parallel_map(fn, tasks, jobs: int) -> list:
         return pool.map(fn, tasks)
 
 
-def _run_batch_setting(tuned: PipelineConfig) -> tuple[float, float, float]:
-    irs = []
-    rmses = []
-    for i in range(tuned.scene_count):
-        scene = generate_scene(tuned.scene_spec(), seed=tuned.base_seed + i)
+def _sweep_scene(task) -> list[tuple[float, float]]:
+    """(IR, RMSE) of scene `index` per tuned config; one prep per run of equal keys."""
+    tuned, index = task
+    scene = generate_scene(tuned[0].scene_spec(), seed=tuned[0].base_seed + index)
+    prep = None
+    scores = []
+    for cfg in tuned:
+        if prep is None or prep.key != _prep_key(cfg):
+            prep = prepare_scene(scene, cfg)
         # A setting harsh enough to break pose recovery still yields a row:
         # the scene scores zero inliers and an unbounded RMSE (a recall miss).
         try:
-            result = register_scene(scene, tuned)
+            result = register_scene(scene, cfg, prep)
             ev = evaluate_scene(
                 scene, result.correspondences, result.estimate.transform,
-                result.patches, tuned,
+                result.patches, cfg,
             )
-            irs.append(ev.inlier_ratio)
-            rmses.append(ev.rmse_m)
+            scores.append((ev.inlier_ratio, ev.rmse_m))
         except REGISTRATION_FAILURES:
-            irs.append(0.0)
-            rmses.append(np.inf)
-    return (
-        float(np.mean(irs)),
-        feature_matching_recall(irs, tuned.tau2_ratio),
-        registration_recall(rmses, tuned.tau3_m),
-    )
+            scores.append((0.0, np.inf))
+    return scores
 
 
 def ablation_rows(
@@ -597,8 +644,15 @@ def ablation_rows(
         raise ConfigError("ablation sweep needs at least one value")
     # every value is checked before any scene is registered
     tuned = [apply_sweep_setting(config, sweep, v) for v in values]
-    stats = parallel_map(_run_batch_setting, tuned, jobs)
-    return [
-        (float(value), ir, fmr, rr)
-        for value, (ir, fmr, rr) in zip(values, stats)
-    ]
+    per_scene = parallel_map(
+        _sweep_scene, [(tuned, i) for i in range(config.scene_count)], jobs
+    )
+    rows = []
+    for value, cfg, scores in zip(values, tuned, zip(*per_scene)):
+        irs, rmses = zip(*scores)  # scene order
+        rows.append((
+            float(value), float(np.mean(irs)),
+            feature_matching_recall(irs, cfg.tau2_ratio),
+            registration_recall(rmses, cfg.tau3_m),
+        ))
+    return rows

@@ -59,6 +59,12 @@ class TestConfigPlumbing:
     def test_non_json_set_value_exits_1(self, tmp_path):
         assert run("synth", "--out", str(tmp_path / "s"), "--set", "voxel_size=abc") == 1
 
+    def test_non_finite_set_value_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run("synth", "--out", str(out), "--set", "max_rotation_deg=NaN") == 1
+        assert "max_rotation_deg must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, tmp_path):
         assert run("synth", "--out", str(tmp_path / "s"), "--config", "/no/such.json") == 1
 
@@ -246,6 +252,20 @@ class TestAblate:
         assert run("ablate", "--sweep", sweep, "--values", values, "--out", str(out)) == 1
         assert "expects" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_value_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("ablate", "--sweep", "gaussian_sigma", "--values", "[NaN]",
+                   "--out", str(out)) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unregistrable_scene_is_a_miss_row(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run("ablate", "--sweep", "mask_ratio", "--values", "[0.0]",
+                   "--set", "point_count=300", "--set", "scene_count=1",
+                   "--set", "outlier_fraction=1.0", "--out", str(out)) == 0
+        assert out.read_text() == "setting,ir,fmr,rr\n0.0,0.0,0.0,0.0\n"
 
     def test_invalid_sweep_name_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -133,6 +133,15 @@ class TestRecalls:
         assert registration_recall(np.ones(4), tau3=0.1) == 0.0
         assert registration_recall(np.array([0.1]), tau3=0.1) == 0.0
 
+    def test_rr_counts_unregistered_scene_as_miss(self):
+        assert registration_recall([0.05, math.inf], tau3=0.1) == 0.5
+        assert registration_recall([math.inf], tau3=0.1) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_rr_rejects_nan_and_negative_inf(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            registration_recall([0.05, bad], tau3=0.1)
+
     def test_rr_monotone_in_threshold(self):
         rmses = np.array([0.02, 0.08, 0.12, 0.3])
         vals = [registration_recall(rmses, tau3=t) for t in (0.01, 0.05, 0.1, 0.2, 1.0)]

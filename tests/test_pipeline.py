@@ -1,5 +1,6 @@
 """End-to-end pipeline tests: config schema, lifted normals, register, ablate."""
 
+import math
 import multiprocessing
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import crossreg.graph
+import crossreg.normals
 import crossreg.pipeline as pipeline
 from crossreg.errors import ConfigError, LengthMismatchError
 from crossreg.geometry import CameraIntrinsics
@@ -22,6 +25,7 @@ from crossreg.pipeline import (
     evaluation_report,
     lifted_pixel_normals,
     parallel_map,
+    prepare_scene,
     register_scene,
 )
 from crossreg.synth import SceneSpec, generate_scene
@@ -104,6 +108,12 @@ class TestPipelineConfig:
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
             PipelineConfig(**overrides)
+
+    @pytest.mark.parametrize("key", ["voxel_size", "gaussian_sigma_m", "max_rotation_deg"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig(**{key: value})
 
     def test_builders_carry_fields(self):
         cfg = PipelineConfig(
@@ -301,6 +311,45 @@ def fine_emissions(draw):
     return pixels, fine
 
 
+def assert_same_registration(got, want):
+    for name in ("pixels", "point_indices", "scores"):
+        assert (getattr(got.correspondences, name).tobytes()
+                == getattr(want.correspondences, name).tobytes())
+    for name in ("rotation", "translation"):
+        assert (getattr(got.estimate.transform, name).tobytes()
+                == getattr(want.estimate.transform, name).tobytes())
+    assert got.estimate.inlier_mask.tobytes() == want.estimate.inlier_mask.tobytes()
+    assert got.patches == want.patches
+    assert got.agreement == want.agreement
+    assert got.blend == want.blend
+
+
+class TestScenePrep:
+    @pytest.mark.parametrize("sweep", sorted(SWEEP_DEFAULTS))
+    def test_prepared_registration_matches_fresh_one(self, sweep):
+        scene, base = small_scene(seed=4, mask_ratio=0.1, gaussian_sigma_m=0.005)
+        shared = prepare_scene(scene, base)  # one prep serves every non-k setting
+        for value in SWEEP_DEFAULTS[sweep]:
+            cfg = apply_sweep_setting(base, sweep, value)
+            prep = prepare_scene(scene, cfg) if sweep == "k" else shared
+            assert_same_registration(register_scene(scene, cfg, prep), register_scene(scene, cfg))
+
+    @pytest.mark.parametrize(
+        "overrides", [{"k_neighbors": 4}, {"tile_rows": 3}, {"voxel_size": 0.3}]
+    )
+    def test_prep_for_other_prep_fields_rejected(self, overrides):
+        scene, cfg = small_scene(seed=2)
+        prep = prepare_scene(scene, cfg)
+        with pytest.raises(ConfigError, match="prep"):
+            register_scene(scene, cfg.replace(**overrides), prep)
+
+    def test_prep_for_another_scene_rejected(self):
+        scene, cfg = small_scene(seed=2)
+        other = generate_scene(cfg.scene_spec(), seed=3)
+        with pytest.raises(ConfigError, match="prep"):
+            register_scene(scene, cfg, prepare_scene(other, cfg))
+
+
 class TestBestPerPixel:
     @given(fine_emissions())
     def test_matches_loop_oracle(self, case):
@@ -418,3 +467,42 @@ class TestSweeps:
         serial = ablation_rows(cfg, "mask_ratio", (0.0, 0.3), jobs=1)
         parallel = ablation_rows(cfg, "mask_ratio", (0.0, 0.3), jobs=2)
         assert serial == parallel
+
+    def test_unregistrable_scene_scores_a_miss(self):
+        cfg = PipelineConfig(point_count=300, scene_count=1, outlier_fraction=1.0)
+        assert ablation_rows(cfg, "mask_ratio", [0.0]) == [(0.0, 0.0, 0.0, 0.0)]
+
+
+class TestSweepReuse:
+    def test_each_scene_is_generated_and_prepared_once(self, monkeypatch):
+        counts = {"generate": 0, "knn": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "generate_scene",
+                            counting("generate", pipeline.generate_scene))
+        for module in (crossreg.graph, crossreg.normals):
+            monkeypatch.setattr(module, "knn_indices", counting("knn", module.knn_indices))
+        scenes, values = 2, (0.0, 0.1, 0.3)
+        ablation_rows(small_config(scene_count=scenes), "mask_ratio", values)
+        # per scene: clean normals and two graphs once, live normals per value
+        assert counts == {"generate": scenes, "knn": scenes * (3 + len(values))}
+
+    def test_k_sweep_parallel_over_scenes_matches_serial(self, monkeypatch):
+        cfg = small_config(point_count=300, scene_count=2)
+        serial = ablation_rows(cfg, "k", (2, 4, 8))
+        started = []
+        real_get_context = multiprocessing.get_context
+
+        class SpyContext:
+            def Pool(self, processes):
+                started.append(processes)
+                return real_get_context("fork").Pool(processes=processes)
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SpyContext())
+        assert ablation_rows(cfg, "k", (2, 4, 8), jobs=2) == serial
+        assert started == [2]  # one worker per scene, not per value
