@@ -36,13 +36,18 @@ def _param_shape(spec: tuple[str, ...], channels: int) -> tuple[int, ...]:
 #  Exact k nearest neighbors
 # --------------------------------------------------------------------------- #
 
+# Entries per squared-distance block: each of a block's few temporaries
+# stays near 1 MB, small enough to live in cache while it is built and read.
+KNN_BLOCK_ENTRIES = 131_072
+
 
 def knn_indices(
     points, k: int, return_distances: bool = False
 ) -> np.ndarray | tuple[np.ndarray, F64]:
     """Exact k nearest neighbors per point, self excluded.
 
-    Squared distances are built in row blocks of about 32 MB. Each row's
+    Squared distances are built in cache-sized row blocks of about
+    KNN_BLOCK_ENTRIES entries (1 MB per float64 temporary). Each row's
     k-th smallest squared distance is found by partial selection
     (np.partition, linear time per row) rather than a full sort; every
     entry at or below it is kept, so ties straddling the boundary all
@@ -75,21 +80,25 @@ def knn_indices(
     # |a|^2 + |b|^2 - 2 a.b never exceeds 4 max|p|^2 at any step
     if not np.isfinite(4.0 * sq.max()):
         raise ValueError("points too large: squared distances overflow float64")
-    # chunked brute force keeps the distance matrix under ~32 MB
-    chunk = max(1, int(4_000_000 // max(n, 1)))
+    chunk = max(1, KNN_BLOCK_ENTRIES // n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        block = pts[start:stop]
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (block @ pts.T)
+        # the transposed view, not a contiguous copy: the BLAS call shape
+        # fixes the rounding of each dot product
+        dot = pts[start:stop] @ pts.T
+        dot *= -2.0  # exact; x + (-2 a.b) rounds as x - 2 a.b does
+        d2 = sq[start:stop, None] + sq[None, :]
+        d2 += dot
         np.maximum(d2, 0.0, out=d2)
         rows = np.arange(start, stop)
         d2[rows - start, rows] = np.inf
         # copy, so the partitioned block is freed before the candidate pass
         kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1].copy()
-        cand_row, cand_col = np.nonzero(d2 <= kth[:, None])
-        cand_d2 = d2[cand_row, cand_col]
-        # nonzero lists columns in ascending order within a row, and lexsort
-        # is stable, so equal distances keep the smaller index first
+        # flat indices are row-major, so columns ascend within each row
+        flat = np.flatnonzero(d2 <= kth[:, None])
+        cand_row, cand_col = np.divmod(flat, n)
+        cand_d2 = d2.ravel()[flat]
+        # lexsort is stable, so equal distances keep the smaller index first
         order = np.lexsort((cand_d2, cand_row))
         counts = np.bincount(cand_row, minlength=stop - start)
         first = np.cumsum(counts) - counts

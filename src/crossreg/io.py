@@ -304,4 +304,9 @@ def load_scene_bundle(directory) -> SyntheticScene:
     corrs = read_correspondences(src / "gt_corrs.csv")
     if depth.shape != (intrinsics.height, intrinsics.width):
         raise BundleError(f"bundle {src}: depth shape does not match intrinsics")
-    return SyntheticScene(cloud, depth, intrinsics, transform, corrs, seed)
+    if not np.all((corrs.pixels >= 0.0) & (corrs.pixels < [intrinsics.width, intrinsics.height])):
+        raise BundleError(f"bundle {src}: a ground-truth pixel lies outside the image")
+    try:
+        return SyntheticScene(cloud, depth, intrinsics, transform, corrs, seed)
+    except ValueError as exc:
+        raise BundleError(f"bundle {src}: {exc}") from exc

@@ -116,8 +116,13 @@ def estimate_point_normals(cloud, k: int | np.ndarray = 8) -> NormalField:
         NormalField with (N, 3) unit normals oriented toward the origin.
         Points whose two smallest covariance eigenvalues coincide within
         EIGENVALUE_GAP_TOL are marked invalid (normal direction ambiguous).
+        Raises DegenerateNeighborhoodError when the cloud has at most k points.
     """
-    pts = as_points(cloud, name="cloud")
+    return _fit_normals(as_points(cloud, name="cloud"), k)
+
+
+def _fit_normals(pts: F64, k, neigh: np.ndarray | None = None) -> NormalField:
+    """estimate_point_normals over checked points, reusing a k-NN list if given."""
     n = pts.shape[0]
     ks = np.asarray(k, dtype=np.int64)
     if ks.ndim == 0:
@@ -128,9 +133,10 @@ def estimate_point_normals(cloud, k: int | np.ndarray = 8) -> NormalField:
     if k_min < 3:
         raise ValueError(f"k must be >= 3, got {k_min}")
     if n < k_max + 1:
-        raise ValueError(f"cloud of {n} points cannot support k = {k_max}")
+        raise DegenerateNeighborhoodError(f"cloud of {n} points cannot support k = {k_max}")
 
-    neigh = knn_indices(pts, k_max)
+    if neigh is None:
+        neigh = knn_indices(pts, k_max)
     normals = np.zeros((n, 3))
     gaps = np.zeros(n)
     for kv in np.unique(ks):
@@ -151,13 +157,21 @@ def estimate_point_normals(cloud, k: int | np.ndarray = 8) -> NormalField:
     return NormalField(normals, valid)
 
 
+def _check_density_k(n: int, k0: int) -> None:
+    if n < k0 + 1:
+        raise DegenerateNeighborhoodError(f"cloud of {n} points cannot support k0 = {k0}")
+
+
 def neighborhood_density(cloud, k0: int = 8) -> F64:
     """Mean distance to the k0 nearest neighbors, per point."""
     pts = as_points(cloud, name="cloud")
-    if pts.shape[0] < k0 + 1:
-        raise ValueError(f"cloud of {pts.shape[0]} points cannot support k0 = {k0}")
+    _check_density_k(pts.shape[0], k0)
     _, dists = knn_indices(pts, k0, return_distances=True)
     return dists.mean(axis=1)
+
+
+def _sizes_from_density(rho: F64, k0: int, k_sparse: int) -> np.ndarray:
+    return np.where(rho > rho.mean(), k_sparse, k0).astype(np.int64)
 
 
 def adaptive_neighborhood_sizes(cloud, k0: int = 8, k_sparse: int = 12) -> np.ndarray:
@@ -168,13 +182,21 @@ def adaptive_neighborhood_sizes(cloud, k0: int = 8, k_sparse: int = 12) -> np.nd
     """
     if k0 < 3:
         raise ValueError(f"k0 must be >= 3, got {k0}")
-    rho = neighborhood_density(cloud, k0)
-    return np.where(rho > rho.mean(), k_sparse, k0).astype(np.int64)
+    return _sizes_from_density(neighborhood_density(cloud, k0), k0, k_sparse)
 
 
 def estimate_point_normals_adaptive(cloud, k0: int = 8, k_sparse: int = 12) -> NormalField:
-    """Density-adaptive variant of estimate_point_normals."""
-    return estimate_point_normals(cloud, adaptive_neighborhood_sizes(cloud, k0, k_sparse))
+    """Density-adaptive variant of estimate_point_normals.
+
+    The density and the fit both read one k-NN list of max(k0, k_sparse).
+    """
+    if k0 < 3:
+        raise ValueError(f"k0 must be >= 3, got {k0}")
+    pts = as_points(cloud, name="cloud")
+    _check_density_k(pts.shape[0], k0)
+    neigh, dists = knn_indices(pts, max(k0, k_sparse), return_distances=True)
+    ks = _sizes_from_density(dists[:, :k0].mean(axis=1), k0, k_sparse)
+    return _fit_normals(pts, ks, neigh)
 
 
 # --------------------------------------------------------------------------- #

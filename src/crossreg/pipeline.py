@@ -272,18 +272,20 @@ def lifted_pixel_normals(
     Splatted depth maps are too sparse for stencil gradients, so each
     valid pixel is lifted to 3D and gets a covariance normal over its k
     nearest lifted neighbors. The normal-estimation k is floored at 3
-    (its own precondition) even when the graph k is swept lower.
+    (its own precondition) even when the graph k is swept lower. With
+    no more valid pixels than the fit's largest k, every pixel is invalid.
     """
     h, w = depth.shape
     grid = np.zeros((h, w, 3))
     mask = np.zeros((h, w), dtype=bool)
     vs, us = np.nonzero(depth.valid)
     k_norm = max(k, 3)
-    if us.size > k_norm:
+    k_fit = k_norm + 4 if adaptive else k_norm  # the adaptive fit's sparse k
+    if us.size > k_fit:
         uv = np.column_stack([us, vs]).astype(np.float64)
         pts = backproject_pixels(intrinsics, uv, depth.values[vs, us])
         if adaptive:
-            estimated = estimate_point_normals_adaptive(pts, k0=k_norm, k_sparse=k_norm + 4)
+            estimated = estimate_point_normals_adaptive(pts, k0=k_norm, k_sparse=k_fit)
         else:
             estimated = estimate_point_normals(pts, k_norm)
         grid[vs, us] = np.where(estimated.valid[:, None], estimated.normals, 0.0)

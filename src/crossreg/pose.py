@@ -104,7 +104,8 @@ def _dlt_pose(pts: F64, obs: F64, intrinsics: CameraIntrinsics) -> tuple[F64, F6
     a[1::2, 8:11] = -y[:, None] * pn
     a[1::2, 11] = -y
 
-    _, sv, vt = np.linalg.svd(a)
+    # thin SVD: the full U would be 2n x 2n, and only sv and vt are used
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
     if sv[-2] <= DEGENERACY_GAP * sv[0]:
         raise DegenerateConfigurationError(
             f"DLT system rank-deficient (gap {sv[-2] / sv[0]:.3e})"

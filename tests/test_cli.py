@@ -14,7 +14,9 @@ from crossreg.io import (
     read_correspondences,
     read_normals,
     read_patches,
+    read_ply,
     read_pose,
+    write_ply,
 )
 
 SMALL = ["--set", "point_count=600", "--set", "scene_count=2"]
@@ -164,6 +166,49 @@ class TestRegister:
 
     def test_missing_bundle_exit_1(self, tmp_path):
         assert run("register", "--scene", str(tmp_path / "nope"), "--out", str(tmp_path / "r")) == 1
+
+
+def edit_line(path: Path, index: int, edit) -> None:
+    lines = path.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def with_column(row: str, column: int, value: str) -> str:
+    cells = row.split(",")
+    cells[column] = value
+    return ",".join(cells)
+
+
+class TestMalformedBundle:
+    # each of these once ended the process with a traceback
+    @pytest.mark.parametrize(
+        "name, index, edit",
+        [
+            ("cloud.ply", 7, lambda row: "nan 0.0 2.0"),  # first vertex
+            ("gt_corrs.csv", 1, lambda row: with_column(row, 2, "600")),  # past the cloud
+            ("gt_corrs.csv", 1, lambda row: with_column(row, 0, "5110.0")),  # u >= width
+            ("gt_corrs.csv", 1, lambda row: with_column(row, 1, "-1.0")),
+        ],
+        ids=["nan_vertex", "index_past_cloud", "u_past_width", "negative_v"],
+    )
+    def test_register_exits_1(self, tmp_path, capsys, name, index, edit):
+        bundle = synth_scenes(tmp_path) / "scene_0000"
+        edit_line(bundle / name, index, edit)
+        out = tmp_path / "res"
+        assert run("register", "--scene", str(bundle), "--out", str(out)) == 1
+        assert f"error: bundle {bundle}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("adaptive", ["false", "true"])
+    def test_normals_on_cloud_of_k_points_exits_1(self, tmp_path, capsys, adaptive):
+        bundle = synth_scenes(tmp_path) / "scene_0000"
+        write_ply(bundle / "cloud.ply", read_ply(bundle / "cloud.ply")[:8])
+        (bundle / "gt_corrs.csv").write_text("u,v,point_index,score\n")
+        code = run("normals", "--scene", str(bundle), "--out", str(tmp_path / "n"),
+                   "--set", "k_neighbors=8", "--set", f"adaptive_k={adaptive}")
+        assert code == 1
+        assert "cannot support k" in capsys.readouterr().err
 
 
 class TestEval:

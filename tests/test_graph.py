@@ -1,6 +1,7 @@
 """k-NN graph construction and attention/fusion against loop-based oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from crossreg.errors import ChannelMismatchError
 from crossreg.graph import (
+    KNN_BLOCK_ENTRIES,
     GraphAttentionParams,
     KnnGraph,
     build_knn_graph,
@@ -36,8 +38,10 @@ def brute_force_knn(points: np.ndarray, k: int) -> list[list[int]]:
 def argsort_knn(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Oracle: the full stable argsort of every squared-distance row.
 
-    Same distance blocks and chunking as knn_indices, but each row is
-    sorted completely, so ties go to the smaller index by stability.
+    Same distance blocks as knn_indices, read from the same constant:
+    BLAS may round a dot product differently for another call shape, so
+    only equal blocks give comparable distance bytes. Each row is sorted
+    completely, so ties go to the smaller index by stability.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -45,7 +49,7 @@ def argsort_knn(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.empty((n, k_eff), dtype=np.int64)
     dst = np.empty((n, k_eff))
     sq = np.einsum("nd,nd->n", pts, pts)
-    chunk = max(1, int(4_000_000 // max(n, 1)))
+    chunk = max(1, KNN_BLOCK_ENTRIES // n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (pts[start:stop] @ pts.T)
@@ -169,9 +173,38 @@ class TestKnn:
     @settings(max_examples=4)
     @given(points=point_sets(min_n=2001, max_n=2600), k=st.integers(1, 9))
     def test_multi_chunk_path(self, points, k):
-        # above 2000 points a 4M-entry block holds fewer rows than points
-        assert 4_000_000 // points.shape[0] < points.shape[0]
+        # a block holds fewer rows than points, so many blocks are built
+        assert KNN_BLOCK_ENTRIES // points.shape[0] < points.shape[0]
         assert_matches_argsort(points, k)
+
+    # the block row count equals n at n = isqrt(KNN_BLOCK_ENTRIES)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("layout", ["uniform", "int_grid"])
+    def test_block_boundaries(self, offset, layout):
+        n = math.isqrt(KNN_BLOCK_ENTRIES) + offset
+        rows = KNN_BLOCK_ENTRIES // n
+        # one block with rows to spare, one exactly full, or a full block
+        # and a partial last block of 2 rows
+        assert (rows > n, rows == n, n % rows == 2) == (offset < 0, offset == 0, offset > 0)
+        rng = np.random.default_rng(n)
+        if layout == "uniform":
+            pts = rng.uniform(-1.0, 1.0, (n, 3))
+        else:
+            pts = rng.integers(0, 4, (n, 2)).astype(np.float64)
+        for k in (1, 8, 12):
+            assert_matches_argsort(pts, k)
+
+    def test_peak_memory_stays_block_sized(self):
+        # the blocks, not the (n, n) distance matrix, bound the transient:
+        # 8000 points once took 92 MB at peak
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, (8000, 3))
+        tracemalloc.start()
+        try:
+            knn_indices(pts, 8, return_distances=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_rejects_tiny_input(self):
         with pytest.raises(ValueError):

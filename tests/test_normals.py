@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import crossreg.normals as normals_module
 from crossreg.errors import DegenerateNeighborhoodError
 from crossreg.geometry import CameraIntrinsics
 from crossreg.normals import (
@@ -111,6 +112,43 @@ class TestAdaptiveK:
         field = estimate_point_normals_adaptive(cloud)
         assert isinstance(field, NormalField)
         assert field.valid.mean() > 0.9
+
+    @pytest.mark.parametrize("k0, k_sparse", [(3, 7), (8, 12), (16, 12), (16, 20)])
+    def test_one_knn_call_matches_two_call_composition(self, monkeypatch, k0, k_sparse):
+        calls = []
+        knn = normals_module.knn_indices
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return knn(*args, **kwargs)
+
+        rng = np.random.default_rng(k0)
+        clouds = [
+            fibonacci_sphere(300, radius=1.0, center=(0, 0, 2.5)),
+            rng.uniform(-1.0, 1.0, (400, 3)) * [1.0, 1.0, 0.2] + [0.0, 0.0, 3.0],
+            np.vstack([rng.normal(0.0, 0.05, (150, 3)), rng.normal(0.0, 1.0, (150, 3))])
+            + [0.0, 0.0, 4.0],
+        ]
+        for cloud in clouds:
+            oracle = estimate_point_normals(
+                cloud, adaptive_neighborhood_sizes(cloud, k0=k0, k_sparse=k_sparse)
+            )
+            monkeypatch.setattr(normals_module, "knn_indices", counted)
+            field = estimate_point_normals_adaptive(cloud, k0=k0, k_sparse=k_sparse)
+            monkeypatch.setattr(normals_module, "knn_indices", knn)
+            assert calls == [max(k0, k_sparse)]
+            calls.clear()
+            assert field.normals.tobytes() == oracle.normals.tobytes()
+            assert field.valid.tobytes() == oracle.valid.tobytes()
+
+    def test_cloud_too_small_for_k_is_degenerate(self):
+        cloud = fibonacci_sphere(8, radius=1.0, center=(0, 0, 2.5))
+        with pytest.raises(DegenerateNeighborhoodError):
+            estimate_point_normals(cloud, k=8)
+        with pytest.raises(DegenerateNeighborhoodError):
+            estimate_point_normals_adaptive(cloud, k0=8)
+        with pytest.raises(DegenerateNeighborhoodError):
+            estimate_point_normals_adaptive(cloud[:1], k0=3)
 
 
 class TestDepthNormals:

@@ -188,6 +188,17 @@ class TestLiftedPixelNormals:
         field = lifted_pixel_normals(DepthMap.from_values(values), SMALL_K, k=2)
         assert field.valid.any()
 
+    @pytest.mark.parametrize("count", [9, 10, 11, 12, 13])
+    def test_adaptive_needs_room_for_sparse_k(self, count):
+        # scattered pixels: some are sparse and get k + 4 = 12 neighbors,
+        # which needs 13 points; below that the field is empty, not an error
+        rng = np.random.default_rng(count)
+        values = np.full((24, 32), np.nan)
+        flat = rng.choice(24 * 32, size=count, replace=False)
+        values.flat[flat] = rng.uniform(1.5, 3.0, count)
+        field = lifted_pixel_normals(DepthMap.from_values(values), SMALL_K, k=8, adaptive=True)
+        assert field.valid.any() == (count > 12)
+
 
 class TestRegisterScene:
     def test_noiseless_emits_only_ground_truth_pairs(self):

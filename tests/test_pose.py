@@ -1,6 +1,7 @@
 """PnP and RANSAC on forward-projected synthetic geometry."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,32 @@ class TestPnpSolve:
         gt, cloud, corrs, _ = make_instance(3, n=5)
         with pytest.raises(InsufficientPointsError):
             pnp_solve(corrs, cloud, K)
+
+    @pytest.mark.parametrize("n", [6, 7, 40, 866, 1500])
+    def test_thin_svd_matches_full(self, monkeypatch, n):
+        # the DLT reads only sv and vt, which the thin SVD gives bit for bit
+        gt, cloud, corrs, rng = make_instance(n, n=n)
+        obs = corrs.pixels + rng.normal(0.0, 0.5, corrs.pixels.shape)
+        thin = pose._dlt_pose(cloud, obs, K)
+        full_svd = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda a, full_matrices=True: full_svd(a, full_matrices=True)
+        )
+        full = pose._dlt_pose(cloud, obs, K)
+        for got, want in zip(thin, full):
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_of_a_large_solve(self):
+        # a full SVD of the 3000 x 12 DLT system builds a 3000 x 3000 U (69 MB)
+        gt, cloud, corrs, _ = make_instance(5, n=1500)
+        tracemalloc.start()
+        try:
+            est = pnp_solve(corrs, cloud, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert float(np.linalg.norm(est.translation - gt.translation)) < 1e-8
 
 
 def plant_outliers(corrs: CorrespondenceSet, fraction: float, rng: np.random.Generator):
