@@ -30,9 +30,7 @@ from .errors import (
 from .geometry import (
     CameraIntrinsics,
     RigidTransform,
-    backproject_pixel,
     backproject_pixels,
-    project_point,
     project_points,
     rotation_from_axis_angle,
 )
@@ -80,12 +78,10 @@ from .metrics import (
 from .normals import (
     DepthMap,
     NormalField,
-    adaptive_neighborhood_sizes,
     depth_to_normals,
     estimate_point_normals,
     estimate_point_normals_adaptive,
     metric_normals_from_depth,
-    neighborhood_density,
     normal_agreement,
 )
 from .pipeline import (

@@ -3,8 +3,8 @@
 Configuration comes from an optional JSON file (--config) overlaid with
 repeatable --set key=value flags whose values are JSON literals. Every
 command is deterministic for a given config, and reruns write
-byte-identical files. Exit codes: 0 success, 1 bad input or config,
-2 registration failure.
+byte-identical files. Exit codes: 0 success, 1 bad input or config
+(including a file that cannot be read or written), 2 registration failure.
 """
 
 from __future__ import annotations
@@ -104,8 +104,6 @@ def load_config(args) -> PipelineConfig:
     if args.config:
         try:
             raw = read_json(args.config)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -386,7 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CrossregError as exc:
+    except (CrossregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -99,23 +99,9 @@ class RigidTransform:
         pts = as_points(pts)
         return pts @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self . other)(p) = self(other(p))."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
     def inverse(self) -> "RigidTransform":
         rot_inv = self.rotation.T
         return RigidTransform(rot_inv, -rot_inv @ self.translation)
-
-    def matrix(self) -> F64:
-        """Homogeneous 4x4 form."""
-        mat = np.eye(4)
-        mat[:3, :3] = self.rotation
-        mat[:3, 3] = self.translation
-        return mat
 
 
 def rotation_from_axis_angle(axis_angle) -> F64:
@@ -159,25 +145,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError(f"principal point ({self.cx}, {self.cy}) outside image")
 
-    def matrix(self) -> F64:
-        return np.array(
-            [
-                [self.fx, 0.0, self.cx],
-                [0.0, self.fy, self.cy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-
-
-def project_point(intrinsics: CameraIntrinsics, point) -> tuple[float, float]:
-    """Project a camera-frame point to (u, v); requires z > 0."""
-    p = as_vec3(point, name="point")
-    if p[2] <= 0.0:
-        raise NonPositiveDepthError(f"cannot project point with z = {p[2]}")
-    u = intrinsics.fx * p[0] / p[2] + intrinsics.cx
-    v = intrinsics.fy * p[1] / p[2] + intrinsics.cy
-    return float(u), float(v)
-
 
 def project_points(intrinsics: CameraIntrinsics, points) -> F64:
     """Vectorized projection of (N, 3) camera-frame points; every z must be > 0."""
@@ -189,15 +156,6 @@ def project_points(intrinsics: CameraIntrinsics, points) -> F64:
     uv[:, 0] = intrinsics.fx * pts[:, 0] / z + intrinsics.cx
     uv[:, 1] = intrinsics.fy * pts[:, 1] / z + intrinsics.cy
     return uv
-
-
-def backproject_pixel(intrinsics: CameraIntrinsics, u: float, v: float, depth: float) -> F64:
-    """Lift pixel (u, v) at the given depth back to a camera-frame point."""
-    if depth <= 0.0:
-        raise NonPositiveDepthError(f"cannot backproject depth {depth}")
-    x = (u - intrinsics.cx) * depth / intrinsics.fx
-    y = (v - intrinsics.cy) * depth / intrinsics.fy
-    return np.array([x, y, depth])
 
 
 def backproject_pixels(intrinsics: CameraIntrinsics, uv, depths) -> F64:

@@ -4,19 +4,21 @@ Writers are byte-deterministic: floats serialize with repr (shortest
 round-trip form), JSON uses sorted keys and a fixed indent, and binary
 rasters are little-endian float32 behind a one-line ASCII header. A
 scene bundle is a directory holding cloud.ply, depth.bin,
-intrinsics.json, gt_pose.json, and gt_corrs.csv.
+intrinsics.json, gt_pose.json, and gt_corrs.csv. Readers report a
+malformed file as a BundleError naming it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BundleError
+from .errors import BundleError, CrossregError
 from .geometry import CameraIntrinsics, F64, RigidTransform, as_points, unit_rows
-from .matching import CorrespondenceSet, PatchPair
+from .matching import CorrespondenceSet
 from .normals import DepthMap, NormalField
 from .pose import PoseEstimate
 from .synth import SyntheticScene
@@ -46,6 +48,21 @@ __all__ = [
 BUNDLE_FILES = ("cloud.ply", "depth.bin", "intrinsics.json", "gt_pose.json", "gt_corrs.csv")
 
 
+def _reader(read):
+    """read(path, ...) with a parse failure, not an OS error, raised as a BundleError."""
+
+    @functools.wraps(read)
+    def checked(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except CrossregError:
+            raise
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise BundleError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+    return checked
+
+
 # --------------------------------------------------------------------------- #
 #  Point clouds
 # --------------------------------------------------------------------------- #
@@ -66,6 +83,7 @@ def write_ply(path, points) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@_reader
 def read_ply(path) -> F64:
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -118,6 +136,7 @@ def write_depth(path, depth: DepthMap) -> None:
     _write_raster(path, "DEPTH", w, h, np.where(depth.valid, depth.values, np.nan))
 
 
+@_reader
 def read_depth(path) -> DepthMap:
     width, height, data = _read_raster(path, "DEPTH")
     if data.size != width * height:
@@ -133,6 +152,7 @@ def write_normals(path, field: NormalField) -> None:
         _write_raster(path, "NORMAL", arr.shape[1], arr.shape[0], arr)
 
 
+@_reader
 def read_normals(path) -> NormalField:
     width, height, data = _read_raster(path, "NORMAL")
     if data.size != width * height * 3:
@@ -172,19 +192,17 @@ def write_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
     )
 
 
+@_reader
 def read_intrinsics(path) -> CameraIntrinsics:
     raw = read_json(path)
-    try:
-        return CameraIntrinsics(
-            fx=float(raw["fx"]),
-            fy=float(raw["fy"]),
-            cx=float(raw["cx"]),
-            cy=float(raw["cy"]),
-            width=int(raw["width"]),
-            height=int(raw["height"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise BundleError(f"{path}: bad intrinsics record: {exc}") from exc
+    return CameraIntrinsics(
+        fx=float(raw["fx"]),
+        fy=float(raw["fy"]),
+        cx=float(raw["cx"]),
+        cy=float(raw["cy"]),
+        width=int(raw["width"]),
+        height=int(raw["height"]),
+    )
 
 
 def _transform_payload(transform: RigidTransform) -> dict:
@@ -194,12 +212,9 @@ def _transform_payload(transform: RigidTransform) -> dict:
     }
 
 
-def _transform_from_payload(raw, where: str) -> RigidTransform:
-    try:
-        rot = np.array(raw["rotation"], dtype=np.float64).reshape(3, 3)
-        tra = np.array(raw["translation"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"{where}: bad pose record: {exc}") from exc
+def _transform_from_payload(raw) -> RigidTransform:
+    rot = np.array(raw["rotation"], dtype=np.float64).reshape(3, 3)
+    tra = np.array(raw["translation"], dtype=np.float64)
     return RigidTransform(rot, tra)
 
 
@@ -210,9 +225,17 @@ def write_pose_estimate(path, estimate: PoseEstimate) -> None:
     write_json(path, payload)
 
 
+@_reader
 def read_pose(path) -> RigidTransform:
     """Read the transform from a pose record (gt or estimated); extras ignored."""
-    return _transform_from_payload(read_json(path), str(path))
+    return _transform_from_payload(read_json(path))
+
+
+@_reader
+def _read_gt_pose(path) -> tuple[RigidTransform, int]:
+    """The transform and scene seed of a bundle's gt_pose.json."""
+    raw = read_json(path)
+    return _transform_from_payload(raw), int(raw.get("seed", 0))
 
 
 def write_correspondences(path, corrs: CorrespondenceSet) -> None:
@@ -224,6 +247,7 @@ def write_correspondences(path, corrs: CorrespondenceSet) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@_reader
 def read_correspondences(path) -> CorrespondenceSet:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "u,v,point_index,score":
@@ -243,19 +267,18 @@ def read_correspondences(path) -> CorrespondenceSet:
     )
 
 
-_PATCH_HEADER = "img_patch_id,cloud_patch_id,overlap_2d,overlap_3d"
+_PATCH_HEADER = "img_patch_id,cloud_patch_id,score"
 
 
 def write_patches(path, patches) -> None:
+    """Coarse (image tile id, cloud cell id, score) pairs, one per row."""
     lines = [_PATCH_HEADER]
-    lines.extend(
-        f"{p.img_patch_id},{p.cloud_patch_id},{p.overlap_2d!r},{p.overlap_3d!r}"
-        for p in patches
-    )
+    lines.extend(f"{tile},{cell},{score!r}" for tile, cell, score in patches)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_patches(path) -> tuple[PatchPair, ...]:
+@_reader
+def read_patches(path) -> tuple[tuple[int, int, float], ...]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != _PATCH_HEADER:
         raise BundleError(f"{path}: bad patch CSV header")
@@ -263,8 +286,8 @@ def read_patches(path) -> tuple[PatchPair, ...]:
     for line in lines[1:]:
         if not line.strip():
             continue
-        img_id, cloud_id, o2, o3 = line.split(",")
-        out.append(PatchPair(int(img_id), int(cloud_id), float(o2), float(o3)))
+        tile, cell, score = line.split(",")
+        out.append((int(tile), int(cell), float(score)))
     return tuple(out)
 
 
@@ -298,9 +321,7 @@ def load_scene_bundle(directory) -> SyntheticScene:
     cloud = read_ply(src / "cloud.ply")
     depth = read_depth(src / "depth.bin")
     intrinsics = read_intrinsics(src / "intrinsics.json")
-    pose_raw = read_json(src / "gt_pose.json")
-    transform = _transform_from_payload(pose_raw, str(src / "gt_pose.json"))
-    seed = int(pose_raw.get("seed", 0))
+    transform, seed = _read_gt_pose(src / "gt_pose.json")
     corrs = read_correspondences(src / "gt_corrs.csv")
     if depth.shape != (intrinsics.height, intrinsics.width):
         raise BundleError(f"bundle {src}: depth shape does not match intrinsics")

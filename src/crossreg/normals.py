@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNeighborhoodError
-from .geometry import F64, CameraIntrinsics, as_points, backproject_pixels
+from .geometry import F64, CameraIntrinsics, as_points
 from .graph import knn_indices
 
 EIGENVALUE_GAP_TOL = 1e-12
@@ -109,8 +109,7 @@ def estimate_point_normals(cloud, k: int | np.ndarray = 8) -> NormalField:
 
     Args:
         cloud: (N, 3) points.
-        k: neighborhood size, a scalar >= 3 or a per-point int array (as
-            produced by adaptive_neighborhood_sizes).
+        k: neighborhood size, a scalar >= 3 or a per-point int array.
 
     Returns:
         NormalField with (N, 3) unit normals oriented toward the origin.
@@ -157,45 +156,23 @@ def _fit_normals(pts: F64, k, neigh: np.ndarray | None = None) -> NormalField:
     return NormalField(normals, valid)
 
 
-def _check_density_k(n: int, k0: int) -> None:
-    if n < k0 + 1:
-        raise DegenerateNeighborhoodError(f"cloud of {n} points cannot support k0 = {k0}")
-
-
-def neighborhood_density(cloud, k0: int = 8) -> F64:
-    """Mean distance to the k0 nearest neighbors, per point."""
-    pts = as_points(cloud, name="cloud")
-    _check_density_k(pts.shape[0], k0)
-    _, dists = knn_indices(pts, k0, return_distances=True)
-    return dists.mean(axis=1)
-
-
-def _sizes_from_density(rho: F64, k0: int, k_sparse: int) -> np.ndarray:
-    return np.where(rho > rho.mean(), k_sparse, k0).astype(np.int64)
-
-
-def adaptive_neighborhood_sizes(cloud, k0: int = 8, k_sparse: int = 12) -> np.ndarray:
-    """Per-point neighborhood sizes: sparse regions get k_sparse, dense keep k0.
-
-    A point is sparse when its mean k0-NN distance strictly exceeds the
-    cloud-wide mean of that quantity.
-    """
-    if k0 < 3:
-        raise ValueError(f"k0 must be >= 3, got {k0}")
-    return _sizes_from_density(neighborhood_density(cloud, k0), k0, k_sparse)
-
-
 def estimate_point_normals_adaptive(cloud, k0: int = 8, k_sparse: int = 12) -> NormalField:
     """Density-adaptive variant of estimate_point_normals.
 
-    The density and the fit both read one k-NN list of max(k0, k_sparse).
+    A point's density is its mean distance to its k0 nearest neighbors.
+    Points sparser than the cloud-wide mean density (strictly) fit over
+    k_sparse neighbors, the rest over k0. The density and the fit both
+    read one k-NN list of max(k0, k_sparse).
     """
     if k0 < 3:
         raise ValueError(f"k0 must be >= 3, got {k0}")
     pts = as_points(cloud, name="cloud")
-    _check_density_k(pts.shape[0], k0)
+    n = pts.shape[0]
+    if n < k0 + 1:
+        raise DegenerateNeighborhoodError(f"cloud of {n} points cannot support k0 = {k0}")
     neigh, dists = knn_indices(pts, max(k0, k_sparse), return_distances=True)
-    ks = _sizes_from_density(dists[:, :k0].mean(axis=1), k0, k_sparse)
+    rho = dists[:, :k0].mean(axis=1)
+    ks = np.where(rho > rho.mean(), k_sparse, k0).astype(np.int64)
     return _fit_normals(pts, ks, neigh)
 
 

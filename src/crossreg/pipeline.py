@@ -11,6 +11,10 @@ tile/cell matching, per-patch fine matching, and PnP-RANSAC.
 With zero corruption every stage is exact: agreement is 1, guidance
 noise vanishes, both sides of a ground-truth pair carry identical rows,
 and the emitted correspondences reproduce the ground truth.
+
+Registration reads the true pose only where synthesize_features and
+_corrupt_guidance stand in for trained backbones; it returns its coarse
+patch pairs, and evaluation scores their overlap.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .graph import (
 from .losses import LossWeights, WarmupSchedule, warmup_weight
 from .matching import (
     CorrespondenceSet,
-    PatchPair,
     coarse_match,
     cosine_score_map,
     fine_match,
@@ -327,7 +330,7 @@ class RegistrationResult:
 
     estimate: PoseEstimate
     correspondences: CorrespondenceSet
-    patches: tuple[PatchPair, ...]
+    patches: tuple[tuple[int, int, float], ...]  # coarse (tile id, cell id, score)
     agreement: float
     blend: float
 
@@ -418,10 +421,8 @@ def register_scene(
 
     tile_members = [np.flatnonzero(tiles == t) for t in tiles_present]
     cell_members = [np.flatnonzero(cells == c) for c in cells_present]
-    depth_at = scene.depth.values[vs, us]
 
     fine = []
-    patches = []
     for t_row, c_row, _score in coarse:
         members_i = tile_members[t_row]
         members_j = cell_members[c_row]
@@ -432,23 +433,16 @@ def register_scene(
             members_j,
             config.min_fine_score,
         ))
-        patches.append(
-            patch_overlap(
-                int(tiles_present[t_row]),
-                int(cells_present[c_row]),
-                pixels[members_i],
-                depth_at[members_i],
-                scene.cloud[members_j],
-                scene.intrinsics,
-                scene.gt_transform,
-            )
-        )
+    patches = tuple(
+        (int(tiles_present[t_row]), int(cells_present[c_row]), score)
+        for t_row, c_row, score in coarse
+    )
 
     corrs = _best_per_pixel(pixels, fine)
     estimate = pnp_ransac(
         corrs, scene.cloud, scene.intrinsics, config.ransac(seed=scene.seed)
     )
-    return RegistrationResult(estimate, corrs, tuple(patches), agreement, blend)
+    return RegistrationResult(estimate, corrs, patches, agreement, blend)
 
 
 def _best_per_pixel(pixels: F64, fine: list[CorrespondenceSet]) -> CorrespondenceSet:
@@ -538,6 +532,25 @@ def _refine(
 # --------------------------------------------------------------------------- #
 
 
+def _patch_overlaps(scene: SyntheticScene, patches, config: PipelineConfig) -> list:
+    """Ground-truth overlap of each coarse (tile id, cell id, score) pair.
+
+    Members are recomputed from the scene under the config's tile grid and
+    voxel size, which must be the ones the pairs were matched under.
+    """
+    pixels = scene.gt_correspondences.pixels
+    tiles = _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols)
+    cells, _ = _voxel_ids(scene.cloud, config.voxel_size)
+    depth_at = scene.depth.values[pixels[:, 1].astype(np.int64), pixels[:, 0].astype(np.int64)]
+    return [
+        patch_overlap(
+            tile, cell, pixels[tiles == tile], depth_at[tiles == tile],
+            scene.cloud[cells == cell], scene.intrinsics, scene.gt_transform,
+        )
+        for tile, cell, _score in patches
+    ]
+
+
 def evaluate_scene(
     scene: SyntheticScene,
     corrs: CorrespondenceSet,
@@ -545,13 +558,16 @@ def evaluate_scene(
     patches,
     config: PipelineConfig,
 ) -> SceneEvaluation:
-    """Score one scene's registration against its stored ground truth."""
+    """Score one scene's registration against its stored ground truth.
+
+    patches are the registration's coarse (tile id, cell id, score) pairs.
+    """
     ir = inlier_ratio(
         corrs, scene.cloud, scene.depth, scene.intrinsics, scene.gt_transform,
         config.tau1_m,
     )
     rmse = registration_rmse(scene.cloud, est_transform, scene.gt_transform)
-    pir = patch_inlier_ratio(patches) if len(patches) else 0.0
+    pir = patch_inlier_ratio(_patch_overlaps(scene, patches, config)) if len(patches) else 0.0
     rre = relative_rotation_error(scene.gt_transform.rotation, est_transform.rotation)
     rte = relative_translation_error(
         scene.gt_transform.translation, est_transform.translation
@@ -627,11 +643,13 @@ def _sweep_scene(task) -> list[tuple[float, float]]:
         # the scene scores zero inliers and an unbounded RMSE (a recall miss).
         try:
             result = register_scene(scene, cfg, prep)
-            ev = evaluate_scene(
-                scene, result.correspondences, result.estimate.transform,
-                result.patches, cfg,
-            )
-            scores.append((ev.inlier_ratio, ev.rmse_m))
+            scores.append((
+                inlier_ratio(
+                    result.correspondences, scene.cloud, scene.depth,
+                    scene.intrinsics, scene.gt_transform, cfg.tau1_m,
+                ),
+                registration_rmse(scene.cloud, result.estimate.transform, scene.gt_transform),
+            ))
         except REGISTRATION_FAILURES:
             scores.append((0.0, np.inf))
     return scores

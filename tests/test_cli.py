@@ -180,6 +180,26 @@ def with_column(row: str, column: int, value: str) -> str:
     return ",".join(cells)
 
 
+def json_with(text: str, key: str, value) -> str:
+    return json.dumps({**json.loads(text), key: value})
+
+
+def edit_file(path: Path, index, edit) -> None:
+    """edit_line when index is a line number, else edit the whole text or bytes."""
+    if index is not None:
+        edit_line(path, index, edit)
+    elif path.suffix == ".bin":
+        path.write_bytes(edit(path.read_bytes()))
+    else:
+        path.write_text(edit(path.read_text()))
+
+
+@pytest.fixture
+def tiny_bundle(tmp_path) -> Path:
+    bundles = synth_scenes(tmp_path, "--set", "point_count=300", "--set", "scene_count=1")
+    return bundles / "scene_0000"
+
+
 class TestMalformedBundle:
     # each of these once ended the process with a traceback
     @pytest.mark.parametrize(
@@ -199,6 +219,57 @@ class TestMalformedBundle:
         assert run("register", "--scene", str(bundle), "--out", str(out)) == 1
         assert f"error: bundle {bundle}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, index, edit",
+        [
+            ("cloud.ply", 7, lambda row: "abc 0.0 1.0"),
+            ("cloud.ply", 2, lambda row: "element vertex x"),
+            ("cloud.ply", 7, lambda row: "0.0 1.0"),
+            ("gt_corrs.csv", 1, lambda row: with_column(row, 2, "x")),
+            ("gt_corrs.csv", 1, lambda row: row.rsplit(",", 1)[0]),
+            ("gt_corrs.csv", 1, lambda row: with_column(row, 0, "nan")),
+            ("intrinsics.json", None, lambda text: json_with(text, "height", "x")),
+            ("intrinsics.json", None, lambda text: text[:-3]),
+            ("gt_pose.json", None, lambda text: text[:-3]),
+            ("gt_pose.json", None, lambda text: json_with(text, "seed", "x")),
+            ("depth.bin", None, lambda blob: blob.replace(b"DEPTH ", b"DEPTH x", 1)),
+        ],
+        ids=[
+            "non_numeric_vertex", "non_integer_vertex_count", "two_token_vertex",
+            "non_integer_point_index", "missing_column", "nan_pixel", "non_integer_height",
+            "intrinsics_not_json", "pose_not_json", "non_integer_seed", "depth_header",
+        ],
+    )
+    def test_unparsable_file_exits_1(self, tiny_bundle, tmp_path, capsys, name, index, edit):
+        path = tiny_bundle / name
+        edit_file(path, index, edit)
+        out = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, index, edit",
+        [
+            ("patches.csv", 1, lambda row: with_column(row, 1, "x")),
+            ("pose.json", None, lambda text: text[:-3]),
+        ],
+        ids=["non_integer_patch_id", "pose_not_json"],
+    )
+    def test_eval_of_unparsable_result_exits_1(
+        self, tiny_bundle, tmp_path, capsys, name, index, edit
+    ):
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+        path = results / name
+        edit_file(path, index, edit)
+        capsys.readouterr()
+        assert run("eval", "--scenes", str(tiny_bundle), "--results", str(results),
+                   "--out", str(tmp_path / "r.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("adaptive", ["false", "true"])
     def test_normals_on_cloud_of_k_points_exits_1(self, tmp_path, capsys, adaptive):
@@ -252,6 +323,17 @@ class TestEval:
             "--results", str(results), "--out", str(tmp_path / "r.json"),
         ) == 1
 
+    def test_coarser_voxels_than_register_exits_1(self, tmp_path, capsys):
+        # eval recomputes each coarse pair's members from its own config
+        scenes = tmp_path / "scenes"
+        assert run("synth", "--out", str(scenes), "--set", "scene_count=1") == 0
+        results = self.register_all(tmp_path, scenes)
+        capsys.readouterr()
+        assert run("eval", "--scenes", str(scenes), "--results", str(results),
+                   "--out", str(tmp_path / "r.json"), "--set", "voxel_size=0.8") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "has an empty side" in err
+
     def test_parallel_matches_serial(self, tmp_path):
         scenes = synth_scenes(tmp_path)
         results = self.register_all(tmp_path, scenes)
@@ -261,6 +343,45 @@ class TestEval:
         assert run("eval", "--scenes", str(scenes), "--results", str(results),
                    "--out", str(parallel), "--jobs", "2") == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+class TestOsErrors:
+    """A path that cannot be read or written exits 1 with an error line."""
+
+    def exits_1(self, capsys, *argv) -> None:
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_eval_of_missing_scenes_or_results(self, tiny_bundle, tmp_path, capsys):
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+        missing = str(tmp_path / "nope")
+        report = str(tmp_path / "r.json")
+        self.exits_1(capsys, "eval", "--scenes", missing, "--results", str(results),
+                     "--out", report)
+        self.exits_1(capsys, "eval", "--scenes", str(tiny_bundle), "--results", missing,
+                     "--out", report)
+
+    def test_eval_out_under_missing_directory(self, tiny_bundle, tmp_path, capsys):
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+        self.exits_1(capsys, "eval", "--scenes", str(tiny_bundle), "--results", str(results),
+                     "--out", str(tmp_path / "nope" / "r.json"))
+
+    def test_ablate_out_under_missing_directory(self, tmp_path, capsys):
+        self.exits_1(capsys, "ablate", "--sweep", "mask_ratio", "--values", "[0.0]",
+                     "--set", "point_count=300", "--set", "scene_count=1",
+                     "--out", str(tmp_path / "nope" / "x.csv"))
+
+    def test_losses_out_under_missing_directory(self, tmp_path, capsys):
+        self.exits_1(capsys, "losses", "--out", str(tmp_path / "nope" / "l.json"))
+
+    def test_register_out_naming_a_file(self, tiny_bundle, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        self.exits_1(capsys, "register", "--scene", str(tiny_bundle), "--out", str(blocker))
 
 
 class TestAblate:

@@ -10,12 +10,14 @@ from crossreg.io import (
     read_depth,
     read_intrinsics,
     read_normals,
+    read_patches,
     read_ply,
     save_scene_bundle,
     write_correspondences,
     write_depth,
     write_intrinsics,
     write_normals,
+    write_patches,
     write_ply,
     write_pose_estimate,
 )
@@ -146,6 +148,24 @@ class TestJsonRecords:
         (tmp_path / "c.csv").write_text("a,b,c\n")
         with pytest.raises(BundleError):
             read_correspondences(tmp_path / "c.csv")
+
+
+class TestPatches:
+    def test_round_trip_exact(self, tmp_path):
+        patches = ((3, 17, 0.9999999999999998), (0, 4, -0.125), (47, 0, 1.0000000000000004))
+        write_patches(tmp_path / "p.csv", patches)
+        text = (tmp_path / "p.csv").read_text()
+        assert text.startswith("img_patch_id,cloud_patch_id,score\n3,17,0.9999999999999998\n")
+        assert read_patches(tmp_path / "p.csv") == patches
+        write_patches(tmp_path / "e.csv", ())
+        assert read_patches(tmp_path / "e.csv") == ()
+
+    def test_overlap_layout_rejected(self, tmp_path):
+        (tmp_path / "p.csv").write_text(
+            "img_patch_id,cloud_patch_id,overlap_2d,overlap_3d\n3,17,0.5,1.0\n"
+        )
+        with pytest.raises(BundleError, match="header"):
+            read_patches(tmp_path / "p.csv")
 
 
 class TestSceneBundle:

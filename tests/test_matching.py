@@ -11,7 +11,6 @@ from crossreg.errors import ChannelMismatchError, EmptyPatchError
 from crossreg.geometry import (
     CameraIntrinsics,
     RigidTransform,
-    project_point,
     rotation_from_axis_angle,
 )
 from crossreg.matching import (
@@ -82,6 +81,12 @@ def oracle_overlap(pixels, depths, points, intrinsics, gt_transform) -> tuple[fl
     overlap_2d = sum(any(row) for row in hit) / len(hit)
     overlap_3d = sum(any(col) for col in zip(*hit)) / len(transformed)
     return overlap_2d, overlap_3d
+
+
+def pinhole(point) -> tuple[float, float]:
+    """Oracle: the pixel K projects a camera-frame point (z > 0) to."""
+    x, y, z = point
+    return K.fx * x / z + K.cx, K.fy * y / z + K.cy
 
 
 def single_pair_overlap(pixel, depth: float, point, gt_transform=None) -> bool:
@@ -211,7 +216,7 @@ class TestLabels:
 
     def test_exact_match_positive(self):
         point = [0.1, -0.05, 2.0]
-        assert single_pair_overlap(project_point(K, point), 2.0, point)
+        assert single_pair_overlap(pinhole(point), 2.0, point)
 
     def test_pixel_gap_buckets(self):
         point = [0.0, 0.0, 2.0]  # projects to the principal point
@@ -305,8 +310,8 @@ class TestPatchOverlap:
         points = np.array([[0.0, 0.0, 2.0], [0.2, 0.0, 2.0]])
         pix = np.array(
             [
-                list(project_point(K, points[0])),
-                list(project_point(K, points[1])),
+                list(pinhole(points[0])),
+                list(pinhole(points[1])),
                 [50.0, 50.0],
                 [60.0, 400.0],
             ]
@@ -320,7 +325,7 @@ class TestPatchOverlap:
 
     def test_invalid_depth_pixels_count_in_denominator(self):
         points = np.array([[0.0, 0.0, 2.0]])
-        u, v = project_point(K, points[0])
+        u, v = pinhole(points[0])
         pix = np.array([[u, v], [u, v]])
         depths = np.array([2.0, np.nan])
         pair = patch_overlap(0, 0, pix, depths, points, K, IDENTITY)

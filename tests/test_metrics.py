@@ -14,7 +14,6 @@ from crossreg.errors import (
 from crossreg.geometry import (
     CameraIntrinsics,
     RigidTransform,
-    backproject_pixel,
     rotation_from_axis_angle,
 )
 from crossreg.matching import CorrespondenceSet, PatchPair
@@ -46,6 +45,11 @@ def rot_z(a: float) -> np.ndarray:
     return rotation_from_axis_angle(np.array([0.0, 0.0, a]))
 
 
+def lift(u: float, v: float, depth: float) -> np.ndarray:
+    """Oracle: the camera-frame point K sees at pixel (u, v) and depth."""
+    return np.array([(u - K.cx) * depth / K.fx, (v - K.cy) * depth / K.fy, depth])
+
+
 def exact_scene(n: int = 10, seed: int = 0):
     """Correspondences whose lifted pixels coincide with transformed points."""
     rng = np.random.default_rng(seed)
@@ -64,7 +68,7 @@ def exact_scene(n: int = 10, seed: int = 0):
         taken.add((u, v))
         d = float(rng.uniform(1.0, 3.0))
         depth_vals[v, u] = d
-        cloud_cam[k] = backproject_pixel(K, float(u), float(v), d)
+        cloud_cam[k] = lift(float(u), float(v), d)
         pixels[k] = (u, v)
         k += 1
     cloud = gt.inverse().apply(cloud_cam)
@@ -93,7 +97,7 @@ class TestInlierRatio:
         got = inlier_ratio(corrs, jit, depth, K, gt, tau1=0.05)
         hits = 0
         for (u, v), idx in zip(corrs.pixels.tolist(), corrs.point_indices.tolist()):
-            lifted = backproject_pixel(K, u, v, depth.values[int(v), int(u)])
+            lifted = lift(u, v, depth.values[int(v), int(u)])
             if np.linalg.norm(gt.apply(jit[idx]) - lifted) < 0.05:
                 hits += 1
         assert got == hits / 20

@@ -8,10 +8,10 @@ import pytest
 import crossreg.normals as normals_module
 from crossreg.errors import DegenerateNeighborhoodError
 from crossreg.geometry import CameraIntrinsics
+from crossreg.graph import knn_indices
 from crossreg.normals import (
     DepthMap,
     NormalField,
-    adaptive_neighborhood_sizes,
     depth_to_normals,
     estimate_point_normals,
     estimate_point_normals_adaptive,
@@ -91,6 +91,14 @@ class TestPointNormals:
             estimate_point_normals(cloud[:5], k=6)
 
 
+def adaptive_sizes(cloud, k0: int = 8, k_sparse: int = 12) -> np.ndarray:
+    """Oracle: k_sparse where a point's mean k0-NN distance, from its own
+    k0-NN call, strictly exceeds the cloud-wide mean of that distance."""
+    _, dists = knn_indices(cloud, k0, return_distances=True)
+    rho = dists.mean(axis=1)
+    return np.where(rho > rho.mean(), k_sparse, k0)
+
+
 class TestAdaptiveK:
     def test_two_cluster_hand_case(self):
         # dense cluster: spacing 0.01 on x; sparse cluster: spacing 1.0,
@@ -98,13 +106,13 @@ class TestAdaptiveK:
         dense = np.column_stack([0.01 * np.arange(12), np.zeros(12), np.zeros(12)])
         sparse = np.column_stack([100.0 + 1.0 * np.arange(12), np.zeros(12), np.zeros(12)])
         cloud = np.vstack([dense, sparse])
-        ks = adaptive_neighborhood_sizes(cloud, k0=8)
+        ks = adaptive_sizes(cloud, k0=8)
         assert list(np.unique(ks[:12])) == [8]
         assert list(np.unique(ks[12:])) == [12]
 
     def test_uniform_cloud_mixes_both_sizes(self):
         cloud = np.random.default_rng(11).uniform(0, 1, (200, 3))
-        ks = adaptive_neighborhood_sizes(cloud, k0=8)
+        ks = adaptive_sizes(cloud, k0=8)
         assert set(np.unique(ks)) <= {8, 12}
 
     def test_adaptive_estimation_runs(self):
@@ -131,7 +139,7 @@ class TestAdaptiveK:
         ]
         for cloud in clouds:
             oracle = estimate_point_normals(
-                cloud, adaptive_neighborhood_sizes(cloud, k0=k0, k_sparse=k_sparse)
+                cloud, adaptive_sizes(cloud, k0=k0, k_sparse=k_sparse)
             )
             monkeypatch.setattr(normals_module, "knn_indices", counted)
             field = estimate_point_normals_adaptive(cloud, k0=k0, k_sparse=k_sparse)

@@ -1,5 +1,6 @@
 """End-to-end pipeline tests: config schema, lifted normals, register, ablate."""
 
+import dataclasses
 import math
 import multiprocessing
 
@@ -12,7 +13,7 @@ import crossreg.graph
 import crossreg.normals
 import crossreg.pipeline as pipeline
 from crossreg.errors import ConfigError, LengthMismatchError
-from crossreg.geometry import CameraIntrinsics
+from crossreg.geometry import CameraIntrinsics, RigidTransform, rotation_from_axis_angle
 from crossreg.matching import CorrespondenceSet
 from crossreg.normals import DepthMap
 from crossreg.pipeline import (
@@ -270,8 +271,35 @@ class TestRegisterScene:
         scene, cfg = small_scene(seed=6)
         result = register_scene(scene, cfg)
         assert len(result.patches) > 0
-        best = max(p.overlap_ratio for p in result.patches)
-        assert best > 0.3
+        ev = evaluate_scene(
+            scene, result.correspondences, result.estimate.transform, result.patches, cfg
+        )
+        assert ev.pir > 0.0
+
+    def test_patches_are_the_coarse_pairs(self):
+        scene, cfg = small_scene(seed=6)
+        patches = register_scene(scene, cfg).patches
+        tiles = pipeline._tile_ids(
+            scene.gt_correspondences.pixels, scene.intrinsics, cfg.tile_rows, cfg.tile_cols
+        )
+        cells, _ = pipeline._voxel_ids(scene.cloud, cfg.voxel_size)
+        for tile, cell, score in patches:
+            assert type(tile) is int and type(cell) is int and type(score) is float
+            assert tile in tiles and cell in cells
+        scores = [score for _, _, score in patches]
+        assert scores == sorted(scores, reverse=True)
+
+    def test_registration_never_reads_the_true_pose(self):
+        scene, cfg = small_scene(seed=3, mask_ratio=0.2, gaussian_sigma_m=0.005)
+        wrong = dataclasses.replace(
+            scene,
+            gt_transform=RigidTransform(
+                rotation_from_axis_angle([0.4, -0.2, 0.1]), np.array([1.0, -2.0, 0.5])
+            ),
+        )
+        want = register_scene(scene, cfg)
+        assert want.agreement < 1.0  # the corruption path runs too
+        assert_same_registration(register_scene(wrong, cfg), want)
 
     def test_warmup_epoch_engages_refinement(self):
         scene, cfg = small_scene(seed=7)
