@@ -26,11 +26,13 @@ from .geometry import unit_rows
 from .io import (
     load_scene_bundle,
     read_correspondences,
+    read_grid,
     read_json,
     read_patches,
     read_pose,
     save_scene_bundle,
     write_correspondences,
+    write_grid,
     write_json,
     write_normals,
     write_patches,
@@ -160,6 +162,7 @@ def cmd_register(args) -> int:
     write_pose_estimate(out / "pose.json", result.estimate)
     write_correspondences(out / "correspondences.csv", result.correspondences)
     write_patches(out / "patches.csv", result.patches)
+    write_grid(out / "grid.json", *_grid(config))
     print(
         f"registered {args.scene}: {len(result.correspondences)} correspondences, "
         f"{result.estimate.inlier_count} inliers"
@@ -179,8 +182,21 @@ def _run_dirs(parent: Path, marker: str) -> list[Path]:
     return sorted(p for p in parent.iterdir() if p.is_dir())
 
 
+def _grid(config: PipelineConfig) -> tuple[int, int, float]:
+    return config.tile_rows, config.tile_cols, config.voxel_size
+
+
 def _eval_one(args):
     config, scene_dir, result_dir = args
+    # patch ids mean nothing on another grid; a finer one scores the pairs
+    # as disjoint instead of failing
+    registered = read_grid(Path(result_dir) / "grid.json")
+    if registered != _grid(config):
+        names = "(tile_rows, tile_cols, voxel_size)"
+        raise ConfigError(
+            f"{result_dir} was registered on the grid {names} = {registered}, "
+            f"but eval uses {_grid(config)}; pass the same values to both"
+        )
     scene = load_scene_bundle(scene_dir)
     transform = read_pose(Path(result_dir) / "pose.json")
     corrs = read_correspondences(Path(result_dir) / "correspondences.csv")

@@ -41,21 +41,75 @@ def _param_shape(spec: tuple[str, ...], channels: int) -> tuple[int, ...]:
 KNN_BLOCK_ENTRIES = 131_072
 
 
+def _morton_order(pts: F64) -> np.ndarray:
+    """Point order along a Z-order (Morton) curve over the bounding box.
+
+    A heuristic only: near points tend to sit near each other in this
+    order, which keeps the k-NN bound tight. Any order would give the
+    same neighbors.
+    """
+    n, d = pts.shape
+    bits = 63 // d  # 0 past 63 axes: a single cell keeps the input order
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    unit = (pts - lo) / np.where(span > 0, span, 1.0)  # in [0, 1]
+    cells = (unit * (2**bits - 1)).astype(np.uint64)
+    # spread[v] puts bit t of the byte v at bit t * d
+    spread = np.zeros(256, dtype=np.uint64)
+    for t in range(8):
+        spread |= ((np.arange(256, dtype=np.uint64) >> t) & 1) << (t * d)
+    code = np.zeros(n, dtype=np.uint64)
+    for byte in range((bits + 7) // 8):
+        for axis in range(d):
+            part = (cells[:, axis] >> (8 * byte)) & 255
+            code |= spread[part] << (8 * byte * d + axis)
+    return np.argsort(code, kind="stable")
+
+
+def _kth_bound(pts: F64, k: int) -> F64:
+    """Each row's k-th squared distance among its Morton-order neighbours.
+
+    The w = min(n - 1, max(2k, 16)) points nearest a row in Morton order
+    are w distinct other points, so the k-th smallest of their squared
+    distances bounds the row's true k-th from above. Computed in
+    difference form, which keeps its relative accuracy however far the
+    points sit from the origin.
+    """
+    n = pts.shape[0]
+    w = min(n - 1, max(2 * k, 16))
+    order = _morton_order(pts)
+    # w + 1 consecutive Morton positions around each point, the point
+    # itself included, shifted inwards at both ends of the order
+    first = np.clip(np.arange(n) - w // 2, 0, n - 1 - w)
+    window = order[first[:, None] + np.arange(w + 1)]
+    d2 = np.zeros(window.shape)
+    for axis in range(pts.shape[1]):
+        col = pts[:, axis]
+        diff = col[window] - col[order][:, None]
+        d2 += diff * diff
+    # the point's own 0 is the smallest entry, so position k holds the
+    # k-th smallest over the other points
+    bound = np.empty(n)
+    bound[order] = np.partition(d2, k, axis=1)[:, k]
+    return bound
+
+
 def knn_indices(
     points, k: int, return_distances: bool = False
 ) -> np.ndarray | tuple[np.ndarray, F64]:
     """Exact k nearest neighbors per point, self excluded.
 
-    Squared distances are built in cache-sized row blocks of about
-    KNN_BLOCK_ENTRIES entries (1 MB per float64 temporary). Each row's
-    k-th smallest squared distance is found by partial selection
-    (np.partition, linear time per row) rather than a full sort; every
-    entry at or below it is kept, so ties straddling the boundary all
-    compete, and those candidates are ordered by (distance, index).
-    Neighbors therefore come in ascending exact distance with ties broken
-    by the smaller point index -- the order of a stable argsort of the
-    whole row -- and results are reproducible bit-for-bit. k is clamped
-    to n - 1.
+    Squared distances are ranked in the dot form (|a|^2 + |b|^2) - 2 a.b,
+    built in cache-sized row blocks of about KNN_BLOCK_ENTRIES entries.
+    No row is selected over in full: each row's k-th squared distance is
+    first bounded from above by its Morton-order neighbours, and a block
+    keeps only the entries at most that bound plus a rounding margin.
+    Every entry at or below the row's true k-th distance survives, so ties
+    straddling the boundary all compete, and the survivors are ordered by
+    (distance, index). Neighbors therefore come in ascending exact
+    distance with ties broken by the smaller point index -- the order of a
+    stable argsort of the whole row -- and results are reproducible
+    bit-for-bit. k is clamped to n - 1.
 
     Returns (N, k') int64 indices, plus matching distances when asked:
     the square roots of the same squared distances the ranking used.
@@ -65,7 +119,7 @@ def knn_indices(
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"points must be (N, d), got {pts.shape}")
-    n = pts.shape[0]
+    n, d = pts.shape
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
     if k < 1:
@@ -78,29 +132,55 @@ def knn_indices(
     dst = np.empty((n, k_eff)) if return_distances else None
     sq = np.einsum("nd,nd->n", pts, pts)
     # |a|^2 + |b|^2 - 2 a.b never exceeds 4 max|p|^2 at any step
-    if not np.isfinite(4.0 * sq.max()):
+    max_sq = sq.max()
+    if not np.isfinite(4.0 * max_sq):
         raise ValueError("points too large: squared distances overflow float64")
+    # An entry is kept when F_ij <= 0, where one BLAS call per block gives
+    #   F_ij = [p_i, 1, -limit_i] . [-2 p_j, |p_j|^2, 1]
+    #        = |p_j|^2 - 2 p_i.p_j - ((bound_i + margin) - |p_i|^2).
+    # The margin covers rounding. With u = eps / 2, S = max|p|^2 and every
+    # intermediate at most 4S, to first order:
+    #   - the ranked value is off the true distance by (4d + 6) u S: d u S
+    #     per square, 2 d u S for -2 a.b, 2 u S + 4 u S for the additions;
+    #   - the difference-form bound is off it by (d + 2) u 4S;
+    #   - relating F to the ranked value costs (2d + 6) u S, rounding
+    #     limit_i 8 u S, and F's own d + 2 products, whose magnitudes sum
+    #     to at most 7S, (d + 2) u 7S.
+    # So every entry at or below its row's k-th ranked value has
+    # F <= (17d + 42) u S - margin. The margin is 8 times (17d + 42) u S,
+    # plus a smallest subnormal per unit for products that underflow; a
+    # larger margin only admits a few more candidates.
+    f64 = np.finfo(np.float64)
+    margin = 4 * (17 * d + 42) * (f64.eps * max_sq + f64.smallest_subnormal)
+    limit = (_kth_bound(pts, k_eff) + margin) - sq
+    left = np.column_stack([pts, np.ones(n), -limit])
+    right = np.column_stack([-2.0 * pts, sq, np.ones(n)])
     chunk = max(1, KNN_BLOCK_ENTRIES // n)
+    rows_max = min(chunk, n)
+    dot = np.empty((rows_max, n))
+    filt = np.empty((rows_max, n))
+    keep = np.empty((rows_max, n), dtype=bool)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
+        m = stop - start
         # the transposed view, not a contiguous copy: the BLAS call shape
         # fixes the rounding of each dot product
-        dot = pts[start:stop] @ pts.T
-        dot *= -2.0  # exact; x + (-2 a.b) rounds as x - 2 a.b does
-        d2 = sq[start:stop, None] + sq[None, :]
-        d2 += dot
-        np.maximum(d2, 0.0, out=d2)
-        rows = np.arange(start, stop)
-        d2[rows - start, rows] = np.inf
-        # copy, so the partitioned block is freed before the candidate pass
-        kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1].copy()
+        np.matmul(pts[start:stop], pts.T, out=dot[:m])
+        np.matmul(left[start:stop], right.T, out=filt[:m])
+        rows = np.arange(m)
+        filt[rows, rows + start] = np.inf
+        np.less_equal(filt[:m], 0.0, out=keep[:m])
         # flat indices are row-major, so columns ascend within each row
-        flat = np.flatnonzero(d2 <= kth[:, None])
+        flat = np.flatnonzero(keep[:m])
         cand_row, cand_col = np.divmod(flat, n)
-        cand_d2 = d2.ravel()[flat]
-        # lexsort is stable, so equal distances keep the smaller index first
-        order = np.lexsort((cand_d2, cand_row))
-        counts = np.bincount(cand_row, minlength=stop - start)
+        # the value and clamp a full (sq_i + sq_j) + (-2 dot) block would
+        # hold; doubling is exact, so x - 2 a.b rounds as x + (-2 a.b)
+        cand_d2 = (sq[cand_row + start] + sq[cand_col]) - 2.0 * dot[:m].ravel()[flat]
+        np.maximum(cand_d2, 0.0, out=cand_d2)
+        # lexsort is stable, so equal distances keep the smaller index
+        # first; a narrow row type lets its stable row pass radix-sort
+        order = np.lexsort((cand_d2, cand_row.astype(np.min_scalar_type(m - 1))))
+        counts = np.bincount(cand_row, minlength=m)
         first = np.cumsum(counts) - counts
         pick = order[first[:, None] + np.arange(k_eff)]
         idx[start:stop] = cand_col[pick]

@@ -40,6 +40,8 @@ __all__ = [
     "read_correspondences",
     "write_patches",
     "read_patches",
+    "write_grid",
+    "read_grid",
     "save_scene_bundle",
     "load_scene_bundle",
     "BUNDLE_FILES",
@@ -289,6 +291,23 @@ def read_patches(path) -> tuple[tuple[int, int, float], ...]:
         tile, cell, score = line.split(",")
         out.append((int(tile), int(cell), float(score)))
     return tuple(out)
+
+
+def write_grid(path, tile_rows: int, tile_cols: int, voxel_size: float) -> None:
+    """The patch grid that the ids of a patches.csv refer to."""
+    write_json(path, {"tile_rows": tile_rows, "tile_cols": tile_cols, "voxel_size": voxel_size})
+
+
+@_reader
+def read_grid(path) -> tuple[int, int, float]:
+    """(tile_rows, tile_cols, voxel_size) from a grid.json."""
+    if not Path(path).is_file():
+        raise BundleError(f"{path}: missing; patch ids cannot be read without their grid")
+    raw = read_json(path)
+    rows, cols, voxel = raw["tile_rows"], raw["tile_cols"], raw["voxel_size"]
+    if not all(type(v) is int for v in (rows, cols)) or type(voxel) not in (int, float):
+        raise BundleError(f"{path}: expected integer tile counts and a numeric voxel size")
+    return rows, cols, float(voxel)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, file outputs, determinism, parallel equivalence."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crossreg
 from crossreg.cli import main
 from crossreg.io import (
     load_scene_bundle,
@@ -18,6 +20,7 @@ from crossreg.io import (
     read_pose,
     write_ply,
 )
+from crossreg.pipeline import PipelineConfig, evaluate_scene, register_scene
 
 SMALL = ["--set", "point_count=600", "--set", "scene_count=2"]
 
@@ -132,6 +135,8 @@ class TestRegister:
         assert len(corrs) > 50
         patches = read_patches(out / "patches.csv")
         assert len(patches) > 0
+        grid = json.loads((out / "grid.json").read_text())
+        assert grid == {"tile_rows": 6, "tile_cols": 8, "voxel_size": 0.4}
         gt = load_scene_bundle(scenes / "scene_0000").gt_transform
         est = read_pose(out / "pose.json")
         assert np.linalg.norm(est.translation - gt.translation) < 2e-3
@@ -255,8 +260,16 @@ class TestMalformedBundle:
         [
             ("patches.csv", 1, lambda row: with_column(row, 1, "x")),
             ("pose.json", None, lambda text: text[:-3]),
+            ("grid.json", None, lambda text: text[:-3]),
+            ("grid.json", None, lambda text: json_with(text, "tile_rows", "6")),
+            ("grid.json", None, lambda text: json_with(text, "voxel_size", None)),
+            ("grid.json", None, lambda text: "[6, 8, 0.4]"),
+            ("grid.json", None, lambda text: json.dumps({"tile_rows": 6})),
         ],
-        ids=["non_integer_patch_id", "pose_not_json"],
+        ids=[
+            "non_integer_patch_id", "pose_not_json", "grid_not_json", "string_tile_rows",
+            "null_voxel_size", "grid_not_an_object", "grid_missing_keys",
+        ],
     )
     def test_eval_of_unparsable_result_exits_1(
         self, tiny_bundle, tmp_path, capsys, name, index, edit
@@ -332,7 +345,73 @@ class TestEval:
         assert run("eval", "--scenes", str(scenes), "--results", str(results),
                    "--out", str(tmp_path / "r.json"), "--set", "voxel_size=0.8") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "has an empty side" in err
+        assert err.startswith("error: ") and "(6, 8, 0.4)" in err and "(6, 8, 0.8)" in err
+
+    # a finer grid would score the pairs as disjoint (PIR 0.0 at
+    # voxel_size 0.2) and exit 0; any grid but the registration's fails
+    @pytest.mark.parametrize(
+        "setting, grid",
+        [("voxel_size=0.2", "(6, 8, 0.2)"), ("tile_cols=4", "(6, 4, 0.4)")],
+        ids=["finer_voxels", "other_tiles"],
+    )
+    def test_other_grid_than_register_exits_1(self, tmp_path, capsys, setting, grid):
+        scenes = tmp_path / "scenes"
+        assert run("synth", "--out", str(scenes), "--set", "scene_count=1") == 0
+        results = self.register_all(tmp_path, scenes)
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run("eval", "--scenes", str(scenes), "--results", str(results),
+                   "--out", str(out), "--set", setting) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(6, 8, 0.4)" in err and grid in err
+        assert not out.exists()
+
+    def test_same_grid_as_register_scores_it(self, tmp_path):
+        scenes = synth_scenes(tmp_path)
+        grid = {"tile_rows": 4, "tile_cols": 4, "voxel_size": 0.3}
+        results = self.register_all(tmp_path, scenes, **grid)
+        for bundle in sorted(scenes.iterdir()):
+            assert json.loads((results / bundle.name / "grid.json").read_text()) == grid
+        out = tmp_path / "r.json"
+        settings = [x for k, v in grid.items() for x in ("--set", f"{k}={v}")]
+        assert run("eval", "--scenes", str(scenes), "--results", str(results),
+                   "--out", str(out), *settings) == 0
+        # the same PIR as scoring the registration in memory
+        config = PipelineConfig.from_mapping({"point_count": 600, **grid})
+        for bundle, row in zip(sorted(scenes.iterdir()), json.loads(out.read_text())["scenes"]):
+            scene = load_scene_bundle(bundle)
+            result = register_scene(scene, config)
+            want = evaluate_scene(
+                scene, result.correspondences, result.estimate.transform, result.patches, config
+            )
+            assert row["pir"] == want.pir > 0.0
+
+    def test_ground_truth_behind_the_camera_scores_zero(self, tiny_bundle, tmp_path):
+        first = tmp_path / "first"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(first)) == 0
+        pose_path = tiny_bundle / "gt_pose.json"
+        pose = json.loads(pose_path.read_text())
+        gt = read_pose(pose_path)
+        depth = gt.apply(read_ply(tiny_bundle / "cloud.ply"))[:, 2]
+        pose["translation"][2] -= float(depth.max()) + 1.0  # every point behind
+        pose_path.write_text(json.dumps(pose))
+        again = tmp_path / "again"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(again)) == 0
+        assert file_bytes(again) == file_bytes(first)
+        out = tmp_path / "r.json"
+        assert run("eval", "--scenes", str(tiny_bundle), "--results", str(again),
+                   "--out", str(out)) == 0
+        mean = json.loads(out.read_text())["mean"]
+        assert (mean["inlier_ratio"], mean["pir"], mean["registration_recall"]) == (0, 0, 0)
+
+    def test_results_without_grid_exit_1(self, tiny_bundle, tmp_path, capsys):
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+        (results / "grid.json").unlink()
+        capsys.readouterr()
+        assert run("eval", "--scenes", str(tiny_bundle), "--results", str(results),
+                   "--out", str(tmp_path / "r.json")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {results / 'grid.json'}: missing")
 
     def test_parallel_matches_serial(self, tmp_path):
         scenes = synth_scenes(tmp_path)
@@ -513,10 +592,14 @@ class TestLosses:
 class TestConsoleScript:
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "losses.json"
+        # the child imports the package the tests import, installed or not
+        package_root = str(Path(crossreg.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "crossreg.cli", "losses", "--out", str(out)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert out.is_file()

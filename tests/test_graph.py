@@ -89,6 +89,46 @@ def point_sets(draw, min_n: int = 2, max_n: int = 60):
     return np.full((n, d), rng.uniform(-1.0, 1.0))
 
 
+@st.composite
+def bound_stress_sets(draw, min_n: int = 2, max_n: int = 300):
+    """(N, d) points, d in 1..3, laid out to defeat the k-th distance bound.
+
+    knn_indices keeps only the entries under a bound taken from Morton-order
+    neighbours plus a rounding margin; each layout attacks one of the two.
+    """
+    n = draw(st.integers(min_n, max_n))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(
+        st.sampled_from(["far_offset", "clusters", "ulp_duplicates", "cauchy", "grid_split"])
+    )
+    if layout == "far_offset":
+        # the dot form's rounding, about eps * offset^2, dwarfs the spread
+        offset = 10.0 ** draw(st.floats(0.0, 7.0))
+        spread = 10.0 ** draw(st.floats(-6.0, 0.0))
+        return offset * rng.choice([-1.0, 1.0], d) + rng.uniform(-spread, spread, (n, d))
+    if layout == "clusters":
+        # far-apart clusters and scattered outliers: some Morton windows
+        # straddle two clusters, and an outlier's window is all far away
+        centers = rng.uniform(-1e3, 1e3, (draw(st.integers(1, 6)), d))
+        pts = centers[rng.integers(0, len(centers), n)] + rng.normal(0.0, 0.1, (n, d))
+        outliers = rng.random(n) < 0.05
+        pts[outliers] = rng.uniform(-3e3, 3e3, (int(outliers.sum()), d))
+        return pts
+    if layout == "ulp_duplicates":
+        base = rng.uniform(-1.0, 1.0, (draw(st.integers(1, max(1, n // 4))), d))
+        pts = base[rng.integers(0, len(base), n)]
+        return pts + rng.integers(-3, 4, (n, d)) * np.spacing(pts)
+    if layout == "cauchy":
+        return rng.standard_cauchy((n, d))
+    # an even number of grid lines puts the first Morton split between
+    # the middle two, so grid neighbours across it sit far apart in order;
+    # the offset makes the dot form round their tied distances
+    side = 2 * draw(st.integers(1, 5))
+    offset = draw(st.sampled_from([0.0, 2.0**20, 2.0**26]))
+    return rng.integers(0, side, (n, d)).astype(np.float64) + offset
+
+
 class TestKnn:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(17)
@@ -147,6 +187,14 @@ class TestKnn:
         assert_matches_argsort(points, k)
         np.testing.assert_array_equal(knn_indices(points, k), [[1], [0]])
 
+    @pytest.mark.parametrize("d", [4, 10, 63, 70])
+    def test_many_dimensions(self, d):
+        # past 63 axes the Morton code has no bits left, and the bound
+        # still holds with every point in one cell
+        rng = np.random.default_rng(d)
+        for pts in (rng.normal(size=(300, d)), rng.integers(0, 3, (300, d)).astype(np.float64)):
+            assert_matches_argsort(pts, 5)
+
     def test_pixel_grid_ties(self):
         # lifted-pixel layout: a dense integer grid where every interior
         # point has four neighbors tied at distance 1 and four at sqrt 2
@@ -175,6 +223,15 @@ class TestKnn:
     def test_multi_chunk_path(self, points, k):
         # a block holds fewer rows than points, so many blocks are built
         assert KNN_BLOCK_ENTRIES // points.shape[0] < points.shape[0]
+        assert_matches_argsort(points, k)
+
+    @given(points=bound_stress_sets(), k=st.integers(1, 20))
+    def test_bound_stress_matches_argsort_oracle(self, points, k):
+        assert_matches_argsort(points, k)
+
+    @settings(max_examples=5)
+    @given(points=bound_stress_sets(min_n=2001, max_n=2600), k=st.integers(1, 20))
+    def test_bound_stress_multi_block(self, points, k):
         assert_matches_argsort(points, k)
 
     # the block row count equals n at n = isqrt(KNN_BLOCK_ENTRIES)

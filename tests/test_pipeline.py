@@ -301,6 +301,25 @@ class TestRegisterScene:
         assert want.agreement < 1.0  # the corruption path runs too
         assert_same_registration(register_scene(wrong, cfg), want)
 
+    def test_ground_truth_behind_the_camera_scores_zero(self):
+        # a degenerate ground truth: registration ignores it, and
+        # evaluation scores every match, patch and pose as a miss
+        scene, cfg = small_scene(seed=3)
+        gt = scene.gt_transform
+        depth = gt.apply(scene.cloud)[:, 2]
+        behind = dataclasses.replace(
+            scene,
+            gt_transform=RigidTransform(gt.rotation, gt.translation - [0.0, 0.0, depth.max() + 1.0]),
+        )
+        assert np.all(behind.gt_transform.apply(scene.cloud)[:, 2] <= -1.0)
+        result = register_scene(behind, cfg)
+        assert_same_registration(result, register_scene(scene, cfg))
+        ev = evaluate_scene(
+            behind, result.correspondences, result.estimate.transform, result.patches, cfg
+        )
+        assert (ev.inlier_ratio, ev.pir, ev.fmr_flag, ev.rr_flag) == (0.0, 0.0, False, False)
+        assert ev.rmse_m > 1.0
+
     def test_warmup_epoch_engages_refinement(self):
         scene, cfg = small_scene(seed=7)
         blended = register_scene(scene, cfg.replace(epoch=15))
