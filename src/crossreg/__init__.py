@@ -11,6 +11,7 @@ from .errors import (
     BundleError,
     ChannelMismatchError,
     ConfigError,
+    CoordinateOverflowError,
     CrossregError,
     DegenerateConfigurationError,
     DegenerateNeighborhoodError,

@@ -65,6 +65,10 @@ class EmptyVisibleSetError(CrossregError, RuntimeError):
     """Generated scene has no point visible in the image."""
 
 
+class CoordinateOverflowError(CrossregError, ValueError):
+    """Coordinates too large for the arithmetic that consumes them."""
+
+
 class LengthMismatchError(CrossregError, ValueError):
     """Paired sequences have different lengths."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ChannelMismatchError
+from .errors import ChannelMismatchError, CoordinateOverflowError
 from .geometry import F64
 
 # (name, shape builder) pairs fixing the canonical parameter order used by
@@ -113,8 +113,8 @@ def knn_indices(
 
     Returns (N, k') int64 indices, plus matching distances when asked:
     the square roots of the same squared distances the ranking used.
-    Raises ValueError when coordinates are so large that squared
-    distances would overflow.
+    Raises CoordinateOverflowError, a ValueError, when coordinates are so
+    large that squared distances would overflow.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -133,8 +133,12 @@ def knn_indices(
     sq = np.einsum("nd,nd->n", pts, pts)
     # |a|^2 + |b|^2 - 2 a.b never exceeds 4 max|p|^2 at any step
     max_sq = sq.max()
-    if not np.isfinite(4.0 * max_sq):
-        raise ValueError("points too large: squared distances overflow float64")
+    f64 = np.finfo(np.float64)
+    # 4 S is finite exactly when S <= max / 4, and the compare cannot overflow
+    if not max_sq <= f64.max / 4.0:
+        raise CoordinateOverflowError(
+            "points too large: squared distances overflow float64"
+        )
     # An entry is kept when F_ij <= 0, where one BLAS call per block gives
     #   F_ij = [p_i, 1, -limit_i] . [-2 p_j, |p_j|^2, 1]
     #        = |p_j|^2 - 2 p_i.p_j - ((bound_i + margin) - |p_i|^2).
@@ -150,7 +154,6 @@ def knn_indices(
     # F <= (17d + 42) u S - margin. The margin is 8 times (17d + 42) u S,
     # plus a smallest subnormal per unit for products that underflow; a
     # larger margin only admits a few more candidates.
-    f64 = np.finfo(np.float64)
     margin = 4 * (17 * d + 42) * (f64.eps * max_sq + f64.smallest_subnormal)
     limit = (_kth_bound(pts, k_eff) + margin) - sq
     left = np.column_stack([pts, np.ones(n), -limit])
@@ -319,14 +322,13 @@ def light_gat_forward(graph: KnnGraph, features, params: GraphAttentionParams) -
 
 
 def stable_sigmoid(x) -> F64:
-    """Logistic function computed piecewise so extremes saturate exactly."""
+    """Logistic function computed piecewise so extremes saturate exactly.
+
+    exp only ever sees -|x| <= 0, so nothing can overflow.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(arr))
+    return np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def gated_fusion(original, refined, params: GraphAttentionParams) -> F64:

@@ -12,6 +12,12 @@ With zero corruption every stage is exact: agreement is 1, guidance
 noise vanishes, both sides of a ground-truth pair carry identical rows,
 and the emitted correspondences reproduce the ground truth.
 
+No work is done whose result would be discarded: the refinement (its
+k-NN graphs, attention and fusion) runs only at a positive warm-up
+weight, the graphs are built on first use and then kept with the scene's
+prep, and an uncorrupted depth reuses the prep's clean normals as the
+live ones.
+
 Registration reads the true pose only where synthesize_features and
 _corrupt_guidance stand in for trained backbones; it returns its coarse
 patch pairs, and evaluation scores their overlap.
@@ -20,6 +26,7 @@ patch pairs, and evaluation scores their overlap.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import multiprocessing
 from dataclasses import dataclass, fields
@@ -31,6 +38,7 @@ from . import geometry
 from .errors import (
     REGISTRATION_FAILURES,
     ConfigError,
+    CoordinateOverflowError,
     DegenerateNeighborhoodError,
     LengthMismatchError,
 )
@@ -305,7 +313,15 @@ def _tile_ids(pixels: F64, intrinsics: CameraIntrinsics, rows: int, cols: int) -
 
 
 def _voxel_ids(points: F64, size: float) -> tuple[np.ndarray, int]:
-    cells = np.floor(points / size).astype(np.int64)
+    with np.errstate(over="ignore"):
+        floors = np.floor(points / size)
+    # int64 holds exactly the floors in [-2^63, 2^63); casting any other
+    # value would silently merge cells
+    if not np.all((floors >= -(2.0**63)) & (floors < 2.0**63)):
+        raise CoordinateOverflowError(
+            f"points too large for voxel_size {size!r}: cell ids overflow int64"
+        )
+    cells = floors.astype(np.int64)
     uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
     return inverse.reshape(-1), uniq.shape[0]
 
@@ -337,16 +353,33 @@ class RegistrationResult:
 
 @dataclass(frozen=True)
 class ScenePrep:
-    """The work of a registration fixed by its scene and _PREP_FIELDS alone."""
+    """The work of a registration fixed by its scene and _PREP_FIELDS alone.
+
+    The refinement graphs are built on first read, so a registration at
+    warm-up weight 0 never builds them; a cached_property writes the
+    instance __dict__ directly, which the frozen dataclass allows.
+    """
 
     scene: SyntheticScene
     key: tuple
     clean_normals: NormalField
-    pixel_graph: KnnGraph | None  # None below 2 nodes: refinement is skipped
-    cloud_graph: KnnGraph | None
     tiles: np.ndarray
     cells: np.ndarray
     cell_count: int
+
+    @functools.cached_property
+    def pixel_graph(self) -> KnnGraph | None:
+        return self._graph(self.scene.gt_correspondences.pixels)
+
+    @functools.cached_property
+    def cloud_graph(self) -> KnnGraph | None:
+        return self._graph(self.scene.cloud)
+
+    def _graph(self, positions: F64) -> KnnGraph | None:
+        """None below 2 nodes: refinement is skipped."""
+        if positions.shape[0] < 2:
+            return None
+        return build_knn_graph(positions, self.key[_PREP_FIELDS.index("k_neighbors")])
 
 
 def _prep_key(config: PipelineConfig) -> tuple:
@@ -354,7 +387,7 @@ def _prep_key(config: PipelineConfig) -> tuple:
 
 
 def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
-    """Clean lifted normals, both refinement graphs, tile and voxel ids."""
+    """Clean lifted normals and tile and voxel ids; the graphs wait for first use."""
     pixels = scene.gt_correspondences.pixels
     k = config.k_neighbors
     cells, cell_count = _voxel_ids(scene.cloud, config.voxel_size)
@@ -362,8 +395,6 @@ def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
         scene,
         _prep_key(config),
         lifted_pixel_normals(scene.depth, scene.intrinsics, k, config.adaptive_k),
-        build_knn_graph(pixels, k) if pixels.shape[0] >= 2 else None,
-        build_knn_graph(scene.cloud, k) if scene.cloud.shape[0] >= 2 else None,
         _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols),
         cells,
         cell_count,
@@ -379,11 +410,15 @@ def register_scene(
     elif prep.scene is not scene or prep.key != _prep_key(config):
         raise ConfigError(f"prep is for another scene or other {', '.join(_PREP_FIELDS)}")
     corruption = config.corruption()
-    live_depth = corrupt_depth(scene.depth, corruption)
     clean_normals = prep.clean_normals
-    live_normals = lifted_pixel_normals(
-        live_depth, scene.intrinsics, config.k_neighbors, config.adaptive_k
-    )
+    if corruption.gaussian_sigma_m == 0.0 and corruption.mask_ratio == 0.0:
+        # corrupt_depth would return the clean valid pixels and depths
+        live_normals = clean_normals
+    else:
+        live_depth = corrupt_depth(scene.depth, corruption)
+        live_normals = lifted_pixel_normals(
+            live_depth, scene.intrinsics, config.k_neighbors, config.adaptive_k
+        )
     try:
         agreement = normal_agreement(clean_normals, live_normals)
     except DegenerateNeighborhoodError:
@@ -407,10 +442,14 @@ def register_scene(
     f_img_aug = geometry.unit_rows(np.hstack([f_img, weight * img_n]))
     f_cloud_aug = geometry.unit_rows(np.hstack([f_cloud, weight * cloud_n]))
 
-    params = GraphAttentionParams.initialize(config.channels + 3, config.param_seed)
     blend = warmup_weight(config.epoch, config.warmup())
-    f_img_final = _refine(prep.pixel_graph, f_img_aug, params, blend)
-    f_cloud_final = _refine(prep.cloud_graph, f_cloud_aug, params, blend)
+    if blend > 0.0:
+        params = GraphAttentionParams.initialize(config.channels + 3, config.param_seed)
+        f_img_final = _refine(prep.pixel_graph, f_img_aug, params, blend)
+        f_cloud_final = _refine(prep.cloud_graph, f_cloud_aug, params, blend)
+    else:
+        # at weight 0 the blend keeps the features (up to the sign of a zero)
+        f_img_final, f_cloud_final = f_img_aug, f_cloud_aug
 
     tiles, cells = prep.tiles, prep.cells
     tile_desc, tiles_present = _group_means(

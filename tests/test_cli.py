@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,63 @@ class TestMalformedBundle:
                    "--set", "k_neighbors=8", "--set", f"adaptive_k={adaptive}")
         assert code == 1
         assert "cannot support k" in capsys.readouterr().err
+
+
+class TestCoordinateOverflow:
+    # each of these once exited 0 on a collapsed voxel grid or ended the
+    # process with a traceback
+    def exits_1(self, capsys, *argv) -> str:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def far_vertex(self, bundle: Path, coordinate: str) -> Path:
+        edit_line(bundle / "cloud.ply", 7, lambda row: f"{coordinate} 0.0 2.0")
+        return bundle
+
+    @pytest.mark.parametrize("epoch", [0, 15])
+    def test_register_far_vertex(self, tiny_bundle, tmp_path, capsys, epoch):
+        bundle = self.far_vertex(tiny_bundle, "1e200")
+        out = tmp_path / "res"
+        err = self.exits_1(capsys, "register", "--scene", str(bundle), "--out", str(out),
+                           "--set", f"epoch={epoch}")
+        assert "cell ids overflow int64" in err
+        assert not out.exists()
+
+    def test_register_far_vertex_in_large_voxels_at_epoch_15(
+        self, tiny_bundle, tmp_path, capsys
+    ):
+        # the voxel ids fit, so the refinement's cloud graph overflows first
+        bundle = self.far_vertex(tiny_bundle, "1e154")
+        err = self.exits_1(capsys, "register", "--scene", str(bundle),
+                           "--out", str(tmp_path / "res"),
+                           "--set", "epoch=15", "--set", "voxel_size=1e160")
+        assert "squared distances overflow" in err
+
+    def test_register_tiny_voxels(self, tiny_bundle, tmp_path, capsys):
+        err = self.exits_1(capsys, "register", "--scene", str(tiny_bundle),
+                           "--out", str(tmp_path / "res"), "--set", "voxel_size=1e-300")
+        assert "voxel_size 1e-300" in err
+
+    def test_eval_tiny_voxels(self, tiny_bundle, tmp_path, capsys):
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+        edit_file(results / "grid.json", None, lambda text: json_with(text, "voxel_size", 1e-300))
+        err = self.exits_1(capsys, "eval", "--scenes", str(tiny_bundle),
+                           "--results", str(results), "--out", str(tmp_path / "r.json"),
+                           "--set", "voxel_size=1e-300")
+        assert "voxel_size 1e-300" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("adaptive", ["false", "true"])
+    def test_normals_far_vertex(self, tiny_bundle, tmp_path, capsys, adaptive):
+        bundle = self.far_vertex(tiny_bundle, "1e200")
+        err = self.exits_1(capsys, "normals", "--scene", str(bundle),
+                           "--out", str(tmp_path / "n"), "--set", f"adaptive_k={adaptive}")
+        assert "squared distances overflow" in err
 
 
 class TestEval:

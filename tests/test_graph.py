@@ -2,13 +2,15 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from crossreg.errors import ChannelMismatchError
+from crossreg.errors import ChannelMismatchError, CoordinateOverflowError
 from crossreg.graph import (
     KNN_BLOCK_ENTRIES,
     GraphAttentionParams,
@@ -32,6 +34,17 @@ def brute_force_knn(points: np.ndarray, k: int) -> list[list[int]]:
             if j != i
         )
         out.append([j for _, j in ranked[: min(k, n - 1)]])
+    return out
+
+
+def piecewise_sigmoid(x) -> np.ndarray:
+    """Oracle: the logistic function by boolean scatter over the two signs."""
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ex = np.exp(arr[~pos])
+    out[~pos] = ex / (1.0 + ex)
     return out
 
 
@@ -212,6 +225,15 @@ class TestKnn:
                 with pytest.raises(ValueError, match="overflow"):
                     call(pts, 1)
 
+    @pytest.mark.parametrize("coordinate", [1e200, 1e154])
+    def test_overflow_is_a_typed_error_without_warnings(self, coordinate):
+        # at 1e154 the squares are finite but four times the largest is not
+        pts = np.array([[coordinate, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoordinateOverflowError, match="overflow"):
+                knn_indices(pts, 1)
+
     def test_largest_safe_coordinates_pass(self):
         # 4 * |p|^2 just below the float64 maximum still ranks exactly
         big = math.sqrt(np.finfo(np.float64).max / 4.0) / math.sqrt(2.0) * 0.999
@@ -366,6 +388,31 @@ class TestFusion:
         assert stable_sigmoid(np.array([-1000.0]))[0] == 0.0
         assert stable_sigmoid(np.array([1000.0]))[0] == 1.0
         assert stable_sigmoid(np.array([0.0]))[0] == 0.5
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, max_side=12),
+            elements=st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.floats(-800.0, 800.0),
+                st.sampled_from([0.0, -0.0, 745.0, -745.0, 746.0, -746.0]),
+            ),
+        ),
+        st.booleans(),
+    )
+    @example(np.array([745.0, -745.0, np.inf, -np.inf, 0.0, -0.0, np.nan]), False)
+    def test_sigmoid_matches_piecewise_oracle(self, x, strided):
+        if strided:  # a non-contiguous view
+            x = x[..., ::2]
+        want = piecewise_sigmoid(x)
+        got = stable_sigmoid(x)
+        assert got.shape == want.shape
+        if not np.isnan(x).any():
+            assert got.tobytes() == want.tobytes()
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestParams:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crossreg.errors import ChannelMismatchError, EmptyPatchError
 from crossreg.geometry import (
@@ -110,6 +111,49 @@ def oracle_fine(scores: np.ndarray, min_score: float) -> list[tuple[int, int]]:
     return kept
 
 
+def tie_rich_values():
+    """Integers (exact ties everywhere) or two-decimal values in [-1, 1]."""
+    return st.one_of(
+        st.integers(-2, 2).map(float),
+        st.integers(-100, 100).map(lambda v: v / 100.0),
+    )
+
+
+@st.composite
+def score_maps(draw):
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    if draw(st.booleans()):  # integer-valued: ties in nearly every row
+        return draw(hnp.arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)))
+    return draw(hnp.arrays(np.float64, shape, elements=tie_rich_values()))
+
+
+@st.composite
+def fine_inputs(draw):
+    """Image and cloud features plus a score floor.
+
+    Half the draws use signed one-hot or zero rows, whose cosine score
+    map is integer-valued (-1, 0 or 1), so argmax ties are the rule.
+    """
+    m_img = draw(st.integers(1, 9))
+    m_cloud = draw(st.integers(1, 9))
+    c = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        def rows(count):
+            axes = draw(hnp.arrays(np.int64, count, elements=st.integers(0, c - 1)))
+            signs = draw(hnp.arrays(
+                np.float64, count, elements=st.sampled_from([-1.0, 0.0, 1.0])
+            ))
+            feats = np.zeros((count, c))
+            feats[np.arange(count), axes] = signs
+            return feats
+        f_img, f_cloud = rows(m_img), rows(m_cloud)
+    else:
+        f_img = draw(hnp.arrays(np.float64, (m_img, c), elements=tie_rich_values()))
+        f_cloud = draw(hnp.arrays(np.float64, (m_cloud, c), elements=tie_rich_values()))
+    floor = draw(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)))
+    return f_img, f_cloud, floor
+
+
 class TestScoreMap:
     def test_entries_match_cosine_loops(self):
         rng = np.random.default_rng(2)
@@ -158,6 +202,10 @@ class TestCoarseMatch:
         assert coarse_match(scores, 1) == [(0, 0, 0.5)]
         assert coarse_match(scores, 1) == oracle_coarse(scores, 1)
 
+    @given(score_maps(), st.integers(1, 10))
+    def test_matches_loop_oracle(self, scores, top_k):
+        assert coarse_match(scores, top_k) == oracle_coarse(scores, top_k)
+
     def test_mutuality_required(self):
         # row 0 prefers column 1, but column 1 prefers row 1
         scores = np.array([[0.0, 0.6], [0.1, 0.9]])
@@ -192,6 +240,20 @@ class TestFineMatch:
             rows = [i for i, _ in expected]
             np.testing.assert_array_equal(got.point_indices, [j for _, j in expected])
             np.testing.assert_array_equal(got.pixels, pix[rows].reshape(-1, 2))
+
+    @given(fine_inputs())
+    def test_matches_loop_oracle(self, inputs):
+        f_img, f_cloud, floor = inputs
+        pix = np.column_stack([np.arange(f_img.shape[0]), np.zeros(f_img.shape[0])])
+        idx = 3 * np.arange(f_cloud.shape[0]) + 1
+        got = fine_match(f_img, f_cloud, pix, idx, min_score=floor)
+        scores = cosine_score_map(f_img, f_cloud)
+        expected = oracle_fine(scores, floor)
+        rows = [i for i, _ in expected]
+        cols = [j for _, j in expected]
+        assert got.pixels.tobytes() == pix[rows].reshape(-1, 2).tobytes()
+        assert got.point_indices.tolist() == idx[cols].tolist()
+        assert got.scores.tobytes() == scores[rows, cols].tobytes()
 
     def test_min_score_floor(self):
         f_img = np.array([[1.0, 0.0], [0.6, 0.8]])

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,14 @@ from hypothesis import strategies as st
 import crossreg.graph
 import crossreg.normals
 import crossreg.pipeline as pipeline
-from crossreg.errors import ConfigError, LengthMismatchError
-from crossreg.geometry import CameraIntrinsics, RigidTransform, rotation_from_axis_angle
+from crossreg.errors import ConfigError, CoordinateOverflowError, LengthMismatchError
+from crossreg.geometry import (
+    CameraIntrinsics,
+    RigidTransform,
+    rotation_from_axis_angle,
+    unit_rows,
+)
+from crossreg.graph import GraphAttentionParams
 from crossreg.matching import CorrespondenceSet
 from crossreg.normals import DepthMap
 from crossreg.pipeline import (
@@ -29,7 +36,7 @@ from crossreg.pipeline import (
     prepare_scene,
     register_scene,
 )
-from crossreg.synth import SceneSpec, generate_scene
+from crossreg.synth import SceneSpec, corrupt_depth, generate_scene, synthesize_features
 
 SMALL_K = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=12.0, width=32, height=24)
 
@@ -547,8 +554,9 @@ class TestSweepReuse:
             monkeypatch.setattr(module, "knn_indices", counting("knn", module.knn_indices))
         scenes, values = 2, (0.0, 0.1, 0.3)
         ablation_rows(small_config(scene_count=scenes), "mask_ratio", values)
-        # per scene: clean normals and two graphs once, live normals per value
-        assert counts == {"generate": scenes, "knn": scenes * (3 + len(values))}
+        # per scene: clean normals once and live normals per corrupting value;
+        # mask_ratio 0.0 reuses the clean normals and epoch 0 builds no graph
+        assert counts == {"generate": scenes, "knn": scenes * (1 + 2)}
 
     def test_k_sweep_parallel_over_scenes_matches_serial(self, monkeypatch):
         cfg = small_config(point_count=300, scene_count=2)
@@ -564,3 +572,147 @@ class TestSweepReuse:
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: SpyContext())
         assert ablation_rows(cfg, "k", (2, 4, 8), jobs=2) == serial
         assert started == [2]  # one worker per scene, not per value
+
+
+def count_calls(monkeypatch, counts: dict, owner, name: str) -> None:
+    """Replace owner.name with a wrapper that counts its calls in counts[name]."""
+    original = getattr(owner, name)
+    counts[name] = 0
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+class TestSkippedWork:
+    REFINEMENT = (
+        (pipeline, "light_gat_forward"),
+        (pipeline, "gated_fusion"),
+        (pipeline, "build_knn_graph"),
+        (GraphAttentionParams, "initialize"),
+    )
+
+    def count_refinement(self, monkeypatch) -> dict:
+        counts = {}
+        for owner, name in self.REFINEMENT:
+            count_calls(monkeypatch, counts, owner, name)
+        return counts
+
+    def test_zero_warmup_weight_runs_no_refinement(self, monkeypatch):
+        counts = self.count_refinement(monkeypatch)
+        scene, cfg = small_scene(seed=7)
+        assert register_scene(scene, cfg).blend == 0.0
+        assert set(counts.values()) == {0}
+
+    @pytest.mark.parametrize("epoch, blend", [(15, 0.5), (25, 1.0)])
+    def test_positive_weight_refines_both_sides(self, monkeypatch, epoch, blend):
+        counts = self.count_refinement(monkeypatch)
+        scene, cfg = small_scene(seed=7)
+        assert register_scene(scene, cfg.replace(epoch=epoch)).blend == blend
+        assert counts == {
+            "light_gat_forward": 2, "gated_fusion": 2, "build_knn_graph": 2, "initialize": 1,
+        }
+
+    def test_warmup_sweep_builds_each_scene_graphs_once(self, monkeypatch):
+        counts = self.count_refinement(monkeypatch)
+        scenes = 2
+        ablation_rows(small_config(scene_count=scenes), "warmup", (0, 5, 15, 25))
+        # epochs 15 and 25 refine, both sides each; 0 and 5 weigh it at 0
+        assert counts == {
+            "light_gat_forward": scenes * 2 * 2,
+            "gated_fusion": scenes * 2 * 2,
+            "build_knn_graph": scenes * 2,
+            "initialize": scenes * 2,
+        }
+
+    def test_zero_weight_blend_is_the_identity(self):
+        # default size, features augmented as register_scene does
+        cfg = PipelineConfig()
+        scene = generate_scene(cfg.scene_spec(), seed=21)
+        prep = prepare_scene(scene, cfg)
+        f_img, f_cloud = synthesize_features(scene, cfg.channels, cfg.corruption())
+        gt = scene.gt_correspondences
+        us = gt.pixels[:, 0].astype(np.int64)
+        vs = gt.pixels[:, 1].astype(np.int64)
+        normals = prep.clean_normals
+        img_n = np.where(normals.valid[vs, us][:, None], normals.normals[vs, us], 0.0)
+        cloud_n = np.zeros((scene.cloud.shape[0], 3))
+        cloud_n[gt.point_indices] = img_n
+        weight = cfg.normal_channel_weight
+        params = GraphAttentionParams.initialize(cfg.channels + 3, cfg.param_seed)
+        for graph, feats, n in (
+            (prep.pixel_graph, f_img, img_n), (prep.cloud_graph, f_cloud, cloud_n),
+        ):
+            aug = unit_rows(np.hstack([feats, weight * n]))
+            assert np.array_equal(pipeline._refine(graph, aug, params, 0.0), aug)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"adaptive_k": True}, {"feature_noise_sigma": 0.1, "outlier_fraction": 0.2,
+                                    "noise_seed": 5}],
+        ids=["plain", "adaptive", "feature_noise"],
+    )
+    def test_uncorrupted_depth_lifts_to_the_clean_normals(self, overrides):
+        scene, cfg = small_scene(seed=3, **overrides)
+        prep = prepare_scene(scene, cfg)
+        live = lifted_pixel_normals(
+            corrupt_depth(scene.depth, cfg.corruption()), scene.intrinsics,
+            cfg.k_neighbors, cfg.adaptive_k,
+        )
+        assert live.normals.tobytes() == prep.clean_normals.normals.tobytes()
+        assert live.valid.tobytes() == prep.clean_normals.valid.tobytes()
+
+    @pytest.mark.parametrize(
+        "overrides, calls",
+        [({}, 0), ({"mask_ratio": 0.1}, 1), ({"gaussian_sigma_m": 0.005}, 1)],
+        ids=["clean", "masked", "noisy"],
+    )
+    def test_only_a_corrupted_depth_is_relifted(self, monkeypatch, overrides, calls):
+        scene, cfg = small_scene(seed=3, **overrides)
+        prep = prepare_scene(scene, cfg)
+        counts = {}
+        count_calls(monkeypatch, counts, pipeline, "corrupt_depth")
+        count_calls(monkeypatch, counts, crossreg.normals, "knn_indices")
+        register_scene(scene, cfg, prep)
+        assert counts == {"corrupt_depth": calls, "knn_indices": calls}
+
+
+class TestCoordinateOverflow:
+    def far_vertex_scene(self, coordinate: float, **overrides):
+        scene, cfg = small_scene(seed=2, **overrides)
+        cloud = scene.cloud.copy()
+        cloud[0] = (coordinate, 0.0, 2.0)
+        return dataclasses.replace(scene, cloud=cloud), cfg
+
+    @pytest.mark.parametrize("epoch", [0, 15])
+    def test_far_vertex_raises_before_voxel_ids_collapse(self, epoch):
+        scene, cfg = self.far_vertex_scene(1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoordinateOverflowError, match="int64"):
+                register_scene(scene, cfg.replace(epoch=epoch))
+
+    def test_tiny_voxels_raise_in_registration_and_evaluation(self):
+        scene, cfg = small_scene(seed=2)
+        result = register_scene(scene, cfg)
+        tiny = cfg.replace(voxel_size=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoordinateOverflowError, match="1e-300"):
+                register_scene(scene, tiny)
+            with pytest.raises(CoordinateOverflowError, match="1e-300"):
+                evaluate_scene(
+                    scene, result.correspondences, result.estimate.transform,
+                    result.patches, tiny,
+                )
+
+    def test_overflowing_cloud_graph_raises_when_refinement_runs(self):
+        # voxels large enough to hold the far vertex leave the k-NN squares
+        # as the first arithmetic to overflow
+        scene, cfg = self.far_vertex_scene(1e154, voxel_size=1e160, epoch=15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoordinateOverflowError, match="squared distances"):
+                register_scene(scene, cfg)
