@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ChannelMismatchError, EmptyPatchError
+from .errors import ChannelMismatchError, CoordinateOverflowError, EmptyPatchError
 from .geometry import (
     F64,
     CameraIntrinsics,
@@ -102,6 +102,8 @@ def coarse_match(scores, top_k: int) -> list[tuple[int, int, float]]:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
         raise ValueError(f"score map must be 2D, got {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("score map contains non-finite values")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     n_rows, n_cols = s.shape
@@ -182,50 +184,142 @@ class PatchPair:
 
 
 def patch_overlap(
-    img_patch_id: int,
-    cloud_patch_id: int,
+    pairs,
+    pixel_patch_ids,
+    point_patch_ids,
     pixels,
     pixel_depths,
     points,
     intrinsics: CameraIntrinsics,
     gt_transform: RigidTransform,
-) -> PatchPair:
-    """Bidirectional overlap between an image patch and a cloud patch.
+) -> list[PatchPair]:
+    """Bidirectional overlap of each (image patch id, cloud patch id) pair.
 
-    A pixel/point pair counts as overlapped when it is positive (3D gap
-    < POS_3D_M and pixel gap < POS_2D_PX; a point behind the camera has
-    an infinite pixel gap). overlap_2d is the fraction of patch pixels
-    touching any point; overlap_3d the fraction of patch points touching
-    any pixel. Pixels without valid depth stay in the denominator but can
-    touch nothing.
+    pixel_patch_ids and point_patch_ids name each pixel's and each point's
+    patch. A pixel/point pair is positive when its 3D gap is below POS_3D_M
+    and its pixel gap below POS_2D_PX, both strict. A pixel without valid
+    depth touches nothing, and a point at or behind the camera has an
+    infinite pixel gap. A pair's overlap_2d is the fraction of its image
+    patch's pixels touching a point of its cloud patch; overlap_3d is the
+    fraction of its cloud patch's points touching a pixel of its image patch.
+
+    Every positive is found in one pass over the scene. The cloud is moved
+    once, the points in front of the camera are projected, and points
+    outside the liftable pixels' bounding box +- POS_2D_PX are dropped (they
+    touch no pixel). The rest are bucketed into an image-plane grid of
+    POS_2D_PX cells, and each liftable pixel is checked against the points
+    of its 3x3 neighbouring cells only. This misses no positive: a pixel gap
+    below POS_2D_PX needs |du| and |dv| below it, and a cell index is the
+    floor of an exact division by POS_2D_PX (a power of two), so a partner
+    lies at most one cell away on each axis. Candidates are scored with the
+    same elementwise expressions as a dense pixel x point block, so the
+    fractions are the same to the bit.
+
+    Raises EmptyPatchError for the first pair with no pixel or no point, and
+    CoordinateOverflowError when a liftable pixel lies beyond 2**33 in
+    either coordinate, where the grid's cell keys would overflow int64.
     """
     pix = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     dep = np.asarray(pixel_depths, dtype=np.float64).reshape(-1)
     pts = as_points(points, name="points")
-    if pix.shape[0] == 0 or pts.shape[0] == 0:
-        raise EmptyPatchError(
-            f"patch pair ({img_patch_id}, {cloud_patch_id}) has an empty side"
+    img_ids = np.asarray(pixel_patch_ids, dtype=np.int64).reshape(-1)
+    cloud_ids = np.asarray(point_patch_ids, dtype=np.int64).reshape(-1)
+    if dep.shape[0] != pix.shape[0] or img_ids.shape[0] != pix.shape[0]:
+        raise ValueError("pixel_depths and pixel_patch_ids must align with pixels")
+    if cloud_ids.shape[0] != pts.shape[0]:
+        raise ValueError("point_patch_ids must align with points")
+
+    img_patches, img_rank, img_sizes = np.unique(
+        img_ids, return_inverse=True, return_counts=True
+    )
+    cloud_patches, cloud_rank, cloud_sizes = np.unique(
+        cloud_ids, return_inverse=True, return_counts=True
+    )
+    img_row = {patch: row for row, patch in enumerate(img_patches.tolist())}
+    cloud_row = {patch: row for row, patch in enumerate(cloud_patches.tolist())}
+    pairs = [(int(i), int(c)) for i, c in pairs]
+    for i, c in pairs:
+        if i not in img_row or c not in cloud_row:
+            raise EmptyPatchError(f"patch pair ({i}, {c}) has an empty side")
+
+    pi, qj = _positive_pairs(pix, dep, pts, intrinsics, gt_transform)
+    hits_2d = _touch_counts(pi, img_rank, cloud_rank[qj], cloud_patches.size)
+    hits_3d = _touch_counts(qj, cloud_rank, img_rank[pi], img_patches.size)
+    out = []
+    for i, c in pairs:
+        ri, rc = img_row[i], cloud_row[c]
+        out.append(PatchPair(
+            i, c,
+            hits_2d.get((ri, rc), 0) / int(img_sizes[ri]),
+            hits_3d.get((rc, ri), 0) / int(cloud_sizes[rc]),
+        ))
+    return out
+
+
+def _touch_counts(
+    members: np.ndarray, own_rank: np.ndarray, other_rank: np.ndarray, n_other: int
+) -> dict[tuple[int, int], int]:
+    """(own patch, other patch) -> distinct members touching the other patch.
+
+    members[k] touched a member of patch other_rank[k]; own_rank maps each
+    member to its own patch. Codes stay below members x patches.
+    """
+    touched = np.unique(members * n_other + other_rank)  # distinct (member, other patch)
+    keys, counts = np.unique(
+        own_rank[touched // n_other] * n_other + touched % n_other, return_counts=True
+    )
+    return {divmod(key, n_other): count for key, count in zip(keys.tolist(), counts.tolist())}
+
+
+def _positive_pairs(
+    pix: F64, dep: F64, pts: F64, intrinsics: CameraIntrinsics, gt_transform: RigidTransform
+) -> tuple[np.ndarray, np.ndarray]:
+    """(pixel rows, point rows) of every positive pair, via the image-plane grid."""
+    moved = gt_transform.apply(pts)
+    live = np.flatnonzero(np.isfinite(dep) & (dep > 0.0) & np.all(np.isfinite(pix), axis=1))
+    front = np.flatnonzero(moved[:, 2] > 0.0)
+    if live.size == 0 or front.size == 0:
+        return live[:0], front[:0]
+    if np.abs(pix[live]).max() > 2.0**33:
+        raise CoordinateOverflowError(
+            "pixel coordinates beyond 2**33: image-plane grid keys overflow int64"
         )
-    if dep.shape[0] != pix.shape[0]:
-        raise ValueError("pixel_depths must align with pixels")
+    u, v = pix[live, 0], pix[live, 1]
+    pu = intrinsics.fx * moved[front, 0] / moved[front, 2] + intrinsics.cx
+    pv = intrinsics.fy * moved[front, 1] / moved[front, 2] + intrinsics.cy
+    # a point outside the pixels' box +- POS_2D_PX touches no pixel; dropping
+    # it before the cast keeps every cell id inside int64
+    inside = (
+        (pu >= u.min() - POS_2D_PX) & (pu <= u.max() + POS_2D_PX)
+        & (pv >= v.min() - POS_2D_PX) & (pv <= v.max() + POS_2D_PX)
+    )
+    front, pu, pv = front[inside], pu[inside], pv[inside]
 
-    transformed = gt_transform.apply(pts)  # (Q, 3)
-    liftable = np.isfinite(dep) & (dep > 0.0)
-    hit = np.zeros((pix.shape[0], pts.shape[0]), dtype=bool)
-    if np.any(liftable):
-        lifted = backproject_pixels(intrinsics, pix[liftable], dep[liftable])
-        d3 = np.linalg.norm(lifted[:, None, :] - transformed[None, :, :], axis=2)
-        in_front = transformed[:, 2] > 0.0
-        d2 = np.full((int(liftable.sum()), pts.shape[0]), np.inf)
-        if np.any(in_front):
-            front = transformed[in_front]
-            pu = intrinsics.fx * front[:, 0] / front[:, 2] + intrinsics.cx
-            pv = intrinsics.fy * front[:, 1] / front[:, 2] + intrinsics.cy
-            du = pu[None, :] - pix[liftable][:, 0:1]
-            dv = pv[None, :] - pix[liftable][:, 1:2]
-            d2[:, in_front] = np.hypot(du, dv)
-        hit[liftable] = (d3 < POS_3D_M) & (d2 < POS_2D_PX)
+    def cell(x: F64) -> np.ndarray:
+        return np.floor(x / POS_2D_PX).astype(np.int64)
 
-    overlap_2d = float(hit.any(axis=1).mean())
-    overlap_3d = float(hit.any(axis=0).mean())
-    return PatchPair(img_patch_id, cloud_patch_id, overlap_2d, overlap_3d)
+    # cells numbered row-major from the box corner, with one cell of margin
+    # on each side, so the cells (u - 1 .. u + 1, v) are one run of keys
+    cu, cv = cell(u), cell(v)
+    u0, v0 = cu.min() - 1, cv.min() - 1
+    width = int(cu.max() - u0) + 2
+    pixel_keys = (cv - v0) * width + (cu - u0)
+    point_keys = (cell(pv) - v0) * width + (cell(pu) - u0)
+    order = np.argsort(point_keys, kind="stable")
+    sorted_keys = point_keys[order]
+    starts = np.concatenate(
+        [np.searchsorted(sorted_keys, pixel_keys + dv * width - 1, "left") for dv in (-1, 0, 1)]
+    )
+    ends = np.concatenate(
+        [np.searchsorted(sorted_keys, pixel_keys + dv * width + 1, "right") for dv in (-1, 0, 1)]
+    )
+    runs = ends - starts
+    rows = np.repeat(np.tile(np.arange(live.size), 3), runs)
+    cols = order[np.arange(runs.sum()) + np.repeat(starts - np.cumsum(runs) + runs, runs)]
+
+    # the pixel gate first, then the 3D gate on its survivors only
+    near = np.hypot(pu[cols] - u[rows], pv[cols] - v[rows]) < POS_2D_PX
+    rows, cols = rows[near], cols[near]
+    lifted = backproject_pixels(intrinsics, pix[live], dep[live])
+    hit = np.linalg.norm(lifted[rows] - moved[front[cols]], axis=1) < POS_3D_M
+    return live[rows[hit]], front[cols[hit]]

@@ -313,6 +313,8 @@ def _tile_ids(pixels: F64, intrinsics: CameraIntrinsics, rows: int, cols: int) -
 
 
 def _voxel_ids(points: F64, size: float) -> tuple[np.ndarray, int]:
+    """Each point's cell id and the cell count; ids rank the distinct cells
+    in lexicographic (x, y, z) order, as np.unique(axis=0) numbers them."""
     with np.errstate(over="ignore"):
         floors = np.floor(points / size)
     # int64 holds exactly the floors in [-2^63, 2^63); casting any other
@@ -322,17 +324,46 @@ def _voxel_ids(points: F64, size: float) -> tuple[np.ndarray, int]:
             f"points too large for voxel_size {size!r}: cell ids overflow int64"
         )
     cells = floors.astype(np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    return inverse.reshape(-1), uniq.shape[0]
+    order = np.lexsort(cells.T[::-1])
+    ranked = cells[order]
+    starts_run = np.ones(cells.shape[0], dtype=bool)
+    starts_run[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(cells.shape[0], dtype=np.int64)
+    ids[order] = np.cumsum(starts_run) - 1
+    return ids, int(np.count_nonzero(starts_run))
 
 
-def _group_means(features: F64, ids: np.ndarray, group_count: int) -> tuple[F64, np.ndarray]:
-    """Mean feature per nonempty group; returns (means, group ids present)."""
-    sums = np.zeros((group_count, features.shape[1]))
-    np.add.at(sums, ids, features)
-    counts = np.bincount(ids, minlength=group_count).astype(np.float64)
-    present = np.flatnonzero(counts > 0)
-    return sums[present] / counts[present, None], present
+@dataclass(frozen=True)
+class _Members:
+    """Rows grouped by id: group g's rows, ascending, are order[offsets[g]:offsets[g + 1]]."""
+
+    order: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def index(cls, ids: np.ndarray, group_count: int) -> "_Members":
+        offsets = np.zeros(group_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=group_count), out=offsets[1:])
+        return cls(np.argsort(ids, kind="stable"), offsets)
+
+    def of(self, group) -> np.ndarray:
+        return self.order[self.offsets[group]:self.offsets[group + 1]]
+
+    def present(self) -> np.ndarray:
+        return np.flatnonzero(np.diff(self.offsets))
+
+
+def _group_means(features: F64, groups: _Members) -> tuple[F64, np.ndarray]:
+    """Mean feature per nonempty group; returns (means, group ids present).
+
+    Each group's rows are summed in row order onto +0.0, as np.add.at
+    accumulates them, so the means match it to the bit.
+    """
+    present = groups.present()
+    sums = np.zeros((present.size, features.shape[1]))
+    for row, group in enumerate(present):
+        sums[row] += features[groups.of(group)].sum(axis=0)
+    return sums / np.diff(groups.offsets)[present, None].astype(np.float64), present
 
 
 # --------------------------------------------------------------------------- #
@@ -363,9 +394,8 @@ class ScenePrep:
     scene: SyntheticScene
     key: tuple
     clean_normals: NormalField
-    tiles: np.ndarray
-    cells: np.ndarray
-    cell_count: int
+    tiles: _Members  # ground-truth pixels by image tile
+    cells: _Members  # cloud points by voxel cell
 
     @functools.cached_property
     def pixel_graph(self) -> KnnGraph | None:
@@ -387,17 +417,21 @@ def _prep_key(config: PipelineConfig) -> tuple:
 
 
 def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
-    """Clean lifted normals and tile and voxel ids; the graphs wait for first use."""
+    """Clean lifted normals and the tile and voxel member indexes; the graphs
+    wait for first use."""
     pixels = scene.gt_correspondences.pixels
     k = config.k_neighbors
-    cells, cell_count = _voxel_ids(scene.cloud, config.voxel_size)
+    cells = _Members.index(*_voxel_ids(scene.cloud, config.voxel_size))
+    tiles = _Members.index(
+        _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols),
+        config.tile_rows * config.tile_cols,
+    )
     return ScenePrep(
         scene,
         _prep_key(config),
         lifted_pixel_normals(scene.depth, scene.intrinsics, k, config.adaptive_k),
-        _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols),
+        tiles,
         cells,
-        cell_count,
     )
 
 
@@ -451,20 +485,14 @@ def register_scene(
         # at weight 0 the blend keeps the features (up to the sign of a zero)
         f_img_final, f_cloud_final = f_img_aug, f_cloud_aug
 
-    tiles, cells = prep.tiles, prep.cells
-    tile_desc, tiles_present = _group_means(
-        f_img_final, tiles, config.tile_rows * config.tile_cols
-    )
-    cell_desc, cells_present = _group_means(f_cloud_final, cells, prep.cell_count)
+    tile_desc, tiles_present = _group_means(f_img_final, prep.tiles)
+    cell_desc, cells_present = _group_means(f_cloud_final, prep.cells)
     coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
-
-    tile_members = [np.flatnonzero(tiles == t) for t in tiles_present]
-    cell_members = [np.flatnonzero(cells == c) for c in cells_present]
 
     fine = []
     for t_row, c_row, _score in coarse:
-        members_i = tile_members[t_row]
-        members_j = cell_members[c_row]
+        members_i = prep.tiles.of(tiles_present[t_row])
+        members_j = prep.cells.of(cells_present[c_row])
         fine.append(fine_match(
             f_img_final[members_i],
             f_cloud_final[members_j],
@@ -571,25 +599,6 @@ def _refine(
 # --------------------------------------------------------------------------- #
 
 
-def _patch_overlaps(scene: SyntheticScene, patches, config: PipelineConfig) -> list:
-    """Ground-truth overlap of each coarse (tile id, cell id, score) pair.
-
-    Members are recomputed from the scene under the config's tile grid and
-    voxel size, which must be the ones the pairs were matched under.
-    """
-    pixels = scene.gt_correspondences.pixels
-    tiles = _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols)
-    cells, _ = _voxel_ids(scene.cloud, config.voxel_size)
-    depth_at = scene.depth.values[pixels[:, 1].astype(np.int64), pixels[:, 0].astype(np.int64)]
-    return [
-        patch_overlap(
-            tile, cell, pixels[tiles == tile], depth_at[tiles == tile],
-            scene.cloud[cells == cell], scene.intrinsics, scene.gt_transform,
-        )
-        for tile, cell, _score in patches
-    ]
-
-
 def evaluate_scene(
     scene: SyntheticScene,
     corrs: CorrespondenceSet,
@@ -600,13 +609,27 @@ def evaluate_scene(
     """Score one scene's registration against its stored ground truth.
 
     patches are the registration's coarse (tile id, cell id, score) pairs.
+    Their members are recomputed from the scene under the config's tile
+    grid and voxel size, which must be the ones the pairs were matched
+    under. The ids come first, so a cloud too large for the voxel grid
+    fails before any metric overflows.
     """
+    pixels = scene.gt_correspondences.pixels
+    tiles = _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols)
+    cells, _ = _voxel_ids(scene.cloud, config.voxel_size)
     ir = inlier_ratio(
         corrs, scene.cloud, scene.depth, scene.intrinsics, scene.gt_transform,
         config.tau1_m,
     )
     rmse = registration_rmse(scene.cloud, est_transform, scene.gt_transform)
-    pir = patch_inlier_ratio(_patch_overlaps(scene, patches, config)) if len(patches) else 0.0
+    pir = 0.0
+    if len(patches):
+        us, vs = pixels[:, 0].astype(np.int64), pixels[:, 1].astype(np.int64)
+        pir = patch_inlier_ratio(patch_overlap(
+            [(tile, cell) for tile, cell, _score in patches], tiles, cells,
+            pixels, scene.depth.values[vs, us], scene.cloud,
+            scene.intrinsics, scene.gt_transform,
+        ))
     rre = relative_rotation_error(scene.gt_transform.rotation, est_transform.rotation)
     rte = relative_translation_error(
         scene.gt_transform.translation, est_transform.translation

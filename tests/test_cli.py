@@ -345,6 +345,19 @@ class TestCoordinateOverflow:
         assert "voxel_size 1e-300" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_eval_far_matched_vertex(self, tiny_bundle, tmp_path, capsys):
+        # the metrics would overflow on the vertex; the voxel ids fail first,
+        # so the error line is all that is printed
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+        matched = int(read_correspondences(results / "correspondences.csv").point_indices[0])
+        edit_line(tiny_bundle / "cloud.ply", 7 + matched, lambda row: "1e200 0.0 2.0")
+        capsys.readouterr()
+        err = self.exits_1(capsys, "eval", "--scenes", str(tiny_bundle),
+                           "--results", str(results), "--out", str(tmp_path / "r.json"))
+        assert len(err.splitlines()) == 1 and "cell ids overflow int64" in err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("adaptive", ["false", "true"])
     def test_normals_far_vertex(self, tiny_bundle, tmp_path, capsys, adaptive):
         bundle = self.far_vertex(tiny_bundle, "1e200")

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crossreg.errors import InvalidRotationError, NonPositiveDepthError
 from crossreg.geometry import (
@@ -47,6 +50,24 @@ class TestRigidTransform:
         t = RigidTransform(random_rotation(rng), rng.uniform(-1, 1, 3))
         pts = rng.uniform(-2, 2, (10, 3))
         np.testing.assert_allclose(t.inverse().apply(t.apply(pts)), pts, atol=1e-12)
+
+    @given(
+        cloud=st.integers(1, 300).flatmap(
+            lambda n: hnp.arrays(np.float64, (n, 3), elements=st.floats(-50.0, 50.0))
+        ),
+        axis_angle=hnp.arrays(np.float64, 3, elements=st.floats(-3.0, 3.0)),
+        translation=hnp.arrays(np.float64, 3, elements=st.floats(-5.0, 5.0)),
+        data=st.data(),
+    )
+    def test_apply_to_a_cloud_is_row_by_row(self, cloud, axis_angle, translation, data):
+        # patch overlap moves the whole cloud once where it used to move
+        # each patch's rows; every row must come out the same to the bit
+        t = RigidTransform(rotation_from_axis_angle(axis_angle), translation)
+        idx = np.array(
+            data.draw(st.lists(st.integers(0, cloud.shape[0] - 1), max_size=cloud.shape[0])),
+            dtype=np.int64,
+        )
+        assert t.apply(cloud)[idx].tobytes() == t.apply(cloud[idx].reshape(-1, 3)).tobytes()
 
     def test_rejects_reflection(self):
         flip = np.diag([1.0, 1.0, -1.0])

@@ -1,28 +1,35 @@
 """Matching primitives against brute-force oracles and hand geometry."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crossreg.errors import ChannelMismatchError, EmptyPatchError
+from crossreg.errors import CoordinateOverflowError
 from crossreg.geometry import (
     CameraIntrinsics,
     RigidTransform,
+    as_points,
+    backproject_pixels,
     rotation_from_axis_angle,
 )
 from crossreg.matching import (
     POS_2D_PX,
     POS_3D_M,
     CorrespondenceSet,
+    PatchPair,
     coarse_match,
     cosine_score_map,
     fine_match,
     patch_overlap,
 )
+from crossreg.pipeline import PipelineConfig, _tile_ids, _voxel_ids
+from crossreg.synth import generate_scene
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
@@ -72,6 +79,55 @@ def positive_pair(pixel, depth: float, transformed, intrinsics) -> bool:
     return d3 < POS_3D_M and d2 < POS_2D_PX
 
 
+def dense_patch_overlap(
+    img_patch_id, cloud_patch_id, pixels, pixel_depths, points, intrinsics, gt_transform
+) -> PatchPair:
+    """Oracle: one pair's overlap from a dense pixel x point block of gaps."""
+    pix = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+    dep = np.asarray(pixel_depths, dtype=np.float64).reshape(-1)
+    pts = as_points(points, name="points")
+    if pix.shape[0] == 0 or pts.shape[0] == 0:
+        raise EmptyPatchError(
+            f"patch pair ({img_patch_id}, {cloud_patch_id}) has an empty side"
+        )
+    if dep.shape[0] != pix.shape[0]:
+        raise ValueError("pixel_depths must align with pixels")
+
+    transformed = gt_transform.apply(pts)  # (Q, 3)
+    liftable = np.isfinite(dep) & (dep > 0.0)
+    hit = np.zeros((pix.shape[0], pts.shape[0]), dtype=bool)
+    if np.any(liftable):
+        lifted = backproject_pixels(intrinsics, pix[liftable], dep[liftable])
+        d3 = np.linalg.norm(lifted[:, None, :] - transformed[None, :, :], axis=2)
+        in_front = transformed[:, 2] > 0.0
+        d2 = np.full((int(liftable.sum()), pts.shape[0]), np.inf)
+        if np.any(in_front):
+            front = transformed[in_front]
+            pu = intrinsics.fx * front[:, 0] / front[:, 2] + intrinsics.cx
+            pv = intrinsics.fy * front[:, 1] / front[:, 2] + intrinsics.cy
+            du = pu[None, :] - pix[liftable][:, 0:1]
+            dv = pv[None, :] - pix[liftable][:, 1:2]
+            d2[:, in_front] = np.hypot(du, dv)
+        hit[liftable] = (d3 < POS_3D_M) & (d2 < POS_2D_PX)
+
+    overlap_2d = float(hit.any(axis=1).mean())
+    overlap_3d = float(hit.any(axis=0).mean())
+    return PatchPair(img_patch_id, cloud_patch_id, overlap_2d, overlap_3d)
+
+
+def one_pair_overlap(
+    img_patch_id, cloud_patch_id, pixels, pixel_depths, points, intrinsics, gt_transform
+) -> PatchPair:
+    """patch_overlap of a scene that is one image patch and one cloud patch."""
+    (pair,) = patch_overlap(
+        [(img_patch_id, cloud_patch_id)],
+        np.full(len(pixels), img_patch_id),
+        np.full(len(points), cloud_patch_id),
+        pixels, pixel_depths, points, intrinsics, gt_transform,
+    )
+    return pair
+
+
 def oracle_overlap(pixels, depths, points, intrinsics, gt_transform) -> tuple[float, float]:
     # the same batch transform patch_overlap applies, so only the rule differs
     transformed = gt_transform.apply(points).tolist()
@@ -92,7 +148,7 @@ def pinhole(point) -> tuple[float, float]:
 
 def single_pair_overlap(pixel, depth: float, point, gt_transform=None) -> bool:
     """Whether one pixel and one point form a positive pair, via patch_overlap."""
-    pair = patch_overlap(
+    pair = one_pair_overlap(
         0, 0, np.array([pixel]), np.array([depth]), np.array([point]), K,
         gt_transform or IDENTITY,
     )
@@ -273,6 +329,42 @@ class TestFineMatch:
         assert len(out) == 0
 
 
+@st.composite
+def non_finite_features(draw):
+    """Finite image and cloud features with one NaN or inf entry planted."""
+    c = draw(st.integers(1, 4))
+    shapes = [(draw(st.integers(1, 5)), c), (draw(st.integers(1, 5)), c)]
+    feats = [draw(hnp.arrays(np.float64, shape, elements=tie_rich_values())) for shape in shapes]
+    side = draw(st.integers(0, 1))
+    row = draw(st.integers(0, shapes[side][0] - 1))
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    feats[side][row, draw(st.integers(0, c - 1))] = bad
+    return feats
+
+
+class TestNonFiniteFeatures:
+    """A NaN or inf feature row is an error at every scoring entry point, never a score."""
+
+    @given(non_finite_features())
+    def test_every_scorer_raises(self, feats):
+        f_img, f_cloud = feats
+        with pytest.raises(ValueError, match="non-finite"):
+            cosine_score_map(f_img, f_cloud)
+        with pytest.raises(ValueError, match="non-finite"):
+            coarse_match(cosine_score_map(f_img, f_cloud), 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            fine_match(
+                f_img, f_cloud, np.zeros((f_img.shape[0], 2)), np.arange(f_cloud.shape[0])
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_coarse_match_rejects_a_non_finite_score_map(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            coarse_match(np.array([[bad]]), 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            coarse_match(np.array([[0.5, 0.1], [0.2, bad]]), 2)
+
+
 class TestLabels:
     """The positive-pair rule, one pixel and one point at a time."""
 
@@ -361,10 +453,12 @@ class TestPatchOverlapOracle:
     def test_matches_scalar_positive_rule(self, patch, gt_transform):
         pix, dep, cam_points = patch
         pts = gt_transform.inverse().apply(cam_points)
-        pair = patch_overlap(0, 0, pix, dep, pts, K, gt_transform)
-        assert (pair.overlap_2d, pair.overlap_3d) == oracle_overlap(
-            pix, dep, pts, K, gt_transform
-        )
+        want = oracle_overlap(pix, dep, pts, K, gt_transform)
+        for pair in (
+            one_pair_overlap(0, 0, pix, dep, pts, K, gt_transform),
+            dense_patch_overlap(0, 0, pix, dep, pts, K, gt_transform),
+        ):
+            assert (pair.overlap_2d, pair.overlap_3d) == want
 
 
 class TestPatchOverlap:
@@ -379,7 +473,7 @@ class TestPatchOverlap:
             ]
         )
         depths = np.array([2.0, 2.0, 2.0, 2.0])
-        pair = patch_overlap(3, 7, pix, depths, points, K, IDENTITY)
+        pair = one_pair_overlap(3, 7, pix, depths, points, K, IDENTITY)
         assert pair.img_patch_id == 3 and pair.cloud_patch_id == 7
         assert pair.overlap_2d == 0.5  # 2 of 4 pixels touch a point
         assert pair.overlap_3d == 1.0  # both points touched
@@ -390,21 +484,146 @@ class TestPatchOverlap:
         u, v = pinhole(points[0])
         pix = np.array([[u, v], [u, v]])
         depths = np.array([2.0, np.nan])
-        pair = patch_overlap(0, 0, pix, depths, points, K, IDENTITY)
+        pair = one_pair_overlap(0, 0, pix, depths, points, K, IDENTITY)
         assert pair.overlap_2d == 0.5
         assert pair.overlap_3d == 1.0
 
     def test_empty_patch_raises(self):
-        with pytest.raises(EmptyPatchError):
-            patch_overlap(
+        with pytest.raises(EmptyPatchError, match=re.escape("(0, 0) has an empty side")):
+            one_pair_overlap(
                 0, 0, np.zeros((0, 2)), np.zeros(0), np.array([[0.0, 0.0, 1.0]]), K, IDENTITY
             )
 
     def test_disjoint_patches_zero(self):
         points = np.array([[5.0, 5.0, 2.0]])  # projects far outside the patch
         pix = np.array([[320.0, 240.0]])
-        pair = patch_overlap(0, 0, pix, np.array([2.0]), points, K, IDENTITY)
+        pair = one_pair_overlap(0, 0, pix, np.array([2.0]), points, K, IDENTITY)
         assert pair.overlap_ratio == 0.0
+
+
+_ANCHOR = st.sampled_from(
+    [(320.0, 240.0), (0.0, 0.0), (639.0, 479.0), (-12.0, 250.0), (650.0, -6.0)]
+)
+_OFFSET = (
+    st.sampled_from([0.0, 8.0, -8.0]) | st.integers(-12, 12).map(float) | st.floats(-12.0, 12.0)
+)
+_NEAR = st.sampled_from([0.0, 8.0, -8.0]) | st.integers(-3, 3).map(float) | st.floats(-9.0, 9.0)
+
+
+@st.composite
+def _scene(draw):
+    """Pixels and camera-frame points split into patches, and the pairs to score.
+
+    Pixels cluster around a few anchors, some off the image (past any edge)
+    and some at fractional positions. Points are planted as in _patch: on
+    the ray of a pixel shifted by (du, dv) px, at its depth plus dz, or on
+    or behind the camera plane. Patch ids are 0..3; at odds of one in four,
+    one pair names an id that has no members.
+    """
+    count = draw(st.integers(1, 12))
+    pixels = [tuple(a + draw(_OFFSET) for a in draw(_ANCHOR)) for _ in range(count)]
+    depths = [draw(_DEPTH) for _ in pixels]
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        i = draw(st.integers(0, len(pixels) - 1))
+        u, v = pixels[i]
+        du, dv = draw(_NEAR), draw(_NEAR)
+        dz = draw(st.sampled_from([0.0, -POS_3D_M]) | st.floats(-0.04, 0.04))
+        base = depths[i] if math.isfinite(depths[i]) and depths[i] > 0.0 else 2.0
+        z = draw(st.sampled_from([base + dz] * 3 + [-1.0, 0.0]))
+        points.append(((u + du - K.cx) * z / K.fx, (v + dv - K.cy) * z / K.fy, z))
+    img_ids = draw(hnp.arrays(np.int64, len(pixels), elements=st.integers(0, 3)))
+    cloud_ids = draw(hnp.arrays(np.int64, len(points), elements=st.integers(0, 3)))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(sorted(set(img_ids.tolist()))),
+                  st.sampled_from(sorted(set(cloud_ids.tolist())))),
+        min_size=1, max_size=8,
+    ))
+    if draw(st.integers(0, 3)) == 0:
+        empty = (4, int(cloud_ids[0])) if draw(st.booleans()) else (int(img_ids[0]), 4)
+        pairs.insert(draw(st.integers(0, len(pairs))), empty)
+    return (np.array(pixels), np.array(depths), np.array(points), img_ids, cloud_ids, pairs)
+
+
+class TestScenePatchOverlap:
+    """The one-pass grid overlap against the dense per-pair oracle."""
+
+    # the gate cases of _ON_GATES as four one-pixel image patches
+    @example(
+        scene=(*_ON_GATES, np.arange(4), np.array([0, 1]),
+               [(0, 0), (1, 1), (2, 0), (3, 1), (1, 0)]),
+        gt_transform=IDENTITY,
+    )
+    @settings(max_examples=300)
+    @given(scene=_scene(), gt_transform=_TRANSFORM)
+    def test_matches_dense_oracle(self, scene, gt_transform):
+        pix, dep, cam_points, img_ids, cloud_ids, pairs = scene
+        pts = gt_transform.inverse().apply(cam_points)
+        args = (pix, dep, pts, K, gt_transform)
+        try:
+            want = [
+                dense_patch_overlap(
+                    i, c, pix[img_ids == i], dep[img_ids == i], pts[cloud_ids == c], *args[3:]
+                )
+                for i, c in pairs
+            ]
+        except EmptyPatchError as exc:
+            with pytest.raises(EmptyPatchError, match=re.escape(str(exc))):
+                patch_overlap(pairs, img_ids, cloud_ids, *args)
+            return
+        assert patch_overlap(pairs, img_ids, cloud_ids, *args) == want
+
+    def test_gates_are_exact_in_one_scene(self):
+        # (0, 0) and (1, 1) sit exactly on a gate, (2, 0) and (3, 1) one step inside
+        got = patch_overlap(
+            [(0, 0), (1, 1), (2, 0), (3, 1)], np.arange(4), np.array([0, 1]), *_ON_GATES,
+            K, IDENTITY,
+        )
+        assert [pair.overlap_ratio for pair in got] == [0.0, 0.0, 1.0, 1.0]
+
+    def test_default_scene_matches_dense_oracle(self):
+        cfg = PipelineConfig(point_count=600)
+        scene = generate_scene(cfg.scene_spec(), seed=4)
+        pix = scene.gt_correspondences.pixels
+        dep = scene.depth.values[pix[:, 1].astype(np.int64), pix[:, 0].astype(np.int64)]
+        tiles = _tile_ids(pix, scene.intrinsics, cfg.tile_rows, cfg.tile_cols)
+        cells, _ = _voxel_ids(scene.cloud, cfg.voxel_size)
+        pairs = [(int(t), int(c)) for t in np.unique(tiles) for c in np.unique(cells)]
+        got = patch_overlap(
+            pairs, tiles, cells, pix, dep, scene.cloud, scene.intrinsics, scene.gt_transform
+        )
+        want = [
+            dense_patch_overlap(
+                t, c, pix[tiles == t], dep[tiles == t], scene.cloud[cells == c],
+                scene.intrinsics, scene.gt_transform,
+            )
+            for t, c in pairs
+        ]
+        assert got == want
+        assert any(pair.overlap_ratio > 0.0 for pair in got)
+
+    def test_non_finite_pixels_touch_nothing(self):
+        point = np.array([[0.0, 0.0, 2.0]])
+        pix = np.array([[320.0, 240.0], [np.nan, 240.0], [np.inf, 240.0]])
+        got = one_pair_overlap(0, 0, pix, np.full(3, 2.0), point, K, IDENTITY)
+        assert got == dense_patch_overlap(0, 0, pix, np.full(3, 2.0), point, K, IDENTITY)
+        assert (got.overlap_2d, got.overlap_3d) == (1 / 3, 1.0)
+
+    def test_far_pixel_raises_before_its_cell_overflows(self):
+        pix = np.array([[320.0, 240.0], [2.0**34, 240.0]])
+        with pytest.raises(CoordinateOverflowError, match="2\\*\\*33"):
+            one_pair_overlap(0, 0, pix, np.full(2, 2.0), [[0.0, 0.0, 2.0]], K, IDENTITY)
+
+    def test_misaligned_ids_raise(self):
+        pix, dep, pts = np.zeros((2, 2)), np.full(2, 2.0), np.array([[0.0, 0.0, 2.0]])
+        with pytest.raises(ValueError, match="pixel_patch_ids"):
+            patch_overlap([(0, 0)], [0], [0], pix, dep, pts, K, IDENTITY)
+        with pytest.raises(ValueError, match="point_patch_ids"):
+            patch_overlap([(0, 0)], [0, 0], [0, 0], pix, dep, pts, K, IDENTITY)
+
+    def test_no_pairs_no_overlaps(self):
+        pix, pts = np.zeros((1, 2)), np.ones((1, 3))
+        assert patch_overlap([], [0], [0], pix, [2.0], pts, K, IDENTITY) == []
 
 
 class TestCorrespondenceSet:

@@ -7,8 +7,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import crossreg.graph
 import crossreg.normals
@@ -694,6 +695,22 @@ class TestCoordinateOverflow:
             with pytest.raises(CoordinateOverflowError, match="int64"):
                 register_scene(scene, cfg.replace(epoch=epoch))
 
+    @pytest.mark.parametrize("registered", [True, False], ids=["patches", "no_patches"])
+    def test_far_matched_vertex_fails_evaluation_before_any_metric(self, registered):
+        # inlier_ratio and registration_rmse would overflow on the vertex
+        scene, cfg = small_scene(seed=2)
+        result = register_scene(scene, cfg)
+        cloud = scene.cloud.copy()
+        cloud[result.correspondences.point_indices[0]] = (1e200, 0.0, 2.0)
+        far = dataclasses.replace(scene, cloud=cloud)
+        patches = result.patches if registered else ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoordinateOverflowError, match="int64"):
+                evaluate_scene(
+                    far, result.correspondences, result.estimate.transform, patches, cfg
+                )
+
     def test_tiny_voxels_raise_in_registration_and_evaluation(self):
         scene, cfg = small_scene(seed=2)
         result = register_scene(scene, cfg)
@@ -716,3 +733,64 @@ class TestCoordinateOverflow:
             warnings.simplefilter("error")
             with pytest.raises(CoordinateOverflowError, match="squared distances"):
                 register_scene(scene, cfg)
+
+
+_CELL_POINTS = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.int64, (n, 3), elements=st.integers(-3, 3)),
+    hnp.arrays(np.float64, (n, 3), elements=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999)),
+))
+_GROUPED = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.integers(1, 4).flatmap(lambda c: hnp.arrays(
+        np.float64, (n, c),
+        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1]) | st.floats(-10.0, 10.0),
+    )),
+    st.integers(n, n + 3).flatmap(lambda groups: st.tuples(
+        st.just(groups),
+        hnp.arrays(np.int64, n, elements=st.integers(0, groups - 1)),
+    )),
+))
+
+
+class TestGroupingOracles:
+    """The voxel ids and group means against the numpy calls they replace."""
+
+    @example(cells_frac=(np.array([[0, 0, 0]]), np.zeros((1, 3))), size=0.4)
+    @given(cells_frac=_CELL_POINTS, size=st.sampled_from([0.4, 0.25, 1.0, 3.0]))
+    def test_voxel_ids_match_unique_rows(self, cells_frac, size):
+        # small integer cells repeat and go negative; a fraction of 0.0 puts
+        # the point on a cell boundary
+        cells, frac = cells_frac
+        points = (cells + frac) * size
+        ids, count = pipeline._voxel_ids(points, size)
+        uniq, inverse = np.unique(
+            np.floor(points / size).astype(np.int64), axis=0, return_inverse=True
+        )
+        assert ids.tobytes() == inverse.reshape(-1).tobytes()
+        assert count == uniq.shape[0]
+
+    # one channel, groups of one member, empty groups, and sums of -0.0
+    @example(grouped=(np.array([[-0.0], [1.0], [-0.0]]), (5, np.array([3, 1, 0]))))
+    @example(grouped=(np.array([[-0.0, 2.0], [-0.0, -2.0]]), (2, np.array([1, 1]))))
+    @given(grouped=_GROUPED)
+    def test_group_means_match_add_at(self, grouped):
+        feats, (groups, ids) = grouped
+        got, present = pipeline._group_means(feats, pipeline._Members.index(ids, groups))
+        sums = np.zeros((groups, feats.shape[1]))
+        np.add.at(sums, ids, feats)
+        counts = np.bincount(ids, minlength=groups).astype(np.float64)
+        want_present = np.flatnonzero(counts > 0)
+        assert present.tobytes() == want_present.tobytes()
+        assert got.tobytes() == (sums[want_present] / counts[want_present, None]).tobytes()
+
+    def test_members_are_the_flatnonzero_scans(self):
+        scene, cfg = small_scene(seed=6)
+        prep = prepare_scene(scene, cfg)
+        tiles = pipeline._tile_ids(
+            scene.gt_correspondences.pixels, scene.intrinsics, cfg.tile_rows, cfg.tile_cols
+        )
+        cells, cell_count = pipeline._voxel_ids(scene.cloud, cfg.voxel_size)
+        for members, ids, count in ((prep.tiles, tiles, cfg.tile_rows * cfg.tile_cols),
+                                    (prep.cells, cells, cell_count)):
+            assert members.present().tolist() == np.unique(ids).tolist()
+            for group in range(count):
+                assert members.of(group).tobytes() == np.flatnonzero(ids == group).tobytes()

@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crossreg.errors import (
     DegenerateConfigurationError,
@@ -56,6 +59,28 @@ class TestPnpSolve:
             tra_err = float(np.linalg.norm(est.translation - gt.translation))
             assert rot_err_rad < 1e-6, seed
             assert tra_err < 1e-8, seed
+
+    @given(
+        axis_angle=hnp.arrays(np.float64, 3, elements=st.floats(-3.0, 3.0)),
+        translation=hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+        n=st.integers(6, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noiseless_round_trip(self, axis_angle, translation, n, seed):
+        # any proper pose (angles up to 3 * sqrt(3) rad cover every
+        # rotation); random camera-frame points in a box in front of the camera
+        rng = np.random.default_rng(seed)
+        cam = rng.uniform([-1.0, -0.75, 1.5], [1.0, 0.75, 4.0], (n, 3))
+        sv = np.linalg.svd(cam - cam.mean(axis=0), compute_uv=False)
+        assume(sv[2] > 0.1 * sv[0])  # well away from coplanar
+        gt = RigidTransform(rotation_from_axis_angle(axis_angle), translation)
+        obs = np.column_stack([
+            K.fx * cam[:, 0] / cam[:, 2] + K.cx, K.fy * cam[:, 1] / cam[:, 2] + K.cy,
+        ])
+        corrs = CorrespondenceSet(obs, np.arange(n), np.ones(n))
+        est = pnp_solve(corrs, gt.inverse().apply(cam), K)
+        assert rotation_angle_deg(gt.rotation.T @ est.rotation) < math.degrees(1e-6)
+        assert float(np.linalg.norm(est.translation - gt.translation)) < 1e-6
 
     def test_noisy_observations_stay_close(self):
         gt, cloud, corrs, rng = make_instance(100, n=40)

@@ -83,9 +83,10 @@ class TestGenerateScene:
         scene = generate_scene(SceneSpec(point_count=1200), seed=5)
         gt = scene.gt_correspondences
         for (u, v), idx in zip(gt.pixels.tolist(), gt.point_indices.tolist()):
-            pair = patch_overlap(
-                0,
-                0,
+            (pair,) = patch_overlap(
+                [(0, 0)],
+                [0],
+                [0],
                 [(u, v)],
                 [scene.depth.values[int(v), int(u)]],
                 scene.cloud[[idx]],
