@@ -51,6 +51,7 @@ from .normals import (
     estimate_point_normals,
     estimate_point_normals_adaptive,
     metric_normals_from_depth,
+    normal_ks,
 )
 from .pipeline import (
     SWEEP_DEFAULTS,
@@ -261,11 +262,11 @@ def cmd_normals(args) -> int:
     scene = load_scene_bundle(args.scene)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    k = max(config.k_neighbors, 3)  # the normal estimators' own floor
+    k0, k_sparse = normal_ks(config.k_neighbors, config.adaptive_k)
     if config.adaptive_k:
-        field = estimate_point_normals_adaptive(scene.cloud, k0=k)
+        field = estimate_point_normals_adaptive(scene.cloud, k0=k0, k_sparse=k_sparse)
     else:
-        field = estimate_point_normals(scene.cloud, k)
+        field = estimate_point_normals(scene.cloud, k0)
     write_normals(out / "point_normals.bin", field)
     write_normals(out / "depth_normals.bin", metric_normals_from_depth(scene.depth, scene.intrinsics))
     print(

@@ -34,7 +34,7 @@ def as_float_array(x, shape: tuple[int, ...] | None = None, name: str = "array")
     arr = np.asarray(x, dtype=np.float64)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: contains non-finite values")
     return arr
 
@@ -44,13 +44,23 @@ def as_points(x, name: str = "points") -> F64:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"{name}: expected shape (N, 3), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: contains non-finite values")
-    return arr
+    return as_float_array(arr, name=name)
 
 
 def as_vec3(x, name: str = "vector") -> F64:
     return as_float_array(x, shape=(3,), name=name)
+
+
+def as_rotation(x, name: str = "rotation") -> F64:
+    """Coerce to a 3x3 rotation: R^T R = I and det R = +1, both within ROTATION_TOL."""
+    rot = as_float_array(x, shape=(3, 3), name=name)
+    err = np.abs(rot.T @ rot - np.eye(3)).max()
+    if err > ROTATION_TOL:
+        raise InvalidRotationError(f"{name}: R^T R deviates from identity by {err:.3e}")
+    det = float(np.linalg.det(rot))
+    if abs(det - 1.0) > ROTATION_TOL:
+        raise InvalidRotationError(f"{name}: det(R) = {det:.12f}, expected +1")
+    return rot
 
 
 def unit_rows(rows) -> F64:
@@ -66,26 +76,14 @@ def unit_rows(rows) -> F64:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Proper rigid motion: rotation in SO(3) plus translation.
-
-    The rotation is validated on construction: R^T R = I and det R = +1,
-    both within ROTATION_TOL.
-    """
+    """Proper rigid motion: a rotation, checked by as_rotation, plus a translation."""
 
     rotation: F64
     translation: F64
 
     def __post_init__(self) -> None:
-        rot = as_float_array(self.rotation, shape=(3, 3), name="rotation")
-        tra = as_vec3(self.translation, name="translation")
-        err = np.abs(rot.T @ rot - np.eye(3)).max()
-        if err > ROTATION_TOL:
-            raise InvalidRotationError(f"R^T R deviates from identity by {err:.3e}")
-        det = float(np.linalg.det(rot))
-        if abs(det - 1.0) > ROTATION_TOL:
-            raise InvalidRotationError(f"det(R) = {det:.12f}, expected +1")
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tra)
+        object.__setattr__(self, "rotation", as_rotation(self.rotation))
+        object.__setattr__(self, "translation", as_vec3(self.translation, name="translation"))
 
     @classmethod
     def identity(cls) -> "RigidTransform":
@@ -149,9 +147,15 @@ class CameraIntrinsics:
 def project_points(intrinsics: CameraIntrinsics, points) -> F64:
     """Vectorized projection of (N, 3) camera-frame points; every z must be > 0."""
     pts = as_points(points)
-    z = pts[:, 2]
-    if np.any(z <= 0.0):
+    if (pts[:, 2] <= 0.0).any():
         raise NonPositiveDepthError("cannot project points with z <= 0")
+    return project_unchecked(intrinsics, pts)
+
+
+def project_unchecked(intrinsics: CameraIntrinsics, pts: F64) -> F64:
+    """The pinhole model of project_points without its checks, for hot loops
+    whose (N, 3) float64 points are already known finite with z > 0."""
+    z = pts[:, 2]
     uv = np.empty((pts.shape[0], 2))
     uv[:, 0] = intrinsics.fx * pts[:, 0] / z + intrinsics.cx
     uv[:, 1] = intrinsics.fy * pts[:, 1] / z + intrinsics.cy
@@ -164,7 +168,7 @@ def backproject_pixels(intrinsics: CameraIntrinsics, uv, depths) -> F64:
     d = np.asarray(depths, dtype=np.float64)
     if uv.ndim != 2 or uv.shape[1] != 2 or uv.shape[0] != d.shape[0]:
         raise ValueError(f"uv/depths shapes incompatible: {uv.shape} vs {d.shape}")
-    if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
+    if (d <= 0.0).any() or not np.isfinite(d).all():
         raise NonPositiveDepthError("cannot backproject depths <= 0")
     out = np.empty((uv.shape[0], 3))
     out[:, 0] = (uv[:, 0] - intrinsics.cx) * d / intrinsics.fx

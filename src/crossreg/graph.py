@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ChannelMismatchError, CoordinateOverflowError
-from .geometry import F64
+from .geometry import F64, as_float_array
 
 # (name, shape builder) pairs fixing the canonical parameter order used by
 # the deterministic initializer and the shape checks.
@@ -252,12 +252,7 @@ class GraphAttentionParams:
 
     def __post_init__(self) -> None:
         for name, spec in PARAM_LAYOUT:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            want = _param_shape(spec, self.channels)
-            if arr.shape != want:
-                raise ValueError(f"{name}: expected shape {want}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name}: contains non-finite values")
+            arr = as_float_array(getattr(self, name), _param_shape(spec, self.channels), name)
             object.__setattr__(self, name, arr)
 
     @classmethod

@@ -333,6 +333,7 @@ def save_scene_bundle(directory, scene: SyntheticScene) -> None:
 
 
 def load_scene_bundle(directory) -> SyntheticScene:
+    """The bundle's scene; SyntheticScene's own check failing is a BundleError."""
     src = Path(directory)
     missing = [name for name in BUNDLE_FILES if not (src / name).is_file()]
     if missing:
@@ -342,10 +343,6 @@ def load_scene_bundle(directory) -> SyntheticScene:
     intrinsics = read_intrinsics(src / "intrinsics.json")
     transform, seed = _read_gt_pose(src / "gt_pose.json")
     corrs = read_correspondences(src / "gt_corrs.csv")
-    if depth.shape != (intrinsics.height, intrinsics.width):
-        raise BundleError(f"bundle {src}: depth shape does not match intrinsics")
-    if not np.all((corrs.pixels >= 0.0) & (corrs.pixels < [intrinsics.width, intrinsics.height])):
-        raise BundleError(f"bundle {src}: a ground-truth pixel lies outside the image")
     try:
         return SyntheticScene(cloud, depth, intrinsics, transform, corrs, seed)
     except ValueError as exc:

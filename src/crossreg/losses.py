@@ -17,7 +17,7 @@ from .errors import (
     LengthMismatchError,
     NotNormalizedError,
 )
-from .geometry import F64
+from .geometry import F64, as_float_array
 from .normals import NormalField
 
 ROW_NORM_TOL = 1e-6
@@ -61,8 +61,7 @@ def _check_normalized(features, name: str) -> F64:
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ValueError(f"{name}: expected (M, C) with M >= 1, got {feats.shape}")
-    if not np.all(np.isfinite(feats)):
-        raise ValueError(f"{name}: contains non-finite values")
+    feats = as_float_array(feats, name=name)
     norms = np.linalg.norm(feats, axis=1)
     worst = float(np.abs(norms - 1.0).max())
     if worst > ROW_NORM_TOL:

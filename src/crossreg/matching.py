@@ -16,8 +16,10 @@ from .geometry import (
     F64,
     CameraIntrinsics,
     RigidTransform,
+    as_float_array,
     as_points,
     backproject_pixels,
+    project_points,
     unit_rows,
 )
 
@@ -61,6 +63,14 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return self.pixels.shape[0]
 
+    def matched_points(self, cloud) -> F64:
+        """The cloud rows the correspondences name; IndexError when one is out of range."""
+        pts = as_points(cloud, name="cloud")
+        idx = self.point_indices
+        if idx.size and (idx.min() < 0 or idx.max() >= pts.shape[0]):
+            raise IndexError("correspondence point index out of range")
+        return pts[idx]
+
 
 # --------------------------------------------------------------------------- #
 #  Score maps
@@ -71,9 +81,7 @@ def _normalize_rows(features, name: str) -> F64:
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise ValueError(f"{name}: expected (M, C), got {feats.shape}")
-    if not np.all(np.isfinite(feats)):
-        raise ValueError(f"{name}: contains non-finite values")
-    return unit_rows(feats)
+    return unit_rows(as_float_array(feats, name=name))
 
 
 def cosine_score_map(f_img, f_cloud) -> F64:
@@ -285,8 +293,7 @@ def _positive_pairs(
             "pixel coordinates beyond 2**33: image-plane grid keys overflow int64"
         )
     u, v = pix[live, 0], pix[live, 1]
-    pu = intrinsics.fx * moved[front, 0] / moved[front, 2] + intrinsics.cx
-    pv = intrinsics.fy * moved[front, 1] / moved[front, 2] + intrinsics.cy
+    pu, pv = project_points(intrinsics, moved[front]).T
     # a point outside the pixels' box +- POS_2D_PX touches no pixel; dropping
     # it before the cast keeps every cell id inside int64
     inside = (

@@ -19,16 +19,15 @@ import numpy as np
 from .errors import (
     EmptyCorrespondencesError,
     EmptySampleError,
-    InvalidRotationError,
     MissingDepthError,
 )
 from .geometry import (
-    ROTATION_TOL,
     CameraIntrinsics,
     F64,
     RigidTransform,
     as_float_array,
     as_points,
+    as_rotation,
     as_vec3,
     backproject_pixels,
 )
@@ -84,10 +83,10 @@ def _depth_at(depth: DepthMap, pixels: F64) -> F64:
     inside = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
     if not np.all(inside):
         bad = pixels[~inside][0]
-        raise MissingDepthError(f"pixel {tuple(bad)} outside the depth map")
+        raise MissingDepthError(f"pixel {tuple(bad.tolist())} outside the depth map")
     if not np.all(depth.valid[rows, cols]):
         bad = pixels[~depth.valid[rows, cols]][0]
-        raise MissingDepthError(f"no valid depth at pixel {tuple(bad)}")
+        raise MissingDepthError(f"no valid depth at pixel {tuple(bad.tolist())}")
     return depth.values[rows, cols]
 
 
@@ -107,12 +106,9 @@ def inlier_ratio(
     """
     if len(corrs) == 0:
         raise EmptyCorrespondencesError("inlier ratio of an empty set")
-    pts = as_points(cloud, name="cloud")
-    if np.any(corrs.point_indices < 0) or np.any(corrs.point_indices >= pts.shape[0]):
-        raise IndexError("correspondence point index out of range")
+    moved = gt_transform.apply(corrs.matched_points(cloud))
     depths = _depth_at(depth, corrs.pixels)
     lifted = backproject_pixels(intrinsics, corrs.pixels, depths)
-    moved = gt_transform.apply(pts[corrs.point_indices])
     gaps = np.linalg.norm(moved - lifted, axis=1)
     return float(np.count_nonzero(gaps < tau1) / len(corrs))
 
@@ -151,22 +147,16 @@ def patch_inlier_ratio(pairs: Sequence[PatchPair], threshold: float = PIR_THRESH
     return hits / len(pairs)
 
 
-def _check_rotation(rotation, name: str) -> F64:
-    rot = as_float_array(rotation, shape=(3, 3), name=name)
-    if not np.allclose(rot.T @ rot, np.eye(3), atol=ROTATION_TOL):
-        raise InvalidRotationError(f"{name} is not orthonormal")
-    if np.linalg.det(rot) < 0.0:
-        raise InvalidRotationError(f"{name} is a reflection")
-    return rot
-
-
 def euler_xyz(rotation) -> tuple[float, float, float]:
     """Intrinsic XYZ Euler angles (radians) with R = Rx(a) @ Ry(b) @ Rz(c).
 
     Near gimbal lock (|b| = pi/2) the split between a and c is not
     unique; the third angle is pinned to zero there.
     """
-    m = _check_rotation(rotation, "rotation")
+    return _euler_xyz(as_rotation(rotation))
+
+
+def _euler_xyz(m: F64) -> tuple[float, float, float]:
     sb = min(1.0, max(-1.0, float(m[0, 2])))
     b = math.asin(sb)
     if abs(sb) > 1.0 - 1e-9:
@@ -180,9 +170,10 @@ def euler_xyz(rotation) -> tuple[float, float, float]:
 
 def relative_rotation_error(gt_rotation, est_rotation) -> float:
     """Sum of absolute relative Euler angles, in degrees."""
-    gt = _check_rotation(gt_rotation, "gt_rotation")
-    est = _check_rotation(est_rotation, "est_rotation")
-    a, b, c = euler_xyz(gt.T @ est)
+    gt = as_rotation(gt_rotation, "gt_rotation")
+    est = as_rotation(est_rotation, "est_rotation")
+    # unchecked: rounding alone can push a product of two rotations past the tolerance
+    a, b, c = _euler_xyz(gt.T @ est)
     return math.degrees(abs(a) + abs(b) + abs(c))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNeighborhoodError
-from .geometry import F64, CameraIntrinsics, as_points
+from .geometry import F64, CameraIntrinsics, as_points, backproject_pixels
 from .graph import knn_indices
 
 EIGENVALUE_GAP_TOL = 1e-12
@@ -104,6 +104,13 @@ def _canonical_sign(normals: F64, positions: F64) -> F64:
     return out
 
 
+def normal_ks(k: int, adaptive: bool) -> tuple[int, int]:
+    """(k0, k_sparse) of the normal fit for a neighbour count k: k floored at
+    3, the fit's own precondition; an adaptive fit's sparse points take 4 more."""
+    k0 = max(k, 3)
+    return k0, k0 + 4 if adaptive else k0
+
+
 def estimate_point_normals(cloud, k: int | np.ndarray = 8) -> NormalField:
     """Covariance normals over each point's k nearest neighbors.
 
@@ -156,16 +163,18 @@ def _fit_normals(pts: F64, k, neigh: np.ndarray | None = None) -> NormalField:
     return NormalField(normals, valid)
 
 
-def estimate_point_normals_adaptive(cloud, k0: int = 8, k_sparse: int = 12) -> NormalField:
+def estimate_point_normals_adaptive(cloud, k0: int = 8, k_sparse: int | None = None) -> NormalField:
     """Density-adaptive variant of estimate_point_normals.
 
     A point's density is its mean distance to its k0 nearest neighbors.
     Points sparser than the cloud-wide mean density (strictly) fit over
-    k_sparse neighbors, the rest over k0. The density and the fit both
-    read one k-NN list of max(k0, k_sparse).
+    k_sparse neighbors (by default normal_ks's k0 + 4), the rest over k0.
+    The density and the fit both read one k-NN list of max(k0, k_sparse).
     """
     if k0 < 3:
         raise ValueError(f"k0 must be >= 3, got {k0}")
+    if k_sparse is None:
+        k_sparse = normal_ks(k0, True)[1]
     pts = as_points(cloud, name="cloud")
     n = pts.shape[0]
     if n < k0 + 1:
@@ -231,11 +240,9 @@ def metric_normals_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> 
     if not np.any(ok):
         return NormalField(normals, ok)
 
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    safe = np.where(mask, vals, 1.0)
-    xs = (us - intrinsics.cx) * safe / intrinsics.fx
-    ys = (vs - intrinsics.cy) * safe / intrinsics.fy
-    pos = np.stack([xs, ys, safe], axis=-1)
+    vs, us = np.indices((h, w), dtype=np.float64).reshape(2, -1)
+    safe = np.where(mask, vals, 1.0).reshape(-1)
+    pos = backproject_pixels(intrinsics, np.column_stack([us, vs]), safe).reshape(h, w, 3)
 
     tan_u = np.zeros((h, w, 3))
     tan_v = np.zeros((h, w, 3))

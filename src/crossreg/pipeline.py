@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import geometry
+from . import geometry, normals
 from .errors import (
     REGISTRATION_FAILURES,
     ConfigError,
@@ -281,17 +281,15 @@ def lifted_pixel_normals(
     """Per-pixel camera-frame normals from the backprojected valid-pixel set.
 
     Splatted depth maps are too sparse for stencil gradients, so each
-    valid pixel is lifted to 3D and gets a covariance normal over its k
-    nearest lifted neighbors. The normal-estimation k is floored at 3
-    (its own precondition) even when the graph k is swept lower. With
-    no more valid pixels than the fit's largest k, every pixel is invalid.
+    valid pixel is lifted to 3D and gets a covariance normal over its
+    nearest lifted neighbors, as many as normal_ks gives for k. With no
+    more valid pixels than the fit's largest k, every pixel is invalid.
     """
     h, w = depth.shape
     grid = np.zeros((h, w, 3))
     mask = np.zeros((h, w), dtype=bool)
     vs, us = np.nonzero(depth.valid)
-    k_norm = max(k, 3)
-    k_fit = k_norm + 4 if adaptive else k_norm  # the adaptive fit's sparse k
+    k_norm, k_fit = normals.normal_ks(k, adaptive)
     if us.size > k_fit:
         uv = np.column_stack([us, vs]).astype(np.float64)
         pts = backproject_pixels(intrinsics, uv, depth.values[vs, us])
@@ -460,8 +458,7 @@ def register_scene(
 
     pixels = scene.gt_correspondences.pixels
     gt_idx = scene.gt_correspondences.point_indices
-    us = pixels[:, 0].astype(np.int64)
-    vs = pixels[:, 1].astype(np.int64)
+    us, vs = pixels.astype(np.int64).T
 
     f_img, f_cloud = synthesize_features(scene, config.channels, corruption)
     f_img = _corrupt_guidance(f_img, f_cloud, scene, gt_idx, agreement, config)
@@ -515,29 +512,27 @@ def register_scene(
 def _best_per_pixel(pixels: F64, fine: list[CorrespondenceSet]) -> CorrespondenceSet:
     """Keep each pixel's best fine match across all coarse pairs.
 
-    An emitted pixel belongs to the first row of `pixels` holding exactly
-    that pixel. On an exact score tie the earliest emission wins. Rows come
-    out ordered by integer pixel (v, u), equal keys by first emission.
+    pixels is the scene's table of distinct integer cells in ascending
+    row-major order (SyntheticScene checks it), so one searchsorted on the
+    row-major key finds each emission's row. On an exact score tie the
+    earliest emission wins. Rows come out in row order, which is pixel order.
     """
     scores = np.concatenate([np.zeros(0)] + [sub.scores for sub in fine])
     points = np.concatenate(
         [np.zeros(0, dtype=np.int64)] + [sub.point_indices for sub in fine]
     )
-    stacked = np.concatenate([pixels] + [sub.pixels for sub in fine])
-    _, first, inverse = np.unique(stacked, axis=0, return_index=True, return_inverse=True)
-    rows = first[inverse.reshape(-1)[pixels.shape[0]:]]
+    emitted = np.concatenate([np.zeros((0, 2))] + [sub.pixels for sub in fine])
+    width = pixels[:, 0].max(initial=0.0) + 1.0
+    rows = np.searchsorted(
+        pixels[:, 1] * width + pixels[:, 0], emitted[:, 1] * width + emitted[:, 0]
+    )
     # highest score first within a row; lexsort is stable, so among equal
     # scores the earliest emission leads
     ranked = np.lexsort((-scores, rows))
-    kept, lead = np.unique(rows[ranked], return_index=True)
+    lead = np.ones(ranked.size, dtype=bool)
+    lead[1:] = rows[ranked[1:]] != rows[ranked[:-1]]
     winner = ranked[lead]
-    _, first_emission = np.unique(rows, return_index=True)
-    us = pixels[kept, 0].astype(np.int64)
-    vs = pixels[kept, 1].astype(np.int64)
-    order = np.lexsort((first_emission, us, vs))
-    return CorrespondenceSet(
-        pixels[kept[order]], points[winner[order]], scores[winner[order]]
-    )
+    return CorrespondenceSet(pixels[rows[winner]], points[winner], scores[winner])
 
 
 def _corrupt_guidance(
@@ -624,7 +619,7 @@ def evaluate_scene(
     rmse = registration_rmse(scene.cloud, est_transform, scene.gt_transform)
     pir = 0.0
     if len(patches):
-        us, vs = pixels[:, 0].astype(np.int64), pixels[:, 1].astype(np.int64)
+        us, vs = pixels.astype(np.int64).T
         pir = patch_inlier_ratio(patch_overlap(
             [(tile, cell) for tile, cell, _score in patches], tiles, cells,
             pixels, scene.depth.values[vs, us], scene.cloud,

@@ -5,6 +5,12 @@ camera coordinates, projects the linear solution onto SO(3) by orthogonal
 Procrustes, and polishes with Gauss-Newton using multiplicative axis-angle
 updates and step halving. RANSAC wraps the same solver in a seeded
 hypothesize-and-verify loop; reruns with the same seed are bit-identical.
+
+The camera is geometry's: backproject_pixels, project_points, and in the
+RANSAC and Gauss-Newton loops, which check depth themselves, its unchecked
+core project_unchecked. A pose's inliers are the correspondences in front
+of it reprojecting strictly within the threshold, and RANSAC always returns
+a pose with its own inliers.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from .geometry import (
     F64,
     CameraIntrinsics,
     RigidTransform,
-    as_points,
+    backproject_pixels,
+    project_points,
+    project_unchecked,
     rotation_from_axis_angle,
 )
 from .matching import CorrespondenceSet
@@ -82,8 +90,7 @@ def _dlt_pose(pts: F64, obs: F64, intrinsics: CameraIntrinsics) -> tuple[F64, F6
     vanishing singular value (coplanar or collinear geometry).
     """
     n = pts.shape[0]
-    x = (obs[:, 0] - intrinsics.cx) / intrinsics.fx
-    y = (obs[:, 1] - intrinsics.cy) / intrinsics.fy
+    x, y, _ = backproject_pixels(intrinsics, obs, np.ones(n)).T  # unit-depth rays
 
     # Hartley-style conditioning of the 3D side
     centroid = pts.mean(axis=0)
@@ -135,14 +142,14 @@ def _dlt_pose(pts: F64, obs: F64, intrinsics: CameraIntrinsics) -> tuple[F64, F6
 
 def _reprojection_residuals(
     pts: F64, obs: F64, intrinsics: CameraIntrinsics, rot: F64, tra: F64
-) -> tuple[F64, F64]:
-    """Per-point pixel residuals and the camera-frame points."""
+) -> tuple[F64, F64, float] | None:
+    """Per-point pixel residuals, the camera-frame points and the squared
+    error; None unless every point lies in front of the camera under (rot, tra)."""
     pc = pts @ rot.T + tra
-    z = pc[:, 2]
-    res = np.empty_like(obs)
-    res[:, 0] = intrinsics.fx * pc[:, 0] / z + intrinsics.cx - obs[:, 0]
-    res[:, 1] = intrinsics.fy * pc[:, 1] / z + intrinsics.cy - obs[:, 1]
-    return res, pc
+    if not (pc[:, 2] > 0.0).all():  # also False for a NaN depth
+        return None
+    res = project_unchecked(intrinsics, pc) - obs
+    return res, pc, float(np.sum(res * res))
 
 
 def _gauss_newton(
@@ -161,10 +168,10 @@ def _gauss_newton(
     dropped if it never helps, so the accepted error sequence is
     non-increasing.
     """
-    res, pc = _reprojection_residuals(pts, obs, intrinsics, rot, tra)
-    if np.any(pc[:, 2] <= 0.0):
+    start = _reprojection_residuals(pts, obs, intrinsics, rot, tra)
+    if start is None:
         return rot, tra, float("inf")
-    err = float(np.sum(res * res))
+    res, pc, err = start
 
     for _ in range(max_iterations):
         z = pc[:, 2]
@@ -196,20 +203,16 @@ def _gauss_newton(
         except np.linalg.LinAlgError:
             delta, *_ = np.linalg.lstsq(jac, -rhs, rcond=None)
 
-        accepted = False
         factor = 1.0
         for _ in range(20):
             cand_rot = rotation_from_axis_angle(factor * delta[:3]) @ rot
             cand_tra = tra + factor * delta[3:]
-            cand_res, cand_pc = _reprojection_residuals(pts, obs, intrinsics, cand_rot, cand_tra)
-            if np.all(cand_pc[:, 2] > 0.0):
-                cand_err = float(np.sum(cand_res * cand_res))
-                if cand_err <= err:
-                    rot, tra, res, pc, err = cand_rot, cand_tra, cand_res, cand_pc, cand_err
-                    accepted = True
-                    break
+            cand = _reprojection_residuals(pts, obs, intrinsics, cand_rot, cand_tra)
+            if cand is not None and cand[2] <= err:
+                rot, tra, (res, pc, err) = cand_rot, cand_tra, cand
+                break
             factor *= 0.5
-        if not accepted:
+        else:  # no halving helped
             break
         if float(np.linalg.norm(factor * delta)) < step_tol:
             break
@@ -219,15 +222,6 @@ def _gauss_newton(
 # --------------------------------------------------------------------------- #
 #  Public solvers
 # --------------------------------------------------------------------------- #
-
-
-def _resolve_inputs(corrs: CorrespondenceSet, cloud) -> tuple[F64, F64]:
-    pts = as_points(cloud, name="cloud")
-    if len(corrs) and (
-        corrs.point_indices.min() < 0 or corrs.point_indices.max() >= pts.shape[0]
-    ):
-        raise IndexError("correspondence point index out of range")
-    return pts[corrs.point_indices], corrs.pixels
 
 
 def pnp_solve(
@@ -242,7 +236,7 @@ def pnp_solve(
         raise InsufficientPointsError(
             f"pnp_solve needs >= {MIN_SOLVE_POINTS} correspondences, got {len(corrs)}"
         )
-    pts, obs = _resolve_inputs(corrs, cloud)
+    pts, obs = corrs.matched_points(cloud), corrs.pixels
     rot, tra = _dlt_pose(pts, obs, intrinsics)
     rot, tra, _ = _gauss_newton(pts, obs, intrinsics, rot, tra, max_iterations, step_tol)
     return RigidTransform(rot, tra)
@@ -261,27 +255,23 @@ def pnp_ransac(
     stop early once the usual confidence bound is met, then refit on all
     inliers and recompute the mask with the refit pose. When the refit
     fails (a degenerate inlier set) or leaves fewer than min_sample
-    inliers, the voted mask is kept; a failed refit also keeps the voted
-    hypothesis's pose.
+    inliers, the voted hypothesis's pose and mask are returned together.
     """
     n = len(corrs)
     if n < config.min_sample:
         raise InsufficientPointsError(
             f"pnp_ransac needs >= {config.min_sample} correspondences, got {n}"
         )
-    pts, obs = _resolve_inputs(corrs, cloud)
+    pts, obs = corrs.matched_points(cloud), corrs.pixels
     rng = np.random.default_rng(config.seed)
     thr2 = config.inlier_threshold_px**2
 
     def inlier_mask(rot: F64, tra: F64) -> np.ndarray:
         pc = pts @ rot.T + tra
-        z = pc[:, 2]
-        ok = z > 0.0
+        ok = pc[:, 2] > 0.0
         mask = np.zeros(n, dtype=bool)
-        if np.any(ok):
-            du = intrinsics.fx * pc[ok, 0] / z[ok] + intrinsics.cx - obs[ok, 0]
-            dv = intrinsics.fy * pc[ok, 1] / z[ok] + intrinsics.cy - obs[ok, 1]
-            mask[ok] = du * du + dv * dv < thr2
+        d = project_unchecked(intrinsics, pc[ok]) - obs[ok]
+        mask[ok] = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < thr2
         return mask
 
     best_count = 0
@@ -323,17 +313,12 @@ def pnp_ransac(
     )
     try:
         transform = pnp_solve(kept, cloud, intrinsics)
-    except DegenerateConfigurationError:
-        # the inliers as a whole are degenerate; keep the voted hypothesis
-        transform = RigidTransform(*best_pose)
-        final_mask = best_mask
-    else:
         final_mask = inlier_mask(transform.rotation, transform.translation)
-        if int(final_mask.sum()) < config.min_sample:
-            final_mask = best_mask  # refit degraded the consensus; keep the vote
+    except DegenerateConfigurationError:  # the inliers as a whole are degenerate
+        final_mask = np.zeros(n, dtype=bool)
+    if int(final_mask.sum()) < config.min_sample:  # a failed or degraded refit
+        transform, final_mask = RigidTransform(*best_pose), best_mask
 
-    res, _ = _reprojection_residuals(
-        pts[final_mask], obs[final_mask], intrinsics, transform.rotation, transform.translation
-    )
+    res = project_points(intrinsics, transform.apply(pts[final_mask])) - obs[final_mask]
     mean_err = float(np.linalg.norm(res, axis=1).mean())
     return PoseEstimate(transform, final_mask, mean_err)

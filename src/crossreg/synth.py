@@ -10,6 +10,8 @@ Features are constructed, not learned: both sides of a ground-truth
 pair share one random unit vector, which models a perfectly trained
 matcher; Gaussian feature noise, row outliers, depth noise, and depth
 masking model its degradation.
+
+SyntheticScene checks every scene, generated or loaded, on construction.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .geometry import (
     RigidTransform,
     as_points,
     as_vec3,
+    project_points,
     rotation_from_axis_angle,
     unit_rows,
 )
@@ -176,7 +179,9 @@ class SyntheticScene:
 
     cloud is (N, 3) in the cloud's own frame; gt_transform maps cloud
     frame to camera frame; gt_correspondences holds one entry per
-    z-buffer-winning point, in row-major pixel order, with score 1.
+    z-buffer-winning point, with score 1. Construction checks that the
+    depth has the intrinsics' shape and that the pixels are distinct
+    integer cells inside the image in row-major order, as rendered.
     """
 
     cloud: F64
@@ -189,9 +194,22 @@ class SyntheticScene:
     def __post_init__(self) -> None:
         pts = as_points(self.cloud, name="cloud")
         object.__setattr__(self, "cloud", pts)
+        w, h = self.intrinsics.width, self.intrinsics.height
+        if self.depth.shape != (h, w):
+            raise ValueError(f"depth shape {self.depth.shape} does not match {w}x{h} intrinsics")
         idx = self.gt_correspondences.point_indices
         if idx.size and (idx.min() < 0 or idx.max() >= pts.shape[0]):
             raise ValueError("gt correspondence indices out of cloud range")
+        px = self.gt_correspondences.pixels
+        u, v = px.T
+        bad = np.any((px != np.floor(px)) | (px < 0.0) | (px >= [w, h]), axis=1)
+        bad[1:] |= (v[1:] < v[:-1]) | ((v[1:] == v[:-1]) & (u[1:] <= u[:-1]))
+        if np.any(bad):
+            row = int(np.argmax(bad))
+            raise ValueError(
+                f"gt pixel {tuple(px[row].tolist())} at row {row}: gt pixels must be "
+                f"distinct integer cells inside the {w}x{h} image, in row-major order"
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -212,10 +230,7 @@ def render_depth(
     w, h = intrinsics.width, intrinsics.height
     idx = np.flatnonzero(pts[:, 2] > 0.0)
     sub = pts[idx]
-    uf = intrinsics.fx * sub[:, 0] / sub[:, 2] + intrinsics.cx
-    vf = intrinsics.fy * sub[:, 1] / sub[:, 2] + intrinsics.cy
-    iu = np.rint(uf).astype(np.int64)
-    iv = np.rint(vf).astype(np.int64)
+    iu, iv = np.rint(project_points(intrinsics, sub)).astype(np.int64).T
     inside = (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
     idx, iu, iv = idx[inside], iu[inside], iv[inside]
     depths = sub[inside, 2]

@@ -19,8 +19,10 @@ from crossreg.io import (
     read_patches,
     read_ply,
     read_pose,
+    write_normals,
     write_ply,
 )
+from crossreg.normals import estimate_point_normals_adaptive
 from crossreg.pipeline import PipelineConfig, evaluate_scene, register_scene
 
 SMALL = ["--set", "point_count=600", "--set", "scene_count=2"]
@@ -200,6 +202,19 @@ def edit_file(path: Path, index, edit) -> None:
         path.write_text(edit(path.read_text()))
 
 
+def repeat_first_pixel(text: str) -> str:
+    """gt_corrs.csv text whose second row holds the first row's pixel."""
+    lines = text.splitlines()
+    lines[2] = ",".join(lines[1].split(",")[:2] + lines[2].split(",")[2:])
+    return "\n".join(lines) + "\n"
+
+
+def swap_first_rows(text: str) -> str:
+    lines = text.splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def tiny_bundle(tmp_path) -> Path:
     bundles = synth_scenes(tmp_path, "--set", "point_count=300", "--set", "scene_count=1")
@@ -215,16 +230,49 @@ class TestMalformedBundle:
             ("gt_corrs.csv", 1, lambda row: with_column(row, 2, "600")),  # past the cloud
             ("gt_corrs.csv", 1, lambda row: with_column(row, 0, "5110.0")),  # u >= width
             ("gt_corrs.csv", 1, lambda row: with_column(row, 1, "-1.0")),
+            # the pipeline would truncate these and eval would round them
+            ("gt_corrs.csv", 1, lambda row: with_column(row, 0, "477.6")),
+            ("gt_corrs.csv", None, repeat_first_pixel),
+            ("gt_corrs.csv", None, swap_first_rows),
         ],
-        ids=["nan_vertex", "index_past_cloud", "u_past_width", "negative_v"],
+        ids=[
+            "nan_vertex", "index_past_cloud", "u_past_width", "negative_v",
+            "fractional_u", "repeated_pixel", "swapped_rows",
+        ],
     )
     def test_register_exits_1(self, tmp_path, capsys, name, index, edit):
         bundle = synth_scenes(tmp_path) / "scene_0000"
-        edit_line(bundle / name, index, edit)
+        edit_file(bundle / name, index, edit)
         out = tmp_path / "res"
         assert run("register", "--scene", str(bundle), "--out", str(out)) == 1
-        assert f"error: bundle {bundle}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bundle {bundle}: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [repeat_first_pixel, swap_first_rows])
+    def test_eval_of_a_bundle_edited_after_register_exits_1(
+        self, tiny_bundle, tmp_path, capsys, edit
+    ):
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+        edit_file(tiny_bundle / "gt_corrs.csv", None, edit)
+        capsys.readouterr()
+        assert run("eval", "--scenes", str(tiny_bundle), "--results", str(results),
+                   "--out", str(tmp_path / "r.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bundle {tiny_bundle}: ") and "Traceback" not in err
+
+    def test_eval_of_a_pixel_without_depth_prints_plain_floats(
+        self, tiny_bundle, tmp_path, capsys
+    ):
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+        edit_line(results / "correspondences.csv", 1,
+                  lambda row: "0.0,0.0," + row.split(",", 2)[2])
+        capsys.readouterr()
+        assert run("eval", "--scenes", str(tiny_bundle), "--results", str(results),
+                   "--out", str(tmp_path / "r.json")) == 1
+        assert capsys.readouterr().err == "error: no valid depth at pixel (0.0, 0.0)\n"
 
     @pytest.mark.parametrize(
         "name, index, edit",
@@ -618,6 +666,18 @@ class TestNormals:
         assert run("normals", "--scene", scene, "--out", str(floor), *adaptive,
                    "--set", "k_neighbors=3") == 0
         assert file_bytes(low) == file_bytes(floor)
+
+    @pytest.mark.parametrize("k", [2, 8, 16])
+    def test_adaptive_fits_sparse_points_over_k_plus_4(self, tmp_path, k):
+        # the rule registration's lifted normals use too
+        scene = synth_scenes(tmp_path) / "scene_0000"
+        out = tmp_path / "n"
+        assert run("normals", "--scene", str(scene), "--out", str(out),
+                   "--set", "adaptive_k=true", "--set", f"k_neighbors={k}") == 0
+        k0 = max(k, 3)
+        want = estimate_point_normals_adaptive(read_ply(scene / "cloud.ply"), k0, k0 + 4)
+        write_normals(tmp_path / "want.bin", want)
+        assert (out / "point_normals.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
 
 class TestLosses:

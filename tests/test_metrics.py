@@ -124,6 +124,22 @@ class TestInlierRatio:
         with pytest.raises(MissingDepthError):
             inlier_ratio(corrs, cloud, DepthMap.from_values(holes), K, gt)
 
+    @pytest.mark.parametrize(
+        "pixel, message",
+        [
+            ((0.0, 0.0), r"^no valid depth at pixel \(0\.0, 0\.0\)$"),
+            ((-5.0, 1.0), r"^pixel \(-5\.0, 1\.0\) outside the depth map$"),
+        ],
+        ids=["no_depth", "off_the_map"],
+    )
+    def test_missing_depth_names_the_pixel_in_plain_floats(self, pixel, message):
+        corrs, cloud, depth, gt = exact_scene()
+        edited = corrs.pixels.copy()
+        edited[0] = pixel
+        moved = CorrespondenceSet(edited, corrs.point_indices, corrs.scores)
+        with pytest.raises(MissingDepthError, match=message):
+            inlier_ratio(moved, cloud, depth, K, gt)
+
 
 class TestRecalls:
     def test_fmr_counts_strictly_above(self):
@@ -249,6 +265,18 @@ class TestEulerAndRotationError:
         assert math.isfinite(val) and val >= 0.0
         rx, ry, rz = euler_xyz(est)
         np.testing.assert_allclose(compose_euler_xyz(rx, ry, rz), est, atol=1e-9)
+
+    def test_rejects_what_a_rigid_transform_rejects(self):
+        # off by 5e-6 in scale: within allclose's default rtol, far past ROTATION_TOL
+        scaled = rot_y(0.7) * (1.0 + 5e-6)
+        with pytest.raises(InvalidRotationError):
+            RigidTransform(scaled, np.zeros(3))
+        with pytest.raises(InvalidRotationError):
+            euler_xyz(scaled)
+        with pytest.raises(InvalidRotationError, match="est_rotation"):
+            relative_rotation_error(np.eye(3), scaled)
+        with pytest.raises(InvalidRotationError, match="gt_rotation"):
+            relative_rotation_error(scaled, np.eye(3))
 
     def test_rejects_non_rotation(self):
         with pytest.raises(InvalidRotationError):

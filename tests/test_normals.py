@@ -121,6 +121,14 @@ class TestAdaptiveK:
         assert isinstance(field, NormalField)
         assert field.valid.mean() > 0.9
 
+    @pytest.mark.parametrize("k0", [3, 8, 16])
+    def test_default_sparse_k_is_k0_plus_4(self, k0):
+        cloud = np.random.default_rng(k0).uniform(-1.0, 1.0, (300, 3)) + [0.0, 0.0, 3.0]
+        field = estimate_point_normals_adaptive(cloud, k0=k0)
+        want = estimate_point_normals_adaptive(cloud, k0=k0, k_sparse=k0 + 4)
+        assert field.normals.tobytes() == want.normals.tobytes()
+        assert field.valid.tobytes() == want.valid.tobytes()
+
     @pytest.mark.parametrize("k0, k_sparse", [(3, 7), (8, 12), (16, 12), (16, 20)])
     def test_one_knn_call_matches_two_call_composition(self, monkeypatch, k0, k_sparse):
         calls = []

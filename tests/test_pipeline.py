@@ -359,13 +359,14 @@ def best_per_pixel_loop(pixels: np.ndarray, fine) -> CorrespondenceSet:
 
 @st.composite
 def fine_emissions(draw):
-    """A pixel table with repeats and fractional pixels, plus fine-match
-    outputs over it whose scores tie often."""
+    """A scene pixel table (distinct integer cells in row-major order), plus
+    fine-match outputs over it whose scores tie often."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    m = draw(st.integers(1, 40))
-    # fractional offsets make distinct pixels share an integer (v, u)
-    pixels = rng.integers(0, 5, (m, 2)) + rng.choice([0.0, 0.25, 0.5], (m, 2))
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    m = draw(st.integers(1, width * height))
+    cells = np.sort(rng.choice(width * height, size=m, replace=False))
+    pixels = np.column_stack([cells % width, cells // width]).astype(np.float64)
     fine = []
     for _ in range(draw(st.integers(0, 6))):
         rows = np.flatnonzero(rng.uniform(size=m) < 0.5)

@@ -17,7 +17,9 @@ from crossreg.errors import (
 from crossreg.geometry import CameraIntrinsics, RigidTransform, rotation_from_axis_angle
 from crossreg.matching import CorrespondenceSet
 from crossreg import pose
+from crossreg.pipeline import PipelineConfig, register_scene
 from crossreg.pose import PoseEstimate, RansacConfig, pnp_ransac, pnp_solve
+from crossreg.synth import generate_scene
 
 K = CameraIntrinsics(fx=500.0, fy=480.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -164,6 +166,17 @@ def plant_outliers(corrs: CorrespondenceSet, fraction: float, rng: np.random.Gen
     return CorrespondenceSet(pixels, corrs.point_indices, corrs.scores), inlier_truth
 
 
+def own_mask(transform: RigidTransform, corrs, cloud, intrinsics, threshold_px=8.0):
+    """Oracle: the correspondences in front of the pose that reproject
+    strictly within the threshold."""
+    cam = transform.apply(np.asarray(cloud)[corrs.point_indices])
+    front = cam[:, 2] > 0.0
+    z = np.where(front, cam[:, 2], 1.0)
+    du = intrinsics.fx * cam[:, 0] / z + intrinsics.cx - corrs.pixels[:, 0]
+    dv = intrinsics.fy * cam[:, 1] / z + intrinsics.cy - corrs.pixels[:, 1]
+    return front & (du * du + dv * dv < threshold_px**2)
+
+
 class TestPnpRansac:
     def test_thirty_percent_outliers_exact_mask(self):
         failures = 0
@@ -216,12 +229,36 @@ class TestPnpRansac:
         monkeypatch.setattr(pose, "pnp_solve", degenerate_refit)
         est = pnp_ransac(contaminated, cloud, K, RansacConfig(seed=3))
         # the kept mask is exactly the vote of the kept pose
-        cam = est.transform.apply(cloud)
-        du = K.fx * cam[:, 0] / cam[:, 2] + K.cx - contaminated.pixels[:, 0]
-        dv = K.fy * cam[:, 1] / cam[:, 2] + K.cy - contaminated.pixels[:, 1]
-        np.testing.assert_array_equal(est.inlier_mask, du * du + dv * dv < 8.0**2)
+        np.testing.assert_array_equal(
+            est.inlier_mask, own_mask(est.transform, contaminated, cloud, K)
+        )
         np.testing.assert_array_equal(est.inlier_mask, truth)
         assert rotation_angle_deg(gt.rotation.T @ est.transform.rotation) < 0.1
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mask_is_the_returned_poses_own(self, seed, fraction):
+        gt, cloud, corrs, rng = make_instance(300 + seed, n=40)
+        contaminated, _ = plant_outliers(corrs, fraction, rng)
+        est = pnp_ransac(contaminated, cloud, K, RansacConfig(seed=seed))
+        np.testing.assert_array_equal(
+            est.inlier_mask, own_mask(est.transform, contaminated, cloud, K)
+        )
+
+    def test_degraded_refit_returns_the_vote_with_its_mask(self):
+        # the refit on the voted inliers keeps fewer than min_sample of them;
+        # the vote's pose and mask come back together, all inliers in front
+        cfg = PipelineConfig(
+            point_count=800, outlier_fraction=0.5, min_fine_score=0.0, mask_ratio=0.1
+        )
+        scene = generate_scene(cfg.scene_spec(), seed=1)
+        result = register_scene(scene, cfg)
+        est, corrs = result.estimate, result.correspondences
+        np.testing.assert_array_equal(
+            est.inlier_mask, own_mask(est.transform, corrs, scene.cloud, scene.intrinsics)
+        )
+        assert est.inlier_count >= cfg.ransac_min_sample
+        assert est.mean_reprojection_px < cfg.ransac_threshold_px
 
     def test_too_few_for_ransac(self):
         gt, cloud, corrs, _ = make_instance(8, n=5)

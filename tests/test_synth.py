@@ -1,11 +1,13 @@
 """Scene generator: self-consistency, determinism, and corruption statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from crossreg.errors import EmptyVisibleSetError
 from crossreg.geometry import CameraIntrinsics, RigidTransform, project_points
-from crossreg.matching import fine_match, patch_overlap
+from crossreg.matching import CorrespondenceSet, fine_match, patch_overlap
 from crossreg.normals import DepthMap, depth_to_normals
 from crossreg.synth import (
     Box,
@@ -139,6 +141,58 @@ class TestGenerateScene:
             Box(center=(0, 0, 2), half_sizes=(0.1, -0.1, 0.1))
         with pytest.raises(ValueError):
             Sphere(center=(0, 0, 2), radius=0.0)
+
+
+def with_pixels(scene, edit):
+    """scene rebuilt with an edited copy of its ground-truth pixel table."""
+    px = scene.gt_correspondences.pixels.copy()
+    edit(px)
+    corrs = CorrespondenceSet(
+        px, scene.gt_correspondences.point_indices, scene.gt_correspondences.scores
+    )
+    return dataclasses.replace(scene, gt_correspondences=corrs)
+
+
+# edits of a rendered pixel table that render_depth never emits; the last
+# three keep the rows ascending, so only the bounds check can catch them
+def fractional(px):
+    px[1, 0] += 0.6
+
+
+def repeated(px):
+    px[1] = px[0]
+
+
+def out_of_order(px):
+    px[[0, 1]] = px[[1, 0]]
+
+
+def u_past_width(px):
+    px[-1, 0] = 640.0
+
+
+def negative_v(px):
+    px[0, 1] = -1.0
+
+
+def far_v(px):
+    px[-1, 1] = 1e308
+
+
+class TestSceneCheck:
+    @pytest.mark.parametrize(
+        "edit", [fractional, repeated, out_of_order, u_past_width, negative_v, far_v]
+    )
+    def test_pixel_table_not_as_rendered_raises(self, edit):
+        scene = generate_scene(SceneSpec(point_count=300), seed=0)
+        with pytest.raises(ValueError, match="gt pixel"):
+            with_pixels(scene, edit)
+
+    def test_depth_shape_must_match_intrinsics(self):
+        scene = generate_scene(SceneSpec(point_count=300), seed=0)
+        cropped = DepthMap.from_values(scene.depth.values[:-1])
+        with pytest.raises(ValueError, match="does not match"):
+            dataclasses.replace(scene, depth=cropped)
 
 
 class TestCorruptDepth:
