@@ -36,13 +36,14 @@ run synth synth --out "$out/scenes" --set scene_count=3 --set base_seed=21
 run synth_small synth --out "$out/small" --jobs 2 \
     --set scene_count=3 --set base_seed=1 --set point_count=800
 
-# register each scene under five configs, then evaluate serially and in parallel
+# register each scene under six configs, then evaluate serially and in parallel
 variants=(
     "plain|"
     "adaptive|adaptive_k=true"
     "epoch25|epoch=25"
     "corrupted|gaussian_sigma_m=0.01 mask_ratio=0.2"
     "outliers|min_fine_score=0.0 outlier_fraction=0.5"
+    "channels32|channels=32"
 )
 for entry in "${variants[@]}"; do
     name=${entry%%|*}
@@ -74,7 +75,7 @@ run normals_adaptive_k16 normals --scene "$out/scenes/scene_0000" \
 run losses_epoch0 losses --out "$out/losses_epoch0.json"
 run losses_epoch15 losses --out "$out/losses_epoch15.json" --set epoch=15
 
-# every sweep over three scenes, plus two variants on two workers
+# every sweep over three scenes, plus three variants, two of them on two workers
 sweep=(--set scene_count=3 --set base_seed=5)
 for name in gaussian_sigma mask_ratio k warmup; do
     run "ablate_$name" ablate --sweep "$name" --out "$out/ablate_$name.csv" "${sweep[@]}"
@@ -84,3 +85,5 @@ run ablate_mask_ratio_adaptive ablate --sweep mask_ratio --jobs 2 \
 run ablate_warmup_outliers ablate --sweep warmup --jobs 2 --values "[0, 10, 12, 20]" \
     --out "$out/ablate_warmup_outliers.csv" "${sweep[@]}" \
     --set min_fine_score=0.0 --set outlier_fraction=0.5
+run ablate_mask_ratio_noisy ablate --sweep mask_ratio \
+    --out "$out/ablate_mask_ratio_noisy.csv" "${sweep[@]}" --set gaussian_sigma_m=0.01

@@ -77,22 +77,28 @@ class CorrespondenceSet:
 # --------------------------------------------------------------------------- #
 
 
-def _normalize_rows(features, name: str) -> F64:
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ValueError(f"{name}: expected (M, C), got {feats.shape}")
-    return unit_rows(as_float_array(feats, name=name))
+def unit_features(f_img, f_cloud) -> tuple[F64, F64]:
+    """Both feature sets checked as cosine_score_map checks them, with unit rows.
 
-
-def cosine_score_map(f_img, f_cloud) -> F64:
-    """(M_img, M_cloud) cosine similarities; zero-norm rows score 0 everywhere."""
+    unit_rows scales each row on its own, so a block of rows of the result
+    equals the unit rows of that block of the input, to the bit.
+    """
     img = np.asarray(f_img, dtype=np.float64)
     cloud = np.asarray(f_cloud, dtype=np.float64)
     if img.ndim != 2 or cloud.ndim != 2 or img.shape[1] != cloud.shape[1]:
         raise ChannelMismatchError(
             f"feature shapes incompatible: {img.shape} vs {cloud.shape}"
         )
-    return _normalize_rows(img, "f_img") @ _normalize_rows(cloud, "f_cloud").T
+    return (
+        unit_rows(as_float_array(img, name="f_img")),
+        unit_rows(as_float_array(cloud, name="f_cloud")),
+    )
+
+
+def cosine_score_map(f_img, f_cloud) -> F64:
+    """(M_img, M_cloud) cosine similarities; zero-norm rows score 0 everywhere."""
+    img, cloud = unit_features(f_img, f_cloud)
+    return img @ cloud.T
 
 
 # --------------------------------------------------------------------------- #
@@ -155,21 +161,29 @@ def fine_match(
     """
     pix = np.asarray(pixel_coords, dtype=np.float64)
     pts_idx = np.asarray(point_indices, dtype=np.int64)
-    scores = cosine_score_map(f_img, f_cloud)
-    if pix.shape != (scores.shape[0], 2):
-        raise ValueError(f"pixel_coords shape {pix.shape} != ({scores.shape[0]}, 2)")
-    if pts_idx.shape != (scores.shape[1],):
-        raise ValueError(f"point_indices shape {pts_idx.shape} != ({scores.shape[1]},)")
-    if scores.shape[0] == 0 or scores.shape[1] == 0:
-        return CorrespondenceSet.empty()
+    img, cloud = unit_features(f_img, f_cloud)
+    if pix.shape != (img.shape[0], 2):
+        raise ValueError(f"pixel_coords shape {pix.shape} != ({img.shape[0]}, 2)")
+    if pts_idx.shape != (cloud.shape[0],):
+        raise ValueError(f"point_indices shape {pts_idx.shape} != ({cloud.shape[0]},)")
+    return fine_match_unit(img, cloud, pix, pts_idx, min_score)
 
+
+def fine_match_unit(
+    img: F64, cloud: F64, pixels: F64, point_indices: np.ndarray, min_score: float
+) -> CorrespondenceSet:
+    """fine_match on rows unit_features has checked and scaled, with aligned
+    (M_img, 2) pixels and (M_cloud,) int64 point indices."""
+    if img.shape[0] == 0 or cloud.shape[0] == 0:
+        return CorrespondenceSet.empty()
+    scores = img @ cloud.T
     row_best = np.argmax(scores, axis=1)
     col_best = np.argmax(scores, axis=0)
     rows = np.arange(scores.shape[0])
     picked = scores[rows, row_best]
     mutual = col_best[row_best] == rows
     keep = mutual & (picked >= min_score)
-    return CorrespondenceSet(pix[keep], pts_idx[row_best[keep]], picked[keep])
+    return CorrespondenceSet(pixels[keep], point_indices[row_best[keep]], picked[keep])
 
 
 # --------------------------------------------------------------------------- #

@@ -121,7 +121,8 @@ def estimate_point_normals(cloud, k: int | np.ndarray = 8) -> NormalField:
     Returns:
         NormalField with (N, 3) unit normals oriented toward the origin.
         Points whose two smallest covariance eigenvalues coincide within
-        EIGENVALUE_GAP_TOL are marked invalid (normal direction ambiguous).
+        EIGENVALUE_GAP_TOL are marked invalid (normal direction ambiguous),
+        with a zero normal.
         Raises DegenerateNeighborhoodError when the cloud has at most k points.
     """
     return _fit_normals(as_points(cloud, name="cloud"), k)

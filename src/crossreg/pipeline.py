@@ -18,7 +18,15 @@ weight, the graphs are built on first use and then kept with the scene's
 prep, and an uncorrupted depth reuses the prep's clean normals as the
 live ones.
 
-Registration reads the true pose only where synthesize_features and
+No work is repeated either. The normal stage runs on the depth's valid
+pixels as rows (about 1.9k at the default size), never on the 640x480
+grid: the depth is corrupted and the live normals lifted on those rows,
+and the agreement compares row fields. The scene's base features are
+drawn once per prep, and the refined features are scaled to unit rows
+once per registration, so each coarse pair's fine matching is a slice, a
+product and a mutual argmax.
+
+Registration reads the true pose only where the synth features and
 _corrupt_guidance stand in for trained backbones; it returns its coarse
 patch pairs, and evaluation scores their overlap.
 """
@@ -34,7 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import geometry, normals
+from . import geometry, matching, normals, synth
 from .errors import (
     REGISTRATION_FAILURES,
     ConfigError,
@@ -51,6 +59,9 @@ from .graph import (
     light_gat_forward,
 )
 from .losses import LossWeights, WarmupSchedule, warmup_weight
+# Registration calls the row cores that corrupt_depth, synthesize_features
+# and fine_match adapt, not these three; they stay bound because
+# bench/spans.py wraps, by name, each function this module imports.
 from .matching import (
     CorrespondenceSet,
     coarse_match,
@@ -106,7 +117,9 @@ SWEEP_DEFAULTS: dict[str, tuple] = {
 }
 
 # the config fields a ScenePrep depends on
-_PREP_FIELDS = ("k_neighbors", "adaptive_k", "tile_rows", "tile_cols", "voxel_size")
+_PREP_FIELDS = (
+    "k_neighbors", "adaptive_k", "tile_rows", "tile_cols", "voxel_size", "channels",
+)
 
 __all__ = [
     "PipelineConfig",
@@ -275,6 +288,40 @@ class PipelineConfig:
 # --------------------------------------------------------------------------- #
 
 
+@dataclass(frozen=True)
+class _DepthRows:
+    """A depth map's valid pixels in np.nonzero (row-major) order, with
+    their (u, v) coordinates and depths."""
+
+    vs: np.ndarray
+    us: np.ndarray
+    uv: F64
+    depths: F64
+
+    @classmethod
+    def of(cls, depth: DepthMap) -> "_DepthRows":
+        vs, us = np.nonzero(depth.valid)
+        return cls(vs, us, np.column_stack([us, vs]).astype(np.float64), depth.values[vs, us])
+
+
+def _lift_rows(
+    uv: F64, depths: F64, intrinsics: CameraIntrinsics, k: int, adaptive: bool
+) -> NormalField:
+    """(rows, 3) camera-frame normals of pixels uv at their depths, zero where invalid.
+
+    Each pixel is lifted to 3D and gets a covariance normal over its
+    nearest lifted neighbors, as many as normal_ks gives for k. With no
+    more pixels than the fit's largest k, every pixel is invalid.
+    """
+    k_norm, k_fit = normals.normal_ks(k, adaptive)
+    if depths.size <= k_fit:
+        return NormalField(np.zeros((depths.size, 3)), np.zeros(depths.size, dtype=bool))
+    pts = backproject_pixels(intrinsics, uv, depths)
+    if adaptive:
+        return estimate_point_normals_adaptive(pts, k0=k_norm, k_sparse=k_fit)
+    return estimate_point_normals(pts, k_norm)
+
+
 def lifted_pixel_normals(
     depth: DepthMap, intrinsics: CameraIntrinsics, k: int, adaptive: bool = False
 ) -> NormalField:
@@ -284,21 +331,14 @@ def lifted_pixel_normals(
     valid pixel is lifted to 3D and gets a covariance normal over its
     nearest lifted neighbors, as many as normal_ks gives for k. With no
     more valid pixels than the fit's largest k, every pixel is invalid.
+    The (H, W, 3) field is zero off the valid normals.
     """
-    h, w = depth.shape
-    grid = np.zeros((h, w, 3))
-    mask = np.zeros((h, w), dtype=bool)
-    vs, us = np.nonzero(depth.valid)
-    k_norm, k_fit = normals.normal_ks(k, adaptive)
-    if us.size > k_fit:
-        uv = np.column_stack([us, vs]).astype(np.float64)
-        pts = backproject_pixels(intrinsics, uv, depth.values[vs, us])
-        if adaptive:
-            estimated = estimate_point_normals_adaptive(pts, k0=k_norm, k_sparse=k_fit)
-        else:
-            estimated = estimate_point_normals(pts, k_norm)
-        grid[vs, us] = np.where(estimated.valid[:, None], estimated.normals, 0.0)
-        mask[vs, us] = estimated.valid
+    rows = _DepthRows.of(depth)
+    lifted = _lift_rows(rows.uv, rows.depths, intrinsics, k, adaptive)
+    grid = np.zeros((*depth.shape, 3))
+    mask = np.zeros(depth.shape, dtype=bool)
+    grid[rows.vs, rows.us] = lifted.normals
+    mask[rows.vs, rows.us] = lifted.valid
     return NormalField(grid, mask)
 
 
@@ -384,6 +424,12 @@ class RegistrationResult:
 class ScenePrep:
     """The work of a registration fixed by its scene and _PREP_FIELDS alone.
 
+    Registration works on the depth's valid pixels as rows, never on the
+    image grid: clean_normals holds one lifted normal per depth row, and
+    gt_rows names the depth row of each ground-truth pixel (SyntheticScene
+    checks that each has a valid depth). base holds the scene's unit base
+    features at the config's channel count.
+
     The refinement graphs are built on first read, so a registration at
     warm-up weight 0 never builds them; a cached_property writes the
     instance __dict__ directly, which the frozen dataclass allows.
@@ -391,7 +437,10 @@ class ScenePrep:
 
     scene: SyntheticScene
     key: tuple
-    clean_normals: NormalField
+    depth_rows: _DepthRows
+    clean_normals: NormalField  # (depth rows, 3), zero where invalid
+    gt_rows: np.ndarray
+    base: F64
     tiles: _Members  # ground-truth pixels by image tile
     cells: _Members  # cloud points by voxel cell
 
@@ -403,11 +452,38 @@ class ScenePrep:
     def cloud_graph(self) -> KnnGraph | None:
         return self._graph(self.scene.cloud)
 
+    def _field(self, name: str):
+        return self.key[_PREP_FIELDS.index(name)]
+
     def _graph(self, positions: F64) -> KnnGraph | None:
         """None below 2 nodes: refinement is skipped."""
         if positions.shape[0] < 2:
             return None
-        return build_knn_graph(positions, self.key[_PREP_FIELDS.index("k_neighbors")])
+        return build_knn_graph(positions, self._field("k_neighbors"))
+
+    def live_normals(self, corruption: CorruptionConfig) -> NormalField:
+        """The lifted normals of the corrupted depth, on the clean depth rows.
+
+        Only the rows the corruption keeps are lifted; a dropped row is
+        invalid. These equal lifted_pixel_normals(corrupt_depth(...)) read
+        at the rows, since both lift the same pixels in the same order.
+        """
+        if corruption.gaussian_sigma_m == 0.0 and corruption.mask_ratio == 0.0:
+            # the corruption would keep every row at its depth
+            return self.clean_normals
+        rows = self.depth_rows
+        depths, keep = synth.corrupt_depth_rows(
+            rows.depths, rows.vs, rows.us, self.scene.depth.shape, corruption
+        )
+        lifted = _lift_rows(
+            rows.uv[keep], depths[keep], self.scene.intrinsics,
+            self._field("k_neighbors"), self._field("adaptive_k"),
+        )
+        out = np.zeros(self.clean_normals.normals.shape)
+        valid = np.zeros(keep.shape, dtype=bool)
+        out[keep] = lifted.normals
+        valid[keep] = lifted.valid
+        return NormalField(out, valid)
 
 
 def _prep_key(config: PipelineConfig) -> tuple:
@@ -415,10 +491,13 @@ def _prep_key(config: PipelineConfig) -> tuple:
 
 
 def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
-    """Clean lifted normals and the tile and voxel member indexes; the graphs
-    wait for first use."""
+    """The depth rows with their clean lifted normals, the ground-truth
+    pixels' rows, the base features and the tile and voxel member indexes;
+    the graphs wait for first use."""
     pixels = scene.gt_correspondences.pixels
-    k = config.k_neighbors
+    rows = _DepthRows.of(scene.depth)
+    width = scene.intrinsics.width
+    gt_u, gt_v = pixels.astype(np.int64).T
     cells = _Members.index(*_voxel_ids(scene.cloud, config.voxel_size))
     tiles = _Members.index(
         _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols),
@@ -427,7 +506,12 @@ def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
     return ScenePrep(
         scene,
         _prep_key(config),
-        lifted_pixel_normals(scene.depth, scene.intrinsics, k, config.adaptive_k),
+        rows,
+        _lift_rows(
+            rows.uv, rows.depths, scene.intrinsics, config.k_neighbors, config.adaptive_k
+        ),
+        np.searchsorted(rows.vs * width + rows.us, gt_v * width + gt_u),
+        synth.base_features(scene, config.channels),
         tiles,
         cells,
     )
@@ -442,33 +526,21 @@ def register_scene(
     elif prep.scene is not scene or prep.key != _prep_key(config):
         raise ConfigError(f"prep is for another scene or other {', '.join(_PREP_FIELDS)}")
     corruption = config.corruption()
-    clean_normals = prep.clean_normals
-    if corruption.gaussian_sigma_m == 0.0 and corruption.mask_ratio == 0.0:
-        # corrupt_depth would return the clean valid pixels and depths
-        live_normals = clean_normals
-    else:
-        live_depth = corrupt_depth(scene.depth, corruption)
-        live_normals = lifted_pixel_normals(
-            live_depth, scene.intrinsics, config.k_neighbors, config.adaptive_k
-        )
+    live_normals = prep.live_normals(corruption)
     try:
-        agreement = normal_agreement(clean_normals, live_normals)
+        agreement = normal_agreement(prep.clean_normals, live_normals)
     except DegenerateNeighborhoodError:
         agreement = 0.0
 
     pixels = scene.gt_correspondences.pixels
     gt_idx = scene.gt_correspondences.point_indices
-    us, vs = pixels.astype(np.int64).T
 
-    f_img, f_cloud = synthesize_features(scene, config.channels, corruption)
+    f_img, f_cloud = synth.features_from_base(scene, prep.base, corruption)
     f_img = _corrupt_guidance(f_img, f_cloud, scene, gt_idx, agreement, config)
-    img_n = np.where(
-        live_normals.valid[vs, us][:, None], live_normals.normals[vs, us], 0.0
-    )
+    # normals are zero where invalid, so the channels need no mask
+    img_n = live_normals.normals[prep.gt_rows]
     cloud_n = np.zeros((scene.cloud.shape[0], 3))
-    cloud_n[gt_idx] = np.where(
-        clean_normals.valid[vs, us][:, None], clean_normals.normals[vs, us], 0.0
-    )
+    cloud_n[gt_idx] = prep.clean_normals.normals[prep.gt_rows]
     weight = config.normal_channel_weight
     f_img_aug = geometry.unit_rows(np.hstack([f_img, weight * img_n]))
     f_cloud_aug = geometry.unit_rows(np.hstack([f_cloud, weight * cloud_n]))
@@ -486,13 +558,16 @@ def register_scene(
     cell_desc, cells_present = _group_means(f_cloud_final, prep.cells)
     coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
 
+    # rows are scaled one at a time, so scaling once here gives every
+    # pair's fine_match the rows it would scale itself
+    img_unit, cloud_unit = matching.unit_features(f_img_final, f_cloud_final)
     fine = []
     for t_row, c_row, _score in coarse:
         members_i = prep.tiles.of(tiles_present[t_row])
         members_j = prep.cells.of(cells_present[c_row])
-        fine.append(fine_match(
-            f_img_final[members_i],
-            f_cloud_final[members_j],
+        fine.append(matching.fine_match_unit(
+            img_unit[members_i],
+            cloud_unit[members_j],
             pixels[members_i],
             members_j,
             config.min_fine_score,

@@ -53,7 +53,10 @@ __all__ = [
     "generate_scene",
     "render_depth",
     "corrupt_depth",
+    "corrupt_depth_rows",
+    "base_features",
     "synthesize_features",
+    "features_from_base",
 ]
 
 
@@ -181,7 +184,8 @@ class SyntheticScene:
     frame to camera frame; gt_correspondences holds one entry per
     z-buffer-winning point, with score 1. Construction checks that the
     depth has the intrinsics' shape and that the pixels are distinct
-    integer cells inside the image in row-major order, as rendered.
+    integer cells inside the image in row-major order, each with a valid
+    depth, as rendered.
     """
 
     cloud: F64
@@ -204,11 +208,14 @@ class SyntheticScene:
         u, v = px.T
         bad = np.any((px != np.floor(px)) | (px < 0.0) | (px >= [w, h]), axis=1)
         bad[1:] |= (v[1:] < v[:-1]) | ((v[1:] == v[:-1]) & (u[1:] <= u[:-1]))
+        cells = px[~bad].astype(np.int64)
+        bad[~bad] = ~self.depth.valid[cells[:, 1], cells[:, 0]]
         if np.any(bad):
             row = int(np.argmax(bad))
             raise ValueError(
                 f"gt pixel {tuple(px[row].tolist())} at row {row}: gt pixels must be "
-                f"distinct integer cells inside the {w}x{h} image, in row-major order"
+                f"distinct integer cells inside the {w}x{h} image, in row-major order, "
+                "each with a valid depth"
             )
 
 
@@ -306,16 +313,33 @@ def corrupt_depth(depth: DepthMap, cfg: CorruptionConfig) -> DepthMap:
     Pixels whose noisy value becomes non-positive are invalidated too,
     since a depth map cannot represent them. Deterministic per cfg.seed.
     """
+    vs, us = np.nonzero(depth.valid)
+    values, keep = corrupt_depth_rows(depth.values[vs, us], vs, us, depth.shape, cfg)
+    out = np.full(depth.shape, np.nan)
+    out[vs[keep], us[keep]] = values[keep]
+    valid = np.zeros(depth.shape, dtype=bool)
+    valid[vs[keep], us[keep]] = True
+    return DepthMap(out, valid)
+
+
+def corrupt_depth_rows(
+    depths: F64, vs: np.ndarray, us: np.ndarray, shape: tuple[int, int], cfg: CorruptionConfig
+) -> tuple[F64, np.ndarray]:
+    """corrupt_depth on the valid pixels (vs, us) of an image of `shape`,
+    whose depths these are: the corrupted depths and which of them survive.
+
+    The noise and the mask are drawn over the whole image, in
+    corrupt_depth's order, and read at the pixels, so both agree to the bit.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _DEPTH_STREAM)))
-    values = depth.values.copy()
-    valid = depth.valid.copy()
+    values = depths
     if cfg.gaussian_sigma_m > 0.0:
-        noise = rng.normal(0.0, cfg.gaussian_sigma_m, values.shape)
-        values = np.where(valid, values + noise, values)
+        values = depths + rng.normal(0.0, cfg.gaussian_sigma_m, shape)[vs, us]
+    keep = np.ones(depths.shape, dtype=bool)
     if cfg.mask_ratio > 0.0:
-        valid &= rng.random(values.shape) >= cfg.mask_ratio
-    valid &= np.isfinite(values) & (values > 0.0)
-    return DepthMap(np.where(valid, values, np.nan), valid)
+        keep = rng.random(shape)[vs, us] >= cfg.mask_ratio
+    keep &= np.isfinite(values) & (values > 0.0)
+    return values, keep
 
 
 def synthesize_features(
@@ -328,14 +352,25 @@ def synthesize_features(
     re-normalization; outlier_fraction of image rows are then replaced
     with fresh random directions.
     """
+    return features_from_base(scene, base_features(scene, channels), noise)
+
+
+def base_features(scene: SyntheticScene, channels: int) -> F64:
+    """The scene's (N, channels) unit base vectors, one per cloud point."""
     if channels < 4:
         raise ValueError(f"channels must be >= 4, got {channels}")
-    n = scene.cloud.shape[0]
-    m = len(scene.gt_correspondences)
     base_rng = np.random.default_rng(np.random.SeedSequence((scene.seed, _BASE_STREAM)))
-    base = unit_rows(base_rng.standard_normal((n, channels)))
+    return unit_rows(base_rng.standard_normal((scene.cloud.shape[0], channels)))
+
+
+def features_from_base(
+    scene: SyntheticScene, base: F64, noise: CorruptionConfig
+) -> tuple[F64, F64]:
+    """synthesize_features from the scene's base_features, which stay unchanged."""
+    m = len(scene.gt_correspondences)
+    channels = base.shape[1]
     f_cloud = base.copy()
-    f_img = base[scene.gt_correspondences.point_indices].copy()
+    f_img = base[scene.gt_correspondences.point_indices]
 
     if noise.feature_noise_sigma > 0.0:
         img_rng = np.random.default_rng(

@@ -12,18 +12,23 @@ import pytest
 
 import crossreg
 from crossreg.cli import main
+from crossreg.errors import BundleError
 from crossreg.io import (
     load_scene_bundle,
     read_correspondences,
+    read_depth,
     read_normals,
     read_patches,
     read_ply,
     read_pose,
+    save_scene_bundle,
+    write_depth,
     write_normals,
     write_ply,
 )
-from crossreg.normals import estimate_point_normals_adaptive
+from crossreg.normals import DepthMap, estimate_point_normals_adaptive
 from crossreg.pipeline import PipelineConfig, evaluate_scene, register_scene
+from crossreg.synth import SceneSpec, generate_scene
 
 SMALL = ["--set", "point_count=600", "--set", "scene_count=2"]
 
@@ -247,6 +252,26 @@ class TestMalformedBundle:
         assert run("register", "--scene", str(bundle), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: bundle {bundle}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_gt_pixels_without_depth_exit_1_at_load(self, tmp_path, capsys):
+        # every third ground-truth pixel of an 800-point scene loses its depth;
+        # register once exited 0 with matches at those pixels, and eval then
+        # failed on them
+        bundle = tmp_path / "scene"
+        save_scene_bundle(bundle, generate_scene(SceneSpec(point_count=800), seed=3))
+        depth = read_depth(bundle / "depth.bin")
+        values = depth.values.copy()
+        u, v = load_scene_bundle(bundle).gt_correspondences.pixels[::3].astype(np.int64).T
+        values[v, u] = np.nan
+        write_depth(bundle / "depth.bin", DepthMap.from_values(values))
+        with pytest.raises(BundleError, match="each with a valid depth"):
+            load_scene_bundle(bundle)
+        out = tmp_path / "res"
+        assert run("register", "--scene", str(bundle), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bundle {bundle}: gt pixel (") and err.count("\n") == 1
+        assert "each with a valid depth" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("edit", [repeat_first_pixel, swap_first_rows])

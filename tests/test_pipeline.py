@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 import crossreg.graph
 import crossreg.normals
 import crossreg.pipeline as pipeline
+import crossreg.synth
 from crossreg.errors import ConfigError, CoordinateOverflowError, LengthMismatchError
 from crossreg.geometry import (
     CameraIntrinsics,
@@ -402,7 +403,8 @@ class TestScenePrep:
             assert_same_registration(register_scene(scene, cfg, prep), register_scene(scene, cfg))
 
     @pytest.mark.parametrize(
-        "overrides", [{"k_neighbors": 4}, {"tile_rows": 3}, {"voxel_size": 0.3}]
+        "overrides",
+        [{"k_neighbors": 4}, {"tile_rows": 3}, {"voxel_size": 0.3}, {"channels": 32}],
     )
     def test_prep_for_other_prep_fields_rejected(self, overrides):
         scene, cfg = small_scene(seed=2)
@@ -636,10 +638,7 @@ class TestSkippedWork:
         prep = prepare_scene(scene, cfg)
         f_img, f_cloud = synthesize_features(scene, cfg.channels, cfg.corruption())
         gt = scene.gt_correspondences
-        us = gt.pixels[:, 0].astype(np.int64)
-        vs = gt.pixels[:, 1].astype(np.int64)
-        normals = prep.clean_normals
-        img_n = np.where(normals.valid[vs, us][:, None], normals.normals[vs, us], 0.0)
+        img_n = prep.clean_normals.normals[prep.gt_rows]
         cloud_n = np.zeros((scene.cloud.shape[0], 3))
         cloud_n[gt.point_indices] = img_n
         weight = cfg.normal_channel_weight
@@ -663,8 +662,10 @@ class TestSkippedWork:
             corrupt_depth(scene.depth, cfg.corruption()), scene.intrinsics,
             cfg.k_neighbors, cfg.adaptive_k,
         )
-        assert live.normals.tobytes() == prep.clean_normals.normals.tobytes()
-        assert live.valid.tobytes() == prep.clean_normals.valid.tobytes()
+        rows = prep.depth_rows
+        assert not live.valid[~scene.depth.valid].any()
+        assert live.normals[rows.vs, rows.us].tobytes() == prep.clean_normals.normals.tobytes()
+        assert live.valid[rows.vs, rows.us].tobytes() == prep.clean_normals.valid.tobytes()
 
     @pytest.mark.parametrize(
         "overrides, calls",
@@ -675,10 +676,10 @@ class TestSkippedWork:
         scene, cfg = small_scene(seed=3, **overrides)
         prep = prepare_scene(scene, cfg)
         counts = {}
-        count_calls(monkeypatch, counts, pipeline, "corrupt_depth")
+        count_calls(monkeypatch, counts, crossreg.synth, "corrupt_depth_rows")
         count_calls(monkeypatch, counts, crossreg.normals, "knn_indices")
         register_scene(scene, cfg, prep)
-        assert counts == {"corrupt_depth": calls, "knn_indices": calls}
+        assert counts == {"corrupt_depth_rows": calls, "knn_indices": calls}
 
 
 class TestCoordinateOverflow:

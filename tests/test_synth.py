@@ -188,6 +188,15 @@ class TestSceneCheck:
         with pytest.raises(ValueError, match="gt pixel"):
             with_pixels(scene, edit)
 
+    @pytest.mark.parametrize("row", [0, 5, -1])
+    def test_gt_pixel_without_depth_raises(self, row):
+        scene = generate_scene(SceneSpec(point_count=300), seed=0)
+        u, v = scene.gt_correspondences.pixels[row].astype(np.int64)
+        values = scene.depth.values.copy()
+        values[v, u] = np.nan
+        with pytest.raises(ValueError, match=r"gt pixel .* each with a valid depth"):
+            dataclasses.replace(scene, depth=DepthMap.from_values(values))
+
     def test_depth_shape_must_match_intrinsics(self):
         scene = generate_scene(SceneSpec(point_count=300), seed=0)
         cropped = DepthMap.from_values(scene.depth.values[:-1])
