@@ -64,6 +64,37 @@ for entry in "${variants[@]}"; do
     done
 done
 
+# bundles in the formats before the lossless ones, written without crossreg.io:
+# scene_0000 with an ASCII cloud.ply, and with a float32 DEPTH raster
+old="$out/old_formats"
+mkdir -p "$old"
+python3 -W error::RuntimeWarning - "$out/scenes/scene_0000" "$old" <<'PY'
+import shutil
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from crossreg.pipeline import PipelineConfig
+from crossreg.synth import generate_scene
+
+bundle, old = Path(sys.argv[1]), Path(sys.argv[2])
+scene = generate_scene(PipelineConfig().scene_spec(), seed=21)  # scene_0000's seed
+for name in ("ascii_ply", "float32_depth"):
+    shutil.copytree(bundle, old / name)
+lines = ["ply", "format ascii 1.0", f"element vertex {len(scene.cloud)}",
+         "property double x", "property double y", "property double z", "end_header"]
+lines += [f"{x!r} {y!r} {z!r}" for x, y, z in scene.cloud.tolist()]
+(old / "ascii_ply" / "cloud.ply").write_text("\n".join(lines) + "\n")
+h, w = scene.depth.shape
+raster = np.where(scene.depth.valid, scene.depth.values, np.nan).astype("<f4")
+(old / "float32_depth" / "depth.bin").write_bytes(f"DEPTH {w} {h}\n".encode() + raster.tobytes())
+PY
+for name in ascii_ply float32_depth; do
+    run "register_old_$name" register --scene "$old/$name" --out "$old/results_$name"
+    run "normals_old_$name" normals --scene "$old/$name" --out "$old/normals_$name"
+done
+
 # standalone normals: plain, and adaptive at the default and a larger k
 mkdir -p "$out/normals"
 run normals_plain normals --scene "$out/scenes/scene_0000" --out "$out/normals/plain"

@@ -63,9 +63,7 @@ from .pipeline import (
     parallel_map,
     register_scene,
 )
-from .synth import generate_scene
-
-_LOSS_FIXTURE_STREAM = 9
+from .synth import generate_scene, stream_rng
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -296,9 +294,7 @@ def _directional_check(value_fn, grad: np.ndarray, base: np.ndarray, direction: 
 
 def cmd_losses(args) -> int:
     config = load_config(args)
-    rng = np.random.default_rng(
-        np.random.SeedSequence((config.base_seed, _LOSS_FIXTURE_STREAM))
-    )
+    rng = stream_rng("loss_fixture", config.base_seed)
     m = 24
     f_img = unit_rows(rng.standard_normal((m, config.channels)))
     f_cloud = unit_rows(f_img + 0.1 * rng.standard_normal((m, config.channels)))

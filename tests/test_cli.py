@@ -201,10 +201,53 @@ def edit_file(path: Path, index, edit) -> None:
     """edit_line when index is a line number, else edit the whole text or bytes."""
     if index is not None:
         edit_line(path, index, edit)
-    elif path.suffix == ".bin":
+    elif path.suffix in (".bin", ".ply"):
         path.write_bytes(edit(path.read_bytes()))
     else:
         path.write_text(edit(path.read_text()))
+
+
+def with_vertex(blob: bytes, index: int, payload) -> bytes:
+    """A binary cloud.ply whose vertex `index` is replaced: by the three
+    doubles of a tuple, or by raw bytes of any length."""
+    if not isinstance(payload, bytes):
+        payload = np.asarray(payload, dtype="<f8").tobytes()
+    start = blob.index(b"end_header\n") + len(b"end_header\n") + 24 * index
+    return blob[:start] + payload + blob[start + 24:]
+
+
+def with_depth_row(blob: bytes, index: int, row) -> bytes:
+    """A depth.bin whose (u, v, depth) row `index` is replaced."""
+    start = blob.index(b"\n") + 1 + 24 * index
+    return blob[:start] + np.asarray(row, dtype="<f8").tobytes() + blob[start + 24:]
+
+
+def depth_row(blob: bytes, index: int) -> tuple[float, float, float]:
+    start = blob.index(b"\n") + 1 + 24 * index
+    return tuple(np.frombuffer(blob[start:start + 24], dtype="<f8").tolist())
+
+
+def with_vertex_count(blob: bytes, count: bytes) -> bytes:
+    """A binary cloud.ply whose header states `count` vertices."""
+    head, rest = blob.split(b"element vertex ", 1)
+    return head + b"element vertex " + count + rest[rest.index(b"\n"):]
+
+
+def old_ascii_ply(path: Path) -> None:
+    """Rewrite a cloud.ply as the ASCII PLY that bundles held before."""
+    points = read_ply(path)
+    lines = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
+             "property double x", "property double y", "property double z", "end_header"]
+    lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in points.tolist())
+    path.write_text("\n".join(lines) + "\n")
+
+
+def old_float32_depth(path: Path) -> None:
+    """Rewrite a depth.bin as the float32 raster that bundles held before."""
+    depth = read_depth(path)
+    h, w = depth.shape
+    raster = np.where(depth.valid, depth.values, np.nan).astype("<f4").tobytes()
+    path.write_bytes(f"DEPTH {w} {h}\n".encode() + raster)
 
 
 def repeat_first_pixel(text: str) -> str:
@@ -231,7 +274,7 @@ class TestMalformedBundle:
     @pytest.mark.parametrize(
         "name, index, edit",
         [
-            ("cloud.ply", 7, lambda row: "nan 0.0 2.0"),  # first vertex
+            ("cloud.ply", None, lambda blob: with_vertex(blob, 0, (np.nan, 0.0, 2.0))),
             ("gt_corrs.csv", 1, lambda row: with_column(row, 2, "600")),  # past the cloud
             ("gt_corrs.csv", 1, lambda row: with_column(row, 0, "5110.0")),  # u >= width
             ("gt_corrs.csv", 1, lambda row: with_column(row, 1, "-1.0")),
@@ -302,9 +345,11 @@ class TestMalformedBundle:
     @pytest.mark.parametrize(
         "name, index, edit",
         [
-            ("cloud.ply", 7, lambda row: "abc 0.0 1.0"),
-            ("cloud.ply", 2, lambda row: "element vertex x"),
-            ("cloud.ply", 7, lambda row: "0.0 1.0"),
+            # the first vertex as text, and as two doubles: the payload is
+            # then shorter than the vertex count says
+            ("cloud.ply", None, lambda blob: with_vertex(blob, 0, b"abc 0.0 1.0")),
+            ("cloud.ply", None, lambda blob: with_vertex_count(blob, b"x")),
+            ("cloud.ply", None, lambda blob: with_vertex(blob, 0, blob[-16:])),
             ("gt_corrs.csv", 1, lambda row: with_column(row, 2, "x")),
             ("gt_corrs.csv", 1, lambda row: row.rsplit(",", 1)[0]),
             ("gt_corrs.csv", 1, lambda row: with_column(row, 0, "nan")),
@@ -312,7 +357,7 @@ class TestMalformedBundle:
             ("intrinsics.json", None, lambda text: text[:-3]),
             ("gt_pose.json", None, lambda text: text[:-3]),
             ("gt_pose.json", None, lambda text: json_with(text, "seed", "x")),
-            ("depth.bin", None, lambda blob: blob.replace(b"DEPTH ", b"DEPTH x", 1)),
+            ("depth.bin", None, lambda blob: blob.replace(b"DEPTHROWS ", b"DEPTHROWS x", 1)),
         ],
         ids=[
             "non_numeric_vertex", "non_integer_vertex_count", "two_token_vertex",
@@ -327,6 +372,55 @@ class TestMalformedBundle:
         assert run("register", "--scene", str(tiny_bundle), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda blob: with_depth_row(blob, 0, (640.0, 0.0, 2.0)),  # outside
+            lambda blob: with_depth_row(blob, 0, (0.0, -1.0, 2.0)),
+            lambda blob: with_depth_row(blob, 0, (0.5, *depth_row(blob, 0)[1:])),
+            lambda blob: with_depth_row(blob, 1, depth_row(blob, 0)),  # repeated
+            lambda blob: with_depth_row(
+                with_depth_row(blob, 0, depth_row(blob, 1)), 1, depth_row(blob, 0)
+            ),  # out of row-major order
+            lambda blob: with_depth_row(blob, 0, (*depth_row(blob, 0)[:2], 0.0)),
+            lambda blob: with_depth_row(blob, 0, (*depth_row(blob, 0)[:2], -2.0)),
+            lambda blob: with_depth_row(blob, 0, (*depth_row(blob, 0)[:2], np.nan)),
+            lambda blob: blob[:-8],  # truncated payload
+        ],
+        ids=["u_past_width", "negative_v", "fractional_u", "repeated", "swapped",
+             "zero_depth", "negative_depth", "nan_depth", "truncated"],
+    )
+    def test_bad_depth_row_exits_1(self, tiny_bundle, tmp_path, capsys, edit):
+        path = tiny_bundle / "depth.bin"
+        edit_file(path, None, edit)
+        out = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["register", "normals"])
+    @pytest.mark.parametrize(
+        "name, write_old, format_name",
+        [
+            ("cloud.ply", lambda bundle: old_ascii_ply(bundle / "cloud.ply"),
+             "ASCII PLY ('format ascii 1.0')"),
+            ("depth.bin", lambda bundle: old_float32_depth(bundle / "depth.bin"),
+             "a float32 'DEPTH <w> <h>' raster"),
+        ],
+        ids=["ascii_ply", "float32_depth"],
+    )
+    def test_old_bundle_format_exits_1(
+        self, tiny_bundle, tmp_path, capsys, command, name, write_old, format_name
+    ):
+        write_old(tiny_bundle)
+        out = tmp_path / "res"
+        assert run(command, "--scene", str(tiny_bundle), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tiny_bundle / name}: {format_name}")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -381,7 +475,8 @@ class TestCoordinateOverflow:
         return err
 
     def far_vertex(self, bundle: Path, coordinate: str) -> Path:
-        edit_line(bundle / "cloud.ply", 7, lambda row: f"{coordinate} 0.0 2.0")
+        edit_file(bundle / "cloud.ply", None,
+                  lambda blob: with_vertex(blob, 0, (float(coordinate), 0.0, 2.0)))
         return bundle
 
     @pytest.mark.parametrize("epoch", [0, 15])
@@ -424,7 +519,8 @@ class TestCoordinateOverflow:
         results = tmp_path / "res"
         assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
         matched = int(read_correspondences(results / "correspondences.csv").point_indices[0])
-        edit_line(tiny_bundle / "cloud.ply", 7 + matched, lambda row: "1e200 0.0 2.0")
+        edit_file(tiny_bundle / "cloud.ply", None,
+                  lambda blob: with_vertex(blob, matched, (1e200, 0.0, 2.0)))
         capsys.readouterr()
         err = self.exits_1(capsys, "eval", "--scenes", str(tiny_bundle),
                            "--results", str(results), "--out", str(tmp_path / "r.json"))

@@ -659,7 +659,7 @@ class TestSkippedWork:
         scene, cfg = small_scene(seed=3, **overrides)
         prep = prepare_scene(scene, cfg)
         live = lifted_pixel_normals(
-            corrupt_depth(scene.depth, cfg.corruption()), scene.intrinsics,
+            corrupt_depth(scene.depth, cfg.corruption(), scene.seed), scene.intrinsics,
             cfg.k_neighbors, cfg.adaptive_k,
         )
         rows = prep.depth_rows

@@ -245,15 +245,24 @@ class TestPnpRansac:
             est.inlier_mask, own_mask(est.transform, contaminated, cloud, K)
         )
 
-    def test_degraded_refit_returns_the_vote_with_its_mask(self):
+    def test_degraded_refit_returns_the_vote_with_its_mask(self, monkeypatch):
         # the refit on the voted inliers keeps fewer than min_sample of them;
         # the vote's pose and mask come back together, all inliers in front
         cfg = PipelineConfig(
-            point_count=800, outlier_fraction=0.5, min_fine_score=0.0, mask_ratio=0.1
+            point_count=800, outlier_fraction=0.5, min_fine_score=0.0, mask_ratio=0.3
         )
-        scene = generate_scene(cfg.scene_spec(), seed=1)
+        scene = generate_scene(cfg.scene_spec(), seed=2)
+        refits = []
+
+        def spy(*args, **kwargs):
+            refits.append(pnp_solve(*args, **kwargs))
+            return refits[-1]
+
+        monkeypatch.setattr(pose, "pnp_solve", spy)
         result = register_scene(scene, cfg)
         est, corrs = result.estimate, result.correspondences
+        (refit,) = refits
+        assert own_mask(refit, corrs, scene.cloud, scene.intrinsics).sum() < cfg.ransac_min_sample
         np.testing.assert_array_equal(
             est.inlier_mask, own_mask(est.transform, corrs, scene.cloud, scene.intrinsics)
         )

@@ -13,9 +13,11 @@ from crossreg.synth import (
     Box,
     CorruptionConfig,
     Plane,
+    STREAM_TAGS,
     SceneSpec,
     Sphere,
     corrupt_depth,
+    corrupt_depth_rows,
     generate_scene,
     render_depth,
     synthesize_features,
@@ -204,39 +206,103 @@ class TestSceneCheck:
             dataclasses.replace(scene, depth=cropped)
 
 
+class DrawLog:
+    """A Generator that logs (method, values drawn) for each of its draws."""
+
+    def __init__(self, rng: np.random.Generator, log: list) -> None:
+        self._rng, self._log = rng, log
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._log.append((name, int(np.size(out))))
+            return out
+
+        return draw
+
+
+def test_stream_tags_are_distinct():
+    assert len(set(STREAM_TAGS.values())) == len(STREAM_TAGS)
+
+
 class TestCorruptDepth:
     def test_zero_config_is_identity(self):
         scene = generate_scene(SceneSpec(point_count=600), seed=1)
-        out = corrupt_depth(scene.depth, CorruptionConfig(seed=0))
+        out = corrupt_depth(scene.depth, CorruptionConfig(seed=0), scene.seed)
         np.testing.assert_array_equal(out.values, scene.depth.values)
         np.testing.assert_array_equal(out.valid, scene.depth.valid)
 
     def test_deterministic(self):
         scene = generate_scene(SceneSpec(point_count=600), seed=1)
         cfg = CorruptionConfig(gaussian_sigma_m=0.01, mask_ratio=0.2, seed=8)
-        a = corrupt_depth(scene.depth, cfg)
-        b = corrupt_depth(scene.depth, cfg)
+        a = corrupt_depth(scene.depth, cfg, scene.seed)
+        b = corrupt_depth(scene.depth, cfg, scene.seed)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.valid, b.valid)
 
     def test_mask_fraction_on_full_map(self):
         full = DepthMap.from_values(np.full((480, 640), 2.5))
-        out = corrupt_depth(full, CorruptionConfig(mask_ratio=0.4, seed=3))
+        out = corrupt_depth(full, CorruptionConfig(mask_ratio=0.4, seed=3), 0)
         dropped = 1.0 - out.valid.mean()
         assert abs(dropped - 0.4) < 0.02
 
     def test_noise_std_on_large_map(self):
         full = DepthMap.from_values(np.full((480, 640), 5.0))
-        out = corrupt_depth(full, CorruptionConfig(gaussian_sigma_m=0.015, seed=4))
+        out = corrupt_depth(full, CorruptionConfig(gaussian_sigma_m=0.015, seed=4), 0)
         residuals = out.values[out.valid] - 5.0
         assert residuals.size >= 100_000
         assert abs(residuals.std() - 0.015) < 0.1 * 0.015
 
     def test_nonpositive_after_noise_invalidated(self):
         thin = DepthMap.from_values(np.full((50, 50), 0.001))
-        out = corrupt_depth(thin, CorruptionConfig(gaussian_sigma_m=0.5, seed=5))
+        out = corrupt_depth(thin, CorruptionConfig(gaussian_sigma_m=0.5, seed=5), 0)
         assert not out.valid.all()
         assert np.all(out.values[out.valid] > 0.0)
+
+    def test_draws_one_value_per_depth_row_of_each_kind(self, monkeypatch):
+        scene = generate_scene(SceneSpec(), seed=5)
+        rows = int(scene.depth.valid.sum())
+        draws = []
+        real_default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed=None: DrawLog(real_default_rng(seed), draws)
+        )
+        cfg = CorruptionConfig(gaussian_sigma_m=0.01, mask_ratio=0.2)
+        corrupt_depth(scene.depth, cfg, scene.seed)
+        assert 0 < rows < scene.depth.valid.size // 100
+        assert sorted(draws) == [("normal", rows), ("random", rows)]
+
+    def test_scenes_of_a_batch_get_their_own_noise_and_mask(self):
+        # both once came from noise_seed alone: scenes 1 and 2 shared them
+        cfg = CorruptionConfig(gaussian_sigma_m=0.01, mask_ratio=0.2, seed=0)
+        one, two = (generate_scene(SceneSpec(), seed=seed) for seed in (1, 2))
+        shared = one.depth.valid & two.depth.valid
+        assert shared.sum() >= 50
+        got_one = corrupt_depth(one.depth, cfg, one.seed)
+        got_two = corrupt_depth(two.depth, cfg, two.seed)
+        assert not np.array_equal(got_one.valid[shared], got_two.valid[shared])
+        both = shared & got_one.valid & got_two.valid
+        noise_one = got_one.values[both] - one.depth.values[both]
+        noise_two = got_two.values[both] - two.depth.values[both]
+        assert both.sum() >= 20 and np.all(np.abs(noise_one - noise_two) > 1e-9)
+
+    def test_sigma_sweep_keeps_the_mask_and_mask_sweep_keeps_the_noise(self):
+        scene = generate_scene(SceneSpec(point_count=600), seed=4)
+        depths = scene.depth.values[scene.depth.valid]
+
+        def corrupt(sigma, mask):
+            cfg = CorruptionConfig(gaussian_sigma_m=sigma, mask_ratio=mask, seed=2)
+            return corrupt_depth_rows(depths, cfg, scene.seed)
+
+        values, keep = corrupt(0.005, 0.3)
+        assert corrupt(0.015, 0.3)[1].tobytes() == keep.tobytes()
+        assert corrupt(0.0, 0.3)[1].tobytes() == keep.tobytes()
+        assert corrupt(0.005, 0.1)[0].tobytes() == values.tobytes()
+        assert corrupt(0.005, 0.0)[0].tobytes() == values.tobytes()
+        # a higher mask ratio drops a superset of the rows
+        assert np.all(keep <= corrupt(0.005, 0.1)[1]) and 0 < keep.sum() < keep.size
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
