@@ -64,8 +64,9 @@ for entry in "${variants[@]}"; do
     done
 done
 
-# bundles in the formats before the lossless ones, written without crossreg.io:
-# scene_0000 with an ASCII cloud.ply, and with a float32 DEPTH raster
+# bundles in the layouts before the current one, written without crossreg.io:
+# scene_0000 with an ASCII cloud.ply, with a float32 DEPTH raster, and with
+# 3-column DEPTHROWS rows beside a gt_corrs.csv
 old="$out/old_formats"
 mkdir -p "$old"
 python3 -W error::RuntimeWarning - "$out/scenes/scene_0000" "$old" <<'PY'
@@ -80,7 +81,7 @@ from crossreg.synth import generate_scene
 
 bundle, old = Path(sys.argv[1]), Path(sys.argv[2])
 scene = generate_scene(PipelineConfig().scene_spec(), seed=21)  # scene_0000's seed
-for name in ("ascii_ply", "float32_depth"):
+for name in ("ascii_ply", "float32_depth", "depthrows_gt_csv"):
     shutil.copytree(bundle, old / name)
 lines = ["ply", "format ascii 1.0", f"element vertex {len(scene.cloud)}",
          "property double x", "property double y", "property double z", "end_header"]
@@ -89,8 +90,17 @@ lines += [f"{x!r} {y!r} {z!r}" for x, y, z in scene.cloud.tolist()]
 h, w = scene.depth.shape
 raster = np.where(scene.depth.valid, scene.depth.values, np.nan).astype("<f4")
 (old / "float32_depth" / "depth.bin").write_bytes(f"DEPTH {w} {h}\n".encode() + raster.tobytes())
+vs, us = np.nonzero(scene.depth.valid)
+rows = np.column_stack([us, vs, scene.depth.values[vs, us]]).astype("<f8")
+header = f"DEPTHROWS {w} {h} {len(rows)}\n".encode()
+(old / "depthrows_gt_csv" / "depth.bin").write_bytes(header + rows.tobytes())
+gt = scene.gt_correspondences
+csv = ["u,v,point_index,score"]
+csv += [f"{u!r},{v!r},{i},{s!r}" for (u, v), i, s in
+        zip(gt.pixels.tolist(), gt.point_indices.tolist(), gt.scores.tolist())]
+(old / "depthrows_gt_csv" / "gt_corrs.csv").write_text("\n".join(csv) + "\n")
 PY
-for name in ascii_ply float32_depth; do
+for name in ascii_ply float32_depth depthrows_gt_csv; do
     run "register_old_$name" register --scene "$old/$name" --out "$old/results_$name"
     run "normals_old_$name" normals --scene "$old/$name" --out "$old/normals_$name"
 done

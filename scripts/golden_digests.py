@@ -3,7 +3,7 @@
     python3 scripts/golden_digests.py          # print the digests as JSON
     python3 scripts/golden_digests.py --write  # regenerate tests/golden_digests.json
 
-The matrix (about 3 s on one core):
+The matrix (about 4 s on one core of a 2-vCPU Xeon):
 
 - register/<variant>/seed<s>: the six register variants of
   scripts/cli_matrix.sh on two 600-point scenes; each digest covers the
@@ -22,7 +22,9 @@ rounding can move the low bits of a float on another build.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -147,10 +149,7 @@ def versions() -> dict[str, str]:
 
 
 def main(argv: list[str]) -> int:
-    # the numbers of the CLI commands go to stdout; keep them off the JSON
-    import contextlib
-    import io
-
+    # the summaries of the CLI commands go to stdout; keep them off the JSON
     with contextlib.redirect_stdout(io.StringIO()):
         payload = {"versions": versions(), "digests": compute()}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

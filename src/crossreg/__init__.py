@@ -102,6 +102,7 @@ from .pose import PoseEstimate, RansacConfig, pnp_ransac, pnp_solve
 from .synth import (
     Box,
     CorruptionConfig,
+    PixelTable,
     Plane,
     SceneSpec,
     Sphere,

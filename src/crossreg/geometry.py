@@ -136,8 +136,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError(
+                f"focal lengths must be finite and positive, got ({self.fx}, {self.fy})"
+            )
         if not (self.width >= 1 and self.height >= 1):
             raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

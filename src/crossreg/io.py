@@ -3,21 +3,25 @@
 Writers are byte-deterministic: text floats serialize with repr (shortest
 round-trip form), JSON uses sorted keys and a fixed indent, and binary
 payloads are little-endian behind an ASCII header. A scene bundle is a
-directory holding cloud.ply, depth.bin, intrinsics.json, gt_pose.json,
-and gt_corrs.csv, and it round-trips exactly:
+directory holding cloud.ply, depth.bin, intrinsics.json and gt_pose.json,
+and it round-trips exactly:
 
 - cloud.ply is binary_little_endian PLY with double x, y, z;
-- depth.bin holds the valid pixels only, as float64 (u, v, depth) rows in
-  row-major order behind a 'DEPTHROWS <w> <h> <n>' line;
+- depth.bin is the scene's pixel table: float64 (u, v, depth, point index)
+  rows behind a 'PIXELROWS <w> <h> <n>' line, with index -1 for a pixel
+  without a ground-truth point;
 - normal rasters are float32 behind a 'NORMAL <w> <h>' line.
 
-An ASCII PLY or a float32 'DEPTH' raster (the bundle formats before the
-lossless ones) is rejected, naming its format; no file is read two ways.
-Readers report a malformed file as a BundleError naming it.
+Older layouts (an ASCII PLY, a float32 'DEPTH' raster, 3-column
+'DEPTHROWS' rows beside a gt_corrs.csv) are rejected, naming their format;
+no file is read two ways. Readers report a malformed file, metadata
+included (integer sizes and seeds, finite focal lengths), as a BundleError
+naming it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from pathlib import Path
@@ -27,15 +31,15 @@ import numpy as np
 from .errors import BundleError, CrossregError
 from .geometry import CameraIntrinsics, F64, RigidTransform, as_points, unit_rows
 from .matching import CorrespondenceSet
-from .normals import DepthMap, NormalField
+from .normals import NormalField
 from .pose import PoseEstimate
-from .synth import SyntheticScene
+from .synth import PixelTable, SyntheticScene
 
 __all__ = [
     "write_ply",
     "read_ply",
-    "write_depth",
-    "read_depth",
+    "write_pixel_table",
+    "read_pixel_table",
     "write_normals",
     "read_normals",
     "write_json",
@@ -55,7 +59,7 @@ __all__ = [
     "BUNDLE_FILES",
 ]
 
-BUNDLE_FILES = ("cloud.ply", "depth.bin", "intrinsics.json", "gt_pose.json", "gt_corrs.csv")
+BUNDLE_FILES = ("cloud.ply", "depth.bin", "intrinsics.json", "gt_pose.json")
 
 
 def _reader(read):
@@ -87,7 +91,7 @@ _PLY_HEADER = (
     "property double z\n"
     "end_header\n"
 )
-_ROW_BYTES = 24  # three little-endian float64 per vertex or depth row
+_ROW_BYTES = 24  # three little-endian float64 per vertex
 
 
 def write_ply(path, points) -> None:
@@ -129,100 +133,73 @@ def read_ply(path) -> F64:
 
 
 # --------------------------------------------------------------------------- #
-#  Rasters: one ASCII header line, then little-endian data
+#  Depth rows and normal rasters: one ASCII header line, then little-endian data
 # --------------------------------------------------------------------------- #
 
 
-def _write_raster(path, magic: str, width: int, height: int, data: np.ndarray) -> None:
-    header = f"{magic} {width} {height}\n".encode("ascii")
-    Path(path).write_bytes(header + np.ascontiguousarray(data, dtype="<f4").tobytes())
+_PIXEL_ROW_BYTES = 32  # four little-endian float64 per pixel row
 
 
-def _read_raster(path, magic: str) -> tuple[int, int, np.ndarray]:
-    blob = Path(path).read_bytes()
+def _split_header(blob: bytes) -> tuple[list[str], bytes]:
+    """The ASCII tokens of a file's first line, and the bytes after it."""
     nl = blob.find(b"\n")
-    if nl < 0:
-        raise BundleError(f"{path}: missing raster header")
-    tokens = blob[:nl].decode("ascii", errors="replace").split()
-    if len(tokens) != 3 or tokens[0] != magic:
-        raise BundleError(f"{path}: expected '{magic} <w> <h>' header, got {tokens}")
-    width, height = int(tokens[1]), int(tokens[2])
-    data = np.frombuffer(blob[nl + 1 :], dtype="<f4")
-    return width, height, data
+    return blob[:max(nl, 0)].decode("ascii", errors="replace").split(), blob[nl + 1:]
+
+# the magic of each depth.bin layout no longer read -> how to name it
+_OLD_DEPTH_LAYOUTS = {
+    "DEPTH": "a float32 'DEPTH <w> <h>' raster",
+    "DEPTHROWS": "a 3-column 'DEPTHROWS <w> <h> <n>' file (the layout with gt_corrs.csv)",
+}
 
 
-def write_depth(path, depth: DepthMap) -> None:
-    """The valid pixels as float64 (u, v, depth) rows, in row-major order."""
-    h, w = depth.shape
-    vs, us = depth.valid_pixels()
-    rows = np.column_stack([us, vs, depth.values[vs, us]]).astype("<f8")
-    header = f"DEPTHROWS {w} {h} {vs.size}\n".encode("ascii")
+def write_pixel_table(path, table: PixelTable) -> None:
+    """The table as float64 (u, v, depth, point index) rows behind a header."""
+    rows = np.column_stack([table.pixels, table.depths, table.point_indices]).astype("<f8")
+    header = f"PIXELROWS {table.width} {table.height} {len(table)}\n".encode("ascii")
     Path(path).write_bytes(header + rows.tobytes())
 
 
 @_reader
-def read_depth(path, shape: tuple[int, int] | None = None) -> DepthMap:
-    """The DepthMap write_depth wrote: NaN and invalid off its rows.
-
-    The rows must be distinct integer pixels inside the image, in
-    row-major order, with finite positive depths, as write_depth writes
-    them; so any depth.bin that loads is rewritten byte for byte. With
-    shape (h, w) given, an image of another size is rejected before its
-    grid is allocated.
-    """
-    blob = Path(path).read_bytes()
-    nl = blob.find(b"\n")
-    tokens = blob[:max(nl, 0)].decode("ascii", errors="replace").split()
-    if tokens[:1] == ["DEPTH"]:
+def read_pixel_table(path) -> PixelTable:
+    """The PixelTable write_pixel_table wrote; PixelTable checks the rows,
+    so any depth.bin that loads is rewritten byte for byte."""
+    tokens, payload = _split_header(Path(path).read_bytes())
+    if tokens and tokens[0] in _OLD_DEPTH_LAYOUTS:
         raise BundleError(
-            f"{path}: a float32 'DEPTH <w> <h>' raster is no longer read; "
-            "expected float64 rows behind 'DEPTHROWS <w> <h> <n>'"
+            f"{path}: {_OLD_DEPTH_LAYOUTS[tokens[0]]} is no longer read; expected "
+            "float64 (u, v, depth, point index) rows behind 'PIXELROWS <w> <h> <n>'"
         )
-    if len(tokens) != 4 or tokens[0] != "DEPTHROWS":
-        raise BundleError(f"{path}: expected 'DEPTHROWS <w> <h> <n>' header, got {tokens}")
+    if len(tokens) != 4 or tokens[0] != "PIXELROWS":
+        raise BundleError(f"{path}: expected 'PIXELROWS <w> <h> <n>' header, got {tokens}")
     width, height, count = (int(t) for t in tokens[1:])
-    if min(width, height) < 1 or count < 0:
-        raise BundleError(f"{path}: expected a positive size and a row count >= 0, got {tokens}")
-    if shape is not None and (height, width) != tuple(shape):
-        raise BundleError(f"{path}: a {width}x{height} depth, expected {shape[1]}x{shape[0]}")
-    payload = blob[nl + 1:]
-    if len(payload) != count * _ROW_BYTES:
+    if len(payload) != count * _PIXEL_ROW_BYTES:
         raise BundleError(
-            f"{path}: {count} depth rows need {count * _ROW_BYTES} payload bytes, "
+            f"{path}: {count} pixel rows need {count * _PIXEL_ROW_BYTES} payload bytes, "
             f"found {len(payload)}"
         )
-    u, v, z = np.frombuffer(payload, dtype="<f8").reshape(count, 3).T
-    inside = (u >= 0) & (u < width) & (v >= 0) & (v < height)
-    bad = (u != np.floor(u)) | (v != np.floor(v)) | ~inside | ~(np.isfinite(z) & (z > 0.0))
-    if not np.any(bad):
-        cells = v.astype(np.int64) * width + u.astype(np.int64)
-        bad[1:] = cells[1:] <= cells[:-1]
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        found = (float(u[row]), float(v[row]), float(z[row]))
-        raise BundleError(
-            f"{path}: depth row {row} (u, v, depth) = {found}: rows must "
-            f"be distinct integer pixels inside the {width}x{height} image, in row-major "
-            "order, with finite positive depths"
-        )
-    values = np.full((height, width), np.nan)
-    values.flat[cells] = z
-    valid = np.zeros((height, width), dtype=bool)
-    valid.flat[cells] = True
-    return DepthMap(values, valid)
+    rows = np.frombuffer(payload, dtype="<f8").reshape(count, 4)
+    pixels, depths = np.ascontiguousarray(rows[:, :2]), np.ascontiguousarray(rows[:, 2])
+    try:
+        return PixelTable(width, height, pixels, depths, rows[:, 3])
+    except ValueError as exc:
+        raise BundleError(f"{path}: {exc}") from exc
 
 
 def write_normals(path, field: NormalField) -> None:
+    """float32 normals, NaN where invalid; an (N, 3) field is one raster row."""
     arr = np.where(field.valid[..., None], field.normals, np.nan)
-    if arr.ndim == 2:
-        _write_raster(path, "NORMAL", arr.shape[0], 1, arr)
-    else:
-        _write_raster(path, "NORMAL", arr.shape[1], arr.shape[0], arr)
+    height, width = arr.shape[:2] if arr.ndim == 3 else (1, arr.shape[0])
+    header = f"NORMAL {width} {height}\n".encode("ascii")
+    Path(path).write_bytes(header + np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 @_reader
 def read_normals(path) -> NormalField:
-    width, height, data = _read_raster(path, "NORMAL")
+    tokens, payload = _split_header(Path(path).read_bytes())
+    if len(tokens) != 3 or tokens[0] != "NORMAL":
+        raise BundleError(f"{path}: expected 'NORMAL <w> <h>' header, got {tokens}")
+    width, height = int(tokens[1]), int(tokens[2])
+    data = np.frombuffer(payload, dtype="<f4")
     if data.size != width * height * 3:
         raise BundleError(f"{path}: normal payload size mismatch")
     arr = data.astype(np.float64).reshape(height, width, 3)
@@ -247,30 +224,17 @@ def read_json(path):
 
 
 def write_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
-    write_json(
-        path,
-        {
-            "fx": intrinsics.fx,
-            "fy": intrinsics.fy,
-            "cx": intrinsics.cx,
-            "cy": intrinsics.cy,
-            "width": intrinsics.width,
-            "height": intrinsics.height,
-        },
-    )
+    write_json(path, dataclasses.asdict(intrinsics))
 
 
 @_reader
 def read_intrinsics(path) -> CameraIntrinsics:
+    """Float focal lengths and principal point, JSON-integer image size."""
     raw = read_json(path)
-    return CameraIntrinsics(
-        fx=float(raw["fx"]),
-        fy=float(raw["fy"]),
-        cx=float(raw["cx"]),
-        cy=float(raw["cy"]),
-        width=int(raw["width"]),
-        height=int(raw["height"]),
-    )
+    if not all(type(raw[key]) is int for key in ("width", "height")):
+        raise BundleError(f"{path}: expected integer width and height")
+    focal_center = (float(raw[key]) for key in ("fx", "fy", "cx", "cy"))
+    return CameraIntrinsics(*focal_center, raw["width"], raw["height"])
 
 
 def _transform_payload(transform: RigidTransform) -> dict:
@@ -301,9 +265,11 @@ def read_pose(path) -> RigidTransform:
 
 @_reader
 def _read_gt_pose(path) -> tuple[RigidTransform, int]:
-    """The transform and scene seed of a bundle's gt_pose.json."""
+    """The transform and integer scene seed of a bundle's gt_pose.json."""
     raw = read_json(path)
-    return _transform_from_payload(raw), int(raw.get("seed", 0))
+    if type(raw.get("seed")) is not int:
+        raise BundleError(f"{path}: expected an integer seed, got {raw.get('seed')!r}")
+    return _transform_from_payload(raw), raw["seed"]
 
 
 def write_correspondences(path, corrs: CorrespondenceSet) -> None:
@@ -390,12 +356,11 @@ def save_scene_bundle(directory, scene: SyntheticScene) -> None:
     if not out.is_dir():
         raise BundleError(f"bundle path {out} is not a directory")
     write_ply(out / "cloud.ply", scene.cloud)
-    write_depth(out / "depth.bin", scene.depth)
+    write_pixel_table(out / "depth.bin", scene.table)
     write_intrinsics(out / "intrinsics.json", scene.intrinsics)
     pose_payload = _transform_payload(scene.gt_transform)
     pose_payload["seed"] = int(scene.seed)
     write_json(out / "gt_pose.json", pose_payload)
-    write_correspondences(out / "gt_corrs.csv", scene.gt_correspondences)
 
 
 def load_scene_bundle(directory) -> SyntheticScene:
@@ -406,10 +371,9 @@ def load_scene_bundle(directory) -> SyntheticScene:
         raise BundleError(f"bundle {src} is missing {missing}")
     cloud = read_ply(src / "cloud.ply")
     intrinsics = read_intrinsics(src / "intrinsics.json")
-    depth = read_depth(src / "depth.bin", (intrinsics.height, intrinsics.width))
+    table = read_pixel_table(src / "depth.bin")
     transform, seed = _read_gt_pose(src / "gt_pose.json")
-    corrs = read_correspondences(src / "gt_corrs.csv")
     try:
-        return SyntheticScene(cloud, depth, intrinsics, transform, corrs, seed)
+        return SyntheticScene(cloud, table, intrinsics, transform, seed)
     except ValueError as exc:
         raise BundleError(f"bundle {src}: {exc}") from exc

@@ -56,10 +56,6 @@ class CorrespondenceSet:
         object.__setattr__(self, "point_indices", idx)
         object.__setattr__(self, "scores", sc)
 
-    @classmethod
-    def empty(cls) -> "CorrespondenceSet":
-        return cls(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), np.zeros(0))
-
     def __len__(self) -> int:
         return self.pixels.shape[0]
 
@@ -166,24 +162,24 @@ def fine_match(
         raise ValueError(f"pixel_coords shape {pix.shape} != ({img.shape[0]}, 2)")
     if pts_idx.shape != (cloud.shape[0],):
         raise ValueError(f"point_indices shape {pts_idx.shape} != ({cloud.shape[0]},)")
-    return fine_match_unit(img, cloud, pix, pts_idx, min_score)
+    rows, cols, scores = fine_match_unit(img, cloud, min_score)
+    return CorrespondenceSet(pix[rows], pts_idx[cols], scores)
 
 
 def fine_match_unit(
-    img: F64, cloud: F64, pixels: F64, point_indices: np.ndarray, min_score: float
-) -> CorrespondenceSet:
-    """fine_match on rows unit_features has checked and scaled, with aligned
-    (M_img, 2) pixels and (M_cloud,) int64 point indices."""
+    img: F64, cloud: F64, min_score: float
+) -> tuple[np.ndarray, np.ndarray, F64]:
+    """fine_match on rows unit_features has checked and scaled, as positions:
+    the (image rows, cloud rows, scores) of the matches, by image row."""
     if img.shape[0] == 0 or cloud.shape[0] == 0:
-        return CorrespondenceSet.empty()
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     scores = img @ cloud.T
     row_best = np.argmax(scores, axis=1)
     col_best = np.argmax(scores, axis=0)
     rows = np.arange(scores.shape[0])
     picked = scores[rows, row_best]
-    mutual = col_best[row_best] == rows
-    keep = mutual & (picked >= min_score)
-    return CorrespondenceSet(pixels[keep], point_indices[row_best[keep]], picked[keep])
+    keep = np.flatnonzero((col_best[row_best] == rows) & (picked >= min_score))
+    return keep, row_best[keep], picked[keep]
 
 
 # --------------------------------------------------------------------------- #

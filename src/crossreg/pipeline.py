@@ -18,13 +18,14 @@ weight, the graphs are built on first use and then kept with the scene's
 prep, and an uncorrupted depth reuses the prep's clean normals as the
 live ones.
 
-No work is repeated either. The normal stage runs on the depth's valid
-pixels as rows (about 1.9k at the default size), never on the 640x480
-grid: the depth is corrupted and the live normals lifted on those rows,
-and the agreement compares row fields. The scene's base features are
-drawn once per prep, and the refined features are scaled to unit rows
-once per registration, so each coarse pair's fine matching is a slice, a
-product and a mutual argmax.
+No work is repeated either. Registration reads the scene's pixel table,
+never its 640x480 raster: the depth is corrupted and the live normals
+lifted on the table's rows (about 1.9k at the default size), and the
+agreement compares row fields. The scene's base features are drawn once
+per prep, and the refined features are scaled to unit rows once per
+registration, so each coarse pair's fine matching is a slice, a product
+and a mutual argmax; its matches carry their rows, so the per-pixel dedup
+needs no pixel search.
 
 Registration reads the true pose only where the synth features and
 _corrupt_guidance stand in for trained backbones; it returns its coarse
@@ -285,22 +286,6 @@ class PipelineConfig:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class _DepthRows:
-    """A depth map's valid pixels in np.nonzero (row-major) order, with
-    their (u, v) coordinates and depths."""
-
-    vs: np.ndarray
-    us: np.ndarray
-    uv: F64
-    depths: F64
-
-    @classmethod
-    def of(cls, depth: DepthMap) -> "_DepthRows":
-        vs, us = depth.valid_pixels()
-        return cls(vs, us, np.column_stack([us, vs]).astype(np.float64), depth.values[vs, us])
-
-
 def _lift_rows(
     uv: F64, depths: F64, intrinsics: CameraIntrinsics, k: int, adaptive: bool
 ) -> NormalField:
@@ -330,12 +315,13 @@ def lifted_pixel_normals(
     more valid pixels than the fit's largest k, every pixel is invalid.
     The (H, W, 3) field is zero off the valid normals.
     """
-    rows = _DepthRows.of(depth)
-    lifted = _lift_rows(rows.uv, rows.depths, intrinsics, k, adaptive)
+    vs, us = depth.valid_pixels()
+    uv = np.column_stack([us, vs]).astype(np.float64)
+    lifted = _lift_rows(uv, depth.values[vs, us], intrinsics, k, adaptive)
     grid = np.zeros((*depth.shape, 3))
     mask = np.zeros(depth.shape, dtype=bool)
-    grid[rows.vs, rows.us] = lifted.normals
-    mask[rows.vs, rows.us] = lifted.valid
+    grid[vs, us] = lifted.normals
+    mask[vs, us] = lifted.valid
     return NormalField(grid, mask)
 
 
@@ -421,11 +407,10 @@ class RegistrationResult:
 class ScenePrep:
     """The work of a registration fixed by its scene and _PREP_FIELDS alone.
 
-    Registration works on the depth's valid pixels as rows, never on the
-    image grid: clean_normals holds one lifted normal per depth row, and
-    gt_rows names the depth row of each ground-truth pixel (SyntheticScene
-    checks that each has a valid depth). base holds the scene's unit base
-    features at the config's channel count.
+    Registration works on the rows of the scene's pixel table, never on
+    the image grid: clean_normals holds one lifted normal per table row.
+    base holds the scene's unit base features at the config's channel
+    count.
 
     The refinement graphs are built on first read, so a registration at
     warm-up weight 0 never builds them; a cached_property writes the
@@ -434,9 +419,7 @@ class ScenePrep:
 
     scene: SyntheticScene
     key: tuple
-    depth_rows: _DepthRows
-    clean_normals: NormalField  # (depth rows, 3), zero where invalid
-    gt_rows: np.ndarray
+    clean_normals: NormalField  # (table rows, 3), zero where invalid
     base: F64
     tiles: _Members  # ground-truth pixels by image tile
     cells: _Members  # cloud points by voxel cell
@@ -459,7 +442,7 @@ class ScenePrep:
         return build_knn_graph(positions, self._field("k_neighbors"))
 
     def live_normals(self, corruption: CorruptionConfig) -> NormalField:
-        """The lifted normals of the corrupted depth, on the clean depth rows.
+        """The lifted normals of the corrupted depth, on the table's rows.
 
         Only the rows the corruption keeps are lifted; a dropped row is
         invalid. These equal lifted_pixel_normals(corrupt_depth(...)) read
@@ -468,10 +451,10 @@ class ScenePrep:
         if corruption.gaussian_sigma_m == 0.0 and corruption.mask_ratio == 0.0:
             # the corruption would keep every row at its depth
             return self.clean_normals
-        rows = self.depth_rows
-        depths, keep = synth.corrupt_depth_rows(rows.depths, corruption, self.scene.seed)
+        table = self.scene.table
+        depths, keep = synth.corrupt_depth_rows(table.depths, corruption, self.scene.seed)
         lifted = _lift_rows(
-            rows.uv[keep], depths[keep], self.scene.intrinsics,
+            table.pixels[keep], depths[keep], self.scene.intrinsics,
             self._field("k_neighbors"), self._field("adaptive_k"),
         )
         out = np.zeros(self.clean_normals.normals.shape)
@@ -486,13 +469,9 @@ def _prep_key(config: PipelineConfig) -> tuple:
 
 
 def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
-    """The depth rows with their clean lifted normals, the ground-truth
-    pixels' rows, the base features and the tile and voxel member indexes;
-    the graphs wait for first use."""
-    pixels = scene.gt_correspondences.pixels
-    rows = _DepthRows.of(scene.depth)
-    width = scene.intrinsics.width
-    gt_u, gt_v = pixels.astype(np.int64).T
+    """The table rows' clean lifted normals, the base features and the tile
+    and voxel member indexes; the graphs wait for first use."""
+    table, pixels = scene.table, scene.gt_correspondences.pixels
     cells = _Members.index(*_voxel_ids(scene.cloud, config.voxel_size))
     tiles = _Members.index(
         _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols),
@@ -501,11 +480,9 @@ def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
     return ScenePrep(
         scene,
         _prep_key(config),
-        rows,
         _lift_rows(
-            rows.uv, rows.depths, scene.intrinsics, config.k_neighbors, config.adaptive_k
+            table.pixels, table.depths, scene.intrinsics, config.k_neighbors, config.adaptive_k
         ),
-        np.searchsorted(rows.vs * width + rows.us, gt_v * width + gt_u),
         synth.base_features(scene, config.channels),
         tiles,
         cells,
@@ -533,9 +510,9 @@ def register_scene(
     f_img, f_cloud = synth.features_from_base(scene, prep.base, corruption)
     f_img = _corrupt_guidance(f_img, f_cloud, scene, gt_idx, agreement, config)
     # normals are zero where invalid, so the channels need no mask
-    img_n = live_normals.normals[prep.gt_rows]
+    img_n = live_normals.normals[scene.gt_rows]
     cloud_n = np.zeros((scene.cloud.shape[0], 3))
-    cloud_n[gt_idx] = prep.clean_normals.normals[prep.gt_rows]
+    cloud_n[gt_idx] = prep.clean_normals.normals[scene.gt_rows]
     weight = config.normal_channel_weight
     f_img_aug = geometry.unit_rows(np.hstack([f_img, weight * img_n]))
     f_cloud_aug = geometry.unit_rows(np.hstack([f_cloud, weight * cloud_n]))
@@ -556,17 +533,14 @@ def register_scene(
     # rows are scaled one at a time, so scaling once here gives every
     # pair's fine_match the rows it would scale itself
     img_unit, cloud_unit = matching.unit_features(f_img_final, f_cloud_final)
-    fine = []
+    fine = []  # (rows of pixels, point indices, scores) per coarse pair
     for t_row, c_row, _score in coarse:
         members_i = prep.tiles.of(tiles_present[t_row])
         members_j = prep.cells.of(cells_present[c_row])
-        fine.append(matching.fine_match_unit(
-            img_unit[members_i],
-            cloud_unit[members_j],
-            pixels[members_i],
-            members_j,
-            config.min_fine_score,
-        ))
+        rows, cols, scores = matching.fine_match_unit(
+            img_unit[members_i], cloud_unit[members_j], config.min_fine_score
+        )
+        fine.append((members_i[rows], members_j[cols], scores))
     patches = tuple(
         (int(tiles_present[t_row]), int(cells_present[c_row]), score)
         for t_row, c_row, score in coarse
@@ -579,23 +553,16 @@ def register_scene(
     return RegistrationResult(estimate, corrs, patches, agreement, blend)
 
 
-def _best_per_pixel(pixels: F64, fine: list[CorrespondenceSet]) -> CorrespondenceSet:
+def _best_per_pixel(pixels: F64, fine: list[tuple]) -> CorrespondenceSet:
     """Keep each pixel's best fine match across all coarse pairs.
 
-    pixels is the scene's table of distinct integer cells in ascending
-    row-major order (SyntheticScene checks it), so one searchsorted on the
-    row-major key finds each emission's row. On an exact score tie the
-    earliest emission wins. Rows come out in row order, which is pixel order.
+    fine holds (rows of pixels, point indices, scores) per coarse pair, and
+    pixels is the scene's ground-truth pixels, in row-major order. On an
+    exact score tie the earliest emission wins. Rows come out in row
+    order, which is pixel order.
     """
-    scores = np.concatenate([np.zeros(0)] + [sub.scores for sub in fine])
-    points = np.concatenate(
-        [np.zeros(0, dtype=np.int64)] + [sub.point_indices for sub in fine]
-    )
-    emitted = np.concatenate([np.zeros((0, 2))] + [sub.pixels for sub in fine])
-    width = pixels[:, 0].max(initial=0.0) + 1.0
-    rows = np.searchsorted(
-        pixels[:, 1] * width + pixels[:, 0], emitted[:, 1] * width + emitted[:, 0]
-    )
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+    rows, points, scores = (np.concatenate(column) for column in zip(empty, *fine))
     # highest score first within a row; lexsort is stable, so among equal
     # scores the earliest emission leads
     ranked = np.lexsort((-scores, rows))
@@ -685,10 +652,9 @@ def evaluate_scene(
     rmse = registration_rmse(scene.cloud, est_transform, scene.gt_transform)
     pir = 0.0
     if len(patches):
-        us, vs = pixels.astype(np.int64).T
         pir = patch_inlier_ratio(patch_overlap(
             [(tile, cell) for tile, cell, _score in patches], tiles, cells,
-            pixels, scene.depth.values[vs, us], scene.cloud,
+            pixels, scene.table.depths[scene.gt_rows], scene.cloud,
             scene.intrinsics, scene.gt_transform,
         ))
     rre = relative_rotation_error(scene.gt_transform.rotation, est_transform.rotation)

@@ -2,9 +2,13 @@
 
 A scene is built by sampling points on simple primitives placed inside
 the camera frustum, choosing a random ground-truth pose, and rendering
-a depth map by z-buffer splatting. The cloud is stored in its own frame
+a depth image by z-buffer splatting. The cloud is stored in its own frame
 (the ground-truth transform maps cloud frame to camera frame), so every
 z-buffer winner is a perfect pixel/point correspondence by construction.
+
+A scene keeps its pixels once, in a PixelTable of (u, v, depth, point
+index) rows; the depth raster and the ground-truth correspondences are
+read-only views of it.
 
 Features are constructed, not learned: both sides of a ground-truth
 pair share one random unit vector, which models a perfectly trained
@@ -18,12 +22,13 @@ a batch thus gets its own noise and mask, and a sweep of the noise sigma
 keeps the mask while a sweep of the mask ratio keeps the noise.
 
 Every random stream of crossreg is named in STREAM_TAGS, so no two
-purposes share one. SyntheticScene checks every scene, generated or
-loaded, on construction.
+purposes share one. PixelTable and SyntheticScene check every scene,
+generated or loaded, on construction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +55,7 @@ __all__ = [
     "Box",
     "Sphere",
     "SceneSpec",
+    "PixelTable",
     "SyntheticScene",
     "CorruptionConfig",
     "generate_scene",
@@ -199,46 +205,110 @@ class SceneSpec:
 
 
 @dataclass(frozen=True)
+class PixelTable:
+    """A depth image's valid pixels, one (u, v), depth and point index per row.
+
+    The rows are distinct integer pixels inside the width x height image,
+    in row-major order, with finite positive depths, as render_depth
+    emits them; a point index names the pixel's ground-truth cloud point,
+    or is -1. Construction checks all of this (SyntheticScene checks the
+    index range); it is the package's only pixel check.
+    """
+
+    width: int
+    height: int
+    pixels: F64  # (rows, 2) float64 (u, v)
+    depths: F64
+    point_indices: np.ndarray  # int64; given as whole floats, cast exactly
+
+    def __post_init__(self) -> None:
+        w, h = self.width, self.height
+        if min(w, h) < 1:
+            raise ValueError(f"image size must be positive, got {w}x{h}")
+        px = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
+        z = np.asarray(self.depths, dtype=np.float64).reshape(-1)
+        idx = np.asarray(self.point_indices).reshape(-1)
+        if not px.shape[0] == z.shape[0] == idx.shape[0]:
+            raise ValueError(f"column lengths differ: {len(px)}, {len(z)}, {len(idx)}")
+        u, v = px.T
+        inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+        whole = np.isfinite(idx) & (idx == np.floor(idx)) & (np.abs(idx) < 2.0**53)
+        bad = (u != np.floor(u)) | (v != np.floor(v)) | ~inside | ~whole
+        bad |= ~(np.isfinite(z) & (z > 0.0))
+        bad[1:] |= (v[1:] < v[:-1]) | ((v[1:] == v[:-1]) & (u[1:] <= u[:-1]))
+        if np.any(bad):
+            row = int(np.argmax(bad))
+            found = (float(u[row]), float(v[row]), float(z[row]), float(idx[row]))
+            raise ValueError(
+                f"depth row {row} (u, v, depth, point index) = {found}: rows must be "
+                f"distinct integer pixels inside the {w}x{h} image, in row-major order, "
+                "with finite positive depths and integer point indices"
+            )
+        object.__setattr__(self, "pixels", px)
+        object.__setattr__(self, "depths", z)
+        object.__setattr__(self, "point_indices", idx.astype(np.int64))
+
+    def __len__(self) -> int:
+        return self.depths.shape[0]
+
+
+@dataclass(frozen=True)
 class SyntheticScene:
     """A rendered scene with its ground truth.
 
     cloud is (N, 3) in the cloud's own frame; gt_transform maps cloud
-    frame to camera frame; gt_correspondences holds one entry per
-    z-buffer-winning point, with score 1. Construction checks that the
-    depth has the intrinsics' shape and that the pixels are distinct
-    integer cells inside the image in row-major order, each with a valid
-    depth, as rendered.
+    frame to camera frame. Construction checks that the table has the
+    intrinsics' size and that each point index is -1 or a cloud row.
+    depth, gt_rows and gt_correspondences are views of the table, derived
+    on first read (a cached_property writes the instance __dict__).
     """
 
     cloud: F64
-    depth: DepthMap
+    table: PixelTable
     intrinsics: CameraIntrinsics
     gt_transform: RigidTransform
-    gt_correspondences: CorrespondenceSet
     seed: int
 
     def __post_init__(self) -> None:
         pts = as_points(self.cloud, name="cloud")
         object.__setattr__(self, "cloud", pts)
         w, h = self.intrinsics.width, self.intrinsics.height
-        if self.depth.shape != (h, w):
-            raise ValueError(f"depth shape {self.depth.shape} does not match {w}x{h} intrinsics")
-        idx = self.gt_correspondences.point_indices
-        if idx.size and (idx.min() < 0 or idx.max() >= pts.shape[0]):
-            raise ValueError("gt correspondence indices out of cloud range")
-        px = self.gt_correspondences.pixels
-        u, v = px.T
-        bad = np.any((px != np.floor(px)) | (px < 0.0) | (px >= [w, h]), axis=1)
-        bad[1:] |= (v[1:] < v[:-1]) | ((v[1:] == v[:-1]) & (u[1:] <= u[:-1]))
-        cells = px[~bad].astype(np.int64)
-        bad[~bad] = ~self.depth.valid[cells[:, 1], cells[:, 0]]
+        table = self.table
+        if (table.width, table.height) != (w, h):
+            raise ValueError(
+                f"a {table.width}x{table.height} depth does not match {w}x{h} intrinsics"
+            )
+        idx = table.point_indices
+        bad = (idx < -1) | (idx >= pts.shape[0])
         if np.any(bad):
             row = int(np.argmax(bad))
             raise ValueError(
-                f"gt pixel {tuple(px[row].tolist())} at row {row}: gt pixels must be "
-                f"distinct integer cells inside the {w}x{h} image, in row-major order, "
-                "each with a valid depth"
+                f"depth row {row} names point {int(idx[row])}: a point index must be -1 "
+                f"or a row of the {pts.shape[0]}-point cloud"
             )
+
+    @functools.cached_property
+    def depth(self) -> DepthMap:
+        """The table as an (H, W) DepthMap, NaN and invalid off its rows."""
+        shape = (self.table.height, self.table.width)
+        us, vs = self.table.pixels.astype(np.int64).T
+        values, valid = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
+        values[vs, us] = self.table.depths
+        valid[vs, us] = True
+        return DepthMap(values, valid)
+
+    @functools.cached_property
+    def gt_rows(self) -> np.ndarray:
+        """The table rows with a ground-truth point, ascending."""
+        return np.flatnonzero(self.table.point_indices >= 0)
+
+    @functools.cached_property
+    def gt_correspondences(self) -> CorrespondenceSet:
+        """One correspondence per gt_rows row, with score 1."""
+        rows = self.gt_rows
+        return CorrespondenceSet(
+            self.table.pixels[rows], self.table.point_indices[rows], np.ones(rows.size)
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -246,14 +316,12 @@ class SyntheticScene:
 # --------------------------------------------------------------------------- #
 
 
-def render_depth(
-    points_cam, intrinsics: CameraIntrinsics
-) -> tuple[DepthMap, CorrespondenceSet]:
-    """Z-buffer splat of camera-frame points into a one-point-per-pixel depth map.
+def render_depth(points_cam, intrinsics: CameraIntrinsics) -> PixelTable:
+    """Z-buffer splat of camera-frame points, one point per pixel.
 
     Each point in front of the camera projects to its nearest pixel;
     the smallest depth wins a pixel, ties go to the lower point index.
-    Returns the depth map and the winners as exact correspondences.
+    Returns one table row per won pixel, naming its winner.
     """
     pts = as_points(points_cam, name="points_cam")
     w, h = intrinsics.width, intrinsics.height
@@ -266,17 +334,14 @@ def render_depth(
     if idx.size == 0:
         raise EmptyVisibleSetError("no point projects inside the image")
 
+    # pixel_id is the primary key, so the winners come out in row-major order
     pixel_id = iv * w + iu
     order = np.lexsort((idx, depths, pixel_id))
     first = np.ones(order.size, dtype=bool)
     first[1:] = pixel_id[order][1:] != pixel_id[order][:-1]
     win = order[first]
-
-    values = np.full((h, w), np.nan)
-    values[iv[win], iu[win]] = depths[win]
     pixels = np.column_stack([iu[win], iv[win]]).astype(np.float64)
-    corrs = CorrespondenceSet(pixels, idx[win], np.ones(win.size))
-    return DepthMap.from_values(values), corrs
+    return PixelTable(w, h, pixels, depths[win], idx[win])
 
 
 def _allocate(total: int, buckets: int) -> list[int]:
@@ -300,9 +365,9 @@ def generate_scene(spec: SceneSpec, seed: int) -> SyntheticScene:
         for prim, count in zip(spec.primitives, _allocate(spec.point_count, len(spec.primitives)))
     ]
     samples_cam = np.vstack(parts)
-    depth, corrs = render_depth(samples_cam, spec.intrinsics)
+    table = render_depth(samples_cam, spec.intrinsics)
     cloud = gt.inverse().apply(samples_cam)
-    return SyntheticScene(cloud, depth, spec.intrinsics, gt, corrs, seed)
+    return SyntheticScene(cloud, table, spec.intrinsics, gt, seed)
 
 
 # --------------------------------------------------------------------------- #

@@ -16,17 +16,16 @@ from crossreg.errors import BundleError
 from crossreg.io import (
     load_scene_bundle,
     read_correspondences,
-    read_depth,
     read_normals,
     read_patches,
+    read_pixel_table,
     read_ply,
     read_pose,
     save_scene_bundle,
-    write_depth,
     write_normals,
     write_ply,
 )
-from crossreg.normals import DepthMap, estimate_point_normals_adaptive
+from crossreg.normals import estimate_point_normals_adaptive
 from crossreg.pipeline import PipelineConfig, evaluate_scene, register_scene
 from crossreg.synth import SceneSpec, generate_scene
 
@@ -197,6 +196,12 @@ def json_with(text: str, key: str, value) -> str:
     return json.dumps({**json.loads(text), key: value})
 
 
+def json_without(text: str, key: str) -> str:
+    raw = json.loads(text)
+    del raw[key]
+    return json.dumps(raw)
+
+
 def edit_file(path: Path, index, edit) -> None:
     """edit_line when index is a line number, else edit the whole text or bytes."""
     if index is not None:
@@ -217,14 +222,30 @@ def with_vertex(blob: bytes, index: int, payload) -> bytes:
 
 
 def with_depth_row(blob: bytes, index: int, row) -> bytes:
-    """A depth.bin whose (u, v, depth) row `index` is replaced."""
-    start = blob.index(b"\n") + 1 + 24 * index
-    return blob[:start] + np.asarray(row, dtype="<f8").tobytes() + blob[start + 24:]
+    """A depth.bin whose (u, v, depth, point index) row `index` is replaced."""
+    start = blob.index(b"\n") + 1 + 32 * index
+    return blob[:start] + np.asarray(row, dtype="<f8").tobytes() + blob[start + 32:]
 
 
-def depth_row(blob: bytes, index: int) -> tuple[float, float, float]:
-    start = blob.index(b"\n") + 1 + 24 * index
-    return tuple(np.frombuffer(blob[start:start + 24], dtype="<f8").tolist())
+def depth_row(blob: bytes, index: int) -> tuple[float, float, float, float]:
+    start = blob.index(b"\n") + 1 + 32 * index
+    return tuple(np.frombuffer(blob[start:start + 32], dtype="<f8").tolist())
+
+
+def with_row_value(blob: bytes, index: int, column: int, value: float) -> bytes:
+    """A depth.bin with one value of row `index` replaced; columns are
+    u, v, depth, point index."""
+    row = list(depth_row(blob, index))
+    row[column] = value
+    return with_depth_row(blob, index, row)
+
+
+def with_depth_rows(blob: bytes, edit) -> bytes:
+    """A depth.bin whose (rows, 4) payload array is edited in place."""
+    nl = blob.index(b"\n") + 1
+    rows = np.frombuffer(blob[nl:], dtype="<f8").reshape(-1, 4).copy()
+    edit(rows)
+    return blob[:nl] + rows.astype("<f8").tobytes()
 
 
 def with_vertex_count(blob: bytes, count: bytes) -> bytes:
@@ -244,23 +265,42 @@ def old_ascii_ply(path: Path) -> None:
 
 def old_float32_depth(path: Path) -> None:
     """Rewrite a depth.bin as the float32 raster that bundles held before."""
-    depth = read_depth(path)
-    h, w = depth.shape
-    raster = np.where(depth.valid, depth.values, np.nan).astype("<f4").tobytes()
-    path.write_bytes(f"DEPTH {w} {h}\n".encode() + raster)
+    table = read_pixel_table(path)
+    raster = np.full((table.height, table.width), np.nan)
+    us, vs = table.pixels.astype(np.int64).T
+    raster[vs, us] = table.depths
+    path.write_bytes(f"DEPTH {table.width} {table.height}\n".encode()
+                     + raster.astype("<f4").tobytes())
 
 
-def repeat_first_pixel(text: str) -> str:
-    """gt_corrs.csv text whose second row holds the first row's pixel."""
-    lines = text.splitlines()
-    lines[2] = ",".join(lines[1].split(",")[:2] + lines[2].split(",")[2:])
-    return "\n".join(lines) + "\n"
+def old_depth_rows(bundle: Path) -> None:
+    """Rewrite a bundle's pixel table as the 3-column depth rows plus the
+    gt_corrs.csv that bundles held before."""
+    table = read_pixel_table(bundle / "depth.bin")
+    rows = np.column_stack([table.pixels, table.depths]).astype("<f8")
+    (bundle / "depth.bin").write_bytes(
+        f"DEPTHROWS {table.width} {table.height} {len(table)}\n".encode() + rows.tobytes()
+    )
+    lines = ["u,v,point_index,score"]
+    lines += [f"{u!r},{v!r},{i},1.0" for (u, v), i in
+              zip(table.pixels.tolist(), table.point_indices.tolist())]
+    (bundle / "gt_corrs.csv").write_text("\n".join(lines) + "\n")
 
 
-def swap_first_rows(text: str) -> str:
-    lines = text.splitlines()
-    lines[1], lines[2] = lines[2], lines[1]
-    return "\n".join(lines) + "\n"
+def without_point_index(blob: bytes) -> bytes:
+    """depth.bin bytes whose rows lost their point index column."""
+    nl = blob.index(b"\n") + 1
+    rows = np.frombuffer(blob[nl:], dtype="<f8").reshape(-1, 4)
+    return blob[:nl] + np.ascontiguousarray(rows[:, :3]).tobytes()
+
+
+def repeat_first_pixel(blob: bytes) -> bytes:
+    """depth.bin bytes whose second row holds the first row's pixel."""
+    return with_depth_row(blob, 1, (*depth_row(blob, 0)[:2], *depth_row(blob, 1)[2:]))
+
+
+def swap_first_rows(blob: bytes) -> bytes:
+    return with_depth_row(with_depth_row(blob, 0, depth_row(blob, 1)), 1, depth_row(blob, 0))
 
 
 @pytest.fixture
@@ -271,50 +311,55 @@ def tiny_bundle(tmp_path) -> Path:
 
 class TestMalformedBundle:
     # each of these once ended the process with a traceback
+    # the point index checks against the cloud name the bundle; the pixel
+    # checks name the depth.bin whose rows break them
     @pytest.mark.parametrize(
-        "name, index, edit",
+        "name, edit, where",
         [
-            ("cloud.ply", None, lambda blob: with_vertex(blob, 0, (np.nan, 0.0, 2.0))),
-            ("gt_corrs.csv", 1, lambda row: with_column(row, 2, "600")),  # past the cloud
-            ("gt_corrs.csv", 1, lambda row: with_column(row, 0, "5110.0")),  # u >= width
-            ("gt_corrs.csv", 1, lambda row: with_column(row, 1, "-1.0")),
+            ("cloud.ply", lambda blob: with_vertex(blob, 0, (np.nan, 0.0, 2.0)), "bundle"),
+            ("depth.bin", lambda blob: with_row_value(blob, 0, 3, 600.0), "bundle"),
+            ("depth.bin", lambda blob: with_row_value(blob, 0, 3, -2.0), "bundle"),
+            ("depth.bin", lambda blob: with_row_value(blob, 0, 0, 5110.0), "depth.bin"),
+            ("depth.bin", lambda blob: with_row_value(blob, 0, 1, -1.0), "depth.bin"),
             # the pipeline would truncate these and eval would round them
-            ("gt_corrs.csv", 1, lambda row: with_column(row, 0, "477.6")),
-            ("gt_corrs.csv", None, repeat_first_pixel),
-            ("gt_corrs.csv", None, swap_first_rows),
+            ("depth.bin", lambda blob: with_row_value(blob, 0, 0, 477.6), "depth.bin"),
+            ("depth.bin", repeat_first_pixel, "depth.bin"),
+            ("depth.bin", swap_first_rows, "depth.bin"),
         ],
         ids=[
-            "nan_vertex", "index_past_cloud", "u_past_width", "negative_v",
-            "fractional_u", "repeated_pixel", "swapped_rows",
+            "nan_vertex", "index_past_cloud", "index_below_minus_one", "u_past_width",
+            "negative_v", "fractional_u", "repeated_pixel", "swapped_rows",
         ],
     )
-    def test_register_exits_1(self, tmp_path, capsys, name, index, edit):
+    def test_register_exits_1(self, tmp_path, capsys, name, edit, where):
         bundle = synth_scenes(tmp_path) / "scene_0000"
-        edit_file(bundle / name, index, edit)
+        edit_file(bundle / name, None, edit)
         out = tmp_path / "res"
         assert run("register", "--scene", str(bundle), "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bundle {bundle}: ") and err.count("\n") == 1
+        prefix = f"bundle {bundle}" if where == "bundle" else str(bundle / where)
+        assert err.startswith(f"error: {prefix}: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_gt_pixels_without_depth_exit_1_at_load(self, tmp_path, capsys):
-        # every third ground-truth pixel of an 800-point scene loses its depth;
-        # register once exited 0 with matches at those pixels, and eval then
+        # every third ground-truth row of an 800-point scene loses its depth;
+        # register once exited 0 with matches at such pixels, and eval then
         # failed on them
         bundle = tmp_path / "scene"
         save_scene_bundle(bundle, generate_scene(SceneSpec(point_count=800), seed=3))
-        depth = read_depth(bundle / "depth.bin")
-        values = depth.values.copy()
-        u, v = load_scene_bundle(bundle).gt_correspondences.pixels[::3].astype(np.int64).T
-        values[v, u] = np.nan
-        write_depth(bundle / "depth.bin", DepthMap.from_values(values))
-        with pytest.raises(BundleError, match="each with a valid depth"):
+
+        def drop_depths(rows):
+            assert np.all(rows[::3, 3] >= 0)
+            rows[::3, 2] = np.nan
+
+        edit_file(bundle / "depth.bin", None, lambda blob: with_depth_rows(blob, drop_depths))
+        with pytest.raises(BundleError, match="with finite positive depths"):
             load_scene_bundle(bundle)
         out = tmp_path / "res"
         assert run("register", "--scene", str(bundle), "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bundle {bundle}: gt pixel (") and err.count("\n") == 1
-        assert "each with a valid depth" in err
+        assert err.startswith(f"error: {bundle / 'depth.bin'}: depth row 0 (")
+        assert err.count("\n") == 1 and "with finite positive depths" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("edit", [repeat_first_pixel, swap_first_rows])
@@ -323,12 +368,13 @@ class TestMalformedBundle:
     ):
         results = tmp_path / "res"
         assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
-        edit_file(tiny_bundle / "gt_corrs.csv", None, edit)
+        edit_file(tiny_bundle / "depth.bin", None, edit)
         capsys.readouterr()
         assert run("eval", "--scenes", str(tiny_bundle), "--results", str(results),
                    "--out", str(tmp_path / "r.json")) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bundle {tiny_bundle}: ") and "Traceback" not in err
+        assert err.startswith(f"error: {tiny_bundle / 'depth.bin'}: depth row 1 ")
+        assert err.count("\n") == 1
 
     def test_eval_of_a_pixel_without_depth_prints_plain_floats(
         self, tiny_bundle, tmp_path, capsys
@@ -350,19 +396,26 @@ class TestMalformedBundle:
             ("cloud.ply", None, lambda blob: with_vertex(blob, 0, b"abc 0.0 1.0")),
             ("cloud.ply", None, lambda blob: with_vertex_count(blob, b"x")),
             ("cloud.ply", None, lambda blob: with_vertex(blob, 0, blob[-16:])),
-            ("gt_corrs.csv", 1, lambda row: with_column(row, 2, "x")),
-            ("gt_corrs.csv", 1, lambda row: row.rsplit(",", 1)[0]),
-            ("gt_corrs.csv", 1, lambda row: with_column(row, 0, "nan")),
+            ("depth.bin", None, lambda blob: with_row_value(blob, 0, 3, 0.5)),
+            ("depth.bin", None, without_point_index),
+            ("depth.bin", None, lambda blob: with_row_value(blob, 0, 0, np.nan)),
             ("intrinsics.json", None, lambda text: json_with(text, "height", "x")),
             ("intrinsics.json", None, lambda text: text[:-3]),
             ("gt_pose.json", None, lambda text: text[:-3]),
             ("gt_pose.json", None, lambda text: json_with(text, "seed", "x")),
-            ("depth.bin", None, lambda blob: blob.replace(b"DEPTHROWS ", b"DEPTHROWS x", 1)),
+            ("depth.bin", None, lambda blob: blob.replace(b"PIXELROWS ", b"PIXELROWS x", 1)),
+            # each of these once loaded: register then failed to register, or
+            # ran as seed 0
+            ("intrinsics.json", None, lambda text: json_with(text, "fx", float("inf"))),
+            ("intrinsics.json", None, lambda text: json_with(text, "width", 640.0)),
+            ("gt_pose.json", None, lambda text: json_without(text, "seed")),
+            ("gt_pose.json", None, lambda text: json_with(text, "seed", 0.5)),
         ],
         ids=[
             "non_numeric_vertex", "non_integer_vertex_count", "two_token_vertex",
             "non_integer_point_index", "missing_column", "nan_pixel", "non_integer_height",
             "intrinsics_not_json", "pose_not_json", "non_integer_seed", "depth_header",
+            "infinite_fx", "float_width", "missing_seed", "fractional_seed",
         ],
     )
     def test_unparsable_file_exits_1(self, tiny_bundle, tmp_path, capsys, name, index, edit):
@@ -371,22 +424,23 @@ class TestMalformedBundle:
         out = tmp_path / "res"
         assert run("register", "--scene", str(tiny_bundle), "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda blob: with_depth_row(blob, 0, (640.0, 0.0, 2.0)),  # outside
-            lambda blob: with_depth_row(blob, 0, (0.0, -1.0, 2.0)),
+            lambda blob: with_depth_row(blob, 0, (640.0, 0.0, 2.0, 0.0)),  # outside
+            lambda blob: with_depth_row(blob, 0, (0.0, -1.0, 2.0, 0.0)),
             lambda blob: with_depth_row(blob, 0, (0.5, *depth_row(blob, 0)[1:])),
             lambda blob: with_depth_row(blob, 1, depth_row(blob, 0)),  # repeated
             lambda blob: with_depth_row(
                 with_depth_row(blob, 0, depth_row(blob, 1)), 1, depth_row(blob, 0)
             ),  # out of row-major order
-            lambda blob: with_depth_row(blob, 0, (*depth_row(blob, 0)[:2], 0.0)),
-            lambda blob: with_depth_row(blob, 0, (*depth_row(blob, 0)[:2], -2.0)),
-            lambda blob: with_depth_row(blob, 0, (*depth_row(blob, 0)[:2], np.nan)),
+            lambda blob: with_row_value(blob, 0, 2, 0.0),
+            lambda blob: with_row_value(blob, 0, 2, -2.0),
+            lambda blob: with_row_value(blob, 0, 2, np.nan),
             lambda blob: blob[:-8],  # truncated payload
         ],
         ids=["u_past_width", "negative_v", "fractional_u", "repeated", "swapped",
@@ -409,8 +463,10 @@ class TestMalformedBundle:
              "ASCII PLY ('format ascii 1.0')"),
             ("depth.bin", lambda bundle: old_float32_depth(bundle / "depth.bin"),
              "a float32 'DEPTH <w> <h>' raster"),
+            ("depth.bin", old_depth_rows,
+             "a 3-column 'DEPTHROWS <w> <h> <n>' file (the layout with gt_corrs.csv)"),
         ],
-        ids=["ascii_ply", "float32_depth"],
+        ids=["ascii_ply", "float32_depth", "depth_rows_with_gt_csv"],
     )
     def test_old_bundle_format_exits_1(
         self, tiny_bundle, tmp_path, capsys, command, name, write_old, format_name
@@ -456,7 +512,12 @@ class TestMalformedBundle:
     def test_normals_on_cloud_of_k_points_exits_1(self, tmp_path, capsys, adaptive):
         bundle = synth_scenes(tmp_path) / "scene_0000"
         write_ply(bundle / "cloud.ply", read_ply(bundle / "cloud.ply")[:8])
-        (bundle / "gt_corrs.csv").write_text("u,v,point_index,score\n")
+
+        def without_ground_truth(rows):
+            rows[:, 3] = -1.0
+
+        edit_file(bundle / "depth.bin", None,
+                  lambda blob: with_depth_rows(blob, without_ground_truth))
         code = run("normals", "--scene", str(bundle), "--out", str(tmp_path / "n"),
                    "--set", "k_neighbors=8", "--set", f"adaptive_k={adaptive}")
         assert code == 1

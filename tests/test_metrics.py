@@ -114,7 +114,7 @@ class TestInlierRatio:
     def test_empty_raises(self):
         _, cloud, depth, gt = exact_scene()
         with pytest.raises(EmptyCorrespondencesError):
-            inlier_ratio(CorrespondenceSet.empty(), cloud, depth, K, gt)
+            inlier_ratio(CorrespondenceSet(np.zeros((0, 2)), [], []), cloud, depth, K, gt)
 
     def test_invalid_depth_raises(self):
         corrs, cloud, depth, gt = exact_scene()

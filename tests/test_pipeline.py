@@ -340,14 +340,14 @@ class TestRegisterScene:
 def best_per_pixel_loop(pixels: np.ndarray, fine) -> CorrespondenceSet:
     """Oracle: per-match pixel search and a best-score dict, one match at a time."""
     best: dict[int, tuple[float, int]] = {}
-    for sub in fine:
-        for k_row in range(len(sub)):
-            u, v = sub.pixels[k_row]
+    for rows, points, scores in fine:
+        for k_row in range(len(rows)):
+            u, v = pixels[rows[k_row]]
             row = int(np.flatnonzero((pixels[:, 0] == u) & (pixels[:, 1] == v))[0])
-            score = float(sub.scores[k_row])
+            score = float(scores[k_row])
             kept = best.get(row)
             if kept is None or score > kept[0]:
-                best[row] = (score, int(sub.point_indices[k_row]))
+                best[row] = (score, int(points[k_row]))
     us = pixels[:, 0].astype(np.int64)
     vs = pixels[:, 1].astype(np.int64)
     order = sorted(best, key=lambda row: (vs[row], us[row]))
@@ -361,7 +361,8 @@ def best_per_pixel_loop(pixels: np.ndarray, fine) -> CorrespondenceSet:
 @st.composite
 def fine_emissions(draw):
     """A scene pixel table (distinct integer cells in row-major order), plus
-    fine-match outputs over it whose scores tie often."""
+    fine-match outputs over it, as (rows, point indices, scores), whose
+    scores tie often."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
@@ -371,11 +372,7 @@ def fine_emissions(draw):
     fine = []
     for _ in range(draw(st.integers(0, 6))):
         rows = np.flatnonzero(rng.uniform(size=m) < 0.5)
-        fine.append(CorrespondenceSet(
-            pixels[rows],
-            rng.integers(0, 50, rows.size),
-            rng.choice([0.2, 0.5, 0.9], rows.size),
-        ))
+        fine.append((rows, rng.integers(0, 50, rows.size), rng.choice([0.2, 0.5, 0.9], rows.size)))
     return pixels, fine
 
 
@@ -638,7 +635,7 @@ class TestSkippedWork:
         prep = prepare_scene(scene, cfg)
         f_img, f_cloud = synthesize_features(scene, cfg.channels, cfg.corruption())
         gt = scene.gt_correspondences
-        img_n = prep.clean_normals.normals[prep.gt_rows]
+        img_n = prep.clean_normals.normals[scene.gt_rows]
         cloud_n = np.zeros((scene.cloud.shape[0], 3))
         cloud_n[gt.point_indices] = img_n
         weight = cfg.normal_channel_weight
@@ -662,10 +659,10 @@ class TestSkippedWork:
             corrupt_depth(scene.depth, cfg.corruption(), scene.seed), scene.intrinsics,
             cfg.k_neighbors, cfg.adaptive_k,
         )
-        rows = prep.depth_rows
+        us, vs = scene.table.pixels.astype(np.int64).T
         assert not live.valid[~scene.depth.valid].any()
-        assert live.normals[rows.vs, rows.us].tobytes() == prep.clean_normals.normals.tobytes()
-        assert live.valid[rows.vs, rows.us].tobytes() == prep.clean_normals.valid.tobytes()
+        assert live.normals[vs, us].tobytes() == prep.clean_normals.normals.tobytes()
+        assert live.valid[vs, us].tobytes() == prep.clean_normals.valid.tobytes()
 
     @pytest.mark.parametrize(
         "overrides, calls",

@@ -32,6 +32,7 @@ from crossreg.pipeline import PipelineConfig, lifted_pixel_normals, prepare_scen
 from crossreg.synth import (
     STREAM_TAGS,
     CorruptionConfig,
+    PixelTable,
     SyntheticScene,
     corrupt_depth,
     generate_scene,
@@ -99,13 +100,17 @@ def dense_agreement(clean: NormalField, live: NormalField) -> float:
 
 def scene_on_depth(values: np.ndarray, gt_cells: np.ndarray, seed: int) -> SyntheticScene:
     """A scene over SMALL_K whose ground-truth pixels are gt_cells (flat,
-    ascending) of a depth map that may hold more valid pixels."""
-    depth = DepthMap.from_values(values)
-    us, vs = gt_cells % SMALL_K.width, gt_cells // SMALL_K.width
-    pixels = np.column_stack([us, vs]).astype(np.float64)
-    cloud = backproject_pixels(SMALL_K, pixels, values[vs, us])
-    corrs = CorrespondenceSet(pixels, np.arange(gt_cells.size), np.ones(gt_cells.size))
-    return SyntheticScene(cloud, depth, SMALL_K, RigidTransform.identity(), corrs, seed)
+    ascending) of a depth map that may hold more valid pixels; the other
+    pixels' rows carry point index -1."""
+    cells = np.flatnonzero(np.isfinite(values) & (values > 0.0))
+    pixels = np.column_stack([cells % SMALL_K.width, cells // SMALL_K.width]).astype(np.float64)
+    depths = values.flat[cells]
+    is_gt = np.isin(cells, gt_cells)
+    indices = np.full(cells.size, -1)
+    indices[is_gt] = np.arange(gt_cells.size)
+    cloud = backproject_pixels(SMALL_K, pixels[is_gt], depths[is_gt])
+    table = PixelTable(SMALL_K.width, SMALL_K.height, pixels, depths, indices)
+    return SyntheticScene(cloud, table, SMALL_K, RigidTransform.identity(), seed)
 
 
 @st.composite
@@ -199,13 +204,20 @@ def test_examples_cover_the_named_cases():
 @pytest.mark.parametrize("seed", [0, 3])
 def test_ground_truth_rows_name_their_pixels(seed):
     scene = generate_scene(PipelineConfig(point_count=600).scene_spec(), seed=seed)
-    prep = prepare_scene(scene, PipelineConfig(point_count=600))
-    rows = prep.depth_rows
+    table = scene.table
     pixels = scene.gt_correspondences.pixels
-    assert rows.uv[prep.gt_rows].tobytes() == pixels.tobytes()
-    assert rows.depths[prep.gt_rows].tobytes() == scene.depth.values[
+    assert table.pixels[scene.gt_rows].tobytes() == pixels.tobytes()
+    assert table.depths[scene.gt_rows].tobytes() == scene.depth.values[
         pixels[:, 1].astype(np.int64), pixels[:, 0].astype(np.int64)
     ].tobytes()
+    # a generated scene's ground truth covers every depth pixel, in the
+    # same order; a partial one leaves rows at -1
+    assert np.array_equal(scene.gt_rows, np.arange(len(table)))
+    partial = scene_on_depth(_VALUES, _GT, seed)
+    assert np.array_equal(
+        partial.table.pixels[partial.gt_rows], partial.gt_correspondences.pixels
+    )
+    assert np.count_nonzero(partial.table.point_indices == -1) == len(partial.table) - _GT.size
 
 
 # --------------------------------------------------------------------------- #
@@ -249,9 +261,8 @@ def assert_same_matches(got: CorrespondenceSet, want: CorrespondenceSet) -> None
 def test_pair_step_on_rows_scaled_once_is_fine_match(case):
     f_img, f_cloud, pixels, members_i, members_j, floor = case
     img, cloud = matching.unit_features(f_img, f_cloud)
-    got = matching.fine_match_unit(
-        img[members_i], cloud[members_j], pixels[members_i], members_j, floor
-    )
+    rows, cols, scores = matching.fine_match_unit(img[members_i], cloud[members_j], floor)
+    got = CorrespondenceSet(pixels[members_i][rows], members_j[cols], scores)
     want = fine_match(f_img[members_i], f_cloud[members_j], pixels[members_i], members_j, floor)
     assert_same_matches(got, want)
 
@@ -268,23 +279,25 @@ def test_registration_pairs_at_positive_blend_are_fine_match(monkeypatch, epoch)
         raw.append((f_img, f_cloud))
         return unit_features(f_img, f_cloud)
 
-    def spy_fine(img, cloud, pixels, point_indices, min_score):
-        out = fine_match_unit(img, cloud, pixels, point_indices, min_score)
-        calls.append((pixels, point_indices, min_score, out))
+    def spy_fine(img, cloud, min_score):
+        out = fine_match_unit(img, cloud, min_score)
+        calls.append((min_score, out))
         return out
 
     monkeypatch.setattr(matching, "unit_features", spy_unit)
     monkeypatch.setattr(matching, "fine_match_unit", spy_fine)
-    pipeline.register_scene(scene, cfg)
+    prep = prepare_scene(scene, cfg)
+    result = pipeline.register_scene(scene, cfg, prep)
     monkeypatch.undo()  # fine_match below calls both
     f_img, f_cloud = raw[-1]  # the coarse descriptors are scaled first
     assert f_img.shape == (len(scene.gt_correspondences), cfg.channels + 3)
     norms = np.linalg.norm(f_img, axis=1)
     assert np.abs(norms - 1.0).max() > 1e-3
     gt = scene.gt_correspondences.pixels
-    width = scene.intrinsics.width
-    assert calls
-    for pixels, point_indices, min_score, out in calls:
-        members_i = np.searchsorted(gt[:, 1] * width + gt[:, 0], pixels[:, 1] * width + pixels[:, 0])
-        want = fine_match(f_img[members_i], f_cloud[point_indices], pixels, point_indices, min_score)
-        assert_same_matches(out, want)
+    # one fine step per coarse pair, in the order of the pairs
+    assert calls and len(calls) == len(result.patches)
+    for (tile, cell, _score), (min_score, (rows, cols, scores)) in zip(result.patches, calls):
+        members_i, members_j = prep.tiles.of(tile), prep.cells.of(cell)
+        got = CorrespondenceSet(gt[members_i][rows], members_j[cols], scores)
+        want = fine_match(f_img[members_i], f_cloud[members_j], gt[members_i], members_j, min_score)
+        assert_same_matches(got, want)

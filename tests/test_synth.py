@@ -7,11 +7,12 @@ import pytest
 
 from crossreg.errors import EmptyVisibleSetError
 from crossreg.geometry import CameraIntrinsics, RigidTransform, project_points
-from crossreg.matching import CorrespondenceSet, fine_match, patch_overlap
+from crossreg.matching import fine_match, patch_overlap
 from crossreg.normals import DepthMap, depth_to_normals
 from crossreg.synth import (
     Box,
     CorruptionConfig,
+    PixelTable,
     Plane,
     STREAM_TAGS,
     SceneSpec,
@@ -29,19 +30,17 @@ SMALL_K = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=12.0, width=32, heigh
 class TestRenderDepth:
     def test_nearest_point_wins_pixel(self):
         pts = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
-        depth, corrs = render_depth(pts, SMALL_K)
-        assert depth.values[12, 16] == 1.0
-        assert list(corrs.point_indices) == [1]
+        table = render_depth(pts, SMALL_K)
+        assert table.pixels.tolist() == [[16.0, 12.0]] and table.depths.tolist() == [1.0]
+        assert list(table.point_indices) == [1]
 
     def test_depth_tie_goes_to_lower_index(self):
         pts = np.array([[0.0, 0.0, 1.5], [0.0, 0.0, 1.5]])
-        _, corrs = render_depth(pts, SMALL_K)
-        assert list(corrs.point_indices) == [0]
+        assert list(render_depth(pts, SMALL_K).point_indices) == [0]
 
     def test_behind_camera_skipped(self):
         pts = np.array([[0.0, 0.0, -1.0], [0.1, 0.0, 2.0]])
-        _, corrs = render_depth(pts, SMALL_K)
-        assert list(corrs.point_indices) == [1]
+        assert list(render_depth(pts, SMALL_K).point_indices) == [1]
 
     def test_nothing_visible_raises(self):
         pts = np.array([[50.0, 0.0, 1.0], [0.0, 0.0, -2.0]])
@@ -53,8 +52,8 @@ class TestRenderDepth:
         pts = np.column_stack(
             [rng.uniform(-0.3, 0.3, 50), rng.uniform(-0.2, 0.2, 50), rng.uniform(1, 3, 50)]
         )
-        _, corrs = render_depth(pts, SMALL_K)
-        pid = corrs.pixels[:, 1] * SMALL_K.width + corrs.pixels[:, 0]
+        table = render_depth(pts, SMALL_K)
+        pid = table.pixels[:, 1] * SMALL_K.width + table.pixels[:, 0]
         assert np.all(np.diff(pid) > 0)
 
 
@@ -145,14 +144,14 @@ class TestGenerateScene:
             Sphere(center=(0, 0, 2), radius=0.0)
 
 
-def with_pixels(scene, edit):
-    """scene rebuilt with an edited copy of its ground-truth pixel table."""
-    px = scene.gt_correspondences.pixels.copy()
-    edit(px)
-    corrs = CorrespondenceSet(
-        px, scene.gt_correspondences.point_indices, scene.gt_correspondences.scores
-    )
-    return dataclasses.replace(scene, gt_correspondences=corrs)
+def with_rows(scene, edit, column="pixels"):
+    """scene.table rebuilt with an edited copy of one of its columns."""
+    table = scene.table
+    columns = {name: getattr(table, name).copy() for name in ("pixels", "depths", "point_indices")}
+    if column == "point_indices":
+        columns[column] = columns[column].astype(np.float64)
+    edit(columns[column])
+    return PixelTable(table.width, table.height, **columns)
 
 
 # edits of a rendered pixel table that render_depth never emits; the last
@@ -187,23 +186,74 @@ class TestSceneCheck:
     )
     def test_pixel_table_not_as_rendered_raises(self, edit):
         scene = generate_scene(SceneSpec(point_count=300), seed=0)
-        with pytest.raises(ValueError, match="gt pixel"):
-            with_pixels(scene, edit)
+        with pytest.raises(ValueError, match="distinct integer pixels inside the 640x480"):
+            with_rows(scene, edit)
 
     @pytest.mark.parametrize("row", [0, 5, -1])
     def test_gt_pixel_without_depth_raises(self, row):
+        # every row of a generated scene names a ground-truth point
         scene = generate_scene(SceneSpec(point_count=300), seed=0)
-        u, v = scene.gt_correspondences.pixels[row].astype(np.int64)
-        values = scene.depth.values.copy()
-        values[v, u] = np.nan
-        with pytest.raises(ValueError, match=r"gt pixel .* each with a valid depth"):
-            dataclasses.replace(scene, depth=DepthMap.from_values(values))
+        assert scene.table.point_indices[row] >= 0
+        for depth in (np.nan, 0.0, -1.0, np.inf):
+
+            def edit(depths):
+                depths[row] = depth
+
+            with pytest.raises(ValueError, match=r"depth row .* with finite positive depths"):
+                with_rows(scene, edit, "depths")
+
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            (lambda n: -2, "a point index must be -1 or a row of the 300-point cloud"),
+            (lambda n: n, "a point index must be -1 or a row of the 300-point cloud"),
+            (lambda n: 0.5, "integer point indices"),
+            (lambda n: np.nan, "integer point indices"),
+            (lambda n: 1e300, "integer point indices"),
+        ],
+        ids=["below_minus_one", "past_cloud", "fractional", "nan", "huge"],
+    )
+    def test_point_index_not_minus_one_or_a_cloud_row_raises(self, index, message):
+        scene = generate_scene(SceneSpec(point_count=300), seed=0)
+
+        def edit(indices):
+            indices[3] = index(scene.cloud.shape[0])
+
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(scene, table=with_rows(scene, edit, "point_indices"))
+
+    def test_rows_without_a_point_are_not_ground_truth(self):
+        scene = generate_scene(SceneSpec(point_count=300), seed=0)
+
+        def edit(indices):
+            indices[::2] = -1
+
+        partial = dataclasses.replace(scene, table=with_rows(scene, edit, "point_indices"))
+        gt = partial.gt_correspondences
+        assert partial.gt_rows.tolist() == list(range(1, len(scene.table), 2))
+        assert gt.pixels.tobytes() == scene.table.pixels[1::2].tobytes()
+        assert gt.point_indices.tobytes() == scene.table.point_indices[1::2].tobytes()
+        assert partial.depth.valid.sum() == len(scene.table)
 
     def test_depth_shape_must_match_intrinsics(self):
         scene = generate_scene(SceneSpec(point_count=300), seed=0)
-        cropped = DepthMap.from_values(scene.depth.values[:-1])
+        t = scene.table
+        wider = PixelTable(t.width + 1, t.height, t.pixels, t.depths, t.point_indices)
         with pytest.raises(ValueError, match="does not match"):
-            dataclasses.replace(scene, depth=cropped)
+            dataclasses.replace(scene, table=wider)
+
+    def test_views_are_derived_once_and_read_only(self):
+        scene = generate_scene(SceneSpec(point_count=300), seed=0)
+        assert scene.depth is scene.depth
+        assert scene.gt_correspondences is scene.gt_correspondences
+        vs, us = scene.depth.valid_pixels()
+        assert np.column_stack([us, vs]).astype(np.float64).tobytes() == (
+            scene.table.pixels.tobytes()
+        )
+        assert scene.depth.values[vs, us].tobytes() == scene.table.depths.tobytes()
+        for name in ("depth", "gt_correspondences"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(scene, name, None)
 
 
 class DrawLog:
