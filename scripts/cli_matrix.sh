@@ -128,3 +128,16 @@ run ablate_warmup_outliers ablate --sweep warmup --jobs 2 --values "[0, 10, 12, 
     --set min_fine_score=0.0 --set outlier_fraction=0.5
 run ablate_mask_ratio_noisy ablate --sweep mask_ratio \
     --out "$out/ablate_mask_ratio_noisy.csv" "${sweep[@]}" --set gaussian_sigma_m=0.01
+
+# bad input that once ended with a traceback; both exit 1 and leave no file:
+# a result whose first correspondence names a point outside the cloud, and
+# a non-finite integer setting
+bad="$out/.bad_point_index"
+cp -r "$out/results_plain_small/scene_0000" "$bad"
+awk -F, -v OFS=, 'NR == 2 { $3 = 99999 } { print }' "$bad/correspondences.csv" \
+    > "$bad/edited.csv"
+mv "$bad/edited.csv" "$bad/correspondences.csv"
+run eval_point_outside_cloud eval --scenes "$out/small/scene_0000" --results "$bad" \
+    --out "$bad/eval.json"
+rm -rf "$bad"
+run synth_nan_point_count synth --out "$out/nan_point_count" --set point_count=NaN

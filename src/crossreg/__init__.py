@@ -27,6 +27,7 @@ from .errors import (
     NoConsensusError,
     NonPositiveDepthError,
     NotNormalizedError,
+    PointIndexError,
 )
 from .geometry import (
     CameraIntrinsics,

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Precondition violations subclass ValueError so callers can treat them
-uniformly; NoConsensusError is a runtime outcome, not an input error.
+Precondition violations subclass ValueError (an index out of range, IndexError)
+so callers can treat them uniformly; NoConsensusError is a runtime outcome.
 """
 
 
@@ -71,6 +71,10 @@ class CoordinateOverflowError(CrossregError, ValueError):
 
 class LengthMismatchError(CrossregError, ValueError):
     """Paired sequences have different lengths."""
+
+
+class PointIndexError(CrossregError, IndexError):
+    """A correspondence names a point outside its cloud."""
 
 
 class ConfigError(CrossregError, ValueError):

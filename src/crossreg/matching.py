@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ChannelMismatchError, CoordinateOverflowError, EmptyPatchError
+from .errors import ChannelMismatchError, CoordinateOverflowError, EmptyPatchError, PointIndexError
 from .geometry import (
     F64,
     CameraIntrinsics,
@@ -60,11 +60,14 @@ class CorrespondenceSet:
         return self.pixels.shape[0]
 
     def matched_points(self, cloud) -> F64:
-        """The cloud rows the correspondences name; IndexError when one is out of range."""
+        """The cloud rows the correspondences name; PointIndexError when one is not a row."""
         pts = as_points(cloud, name="cloud")
         idx = self.point_indices
-        if idx.size and (idx.min() < 0 or idx.max() >= pts.shape[0]):
-            raise IndexError("correspondence point index out of range")
+        bad = (idx < 0) | (idx >= len(pts))
+        if np.any(bad):
+            raise PointIndexError(
+                f"point index {idx[bad][0]} is not a row of the {len(pts)}-point cloud"
+            )
         return pts[idx]
 
 

@@ -19,13 +19,13 @@ prep, and an uncorrupted depth reuses the prep's clean normals as the
 live ones.
 
 No work is repeated either. Registration reads the scene's pixel table,
-never its 640x480 raster: the depth is corrupted and the live normals
-lifted on the table's rows (about 1.9k at the default size), and the
-agreement compares row fields. The scene's base features are drawn once
-per prep, and the refined features are scaled to unit rows once per
-registration, so each coarse pair's fine matching is a slice, a product
-and a mutual argmax; its matches carry their rows, so the per-pixel dedup
-needs no pixel search.
+never its 640x480 raster: corrupt_depth and lifted_pixel_normals work on
+the table's rows (about 1.9k at the default size), and the agreement
+compares row fields. The scene's base features are drawn once per prep,
+and synthesize_features degrades a copy of them per registration. The
+refined features are scaled to unit rows once per registration, so each
+coarse pair's fine matching is a slice, a product and a mutual argmax;
+its matches carry their rows, so the per-pixel dedup needs no pixel search.
 
 Registration reads the true pose only where the synth features and
 _corrupt_guidance stand in for trained backbones; it returns its coarse
@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -59,9 +60,7 @@ from .graph import (
     light_gat_forward,
 )
 from .losses import LossWeights, WarmupSchedule, warmup_weight
-# Registration calls the row cores that corrupt_depth, synthesize_features
-# and fine_match adapt, not these three; they stay bound because
-# bench/spans.py wraps, by name, each function this module imports.
+# fine_match is bound for bench/spans.py to wrap; registration calls fine_match_unit
 from .matching import (
     CorrespondenceSet,
     coarse_match,
@@ -80,7 +79,6 @@ from .metrics import (
     relative_translation_error,
 )
 from .normals import (
-    DepthMap,
     NormalField,
     estimate_point_normals,
     estimate_point_normals_adaptive,
@@ -240,6 +238,8 @@ class PipelineConfig:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             kind = "an integer" if isinstance(default, int) else "a number"
             raise ConfigError(f"{key} expects {kind}, got {raw!r}")
+        if not abs(raw) <= sys.float_info.max:  # NaN, inf, past float64: int()/float() raise
+            raise ConfigError(f"{key} must be finite, got {raw!r}")
         if isinstance(default, int):
             if float(raw) != int(raw):
                 raise ConfigError(f"{key} expects an integer, got {raw!r}")
@@ -286,7 +286,7 @@ class PipelineConfig:
 # --------------------------------------------------------------------------- #
 
 
-def _lift_rows(
+def lifted_pixel_normals(
     uv: F64, depths: F64, intrinsics: CameraIntrinsics, k: int, adaptive: bool
 ) -> NormalField:
     """(rows, 3) camera-frame normals of pixels uv at their depths, zero where invalid.
@@ -302,27 +302,6 @@ def _lift_rows(
     if adaptive:
         return estimate_point_normals_adaptive(pts, k0=k_norm, k_sparse=k_fit)
     return estimate_point_normals(pts, k_norm)
-
-
-def lifted_pixel_normals(
-    depth: DepthMap, intrinsics: CameraIntrinsics, k: int, adaptive: bool = False
-) -> NormalField:
-    """Per-pixel camera-frame normals from the backprojected valid-pixel set.
-
-    Splatted depth maps are too sparse for stencil gradients, so each
-    valid pixel is lifted to 3D and gets a covariance normal over its
-    nearest lifted neighbors, as many as normal_ks gives for k. With no
-    more valid pixels than the fit's largest k, every pixel is invalid.
-    The (H, W, 3) field is zero off the valid normals.
-    """
-    vs, us = depth.valid_pixels()
-    uv = np.column_stack([us, vs]).astype(np.float64)
-    lifted = _lift_rows(uv, depth.values[vs, us], intrinsics, k, adaptive)
-    grid = np.zeros((*depth.shape, 3))
-    mask = np.zeros(depth.shape, dtype=bool)
-    grid[vs, us] = lifted.normals
-    mask[vs, us] = lifted.valid
-    return NormalField(grid, mask)
 
 
 def _tile_ids(pixels: F64, intrinsics: CameraIntrinsics, rows: int, cols: int) -> np.ndarray:
@@ -444,16 +423,14 @@ class ScenePrep:
     def live_normals(self, corruption: CorruptionConfig) -> NormalField:
         """The lifted normals of the corrupted depth, on the table's rows.
 
-        Only the rows the corruption keeps are lifted; a dropped row is
-        invalid. These equal lifted_pixel_normals(corrupt_depth(...)) read
-        at the rows, since both lift the same pixels in the same order.
+        Only the rows the corruption keeps are lifted; a dropped row is invalid.
         """
         if corruption.gaussian_sigma_m == 0.0 and corruption.mask_ratio == 0.0:
             # the corruption would keep every row at its depth
             return self.clean_normals
         table = self.scene.table
-        depths, keep = synth.corrupt_depth_rows(table.depths, corruption, self.scene.seed)
-        lifted = _lift_rows(
+        depths, keep = corrupt_depth(table.depths, corruption, self.scene.seed)
+        lifted = lifted_pixel_normals(
             table.pixels[keep], depths[keep], self.scene.intrinsics,
             self._field("k_neighbors"), self._field("adaptive_k"),
         )
@@ -480,7 +457,7 @@ def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
     return ScenePrep(
         scene,
         _prep_key(config),
-        _lift_rows(
+        lifted_pixel_normals(
             table.pixels, table.depths, scene.intrinsics, config.k_neighbors, config.adaptive_k
         ),
         synth.base_features(scene, config.channels),
@@ -507,7 +484,7 @@ def register_scene(
     pixels = scene.gt_correspondences.pixels
     gt_idx = scene.gt_correspondences.point_indices
 
-    f_img, f_cloud = synth.features_from_base(scene, prep.base, corruption)
+    f_img, f_cloud = synthesize_features(scene, prep.base, corruption)
     f_img = _corrupt_guidance(f_img, f_cloud, scene, gt_idx, agreement, config)
     # normals are zero where invalid, so the channels need no mask
     img_n = live_normals.normals[scene.gt_rows]

@@ -15,10 +15,10 @@ pair share one random unit vector, which models a perfectly trained
 matcher; Gaussian feature noise, row outliers, depth noise, and depth
 masking model its degradation.
 
-Depth corruption is drawn per scene and per depth row: the valid pixels,
-in row-major order, take one Gaussian deviate and one uniform each, from
-two independent child streams of (scene seed, noise seed). Every scene of
-a batch thus gets its own noise and mask, and a sweep of the noise sigma
+corrupt_depth works per scene and per table row: the rows, in row-major
+order, take one Gaussian deviate and one uniform each, from two
+independent child streams of (scene seed, noise seed). Every scene of a
+batch thus gets its own noise and mask, and a sweep of the noise sigma
 keeps the mask while a sweep of the mask ratio keeps the noise.
 
 Every random stream of crossreg is named in STREAM_TAGS, so no two
@@ -61,10 +61,8 @@ __all__ = [
     "generate_scene",
     "render_depth",
     "corrupt_depth",
-    "corrupt_depth_rows",
     "base_features",
     "synthesize_features",
-    "features_from_base",
 ]
 
 # Every RNG stream of the package: a stream is SeedSequence((*seeds, tag)),
@@ -73,13 +71,13 @@ STREAM_TAGS = {
     "pose": 1,  # generate_scene's ground-truth pose
     "sample": 2,  # generate_scene's surface samples
     "base": 3,  # base_features
-    "img_noise": 4,  # features_from_base
+    "img_noise": 4,  # synthesize_features
     "cloud_noise": 5,
     "outlier": 6,
     "guidance": 7,  # pipeline's guidance noise
     "swap": 8,  # pipeline's guidance row swaps
     "loss_fixture": 9,  # the losses command's fixture
-    "depth_corruption": 10,  # corrupt_depth_rows: noise and mask children
+    "depth_corruption": 10,  # corrupt_depth: noise and mask children
 }
 
 
@@ -394,34 +392,16 @@ class CorruptionConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
 
 
-def corrupt_depth(depth: DepthMap, cfg: CorruptionConfig, scene_seed: int) -> DepthMap:
-    """Add Gaussian noise to valid pixels, then drop a random pixel fraction.
+def corrupt_depth(depths: F64, cfg: CorruptionConfig, scene_seed: int) -> tuple[F64, np.ndarray]:
+    """Noise the depths of a scene's table rows, then drop a random fraction.
 
-    Pixels whose noisy value becomes non-positive are invalidated too,
-    since a depth map cannot represent them. The draws are those of
-    corrupt_depth_rows on the valid pixels in row-major order, so they
-    are deterministic per (scene_seed, cfg.seed).
-    """
-    vs, us = depth.valid_pixels()
-    values, keep = corrupt_depth_rows(depth.values[vs, us], cfg, scene_seed)
-    out = np.full(depth.shape, np.nan)
-    out[vs[keep], us[keep]] = values[keep]
-    valid = np.zeros(depth.shape, dtype=bool)
-    valid[vs[keep], us[keep]] = True
-    return DepthMap(out, valid)
-
-
-def corrupt_depth_rows(
-    depths: F64, cfg: CorruptionConfig, scene_seed: int
-) -> tuple[F64, np.ndarray]:
-    """The corrupted depths of a depth map's valid pixels, given in
-    row-major order, and which of them survive.
-
-    Row i takes the i-th Gaussian deviate of one child stream of
-    (scene_seed, cfg.seed) and the i-th uniform of the other; a stream is
-    drawn only when its knob is positive. So the noise does not depend on
-    mask_ratio, the mask does not depend on gaussian_sigma_m, and a higher
-    mask_ratio drops a superset of the rows.
+    Returns the noisy depths and which rows survive; a row whose noisy
+    depth is not finite and positive is dropped too. Row i takes the i-th
+    Gaussian deviate of one child stream of (scene_seed, cfg.seed) and the
+    i-th uniform of the other; a stream is drawn only when its knob is
+    positive. So the noise does not depend on mask_ratio, the mask does not
+    depend on gaussian_sigma_m, and a higher mask_ratio drops a superset of
+    the rows.
     """
     noise_seq, mask_seq = np.random.SeedSequence(
         (scene_seed, cfg.seed, STREAM_TAGS["depth_corruption"])
@@ -437,19 +417,6 @@ def corrupt_depth_rows(
     return values, keep
 
 
-def synthesize_features(
-    scene: SyntheticScene, channels: int, noise: CorruptionConfig
-) -> tuple[F64, F64]:
-    """Construct aligned features: one image row per gt pair, one cloud row per point.
-
-    Ground-truth pairs share a base unit vector; every other cloud point
-    gets its own. Feature noise perturbs both sides independently before
-    re-normalization; outlier_fraction of image rows are then replaced
-    with fresh random directions.
-    """
-    return features_from_base(scene, base_features(scene, channels), noise)
-
-
 def base_features(scene: SyntheticScene, channels: int) -> F64:
     """The scene's (N, channels) unit base vectors, one per cloud point."""
     if channels < 4:
@@ -458,10 +425,16 @@ def base_features(scene: SyntheticScene, channels: int) -> F64:
     return unit_rows(base_rng.standard_normal((scene.cloud.shape[0], channels)))
 
 
-def features_from_base(
+def synthesize_features(
     scene: SyntheticScene, base: F64, noise: CorruptionConfig
 ) -> tuple[F64, F64]:
-    """synthesize_features from the scene's base_features, which stay unchanged."""
+    """Aligned features from base, the scene's base_features (left unchanged):
+    one image row per gt pair, one cloud row per point.
+
+    Ground-truth pairs share their point's base vector. Feature noise perturbs
+    both sides independently before re-normalization; outlier_fraction of
+    image rows are then replaced with fresh random directions.
+    """
     m = len(scene.gt_correspondences)
     channels = base.shape[1]
     f_cloud = base.copy()

@@ -77,6 +77,22 @@ class TestConfigPlumbing:
         assert "max_rotation_deg must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("point_count", "NaN"),
+        ("point_count", "Infinity"),
+        ("point_count", "-Infinity"),
+        ("point_count", "1" + "0" * 400),
+        ("voxel_size", "-1" + "0" * 400),
+    ], ids=["nan", "inf", "minus_inf", "int_past_float64", "int_past_float64_float_key"])
+    def test_non_finite_or_past_float64_set_value_exits_1(self, tmp_path, capsys, key, value):
+        # int() or float() once raised on these, and the command ended with a
+        # traceback
+        out = tmp_path / "s"
+        assert run("synth", "--out", str(out), "--set", f"{key}={value}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, tmp_path):
         assert run("synth", "--out", str(tmp_path / "s"), "--config", "/no/such.json") == 1
 
@@ -387,6 +403,25 @@ class TestMalformedBundle:
         assert run("eval", "--scenes", str(tiny_bundle), "--results", str(results),
                    "--out", str(tmp_path / "r.json")) == 1
         assert capsys.readouterr().err == "error: no valid depth at pixel (0.0, 0.0)\n"
+
+    @pytest.mark.parametrize("index", ["cloud_size", "-1"])
+    def test_eval_of_a_point_outside_the_cloud_exits_1(
+        self, tiny_bundle, tmp_path, capsys, index
+    ):
+        # eval once ended with a bare IndexError
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+        points = len(read_ply(tiny_bundle / "cloud.ply"))
+        bad = points if index == "cloud_size" else int(index)
+        edit_line(results / "correspondences.csv", 1, lambda row: with_column(row, 2, str(bad)))
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run("eval", "--scenes", str(tiny_bundle), "--results", str(results),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: point index {bad} is not a row of the {points}-point cloud\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "name, index, edit",
@@ -804,6 +839,14 @@ class TestAblate:
         assert run("ablate", "--sweep", "gaussian_sigma", "--values", "[NaN]",
                    "--out", str(out)) == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["[Infinity]", "[2, NaN]", "[-Infinity]"])
+    def test_non_finite_integer_value_exits_1(self, tmp_path, capsys, values):
+        out = tmp_path / "x.csv"
+        assert run("ablate", "--sweep", "k", "--values", values, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k_neighbors must be finite") and err.count("\n") == 1
         assert not out.exists()
 
     def test_unregistrable_scene_is_a_miss_row(self, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crossreg.errors import ChannelMismatchError, EmptyPatchError
-from crossreg.errors import CoordinateOverflowError
+from crossreg.errors import CoordinateOverflowError, CrossregError, PointIndexError
 from crossreg.geometry import (
     CameraIntrinsics,
     RigidTransform,
@@ -640,3 +640,11 @@ class TestCorrespondenceSet:
     def test_rejects_misaligned_columns(self):
         with pytest.raises(ValueError):
             CorrespondenceSet(np.zeros((2, 2)), np.zeros(3, dtype=int), np.zeros(2))
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_a_point_outside_the_cloud_is_a_package_index_error(self, index):
+        cs = CorrespondenceSet(np.zeros((2, 2)), np.array([0, index]), np.ones(2))
+        with pytest.raises(PointIndexError, match=f"point index {index} is not a row of "
+                           "the 3-point cloud") as caught:
+            cs.matched_points(np.zeros((3, 3)))
+        assert isinstance(caught.value, CrossregError) and isinstance(caught.value, IndexError)

@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 import crossreg.graph
 import crossreg.normals
 import crossreg.pipeline as pipeline
-import crossreg.synth
 from crossreg.errors import ConfigError, CoordinateOverflowError, LengthMismatchError
 from crossreg.geometry import (
     CameraIntrinsics,
@@ -24,7 +23,6 @@ from crossreg.geometry import (
 )
 from crossreg.graph import GraphAttentionParams
 from crossreg.matching import CorrespondenceSet
-from crossreg.normals import DepthMap
 from crossreg.pipeline import (
     PipelineConfig,
     SWEEP_DEFAULTS,
@@ -155,6 +153,12 @@ class TestPipelineConfig:
         assert cfg.k_neighbors == 8
 
 
+def grid_rows(values) -> tuple[np.ndarray, np.ndarray]:
+    """(uv, depths) rows of a depth grid's finite positive pixels, row-major."""
+    vs, us = np.nonzero(np.isfinite(values) & (values > 0.0))
+    return np.column_stack([us, vs]).astype(np.float64), values[vs, us]
+
+
 class TestLiftedPixelNormals:
     def test_fronto_parallel_plane_lifts_to_minus_z(self):
         spec = SceneSpec(
@@ -164,9 +168,9 @@ class TestLiftedPixelNormals:
             max_translation_m=0.0,
         )
         scene = generate_scene(spec, seed=3)
-        field = lifted_pixel_normals(scene.depth, SMALL_K, k=8)
-        assert np.array_equal(field.valid.shape, scene.depth.valid.shape)
-        assert np.all(field.valid <= scene.depth.valid)
+        table = scene.table
+        field = lifted_pixel_normals(table.pixels, table.depths, SMALL_K, 8, False)
+        assert field.normals.shape == (len(table), 3) and field.valid.shape == (len(table),)
         picked = field.normals[field.valid]
         assert picked.shape[0] > 100
         # the default primitives include a tilted plane and curved surfaces,
@@ -174,28 +178,28 @@ class TestLiftedPixelNormals:
         assert np.allclose(np.linalg.norm(picked, axis=1), 1.0, atol=1e-9)
 
     def test_exact_plane_depth(self):
-        values = np.full((24, 32), 2.0)
-        field = lifted_pixel_normals(DepthMap.from_values(values), SMALL_K, k=8)
-        assert np.all(field.valid)
-        expected = np.zeros((24, 32, 3))
-        expected[:, :, 2] = -1.0
+        uv, depths = grid_rows(np.full((24, 32), 2.0))
+        field = lifted_pixel_normals(uv, depths, SMALL_K, 8, False)
+        assert field.valid.shape == (24 * 32,) and np.all(field.valid)
+        expected = np.zeros((24 * 32, 3))
+        expected[:, 2] = -1.0
         np.testing.assert_allclose(field.normals, expected, atol=1e-9)
 
     def test_all_invalid_depth_gives_empty_field(self):
-        values = np.full((24, 32), np.nan)
-        field = lifted_pixel_normals(DepthMap.from_values(values), SMALL_K, k=8)
-        assert not field.valid.any()
-        assert field.normals.shape == (24, 32, 3)
+        uv, depths = grid_rows(np.full((24, 32), np.nan))
+        field = lifted_pixel_normals(uv, depths, SMALL_K, 8, False)
+        assert field.normals.shape == (0, 3) and field.valid.shape == (0,)
 
     def test_too_few_pixels_gives_empty_field(self):
         values = np.full((24, 32), np.nan)
         values[0, :5] = 2.0
-        field = lifted_pixel_normals(DepthMap.from_values(values), SMALL_K, k=8)
-        assert not field.valid.any()
+        field = lifted_pixel_normals(*grid_rows(values), SMALL_K, 8, False)
+        assert field.normals.shape == (5, 3) and not field.valid.any()
+        assert not field.normals.any()
 
     def test_k_floored_at_three(self):
-        values = np.full((24, 32), 2.0)
-        field = lifted_pixel_normals(DepthMap.from_values(values), SMALL_K, k=2)
+        uv, depths = grid_rows(np.full((24, 32), 2.0))
+        field = lifted_pixel_normals(uv, depths, SMALL_K, 2, False)
         assert field.valid.any()
 
     @pytest.mark.parametrize("count", [9, 10, 11, 12, 13])
@@ -206,7 +210,8 @@ class TestLiftedPixelNormals:
         values = np.full((24, 32), np.nan)
         flat = rng.choice(24 * 32, size=count, replace=False)
         values.flat[flat] = rng.uniform(1.5, 3.0, count)
-        field = lifted_pixel_normals(DepthMap.from_values(values), SMALL_K, k=8, adaptive=True)
+        field = lifted_pixel_normals(*grid_rows(values), SMALL_K, 8, True)
+        assert field.valid.shape == (count,)
         assert field.valid.any() == (count > 12)
 
 
@@ -633,7 +638,7 @@ class TestSkippedWork:
         cfg = PipelineConfig()
         scene = generate_scene(cfg.scene_spec(), seed=21)
         prep = prepare_scene(scene, cfg)
-        f_img, f_cloud = synthesize_features(scene, cfg.channels, cfg.corruption())
+        f_img, f_cloud = synthesize_features(scene, prep.base, cfg.corruption())
         gt = scene.gt_correspondences
         img_n = prep.clean_normals.normals[scene.gt_rows]
         cloud_n = np.zeros((scene.cloud.shape[0], 3))
@@ -655,14 +660,15 @@ class TestSkippedWork:
     def test_uncorrupted_depth_lifts_to_the_clean_normals(self, overrides):
         scene, cfg = small_scene(seed=3, **overrides)
         prep = prepare_scene(scene, cfg)
+        table = scene.table
+        depths, keep = corrupt_depth(table.depths, cfg.corruption(), scene.seed)
+        assert keep.all() and depths.tobytes() == table.depths.tobytes()
         live = lifted_pixel_normals(
-            corrupt_depth(scene.depth, cfg.corruption(), scene.seed), scene.intrinsics,
+            table.pixels[keep], depths[keep], scene.intrinsics,
             cfg.k_neighbors, cfg.adaptive_k,
         )
-        us, vs = scene.table.pixels.astype(np.int64).T
-        assert not live.valid[~scene.depth.valid].any()
-        assert live.normals[vs, us].tobytes() == prep.clean_normals.normals.tobytes()
-        assert live.valid[vs, us].tobytes() == prep.clean_normals.valid.tobytes()
+        assert live.normals.tobytes() == prep.clean_normals.normals.tobytes()
+        assert live.valid.tobytes() == prep.clean_normals.valid.tobytes()
 
     @pytest.mark.parametrize(
         "overrides, calls",
@@ -670,13 +676,27 @@ class TestSkippedWork:
         ids=["clean", "masked", "noisy"],
     )
     def test_only_a_corrupted_depth_is_relifted(self, monkeypatch, overrides, calls):
+        # the stages are spied on through the names pipeline calls them by,
+        # which are the names a tracer wraps
         scene, cfg = small_scene(seed=3, **overrides)
-        prep = prepare_scene(scene, cfg)
         counts = {}
-        count_calls(monkeypatch, counts, crossreg.synth, "corrupt_depth_rows")
-        count_calls(monkeypatch, counts, crossreg.normals, "knn_indices")
+        for owner, name in (
+            (pipeline, "corrupt_depth"),
+            (pipeline, "lifted_pixel_normals"),
+            (pipeline, "synthesize_features"),
+            (crossreg.normals, "knn_indices"),
+        ):
+            count_calls(monkeypatch, counts, owner, name)
+        prep = prepare_scene(scene, cfg)
+        assert counts == {
+            "corrupt_depth": 0, "lifted_pixel_normals": 1, "synthesize_features": 0,
+            "knn_indices": 1,
+        }
         register_scene(scene, cfg, prep)
-        assert counts == {"corrupt_depth_rows": calls, "knn_indices": calls}
+        assert counts == {
+            "corrupt_depth": calls, "lifted_pixel_normals": 1 + calls,
+            "synthesize_features": 1, "knn_indices": 1 + calls,
+        }
 
 
 class TestCoordinateOverflow:

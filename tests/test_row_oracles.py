@@ -182,13 +182,13 @@ def test_row_normal_stage_matches_dense_grids(case):
         dense_agreement(dense_clean, dense_live)
     ).tobytes()
 
-    # the grid adapters give the dense bytes
-    got_depth = corrupt_depth(scene.depth, corruption, seed)
-    assert got_depth.values.tobytes() == dense_live_depth.values.tobytes()
-    assert got_depth.valid.tobytes() == dense_live_depth.valid.tobytes()
-    got = lifted_pixel_normals(dense_live_depth, SMALL_K, k, adaptive)
-    assert got.normals.tobytes() == dense_live.normals.tobytes()
-    assert got.valid.tobytes() == dense_live.valid.tobytes()
+    # each row stage, called alone, gives the dense bytes at its rows
+    depths, keep = corrupt_depth(scene.table.depths, corruption, seed)
+    vs, us = np.nonzero(scene.depth.valid)
+    assert keep.tobytes() == dense_live_depth.valid[vs, us].tobytes()
+    assert depths[keep].tobytes() == dense_live_depth.values[vs[keep], us[keep]].tobytes()
+    got = lifted_pixel_normals(scene.table.pixels[keep], depths[keep], SMALL_K, k, adaptive)
+    assert_rows_of_grid(got, dense_live, dense_live_depth)
 
 
 def test_examples_cover_the_named_cases():

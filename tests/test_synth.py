@@ -8,7 +8,7 @@ import pytest
 from crossreg.errors import EmptyVisibleSetError
 from crossreg.geometry import CameraIntrinsics, RigidTransform, project_points
 from crossreg.matching import fine_match, patch_overlap
-from crossreg.normals import DepthMap, depth_to_normals
+from crossreg.normals import depth_to_normals
 from crossreg.synth import (
     Box,
     CorruptionConfig,
@@ -17,8 +17,8 @@ from crossreg.synth import (
     STREAM_TAGS,
     SceneSpec,
     Sphere,
+    base_features,
     corrupt_depth,
-    corrupt_depth_rows,
     generate_scene,
     render_depth,
     synthesize_features,
@@ -246,7 +246,7 @@ class TestSceneCheck:
         scene = generate_scene(SceneSpec(point_count=300), seed=0)
         assert scene.depth is scene.depth
         assert scene.gt_correspondences is scene.gt_correspondences
-        vs, us = scene.depth.valid_pixels()
+        vs, us = np.nonzero(scene.depth.valid)
         assert np.column_stack([us, vs]).astype(np.float64).tobytes() == (
             scene.table.pixels.tobytes()
         )
@@ -280,71 +280,74 @@ def test_stream_tags_are_distinct():
 class TestCorruptDepth:
     def test_zero_config_is_identity(self):
         scene = generate_scene(SceneSpec(point_count=600), seed=1)
-        out = corrupt_depth(scene.depth, CorruptionConfig(seed=0), scene.seed)
-        np.testing.assert_array_equal(out.values, scene.depth.values)
-        np.testing.assert_array_equal(out.valid, scene.depth.valid)
+        depths = scene.table.depths
+        values, keep = corrupt_depth(depths, CorruptionConfig(seed=0), scene.seed)
+        assert values.tobytes() == depths.tobytes() and keep.all()
 
     def test_deterministic(self):
         scene = generate_scene(SceneSpec(point_count=600), seed=1)
         cfg = CorruptionConfig(gaussian_sigma_m=0.01, mask_ratio=0.2, seed=8)
-        a = corrupt_depth(scene.depth, cfg, scene.seed)
-        b = corrupt_depth(scene.depth, cfg, scene.seed)
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.valid, b.valid)
+        a_values, a_keep = corrupt_depth(scene.table.depths, cfg, scene.seed)
+        b_values, b_keep = corrupt_depth(scene.table.depths, cfg, scene.seed)
+        np.testing.assert_array_equal(a_values, b_values)
+        np.testing.assert_array_equal(a_keep, b_keep)
 
     def test_mask_fraction_on_full_map(self):
-        full = DepthMap.from_values(np.full((480, 640), 2.5))
-        out = corrupt_depth(full, CorruptionConfig(mask_ratio=0.4, seed=3), 0)
-        dropped = 1.0 - out.valid.mean()
+        # every pixel of a 640x480 image, as rows
+        full = np.full(480 * 640, 2.5)
+        _, keep = corrupt_depth(full, CorruptionConfig(mask_ratio=0.4, seed=3), 0)
+        dropped = 1.0 - keep.mean()
         assert abs(dropped - 0.4) < 0.02
 
     def test_noise_std_on_large_map(self):
-        full = DepthMap.from_values(np.full((480, 640), 5.0))
-        out = corrupt_depth(full, CorruptionConfig(gaussian_sigma_m=0.015, seed=4), 0)
-        residuals = out.values[out.valid] - 5.0
+        full = np.full(480 * 640, 5.0)
+        values, keep = corrupt_depth(full, CorruptionConfig(gaussian_sigma_m=0.015, seed=4), 0)
+        residuals = values[keep] - 5.0
         assert residuals.size >= 100_000
         assert abs(residuals.std() - 0.015) < 0.1 * 0.015
 
     def test_nonpositive_after_noise_invalidated(self):
-        thin = DepthMap.from_values(np.full((50, 50), 0.001))
-        out = corrupt_depth(thin, CorruptionConfig(gaussian_sigma_m=0.5, seed=5), 0)
-        assert not out.valid.all()
-        assert np.all(out.values[out.valid] > 0.0)
+        thin = np.full(50 * 50, 0.001)
+        values, keep = corrupt_depth(thin, CorruptionConfig(gaussian_sigma_m=0.5, seed=5), 0)
+        assert not keep.all()
+        assert np.all(values[keep] > 0.0)
 
     def test_draws_one_value_per_depth_row_of_each_kind(self, monkeypatch):
         scene = generate_scene(SceneSpec(), seed=5)
-        rows = int(scene.depth.valid.sum())
+        rows = len(scene.table)
         draws = []
         real_default_rng = np.random.default_rng
         monkeypatch.setattr(
             np.random, "default_rng", lambda seed=None: DrawLog(real_default_rng(seed), draws)
         )
         cfg = CorruptionConfig(gaussian_sigma_m=0.01, mask_ratio=0.2)
-        corrupt_depth(scene.depth, cfg, scene.seed)
-        assert 0 < rows < scene.depth.valid.size // 100
+        corrupt_depth(scene.table.depths, cfg, scene.seed)
+        assert 0 < rows < scene.table.width * scene.table.height // 100
         assert sorted(draws) == [("normal", rows), ("random", rows)]
 
     def test_scenes_of_a_batch_get_their_own_noise_and_mask(self):
         # both once came from noise_seed alone: scenes 1 and 2 shared them
         cfg = CorruptionConfig(gaussian_sigma_m=0.01, mask_ratio=0.2, seed=0)
         one, two = (generate_scene(SceneSpec(), seed=seed) for seed in (1, 2))
-        shared = one.depth.valid & two.depth.valid
-        assert shared.sum() >= 50
-        got_one = corrupt_depth(one.depth, cfg, one.seed)
-        got_two = corrupt_depth(two.depth, cfg, two.seed)
-        assert not np.array_equal(got_one.valid[shared], got_two.valid[shared])
-        both = shared & got_one.valid & got_two.valid
-        noise_one = got_one.values[both] - one.depth.values[both]
-        noise_two = got_two.values[both] - two.depth.values[both]
+        pixel_ids = [t.pixels[:, 1] * t.width + t.pixels[:, 0] for t in (one.table, two.table)]
+        _, rows_one, rows_two = np.intersect1d(*pixel_ids, return_indices=True)
+        assert rows_one.size >= 50
+        values_one, keep_one = corrupt_depth(one.table.depths, cfg, one.seed)
+        values_two, keep_two = corrupt_depth(two.table.depths, cfg, two.seed)
+        assert not np.array_equal(keep_one[rows_one], keep_two[rows_two])
+        both = keep_one[rows_one] & keep_two[rows_two]
+        rows_one, rows_two = rows_one[both], rows_two[both]
+        noise_one = values_one[rows_one] - one.table.depths[rows_one]
+        noise_two = values_two[rows_two] - two.table.depths[rows_two]
         assert both.sum() >= 20 and np.all(np.abs(noise_one - noise_two) > 1e-9)
 
     def test_sigma_sweep_keeps_the_mask_and_mask_sweep_keeps_the_noise(self):
         scene = generate_scene(SceneSpec(point_count=600), seed=4)
-        depths = scene.depth.values[scene.depth.valid]
+        depths = scene.table.depths
 
         def corrupt(sigma, mask):
             cfg = CorruptionConfig(gaussian_sigma_m=sigma, mask_ratio=mask, seed=2)
-            return corrupt_depth_rows(depths, cfg, scene.seed)
+            return corrupt_depth(depths, cfg, scene.seed)
 
         values, keep = corrupt(0.005, 0.3)
         assert corrupt(0.015, 0.3)[1].tobytes() == keep.tobytes()
@@ -367,8 +370,11 @@ class TestSynthesizeFeatures:
     def setup_method(self):
         self.scene = generate_scene(SceneSpec(point_count=900), seed=6)
 
+    def features(self, channels, cfg):
+        return synthesize_features(self.scene, base_features(self.scene, channels), cfg)
+
     def test_zero_noise_exact_pairs(self):
-        f_img, f_cloud = synthesize_features(self.scene, 256, CorruptionConfig())
+        f_img, f_cloud = self.features(256, CorruptionConfig())
         idx = self.scene.gt_correspondences.point_indices
         np.testing.assert_array_equal(f_img, f_cloud[idx])
         paired = f_cloud[idx]
@@ -380,14 +386,18 @@ class TestSynthesizeFeatures:
 
     def test_deterministic(self):
         cfg = CorruptionConfig(feature_noise_sigma=0.3, outlier_fraction=0.1, seed=2)
-        a_img, a_cloud = synthesize_features(self.scene, 64, cfg)
-        b_img, b_cloud = synthesize_features(self.scene, 64, cfg)
+        base = base_features(self.scene, 64)
+        before = base.tobytes()
+        a_img, a_cloud = synthesize_features(self.scene, base, cfg)
+        b_img, b_cloud = self.features(64, cfg)
         np.testing.assert_array_equal(a_img, b_img)
         np.testing.assert_array_equal(a_cloud, b_cloud)
+        # the base is read, never written, so a prep can reuse it
+        assert base.tobytes() == before
 
     def test_rows_are_unit(self):
         cfg = CorruptionConfig(feature_noise_sigma=0.4, outlier_fraction=0.2, seed=1)
-        f_img, f_cloud = synthesize_features(self.scene, 64, cfg)
+        f_img, f_cloud = self.features(64, cfg)
         np.testing.assert_allclose(np.linalg.norm(f_img, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(f_cloud, axis=1), 1.0, atol=1e-12)
 
@@ -397,7 +407,7 @@ class TestSynthesizeFeatures:
         fractions = []
         for sigma in (0.0, 0.2, 0.5):
             cfg = CorruptionConfig(feature_noise_sigma=sigma, seed=7)
-            f_img, f_cloud = synthesize_features(self.scene, 64, cfg)
+            f_img, f_cloud = self.features(64, cfg)
             matched = fine_match(f_img, f_cloud, pixels, np.arange(f_cloud.shape[0]))
             by_pixel = {tuple(p): i for p, i in zip(pixels, idx)}
             correct = sum(
@@ -410,7 +420,7 @@ class TestSynthesizeFeatures:
 
     def test_all_outliers_kill_matching(self):
         cfg = CorruptionConfig(outlier_fraction=1.0, seed=3)
-        f_img, f_cloud = synthesize_features(self.scene, 64, cfg)
+        f_img, f_cloud = self.features(64, cfg)
         idx = self.scene.gt_correspondences.point_indices
         matched = fine_match(
             f_img, f_cloud, self.scene.gt_correspondences.pixels, np.arange(f_cloud.shape[0])
@@ -424,4 +434,4 @@ class TestSynthesizeFeatures:
 
     def test_channel_floor(self):
         with pytest.raises(ValueError):
-            synthesize_features(self.scene, 3, CorruptionConfig())
+            base_features(self.scene, 3)
