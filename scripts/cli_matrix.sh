@@ -87,11 +87,13 @@ lines = ["ply", "format ascii 1.0", f"element vertex {len(scene.cloud)}",
          "property double x", "property double y", "property double z", "end_header"]
 lines += [f"{x!r} {y!r} {z!r}" for x, y, z in scene.cloud.tolist()]
 (old / "ascii_ply" / "cloud.ply").write_text("\n".join(lines) + "\n")
-h, w = scene.depth.shape
-raster = np.where(scene.depth.valid, scene.depth.values, np.nan).astype("<f4")
+table = scene.table
+w, h = table.width, table.height
+us, vs = table.pixels.astype(np.int64).T
+raster = np.full((h, w), np.nan, dtype="<f4")
+raster[vs, us] = table.depths
 (old / "float32_depth" / "depth.bin").write_bytes(f"DEPTH {w} {h}\n".encode() + raster.tobytes())
-vs, us = np.nonzero(scene.depth.valid)
-rows = np.column_stack([us, vs, scene.depth.values[vs, us]]).astype("<f8")
+rows = np.column_stack([table.pixels, table.depths]).astype("<f8")
 header = f"DEPTHROWS {w} {h} {len(rows)}\n".encode()
 (old / "depthrows_gt_csv" / "depth.bin").write_bytes(header + rows.tobytes())
 gt = scene.gt_correspondences
@@ -129,9 +131,9 @@ run ablate_warmup_outliers ablate --sweep warmup --jobs 2 --values "[0, 10, 12, 
 run ablate_mask_ratio_noisy ablate --sweep mask_ratio \
     --out "$out/ablate_mask_ratio_noisy.csv" "${sweep[@]}" --set gaussian_sigma_m=0.01
 
-# bad input that once ended with a traceback; both exit 1 and leave no file:
-# a result whose first correspondence names a point outside the cloud, and
-# a non-finite integer setting
+# bad input that once ended with a traceback; each exits 1 and leaves no file:
+# a result whose first correspondence names a point outside the cloud, a
+# non-finite integer setting, and two pose bounds past their range
 bad="$out/.bad_point_index"
 cp -r "$out/results_plain_small/scene_0000" "$bad"
 awk -F, -v OFS=, 'NR == 2 { $3 = 99999 } { print }' "$bad/correspondences.csv" \
@@ -141,3 +143,5 @@ run eval_point_outside_cloud eval --scenes "$out/small/scene_0000" --results "$b
     --out "$bad/eval.json"
 rm -rf "$bad"
 run synth_nan_point_count synth --out "$out/nan_point_count" --set point_count=NaN
+run synth_huge_translation synth --out "$out/huge_translation" --set max_translation_m=1e308
+run synth_huge_rotation synth --out "$out/huge_rotation" --set max_rotation_deg=1e200

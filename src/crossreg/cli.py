@@ -46,13 +46,7 @@ from .losses import (
     total_loss,
     warmup_weight,
 )
-from .normals import (
-    NormalField,
-    estimate_point_normals,
-    estimate_point_normals_adaptive,
-    metric_normals_from_depth,
-    normal_ks,
-)
+from .normals import NormalField
 from .pipeline import (
     SWEEP_DEFAULTS,
     SWEEP_NAMES,
@@ -60,7 +54,9 @@ from .pipeline import (
     ablation_rows,
     evaluate_scene,
     evaluation_report,
+    lifted_pixel_normals,
     parallel_map,
+    point_normals,
     register_scene,
 )
 from .synth import generate_scene, stream_rng
@@ -260,13 +256,12 @@ def cmd_normals(args) -> int:
     scene = load_scene_bundle(args.scene)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    k0, k_sparse = normal_ks(config.k_neighbors, config.adaptive_k)
-    if config.adaptive_k:
-        field = estimate_point_normals_adaptive(scene.cloud, k0=k0, k_sparse=k_sparse)
-    else:
-        field = estimate_point_normals(scene.cloud, k0)
+    k, adaptive, table = config.k_neighbors, config.adaptive_k, scene.table
+    field = point_normals(scene.cloud, k, adaptive)
     write_normals(out / "point_normals.bin", field)
-    write_normals(out / "depth_normals.bin", metric_normals_from_depth(scene.depth, scene.intrinsics))
+    # one lifted normal per depth row, as registration computes them
+    lifted = lifted_pixel_normals(table.pixels, table.depths, scene.intrinsics, k, adaptive)
+    write_normals(out / "depth_normals.bin", lifted)
     print(
         f"wrote normals for {field.valid.sum()} of {scene.cloud.shape[0]} points under {out}"
     )

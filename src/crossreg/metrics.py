@@ -75,34 +75,42 @@ class SceneEvaluation:
                 raise ValueError(f"{name} must be finite and >= 0, got {val}")
 
 
-def _depth_at(depth: DepthMap, pixels: F64) -> F64:
-    """Sample the depth map at nearest-integer pixel locations."""
-    h, w = depth.shape
-    cols = np.rint(pixels[:, 0]).astype(np.int64)
-    rows = np.rint(pixels[:, 1]).astype(np.int64)
+def _depth_at(depth, pixels: F64) -> F64:
+    """Depths at nearest-integer pixels by row-major key; a PixelTable's rows are in key order."""
+    if isinstance(depth, DepthMap):
+        (h, w), keys = depth.shape, np.flatnonzero(depth.valid)
+        values = depth.values.reshape(-1)[keys]
+    else:
+        h, w, values = depth.height, depth.width, depth.depths
+        keys = (depth.pixels[:, 1] * w + depth.pixels[:, 0]).astype(np.int64)
+    cols, rows = np.rint(pixels).T  # cast only once inside: a far pixel overflows int64
     inside = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
     if not np.all(inside):
         bad = pixels[~inside][0]
         raise MissingDepthError(f"pixel {tuple(bad.tolist())} outside the depth map")
-    if not np.all(depth.valid[rows, cols]):
-        bad = pixels[~depth.valid[rows, cols]][0]
+    want = (rows * w + cols).astype(np.int64)
+    at = np.searchsorted(keys, want)
+    found = np.append(keys, h * w)[at] == want  # h * w: past every key
+    if not np.all(found):
+        bad = pixels[~found][0]
         raise MissingDepthError(f"no valid depth at pixel {tuple(bad.tolist())}")
-    return depth.values[rows, cols]
+    return values[at]
 
 
 def inlier_ratio(
     corrs: CorrespondenceSet,
     cloud,
-    depth: DepthMap,
+    depth,
     intrinsics: CameraIntrinsics,
     gt_transform: RigidTransform,
     tau1: float = TAU1_M,
 ) -> float:
     """Fraction of correspondences within tau1 meters of their lifted pixel.
 
-    Each pixel is lifted to 3D with its measured depth; the matched cloud
-    point is mapped into the camera frame by the ground-truth transform;
-    the pair is an inlier when the gap is strictly below tau1.
+    Each pixel is lifted to 3D with its measured depth, read from depth (a
+    scene's PixelTable or a DepthMap); the matched cloud point is mapped
+    into the camera frame by the ground-truth transform; the pair is an
+    inlier when the gap is strictly below tau1.
     """
     if len(corrs) == 0:
         raise EmptyCorrespondencesError("inlier ratio of an empty set")

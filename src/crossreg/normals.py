@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNeighborhoodError
-from .geometry import F64, CameraIntrinsics, as_points, backproject_pixels
+from .geometry import F64, CameraIntrinsics, as_points, backproject_pixels, unit_rows
 from .graph import knn_indices
 
 EIGENVALUE_GAP_TOL = 1e-12
@@ -157,9 +157,8 @@ def _fit_normals(pts: F64, k, neigh: np.ndarray | None = None) -> NormalField:
         gaps[rows] = eigvals[:, 1] - eigvals[:, 0]
 
     valid = gaps > EIGENVALUE_GAP_TOL
-    lengths = np.linalg.norm(normals, axis=1)
     # eigh returns orthonormal vectors; renormalize to pin down the last ulp
-    normals = np.where(valid[:, None], normals / np.where(valid, lengths, 1.0)[:, None], 0.0)
+    normals = np.where(valid[:, None], unit_rows(normals), 0.0)
     normals[valid] = _canonical_sign(normals[valid], pts[valid])
     return NormalField(normals, valid)
 

@@ -18,14 +18,15 @@ weight, the graphs are built on first use and then kept with the scene's
 prep, and an uncorrupted depth reuses the prep's clean normals as the
 live ones.
 
-No work is repeated either. Registration reads the scene's pixel table,
-never its 640x480 raster: corrupt_depth and lifted_pixel_normals work on
-the table's rows (about 1.9k at the default size), and the agreement
-compares row fields. The scene's base features are drawn once per prep,
-and synthesize_features degrades a copy of them per registration. The
-refined features are scaled to unit rows once per registration, so each
-coarse pair's fine matching is a slice, a product and a mutual argmax;
-its matches carry their rows, so the per-pixel dedup needs no pixel search.
+No work is repeated either. Registration and evaluation read the scene's
+pixel table, never a 640x480 raster: corrupt_depth and lifted_pixel_normals
+work on its rows (about 1.9k at the default size), the agreement compares
+row fields, and inlier_ratio looks its depths up in it. The scene's base
+features are drawn once per prep, and synthesize_features degrades a copy
+of them per registration. The refined features are scaled to unit rows
+once per registration, so each coarse pair's fine matching is a slice, a
+product and a mutual argmax; its matches carry their rows, so the
+per-pixel dedup needs no pixel search.
 
 Registration reads the true pose only where the synth features and
 _corrupt_guidance stand in for trained backbones; it returns its coarse
@@ -123,6 +124,7 @@ __all__ = [
     "ScenePrep",
     "SWEEP_NAMES",
     "SWEEP_DEFAULTS",
+    "point_normals",
     "lifted_pixel_normals",
     "prepare_scene",
     "register_scene",
@@ -286,22 +288,23 @@ class PipelineConfig:
 # --------------------------------------------------------------------------- #
 
 
+def point_normals(points: F64, k: int, adaptive: bool) -> NormalField:
+    """Covariance normals of points over as many neighbours as normal_ks
+    gives for k: a density-adaptive fit when adaptive, else a plain one."""
+    k_norm, k_fit = normals.normal_ks(k, adaptive)
+    if adaptive:
+        return estimate_point_normals_adaptive(points, k0=k_norm, k_sparse=k_fit)
+    return estimate_point_normals(points, k_norm)
+
+
 def lifted_pixel_normals(
     uv: F64, depths: F64, intrinsics: CameraIntrinsics, k: int, adaptive: bool
 ) -> NormalField:
-    """(rows, 3) camera-frame normals of pixels uv at their depths, zero where invalid.
-
-    Each pixel is lifted to 3D and gets a covariance normal over its
-    nearest lifted neighbors, as many as normal_ks gives for k. With no
-    more pixels than the fit's largest k, every pixel is invalid.
-    """
-    k_norm, k_fit = normals.normal_ks(k, adaptive)
-    if depths.size <= k_fit:
+    """(rows, 3) point_normals of pixels uv lifted to 3D at their depths, zero
+    where invalid; all invalid with no more pixels than the fit's largest k."""
+    if depths.size <= normals.normal_ks(k, adaptive)[1]:
         return NormalField(np.zeros((depths.size, 3)), np.zeros(depths.size, dtype=bool))
-    pts = backproject_pixels(intrinsics, uv, depths)
-    if adaptive:
-        return estimate_point_normals_adaptive(pts, k0=k_norm, k_sparse=k_fit)
-    return estimate_point_normals(pts, k_norm)
+    return point_normals(backproject_pixels(intrinsics, uv, depths), k, adaptive)
 
 
 def _tile_ids(pixels: F64, intrinsics: CameraIntrinsics, rows: int, cols: int) -> np.ndarray:
@@ -623,7 +626,7 @@ def evaluate_scene(
     tiles = _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols)
     cells, _ = _voxel_ids(scene.cloud, config.voxel_size)
     ir = inlier_ratio(
-        corrs, scene.cloud, scene.depth, scene.intrinsics, scene.gt_transform,
+        corrs, scene.cloud, scene.table, scene.intrinsics, scene.gt_transform,
         config.tau1_m,
     )
     rmse = registration_rmse(scene.cloud, est_transform, scene.gt_transform)
@@ -714,7 +717,7 @@ def _sweep_scene(task) -> list[tuple[float, float]]:
             result = register_scene(scene, cfg, prep)
             scores.append((
                 inlier_ratio(
-                    result.correspondences, scene.cloud, scene.depth,
+                    result.correspondences, scene.cloud, scene.table,
                     scene.intrinsics, scene.gt_transform, cfg.tau1_m,
                 ),
                 registration_rmse(scene.cloud, result.estimate.transform, scene.gt_transform),

@@ -7,8 +7,8 @@ a depth image by z-buffer splatting. The cloud is stored in its own frame
 z-buffer winner is a perfect pixel/point correspondence by construction.
 
 A scene keeps its pixels once, in a PixelTable of (u, v, depth, point
-index) rows; the depth raster and the ground-truth correspondences are
-read-only views of it.
+index) rows, and builds no image-sized array; the ground-truth
+correspondences are a read-only view of the table.
 
 Features are constructed, not learned: both sides of a ground-truth
 pair share one random unit vector, which models a perfectly trained
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,6 @@ from .geometry import (
     unit_rows,
 )
 from .matching import CorrespondenceSet
-from .normals import DepthMap
 
 __all__ = [
     "STREAM_TAGS",
@@ -198,8 +198,13 @@ class SceneSpec:
             raise ValueError("at least one primitive is required")
         if self.point_count < 100:
             raise ValueError(f"point_count must be >= 100, got {self.point_count}")
-        if self.max_rotation_deg < 0.0 or self.max_translation_m < 0.0:
-            raise ValueError("pose range bounds must be >= 0")
+        rot, tra = self.max_rotation_deg, self.max_translation_m
+        # a full turn covers every rotation; max / 4 keeps the draw and inverse pose finite
+        if not (0.0 <= rot <= 360.0 and 0.0 <= tra <= sys.float_info.max / 4):
+            raise ValueError(
+                "pose range bounds must lie in [0, 360] degrees and "
+                f"[0, {sys.float_info.max / 4!r}] m, got {rot!r} and {tra!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -257,8 +262,8 @@ class SyntheticScene:
     cloud is (N, 3) in the cloud's own frame; gt_transform maps cloud
     frame to camera frame. Construction checks that the table has the
     intrinsics' size and that each point index is -1 or a cloud row.
-    depth, gt_rows and gt_correspondences are views of the table, derived
-    on first read (a cached_property writes the instance __dict__).
+    gt_rows and gt_correspondences are views of the table, derived on
+    first read (a cached_property writes the instance __dict__).
     """
 
     cloud: F64
@@ -284,16 +289,6 @@ class SyntheticScene:
                 f"depth row {row} names point {int(idx[row])}: a point index must be -1 "
                 f"or a row of the {pts.shape[0]}-point cloud"
             )
-
-    @functools.cached_property
-    def depth(self) -> DepthMap:
-        """The table as an (H, W) DepthMap, NaN and invalid off its rows."""
-        shape = (self.table.height, self.table.width)
-        us, vs = self.table.pixels.astype(np.int64).T
-        values, valid = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
-        values[vs, us] = self.table.depths
-        valid[vs, us] = True
-        return DepthMap(values, valid)
 
     @functools.cached_property
     def gt_rows(self) -> np.ndarray:

@@ -26,7 +26,7 @@ from crossreg.io import (
     write_ply,
 )
 from crossreg.normals import estimate_point_normals_adaptive
-from crossreg.pipeline import PipelineConfig, evaluate_scene, register_scene
+from crossreg.pipeline import PipelineConfig, evaluate_scene, prepare_scene, register_scene
 from crossreg.synth import SceneSpec, generate_scene
 
 SMALL = ["--set", "point_count=600", "--set", "scene_count=2"]
@@ -91,6 +91,19 @@ class TestConfigPlumbing:
         assert run("synth", "--out", str(out), "--set", f"{key}={value}") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_translation_m", "1e308"),
+        ("max_rotation_deg", "1e200"),
+    ], ids=["translation", "rotation"])
+    def test_pose_bound_past_its_range_exits_1(self, tmp_path, capsys, key, value):
+        # the translation draw and the axis-angle norm once overflowed on
+        # these, and the command ended with a traceback
+        out = tmp_path / "s"
+        assert run("synth", "--out", str(out), "--set", f"{key}={value}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pose range bounds must lie in") and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_config_file_exits_1(self, tmp_path):
@@ -403,6 +416,19 @@ class TestMalformedBundle:
         assert run("eval", "--scenes", str(tiny_bundle), "--results", str(results),
                    "--out", str(tmp_path / "r.json")) == 1
         assert capsys.readouterr().err == "error: no valid depth at pixel (0.0, 0.0)\n"
+
+    def test_eval_of_a_pixel_far_outside_the_image_exits_1(self, tiny_bundle, tmp_path, capsys):
+        # the pixel's int64 cast once warned before the error line
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+        edit_line(results / "correspondences.csv", 1,
+                  lambda row: "1e300,0.0," + row.split(",", 2)[2])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("eval", "--scenes", str(tiny_bundle), "--results", str(results),
+                       "--out", str(tmp_path / "r.json")) == 1
+        assert capsys.readouterr().err == "error: pixel (1e+300, 0.0) outside the depth map\n"
 
     @pytest.mark.parametrize("index", ["cloud_size", "-1"])
     def test_eval_of_a_point_outside_the_cloud_exits_1(
@@ -871,8 +897,27 @@ class TestNormals:
         assert points.normals.shape == (600, 3)
         assert points.valid.sum() > 500
         scene = load_scene_bundle(scenes / "scene_0000")
-        grid = read_normals(out / "depth_normals.bin")
-        assert grid.normals.shape == scene.depth.shape + (3,)
+        rows = read_normals(out / "depth_normals.bin")
+        assert rows.normals.shape == (len(scene.table), 3)
+        assert rows.valid.sum() > 500
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_depth_normals_are_the_lifted_row_normals(self, tmp_path, adaptive):
+        # one normal per depth.bin row, as registration lifts them; the
+        # command once wrote a 640x480 raster without a valid normal
+        scenes = tmp_path / "scenes"
+        assert run("synth", "--out", str(scenes), "--set", "scene_count=1",
+                   "--set", "base_seed=21") == 0
+        out = tmp_path / "n"
+        assert run("normals", "--scene", str(scenes / "scene_0000"), "--out", str(out),
+                   "--set", f"adaptive_k={json.dumps(adaptive)}") == 0
+        scene = load_scene_bundle(scenes / "scene_0000")
+        got = read_normals(out / "depth_normals.bin")
+        assert got.normals.shape == (len(scene.table), 3) == (1940, 3)
+        assert got.valid.sum() == 1940
+        clean = prepare_scene(scene, PipelineConfig(adaptive_k=adaptive)).clean_normals
+        write_normals(tmp_path / "want.bin", clean)
+        assert (out / "depth_normals.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
     def test_rerun_byte_identical(self, tmp_path):
         scenes = synth_scenes(tmp_path)

@@ -34,6 +34,7 @@ from crossreg.pipeline import PipelineConfig, register_scene
 from crossreg.pose import PoseEstimate
 from crossreg.geometry import RigidTransform, rotation_from_axis_angle
 from crossreg.synth import PixelTable, SceneSpec, generate_scene
+from rasters import depth_raster
 
 
 def random_cloud(n=40, seed=0):
@@ -317,10 +318,11 @@ class TestSceneBundle:
         np.testing.assert_array_equal(
             back.gt_correspondences.pixels, scene.gt_correspondences.pixels
         )
-        np.testing.assert_array_equal(back.depth.valid, scene.depth.valid)
+        back_depth, depth = depth_raster(back.table), depth_raster(scene.table)
+        np.testing.assert_array_equal(back_depth.valid, depth.valid)
         assert back.seed == scene.seed
         assert back.intrinsics == scene.intrinsics
-        assert back.depth.values.tobytes() == scene.depth.values.tobytes()
+        assert back_depth.values.tobytes() == depth.values.tobytes()
 
     def test_rewrite_byte_identical(self, tmp_path):
         scene = generate_scene(SceneSpec(point_count=300), seed=8)
@@ -356,9 +358,9 @@ def bundle_bytes(directory: Path) -> dict[str, bytes]:
 
 
 def scene_arrays(scene) -> list[bytes]:
-    gt = scene.gt_correspondences
+    gt, depth = scene.gt_correspondences, depth_raster(scene.table)
     return table_columns(scene.table) + [
-        scene.cloud.tobytes(), scene.depth.values.tobytes(), scene.depth.valid.tobytes(),
+        scene.cloud.tobytes(), depth.values.tobytes(), depth.valid.tobytes(),
         gt.pixels.tobytes(), gt.point_indices.tobytes(), gt.scores.tobytes(),
         scene.gt_transform.rotation.tobytes(), scene.gt_transform.translation.tobytes(),
     ]

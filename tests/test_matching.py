@@ -30,6 +30,7 @@ from crossreg.matching import (
 )
 from crossreg.pipeline import PipelineConfig, _tile_ids, _voxel_ids
 from crossreg.synth import generate_scene
+from rasters import depth_raster
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
@@ -585,7 +586,8 @@ class TestScenePatchOverlap:
         cfg = PipelineConfig(point_count=600)
         scene = generate_scene(cfg.scene_spec(), seed=4)
         pix = scene.gt_correspondences.pixels
-        dep = scene.depth.values[pix[:, 1].astype(np.int64), pix[:, 0].astype(np.int64)]
+        depth = depth_raster(scene.table)
+        dep = depth.values[pix[:, 1].astype(np.int64), pix[:, 0].astype(np.int64)]
         tiles = _tile_ids(pix, scene.intrinsics, cfg.tile_rows, cfg.tile_cols)
         cells, _ = _voxel_ids(scene.cloud, cfg.voxel_size)
         pairs = [(int(t), int(c)) for t in np.unique(tiles) for c in np.unique(cells)]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossreg.errors import (
     EmptyCorrespondencesError,
@@ -14,6 +16,7 @@ from crossreg.errors import (
 from crossreg.geometry import (
     CameraIntrinsics,
     RigidTransform,
+    backproject_pixels,
     rotation_from_axis_angle,
 )
 from crossreg.matching import CorrespondenceSet, PatchPair
@@ -29,6 +32,8 @@ from crossreg.metrics import (
     relative_translation_error,
 )
 from crossreg.normals import DepthMap
+from crossreg.synth import PixelTable, SceneSpec, generate_scene
+from rasters import depth_raster
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=32.0, cy=24.0, width=64, height=48)
 
@@ -139,6 +144,84 @@ class TestInlierRatio:
         moved = CorrespondenceSet(edited, corrs.point_indices, corrs.scores)
         with pytest.raises(MissingDepthError, match=message):
             inlier_ratio(moved, cloud, depth, K, gt)
+
+
+def ratio_or_message(corrs, cloud, depth, gt, tau1=0.05):
+    """inlier_ratio's value, or the text of its MissingDepthError."""
+    try:
+        return inlier_ratio(corrs, cloud, depth, K, gt, tau1)
+    except MissingDepthError as exc:
+        return str(exc)
+
+
+@st.composite
+def tables_and_queries(draw):
+    """A sparse table over K, and pixels that sit on its rows (some off the
+    integer grid, as the nearest-integer rule allows), off them, or outside
+    the image, with cloud points near each pixel's lifted row depth."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(0, 40))
+    keys = np.sort(rng.choice(K.width * K.height, size=count, replace=False))
+    pixels = np.column_stack([keys % K.width, keys // K.width]).astype(np.float64)
+    depths = rng.uniform(1.0, 3.0, count)
+    table = PixelTable(K.width, K.height, pixels, depths, np.full(count, -1))
+    n = draw(st.integers(1, 12))
+    rows = rng.integers(0, max(count, 1), n)
+    on_rows = count > 0 and draw(st.booleans())
+    if on_rows:
+        query = pixels[rows] + rng.uniform(-0.49, 0.49, (n, 2)) * draw(st.sampled_from([0, 1]))
+        lifted_depth = depths[rows]
+    else:
+        query = rng.uniform(-2.0, [K.width + 2.0, K.height + 2.0], (n, 2))
+        lifted_depth = rng.uniform(1.0, 3.0, n)
+    cloud = backproject_pixels(K, np.rint(query), lifted_depth)
+    cloud += rng.normal(0.0, 0.04, cloud.shape)
+    return table, CorrespondenceSet(query, np.arange(n), np.ones(n)), cloud
+
+
+class TestInlierRatioOnATable:
+    """A scene's PixelTable and the raster built from it give one answer."""
+
+    def test_default_scene(self):
+        scene = generate_scene(SceneSpec(point_count=600), seed=4)
+        jit = scene.cloud + np.random.default_rng(1).normal(0, 0.03, scene.cloud.shape)
+        args = (scene.gt_correspondences, jit)
+        on_table = inlier_ratio(*args, scene.table, scene.intrinsics, scene.gt_transform)
+        on_raster = inlier_ratio(
+            *args, depth_raster(scene.table), scene.intrinsics, scene.gt_transform
+        )
+        assert 0.0 < on_table < 1.0
+        assert on_table == on_raster
+
+    @settings(max_examples=80)
+    @given(case=tables_and_queries())
+    def test_table_and_raster_agree(self, case):
+        table, corrs, cloud = case
+        gt = RigidTransform.identity()
+        got = ratio_or_message(corrs, cloud, table, gt)
+        assert got == ratio_or_message(corrs, cloud, depth_raster(table), gt)
+
+    @pytest.mark.parametrize(
+        "pixel, rows, message",
+        [
+            ((-5.0, 1.0), 3, r"^pixel \(-5\.0, 1\.0\) outside the depth map$"),
+            ((1e300, 1.0), 3, r"^pixel \(1e\+300, 1\.0\) outside the depth map$"),
+            ((0.0, 0.0), 3, r"^no valid depth at pixel \(0\.0, 0\.0\)$"),
+            ((63.4, 47.0), 3, r"^no valid depth at pixel \(63\.4, 47\.0\)$"),
+            ((5.0, 6.0), 0, r"^no valid depth at pixel \(5\.0, 6\.0\)$"),
+        ],
+        ids=["outside_the_image", "far_past_int64", "no_row", "past_the_last_row",
+             "empty_table"],
+    )
+    def test_same_missing_depth_text(self, pixel, rows, message):
+        keys = np.array([70, 71, 200])[:rows]
+        pixels = np.column_stack([keys % K.width, keys // K.width]).astype(np.float64)
+        table = PixelTable(K.width, K.height, pixels, np.full(rows, 2.0), np.full(rows, -1))
+        corrs = CorrespondenceSet(np.array([pixel]), [0], [1.0])
+        cloud, gt = np.zeros((1, 3)), RigidTransform.identity()
+        for depth in (table, depth_raster(table)):
+            with pytest.raises(MissingDepthError, match=message):
+                inlier_ratio(corrs, cloud, depth, K, gt)
 
 
 class TestRecalls:

@@ -37,6 +37,7 @@ from crossreg.synth import (
     corrupt_depth,
     generate_scene,
 )
+from rasters import depth_raster
 
 SMALL_K = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=12.0, width=32, height=24)
 
@@ -169,11 +170,12 @@ def test_row_normal_stage_matches_dense_grids(case):
     prep = prepare_scene(scene, cfg)
     live = prep.live_normals(corruption)
 
-    dense_live_depth = dense_corrupt_depth(scene.depth, corruption, seed)
-    dense_clean = dense_lifted_pixel_normals(scene.depth, SMALL_K, k, adaptive)
+    depth = depth_raster(scene.table)
+    dense_live_depth = dense_corrupt_depth(depth, corruption, seed)
+    dense_clean = dense_lifted_pixel_normals(depth, SMALL_K, k, adaptive)
     dense_live = dense_lifted_pixel_normals(dense_live_depth, SMALL_K, k, adaptive)
-    assert_rows_of_grid(prep.clean_normals, dense_clean, scene.depth)
-    assert_rows_of_grid(live, dense_live, scene.depth)
+    assert_rows_of_grid(prep.clean_normals, dense_clean, depth)
+    assert_rows_of_grid(live, dense_live, depth)
     try:
         agreement = pipeline.normal_agreement(prep.clean_normals, live)
     except DegenerateNeighborhoodError:
@@ -184,7 +186,7 @@ def test_row_normal_stage_matches_dense_grids(case):
 
     # each row stage, called alone, gives the dense bytes at its rows
     depths, keep = corrupt_depth(scene.table.depths, corruption, seed)
-    vs, us = np.nonzero(scene.depth.valid)
+    vs, us = np.nonzero(depth.valid)
     assert keep.tobytes() == dense_live_depth.valid[vs, us].tobytes()
     assert depths[keep].tobytes() == dense_live_depth.values[vs[keep], us[keep]].tobytes()
     got = lifted_pixel_normals(scene.table.pixels[keep], depths[keep], SMALL_K, k, adaptive)
@@ -207,7 +209,7 @@ def test_ground_truth_rows_name_their_pixels(seed):
     table = scene.table
     pixels = scene.gt_correspondences.pixels
     assert table.pixels[scene.gt_rows].tobytes() == pixels.tobytes()
-    assert table.depths[scene.gt_rows].tobytes() == scene.depth.values[
+    assert table.depths[scene.gt_rows].tobytes() == depth_raster(table).values[
         pixels[:, 1].astype(np.int64), pixels[:, 0].astype(np.int64)
     ].tobytes()
     # a generated scene's ground truth covers every depth pixel, in the

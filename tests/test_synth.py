@@ -1,6 +1,7 @@
 """Scene generator: self-consistency, determinism, and corruption statistics."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from crossreg.synth import (
     render_depth,
     synthesize_features,
 )
+from rasters import depth_raster
 
 SMALL_K = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=12.0, width=32, height=24)
 
@@ -63,9 +65,22 @@ class TestGenerateScene:
         a = generate_scene(spec, seed=3)
         b = generate_scene(spec, seed=3)
         np.testing.assert_array_equal(a.cloud, b.cloud)
-        np.testing.assert_array_equal(a.depth.values, b.depth.values)
+        np.testing.assert_array_equal(depth_raster(a.table).values, depth_raster(b.table).values)
         np.testing.assert_array_equal(a.gt_correspondences.pixels, b.gt_correspondences.pixels)
         np.testing.assert_array_equal(a.gt_transform.rotation, b.gt_transform.rotation)
+
+    def test_pose_bounds_at_their_limits_stay_finite(self):
+        # a full turn, and a quarter of the float64 range: past either,
+        # the draw or the inverse pose overflows
+        far = sys.float_info.max / 4
+        spec = SceneSpec(point_count=100, max_rotation_deg=360.0, max_translation_m=far)
+        for seed in range(5):
+            scene = generate_scene(spec, seed=seed)
+            assert np.all(np.isfinite(scene.cloud))
+            assert np.all(np.isfinite(scene.gt_transform.inverse().translation))
+        for rot, tra in ((np.nextafter(360.0, 400.0), 0.5), (30.0, np.nextafter(far, np.inf))):
+            with pytest.raises(ValueError, match="pose range bounds must lie in"):
+                SceneSpec(max_rotation_deg=float(rot), max_translation_m=float(tra))
 
     def test_seeds_differ(self):
         spec = SceneSpec(point_count=500)
@@ -79,19 +94,21 @@ class TestGenerateScene:
         proj = project_points(scene.intrinsics, moved)
         gaps = np.abs(proj - scene.gt_correspondences.pixels)
         assert gaps.max() <= 0.5 + 1e-9
+        depth = depth_raster(scene.table)
         for (u, v), z in zip(scene.gt_correspondences.pixels.tolist(), moved[:, 2]):
-            assert abs(scene.depth.values[int(v), int(u)] - z) < 1e-6
+            assert abs(depth.values[int(v), int(u)] - z) < 1e-6
 
     def test_every_gt_pair_labels_positive(self):
         scene = generate_scene(SceneSpec(point_count=1200), seed=5)
         gt = scene.gt_correspondences
+        depth = depth_raster(scene.table)
         for (u, v), idx in zip(gt.pixels.tolist(), gt.point_indices.tolist()):
             (pair,) = patch_overlap(
                 [(0, 0)],
                 [0],
                 [0],
                 [(u, v)],
-                [scene.depth.values[int(v), int(u)]],
+                [depth.values[int(v), int(u)]],
                 scene.cloud[[idx]],
                 scene.intrinsics,
                 scene.gt_transform,
@@ -120,9 +137,10 @@ class TestGenerateScene:
             max_translation_m=0.0,
         )
         scene = generate_scene(spec, seed=9)
-        vals = scene.depth.values[scene.depth.valid]
+        depth = depth_raster(scene.table)
+        vals = depth.values[depth.valid]
         np.testing.assert_allclose(vals, 2.0, atol=1e-12)
-        normals = depth_to_normals(scene.depth)
+        normals = depth_to_normals(depth)
         flat = normals.normals[normals.valid]
         assert flat.shape[0] > 0
         expected = np.zeros_like(flat)
@@ -233,7 +251,7 @@ class TestSceneCheck:
         assert partial.gt_rows.tolist() == list(range(1, len(scene.table), 2))
         assert gt.pixels.tobytes() == scene.table.pixels[1::2].tobytes()
         assert gt.point_indices.tobytes() == scene.table.point_indices[1::2].tobytes()
-        assert partial.depth.valid.sum() == len(scene.table)
+        assert depth_raster(partial.table).valid.sum() == len(scene.table)
 
     def test_depth_shape_must_match_intrinsics(self):
         scene = generate_scene(SceneSpec(point_count=300), seed=0)
@@ -244,14 +262,17 @@ class TestSceneCheck:
 
     def test_views_are_derived_once_and_read_only(self):
         scene = generate_scene(SceneSpec(point_count=300), seed=0)
-        assert scene.depth is scene.depth
+        # the table is the scene's only depth: no image-sized view is kept
+        assert not hasattr(scene, "depth")
+        assert scene.gt_rows is scene.gt_rows
         assert scene.gt_correspondences is scene.gt_correspondences
-        vs, us = np.nonzero(scene.depth.valid)
+        depth = depth_raster(scene.table)
+        vs, us = np.nonzero(depth.valid)
         assert np.column_stack([us, vs]).astype(np.float64).tobytes() == (
             scene.table.pixels.tobytes()
         )
-        assert scene.depth.values[vs, us].tobytes() == scene.table.depths.tobytes()
-        for name in ("depth", "gt_correspondences"):
+        assert depth.values[vs, us].tobytes() == scene.table.depths.tobytes()
+        for name in ("table", "gt_rows", "gt_correspondences"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(scene, name, None)
 
