@@ -133,7 +133,8 @@ run ablate_mask_ratio_noisy ablate --sweep mask_ratio \
 
 # bad input that once ended with a traceback; each exits 1 and leaves no file:
 # a result whose first correspondence names a point outside the cloud, a
-# non-finite integer setting, and two pose bounds past their range
+# non-finite integer setting, two pose bounds past their range, and a
+# negative seed in four settings and in a bundle
 bad="$out/.bad_point_index"
 cp -r "$out/results_plain_small/scene_0000" "$bad"
 awk -F, -v OFS=, 'NR == 2 { $3 = 99999 } { print }' "$bad/correspondences.csv" \
@@ -145,3 +146,14 @@ rm -rf "$bad"
 run synth_nan_point_count synth --out "$out/nan_point_count" --set point_count=NaN
 run synth_huge_translation synth --out "$out/huge_translation" --set max_translation_m=1e308
 run synth_huge_rotation synth --out "$out/huge_rotation" --set max_rotation_deg=1e200
+run synth_negative_base_seed synth --out "$out/negative_base_seed" --set base_seed=-5
+run ablate_negative_noise_seed ablate --sweep k --values "[8]" \
+    --out "$out/negative_noise_seed.csv" --set noise_seed=-1 --set mask_ratio=0.1
+run register_negative_param_seed register --scene "$out/small/scene_0000" \
+    --out "$out/negative_param_seed" --set param_seed=-1 --set epoch=25
+run losses_negative_base_seed losses --out "$out/negative_base_seed.json" --set base_seed=-3
+bad="$out/.negative_bundle_seed"
+cp -r "$out/small/scene_0000" "$bad"
+sed -i 's/"seed": [0-9]*/"seed": -1/' "$bad/gt_pose.json"
+run register_negative_bundle_seed register --scene "$bad" --out "$bad/result"
+rm -rf "$bad"

@@ -54,7 +54,6 @@ from .losses import (
     median_heuristic_bandwidth,
     mmd,
     normal_consistency_loss,
-    self_similarity,
     total_loss,
     warmup_weight,
 )

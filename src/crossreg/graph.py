@@ -7,7 +7,7 @@ is reproducible from a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,10 +220,6 @@ class KnnGraph:
     def node_count(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def neighbor_count(self) -> int:
-        return self.neighbor_indices.shape[1]
-
 
 def build_knn_graph(positions, k: int) -> KnnGraph:
     """Exact k-NN graph over (N, d) positions; every node gets min(k, N-1) neighbors."""
@@ -267,11 +263,6 @@ class GraphAttentionParams:
             for name, spec in PARAM_LAYOUT
         }
         return cls(channels=channels, seed=seed, **drawn)
-
-    def replace(self, **updates) -> "GraphAttentionParams":
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(updates)
-        return GraphAttentionParams(**current)
 
 
 # --------------------------------------------------------------------------- #

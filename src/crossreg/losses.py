@@ -69,12 +69,6 @@ def _check_normalized(features, name: str) -> F64:
     return feats
 
 
-def self_similarity(features) -> F64:
-    """Row-wise similarity structure S = F F^T of a row-normalized field."""
-    feats = _check_normalized(features, "features")
-    return feats @ feats.T
-
-
 def gdc_loss(f_img, f_cloud) -> tuple[float, F64, F64]:
     """Squared Frobenius gap between the two self-similarity structures.
 

@@ -250,46 +250,21 @@ def patch_overlap(
     if cloud_ids.shape[0] != pts.shape[0]:
         raise ValueError("point_patch_ids must align with points")
 
-    img_patches, img_rank, img_sizes = np.unique(
-        img_ids, return_inverse=True, return_counts=True
-    )
-    cloud_patches, cloud_rank, cloud_sizes = np.unique(
-        cloud_ids, return_inverse=True, return_counts=True
-    )
-    img_row = {patch: row for row, patch in enumerate(img_patches.tolist())}
-    cloud_row = {patch: row for row, patch in enumerate(cloud_patches.tolist())}
     pairs = [(int(i), int(c)) for i, c in pairs]
-    for i, c in pairs:
-        if i not in img_row or c not in cloud_row:
+    sizes = [(np.count_nonzero(img_ids == i), np.count_nonzero(cloud_ids == c)) for i, c in pairs]
+    for (i, c), (n_img, n_cloud) in zip(pairs, sizes):
+        if n_img == 0 or n_cloud == 0:
             raise EmptyPatchError(f"patch pair ({i}, {c}) has an empty side")
 
     pi, qj = _positive_pairs(pix, dep, pts, intrinsics, gt_transform)
-    hits_2d = _touch_counts(pi, img_rank, cloud_rank[qj], cloud_patches.size)
-    hits_3d = _touch_counts(qj, cloud_rank, img_rank[pi], img_patches.size)
+    pi_tile, qj_cell = img_ids[pi], cloud_ids[qj]
     out = []
-    for i, c in pairs:
-        ri, rc = img_row[i], cloud_row[c]
+    for (i, c), (n_img, n_cloud) in zip(pairs, sizes):
+        both = (pi_tile == i) & (qj_cell == c)
         out.append(PatchPair(
-            i, c,
-            hits_2d.get((ri, rc), 0) / int(img_sizes[ri]),
-            hits_3d.get((rc, ri), 0) / int(cloud_sizes[rc]),
+            i, c, np.unique(pi[both]).size / n_img, np.unique(qj[both]).size / n_cloud
         ))
     return out
-
-
-def _touch_counts(
-    members: np.ndarray, own_rank: np.ndarray, other_rank: np.ndarray, n_other: int
-) -> dict[tuple[int, int], int]:
-    """(own patch, other patch) -> distinct members touching the other patch.
-
-    members[k] touched a member of patch other_rank[k]; own_rank maps each
-    member to its own patch. Codes stay below members x patches.
-    """
-    touched = np.unique(members * n_other + other_rank)  # distinct (member, other patch)
-    keys, counts = np.unique(
-        own_rank[touched // n_other] * n_other + touched % n_other, return_counts=True
-    )
-    return {divmod(key, n_other): count for key, count in zip(keys.tolist(), counts.tolist())}
 
 
 def _positive_pairs(

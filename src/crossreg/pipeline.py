@@ -212,6 +212,8 @@ class PipelineConfig:
             raise ConfigError("epoch must be >= 0")
         if self.scene_count < 1:
             raise ConfigError("scene_count must be >= 1")
+        if self.base_seed < 0 or self.param_seed < 0:
+            raise ConfigError("base_seed and param_seed must be >= 0")
         # Constituent configs re-check their own invariants; surface those
         # failures as config errors too.
         try:
@@ -336,6 +338,18 @@ def _voxel_ids(points: F64, size: float) -> tuple[np.ndarray, int]:
     return ids, int(np.count_nonzero(starts_run))
 
 
+def _patch_ids(
+    scene: SyntheticScene, config: PipelineConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(tile id of each ground-truth pixel, cell id of each point, cell count):
+    the patches registration matches and evaluation scores."""
+    cells, cell_count = _voxel_ids(scene.cloud, config.voxel_size)
+    tiles = _tile_ids(
+        scene.gt_correspondences.pixels, scene.intrinsics, config.tile_rows, config.tile_cols
+    )
+    return tiles, cells, cell_count
+
+
 @dataclass(frozen=True)
 class _Members:
     """Rows grouped by id: group g's rows, ascending, are order[offsets[g]:offsets[g + 1]]."""
@@ -451,12 +465,8 @@ def _prep_key(config: PipelineConfig) -> tuple:
 def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
     """The table rows' clean lifted normals, the base features and the tile
     and voxel member indexes; the graphs wait for first use."""
-    table, pixels = scene.table, scene.gt_correspondences.pixels
-    cells = _Members.index(*_voxel_ids(scene.cloud, config.voxel_size))
-    tiles = _Members.index(
-        _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols),
-        config.tile_rows * config.tile_cols,
-    )
+    table = scene.table
+    tiles, cells, cell_count = _patch_ids(scene, config)
     return ScenePrep(
         scene,
         _prep_key(config),
@@ -464,8 +474,8 @@ def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
             table.pixels, table.depths, scene.intrinsics, config.k_neighbors, config.adaptive_k
         ),
         synth.base_features(scene, config.channels),
-        tiles,
-        cells,
+        _Members.index(tiles, config.tile_rows * config.tile_cols),
+        _Members.index(cells, cell_count),
     )
 
 
@@ -617,14 +627,12 @@ def evaluate_scene(
     """Score one scene's registration against its stored ground truth.
 
     patches are the registration's coarse (tile id, cell id, score) pairs.
-    Their members are recomputed from the scene under the config's tile
-    grid and voxel size, which must be the ones the pairs were matched
-    under. The ids come first, so a cloud too large for the voxel grid
-    fails before any metric overflows.
+    Their members' ids come from _patch_ids under the config's tile grid
+    and voxel size, which must be the ones the pairs were matched under.
+    The ids come first, so a cloud too large for the voxel grid fails
+    before any metric overflows.
     """
-    pixels = scene.gt_correspondences.pixels
-    tiles = _tile_ids(pixels, scene.intrinsics, config.tile_rows, config.tile_cols)
-    cells, _ = _voxel_ids(scene.cloud, config.voxel_size)
+    tiles, cells, _ = _patch_ids(scene, config)
     ir = inlier_ratio(
         corrs, scene.cloud, scene.table, scene.intrinsics, scene.gt_transform,
         config.tau1_m,
@@ -634,7 +642,7 @@ def evaluate_scene(
     if len(patches):
         pir = patch_inlier_ratio(patch_overlap(
             [(tile, cell) for tile, cell, _score in patches], tiles, cells,
-            pixels, scene.table.depths[scene.gt_rows], scene.cloud,
+            scene.gt_correspondences.pixels, scene.table.depths[scene.gt_rows], scene.cloud,
             scene.intrinsics, scene.gt_transform,
         ))
     rre = relative_rotation_error(scene.gt_transform.rotation, est_transform.rotation)

@@ -63,6 +63,8 @@ class RansacConfig:
             raise ValueError("confidence must be in (0, 1)")
         if self.min_sample < MIN_SOLVE_POINTS:
             raise ValueError(f"min_sample must be >= {MIN_SOLVE_POINTS}")
+        if self.seed < 0:
+            raise ValueError(f"RANSAC seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

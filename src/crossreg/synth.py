@@ -260,8 +260,9 @@ class SyntheticScene:
     """A rendered scene with its ground truth.
 
     cloud is (N, 3) in the cloud's own frame; gt_transform maps cloud
-    frame to camera frame. Construction checks that the table has the
-    intrinsics' size and that each point index is -1 or a cloud row.
+    frame to camera frame. Construction checks that the seed is >= 0, that
+    the table has the intrinsics' size and that each point index is -1 or
+    a cloud row.
     gt_rows and gt_correspondences are views of the table, derived on
     first read (a cached_property writes the instance __dict__).
     """
@@ -275,6 +276,8 @@ class SyntheticScene:
     def __post_init__(self) -> None:
         pts = as_points(self.cloud, name="cloud")
         object.__setattr__(self, "cloud", pts)
+        if self.seed < 0:
+            raise ValueError(f"scene seed must be >= 0, got {self.seed}")
         w, h = self.intrinsics.width, self.intrinsics.height
         table = self.table
         if (table.width, table.height) != (w, h):
@@ -385,6 +388,8 @@ class CorruptionConfig:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be >= 0, got {self.seed}")
 
 
 def corrupt_depth(depths: F64, cfg: CorruptionConfig, scene_seed: int) -> tuple[F64, np.ndarray]:

@@ -8,6 +8,7 @@ sorts, closed forms) rather than by calling the function under test twice.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -440,7 +441,7 @@ def test_criterion_06_attention_properties():
     # shared feature row f, every output must be (sum of weights) * f = f
     for seed in (0, 1, 2):
         params = GraphAttentionParams.initialize(12, seed=seed)
-        params = params.replace(value_proj=np.eye(12))
+        params = dataclasses.replace(params, value_proj=np.eye(12))
         row = rng.normal(size=12)
         assert float(np.linalg.norm(row)) > 0.1
         feats = np.tile(row, (30, 1))

@@ -338,6 +338,43 @@ def tiny_bundle(tmp_path) -> Path:
     return bundles / "scene_0000"
 
 
+class TestNegativeSeed:
+    # numpy's seeding rejects a negative seed, and each of these once ended
+    # with its traceback
+
+    @pytest.mark.parametrize("command, settings, message", [
+        (["synth"], ["base_seed=-5"], "base_seed and param_seed must be >= 0"),
+        (
+            ["ablate", "--sweep", "k", "--values", "[8]"], ["noise_seed=-1", "mask_ratio=0.1"],
+            "noise seed must be >= 0, got -1",
+        ),
+        (["register"], ["param_seed=-1", "epoch=25"], "base_seed and param_seed must be >= 0"),
+        (["losses"], ["base_seed=-3"], "base_seed and param_seed must be >= 0"),
+    ], ids=["synth", "ablate", "register", "losses"])
+    def test_negative_setting_exits_1(
+        self, tiny_bundle, tmp_path, capsys, command, settings, message
+    ):
+        scene = ["--scene", str(tiny_bundle)] if command == ["register"] else []
+        sets = [arg for kv in settings for arg in ("--set", kv)]
+        out = tmp_path / "out"
+        assert run(*command, *scene, "--out", str(out), *sets) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_bundle_seed_exits_1_at_load(self, tiny_bundle, tmp_path, capsys):
+        edit_file(tiny_bundle / "gt_pose.json", None, lambda text: json_with(text, "seed", -1))
+        with pytest.raises(BundleError, match="scene seed must be >= 0"):
+            load_scene_bundle(tiny_bundle)
+        out = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bundle {tiny_bundle}: scene seed must be >= 0, got -1\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestMalformedBundle:
     # each of these once ended the process with a traceback
     # the point index checks against the cloud name the bundle; the pixel

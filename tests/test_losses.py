@@ -19,7 +19,6 @@ from crossreg.losses import (
     median_heuristic_bandwidth,
     mmd,
     normal_consistency_loss,
-    self_similarity,
     total_loss,
     warmup_weight,
 )
@@ -88,26 +87,6 @@ class TestNormalConsistency:
             assert abs(fd - analytic) <= 1e-4 * max(1e-8, abs(analytic))
 
 
-class TestSelfSimilarity:
-    def test_two_by_two_oracle(self):
-        theta = 0.7
-        feats = np.array([[1.0, 0.0], [math.cos(theta), math.sin(theta)]])
-        s = self_similarity(feats)
-        np.testing.assert_allclose(
-            s, [[1.0, math.cos(theta)], [math.cos(theta), 1.0]], atol=1e-12
-        )
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalizedError):
-            self_similarity(np.array([[1.0, 0.0], [2.0, 0.0]]))
-
-    def test_symmetric_unit_diagonal(self):
-        rng = np.random.default_rng(12)
-        s = self_similarity(unit_rows(rng, 15, 8))
-        np.testing.assert_allclose(s, s.T, atol=1e-12)
-        np.testing.assert_allclose(np.diag(s), 1.0, atol=1e-12)
-
-
 class TestGdcLoss:
     def test_frozen_two_by_two(self):
         f_img = np.eye(2)
@@ -116,6 +95,13 @@ class TestGdcLoss:
         assert loss == 2.0
         np.testing.assert_array_equal(g_img, [[0.0, -4.0], [-4.0, 0.0]])
         np.testing.assert_array_equal(g_cloud, [[4.0, 0.0], [4.0, 0.0]])
+
+    def test_rejects_unnormalized(self):
+        unit = np.eye(2)
+        with pytest.raises(NotNormalizedError, match="f_img"):
+            gdc_loss(np.array([[1.0, 0.0], [2.0, 0.0]]), unit)
+        with pytest.raises(NotNormalizedError, match="f_cloud"):
+            gdc_loss(unit, np.array([[1.0, 0.0], [2.0, 0.0]]))
 
     def test_identical_structures_zero(self):
         rng = np.random.default_rng(3)

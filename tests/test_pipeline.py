@@ -293,10 +293,7 @@ class TestRegisterScene:
     def test_patches_are_the_coarse_pairs(self):
         scene, cfg = small_scene(seed=6)
         patches = register_scene(scene, cfg).patches
-        tiles = pipeline._tile_ids(
-            scene.gt_correspondences.pixels, scene.intrinsics, cfg.tile_rows, cfg.tile_cols
-        )
-        cells, _ = pipeline._voxel_ids(scene.cloud, cfg.voxel_size)
+        tiles, cells, _ = pipeline._patch_ids(scene, cfg)
         for tile, cell, score in patches:
             assert type(tile) is int and type(cell) is int and type(score) is float
             assert tile in tiles and cell in cells
@@ -406,7 +403,10 @@ class TestScenePrep:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"k_neighbors": 4}, {"tile_rows": 3}, {"voxel_size": 0.3}, {"channels": 32}],
+        [
+            {"k_neighbors": 4}, {"tile_rows": 3}, {"voxel_size": 0.3}, {"channels": 32},
+            {"adaptive_k": True}, {"tile_cols": 4},
+        ],
     )
     def test_prep_for_other_prep_fields_rejected(self, overrides):
         scene, cfg = small_scene(seed=2)
@@ -802,14 +802,19 @@ class TestGroupingOracles:
         assert got.tobytes() == (sums[want_present] / counts[want_present, None]).tobytes()
 
     def test_members_are_the_flatnonzero_scans(self):
-        scene, cfg = small_scene(seed=6)
-        prep = prepare_scene(scene, cfg)
-        tiles = pipeline._tile_ids(
-            scene.gt_correspondences.pixels, scene.intrinsics, cfg.tile_rows, cfg.tile_cols
-        )
-        cells, cell_count = pipeline._voxel_ids(scene.cloud, cfg.voxel_size)
-        for members, ids, count in ((prep.tiles, tiles, cfg.tile_rows * cfg.tile_cols),
-                                    (prep.cells, cells, cell_count)):
-            assert members.present().tolist() == np.unique(ids).tolist()
-            for group in range(count):
-                assert members.of(group).tobytes() == np.flatnonzero(ids == group).tobytes()
+        # a small scene, a default one, and a 4x4 tile grid over 0.3 m voxels
+        for overrides in (
+            {"point_count": 600}, {}, {"tile_rows": 4, "tile_cols": 4, "voxel_size": 0.3},
+        ):
+            cfg = PipelineConfig(**overrides)
+            scene = generate_scene(cfg.scene_spec(), seed=6)
+            prep = prepare_scene(scene, cfg)
+            tiles, cells, cell_count = pipeline._patch_ids(scene, cfg)
+            assert len(tiles) == len(scene.gt_rows) and len(cells) == len(scene.cloud)
+            assert cell_count == np.unique(cells).size
+            for members, ids, count in ((prep.tiles, tiles, cfg.tile_rows * cfg.tile_cols),
+                                        (prep.cells, cells, cell_count)):
+                assert members.offsets.size == count + 1
+                assert members.present().tolist() == np.unique(ids).tolist()
+                for group in range(count):
+                    assert members.of(group).tobytes() == np.flatnonzero(ids == group).tobytes()

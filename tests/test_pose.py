@@ -279,6 +279,8 @@ class TestPnpRansac:
             RansacConfig(min_sample=4)
         with pytest.raises(ValueError):
             RansacConfig(confidence=1.5)
+        with pytest.raises(ValueError, match="RANSAC seed must be >= 0"):
+            RansacConfig(seed=-1)
 
     def test_estimate_shape(self):
         gt, cloud, corrs, _ = make_instance(31, n=20)

@@ -385,6 +385,8 @@ class TestCorruptDepth:
             CorruptionConfig(mask_ratio=1.5)
         with pytest.raises(ValueError):
             CorruptionConfig(outlier_fraction=-0.2)
+        with pytest.raises(ValueError, match="noise seed must be >= 0"):
+            CorruptionConfig(seed=-1)
 
 
 class TestSynthesizeFeatures:
