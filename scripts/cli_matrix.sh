@@ -133,8 +133,8 @@ run ablate_mask_ratio_noisy ablate --sweep mask_ratio \
 
 # bad input that once ended with a traceback; each exits 1 and leaves no file:
 # a result whose first correspondence names a point outside the cloud, a
-# non-finite integer setting, two pose bounds past their range, and a
-# negative seed in four settings and in a bundle
+# non-finite integer setting, two pose bounds past their range, a negative
+# seed in four settings and in a bundle, and a tile grid whose ids overflow int64
 bad="$out/.bad_point_index"
 cp -r "$out/results_plain_small/scene_0000" "$bad"
 awk -F, -v OFS=, 'NR == 2 { $3 = 99999 } { print }' "$bad/correspondences.csv" \
@@ -157,3 +157,5 @@ cp -r "$out/small/scene_0000" "$bad"
 sed -i 's/"seed": [0-9]*/"seed": -1/' "$bad/gt_pose.json"
 run register_negative_bundle_seed register --scene "$bad" --out "$bad/result"
 rm -rf "$bad"
+run register_int64_tile_grid register --scene "$out/small/scene_0000" \
+    --out "$out/int64_tile_grid" --set tile_rows=1000000000000 --set tile_cols=1000000000000

@@ -13,7 +13,10 @@ The matrix (about 4 s on one core of a 2-vCPU Xeon):
 - sweep/<name>: the four ablation sweeps at their default values over two
   600-point scenes;
 - normals/<variant> and losses/epoch<e>: the files the normals and losses
-  commands write.
+  commands write;
+- cli/register/<file>, cli/eval and cli/ablate: the four files register
+  writes for the seed-21 bundle, the eval report of that result, and an
+  ablate CSV of a two-value mask_ratio sweep over two 600-point scenes.
 
 tests/test_golden_digests.py compares a fresh run with the checked-in file.
 The file records the numpy and BLAS versions it was made with, since BLAS
@@ -91,6 +94,11 @@ def _register_parts(scene, config) -> list:
     ]
 
 
+def _cli(argv: list[str]) -> None:
+    if cli_main(argv) != 0:
+        raise AssertionError(f"crossreg {' '.join(argv)} failed")
+
+
 def _tree_bytes(directory: Path) -> list:
     return [
         (str(p.relative_to(directory)), p.read_bytes())
@@ -121,14 +129,26 @@ def compute() -> dict[str, str]:
             ("adaptive", ["--set", "adaptive_k=true"]),
         ):
             out = Path(tmp) / f"normals_{name}"
-            if cli_main(["normals", "--scene", str(first), "--out", str(out), *sets]) != 0:
-                raise AssertionError(f"normals {name} failed")
+            _cli(["normals", "--scene", str(first), "--out", str(out), *sets])
             digests[f"normals/{name}"] = _digest(_tree_bytes(out))
         for epoch in (0, 15):
             out = Path(tmp) / f"losses_{epoch}.json"
-            if cli_main(["losses", "--out", str(out), "--set", f"epoch={epoch}"]) != 0:
-                raise AssertionError(f"losses at epoch {epoch} failed")
+            _cli(["losses", "--out", str(out), "--set", f"epoch={epoch}"])
             digests[f"losses/epoch{epoch}"] = _digest([out.read_bytes()])
+
+        result = Path(tmp) / "register"
+        _cli(["register", "--scene", str(first), "--out", str(result)])
+        for name, blob in _tree_bytes(result):
+            digests[f"cli/register/{name}"] = _digest([blob])
+        report = Path(tmp) / "eval.json"
+        _cli(["eval", "--scenes", str(first), "--results", str(result), "--out", str(report)])
+        digests["cli/eval"] = _digest([report.read_bytes()])
+        table = Path(tmp) / "ablate.csv"
+        _cli([
+            "ablate", "--sweep", "mask_ratio", "--values", "[0.0, 0.2]", "--out", str(table),
+            "--set", f"point_count={POINTS}", "--set", "scene_count=2",
+        ])
+        digests["cli/ablate"] = _digest([table.read_bytes()])
 
     sweep_config = PipelineConfig(point_count=POINTS, scene_count=2, base_seed=SEEDS[0])
     for name, values in SWEEP_DEFAULTS.items():

@@ -39,7 +39,6 @@ from .geometry import (
 from .graph import (
     GraphAttentionParams,
     KnnGraph,
-    PARAM_LAYOUT,
     build_knn_graph,
     gated_fusion,
     knn_indices,

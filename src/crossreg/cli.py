@@ -37,6 +37,7 @@ from .io import (
     write_normals,
     write_patches,
     write_pose_estimate,
+    write_rows,
 )
 from .losses import (
     circle_loss,
@@ -239,9 +240,7 @@ def cmd_ablate(args) -> int:
         if not isinstance(values, list):
             raise ConfigError("--values must be a JSON list of numbers")
     rows = ablation_rows(config, args.sweep, values, jobs=args.jobs)
-    lines = ["setting,ir,fmr,rr"]
-    lines.extend(f"{s!r},{ir!r},{fmr!r},{rr!r}" for s, ir, fmr, rr in rows)
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    write_rows(args.out, "setting,ir,fmr,rr", rows)
     print(f"swept {args.sweep} over {len(rows)} settings -> {args.out}")
     return EXIT_OK
 

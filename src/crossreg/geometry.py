@@ -2,7 +2,7 @@
 
 Conventions used throughout the package:
 
-* 3D points are float64 arrays of shape (3,) or (N, 3), in meters.
+* 3D points are float64 arrays of shape (N, 3), in meters.
 * Pixel coordinates are (u, v) with u horizontal (column direction) and
   v vertical (row direction); image arrays are indexed [v, u].
 * A rigid transform maps cloud-frame points into camera-frame points,
@@ -90,12 +90,8 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
     def apply(self, points) -> F64:
-        """Apply to a single (3,) point or an (N, 3) batch."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.shape == (3,):
-            return self.rotation @ pts + self.translation
-        pts = as_points(pts)
-        return pts @ self.rotation.T + self.translation
+        """Apply to an (N, 3) batch of points."""
+        return as_points(points) @ self.rotation.T + self.translation
 
     def inverse(self) -> "RigidTransform":
         rot_inv = self.rotation.T

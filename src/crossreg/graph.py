@@ -14,22 +14,13 @@ import numpy as np
 from .errors import ChannelMismatchError, CoordinateOverflowError
 from .geometry import F64, as_float_array
 
-# (name, shape builder) pairs fixing the canonical parameter order used by
-# the deterministic initializer and the shape checks.
-PARAM_LAYOUT: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("query_proj", ("C", "C")),
-    ("key_proj", ("C", "C")),
-    ("value_proj", ("C", "C")),
-    ("gate_w1", ("C", "2C")),
-    ("gate_b1", ("C",)),
-    ("gate_w2", ("C", "C")),
-    ("gate_b2", ("C",)),
-)
 
-
-def _param_shape(spec: tuple[str, ...], channels: int) -> tuple[int, ...]:
-    lookup = {"C": channels, "2C": 2 * channels}
-    return tuple(lookup[s] for s in spec)
+def _param_shapes(c: int) -> dict[str, tuple[int, ...]]:
+    """Each attention parameter's shape at c channels, in the initializer's draw order."""
+    return {
+        "query_proj": (c, c), "key_proj": (c, c), "value_proj": (c, c),
+        "gate_w1": (c, 2 * c), "gate_b1": (c,), "gate_w2": (c, c), "gate_b2": (c,),
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -247,9 +238,8 @@ class GraphAttentionParams:
     gate_b2: F64
 
     def __post_init__(self) -> None:
-        for name, spec in PARAM_LAYOUT:
-            arr = as_float_array(getattr(self, name), _param_shape(spec, self.channels), name)
-            object.__setattr__(self, name, arr)
+        for name, shape in _param_shapes(self.channels).items():
+            object.__setattr__(self, name, as_float_array(getattr(self, name), shape, name))
 
     @classmethod
     def initialize(cls, channels: int, seed: int) -> "GraphAttentionParams":
@@ -259,8 +249,8 @@ class GraphAttentionParams:
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(channels)
         drawn = {
-            name: rng.uniform(-bound, bound, _param_shape(spec, channels))
-            for name, spec in PARAM_LAYOUT
+            name: rng.uniform(-bound, bound, shape)
+            for name, shape in _param_shapes(channels).items()
         }
         return cls(channels=channels, seed=seed, **drawn)
 

@@ -1,7 +1,7 @@
 """File formats: point clouds, depth/normal rasters, JSON records, bundles.
 
-Writers are byte-deterministic: text floats serialize with repr (shortest
-round-trip form), JSON uses sorted keys and a fixed indent, and binary
+Writers are byte-deterministic: CSV fields serialize with repr (a float's
+shortest round-trip form), JSON uses sorted keys and a fixed indent, and binary
 payloads are little-endian behind an ASCII header. A scene bundle is a
 directory holding cloud.ply, depth.bin, intrinsics.json and gt_pose.json,
 and it round-trips exactly:
@@ -48,6 +48,7 @@ __all__ = [
     "read_intrinsics",
     "write_pose_estimate",
     "read_pose",
+    "write_rows",
     "write_correspondences",
     "read_correspondences",
     "write_patches",
@@ -71,7 +72,7 @@ def _reader(read):
             return read(path, *args, **kwargs)
         except CrossregError:
             raise
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
+        except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
             raise BundleError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
     return checked
@@ -272,57 +273,49 @@ def _read_gt_pose(path) -> tuple[RigidTransform, int]:
     return _transform_from_payload(raw), raw["seed"]
 
 
-def write_correspondences(path, corrs: CorrespondenceSet) -> None:
-    lines = ["u,v,point_index,score"]
-    columns = zip(
-        corrs.pixels.tolist(), corrs.point_indices.tolist(), corrs.scores.tolist()
-    )
-    lines.extend(f"{u!r},{v!r},{idx},{score!r}" for (u, v), idx, score in columns)
+def write_rows(path, header: str, rows) -> None:
+    """A CSV file: the header line, then one line per row of its fields'
+    reprs joined by commas; rows hold Python ints and floats."""
+    lines = [header, *(",".join(map(repr, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+@_reader
+def _read_rows(path, header: str, types) -> list[tuple]:
+    """The rows of a write_rows CSV under header, field i parsed by types[i];
+    blank lines are skipped."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != header:
+        raise BundleError(f"{path}: expected the CSV header {header!r}")
+    return [
+        tuple(parse(field) for parse, field in zip(types, line.split(","), strict=True))
+        for line in lines[1:] if line.strip()
+    ]
+
+
+_CORRESPONDENCE_HEADER = "u,v,point_index,score"
+_PATCH_HEADER = "img_patch_id,cloud_patch_id,score"
+
+
+def write_correspondences(path, corrs: CorrespondenceSet) -> None:
+    rows = zip(*corrs.pixels.T.tolist(), corrs.point_indices.tolist(), corrs.scores.tolist())
+    write_rows(path, _CORRESPONDENCE_HEADER, rows)
 
 
 @_reader
 def read_correspondences(path) -> CorrespondenceSet:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "u,v,point_index,score":
-        raise BundleError(f"{path}: bad correspondence CSV header")
-    pixels, indices, scores = [], [], []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        u, v, idx, score = line.split(",")
-        pixels.append((float(u), float(v)))
-        indices.append(int(idx))
-        scores.append(float(score))
-    return CorrespondenceSet(
-        np.array(pixels, dtype=np.float64).reshape(-1, 2),
-        np.array(indices, dtype=np.int64),
-        np.array(scores, dtype=np.float64),
-    )
-
-
-_PATCH_HEADER = "img_patch_id,cloud_patch_id,score"
+    rows = _read_rows(path, _CORRESPONDENCE_HEADER, (float, float, int, float))
+    u, v, indices, scores = zip(*rows) if rows else ((),) * 4
+    return CorrespondenceSet(np.column_stack([u, v]), indices, scores)
 
 
 def write_patches(path, patches) -> None:
     """Coarse (image tile id, cloud cell id, score) pairs, one per row."""
-    lines = [_PATCH_HEADER]
-    lines.extend(f"{tile},{cell},{score!r}" for tile, cell, score in patches)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(path, _PATCH_HEADER, patches)
 
 
-@_reader
 def read_patches(path) -> tuple[tuple[int, int, float], ...]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _PATCH_HEADER:
-        raise BundleError(f"{path}: bad patch CSV header")
-    out = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        tile, cell, score = line.split(",")
-        out.append((int(tile), int(cell), float(score)))
-    return tuple(out)
+    return tuple(_read_rows(path, _PATCH_HEADER, (int, int, float)))
 
 
 def write_grid(path, tile_rows: int, tile_cols: int, voxel_size: float) -> None:

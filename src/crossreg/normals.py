@@ -203,6 +203,16 @@ def _stencil_valid(mask: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _central_differences(grid: F64) -> tuple[F64, F64]:
+    """The two-pixel stencil, not halved, of an (H, W, ...) grid: (grid[v, u+1] -
+    grid[v, u-1], grid[v+1, u] - grid[v-1, u]), zero where a neighbor is missing."""
+    d_u = np.zeros(grid.shape)
+    d_v = np.zeros(grid.shape)
+    d_u[:, 1:-1] = grid[:, 2:] - grid[:, :-2]
+    d_v[1:-1, :] = grid[2:, :] - grid[:-2, :]
+    return d_u, d_v
+
+
 def depth_to_normals(depth: DepthMap) -> NormalField:
     """Normals from raw central differences of depth, in pixel units.
 
@@ -215,13 +225,8 @@ def depth_to_normals(depth: DepthMap) -> NormalField:
     ok = _stencil_valid(mask)
     normals = np.zeros((h, w, 3))
     if np.any(ok):
-        g_u = np.zeros((h, w))
-        g_v = np.zeros((h, w))
-        g_u[:, 1:-1] = vals[:, 2:] - vals[:, :-2]
-        g_v[1:-1, :] = vals[2:, :] - vals[:-2, :]
-        vec = np.stack([-g_u, -g_v, np.ones((h, w))], axis=-1)
-        vec /= np.linalg.norm(vec, axis=-1, keepdims=True)
-        normals[ok] = vec[ok]
+        g_u, g_v = _central_differences(vals)
+        normals[ok] = unit_rows(np.stack([-g_u, -g_v, np.ones((h, w))], axis=-1))[ok]
     return NormalField(normals, ok)
 
 
@@ -244,14 +249,9 @@ def metric_normals_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> 
     safe = np.where(mask, vals, 1.0).reshape(-1)
     pos = backproject_pixels(intrinsics, np.column_stack([us, vs]), safe).reshape(h, w, 3)
 
-    tan_u = np.zeros((h, w, 3))
-    tan_v = np.zeros((h, w, 3))
-    tan_u[:, 1:-1] = pos[:, 2:] - pos[:, :-2]
-    tan_v[1:-1, :] = pos[2:, :] - pos[:-2, :]
-    cross = np.cross(tan_u, tan_v)
-    length = np.linalg.norm(cross, axis=-1)
-    ok = ok & (length > 1e-300)
-    cross[ok] /= length[ok][:, None]
+    cross = np.cross(*_central_differences(pos))
+    ok = ok & (np.linalg.norm(cross, axis=-1) > 1e-300)
+    cross = unit_rows(cross)
     # orient toward the camera at the origin
     inward = np.einsum("hwc,hwc->hw", cross, pos) > 0.0
     cross[inward] = -cross[inward]

@@ -196,6 +196,8 @@ class PipelineConfig:
             raise ConfigError("min_fine_score must lie in [-1, 1]")
         if self.tile_rows < 1 or self.tile_cols < 1:
             raise ConfigError("tile grid must be at least 1x1")
+        if self.tile_rows * self.tile_cols > 2**63:  # tile ids run to rows * cols - 1
+            raise ConfigError(f"tile grid {self.tile_rows}x{self.tile_cols} overflows int64 ids")
         if self.voxel_size <= 0.0:
             raise ConfigError("voxel_size must be positive")
         if (
@@ -317,9 +319,9 @@ def _tile_ids(pixels: F64, intrinsics: CameraIntrinsics, rows: int, cols: int) -
     return cv * cols + cu
 
 
-def _voxel_ids(points: F64, size: float) -> tuple[np.ndarray, int]:
-    """Each point's cell id and the cell count; ids rank the distinct cells
-    in lexicographic (x, y, z) order, as np.unique(axis=0) numbers them."""
+def _voxel_ids(points: F64, size: float) -> np.ndarray:
+    """Each point's cell id; ids rank the distinct cells in lexicographic
+    (x, y, z) order, as np.unique(axis=0) numbers them."""
     with np.errstate(over="ignore"):
         floors = np.floor(points / size)
     # int64 holds exactly the floors in [-2^63, 2^63); casting any other
@@ -335,52 +337,48 @@ def _voxel_ids(points: F64, size: float) -> tuple[np.ndarray, int]:
     starts_run[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     ids = np.empty(cells.shape[0], dtype=np.int64)
     ids[order] = np.cumsum(starts_run) - 1
-    return ids, int(np.count_nonzero(starts_run))
+    return ids
 
 
-def _patch_ids(
-    scene: SyntheticScene, config: PipelineConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(tile id of each ground-truth pixel, cell id of each point, cell count):
-    the patches registration matches and evaluation scores."""
-    cells, cell_count = _voxel_ids(scene.cloud, config.voxel_size)
+def _patch_ids(scene: SyntheticScene, config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(tile id of each ground-truth pixel, cell id of each point): the
+    patches registration matches and evaluation scores."""
     tiles = _tile_ids(
         scene.gt_correspondences.pixels, scene.intrinsics, config.tile_rows, config.tile_cols
     )
-    return tiles, cells, cell_count
+    return tiles, _voxel_ids(scene.cloud, config.voxel_size)
 
 
 @dataclass(frozen=True)
 class _Members:
-    """Rows grouped by id: group g's rows, ascending, are order[offsets[g]:offsets[g + 1]]."""
+    """Rows grouped by id, one group per id present, ascending: group g holds
+    the rows of id ids[g], ascending, as order[offsets[g]:offsets[g + 1]]."""
 
     order: np.ndarray
     offsets: np.ndarray
+    ids: np.ndarray
 
     @classmethod
-    def index(cls, ids: np.ndarray, group_count: int) -> "_Members":
-        offsets = np.zeros(group_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ids, minlength=group_count), out=offsets[1:])
-        return cls(np.argsort(ids, kind="stable"), offsets)
+    def index(cls, ids: np.ndarray) -> "_Members":
+        order = np.argsort(ids, kind="stable")
+        ranked = ids[order]
+        first = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] - 1))  # where ids change
+        return cls(order, np.append(first, ranked.size), ranked[first])
 
     def of(self, group) -> np.ndarray:
         return self.order[self.offsets[group]:self.offsets[group + 1]]
 
-    def present(self) -> np.ndarray:
-        return np.flatnonzero(np.diff(self.offsets))
 
-
-def _group_means(features: F64, groups: _Members) -> tuple[F64, np.ndarray]:
-    """Mean feature per nonempty group; returns (means, group ids present).
+def _group_means(features: F64, groups: _Members) -> F64:
+    """Mean feature per group, in group order.
 
     Each group's rows are summed in row order onto +0.0, as np.add.at
     accumulates them, so the means match it to the bit.
     """
-    present = groups.present()
-    sums = np.zeros((present.size, features.shape[1]))
-    for row, group in enumerate(present):
-        sums[row] += features[groups.of(group)].sum(axis=0)
-    return sums / np.diff(groups.offsets)[present, None].astype(np.float64), present
+    sums = np.zeros((groups.ids.size, features.shape[1]))
+    for group in range(groups.ids.size):
+        sums[group] += features[groups.of(group)].sum(axis=0)
+    return sums / np.diff(groups.offsets)[:, None].astype(np.float64)
 
 
 # --------------------------------------------------------------------------- #
@@ -466,7 +464,7 @@ def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
     """The table rows' clean lifted normals, the base features and the tile
     and voxel member indexes; the graphs wait for first use."""
     table = scene.table
-    tiles, cells, cell_count = _patch_ids(scene, config)
+    tiles, cells = _patch_ids(scene, config)
     return ScenePrep(
         scene,
         _prep_key(config),
@@ -474,8 +472,8 @@ def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
             table.pixels, table.depths, scene.intrinsics, config.k_neighbors, config.adaptive_k
         ),
         synth.base_features(scene, config.channels),
-        _Members.index(tiles, config.tile_rows * config.tile_cols),
-        _Members.index(cells, cell_count),
+        _Members.index(tiles),
+        _Members.index(cells),
     )
 
 
@@ -516,8 +514,9 @@ def register_scene(
         # at weight 0 the blend keeps the features (up to the sign of a zero)
         f_img_final, f_cloud_final = f_img_aug, f_cloud_aug
 
-    tile_desc, tiles_present = _group_means(f_img_final, prep.tiles)
-    cell_desc, cells_present = _group_means(f_cloud_final, prep.cells)
+    tile_desc = _group_means(f_img_final, prep.tiles)
+    cell_desc = _group_means(f_cloud_final, prep.cells)
+    # a coarse pair's rows are its tile and cell groups
     coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
 
     # rows are scaled one at a time, so scaling once here gives every
@@ -525,14 +524,13 @@ def register_scene(
     img_unit, cloud_unit = matching.unit_features(f_img_final, f_cloud_final)
     fine = []  # (rows of pixels, point indices, scores) per coarse pair
     for t_row, c_row, _score in coarse:
-        members_i = prep.tiles.of(tiles_present[t_row])
-        members_j = prep.cells.of(cells_present[c_row])
+        members_i, members_j = prep.tiles.of(t_row), prep.cells.of(c_row)
         rows, cols, scores = matching.fine_match_unit(
             img_unit[members_i], cloud_unit[members_j], config.min_fine_score
         )
         fine.append((members_i[rows], members_j[cols], scores))
     patches = tuple(
-        (int(tiles_present[t_row]), int(cells_present[c_row]), score)
+        (int(prep.tiles.ids[t_row]), int(prep.cells.ids[c_row]), score)
         for t_row, c_row, score in coarse
     )
 
@@ -632,7 +630,7 @@ def evaluate_scene(
     The ids come first, so a cloud too large for the voxel grid fails
     before any metric overflows.
     """
-    tiles, cells, _ = _patch_ids(scene, config)
+    tiles, cells = _patch_ids(scene, config)
     ir = inlier_ratio(
         corrs, scene.cloud, scene.table, scene.intrinsics, scene.gt_transform,
         config.tau1_m,

@@ -21,9 +21,11 @@ independent child streams of (scene seed, noise seed). Every scene of a
 batch thus gets its own noise and mask, and a sweep of the noise sigma
 keeps the mask while a sweep of the mask ratio keeps the noise.
 
-Every random stream of crossreg is named in STREAM_TAGS, so no two
-purposes share one. PixelTable and SyntheticScene check every scene,
-generated or loaded, on construction.
+Every random stream of crossreg but two is named in STREAM_TAGS, so no two
+tagged purposes share one. The untagged two, pnp_ransac's default_rng(scene
+seed) and GraphAttentionParams.initialize's default_rng(param_seed), are one
+stream when the seeds are equal. PixelTable and SyntheticScene check every
+scene, generated or loaded, on construction.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ __all__ = [
     "synthesize_features",
 ]
 
-# Every RNG stream of the package: a stream is SeedSequence((*seeds, tag)),
-# so two purposes never draw from one stream as long as the tags differ.
+# The RNG streams of the package but RANSAC's and the attention initializer's:
+# a stream is SeedSequence((*seeds, tag)), so two never coincide as tags differ.
 STREAM_TAGS = {
     "pose": 1,  # generate_scene's ground-truth pose
     "sample": 2,  # generate_scene's surface samples

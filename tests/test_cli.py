@@ -375,6 +375,20 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+class TestTileGrid:
+    def test_int64_overflowing_grid_exits_1(self, tiny_bundle, tmp_path, capsys):
+        # numpy once rejected the grid's member array size with a traceback
+        out = tmp_path / "out"
+        side = 10**12
+        sets = ["--set", f"tile_rows={side}", "--set", f"tile_cols={side}"]
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(out), *sets) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: tile grid {side}x{side} overflows int64 ids\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestMalformedBundle:
     # each of these once ended the process with a traceback
     # the point index checks against the cloud name the bundle; the pixel

@@ -43,7 +43,12 @@ class TestRigidTransform:
             pts_h = np.concatenate([pts, np.ones((40, 1))], axis=1)
             expected = (pts_h @ hom.T)[:, :3]
             np.testing.assert_allclose(transform.apply(pts), expected, atol=1e-12)
-            np.testing.assert_allclose(transform.apply(pts[0]), expected[0], atol=1e-12)
+            np.testing.assert_allclose(transform.apply(pts[:1]), expected[:1], atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3, 1), (2, 4)])
+    def test_apply_takes_point_batches_only(self, shape):
+        with pytest.raises(ValueError, match=r"expected shape \(N, 3\)"):
+            RigidTransform.identity().apply(np.ones(shape))
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(13)
@@ -82,7 +87,7 @@ class TestRigidTransform:
 
     def test_accepts_exact_rotation(self):
         t = RigidTransform(np.eye(3), np.zeros(3))
-        np.testing.assert_array_equal(t.apply(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(t.apply(np.array([[1.0, 2.0, 3.0]])), [[1.0, 2.0, 3.0]])
 
     def test_rodrigues_matches_analytic_z_rotation(self):
         theta = 0.37

@@ -287,6 +287,23 @@ class TestJsonRecords:
         with pytest.raises(BundleError):
             read_correspondences(tmp_path / "c.csv")
 
+    # a point index past int64 once escaped as a numpy OverflowError
+    @pytest.mark.parametrize("row", [
+        "1.0,2.0,99999999999999999999,0.5", "1.0,2.0,7", "1.0,2.0,7,0.5,0.5", "1.0,2.0,x,0.5",
+    ], ids=["past_int64", "short", "long", "non_numeric"])
+    def test_malformed_correspondence_row_rejected(self, tmp_path, row):
+        (tmp_path / "c.csv").write_text(f"u,v,point_index,score\n{row}\n")
+        with pytest.raises(BundleError, match="c.csv"):
+            read_correspondences(tmp_path / "c.csv")
+
+    def test_empty_correspondence_csv_round_trip(self, tmp_path):
+        empty = CorrespondenceSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), np.zeros(0))
+        write_correspondences(tmp_path / "c.csv", empty)
+        assert (tmp_path / "c.csv").read_text() == "u,v,point_index,score\n"
+        back = read_correspondences(tmp_path / "c.csv")
+        assert back.pixels.shape == (0, 2) and back.point_indices.dtype == np.int64
+        assert len(back.scores) == 0
+
 
 class TestPatches:
     def test_round_trip_exact(self, tmp_path):

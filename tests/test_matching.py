@@ -589,7 +589,7 @@ class TestScenePatchOverlap:
         depth = depth_raster(scene.table)
         dep = depth.values[pix[:, 1].astype(np.int64), pix[:, 0].astype(np.int64)]
         tiles = _tile_ids(pix, scene.intrinsics, cfg.tile_rows, cfg.tile_cols)
-        cells, _ = _voxel_ids(scene.cloud, cfg.voxel_size)
+        cells = _voxel_ids(scene.cloud, cfg.voxel_size)
         pairs = [(int(t), int(c)) for t in np.unique(tiles) for c in np.unique(cells)]
         got = patch_overlap(
             pairs, tiles, cells, pix, dep, scene.cloud, scene.intrinsics, scene.gt_transform

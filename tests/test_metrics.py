@@ -103,7 +103,7 @@ class TestInlierRatio:
         hits = 0
         for (u, v), idx in zip(corrs.pixels.tolist(), corrs.point_indices.tolist()):
             lifted = lift(u, v, depth.values[int(v), int(u)])
-            if np.linalg.norm(gt.apply(jit[idx]) - lifted) < 0.05:
+            if np.linalg.norm(gt.rotation @ jit[idx] + gt.translation - lifted) < 0.05:
                 hits += 1
         assert got == hits / 20
 
@@ -277,7 +277,8 @@ class TestRegistrationRmse:
         est = RigidTransform(rot_z(-0.25) @ rot_x(0.1), rng.normal(size=3))
         total = 0.0
         for p in cloud:
-            total += float(np.sum((est.apply(p) - gt.apply(p)) ** 2))
+            gap = (est.rotation @ p + est.translation) - (gt.rotation @ p + gt.translation)
+            total += float(np.sum(gap ** 2))
         expected = math.sqrt(total / 40)
         assert registration_rmse(cloud, est, gt) == pytest.approx(expected, abs=1e-12)
 

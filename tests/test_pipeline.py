@@ -22,7 +22,9 @@ from crossreg.geometry import (
     unit_rows,
 )
 from crossreg.graph import GraphAttentionParams
+from crossreg.losses import LossWeights, WarmupSchedule
 from crossreg.matching import CorrespondenceSet
+from crossreg.metrics import TAU1_M, TAU2_RATIO, TAU3_M
 from crossreg.pipeline import (
     PipelineConfig,
     SWEEP_DEFAULTS,
@@ -36,7 +38,14 @@ from crossreg.pipeline import (
     prepare_scene,
     register_scene,
 )
-from crossreg.synth import SceneSpec, corrupt_depth, generate_scene, synthesize_features
+from crossreg.pose import RansacConfig
+from crossreg.synth import (
+    CorruptionConfig,
+    SceneSpec,
+    corrupt_depth,
+    generate_scene,
+    synthesize_features,
+)
 
 SMALL_K = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=12.0, width=32, height=24)
 
@@ -99,6 +108,8 @@ class TestPipelineConfig:
             {"top_k_coarse": 0},
             {"min_fine_score": 1.5},
             {"tile_rows": 0},
+            {"tile_rows": 2**32, "tile_cols": 2**31 + 1},
+            {"tile_rows": 10**12, "tile_cols": 10**12},
             {"voxel_size": 0.0},
             {"normal_channel_weight": -0.1},
             {"guidance_swap_scale": -0.1},
@@ -145,6 +156,19 @@ class TestPipelineConfig:
         assert (sched.start, sched.end) == (3, 9)
         assert cfg.loss_weights().lambda_gdc == 0.25
         assert cfg.scene_spec().point_count == 800
+
+    def test_tile_ids_may_fill_int64(self):
+        # ids run to tile_rows * tile_cols - 1
+        assert PipelineConfig(tile_rows=2**32, tile_cols=2**31).tile_cols == 2**31
+
+    def test_defaults_are_the_parts_defaults(self):
+        cfg = PipelineConfig()
+        assert cfg.corruption() == CorruptionConfig()
+        assert cfg.ransac(seed=0) == RansacConfig()
+        assert cfg.warmup() == WarmupSchedule()
+        assert cfg.loss_weights() == LossWeights()
+        assert cfg.scene_spec() == SceneSpec()
+        assert (cfg.tau1_m, cfg.tau2_ratio, cfg.tau3_m) == (TAU1_M, TAU2_RATIO, TAU3_M)
 
     def test_replace_returns_new_config(self):
         cfg = PipelineConfig()
@@ -293,7 +317,7 @@ class TestRegisterScene:
     def test_patches_are_the_coarse_pairs(self):
         scene, cfg = small_scene(seed=6)
         patches = register_scene(scene, cfg).patches
-        tiles, cells, _ = pipeline._patch_ids(scene, cfg)
+        tiles, cells = pipeline._patch_ids(scene, cfg)
         for tile, cell, score in patches:
             assert type(tile) is int and type(cell) is int and type(score) is float
             assert tile in tiles and cell in cells
@@ -780,12 +804,11 @@ class TestGroupingOracles:
         # the point on a cell boundary
         cells, frac = cells_frac
         points = (cells + frac) * size
-        ids, count = pipeline._voxel_ids(points, size)
-        uniq, inverse = np.unique(
+        ids = pipeline._voxel_ids(points, size)
+        _, inverse = np.unique(
             np.floor(points / size).astype(np.int64), axis=0, return_inverse=True
         )
         assert ids.tobytes() == inverse.reshape(-1).tobytes()
-        assert count == uniq.shape[0]
 
     # one channel, groups of one member, empty groups, and sums of -0.0
     @example(grouped=(np.array([[-0.0], [1.0], [-0.0]]), (5, np.array([3, 1, 0]))))
@@ -793,12 +816,13 @@ class TestGroupingOracles:
     @given(grouped=_GROUPED)
     def test_group_means_match_add_at(self, grouped):
         feats, (groups, ids) = grouped
-        got, present = pipeline._group_means(feats, pipeline._Members.index(ids, groups))
+        members = pipeline._Members.index(ids)
+        got = pipeline._group_means(feats, members)
         sums = np.zeros((groups, feats.shape[1]))
         np.add.at(sums, ids, feats)
         counts = np.bincount(ids, minlength=groups).astype(np.float64)
         want_present = np.flatnonzero(counts > 0)
-        assert present.tobytes() == want_present.tobytes()
+        assert members.ids.tobytes() == want_present.tobytes()
         assert got.tobytes() == (sums[want_present] / counts[want_present, None]).tobytes()
 
     def test_members_are_the_flatnonzero_scans(self):
@@ -809,12 +833,22 @@ class TestGroupingOracles:
             cfg = PipelineConfig(**overrides)
             scene = generate_scene(cfg.scene_spec(), seed=6)
             prep = prepare_scene(scene, cfg)
-            tiles, cells, cell_count = pipeline._patch_ids(scene, cfg)
+            tiles, cells = pipeline._patch_ids(scene, cfg)
             assert len(tiles) == len(scene.gt_rows) and len(cells) == len(scene.cloud)
-            assert cell_count == np.unique(cells).size
-            for members, ids, count in ((prep.tiles, tiles, cfg.tile_rows * cfg.tile_cols),
-                                        (prep.cells, cells, cell_count)):
-                assert members.offsets.size == count + 1
-                assert members.present().tolist() == np.unique(ids).tolist()
-                for group in range(count):
-                    assert members.of(group).tobytes() == np.flatnonzero(ids == group).tobytes()
+            # cell ids rank the cells present
+            assert prep.cells.ids.tolist() == list(range(prep.cells.ids.size))
+            for members, ids in ((prep.tiles, tiles), (prep.cells, cells)):
+                assert members.ids.tolist() == np.unique(ids).tolist()
+                assert members.offsets.size == members.ids.size + 1
+                for group, id_ in enumerate(members.ids):
+                    assert members.of(group).tobytes() == np.flatnonzero(ids == id_).tobytes()
+
+    def test_a_fine_tile_grid_sizes_members_by_the_tiles_present(self):
+        # a 2000 x 2000 grid once gave offsets of 4,000,001 entries
+        cfg = small_config(tile_rows=2000, tile_cols=2000)
+        scene = generate_scene(cfg.scene_spec(), seed=6)
+        prep = prepare_scene(scene, cfg)
+        assert prep.tiles.offsets.size <= len(scene.gt_rows) + 1
+        tiles, _ = pipeline._patch_ids(scene, cfg)
+        assert prep.tiles.ids.tolist() == np.unique(tiles).tolist()
+        assert prep.tiles.offsets.size == prep.tiles.ids.size + 1

@@ -299,7 +299,8 @@ def test_registration_pairs_at_positive_blend_are_fine_match(monkeypatch, epoch)
     # one fine step per coarse pair, in the order of the pairs
     assert calls and len(calls) == len(result.patches)
     for (tile, cell, _score), (min_score, (rows, cols, scores)) in zip(result.patches, calls):
-        members_i, members_j = prep.tiles.of(tile), prep.cells.of(cell)
+        members_i = prep.tiles.of(np.searchsorted(prep.tiles.ids, tile))
+        members_j = prep.cells.of(np.searchsorted(prep.cells.ids, cell))
         got = CorrespondenceSet(gt[members_i][rows], members_j[cols], scores)
         want = fine_match(f_img[members_i], f_cloud[members_j], gt[members_i], members_j, min_score)
         assert_same_matches(got, want)
