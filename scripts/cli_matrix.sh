@@ -21,12 +21,15 @@ mkdir -p "$out"
 : > "$out/exit_codes.txt"
 
 # run NAME ARGS...: one crossreg command; its exit code is recorded, not
-# fatal, and a failing command's message goes to stderr, not into OUT
+# fatal, and a failing command's message goes to stderr, not into OUT. An
+# uncaught exception exits 1 like a clean error line, so its row is marked
+# `NAME 1 traceback`.
 run() {
-    local name=$1 code=0
+    local name=$1 code=0 mark=""
     shift
     python3 -W error::RuntimeWarning -m crossreg.cli "$@" > /dev/null 2> "$out/.stderr" || code=$?
-    echo "$name $code" >> "$out/exit_codes.txt"
+    if grep -q "^Traceback (most recent call last)" "$out/.stderr"; then mark=" traceback"; fi
+    echo "$name $code$mark" >> "$out/exit_codes.txt"
     if [ "$code" -ne 0 ]; then sed "s|^|$name: |" "$out/.stderr" >&2; fi
     rm -f "$out/.stderr"
 }
@@ -159,3 +162,23 @@ run register_negative_bundle_seed register --scene "$bad" --out "$bad/result"
 rm -rf "$bad"
 run register_int64_tile_grid register --scene "$out/small/scene_0000" \
     --out "$out/int64_tile_grid" --set tile_rows=1000000000000 --set tile_cols=1000000000000
+
+# values past a key's declared range that once ended with a traceback or a
+# numeric warning: a threshold whose square overflows, -0.0 at a closed 0
+# end, and scales that overflow the sums of squares of unit_rows or of the
+# lifted depths; and a loss weight whose total_loss once came out as Infinity
+small0="$out/small/scene_0000"
+run register_huge_ransac_threshold register --scene "$small0" \
+    --out "$out/huge_ransac_threshold" --set ransac_threshold_px=1e300
+run synth_negative_zero_translation synth --out "$out/negative_zero_translation" \
+    --set max_translation_m=-0.0
+run register_huge_feature_noise register --scene "$small0" \
+    --out "$out/huge_feature_noise" --set feature_noise_sigma=1e300
+run register_huge_normal_weight register --scene "$small0" \
+    --out "$out/huge_normal_weight" --set normal_channel_weight=1e160
+run register_huge_guidance_noise register --scene "$small0" \
+    --out "$out/huge_guidance_noise" --set guidance_noise_scale=1e300 --set mask_ratio=0.2
+run register_huge_gaussian_sigma register --scene "$small0" \
+    --out "$out/huge_gaussian_sigma" --set gaussian_sigma_m=1e308
+run losses_huge_gdc_weight losses --out "$out/huge_gdc_weight.json" \
+    --set lambda_gdc=1.7976931348623157e308 --set epoch=25

@@ -10,8 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._settings import check_fields, setting
 from .errors import (
     ChannelMismatchError,
+    ConfigError,
     EmptyOverlapError,
     EmptySampleError,
     LengthMismatchError,
@@ -155,9 +157,12 @@ def circle_loss(
 
 @dataclass(frozen=True)
 class LossWeights:
-    lambda_match: float = 1.0
-    lambda_normal: float = 1.0
-    lambda_gdc: float = 0.5
+    lambda_match: float = setting("lambda_match")
+    lambda_normal: float = setting("lambda_normal")
+    lambda_gdc: float = setting("lambda_gdc")
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def total_loss(
@@ -177,12 +182,13 @@ def total_loss(
 class WarmupSchedule:
     """Linear ramp from 0 to 1 between start and end epochs."""
 
-    start: int = 10
-    end: int = 20
+    start: int = setting("warmup_start")
+    end: int = setting("warmup_end")
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"need 0 <= start <= end, got ({self.start}, {self.end})")
+        check_fields(self)
+        if self.end < self.start:
+            raise ConfigError(f"warm-up end must be >= its start, got ({self.start}, {self.end})")
 
 
 def warmup_weight(epoch: int, schedule: WarmupSchedule = WarmupSchedule()) -> float:

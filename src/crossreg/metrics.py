@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._settings import SETTINGS
 from .errors import (
     EmptyCorrespondencesError,
     EmptySampleError,
@@ -34,9 +35,7 @@ from .geometry import (
 from .matching import CorrespondenceSet, PatchPair
 from .normals import DepthMap
 
-TAU1_M = 0.05
-TAU2_RATIO = 0.1
-TAU3_M = 0.1
+TAU1_M, TAU2_RATIO, TAU3_M = (SETTINGS[k].default for k in ("tau1_m", "tau2_ratio", "tau3_m"))
 PIR_THRESHOLD = 0.3
 
 __all__ = [

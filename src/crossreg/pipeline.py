@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
-import sys
 from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
-from . import geometry, matching, normals, synth
+from . import _settings, geometry, matching, normals, synth
 from .errors import (
     REGISTRATION_FAILURES,
     ConfigError,
@@ -141,150 +139,61 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
+@_settings.one_field_per_setting
 class PipelineConfig:
-    """Every knob of the end-to-end flow, flat and strictly validated."""
-
-    k_neighbors: int = 8
-    adaptive_k: bool = False
-    channels: int = 64
-    top_k_coarse: int = 3
-    min_fine_score: float = 0.75
-    tile_rows: int = 6
-    tile_cols: int = 8
-    voxel_size: float = 0.4
-    normal_channel_weight: float = 0.5
-    guidance_noise_scale: float = 0.2
-    guidance_swap_scale: float = 0.25
-    warmup_start: int = 10
-    warmup_end: int = 20
-    epoch: int = 0
-    lambda_match: float = 1.0
-    lambda_normal: float = 1.0
-    lambda_gdc: float = 0.5
-    ransac_iterations: int = 1000
-    ransac_threshold_px: float = 8.0
-    ransac_confidence: float = 0.999
-    ransac_min_sample: int = 6
-    tau1_m: float = 0.05
-    tau2_ratio: float = 0.1
-    tau3_m: float = 0.1
-    gaussian_sigma_m: float = 0.0
-    mask_ratio: float = 0.0
-    feature_noise_sigma: float = 0.0
-    outlier_fraction: float = 0.0
-    noise_seed: int = 0
-    param_seed: int = 0
-    scene_count: int = 20
-    base_seed: int = 0
-    point_count: int = 2000
-    max_rotation_deg: float = 30.0
-    max_translation_m: float = 0.5
+    """Every knob of the end-to-end flow, flat and strictly validated: one
+    field per key of the config table, _settings.SETTINGS, with its default."""
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.k_neighbors < 2:
-            raise ConfigError(f"k_neighbors must be >= 2, got {self.k_neighbors}")
-        if self.channels < 4:
-            raise ConfigError(f"channels must be >= 4, got {self.channels}")
-        if self.top_k_coarse < 1:
-            raise ConfigError("top_k_coarse must be >= 1")
-        if not -1.0 <= self.min_fine_score <= 1.0:
-            raise ConfigError("min_fine_score must lie in [-1, 1]")
-        if self.tile_rows < 1 or self.tile_cols < 1:
-            raise ConfigError("tile grid must be at least 1x1")
+        _settings.check_fields(self)
         if self.tile_rows * self.tile_cols > 2**63:  # tile ids run to rows * cols - 1
             raise ConfigError(f"tile grid {self.tile_rows}x{self.tile_cols} overflows int64 ids")
-        if self.voxel_size <= 0.0:
-            raise ConfigError("voxel_size must be positive")
-        if (
-            self.normal_channel_weight < 0.0
-            or self.guidance_noise_scale < 0.0
-            or self.guidance_swap_scale < 0.0
-        ):
-            raise ConfigError("feature weights must be >= 0")
-        if min(self.lambda_match, self.lambda_normal, self.lambda_gdc) < 0.0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.tau1_m <= 0.0 or self.tau3_m <= 0.0 or not 0.0 <= self.tau2_ratio <= 1.0:
-            raise ConfigError("metric thresholds out of range")
-        if self.epoch < 0:
-            raise ConfigError("epoch must be >= 0")
-        if self.scene_count < 1:
-            raise ConfigError("scene_count must be >= 1")
-        if self.base_seed < 0 or self.param_seed < 0:
-            raise ConfigError("base_seed and param_seed must be >= 0")
-        # Constituent configs re-check their own invariants; surface those
-        # failures as config errors too.
-        try:
-            self.corruption()
-            self.ransac(seed=0)
-            self.warmup()
-            self.scene_spec()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.warmup()  # its end >= start rule
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "PipelineConfig":
-        unknown = sorted(set(mapping) - {f.name for f in fields(cls)})
+        unknown = sorted(set(mapping) - set(_settings.SETTINGS))
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         return cls(**{key: cls._coerce(key, raw) for key, raw in mapping.items()})
 
     @classmethod
     def _coerce(cls, key: str, raw):
-        """raw as the type of field `key`; ConfigError when it is not one."""
-        default = cls.__dataclass_fields__[key].default
-        if isinstance(default, bool):
-            if not isinstance(raw, bool):
-                raise ConfigError(f"{key} expects true/false, got {raw!r}")
-            return raw
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            kind = "an integer" if isinstance(default, int) else "a number"
-            raise ConfigError(f"{key} expects {kind}, got {raw!r}")
-        if not abs(raw) <= sys.float_info.max:  # NaN, inf, past float64: int()/float() raise
-            raise ConfigError(f"{key} must be finite, got {raw!r}")
-        if isinstance(default, int):
-            if float(raw) != int(raw):
-                raise ConfigError(f"{key} expects an integer, got {raw!r}")
-            return int(raw)
-        return float(raw)
+        """raw as the type of key; ConfigError when it is not one or lies
+        outside key's range (checked first: int() and float() raise past it)."""
+        kind = type(_settings.SETTINGS[key].default)
+        if isinstance(raw, bool) != (kind is bool) or not isinstance(raw, (int, float)):
+            raise ConfigError(f"{key} expects {_KIND_NAMES[kind]}, got {raw!r}")
+        _settings.check(key, raw)
+        if kind is int and raw != int(raw):
+            raise ConfigError(f"{key} expects an integer, got {raw!r}")
+        return kind(raw)
 
     def replace(self, **updates) -> "PipelineConfig":
         return dataclasses.replace(self, **updates)
 
+    def _part(self, cls, **given):
+        """cls with each setting field taken from this config's field of its key."""
+        taken = {f.name: getattr(self, f.metadata["key"]) for f in fields(cls) if f.metadata}
+        return cls(**(taken | given))
+
     def corruption(self) -> CorruptionConfig:
-        return CorruptionConfig(
-            gaussian_sigma_m=self.gaussian_sigma_m,
-            mask_ratio=self.mask_ratio,
-            feature_noise_sigma=self.feature_noise_sigma,
-            outlier_fraction=self.outlier_fraction,
-            seed=self.noise_seed,
-        )
+        return self._part(CorruptionConfig)
 
     def ransac(self, seed: int) -> RansacConfig:
-        return RansacConfig(
-            max_iterations=self.ransac_iterations,
-            inlier_threshold_px=self.ransac_threshold_px,
-            confidence=self.ransac_confidence,
-            min_sample=self.ransac_min_sample,
-            seed=seed,
-        )
+        return self._part(RansacConfig, seed=seed)
 
     def warmup(self) -> WarmupSchedule:
-        return WarmupSchedule(self.warmup_start, self.warmup_end)
+        return self._part(WarmupSchedule)
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(self.lambda_match, self.lambda_normal, self.lambda_gdc)
+        return self._part(LossWeights)
 
     def scene_spec(self) -> SceneSpec:
-        return SceneSpec(
-            point_count=self.point_count,
-            max_rotation_deg=self.max_rotation_deg,
-            max_translation_m=self.max_translation_m,
-        )
+        return self._part(SceneSpec)
+
+
+_KIND_NAMES = {bool: "true/false", int: "an integer", float: "a number"}
 
 
 # --------------------------------------------------------------------------- #

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._settings import check_fields, setting
 from .errors import (
     DegenerateConfigurationError,
     InsufficientPointsError,
@@ -44,27 +45,18 @@ DEGENERACY_GAP = 1e-9
 class RansacConfig:
     """Hypothesize-and-verify settings.
 
-    min_sample is floored at 6 because the DLT hypothesis solver is
-    underdetermined below that.
+    min_sample is floored at MIN_SOLVE_POINTS because the DLT hypothesis
+    solver is underdetermined below that.
     """
 
-    max_iterations: int = 1000
-    inlier_threshold_px: float = 8.0
-    confidence: float = 0.999
-    min_sample: int = MIN_SOLVE_POINTS
-    seed: int = 0
+    max_iterations: int = setting("ransac_iterations")
+    inlier_threshold_px: float = setting("ransac_threshold_px")
+    confidence: float = setting("ransac_confidence")
+    min_sample: int = setting("ransac_min_sample")
+    seed: int = setting("base_seed")  # a scene's seed, ranged as the seeds it comes from
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.inlier_threshold_px <= 0:
-            raise ValueError("inlier_threshold_px must be > 0")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-        if self.min_sample < MIN_SOLVE_POINTS:
-            raise ValueError(f"min_sample must be >= {MIN_SOLVE_POINTS}")
-        if self.seed < 0:
-            raise ValueError(f"RANSAC seed must be >= 0, got {self.seed}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._settings import check_fields, setting
 from .errors import EmptyVisibleSetError
 from .geometry import (
     CameraIntrinsics,
@@ -190,23 +190,15 @@ class SceneSpec:
     """Recipe for a synthetic scene: what to sample and how far to move it."""
 
     primitives: tuple[Primitive, ...] = field(default_factory=_default_primitives)
-    point_count: int = 2000
+    point_count: int = setting("point_count")
     intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
-    max_rotation_deg: float = 30.0
-    max_translation_m: float = 0.5
+    max_rotation_deg: float = setting("max_rotation_deg")
+    max_translation_m: float = setting("max_translation_m")
 
     def __post_init__(self) -> None:
         if len(self.primitives) == 0:
             raise ValueError("at least one primitive is required")
-        if self.point_count < 100:
-            raise ValueError(f"point_count must be >= 100, got {self.point_count}")
-        rot, tra = self.max_rotation_deg, self.max_translation_m
-        # a full turn covers every rotation; max / 4 keeps the draw and inverse pose finite
-        if not (0.0 <= rot <= 360.0 and 0.0 <= tra <= sys.float_info.max / 4):
-            raise ValueError(
-                "pose range bounds must lie in [0, 360] degrees and "
-                f"[0, {sys.float_info.max / 4!r}] m, got {rot!r} and {tra!r}"
-            )
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -377,21 +369,14 @@ def generate_scene(spec: SceneSpec, seed: int) -> SyntheticScene:
 class CorruptionConfig:
     """Degradation knobs for depth maps and constructed features."""
 
-    gaussian_sigma_m: float = 0.0
-    mask_ratio: float = 0.0
-    feature_noise_sigma: float = 0.0
-    outlier_fraction: float = 0.0
-    seed: int = 0
+    gaussian_sigma_m: float = setting("gaussian_sigma_m")
+    mask_ratio: float = setting("mask_ratio")
+    feature_noise_sigma: float = setting("feature_noise_sigma")
+    outlier_fraction: float = setting("outlier_fraction")
+    seed: int = setting("noise_seed")
 
     def __post_init__(self) -> None:
-        if self.gaussian_sigma_m < 0.0 or self.feature_noise_sigma < 0.0:
-            raise ValueError("noise sigmas must be >= 0")
-        for name in ("mask_ratio", "outlier_fraction"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        if self.seed < 0:
-            raise ValueError(f"noise seed must be >= 0, got {self.seed}")
+        check_fields(self)
 
 
 def corrupt_depth(depths: F64, cfg: CorruptionConfig, scene_seed: int) -> tuple[F64, np.ndarray]:

@@ -103,7 +103,8 @@ class TestConfigPlumbing:
         out = tmp_path / "s"
         assert run("synth", "--out", str(out), "--set", f"{key}={value}") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: pose range bounds must lie in") and err.count("\n") == 1
+        assert err.startswith(f"error: {key} must be finite and lie in [0.0, ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_config_file_exits_1(self, tmp_path):
@@ -341,15 +342,16 @@ def tiny_bundle(tmp_path) -> Path:
 class TestNegativeSeed:
     # numpy's seeding rejects a negative seed, and each of these once ended
     # with its traceback
+    IN_SEED_RANGE = f"must be finite and lie in [0, {sys.float_info.max!r}]"
 
     @pytest.mark.parametrize("command, settings, message", [
-        (["synth"], ["base_seed=-5"], "base_seed and param_seed must be >= 0"),
+        (["synth"], ["base_seed=-5"], f"base_seed {IN_SEED_RANGE}, got -5"),
         (
             ["ablate", "--sweep", "k", "--values", "[8]"], ["noise_seed=-1", "mask_ratio=0.1"],
-            "noise seed must be >= 0, got -1",
+            f"noise_seed {IN_SEED_RANGE}, got -1",
         ),
-        (["register"], ["param_seed=-1", "epoch=25"], "base_seed and param_seed must be >= 0"),
-        (["losses"], ["base_seed=-3"], "base_seed and param_seed must be >= 0"),
+        (["register"], ["param_seed=-1", "epoch=25"], f"param_seed {IN_SEED_RANGE}, got -1"),
+        (["losses"], ["base_seed=-3"], f"base_seed {IN_SEED_RANGE}, got -3"),
     ], ids=["synth", "ablate", "register", "losses"])
     def test_negative_setting_exits_1(
         self, tiny_bundle, tmp_path, capsys, command, settings, message

@@ -122,6 +122,14 @@ class TestPipelineConfig:
             {"ransac_min_sample": 4},
             {"ransac_confidence": 1.5},
             {"point_count": 10},
+            {"mask_ratio": -0.0},
+            {"ransac_threshold_px": 1e300},
+            {"feature_noise_sigma": 1e300},
+            {"normal_channel_weight": 1e160},
+            {"guidance_noise_scale": 1e300},
+            {"gaussian_sigma_m": 1e300},
+            {"lambda_gdc": 1e300},
+            {"warmup_start": 5, "warmup_end": 4},
         ],
     )
     def test_invalid_values_rejected(self, overrides):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crossreg.errors import (
+    ConfigError,
     DegenerateConfigurationError,
     InsufficientPointsError,
     NoConsensusError,
@@ -279,8 +280,17 @@ class TestPnpRansac:
             RansacConfig(min_sample=4)
         with pytest.raises(ValueError):
             RansacConfig(confidence=1.5)
-        with pytest.raises(ValueError, match="RANSAC seed must be >= 0"):
+        seed_range = r"RansacConfig\.seed must be finite and lie in \[0, .*got -1"
+        with pytest.raises(ValueError, match=seed_range):
             RansacConfig(seed=-1)
+
+    def test_threshold_bound_keeps_its_square_finite(self):
+        # 1e300 once overflowed thr**2 with an OverflowError
+        gt, cloud, corrs, _ = make_instance(31, n=20)
+        est = pnp_ransac(corrs, cloud, K, RansacConfig(inlier_threshold_px=1e100))
+        assert est.inlier_count == 20
+        with pytest.raises(ConfigError, match=r"RansacConfig\.inlier_threshold_px .* got 1e\+300"):
+            RansacConfig(inlier_threshold_px=1e300)
 
     def test_estimate_shape(self):
         gt, cloud, corrs, _ = make_instance(31, n=20)

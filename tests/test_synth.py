@@ -1,12 +1,13 @@
 """Scene generator: self-consistency, determinism, and corruption statistics."""
 
 import dataclasses
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from crossreg.errors import EmptyVisibleSetError
+from crossreg.errors import ConfigError, EmptyVisibleSetError
 from crossreg.geometry import CameraIntrinsics, RigidTransform, project_points
 from crossreg.matching import fine_match, patch_overlap
 from crossreg.normals import depth_to_normals
@@ -78,9 +79,17 @@ class TestGenerateScene:
             scene = generate_scene(spec, seed=seed)
             assert np.all(np.isfinite(scene.cloud))
             assert np.all(np.isfinite(scene.gt_transform.inverse().translation))
-        for rot, tra in ((np.nextafter(360.0, 400.0), 0.5), (30.0, np.nextafter(far, np.inf))):
-            with pytest.raises(ValueError, match="pose range bounds must lie in"):
-                SceneSpec(max_rotation_deg=float(rot), max_translation_m=float(tra))
+        for key, bound in (("max_rotation_deg", 360.0), ("max_translation_m", far)):
+            message = f"SceneSpec.{key} must be finite and lie in [0.0, {bound!r}], got"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SceneSpec(**{key: float(np.nextafter(bound, np.inf))})
+
+    def test_negative_zero_pose_bound_is_refused(self):
+        # numpy's uniform(-0.0, 0.0) once raised "high - low < 0"
+        assert SceneSpec(max_rotation_deg=0.0, max_translation_m=0.0).max_translation_m == 0.0
+        for key in ("max_translation_m", "max_rotation_deg"):
+            with pytest.raises(ConfigError, match=rf"SceneSpec\.{key} .* got -0\.0"):
+                SceneSpec(**{key: -0.0})
 
     def test_seeds_differ(self):
         spec = SceneSpec(point_count=500)
@@ -385,7 +394,8 @@ class TestCorruptDepth:
             CorruptionConfig(mask_ratio=1.5)
         with pytest.raises(ValueError):
             CorruptionConfig(outlier_fraction=-0.2)
-        with pytest.raises(ValueError, match="noise seed must be >= 0"):
+        seed_range = r"CorruptionConfig\.seed must be finite and lie in \[0, .*got -1"
+        with pytest.raises(ValueError, match=seed_range):
             CorruptionConfig(seed=-1)
 
 
