@@ -26,6 +26,7 @@ rounding can move the low bits of a float on another build.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -48,7 +49,7 @@ from crossreg.pipeline import (  # noqa: E402
     evaluate_scene,
     register_scene,
 )
-from crossreg.synth import generate_scene  # noqa: E402
+from crossreg.synth import PixelTable, generate_scene  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden_digests.json"
 POINTS = 600
@@ -94,6 +95,16 @@ def _register_parts(scene, config) -> list:
     ]
 
 
+def _partial_gt(scene):
+    """scene with every 7th table row's point index set to -1."""
+    table = scene.table
+    indices = table.point_indices.copy()
+    indices[::7] = -1
+    return dataclasses.replace(scene, table=PixelTable(
+        table.width, table.height, table.pixels, table.depths, indices
+    ))
+
+
 def _cli(argv: list[str]) -> None:
     if cli_main(argv) != 0:
         raise AssertionError(f"crossreg {' '.join(argv)} failed")
@@ -115,6 +126,9 @@ def compute() -> dict[str, str]:
         config = PipelineConfig(point_count=POINTS, **updates)
         for seed, scene in scenes.items():
             digests[f"register/{name}/seed{seed}"] = _digest(_register_parts(scene, config))
+    digests[f"register/partial_gt/seed{SEEDS[0]}"] = _digest(
+        _register_parts(_partial_gt(scenes[SEEDS[0]]), PipelineConfig(point_count=POINTS))
+    )
 
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first", Path(tmp) / "second"
