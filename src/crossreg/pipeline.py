@@ -21,16 +21,17 @@ live ones.
 No work is repeated either. Registration and evaluation read the scene's
 pixel table, never a 640x480 raster: corrupt_depth and lifted_pixel_normals
 work on its rows (about 1.9k at the default size), the agreement compares
-row fields, and inlier_ratio looks its depths up in it. The scene's base
-features are drawn once per prep, and synthesize_features degrades a copy
-of them per registration. The refined features are scaled to unit rows
+row fields, and inlier_ratio looks its depths up in it. The stand-in's
+base features are drawn once per prep, and synthesize_features degrades a
+copy of them per registration. The refined features are scaled to unit rows
 once per registration, so each coarse pair's fine matching is a slice, a
 product and a mutual argmax; its matches carry their rows, so the
 per-pixel dedup needs no pixel search.
 
-Registration reads the true pose only where the synth features and
-_corrupt_guidance stand in for trained backbones; it returns its coarse
-patch pairs, and evaluation scores their overlap.
+Registration reads the observation (table pixels and depths, cloud,
+intrinsics, seed) plus synth.StandIn, the only ground-truth reader, which
+stands in for trained backbones: the rows registered, the features and their
+corruption, the cloud's normal channels. Evaluation scores its patch pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import _settings, geometry, matching, normals, synth
+from . import _settings, geometry, matching, normals
 from .errors import (
     REGISTRATION_FAILURES,
     ConfigError,
@@ -87,13 +88,12 @@ from .pose import PoseEstimate, RansacConfig, pnp_ransac
 from .synth import (
     CorruptionConfig,
     SceneSpec,
+    StandIn,
     SyntheticScene,
     corrupt_depth,
     generate_scene,
     synthesize_features,
 )
-
-_SWAP_CANDIDATES = 16
 
 # sweep name -> the config field it sets
 _SWEEP_FIELDS = {
@@ -249,11 +249,13 @@ def _voxel_ids(points: F64, size: float) -> np.ndarray:
     return ids
 
 
-def _patch_ids(scene: SyntheticScene, config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(tile id of each ground-truth pixel, cell id of each point): the
-    patches registration matches and evaluation scores."""
+def _patch_ids(
+    scene: SyntheticScene, rows: np.ndarray, config: PipelineConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tile id of each of the table rows registered, cell id of each point):
+    the patches registration matches and evaluation scores."""
     tiles = _tile_ids(
-        scene.gt_correspondences.pixels, scene.intrinsics, config.tile_rows, config.tile_cols
+        scene.table.pixels[rows], scene.intrinsics, config.tile_rows, config.tile_cols
     )
     return tiles, _voxel_ids(scene.cloud, config.voxel_size)
 
@@ -312,8 +314,7 @@ class ScenePrep:
 
     Registration works on the rows of the scene's pixel table, never on
     the image grid: clean_normals holds one lifted normal per table row.
-    base holds the scene's unit base features at the config's channel
-    count.
+    stand_in, at the config's channel count, names the rows registered.
 
     The refinement graphs are built on first read, so a registration at
     warm-up weight 0 never builds them; a cached_property writes the
@@ -323,13 +324,13 @@ class ScenePrep:
     scene: SyntheticScene
     key: tuple
     clean_normals: NormalField  # (table rows, 3), zero where invalid
-    base: F64
-    tiles: _Members  # ground-truth pixels by image tile
+    stand_in: StandIn
+    tiles: _Members  # the rows registered, by image tile
     cells: _Members  # cloud points by voxel cell
 
     @functools.cached_property
     def pixel_graph(self) -> KnnGraph | None:
-        return self._graph(self.scene.gt_correspondences.pixels)
+        return self._graph(self.scene.table.pixels[self.stand_in.rows])
 
     @functools.cached_property
     def cloud_graph(self) -> KnnGraph | None:
@@ -370,17 +371,18 @@ def _prep_key(config: PipelineConfig) -> tuple:
 
 
 def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
-    """The table rows' clean lifted normals, the base features and the tile
-    and voxel member indexes; the graphs wait for first use."""
+    """The table rows' clean lifted normals, the stand-in and the tile and
+    voxel member indexes; the graphs wait for first use."""
     table = scene.table
-    tiles, cells = _patch_ids(scene, config)
+    stand_in = StandIn.of(scene, config.channels)
+    tiles, cells = _patch_ids(scene, stand_in.rows, config)
     return ScenePrep(
         scene,
         _prep_key(config),
         lifted_pixel_normals(
             table.pixels, table.depths, scene.intrinsics, config.k_neighbors, config.adaptive_k
         ),
-        synth.base_features(scene, config.channels),
+        stand_in,
         _Members.index(tiles),
         _Members.index(cells),
     )
@@ -401,15 +403,11 @@ def register_scene(
     except DegenerateNeighborhoodError:
         agreement = 0.0
 
-    pixels = scene.gt_correspondences.pixels
-    gt_idx = scene.gt_correspondences.point_indices
-
-    f_img, f_cloud = synthesize_features(scene, prep.base, corruption)
-    f_img = _corrupt_guidance(f_img, f_cloud, scene, gt_idx, agreement, config)
+    pixels = scene.table.pixels[prep.stand_in.rows]
+    f_img, f_cloud = synthesize_features(prep.stand_in, corruption, agreement)
     # normals are zero where invalid, so the channels need no mask
-    img_n = live_normals.normals[scene.gt_rows]
-    cloud_n = np.zeros((scene.cloud.shape[0], 3))
-    cloud_n[gt_idx] = prep.clean_normals.normals[scene.gt_rows]
+    img_n = live_normals.normals[prep.stand_in.rows]
+    cloud_n = prep.stand_in.cloud_normals(prep.clean_normals.normals)
     weight = config.normal_channel_weight
     f_img_aug = geometry.unit_rows(np.hstack([f_img, weight * img_n]))
     f_cloud_aug = geometry.unit_rows(np.hstack([f_cloud, weight * cloud_n]))
@@ -454,7 +452,7 @@ def _best_per_pixel(pixels: F64, fine: list[tuple]) -> CorrespondenceSet:
     """Keep each pixel's best fine match across all coarse pairs.
 
     fine holds (rows of pixels, point indices, scores) per coarse pair, and
-    pixels is the scene's ground-truth pixels, in row-major order. On an
+    pixels is the pixels registered, in row-major order. On an
     exact score tie the earliest emission wins. Rows come out in row
     order, which is pixel order.
     """
@@ -467,47 +465,6 @@ def _best_per_pixel(pixels: F64, fine: list[tuple]) -> CorrespondenceSet:
     lead[1:] = rows[ranked[1:]] != rows[ranked[:-1]]
     winner = ranked[lead]
     return CorrespondenceSet(pixels[rows[winner]], points[winner], scores[winner])
-
-
-def _corrupt_guidance(
-    f_img: F64,
-    f_cloud: F64,
-    scene: SyntheticScene,
-    gt_idx: np.ndarray,
-    agreement: float,
-    config: PipelineConfig,
-) -> F64:
-    """Degrade image features in proportion to the lost depth agreement.
-
-    Two effects, both vanishing exactly when agreement == 1: isotropic
-    noise that weakens correct pair scores, and a row swap that points a
-    fraction of pixels at the feature of a far-away cloud point (farther
-    than 3 * tau1, so an emitted swap counts as an outlier downstream).
-    Swapped rows bypass the noise, keeping their wrong-pair scores flat
-    across corruption levels. Draw counts are fixed by the row count, so
-    sweeping corruption upward only grows the affected sets.
-    """
-    sigma_sup = config.guidance_noise_scale * (1.0 - agreement)
-    if sigma_sup > 0.0:
-        rng = synth.stream_rng("guidance", scene.seed, config.noise_seed)
-        f_img = geometry.unit_rows(f_img + rng.normal(0.0, sigma_sup, f_img.shape))
-
-    swap_p = min(1.0, config.guidance_swap_scale * (1.0 - agreement))
-    if swap_p > 0.0:
-        rng = synth.stream_rng("swap", scene.seed, config.noise_seed)
-        m = f_img.shape[0]
-        gate = rng.uniform(size=m)
-        cand = rng.integers(0, scene.cloud.shape[0], size=(m, _SWAP_CANDIDATES))
-        rows = np.flatnonzero(gate < swap_p)
-        if rows.size:
-            gaps = np.linalg.norm(
-                scene.cloud[cand[rows]] - scene.cloud[gt_idx[rows]][:, None, :], axis=2
-            )
-            far = gaps > 3.0 * config.tau1_m
-            pick = np.where(far.any(axis=1), np.argmax(far, axis=1), np.argmax(gaps, axis=1))
-            f_img = f_img.copy()
-            f_img[rows] = f_cloud[cand[rows, pick]]
-    return f_img
 
 
 def _refine(
@@ -535,11 +492,12 @@ def evaluate_scene(
 
     patches are the registration's coarse (tile id, cell id, score) pairs.
     Their members' ids come from _patch_ids under the config's tile grid
-    and voxel size, which must be the ones the pairs were matched under.
+    and voxel size, which must be the ones the pairs were matched under, on
+    the ground-truth rows, which a StandIn registers.
     The ids come first, so a cloud too large for the voxel grid fails
     before any metric overflows.
     """
-    tiles, cells = _patch_ids(scene, config)
+    tiles, cells = _patch_ids(scene, scene.gt_rows, config)
     ir = inlier_ratio(
         corrs, scene.cloud, scene.table, scene.intrinsics, scene.gt_transform,
         config.tau1_m,

@@ -13,7 +13,8 @@ correspondences are a read-only view of the table.
 Features are constructed, not learned: both sides of a ground-truth
 pair share one random unit vector, which models a perfectly trained
 matcher; Gaussian feature noise, row outliers, depth noise, and depth
-masking model its degradation.
+masking model its degradation. A StandIn holds the ground truth this
+needs, and is the only code that reads it for registration.
 
 corrupt_depth works per scene and per table row: the rows, in row-major
 order, take one Gaussian deviate and one uniform each, from two
@@ -63,7 +64,7 @@ __all__ = [
     "generate_scene",
     "render_depth",
     "corrupt_depth",
-    "base_features",
+    "StandIn",
     "synthesize_features",
 ]
 
@@ -72,15 +73,16 @@ __all__ = [
 STREAM_TAGS = {
     "pose": 1,  # generate_scene's ground-truth pose
     "sample": 2,  # generate_scene's surface samples
-    "base": 3,  # base_features
+    "base": 3,  # StandIn.of
     "img_noise": 4,  # synthesize_features
     "cloud_noise": 5,
     "outlier": 6,
-    "guidance": 7,  # pipeline's guidance noise
-    "swap": 8,  # pipeline's guidance row swaps
+    "guidance": 7,  # synthesize_features' guidance noise
+    "swap": 8,  # and its row swaps
     "loss_fixture": 9,  # the losses command's fixture
     "depth_corruption": 10,  # corrupt_depth: noise and mask children
 }
+_SWAP_CANDIDATES = 16  # cloud points a swapped row draws to find a far one
 
 
 def stream_rng(name: str, *seeds: int) -> np.random.Generator:
@@ -373,6 +375,9 @@ class CorruptionConfig:
     mask_ratio: float = setting("mask_ratio")
     feature_noise_sigma: float = setting("feature_noise_sigma")
     outlier_fraction: float = setting("outlier_fraction")
+    guidance_noise_scale: float = setting("guidance_noise_scale")
+    guidance_swap_scale: float = setting("guidance_swap_scale")
+    tau1_m: float = setting("tau1_m")  # a swap's point lies farther than 3 * tau1_m
     seed: int = setting("noise_seed")
 
     def __post_init__(self) -> None:
@@ -404,40 +409,77 @@ def corrupt_depth(depths: F64, cfg: CorruptionConfig, scene_seed: int) -> tuple[
     return values, keep
 
 
-def base_features(scene: SyntheticScene, channels: int) -> F64:
-    """The scene's (N, channels) unit base vectors, one per cloud point."""
-    if channels < 4:
-        raise ValueError(f"channels must be >= 4, got {channels}")
-    base_rng = stream_rng("base", scene.seed)
-    return unit_rows(base_rng.standard_normal((scene.cloud.shape[0], channels)))
+@dataclass(frozen=True)
+class StandIn:
+    """The trained backbones' stand-in: registration's only ground-truth reader.
+
+    of snapshots, from the scene's ground truth, the table rows that have
+    a point (ascending), their point indices and one unit base vector per
+    cloud point; the rest is observation (the cloud and the seed).
+    """
+
+    seed: int
+    cloud: F64
+    rows: np.ndarray
+    points: np.ndarray
+    base: F64  # (N, channels)
+
+    @classmethod
+    def of(cls, scene: SyntheticScene, channels: int) -> "StandIn":
+        if channels < 4:
+            raise ValueError(f"channels must be >= 4, got {channels}")
+        base_rng = stream_rng("base", scene.seed)
+        base = unit_rows(base_rng.standard_normal((len(scene.cloud), channels)))
+        rows = scene.gt_rows
+        return cls(scene.seed, scene.cloud, rows, scene.table.point_indices[rows], base)
+
+    def cloud_normals(self, row_normals: F64) -> F64:
+        """(N, 3): each point's normal from its row of row_normals, or zero."""
+        out = np.zeros((self.cloud.shape[0], 3))
+        out[self.points] = row_normals[self.rows]
+        return out
 
 
 def synthesize_features(
-    scene: SyntheticScene, base: F64, noise: CorruptionConfig
+    stand_in: StandIn, noise: CorruptionConfig, agreement: float = 1.0
 ) -> tuple[F64, F64]:
-    """Aligned features from base, the scene's base_features (left unchanged):
-    one image row per gt pair, one cloud row per point.
+    """Aligned features: one image row per stand-in row, one cloud row per point.
 
-    Ground-truth pairs share their point's base vector. Feature noise perturbs
-    both sides independently before re-normalization; outlier_fraction of
-    image rows are then replaced with fresh random directions.
+    A row and its point share the point's base vector. Feature noise perturbs
+    both sides independently, outlier_fraction of image rows take fresh random
+    directions, and then the lost depth agreement, 1 - agreement, scales the
+    guidance noise on the image rows and the rate of a swap that points a row
+    at a cloud point farther than 3 * tau1_m (an outlier downstream); swapped
+    rows bypass the noise. Each Gaussian step re-normalizes. Draw counts are
+    fixed by the row count, so more corruption only grows the affected sets.
     """
-    m = len(scene.gt_correspondences)
-    channels = base.shape[1]
-    f_cloud = base.copy()
-    f_img = base[scene.gt_correspondences.point_indices]
+    base, points, cloud = stand_in.base, stand_in.points, stand_in.cloud
 
-    if noise.feature_noise_sigma > 0.0:
-        img_rng = stream_rng("img_noise", scene.seed, noise.seed)
-        cloud_rng = stream_rng("cloud_noise", scene.seed, noise.seed)
-        f_img = unit_rows(f_img + img_rng.normal(0.0, noise.feature_noise_sigma, f_img.shape))
-        f_cloud = unit_rows(
-            f_cloud + cloud_rng.normal(0.0, noise.feature_noise_sigma, f_cloud.shape)
-        )
+    def noised(features: F64, stream: str, sigma: float) -> F64:
+        if sigma > 0.0:
+            rng = stream_rng(stream, stand_in.seed, noise.seed)
+            features = unit_rows(features + rng.normal(0.0, sigma, features.shape))
+        return features
 
+    m = points.size
+    f_img = noised(base[points], "img_noise", noise.feature_noise_sigma)
+    f_cloud = noised(base.copy(), "cloud_noise", noise.feature_noise_sigma)
     outliers = int(round(noise.outlier_fraction * m))
     if outliers > 0:
-        out_rng = stream_rng("outlier", scene.seed, noise.seed)
+        out_rng = stream_rng("outlier", stand_in.seed, noise.seed)
         rows = out_rng.choice(m, size=outliers, replace=False)
-        f_img[rows] = unit_rows(out_rng.standard_normal((outliers, channels)))
+        f_img[rows] = unit_rows(out_rng.standard_normal((outliers, base.shape[1])))
+
+    f_img = noised(f_img, "guidance", noise.guidance_noise_scale * (1.0 - agreement))
+    swap_p = min(1.0, noise.guidance_swap_scale * (1.0 - agreement))
+    if swap_p > 0.0:
+        rng = stream_rng("swap", stand_in.seed, noise.seed)
+        gate = rng.uniform(size=m)
+        cand = rng.integers(0, cloud.shape[0], size=(m, _SWAP_CANDIDATES))
+        rows = np.flatnonzero(gate < swap_p)
+        if rows.size:
+            gaps = np.linalg.norm(cloud[cand[rows]] - cloud[points[rows]][:, None, :], axis=2)
+            far = gaps > 3.0 * noise.tau1_m
+            pick = np.where(far.any(axis=1), np.argmax(far, axis=1), np.argmax(gaps, axis=1))
+            f_img[rows] = f_cloud[cand[rows, pick]]
     return f_img, f_cloud

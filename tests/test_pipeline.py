@@ -41,7 +41,9 @@ from crossreg.pipeline import (
 from crossreg.pose import RansacConfig
 from crossreg.synth import (
     CorruptionConfig,
+    PixelTable,
     SceneSpec,
+    SyntheticScene,
     corrupt_depth,
     generate_scene,
     synthesize_features,
@@ -325,7 +327,7 @@ class TestRegisterScene:
     def test_patches_are_the_coarse_pairs(self):
         scene, cfg = small_scene(seed=6)
         patches = register_scene(scene, cfg).patches
-        tiles, cells = pipeline._patch_ids(scene, cfg)
+        tiles, cells = pipeline._patch_ids(scene, scene.gt_rows, cfg)
         for tile, cell, score in patches:
             assert type(tile) is int and type(cell) is int and type(score) is float
             assert tile in tiles and cell in cells
@@ -343,6 +345,36 @@ class TestRegisterScene:
         want = register_scene(scene, cfg)
         assert want.agreement < 1.0  # the corruption path runs too
         assert_same_registration(register_scene(wrong, cfg), want)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"mask_ratio": 0.2, "gaussian_sigma_m": 0.005, "epoch": 25},
+            {"feature_noise_sigma": 0.1, "outlier_fraction": 0.3, "min_fine_score": 0.0},
+        ],
+        ids=["corrupted_refined", "noisy_features"],
+    )
+    def test_registration_reads_ground_truth_only_through_the_stand_in(
+        self, monkeypatch, overrides
+    ):
+        # the prep's StandIn snapshots the ground truth; registering through
+        # the prep afterwards reads none of it, so fencing it changes no byte
+        scene, cfg = small_scene(seed=3, **overrides)
+        want = register_scene(scene, cfg)
+        prep = prepare_scene(scene, cfg)
+
+        def fenced(self):
+            raise AssertionError("registration read ground truth")
+
+        for owner, name in (
+            (SyntheticScene, "gt_transform"), (SyntheticScene, "gt_rows"),
+            (SyntheticScene, "gt_correspondences"), (PixelTable, "point_indices"),
+        ):
+            monkeypatch.setattr(owner, name, property(fenced), raising=False)
+        for read in (lambda: scene.gt_transform, lambda: scene.table.point_indices):
+            with pytest.raises(AssertionError, match="ground truth"):
+                read()
+        assert_same_registration(register_scene(scene, cfg, prep), want)
 
     def test_ground_truth_behind_the_camera_scores_zero(self):
         # a degenerate ground truth: registration ignores it, and
@@ -670,7 +702,7 @@ class TestSkippedWork:
         cfg = PipelineConfig()
         scene = generate_scene(cfg.scene_spec(), seed=21)
         prep = prepare_scene(scene, cfg)
-        f_img, f_cloud = synthesize_features(scene, prep.base, cfg.corruption())
+        f_img, f_cloud = synthesize_features(prep.stand_in, cfg.corruption())
         gt = scene.gt_correspondences
         img_n = prep.clean_normals.normals[scene.gt_rows]
         cloud_n = np.zeros((scene.cloud.shape[0], 3))
@@ -841,7 +873,7 @@ class TestGroupingOracles:
             cfg = PipelineConfig(**overrides)
             scene = generate_scene(cfg.scene_spec(), seed=6)
             prep = prepare_scene(scene, cfg)
-            tiles, cells = pipeline._patch_ids(scene, cfg)
+            tiles, cells = pipeline._patch_ids(scene, scene.gt_rows, cfg)
             assert len(tiles) == len(scene.gt_rows) and len(cells) == len(scene.cloud)
             # cell ids rank the cells present
             assert prep.cells.ids.tolist() == list(range(prep.cells.ids.size))
@@ -857,6 +889,6 @@ class TestGroupingOracles:
         scene = generate_scene(cfg.scene_spec(), seed=6)
         prep = prepare_scene(scene, cfg)
         assert prep.tiles.offsets.size <= len(scene.gt_rows) + 1
-        tiles, _ = pipeline._patch_ids(scene, cfg)
+        tiles, _ = pipeline._patch_ids(scene, scene.gt_rows, cfg)
         assert prep.tiles.ids.tolist() == np.unique(tiles).tolist()
         assert prep.tiles.offsets.size == prep.tiles.ids.size + 1

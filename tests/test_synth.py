@@ -19,7 +19,7 @@ from crossreg.synth import (
     STREAM_TAGS,
     SceneSpec,
     Sphere,
-    base_features,
+    StandIn,
     corrupt_depth,
     generate_scene,
     render_depth,
@@ -404,7 +404,7 @@ class TestSynthesizeFeatures:
         self.scene = generate_scene(SceneSpec(point_count=900), seed=6)
 
     def features(self, channels, cfg):
-        return synthesize_features(self.scene, base_features(self.scene, channels), cfg)
+        return synthesize_features(StandIn.of(self.scene, channels), cfg)
 
     def test_zero_noise_exact_pairs(self):
         f_img, f_cloud = self.features(256, CorruptionConfig())
@@ -417,16 +417,17 @@ class TestSynthesizeFeatures:
         np.fill_diagonal(cross, 0.0)
         assert np.abs(cross).max() < 0.4
 
-    def test_deterministic(self):
+    @pytest.mark.parametrize("agreement", [1.0, 0.4])
+    def test_deterministic(self, agreement):
         cfg = CorruptionConfig(feature_noise_sigma=0.3, outlier_fraction=0.1, seed=2)
-        base = base_features(self.scene, 64)
-        before = base.tobytes()
-        a_img, a_cloud = synthesize_features(self.scene, base, cfg)
-        b_img, b_cloud = self.features(64, cfg)
+        stand_in = StandIn.of(self.scene, 64)
+        before = stand_in.base.tobytes()
+        a_img, a_cloud = synthesize_features(stand_in, cfg, agreement)
+        b_img, b_cloud = synthesize_features(StandIn.of(self.scene, 64), cfg, agreement)
         np.testing.assert_array_equal(a_img, b_img)
         np.testing.assert_array_equal(a_cloud, b_cloud)
         # the base is read, never written, so a prep can reuse it
-        assert base.tobytes() == before
+        assert stand_in.base.tobytes() == before
 
     def test_rows_are_unit(self):
         cfg = CorruptionConfig(feature_noise_sigma=0.4, outlier_fraction=0.2, seed=1)
@@ -467,4 +468,51 @@ class TestSynthesizeFeatures:
 
     def test_channel_floor(self):
         with pytest.raises(ValueError):
-            base_features(self.scene, 3)
+            StandIn.of(self.scene, 3)
+
+    def test_lost_agreement_swaps_rows_to_far_points(self):
+        # every row is swapped, each to a point farther than 3 * tau1_m
+        # (16 candidates make a closer pick all but impossible here)
+        cfg = CorruptionConfig(guidance_noise_scale=0.0, guidance_swap_scale=1.0)
+        stand_in = StandIn.of(self.scene, 64)
+        f_img, f_cloud = synthesize_features(stand_in, cfg, agreement=0.0)
+        unit = f_cloud / np.linalg.norm(f_cloud, axis=1, keepdims=True)
+        picked = np.argmax(f_img @ unit.T, axis=1)
+        assert np.array_equal(f_img, f_cloud[picked])
+        gaps = np.linalg.norm(stand_in.cloud[picked] - stand_in.cloud[stand_in.points], axis=1)
+        assert np.all(gaps > 3.0 * cfg.tau1_m)
+
+    def test_full_agreement_leaves_the_guidance_out(self):
+        cfg = CorruptionConfig(feature_noise_sigma=0.2, seed=4)
+        stand_in = StandIn.of(self.scene, 64)
+        damaged = synthesize_features(stand_in, cfg, agreement=0.5)
+        for clean, want in zip(synthesize_features(stand_in, cfg, 1.0), self.features(64, cfg)):
+            assert clean.tobytes() == want.tobytes()
+        assert not np.array_equal(damaged[0], self.features(64, cfg)[0])
+        assert damaged[1].tobytes() == self.features(64, cfg)[1].tobytes()
+
+
+class TestStandIn:
+    def test_registers_the_rows_with_a_point(self):
+        scene = generate_scene(SceneSpec(point_count=600), seed=21)
+
+        def every_7th_without_a_point(indices):
+            indices[::7] = -1
+
+        edited = with_rows(scene, every_7th_without_a_point, "point_indices")
+        stand_in = StandIn.of(dataclasses.replace(scene, table=edited), 8)
+        indices = edited.point_indices
+        assert stand_in.rows.tobytes() == np.flatnonzero(indices >= 0).tobytes()
+        assert stand_in.points.tobytes() == indices[indices >= 0].tobytes()
+        assert stand_in.base.shape == (len(scene.cloud), 8)
+        np.testing.assert_allclose(np.linalg.norm(stand_in.base, axis=1), 1.0, atol=1e-12)
+
+    def test_cloud_normals_take_their_rows_normal(self):
+        scene = generate_scene(SceneSpec(point_count=600), seed=21)
+        stand_in = StandIn.of(scene, 8)
+        row_normals = np.arange(3.0 * len(scene.table)).reshape(-1, 3)
+        got = stand_in.cloud_normals(row_normals)
+        named = np.zeros(len(scene.cloud), dtype=bool)
+        named[stand_in.points] = True
+        assert np.array_equal(got[stand_in.points], row_normals[stand_in.rows])
+        assert not got[~named].any()
