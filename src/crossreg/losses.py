@@ -208,25 +208,28 @@ def warmup_weight(epoch: int, schedule: WarmupSchedule = WarmupSchedule()) -> fl
 # --------------------------------------------------------------------------- #
 
 
+def _pairwise_sq(x: F64, y: F64) -> F64:
+    """(len(x), len(y)) squared distances in dot form, clamped at 0 against rounding."""
+    sx = np.einsum("nd,nd->n", x, x)
+    sy = np.einsum("nd,nd->n", y, y)
+    d2 = sx[:, None] + sy[None, :] - 2.0 * (x @ y.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
 def median_heuristic_bandwidth(a, b) -> float:
     """Median pairwise distance over the pooled sample (fallback 1.0)."""
     pooled = np.vstack([np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)])
     n = pooled.shape[0]
     if n < 2:
         return 1.0
-    sq = np.einsum("nd,nd->n", pooled, pooled)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
-    np.maximum(d2, 0.0, out=d2)
-    upper = d2[np.triu_indices(n, k=1)]
+    upper = _pairwise_sq(pooled, pooled)[np.triu_indices(n, k=1)]
     med = float(np.median(np.sqrt(upper)))
     return med if med > 0.0 else 1.0
 
 
 def _gaussian_kernel_mean(x: F64, y: F64, bandwidth: float) -> float:
-    sx = np.einsum("nd,nd->n", x, x)
-    sy = np.einsum("nd,nd->n", y, y)
-    d2 = sx[:, None] + sy[None, :] - 2.0 * (x @ y.T)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = _pairwise_sq(x, y)
     return float(np.exp(-d2 / (2.0 * bandwidth * bandwidth)).mean())
 
 
