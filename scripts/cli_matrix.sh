@@ -182,3 +182,35 @@ run register_huge_gaussian_sigma register --scene "$small0" \
     --out "$out/huge_gaussian_sigma" --set gaussian_sigma_m=1e308
 run losses_huge_gdc_weight losses --out "$out/huge_gdc_weight.json" \
     --set lambda_gdc=1.7976931348623157e308 --set epoch=25
+
+# bundle values that once ended with a traceback or a numeric warning: a true
+# translation whose squares overflow the metrics (register exits 0, eval 1), a
+# rotation entry whose R^T R overflows, and a depth whose lifted pixel does
+bad="$out/.huge_bundle_values"
+mkdir -p "$bad"
+for name in gt_translation rotation_entry depth; do cp -r "$small0" "$bad/$name"; done
+python3 -W error::RuntimeWarning - "$bad" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+bad = Path(sys.argv[1])
+for name, key, value in (("gt_translation", "translation", 1e160), ("rotation_entry", "rotation", 1e200)):
+    path = bad / name / "gt_pose.json"
+    raw = json.loads(path.read_text())
+    raw[key][0] = value
+    path.write_text(json.dumps(raw))
+path = bad / "depth" / "depth.bin"
+blob = path.read_bytes()
+depth_at = blob.index(b"\n") + 1 + 16  # the first (u, v, depth, point index) row's depth
+path.write_bytes(blob[:depth_at] + np.float64(1e308).tobytes() + blob[depth_at + 8:])
+PY
+run register_huge_gt_translation register --scene "$bad/gt_translation" --out "$bad/result"
+run eval_huge_gt_translation eval --scenes "$bad/gt_translation" --results "$bad/result" \
+    --out "$bad/eval.json"
+run register_rotation_entry_past_one register --scene "$bad/rotation_entry" \
+    --out "$bad/rotation_result"
+run register_huge_depth register --scene "$bad/depth" --out "$bad/depth_result"
+rm -rf "$bad"

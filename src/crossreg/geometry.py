@@ -17,11 +17,14 @@ from typing import TypeAlias
 import numpy as np
 import numpy.typing as npt
 
-from .errors import InvalidRotationError, NonPositiveDepthError
+from .errors import CoordinateOverflowError, InvalidRotationError, NonPositiveDepthError
 
 F64: TypeAlias = npt.NDArray[np.float64]
 
 ROTATION_TOL = 1e-9
+# Within it, a gap between two points moved by a rigid transform, squared
+# and summed over the axes, stays finite (the gaps reach about 6e150).
+COORDINATE_LIMIT = 1e150
 
 
 # --------------------------------------------------------------------------- #
@@ -51,9 +54,24 @@ def as_vec3(x, name: str = "vector") -> F64:
     return as_float_array(x, shape=(3,), name=name)
 
 
+def check_coordinates(values, name: str) -> None:
+    """CoordinateOverflowError unless every entry lies within COORDINATE_LIMIT."""
+    if not np.all(np.abs(values) <= COORDINATE_LIMIT):
+        raise CoordinateOverflowError(
+            f"{name}: coordinates beyond {COORDINATE_LIMIT:g} overflow the squared gaps"
+        )
+
+
 def as_rotation(x, name: str = "rotation") -> F64:
-    """Coerce to a 3x3 rotation: R^T R = I and det R = +1, both within ROTATION_TOL."""
+    """Coerce to a 3x3 rotation: R^T R = I and det R = +1, both within ROTATION_TOL.
+
+    A rotation's entries lie in [-1, 1], so a larger one is refused before
+    R^T R is formed, which could overflow.
+    """
     rot = as_float_array(x, shape=(3, 3), name=name)
+    big = float(rot.flat[np.argmax(np.abs(rot))])
+    if abs(big) > 1.0 + ROTATION_TOL:
+        raise InvalidRotationError(f"{name}: entry {big!r} lies outside [-1, 1]")
     err = np.abs(rot.T @ rot - np.eye(3)).max()
     if err > ROTATION_TOL:
         raise InvalidRotationError(f"{name}: R^T R deviates from identity by {err:.3e}")
@@ -161,7 +179,9 @@ def project_unchecked(intrinsics: CameraIntrinsics, pts: F64) -> F64:
 
 
 def backproject_pixels(intrinsics: CameraIntrinsics, uv, depths) -> F64:
-    """Vectorized backprojection; every depth must be > 0."""
+    """Vectorized backprojection; every depth must be > 0, and every finite
+    pixel must lift within COORDINATE_LIMIT (checked without overflow); a
+    non-finite pixel lifts to non-finite coordinates."""
     uv = np.asarray(uv, dtype=np.float64)
     d = np.asarray(depths, dtype=np.float64)
     if uv.ndim != 2 or uv.shape[1] != 2 or uv.shape[0] != d.shape[0]:
@@ -169,7 +189,9 @@ def backproject_pixels(intrinsics: CameraIntrinsics, uv, depths) -> F64:
     if (d <= 0.0).any() or not np.isfinite(d).all():
         raise NonPositiveDepthError("cannot backproject depths <= 0")
     out = np.empty((uv.shape[0], 3))
-    out[:, 0] = (uv[:, 0] - intrinsics.cx) * d / intrinsics.fx
-    out[:, 1] = (uv[:, 1] - intrinsics.cy) * d / intrinsics.fy
+    with np.errstate(over="ignore"):  # an inf is refused below
+        out[:, 0] = (uv[:, 0] - intrinsics.cx) * d / intrinsics.fx
+        out[:, 1] = (uv[:, 1] - intrinsics.cy) * d / intrinsics.fy
     out[:, 2] = d
+    check_coordinates(out[np.isfinite(uv).all(axis=1)], "lifted pixels")
     return out

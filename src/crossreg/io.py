@@ -217,7 +217,13 @@ def read_normals(path) -> NormalField:
 
 
 def write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """payload as JSON; a non-finite number, which JSON cannot hold, is a
+    CrossregError naming the file, and nothing is written."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise CrossregError(f"{path}: cannot be written as JSON: {exc}") from None
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path):

@@ -494,10 +494,17 @@ def evaluate_scene(
     Their members' ids come from _patch_ids under the config's tile grid
     and voxel size, which must be the ones the pairs were matched under, on
     the ground-truth rows, which a StandIn registers.
-    The ids come first, so a cloud too large for the voxel grid fails
-    before any metric overflows.
+    The ids and a coordinate check come first, so a cloud too large for the
+    voxel grid, or a cloud or translation past geometry.COORDINATE_LIMIT,
+    fails before any metric overflows.
     """
     tiles, cells = _patch_ids(scene, scene.gt_rows, config)
+    for values, name in (
+        (scene.cloud, "cloud"),
+        (scene.gt_transform.translation, "true translation"),
+        (est_transform.translation, "estimated translation"),
+    ):
+        geometry.check_coordinates(values, name)
     ir = inlier_ratio(
         corrs, scene.cloud, scene.table, scene.intrinsics, scene.gt_transform,
         config.tau1_m,

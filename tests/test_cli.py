@@ -702,6 +702,38 @@ class TestCoordinateOverflow:
         assert len(err.splitlines()) == 1 and "cell ids overflow int64" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("x", [1e160, 1e308])
+    def test_eval_huge_true_translation(self, tiny_bundle, tmp_path, capsys, x):
+        # register never reads the true pose; the metrics would square it
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+        pose = tiny_bundle / "gt_pose.json"
+        translation = json.loads(pose.read_text())["translation"]
+        edit_file(pose, None, lambda text: json_with(text, "translation", [x, *translation[1:]]))
+        capsys.readouterr()
+        err = self.exits_1(capsys, "eval", "--scenes", str(tiny_bundle),
+                           "--results", str(results), "--out", str(tmp_path / "r.json"))
+        assert len(err.splitlines()) == 1 and "true translation: coordinates beyond" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_register_rotation_entry_past_one(self, tiny_bundle, tmp_path, capsys):
+        # R^T R of the entry would overflow; the entry is refused first
+        pose = tiny_bundle / "gt_pose.json"
+        rotation = json.loads(pose.read_text())["rotation"]
+        edit_file(pose, None, lambda text: json_with(text, "rotation", [1e200, *rotation[1:]]))
+        err = self.exits_1(capsys, "register", "--scene", str(tiny_bundle),
+                           "--out", str(tmp_path / "res"))
+        assert len(err.splitlines()) == 1 and "entry 1e+200 lies outside [-1, 1]" in err
+
+    @pytest.mark.parametrize("depth", [1e200, 1e308])
+    def test_register_huge_depth(self, tiny_bundle, tmp_path, capsys, depth):
+        u, v, _, index = depth_row((tiny_bundle / "depth.bin").read_bytes(), 5)
+        edit_file(tiny_bundle / "depth.bin", None,
+                  lambda blob: with_depth_row(blob, 5, (u, v, depth, index)))
+        err = self.exits_1(capsys, "register", "--scene", str(tiny_bundle),
+                           "--out", str(tmp_path / "res"))
+        assert len(err.splitlines()) == 1 and "lifted pixels: coordinates beyond" in err
+
     @pytest.mark.parametrize("adaptive", ["false", "true"])
     def test_normals_far_vertex(self, tiny_bundle, tmp_path, capsys, adaptive):
         bundle = self.far_vertex(tiny_bundle, "1e200")

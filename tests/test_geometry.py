@@ -1,6 +1,7 @@
 """Transforms, camera model, and row normalization against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from crossreg.errors import InvalidRotationError, NonPositiveDepthError
+from crossreg.errors import CoordinateOverflowError, InvalidRotationError, NonPositiveDepthError
 from crossreg.geometry import (
     CameraIntrinsics,
     RigidTransform,
@@ -85,6 +86,16 @@ class TestRigidTransform:
         with pytest.raises(InvalidRotationError):
             RigidTransform(bad, np.zeros(3))
 
+    @pytest.mark.parametrize("entry", [1e200, -1e200, 1.0 + 1e-6])
+    def test_rejects_an_entry_past_one_before_forming_its_square(self, entry):
+        # R^T R of a 1e200 entry overflows; the entry is refused first
+        bad = np.eye(3)
+        bad[1, 2] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidRotationError, match=r"entry .* lies outside \[-1, 1\]"):
+                RigidTransform(bad, np.zeros(3))
+
     def test_accepts_exact_rotation(self):
         t = RigidTransform(np.eye(3), np.zeros(3))
         np.testing.assert_array_equal(t.apply(np.array([[1.0, 2.0, 3.0]])), [[1.0, 2.0, 3.0]])
@@ -139,6 +150,18 @@ class TestCamera:
                 project_points(k, np.array([[0.1, 0.1, 1.0], [0.1, 0.1, z]]))
             with pytest.raises(NonPositiveDepthError):
                 backproject_pixels(k, np.array([[320.0, 240.0], [10.0, 20.0]]), [1.0, z])
+
+    @pytest.mark.parametrize(
+        "fx, u, depth",
+        [(500.0, 10.0, 1e308), (500.0, 320.0, 1e151), (5e-324, 10.0, 1.0)],
+        ids=["overflowing_product", "depth_past_the_limit", "subnormal_focal_length"],
+    )
+    def test_lifted_coordinates_past_the_limit_rejected(self, fx, u, depth):
+        k = CameraIntrinsics(fx=fx, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoordinateOverflowError, match="lifted pixels"):
+                backproject_pixels(k, np.array([[320.0, 240.0], [u, 240.0]]), [1.0, depth])
 
     def test_invalid_intrinsics_rejected(self):
         with pytest.raises(ValueError):

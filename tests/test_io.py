@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossreg.errors import BundleError
+from crossreg.errors import BundleError, CrossregError
 from crossreg.io import (
     BUNDLE_FILES,
     load_scene_bundle,
@@ -22,6 +22,7 @@ from crossreg.io import (
     save_scene_bundle,
     write_correspondences,
     write_intrinsics,
+    write_json,
     write_normals,
     write_patches,
     write_pixel_table,
@@ -251,6 +252,14 @@ class TestJsonRecords:
 
         write_intrinsics(tmp_path / "k.json", DEFAULT_INTRINSICS)
         assert read_intrinsics(tmp_path / "k.json") == DEFAULT_INTRINSICS
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_is_refused_and_nothing_written(self, tmp_path, value):
+        # JSON has no NaN or Infinity; json.dumps would write them anyway
+        path = tmp_path / "x.json"
+        with pytest.raises(CrossregError, match="x.json: cannot be written as JSON"):
+            write_json(path, {"x": value})
+        assert not path.exists()
 
     def test_intrinsics_missing_key(self, tmp_path):
         (tmp_path / "k.json").write_text('{"fx": 500.0}\n')

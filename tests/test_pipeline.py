@@ -794,6 +794,22 @@ class TestCoordinateOverflow:
                     far, result.correspondences, result.estimate.transform, patches, cfg
                 )
 
+    @pytest.mark.parametrize("which", ["true", "estimated"])
+    def test_huge_translation_fails_evaluation_before_any_metric(self, which):
+        # the metrics would square gaps of about 1e160
+        scene, cfg = small_scene(seed=2)
+        result = register_scene(scene, cfg)
+        est = result.estimate.transform
+        far = RigidTransform(est.rotation, est.translation + [1e160, 0.0, 0.0])
+        if which == "true":
+            scene = dataclasses.replace(scene, gt_transform=far)
+        else:
+            est = far
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoordinateOverflowError, match=f"{which} translation"):
+                evaluate_scene(scene, result.correspondences, est, result.patches, cfg)
+
     def test_tiny_voxels_raise_in_registration_and_evaluation(self):
         scene, cfg = small_scene(seed=2)
         result = register_scene(scene, cfg)

@@ -417,8 +417,13 @@ class TestSynthesizeFeatures:
         np.fill_diagonal(cross, 0.0)
         assert np.abs(cross).max() < 0.4
 
-    @pytest.mark.parametrize("agreement", [1.0, 0.4])
-    def test_deterministic(self, agreement):
+    def test_deterministic(self):
+        self.check_deterministic(agreement=1.0)
+
+    def test_deterministic_under_lost_agreement(self):
+        self.check_deterministic(agreement=0.4)
+
+    def check_deterministic(self, agreement):
         cfg = CorruptionConfig(feature_noise_sigma=0.3, outlier_fraction=0.1, seed=2)
         stand_in = StandIn.of(self.scene, 64)
         before = stand_in.base.tobytes()
