@@ -374,17 +374,14 @@ def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
     """The table rows' clean lifted normals, the stand-in and the tile and
     voxel member indexes; the graphs wait for first use."""
     table = scene.table
+    clean = lifted_pixel_normals(
+        table.pixels, table.depths, scene.intrinsics, config.k_neighbors, config.adaptive_k
+    )
+    # drawn after the normals, so the base vectors do not add to their peak
     stand_in = StandIn.of(scene, config.channels)
     tiles, cells = _patch_ids(scene, stand_in.rows, config)
     return ScenePrep(
-        scene,
-        _prep_key(config),
-        lifted_pixel_normals(
-            table.pixels, table.depths, scene.intrinsics, config.k_neighbors, config.adaptive_k
-        ),
-        stand_in,
-        _Members.index(tiles),
-        _Members.index(cells),
+        scene, _prep_key(config), clean, stand_in, _Members.index(tiles), _Members.index(cells)
     )
 
 
