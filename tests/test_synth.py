@@ -487,14 +487,16 @@ class TestSynthesizeFeatures:
         gaps = np.linalg.norm(stand_in.cloud[picked] - stand_in.cloud[stand_in.points], axis=1)
         assert np.all(gaps > 3.0 * cfg.tau1_m)
 
-    def test_full_agreement_leaves_the_guidance_out(self):
+    def test_guidance_degrades_the_image_rows_only_when_agreement_is_lost(self):
         cfg = CorruptionConfig(feature_noise_sigma=0.2, seed=4)
+        unguided = dataclasses.replace(cfg, guidance_noise_scale=0.0, guidance_swap_scale=0.0)
         stand_in = StandIn.of(self.scene, 64)
-        damaged = synthesize_features(stand_in, cfg, agreement=0.5)
-        for clean, want in zip(synthesize_features(stand_in, cfg, 1.0), self.features(64, cfg)):
-            assert clean.tobytes() == want.tobytes()
-        assert not np.array_equal(damaged[0], self.features(64, cfg)[0])
-        assert damaged[1].tobytes() == self.features(64, cfg)[1].tobytes()
+        want = synthesize_features(stand_in, unguided, agreement=0.5)
+        full = synthesize_features(stand_in, cfg, agreement=1.0)
+        lost = synthesize_features(stand_in, cfg, agreement=0.5)
+        assert [f.tobytes() for f in full] == [f.tobytes() for f in want]
+        assert not np.array_equal(lost[0], want[0])
+        assert lost[1].tobytes() == want[1].tobytes()
 
 
 class TestStandIn:
