@@ -90,5 +90,4 @@ class BundleError(CrossregError, ValueError):
 REGISTRATION_FAILURES = (
     NoConsensusError,
     InsufficientPointsError,
-    EmptyCorrespondencesError,
 )

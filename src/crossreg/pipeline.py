@@ -95,21 +95,15 @@ from .synth import (
     synthesize_features,
 )
 
-# sweep name -> the config field it sets
-_SWEEP_FIELDS = {
-    "gaussian_sigma": "gaussian_sigma_m",
-    "mask_ratio": "mask_ratio",
-    "k": "k_neighbors",
-    "warmup": "epoch",
+# sweep name -> (the config field it sets, its default values)
+_SWEEPS = {
+    "gaussian_sigma": ("gaussian_sigma_m", (0.0, 0.005, 0.01, 0.015)),
+    "mask_ratio": ("mask_ratio", (0.0, 0.1, 0.2, 0.3, 0.4)),
+    "k": ("k_neighbors", (2, 4, 8, 16)),
+    "warmup": ("epoch", (0, 5, 15, 25)),
 }
-SWEEP_NAMES = tuple(_SWEEP_FIELDS)
-
-SWEEP_DEFAULTS: dict[str, tuple] = {
-    "gaussian_sigma": (0.0, 0.005, 0.01, 0.015),
-    "mask_ratio": (0.0, 0.1, 0.2, 0.3, 0.4),
-    "k": (2, 4, 8, 16),
-    "warmup": (0, 5, 15, 25),
-}
+SWEEP_NAMES = tuple(_SWEEPS)
+SWEEP_DEFAULTS: dict[str, tuple] = {name: values for name, (_, values) in _SWEEPS.items()}
 
 # the config fields a ScenePrep depends on
 _PREP_FIELDS = (
@@ -228,53 +222,45 @@ def _tile_ids(pixels: F64, intrinsics: CameraIntrinsics, rows: int, cols: int) -
     return cv * cols + cu
 
 
-def _voxel_ids(points: F64, size: float) -> np.ndarray:
-    """Each point's cell id; ids rank the distinct cells in lexicographic
-    (x, y, z) order, as np.unique(axis=0) numbers them."""
+def _patch_ids(
+    pixels: F64, points: F64, intrinsics: CameraIntrinsics, config: PipelineConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tile id of each pixel, (N, 3) voxel cell of each point): the patches
+    registration matches and evaluation scores."""
+    tiles = _tile_ids(pixels, intrinsics, config.tile_rows, config.tile_cols)
     with np.errstate(over="ignore"):
-        floors = np.floor(points / size)
+        floors = np.floor(points / config.voxel_size)
     # int64 holds exactly the floors in [-2^63, 2^63); casting any other
     # value would silently merge cells
     if not np.all((floors >= -(2.0**63)) & (floors < 2.0**63)):
         raise CoordinateOverflowError(
-            f"points too large for voxel_size {size!r}: cell ids overflow int64"
+            f"points too large for voxel_size {config.voxel_size!r}: cell ids overflow int64"
         )
-    cells = floors.astype(np.int64)
-    order = np.lexsort(cells.T[::-1])
-    ranked = cells[order]
-    starts_run = np.ones(cells.shape[0], dtype=bool)
-    starts_run[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    ids = np.empty(cells.shape[0], dtype=np.int64)
-    ids[order] = np.cumsum(starts_run) - 1
-    return ids
-
-
-def _patch_ids(
-    scene: SyntheticScene, rows: np.ndarray, config: PipelineConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """(tile id of each of the table rows registered, cell id of each point):
-    the patches registration matches and evaluation scores."""
-    tiles = _tile_ids(
-        scene.table.pixels[rows], scene.intrinsics, config.tile_rows, config.tile_cols
-    )
-    return tiles, _voxel_ids(scene.cloud, config.voxel_size)
+    return tiles, floors.astype(np.int64)
 
 
 @dataclass(frozen=True)
 class _Members:
     """Rows grouped by id, one group per id present, ascending: group g holds
-    the rows of id ids[g], ascending, as order[offsets[g]:offsets[g + 1]]."""
+    the rows of id ids[g], ascending, as order[offsets[g]:offsets[g + 1]].
+    A voxel cell's id is its group, as np.unique(axis=0) numbers the cells."""
 
     order: np.ndarray
     offsets: np.ndarray
     ids: np.ndarray
 
     @classmethod
-    def index(cls, ids: np.ndarray) -> "_Members":
-        order = np.argsort(ids, kind="stable")
-        ranked = ids[order]
-        first = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] - 1))  # where ids change
-        return cls(order, np.append(first, ranked.size), ranked[first])
+    def index(cls, keys: np.ndarray) -> tuple["_Members", np.ndarray]:
+        """The groups of keys, (N,) ids or (N, 3) cells, and each row's group."""
+        order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T[::-1])
+        ranked = keys[order].reshape(order.size, -1)
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        first = np.flatnonzero(starts)
+        group = np.empty(order.size, dtype=np.int64)
+        group[order] = np.cumsum(starts) - 1
+        ids = ranked[first, 0] if keys.ndim == 1 else np.arange(first.size)
+        return cls(order, np.append(first, order.size), ids), group
 
     def of(self, group) -> np.ndarray:
         return self.order[self.offsets[group]:self.offsets[group + 1]]
@@ -379,10 +365,11 @@ def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
     )
     # drawn after the normals, so the base vectors do not add to their peak
     stand_in = StandIn.of(scene, config.channels)
-    tiles, cells = _patch_ids(scene, stand_in.rows, config)
-    return ScenePrep(
-        scene, _prep_key(config), clean, stand_in, _Members.index(tiles), _Members.index(cells)
+    tiles, cells = _patch_ids(
+        table.pixels[stand_in.rows], scene.cloud, scene.intrinsics, config
     )
+    groups = (_Members.index(tiles)[0], _Members.index(cells)[0])
+    return ScenePrep(scene, _prep_key(config), clean, stand_in, *groups)
 
 
 def register_scene(
@@ -495,23 +482,20 @@ def evaluate_scene(
     voxel grid, or a cloud or translation past geometry.COORDINATE_LIMIT,
     fails before any metric overflows.
     """
-    tiles, cells = _patch_ids(scene, scene.gt_rows, config)
+    pixels = scene.gt_correspondences.pixels
+    tiles, cells = _patch_ids(pixels, scene.cloud, scene.intrinsics, config)
     for values, name in (
         (scene.cloud, "cloud"),
         (scene.gt_transform.translation, "true translation"),
         (est_transform.translation, "estimated translation"),
     ):
         geometry.check_coordinates(values, name)
-    ir = inlier_ratio(
-        corrs, scene.cloud, scene.table, scene.intrinsics, scene.gt_transform,
-        config.tau1_m,
-    )
-    rmse = registration_rmse(scene.cloud, est_transform, scene.gt_transform)
+    ir, rmse = _score(scene, corrs, est_transform, config.tau1_m)
     pir = 0.0
     if len(patches):
         pir = patch_inlier_ratio(patch_overlap(
-            [(tile, cell) for tile, cell, _score in patches], tiles, cells,
-            scene.gt_correspondences.pixels, scene.table.depths[scene.gt_rows], scene.cloud,
+            [(tile, cell) for tile, cell, _score in patches], tiles, _Members.index(cells)[1],
+            pixels, scene.table.depths[scene.gt_rows], scene.cloud,
             scene.intrinsics, scene.gt_transform,
         ))
     rre = relative_rotation_error(scene.gt_transform.rotation, est_transform.rotation)
@@ -527,6 +511,15 @@ def evaluate_scene(
         rre_deg=rre,
         rte_m=rte,
     )
+
+
+def _score(
+    scene: SyntheticScene, corrs: CorrespondenceSet, est: RigidTransform, tau1: float
+) -> tuple[float, float]:
+    """(inlier ratio, RMSE) of a registration against the scene's ground truth."""
+    gt = scene.gt_transform
+    ir = inlier_ratio(corrs, scene.cloud, scene.table, scene.intrinsics, gt, tau1)
+    return ir, registration_rmse(scene.cloud, est, gt)
 
 
 _NUMERIC_FIELDS = ("inlier_ratio", "rmse_m", "pir", "rre_deg", "rte_m")
@@ -557,9 +550,9 @@ def evaluation_report(evaluations: list[SceneEvaluation]) -> dict:
 
 def apply_sweep_setting(config: PipelineConfig, sweep: str, value) -> PipelineConfig:
     """config with the sweep's field set to value, coerced as a config value."""
-    if sweep not in _SWEEP_FIELDS:
+    if sweep not in _SWEEPS:
         raise ConfigError(f"unknown sweep '{sweep}', expected one of {SWEEP_NAMES}")
-    key = _SWEEP_FIELDS[sweep]
+    key = _SWEEPS[sweep][0]
     return config.replace(**{key: PipelineConfig._coerce(key, value)})
 
 
@@ -592,12 +585,8 @@ def _sweep_scene(task) -> list[tuple[float, float]]:
         # the scene scores zero inliers and an unbounded RMSE (a recall miss).
         try:
             result = register_scene(scene, cfg, prep)
-            scores.append((
-                inlier_ratio(
-                    result.correspondences, scene.cloud, scene.table,
-                    scene.intrinsics, scene.gt_transform, cfg.tau1_m,
-                ),
-                registration_rmse(scene.cloud, result.estimate.transform, scene.gt_transform),
+            scores.append(_score(
+                scene, result.correspondences, result.estimate.transform, cfg.tau1_m
             ))
         except REGISTRATION_FAILURES:
             scores.append((0.0, np.inf))

@@ -1,16 +1,16 @@
 """Pose estimation from 2D-3D correspondences: DLT + Gauss-Newton, with RANSAC.
 
-The direct solver builds the classic 2n x 12 DLT system in normalized
+The one solve, _solve, builds the classic 2n x 12 DLT system in normalized
 camera coordinates, projects the linear solution onto SO(3) by orthogonal
 Procrustes, and polishes with Gauss-Newton using multiplicative axis-angle
-updates and step halving. RANSAC wraps the same solver in a seeded
-hypothesize-and-verify loop; reruns with the same seed are bit-identical.
+updates and step halving. pnp_solve runs it on a whole set and RANSAC on
+each sampled hypothesis, in a seeded loop; reruns with the same seed are
+bit-identical.
 
-The camera is geometry's: backproject_pixels, project_points, and in the
-RANSAC and Gauss-Newton loops, which check depth themselves, its unchecked
-core project_unchecked. A pose's inliers are the correspondences in front
-of it reprojecting strictly within the threshold, and RANSAC always returns
-a pose with its own inliers.
+The camera is geometry's: backproject_pixels, and project_unchecked, as each
+projecting step checks depth itself. A pose's inliers are the correspondences
+in front of it reprojecting strictly within the threshold, and RANSAC always
+returns a pose with its own inliers and their mean error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .geometry import (
     CameraIntrinsics,
     RigidTransform,
     backproject_pixels,
-    project_points,
     project_unchecked,
     rotation_from_axis_angle,
 )
@@ -146,25 +145,25 @@ def _reprojection_residuals(
     return res, pc, float(np.sum(res * res))
 
 
-def _gauss_newton(
+def _solve(
     pts: F64,
     obs: F64,
     intrinsics: CameraIntrinsics,
-    rot: F64,
-    tra: F64,
     max_iterations: int = 50,
     step_tol: float = 1e-10,
-) -> tuple[F64, F64, float]:
-    """Minimize total squared reprojection error over (axis-angle, translation).
+) -> tuple[F64, F64]:
+    """The DLT pose polished by Gauss-Newton, which minimizes total squared
+    reprojection error over (axis-angle, translation) unless a point lies behind it.
 
     The rotation update composes multiplicatively: R <- exp(delta) R.
     A step that would increase the error is halved (up to 20 times) and
     dropped if it never helps, so the accepted error sequence is
     non-increasing.
     """
+    rot, tra = _dlt_pose(pts, obs, intrinsics)
     start = _reprojection_residuals(pts, obs, intrinsics, rot, tra)
     if start is None:
-        return rot, tra, float("inf")
+        return rot, tra
     res, pc, err = start
 
     for _ in range(max_iterations):
@@ -210,7 +209,7 @@ def _gauss_newton(
             break
         if float(np.linalg.norm(factor * delta)) < step_tol:
             break
-    return rot, tra, err
+    return rot, tra
 
 
 # --------------------------------------------------------------------------- #
@@ -231,9 +230,7 @@ def pnp_solve(
             f"pnp_solve needs >= {MIN_SOLVE_POINTS} correspondences, got {len(corrs)}"
         )
     pts, obs = corrs.matched_points(cloud), corrs.pixels
-    rot, tra = _dlt_pose(pts, obs, intrinsics)
-    rot, tra, _ = _gauss_newton(pts, obs, intrinsics, rot, tra, max_iterations, step_tol)
-    return RigidTransform(rot, tra)
+    return RigidTransform(*_solve(pts, obs, intrinsics, max_iterations, step_tol))
 
 
 def pnp_ransac(
@@ -275,12 +272,9 @@ def pnp_ransac(
     for iteration in range(config.max_iterations):
         sample = rng.choice(n, size=config.min_sample, replace=False)
         try:
-            rot, tra = _dlt_pose(pts[sample], obs[sample], intrinsics)
+            rot, tra = _solve(pts[sample], obs[sample], intrinsics, max_iterations=10)
         except DegenerateConfigurationError:
             continue
-        rot, tra, _ = _gauss_newton(
-            pts[sample], obs[sample], intrinsics, rot, tra, max_iterations=10
-        )
         mask = inlier_mask(rot, tra)
         count = int(mask.sum())
         if count > best_count:
@@ -313,6 +307,7 @@ def pnp_ransac(
     if int(final_mask.sum()) < config.min_sample:  # a failed or degraded refit
         transform, final_mask = RigidTransform(*best_pose), best_mask
 
-    res = project_points(intrinsics, transform.apply(pts[final_mask])) - obs[final_mask]
+    pc = pts[final_mask] @ transform.rotation.T + transform.translation
+    res = project_unchecked(intrinsics, pc) - obs[final_mask]
     mean_err = float(np.linalg.norm(res, axis=1).mean())
     return PoseEstimate(transform, final_mask, mean_err)

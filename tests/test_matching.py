@@ -28,7 +28,7 @@ from crossreg.matching import (
     fine_match,
     patch_overlap,
 )
-from crossreg.pipeline import PipelineConfig, _tile_ids, _voxel_ids
+from crossreg.pipeline import PipelineConfig, _Members, _patch_ids
 from crossreg.synth import generate_scene
 from rasters import depth_raster
 
@@ -588,8 +588,8 @@ class TestScenePatchOverlap:
         pix = scene.gt_correspondences.pixels
         depth = depth_raster(scene.table)
         dep = depth.values[pix[:, 1].astype(np.int64), pix[:, 0].astype(np.int64)]
-        tiles = _tile_ids(pix, scene.intrinsics, cfg.tile_rows, cfg.tile_cols)
-        cells = _voxel_ids(scene.cloud, cfg.voxel_size)
+        tiles, cells = _patch_ids(pix, scene.cloud, scene.intrinsics, cfg)
+        _, cells = _Members.index(cells)
         pairs = [(int(t), int(c)) for t in np.unique(tiles) for c in np.unique(cells)]
         got = patch_overlap(
             pairs, tiles, cells, pix, dep, scene.cloud, scene.intrinsics, scene.gt_transform

@@ -327,7 +327,10 @@ class TestRegisterScene:
     def test_patches_are_the_coarse_pairs(self):
         scene, cfg = small_scene(seed=6)
         patches = register_scene(scene, cfg).patches
-        tiles, cells = pipeline._patch_ids(scene, scene.gt_rows, cfg)
+        tiles, cells = pipeline._patch_ids(
+            scene.gt_correspondences.pixels, scene.cloud, scene.intrinsics, cfg
+        )
+        _, cells = np.unique(cells, axis=0, return_inverse=True)
         for tile, cell, score in patches:
             assert type(tile) is int and type(cell) is int and type(score) is float
             assert tile in tiles and cell in cells
@@ -860,7 +863,10 @@ class TestGroupingOracles:
         # the point on a cell boundary
         cells, frac = cells_frac
         points = (cells + frac) * size
-        ids = pipeline._voxel_ids(points, size)
+        cfg = PipelineConfig(voxel_size=size)
+        _, voxels = pipeline._patch_ids(np.zeros((0, 2)), points, SMALL_K, cfg)
+        members, ids = pipeline._Members.index(voxels)
+        assert members.ids.tolist() == list(range(members.ids.size))
         _, inverse = np.unique(
             np.floor(points / size).astype(np.int64), axis=0, return_inverse=True
         )
@@ -872,13 +878,14 @@ class TestGroupingOracles:
     @given(grouped=_GROUPED)
     def test_group_means_match_add_at(self, grouped):
         feats, (groups, ids) = grouped
-        members = pipeline._Members.index(ids)
+        members, rank = pipeline._Members.index(ids)
         got = pipeline._group_means(feats, members)
         sums = np.zeros((groups, feats.shape[1]))
         np.add.at(sums, ids, feats)
         counts = np.bincount(ids, minlength=groups).astype(np.float64)
         want_present = np.flatnonzero(counts > 0)
         assert members.ids.tobytes() == want_present.tobytes()
+        assert rank.tobytes() == np.searchsorted(want_present, ids).tobytes()
         assert got.tobytes() == (sums[want_present] / counts[want_present, None]).tobytes()
 
     def test_members_are_the_flatnonzero_scans(self):
@@ -889,11 +896,14 @@ class TestGroupingOracles:
             cfg = PipelineConfig(**overrides)
             scene = generate_scene(cfg.scene_spec(), seed=6)
             prep = prepare_scene(scene, cfg)
-            tiles, cells = pipeline._patch_ids(scene, scene.gt_rows, cfg)
+            tiles, cells = pipeline._patch_ids(
+                scene.gt_correspondences.pixels, scene.cloud, scene.intrinsics, cfg
+            )
             assert len(tiles) == len(scene.gt_rows) and len(cells) == len(scene.cloud)
             # cell ids rank the cells present
             assert prep.cells.ids.tolist() == list(range(prep.cells.ids.size))
-            for members, ids in ((prep.tiles, tiles), (prep.cells, cells)):
+            _, cells = np.unique(cells, axis=0, return_inverse=True)
+            for members, ids in ((prep.tiles, tiles), (prep.cells, cells.reshape(-1))):
                 assert members.ids.tolist() == np.unique(ids).tolist()
                 assert members.offsets.size == members.ids.size + 1
                 for group, id_ in enumerate(members.ids):
@@ -905,6 +915,8 @@ class TestGroupingOracles:
         scene = generate_scene(cfg.scene_spec(), seed=6)
         prep = prepare_scene(scene, cfg)
         assert prep.tiles.offsets.size <= len(scene.gt_rows) + 1
-        tiles, _ = pipeline._patch_ids(scene, scene.gt_rows, cfg)
+        tiles, _ = pipeline._patch_ids(
+            scene.gt_correspondences.pixels, scene.cloud, scene.intrinsics, cfg
+        )
         assert prep.tiles.ids.tolist() == np.unique(tiles).tolist()
         assert prep.tiles.offsets.size == prep.tiles.ids.size + 1
