@@ -183,12 +183,21 @@ run register_huge_gaussian_sigma register --scene "$small0" \
 run losses_huge_gdc_weight losses --out "$out/huge_gdc_weight.json" \
     --set lambda_gdc=1.7976931348623157e308 --set epoch=25
 
+# sizes past the address space, which once ended with numpy's allocation
+# traceback; they fail before any page is touched
+run synth_unallocatable_point_count synth --out "$out/unallocatable_point_count" \
+    --set point_count=100000000000000
+run register_unallocatable_channels register --scene "$small0" \
+    --out "$out/unallocatable_channels" --set channels=1000000000000
+
 # bundle values that once ended with a traceback or a numeric warning: a true
 # translation whose squares overflow the metrics (register exits 0, eval 1), a
-# rotation entry whose R^T R overflows, and a depth whose lifted pixel does
+# rotation entry whose R^T R overflows, a depth whose lifted pixel does, and
+# an image of more than 2**53 pixels (register once exited 0 on it, and eval
+# scored its result with colliding depth keys: a wrong IR)
 bad="$out/.huge_bundle_values"
 mkdir -p "$bad"
-for name in gt_translation rotation_entry depth; do cp -r "$small0" "$bad/$name"; done
+for name in gt_translation rotation_entry depth wide_image; do cp -r "$small0" "$bad/$name"; done
 python3 -W error::RuntimeWarning - "$bad" <<'PY'
 import json
 import sys
@@ -206,6 +215,13 @@ path = bad / "depth" / "depth.bin"
 blob = path.read_bytes()
 depth_at = blob.index(b"\n") + 1 + 16  # the first (u, v, depth, point index) row's depth
 path.write_bytes(blob[:depth_at] + np.float64(1e308).tobytes() + blob[depth_at + 8:])
+path = bad / "wide_image" / "intrinsics.json"
+path.write_text(json.dumps({**json.loads(path.read_text()), "width": 2**54}))
+path = bad / "wide_image" / "depth.bin"
+head, rest = path.read_bytes().split(b"\n", 1)
+tokens = head.split()
+tokens[1] = str(2**54).encode()
+path.write_bytes(b" ".join(tokens) + b"\n" + rest)
 PY
 run register_huge_gt_translation register --scene "$bad/gt_translation" --out "$bad/result"
 run eval_huge_gt_translation eval --scenes "$bad/gt_translation" --results "$bad/result" \
@@ -213,4 +229,7 @@ run eval_huge_gt_translation eval --scenes "$bad/gt_translation" --results "$bad
 run register_rotation_entry_past_one register --scene "$bad/rotation_entry" \
     --out "$bad/rotation_result"
 run register_huge_depth register --scene "$bad/depth" --out "$bad/depth_result"
+run register_wide_image register --scene "$bad/wide_image" --out "$bad/wide_result"
+run eval_wide_image eval --scenes "$bad/wide_image" \
+    --results "$out/results_plain_small/scene_0000" --out "$bad/wide_eval.json"
 rm -rf "$bad"

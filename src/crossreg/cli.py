@@ -4,7 +4,8 @@ Configuration comes from an optional JSON file (--config) overlaid with
 repeatable --set key=value flags whose values are JSON literals. Every
 command is deterministic for a given config, and reruns write
 byte-identical files. Exit codes: 0 success, 1 bad input or config
-(including a file that cannot be read or written), 2 registration failure.
+(including a file that cannot be read or written, and a size too large to
+allocate), 2 registration failure.
 """
 
 from __future__ import annotations
@@ -391,8 +392,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CrossregError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CrossregError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -207,7 +207,8 @@ class SceneSpec:
 class PixelTable:
     """A depth image's valid pixels, one (u, v), depth and point index per row.
 
-    The rows are distinct integer pixels inside the width x height image,
+    The rows are distinct integer pixels inside the width x height image
+    (at most 2**53 pixels, so each row-major key is exact in float64),
     in row-major order, with finite positive depths, as render_depth
     emits them; a point index names the pixel's ground-truth cloud point,
     or is -1. Construction checks all of this (SyntheticScene checks the
@@ -224,6 +225,8 @@ class PixelTable:
         w, h = self.width, self.height
         if min(w, h) < 1:
             raise ValueError(f"image size must be positive, got {w}x{h}")
+        if int(w) * int(h) > 2**53:  # a row-major key v * w + u is exact in float64
+            raise ValueError(f"image size {w}x{h} has more than 2**53 pixels")
         px = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
         z = np.asarray(self.depths, dtype=np.float64).reshape(-1)
         idx = np.asarray(self.point_indices).reshape(-1)

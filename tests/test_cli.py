@@ -423,6 +423,36 @@ class TestMalformedBundle:
         assert err.startswith(f"error: {prefix}: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("width", [2**54, 10**18])
+    def test_image_past_2_53_pixels_exits_1(self, tiny_bundle, tmp_path, capsys, width):
+        # eval once scored such a bundle with colliding depth keys: IR 0.7949
+        # instead of 1.0 at 2**54, and 0.1538 after a cast warning at 10**18
+        results = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(results)) == 0
+
+        def with_width(blob: bytes) -> bytes:
+            head, rest = blob.split(b"\n", 1)
+            tokens = head.split()
+            tokens[1] = str(width).encode()
+            return b" ".join(tokens) + b"\n" + rest
+
+        edit_file(tiny_bundle / "intrinsics.json", None,
+                  lambda text: json_with(text, "width", width))
+        edit_file(tiny_bundle / "depth.bin", None, with_width)
+        capsys.readouterr()
+        for argv in (
+            ["register", "--scene", str(tiny_bundle), "--out", str(tmp_path / "again")],
+            ["eval", "--scenes", str(tiny_bundle), "--results", str(results),
+             "--out", str(tmp_path / "r.json")],
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "has more than 2**53 pixels" in err
+        assert not (tmp_path / "again").exists() and not (tmp_path / "r.json").exists()
+
     def test_gt_pixels_without_depth_exit_1_at_load(self, tmp_path, capsys):
         # every third ground-truth row of an 800-point scene loses its depth;
         # register once exited 0 with matches at such pixels, and eval then
@@ -740,6 +770,35 @@ class TestCoordinateOverflow:
         err = self.exits_1(capsys, "normals", "--scene", str(bundle),
                            "--out", str(tmp_path / "n"), "--set", f"adaptive_k={adaptive}")
         assert "squared distances overflow" in err
+
+
+class TestAllocationFailure:
+    # each of these once ended with numpy's _ArrayMemoryError traceback; the
+    # sizes lie past the address space, so they fail before any page is touched
+    def exits_1(self, capsys, out: Path, *argv) -> str:
+        assert run(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+        return err
+
+    def test_synth_point_count(self, tmp_path, capsys):
+        err = self.exits_1(capsys, tmp_path / "scenes", "synth",
+                           "--set", "point_count=100000000000000")
+        assert "Unable to allocate" in err
+
+    def test_register_channels(self, tiny_bundle, tmp_path, capsys):
+        err = self.exits_1(capsys, tmp_path / "res", "register", "--scene", str(tiny_bundle),
+                           "--set", "channels=1000000000000")
+        assert "Unable to allocate" in err
+
+    def test_a_memory_error_without_a_message(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(crossreg.cli, "generate_scene", no_memory)
+        err = self.exits_1(capsys, tmp_path / "scenes", "synth", "--set", "scene_count=1")
+        assert err == "error: out of memory\n"
 
 
 class TestEval:

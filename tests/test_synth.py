@@ -216,6 +216,14 @@ class TestSceneCheck:
         with pytest.raises(ValueError, match="distinct integer pixels inside the 640x480"):
             with_rows(scene, edit)
 
+    @pytest.mark.parametrize("width, height", [(2**54, 480), (10**18, 480), (2**53 + 1, 1)])
+    def test_image_past_2_53_pixels_raises(self, width, height):
+        # past 2**53 the row-major keys v * w + u collide in float64
+        empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+        with pytest.raises(ValueError, match=r"has more than 2\*\*53 pixels"):
+            PixelTable(width, height, *empty)
+        assert len(PixelTable(2**53, 1, *empty)) == 0
+
     @pytest.mark.parametrize("row", [0, 5, -1])
     def test_gt_pixel_without_depth_raises(self, row):
         # every row of a generated scene names a ground-truth point
