@@ -13,6 +13,7 @@ import pytest
 import crossreg
 from crossreg.cli import main
 from crossreg.errors import BundleError
+from crossreg.graph import knn_indices
 from crossreg.io import (
     load_scene_bundle,
     read_correspondences,
@@ -25,7 +26,7 @@ from crossreg.io import (
     write_normals,
     write_ply,
 )
-from crossreg.normals import estimate_point_normals_adaptive
+from crossreg.normals import estimate_point_normals
 from crossreg.pipeline import PipelineConfig, evaluate_scene, prepare_scene, register_scene
 from crossreg.synth import SceneSpec, generate_scene
 
@@ -1088,8 +1089,13 @@ class TestNormals:
         out = tmp_path / "n"
         assert run("normals", "--scene", str(scene), "--out", str(out),
                    "--set", "adaptive_k=true", "--set", f"k_neighbors={k}") == 0
+        # oracle: a fit over k0 + 4 neighbours where a point's mean k0-NN
+        # distance strictly exceeds the cloud's mean of it, else over k0
         k0 = max(k, 3)
-        want = estimate_point_normals_adaptive(read_ply(scene / "cloud.ply"), k0, k0 + 4)
+        cloud = read_ply(scene / "cloud.ply")
+        _, dists = knn_indices(cloud, k0, return_distances=True)
+        rho = dists.mean(axis=1)
+        want = estimate_point_normals(cloud, np.where(rho > rho.mean(), k0 + 4, k0))
         write_normals(tmp_path / "want.bin", want)
         assert (out / "point_normals.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 

@@ -75,7 +75,7 @@ def dense_lifted_pixel_normals(
         uv = np.column_stack([us, vs]).astype(np.float64)
         pts = backproject_pixels(intrinsics, uv, depth.values[vs, us])
         if adaptive:
-            estimated = estimate_point_normals_adaptive(pts, k0=k_norm, k_sparse=k_fit)
+            estimated = estimate_point_normals_adaptive(pts, k0=k_norm)
         else:
             estimated = estimate_point_normals(pts, k_norm)
         grid[vs, us] = np.where(estimated.valid[:, None], estimated.normals, 0.0)
