@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,17 @@ def _reader(read):
     return checked
 
 
+def _payload(path, blob: bytes, shape: tuple[int, ...], dtype: str, noun: str) -> np.ndarray:
+    """blob as a read-only array of shape and little-endian dtype; shape[0]
+    counts the nouns, and a blob of any other size is a BundleError."""
+    need = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(blob) != need:
+        raise BundleError(
+            f"{path}: {shape[0]} {noun} need {need} payload bytes, found {len(blob)}"
+        )
+    return np.frombuffer(blob, dtype=dtype).reshape(shape)
+
+
 # --------------------------------------------------------------------------- #
 #  Point clouds
 # --------------------------------------------------------------------------- #
@@ -92,7 +104,6 @@ _PLY_HEADER = (
     "property double z\n"
     "end_header\n"
 )
-_ROW_BYTES = 24  # three little-endian float64 per vertex
 
 
 def write_ply(path, points) -> None:
@@ -124,21 +135,12 @@ def read_ply(path) -> F64:
             f"{path}: expected the header {header.decode()!r}, "
             f"got {blob[:len(header)]!r}"
         )
-    payload = blob[len(header):]
-    if len(payload) != count * _ROW_BYTES:
-        raise BundleError(
-            f"{path}: {count} vertices need {count * _ROW_BYTES} payload bytes, "
-            f"found {len(payload)}"
-        )
-    return np.frombuffer(payload, dtype="<f8").reshape(count, 3).astype(np.float64)
+    return _payload(path, blob[len(header):], (count, 3), "<f8", "vertices").astype(np.float64)
 
 
 # --------------------------------------------------------------------------- #
 #  Depth rows and normal rasters: one ASCII header line, then little-endian data
 # --------------------------------------------------------------------------- #
-
-
-_PIXEL_ROW_BYTES = 32  # four little-endian float64 per pixel row
 
 
 def _split_header(blob: bytes) -> tuple[list[str], bytes]:
@@ -173,12 +175,7 @@ def read_pixel_table(path) -> PixelTable:
     if len(tokens) != 4 or tokens[0] != "PIXELROWS":
         raise BundleError(f"{path}: expected 'PIXELROWS <w> <h> <n>' header, got {tokens}")
     width, height, count = (int(t) for t in tokens[1:])
-    if len(payload) != count * _PIXEL_ROW_BYTES:
-        raise BundleError(
-            f"{path}: {count} pixel rows need {count * _PIXEL_ROW_BYTES} payload bytes, "
-            f"found {len(payload)}"
-        )
-    rows = np.frombuffer(payload, dtype="<f8").reshape(count, 4)
+    rows = _payload(path, payload, (count, 4), "<f8", "pixel rows")
     pixels, depths = np.ascontiguousarray(rows[:, :2]), np.ascontiguousarray(rows[:, 2])
     try:
         return PixelTable(width, height, pixels, depths, rows[:, 3])
@@ -200,10 +197,7 @@ def read_normals(path) -> NormalField:
     if len(tokens) != 3 or tokens[0] != "NORMAL":
         raise BundleError(f"{path}: expected 'NORMAL <w> <h>' header, got {tokens}")
     width, height = int(tokens[1]), int(tokens[2])
-    data = np.frombuffer(payload, dtype="<f4")
-    if data.size != width * height * 3:
-        raise BundleError(f"{path}: normal payload size mismatch")
-    arr = data.astype(np.float64).reshape(height, width, 3)
+    arr = _payload(path, payload, (height, width, 3), "<f4", "raster rows").astype(np.float64)
     if height == 1:
         arr = arr[0]
     valid = np.all(np.isfinite(arr), axis=-1)

@@ -163,23 +163,22 @@ def _fit_normals(pts: F64, k, neigh: np.ndarray | None = None) -> NormalField:
     return NormalField(normals, valid)
 
 
-def estimate_point_normals_adaptive(cloud, k0: int = 8, k_sparse: int | None = None) -> NormalField:
+def estimate_point_normals_adaptive(cloud, k0: int = 8) -> NormalField:
     """Density-adaptive variant of estimate_point_normals.
 
     A point's density is its mean distance to its k0 nearest neighbors.
     Points sparser than the cloud-wide mean density (strictly) fit over
-    k_sparse neighbors (by default normal_ks's k0 + 4), the rest over k0.
-    The density and the fit both read one k-NN list of max(k0, k_sparse).
+    normal_ks's k_sparse = k0 + 4 neighbors, the rest over k0. The density
+    and the fit both read one k-NN list of k_sparse.
     """
     if k0 < 3:
         raise ValueError(f"k0 must be >= 3, got {k0}")
-    if k_sparse is None:
-        k_sparse = normal_ks(k0, True)[1]
+    k_sparse = normal_ks(k0, True)[1]
     pts = as_points(cloud, name="cloud")
     n = pts.shape[0]
     if n < k0 + 1:
         raise DegenerateNeighborhoodError(f"cloud of {n} points cannot support k0 = {k0}")
-    neigh, dists = knn_indices(pts, max(k0, k_sparse), return_distances=True)
+    neigh, dists = knn_indices(pts, k_sparse, return_distances=True)
     rho = dists[:, :k0].mean(axis=1)
     ks = np.where(rho > rho.mean(), k_sparse, k0).astype(np.int64)
     return _fit_normals(pts, ks, neigh)

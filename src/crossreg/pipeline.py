@@ -198,9 +198,9 @@ _KIND_NAMES = {bool: "true/false", int: "an integer", float: "a number"}
 def point_normals(points: F64, k: int, adaptive: bool) -> NormalField:
     """Covariance normals of points over as many neighbours as normal_ks
     gives for k: a density-adaptive fit when adaptive, else a plain one."""
-    k_norm, k_fit = normals.normal_ks(k, adaptive)
+    k_norm = normals.normal_ks(k, adaptive)[0]
     if adaptive:
-        return estimate_point_normals_adaptive(points, k0=k_norm, k_sparse=k_fit)
+        return estimate_point_normals_adaptive(points, k0=k_norm)
     return estimate_point_normals(points, k_norm)
 
 

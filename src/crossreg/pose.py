@@ -38,6 +38,7 @@ from .matching import CorrespondenceSet
 
 MIN_SOLVE_POINTS = 6
 DEGENERACY_GAP = 1e-9
+STEP_TOL = 1e-10  # Gauss-Newton stops once an accepted step is shorter
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,7 @@ def _reprojection_residuals(
 
 
 def _solve(
-    pts: F64,
-    obs: F64,
-    intrinsics: CameraIntrinsics,
-    max_iterations: int = 50,
-    step_tol: float = 1e-10,
+    pts: F64, obs: F64, intrinsics: CameraIntrinsics, max_iterations: int = 50
 ) -> tuple[F64, F64]:
     """The DLT pose polished by Gauss-Newton, which minimizes total squared
     reprojection error over (axis-angle, translation) unless a point lies behind it.
@@ -207,7 +204,7 @@ def _solve(
             factor *= 0.5
         else:  # no halving helped
             break
-        if float(np.linalg.norm(factor * delta)) < step_tol:
+        if float(np.linalg.norm(factor * delta)) < STEP_TOL:
             break
     return rot, tra
 
@@ -217,20 +214,14 @@ def _solve(
 # --------------------------------------------------------------------------- #
 
 
-def pnp_solve(
-    corrs: CorrespondenceSet,
-    cloud,
-    intrinsics: CameraIntrinsics,
-    max_iterations: int = 50,
-    step_tol: float = 1e-10,
-) -> RigidTransform:
+def pnp_solve(corrs: CorrespondenceSet, cloud, intrinsics: CameraIntrinsics) -> RigidTransform:
     """Full-set PnP: DLT initialization plus Gauss-Newton refinement."""
     if len(corrs) < MIN_SOLVE_POINTS:
         raise InsufficientPointsError(
             f"pnp_solve needs >= {MIN_SOLVE_POINTS} correspondences, got {len(corrs)}"
         )
     pts, obs = corrs.matched_points(cloud), corrs.pixels
-    return RigidTransform(*_solve(pts, obs, intrinsics, max_iterations, step_tol))
+    return RigidTransform(*_solve(pts, obs, intrinsics))
 
 
 def pnp_ransac(
@@ -307,7 +298,9 @@ def pnp_ransac(
     if int(final_mask.sum()) < config.min_sample:  # a failed or degraded refit
         transform, final_mask = RigidTransform(*best_pose), best_mask
 
-    pc = pts[final_mask] @ transform.rotation.T + transform.translation
-    res = project_unchecked(intrinsics, pc) - obs[final_mask]
+    # the inliers lie in front of the pose, so their residuals are defined
+    res, _, _ = _reprojection_residuals(
+        pts[final_mask], obs[final_mask], intrinsics, transform.rotation, transform.translation
+    )
     mean_err = float(np.linalg.norm(res, axis=1).mean())
     return PoseEstimate(transform, final_mask, mean_err)
