@@ -233,3 +233,43 @@ run register_wide_image register --scene "$bad/wide_image" --out "$bad/wide_resu
 run eval_wide_image eval --scenes "$bad/wide_image" \
     --results "$out/results_plain_small/scene_0000" --out "$bad/wide_eval.json"
 rm -rf "$bad"
+
+# bundles that once ended with numpy's reshape traceback: pixels that all
+# name no point, and a table without rows; register exits 2, too few
+# correspondences. And JSON numbers given as a string or a bool, which once
+# loaded as the number they spell: a bundle's fx and cx, its true
+# translation, and a result's translation; each exits 1
+odd="$out/.odd_bundle_values"
+mkdir -p "$odd"
+for name in unmatched_rows no_rows string_fx bool_translation; do cp -r "$small0" "$odd/$name"; done
+cp -r "$out/results_plain_small/scene_0000" "$odd/string_pose"
+python3 -W error::RuntimeWarning - "$odd" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+odd = Path(sys.argv[1])
+path = odd / "unmatched_rows" / "depth.bin"
+head, rest = path.read_bytes().split(b"\n", 1)
+rows = np.frombuffer(rest, dtype="<f8").reshape(-1, 4).copy()
+rows[:, 3] = -1.0
+path.write_bytes(head + b"\n" + rows.tobytes())
+path = odd / "no_rows" / "depth.bin"
+path.write_bytes(b" ".join(path.read_bytes().split(b"\n", 1)[0].split()[:3] + [b"0\n"]))
+for name, file, edits in (
+    ("string_fx", "intrinsics.json", {"fx": "525", "cx": True}),
+    ("bool_translation", "gt_pose.json", {"translation": ["0.1", True, 0]}),
+    ("string_pose", "pose.json", {"translation": ["0.1", True, 0]}),
+):
+    path = odd / name / file
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edits}))
+PY
+run register_unmatched_rows register --scene "$odd/unmatched_rows" --out "$odd/result"
+run register_no_pixel_rows register --scene "$odd/no_rows" --out "$odd/result"
+run register_string_fx register --scene "$odd/string_fx" --out "$odd/result"
+run register_bool_translation register --scene "$odd/bool_translation" --out "$odd/result"
+run eval_string_pose eval --scenes "$small0" --results "$odd/string_pose" \
+    --out "$odd/eval.json"
+rm -rf "$odd"

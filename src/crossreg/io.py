@@ -224,6 +224,18 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
+def _numbers(path, raw: dict, key: str, integer: bool = False):
+    """raw[key], a JSON number or a list of them: an int or a float, never a
+    bool or a string, whatever it spells; only an int when integer."""
+    value = raw[key]
+    kinds = (int,) if integer else (int, float)
+    if not all(type(v) in kinds for v in (value if type(value) is list else [value])):
+        where = f"each entry of {key}" if type(value) is list else key
+        kind = "an integer" if integer else "a number"
+        raise BundleError(f"{path}: {where} must be {kind}, got {value!r}")
+    return value
+
+
 def write_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
     write_json(path, dataclasses.asdict(intrinsics))
 
@@ -232,10 +244,9 @@ def write_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
 def read_intrinsics(path) -> CameraIntrinsics:
     """Float focal lengths and principal point, JSON-integer image size."""
     raw = read_json(path)
-    if not all(type(raw[key]) is int for key in ("width", "height")):
-        raise BundleError(f"{path}: expected integer width and height")
-    focal_center = (float(raw[key]) for key in ("fx", "fy", "cx", "cy"))
-    return CameraIntrinsics(*focal_center, raw["width"], raw["height"])
+    size = [_numbers(path, raw, key, integer=True) for key in ("width", "height")]
+    focal_center = [float(_numbers(path, raw, key)) for key in ("fx", "fy", "cx", "cy")]
+    return CameraIntrinsics(*focal_center, *size)
 
 
 def _transform_payload(transform: RigidTransform) -> dict:
@@ -245,9 +256,9 @@ def _transform_payload(transform: RigidTransform) -> dict:
     }
 
 
-def _transform_from_payload(raw) -> RigidTransform:
-    rot = np.array(raw["rotation"], dtype=np.float64).reshape(3, 3)
-    tra = np.array(raw["translation"], dtype=np.float64)
+def _transform_from_payload(path, raw) -> RigidTransform:
+    rot = np.array(_numbers(path, raw, "rotation"), dtype=np.float64).reshape(3, 3)
+    tra = np.array(_numbers(path, raw, "translation"), dtype=np.float64)
     return RigidTransform(rot, tra)
 
 
@@ -261,16 +272,14 @@ def write_pose_estimate(path, estimate: PoseEstimate) -> None:
 @_reader
 def read_pose(path) -> RigidTransform:
     """Read the transform from a pose record (gt or estimated); extras ignored."""
-    return _transform_from_payload(read_json(path))
+    return _transform_from_payload(path, read_json(path))
 
 
 @_reader
 def _read_gt_pose(path) -> tuple[RigidTransform, int]:
     """The transform and integer scene seed of a bundle's gt_pose.json."""
     raw = read_json(path)
-    if type(raw.get("seed")) is not int:
-        raise BundleError(f"{path}: expected an integer seed, got {raw.get('seed')!r}")
-    return _transform_from_payload(raw), raw["seed"]
+    return _transform_from_payload(path, raw), _numbers(path, raw, "seed", integer=True)
 
 
 def write_rows(path, header: str, rows) -> None:
@@ -329,10 +338,8 @@ def read_grid(path) -> tuple[int, int, float]:
     if not Path(path).is_file():
         raise BundleError(f"{path}: missing; patch ids cannot be read without their grid")
     raw = read_json(path)
-    rows, cols, voxel = raw["tile_rows"], raw["tile_cols"], raw["voxel_size"]
-    if not all(type(v) is int for v in (rows, cols)) or type(voxel) not in (int, float):
-        raise BundleError(f"{path}: expected integer tile counts and a numeric voxel size")
-    return rows, cols, float(voxel)
+    rows, cols = (_numbers(path, raw, key, integer=True) for key in ("tile_rows", "tile_cols"))
+    return rows, cols, float(_numbers(path, raw, "voxel_size"))
 
 
 # --------------------------------------------------------------------------- #

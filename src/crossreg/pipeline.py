@@ -253,7 +253,7 @@ class _Members:
     def index(cls, keys: np.ndarray) -> tuple["_Members", np.ndarray]:
         """The groups of keys, (N,) ids or (N, 3) cells, and each row's group."""
         order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T[::-1])
-        ranked = keys[order].reshape(order.size, -1)
+        ranked = (keys if keys.ndim == 2 else keys[:, None])[order]
         starts = np.ones(order.size, dtype=bool)
         starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
         first = np.flatnonzero(starts)

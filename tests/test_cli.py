@@ -195,6 +195,25 @@ class TestRegister:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("rows", ["all_unmatched", "none"])
+    def test_no_ground_truth_rows_exit_2(self, tiny_bundle, tmp_path, capsys, rows):
+        # a bundle whose pixels name no point, and one with no pixels: the
+        # empty patch grouping once ended with numpy's reshape traceback
+        def unmatched(table):
+            table[:, 3] = -1.0
+
+        path = tiny_bundle / "depth.bin"
+        blob = path.read_bytes()
+        if rows == "none":
+            path.write_bytes(b" ".join(blob.split(b"\n", 1)[0].split()[:3] + [b"0\n"]))
+        else:
+            path.write_bytes(with_depth_rows(blob, unmatched))
+        out = tmp_path / "res"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "registration failed: pnp_ransac needs >= 6 correspondences, got 0\n"
+        )
+
     def test_degenerate_refit_scene_registers(self, tmp_path):
         # the final PnP refit on this scene's voted inliers is degenerate
         refit = ["--set", "point_count=800", "--set", "outlier_fraction=0.4",
@@ -555,12 +574,17 @@ class TestMalformedBundle:
             ("intrinsics.json", None, lambda text: json_with(text, "width", 640.0)),
             ("gt_pose.json", None, lambda text: json_without(text, "seed")),
             ("gt_pose.json", None, lambda text: json_with(text, "seed", 0.5)),
+            # each of these once loaded as the number it spells: 525.0, 1.0
+            ("intrinsics.json", None, lambda text: json_with(text, "fx", "525")),
+            ("intrinsics.json", None, lambda text: json_with(text, "cx", True)),
+            ("gt_pose.json", None, lambda text: json_with(text, "translation", ["0.1", True, 0])),
         ],
         ids=[
             "non_numeric_vertex", "non_integer_vertex_count", "two_token_vertex",
             "non_integer_point_index", "missing_column", "nan_pixel", "non_integer_height",
             "intrinsics_not_json", "pose_not_json", "non_integer_seed", "depth_header",
             "infinite_fx", "float_width", "missing_seed", "fractional_seed",
+            "string_fx", "bool_cx", "string_and_bool_translation",
         ],
     )
     def test_unparsable_file_exits_1(self, tiny_bundle, tmp_path, capsys, name, index, edit):
@@ -634,10 +658,12 @@ class TestMalformedBundle:
             ("grid.json", None, lambda text: json_with(text, "voxel_size", None)),
             ("grid.json", None, lambda text: "[6, 8, 0.4]"),
             ("grid.json", None, lambda text: json.dumps({"tile_rows": 6})),
+            ("pose.json", None, lambda text: json_with(text, "translation", ["0.1", True, 0])),
         ],
         ids=[
             "non_integer_patch_id", "pose_not_json", "grid_not_json", "string_tile_rows",
             "null_voxel_size", "grid_not_an_object", "grid_missing_keys",
+            "string_and_bool_translation",
         ],
     )
     def test_eval_of_unparsable_result_exits_1(

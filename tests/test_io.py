@@ -1,6 +1,8 @@
 """Round trips and byte determinism for every on-disk format."""
 
 import dataclasses
+import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,10 +19,13 @@ from crossreg.io import (
     read_intrinsics,
     read_normals,
     read_patches,
+    read_grid,
     read_pixel_table,
     read_ply,
+    read_pose,
     save_scene_bundle,
     write_correspondences,
+    write_grid,
     write_intrinsics,
     write_json,
     write_normals,
@@ -265,6 +270,42 @@ class TestJsonRecords:
         (tmp_path / "k.json").write_text('{"fx": 500.0}\n')
         with pytest.raises(BundleError):
             read_intrinsics(tmp_path / "k.json")
+
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            ("intrinsics.json", "fx", "525", "fx must be a number, got '525'"),
+            ("intrinsics.json", "cx", True, "cx must be a number, got True"),
+            ("intrinsics.json", "width", True, "width must be an integer, got True"),
+            ("gt_pose.json", "translation", ["0.1", True, 0],
+             "each entry of translation must be a number, got ['0.1', True, 0]"),
+            ("gt_pose.json", "rotation", ["1", 0, 0, 0, 1, 0, 0, 0, 1],
+             "each entry of rotation must be a number"),
+            ("gt_pose.json", "seed", True, "seed must be an integer, got True"),
+            ("pose.json", "translation", [0.1, False, 0],
+             "each entry of translation must be a number, got [0.1, False, 0]"),
+            ("grid.json", "tile_cols", True, "tile_cols must be an integer, got True"),
+            ("grid.json", "voxel_size", "0.4", "voxel_size must be a number, got '0.4'"),
+        ],
+        ids=["string_fx", "bool_cx", "bool_width", "string_and_bool_translation",
+             "string_rotation_entry", "bool_seed", "bool_pose_translation", "bool_tile_cols",
+             "string_voxel_size"],
+    )
+    def test_number_of_another_json_type_rejected(self, tmp_path, name, key, value, message):
+        # a string or a bool once loaded as the number it spells
+        scene = generate_scene(SceneSpec(point_count=300), seed=0)
+        save_scene_bundle(tmp_path, scene)
+        write_pose_estimate(
+            tmp_path / "pose.json", PoseEstimate(scene.gt_transform, np.ones(6, bool), 0.5)
+        )
+        write_grid(tmp_path / "grid.json", 6, 8, 0.4)
+        path = tmp_path / name
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        read = {"pose.json": read_pose, "grid.json": read_grid}.get(
+            name, lambda _path: load_scene_bundle(tmp_path)
+        )
+        with pytest.raises(BundleError, match=re.escape(f"{path}: {message}")):
+            read(path)
 
     def test_pose_estimate_keys(self, tmp_path):
         import json

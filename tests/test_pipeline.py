@@ -14,7 +14,12 @@ from hypothesis.extra import numpy as hnp
 import crossreg.graph
 import crossreg.normals
 import crossreg.pipeline as pipeline
-from crossreg.errors import ConfigError, CoordinateOverflowError, LengthMismatchError
+from crossreg.errors import (
+    ConfigError,
+    CoordinateOverflowError,
+    InsufficientPointsError,
+    LengthMismatchError,
+)
 from crossreg.geometry import (
     CameraIntrinsics,
     RigidTransform,
@@ -397,6 +402,19 @@ class TestRegisterScene:
         )
         assert (ev.inlier_ratio, ev.pir, ev.fmr_flag, ev.rr_flag) == (0.0, 0.0, False, False)
         assert ev.rmse_m > 1.0
+
+    @pytest.mark.parametrize("rows", ["all_unmatched", "none"])
+    def test_no_ground_truth_rows_is_too_few_correspondences(self, rows):
+        # grouping zero registered rows once raised numpy's reshape error
+        scene, cfg = small_scene(seed=0)
+        table = scene.table
+        kept = len(table) if rows == "all_unmatched" else 0
+        bare = PixelTable(
+            table.width, table.height, table.pixels[:kept], table.depths[:kept],
+            np.full(kept, -1),
+        )
+        with pytest.raises(InsufficientPointsError, match="needs >= 6 correspondences, got 0"):
+            register_scene(dataclasses.replace(scene, table=bare), cfg)
 
     def test_warmup_epoch_engages_refinement(self):
         scene, cfg = small_scene(seed=7)
