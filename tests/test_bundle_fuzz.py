@@ -3,11 +3,14 @@
 One 300-point bundle is built per module, and each example mutates one of
 its four files: a truncation, a byte flip in the cloud.ply or depth.bin
 header, a number of gt_pose.json or intrinsics.json replaced by a
-past-range literal, or a double of the cloud.ply or depth.bin payload
-replaced by an extreme value. register runs on the mutated bundle and,
-when it exits 0, eval scores its result. Every call must exit 0, 1 or 2
-with no exception and no warning, a failing call prints one line, and no
-JSON output holds a non-finite number.
+past-range literal, or by a string or a bool, a double of the cloud.ply or
+depth.bin payload replaced by an extreme value, or a depth.bin whose rows
+all name no point or that has no rows. register runs on the mutated bundle
+and, when it exits 0, eval scores its result. Every call must exit 0, 1 or
+2 with no exception and no warning, a failing call prints one line, and no
+JSON output holds a non-finite number. A number given as a string or a
+bool is a malformed bundle (register exits 1), and a bundle without
+ground-truth rows has no correspondences (register exits 2).
 """
 
 import contextlib
@@ -19,6 +22,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -61,7 +65,15 @@ MUTATIONS = st.one_of(
         st.just("payload"), st.sampled_from(tuple(HEADER_END)), AT, st.sampled_from(DOUBLES),
         st.integers(0, 3),
     ),
+    st.tuples(
+        st.just("json_type"), st.sampled_from(("gt_pose.json", "intrinsics.json")), AT,
+        st.sampled_from(("string", "true", "false")),
+    ),
+    st.tuples(st.just("rows"), st.just("depth.bin"), st.just(0.0),
+              st.sampled_from(("unmatched", "none"))),
 )
+# the exit code register must give each kind of mutation that always has one
+EXPECTED = {"json_type": 1, "rows": 2}
 
 
 def mutate(bundle, mutation) -> dict:
@@ -74,10 +86,21 @@ def mutate(bundle, mutation) -> dict:
     elif kind == "header":
         pos = int(at * blob.index(HEADER_END[name]))  # a byte before the header's end
         blob[pos] ^= value[0]
-    elif kind == "number":
+    elif kind in ("number", "json_type"):
         spans = [m.span() for m in NUMBER.finditer(blob)]
         start, end = spans[int(at * len(spans))]
-        blob[start:end] = value[0].encode()
+        if value[0] == "string":  # the number's own text, quoted
+            blob[start:end] = b'"' + blob[start:end] + b'"'
+        else:
+            blob[start:end] = value[0].encode()
+    elif kind == "rows":  # every point index -1, or no rows at all
+        head, payload = bytes(blob).split(b"\n", 1)
+        if value[0] == "none":
+            blob = b" ".join(head.split()[:3] + [b"0\n"])
+        else:
+            rows = np.frombuffer(payload, dtype="<f8").reshape(-1, 4).copy()
+            rows[:, 3] = -1.0
+            blob = head + b"\n" + rows.tobytes()
     else:  # one float64 of a payload row; the payload follows the header
         start = blob.index(HEADER_END[name]) + len(HEADER_END[name])
         width = ROW_DOUBLES[name]
@@ -108,6 +131,13 @@ def no_non_finite_json(path):
 @example(mutation=("number", "gt_pose.json", 0.0, "1e200"))
 @example(mutation=("number", "gt_pose.json", 10.5 / 13, "1e160"))
 @example(mutation=("payload", "depth.bin", 0.5, 1e308, 2))
+# what byte flips cannot reach: a string fx and a bool true translation,
+# which once loaded as 525.0 and 1.0, and tables without ground-truth rows,
+# which once ended with numpy's reshape error
+@example(mutation=("json_type", "intrinsics.json", 0.4, "string"))
+@example(mutation=("json_type", "gt_pose.json", 10.5 / 13, "true"))
+@example(mutation=("rows", "depth.bin", 0.0, "unmatched"))
+@example(mutation=("rows", "depth.bin", 0.0, "none"))
 @settings(max_examples=300)
 @given(mutation=MUTATIONS)
 def test_mutated_bundle_through_register_and_eval(bundle, mutation):
@@ -116,7 +146,9 @@ def test_mutated_bundle_through_register_and_eval(bundle, mutation):
         scene.mkdir()
         for name, blob in mutate(bundle, mutation).items():
             (scene / name).write_bytes(blob)
-        if run(["register", "--scene", str(scene), "--out", str(results)]) != 0:
+        code = run(["register", "--scene", str(scene), "--out", str(results)])
+        assert code == EXPECTED.get(mutation[0], code), mutation
+        if code != 0:
             return
         no_non_finite_json(results / "pose.json")
         evaluated = run(
