@@ -16,6 +16,10 @@ The matrix (about 4 s on one core of a 2-vCPU Xeon):
 - bundle_bytes: the bytes of a bundle saved, loaded and saved again;
 - sweep/<name>: the four ablation sweeps at their default values over two
   600-point scenes;
+- sweep/noisy_mask_ratio and sweep/noisy_mask_ratio_epoch25: the default
+  mask_ratio sweep over the same scenes with feature noise (sigma 0.05),
+  row outliers (0.1) and depth noise (0.01 m), at epoch 0 and at epoch 25,
+  so one prep serves settings whose features are noised and refined;
 - normals/<variant> and losses/epoch<e>: the files the normals and losses
   commands write;
 - cli/register/<file>, cli/eval and cli/ablate: the four files register
@@ -68,6 +72,8 @@ VARIANTS = {
     "outliers": {"min_fine_score": 0.0, "outlier_fraction": 0.5},
     "channels32": {"channels": 32},
 }
+# the noise the sweep/noisy_mask_ratio keys add to the mask_ratio sweep
+NOISY_SWEEP = {"feature_noise_sigma": 0.05, "outlier_fraction": 0.1, "gaussian_sigma_m": 0.01}
 
 
 def _digest(parts) -> str:
@@ -176,6 +182,12 @@ def compute() -> dict[str, str]:
     for name, values in SWEEP_DEFAULTS.items():
         rows = ablation_rows(sweep_config, name, values)
         digests[f"sweep/{name}"] = _digest([[_f64(x) for x in row] for row in rows])
+    noisy = sweep_config.replace(**NOISY_SWEEP)
+    for suffix, config in (("", noisy), ("_epoch25", noisy.replace(epoch=25))):
+        rows = ablation_rows(config, "mask_ratio", SWEEP_DEFAULTS["mask_ratio"])
+        digests[f"sweep/noisy_mask_ratio{suffix}"] = _digest(
+            [[_f64(x) for x in row] for row in rows]
+        )
     return digests
 
 
