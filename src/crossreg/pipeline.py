@@ -22,11 +22,11 @@ No work is repeated either. Registration and evaluation read the scene's
 pixel table, never a 640x480 raster: corrupt_depth and lifted_pixel_normals
 work on its rows (about 1.9k at the default size), the agreement compares
 row fields, and inlier_ratio looks its depths up in it. The stand-in's
-base features are drawn once per prep, and synthesize_features degrades a
-copy of them per registration. The refined features are scaled to unit rows
-once per registration, so each coarse pair's fine matching is a slice, a
-product and a mutual argmax; its matches carry their rows, so the
-per-pixel dedup needs no pixel search.
+base features are drawn once per prep and its noise once per noise seed;
+the prep keeps the last cloud side (cell means and unit rows), which a sweep
+reaches through a few fields only. With unit rows made once, each coarse
+pair's fine matching is a slice, a product and a mutual argmax; its matches
+carry their rows, so the per-pixel dedup needs no pixel search.
 
 Registration reads the observation (table pixels and depths, cloud,
 intrinsics, seed) plus synth.StandIn, the only ground-truth reader, which
@@ -43,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import _settings, geometry, matching, normals
+from . import _settings, geometry, matching, normals, synth
 from .errors import (
     REGISTRATION_FAILURES,
     ConfigError,
@@ -296,15 +296,16 @@ class RegistrationResult:
 
 @dataclass(frozen=True)
 class ScenePrep:
-    """The work of a registration fixed by its scene and _PREP_FIELDS alone.
+    """The work of a registration fixed by its scene and _PREP_FIELDS alone, and
+    the last cloud side, which register_scene keys by the other fields it reads.
 
     Registration works on the rows of the scene's pixel table, never on
     the image grid: clean_normals holds one lifted normal per table row.
     stand_in, at the config's channel count, names the rows registered.
 
     The refinement graphs are built on first read, so a registration at
-    warm-up weight 0 never builds them; a cached_property writes the
-    instance __dict__ directly, which the frozen dataclass allows.
+    warm-up weight 0 never builds them; a cached_property, like synth.memo,
+    writes the instance __dict__ directly, which the frozen dataclass allows.
     """
 
     scene: SyntheticScene
@@ -387,32 +388,29 @@ def register_scene(
     except DegenerateNeighborhoodError:
         agreement = 0.0
 
-    pixels = scene.table.pixels[prep.stand_in.rows]
-    f_img, f_cloud = synthesize_features(prep.stand_in, corruption, agreement)
-    # normals are zero where invalid, so the channels need no mask
-    img_n = live_normals.normals[prep.stand_in.rows]
-    cloud_n = prep.stand_in.cloud_normals(prep.clean_normals.normals)
-    weight = config.normal_channel_weight
-    f_img_aug = geometry.unit_rows(np.hstack([f_img, weight * img_n]))
-    f_cloud_aug = geometry.unit_rows(np.hstack([f_cloud, weight * cloud_n]))
-
     blend = warmup_weight(config.epoch, config.warmup())
+    refine_img = refine_cloud = None  # at weight 0 the blend keeps the features
     if blend > 0.0:
         params = GraphAttentionParams.initialize(config.channels + 3, config.param_seed)
-        f_img_final = _refine(prep.pixel_graph, f_img_aug, params, blend)
-        f_cloud_final = _refine(prep.cloud_graph, f_cloud_aug, params, blend)
-    else:
-        # at weight 0 the blend keeps the features (up to the sign of a zero)
-        f_img_final, f_cloud_final = f_img_aug, f_cloud_aug
-
-    tile_desc = _group_means(f_img_final, prep.tiles)
-    cell_desc = _group_means(f_cloud_final, prep.cells)
+        refine_img, refine_cloud = (functools.partial(_refine, graph, params=params, blend=blend)
+                                    for graph in (prep.pixel_graph, prep.cloud_graph))
+    weight = config.normal_channel_weight
+    # the cloud side reads these values beyond _PREP_FIELDS; the prep keeps the last
+    key = (corruption.feature_noise_sigma, corruption.seed, weight, blend,
+           config.param_seed if blend > 0.0 else None)
+    cell_desc, cloud_unit = synth.memo(prep, "cloud_side", key, lambda: _side(
+        prep.stand_in.cloud_features(corruption),
+        prep.stand_in.cloud_normals(prep.clean_normals.normals), weight, prep.cells, refine_cloud,
+    ))
+    # the image rows are freed here; the cloud rows synthesize_features copies
+    # go unused, as the prep holds the cloud side
+    tile_desc, img_unit = _side(
+        synthesize_features(prep.stand_in, corruption, agreement)[0],
+        live_normals.normals[prep.stand_in.rows], weight, prep.tiles, refine_img,
+    )
     # a coarse pair's rows are its tile and cell groups
     coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
 
-    # rows are scaled one at a time, so scaling once here gives every
-    # pair's fine_match the rows it would scale itself
-    img_unit, cloud_unit = matching.unit_features(f_img_final, f_cloud_final)
     fine = []  # (rows of pixels, point indices, scores) per coarse pair
     for t_row, c_row, _score in coarse:
         members_i, members_j = prep.tiles.of(t_row), prep.cells.of(c_row)
@@ -425,10 +423,8 @@ def register_scene(
         for t_row, c_row, score in coarse
     )
 
-    corrs = _best_per_pixel(pixels, fine)
-    estimate = pnp_ransac(
-        corrs, scene.cloud, scene.intrinsics, config.ransac(seed=scene.seed)
-    )
+    corrs = _best_per_pixel(scene.table.pixels[prep.stand_in.rows], fine)
+    estimate = pnp_ransac(corrs, scene.cloud, scene.intrinsics, config.ransac(seed=scene.seed))
     return RegistrationResult(estimate, corrs, patches, agreement, blend)
 
 
@@ -449,6 +445,15 @@ def _best_per_pixel(pixels: F64, fine: list[tuple]) -> CorrespondenceSet:
     lead[1:] = rows[ranked[1:]] != rows[ranked[:-1]]
     winner = ranked[lead]
     return CorrespondenceSet(pixels[rows[winner]], points[winner], scores[winner])
+
+
+def _side(features: F64, normals: F64, weight: float, groups: _Members, refine) -> tuple[F64, F64]:
+    """(group means, unit rows) of features with normal channels (zero where invalid)
+    at weight, refined unless refine is None; fine matching may slice the unit rows."""
+    rows = geometry.unit_rows(np.hstack([features, weight * normals]))
+    if refine is not None:
+        rows = refine(rows)
+    return _group_means(rows, groups), geometry.unit_rows(rows)
 
 
 def _refine(

@@ -14,7 +14,8 @@ Features are constructed, not learned: both sides of a ground-truth
 pair share one random unit vector, which models a perfectly trained
 matcher; Gaussian feature noise, row outliers, depth noise, and depth
 masking model its degradation. A StandIn holds the ground truth this
-needs, and is the only code that reads it for registration.
+needs, and is the only code that reads it for registration; it keeps each
+fixed-shape noise draw, read-only, for the next call with the noise seed.
 
 corrupt_depth works per scene and per table row: the rows, in row-major
 order, take one Gaussian deviate and one uniform each, from two
@@ -88,6 +89,18 @@ _SWAP_CANDIDATES = 16  # cloud points a swapped row draws to find a far one
 def stream_rng(name: str, *seeds: int) -> np.random.Generator:
     """The generator of stream `name` under these seeds."""
     return np.random.default_rng(np.random.SeedSequence((*seeds, STREAM_TAGS[name])))
+
+
+def memo(owner, name: str, key, make):
+    """make()'s arrays, read-only, kept as owner's name until asked for another
+    key; in the instance __dict__, which a frozen dataclass lets us write."""
+    memos = owner.__dict__.setdefault("_memos", {})
+    if name not in memos or memos[name][0] != key:
+        value = make()
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
+        memos[name] = (key, value)
+    return memos[name][1]
 
 
 # --------------------------------------------------------------------------- #
@@ -418,7 +431,7 @@ class StandIn:
 
     of snapshots, from the scene's ground truth, the table rows that have
     a point (ascending), their point indices and one unit base vector per
-    cloud point; the rest is observation (the cloud and the seed).
+    cloud point (read-only); the rest is observation (the cloud and the seed).
     """
 
     seed: int
@@ -433,6 +446,7 @@ class StandIn:
             raise ValueError(f"channels must be >= 4, got {channels}")
         base_rng = stream_rng("base", scene.seed)
         base = unit_rows(base_rng.standard_normal((len(scene.cloud), channels)))
+        base.flags.writeable = False
         rows = scene.gt_rows
         return cls(scene.seed, scene.cloud, rows, scene.table.point_indices[rows], base)
 
@@ -441,6 +455,21 @@ class StandIn:
         out = np.zeros((self.cloud.shape[0], 3))
         out[self.points] = row_normals[self.rows]
         return out
+
+    def cloud_features(self, noise: CorruptionConfig) -> F64:
+        """The cloud rows of synthesize_features, noised once per noise seed and sigma."""
+        return memo(self, "cloud", (noise.seed, noise.feature_noise_sigma), lambda: _noised(
+            self, self.base, "cloud_noise", noise.seed, noise.feature_noise_sigma))
+
+
+def _noised(stand_in: StandIn, features: F64, stream: str, noise_seed: int, sigma: float) -> F64:
+    """Unit rows of features plus sigma times stream's normals, drawn once per noise
+    seed (0.0 + sigma * z is rng.normal(0.0, sigma)'s deviate); at sigma 0, features."""
+    if sigma > 0.0:
+        z = memo(stand_in, stream, noise_seed, lambda: stream_rng(
+            stream, stand_in.seed, noise_seed).standard_normal(features.shape))
+        features = unit_rows(features + (0.0 + sigma * z))
+    return features
 
 
 def synthesize_features(
@@ -454,35 +483,30 @@ def synthesize_features(
     guidance noise on the image rows and the rate of a swap that points a row
     at a cloud point farther than 3 * tau1_m (an outlier downstream); swapped
     rows bypass the noise. Each Gaussian step re-normalizes. Draw counts are
-    fixed by the row count, so more corruption only grows the affected sets.
+    fixed by the row count, so more corruption only grows the affected sets;
+    the stand-in keeps all draws but the outliers'. The caller owns the result.
     """
     base, points, cloud = stand_in.base, stand_in.points, stand_in.cloud
-
-    def noised(features: F64, stream: str, sigma: float) -> F64:
-        if sigma > 0.0:
-            rng = stream_rng(stream, stand_in.seed, noise.seed)
-            features = unit_rows(features + rng.normal(0.0, sigma, features.shape))
-        return features
-
     m = points.size
-    f_img = noised(base[points], "img_noise", noise.feature_noise_sigma)
-    f_cloud = noised(base.copy(), "cloud_noise", noise.feature_noise_sigma)
+    f_img = _noised(stand_in, base[points], "img_noise", noise.seed, noise.feature_noise_sigma)
+    f_cloud = stand_in.cloud_features(noise)
     outliers = int(round(noise.outlier_fraction * m))
     if outliers > 0:
         out_rng = stream_rng("outlier", stand_in.seed, noise.seed)
         rows = out_rng.choice(m, size=outliers, replace=False)
         f_img[rows] = unit_rows(out_rng.standard_normal((outliers, base.shape[1])))
 
-    f_img = noised(f_img, "guidance", noise.guidance_noise_scale * (1.0 - agreement))
+    scale = noise.guidance_noise_scale * (1.0 - agreement)
+    f_img = _noised(stand_in, f_img, "guidance", noise.seed, scale)
     swap_p = min(1.0, noise.guidance_swap_scale * (1.0 - agreement))
     if swap_p > 0.0:
-        rng = stream_rng("swap", stand_in.seed, noise.seed)
-        gate = rng.uniform(size=m)
-        cand = rng.integers(0, cloud.shape[0], size=(m, _SWAP_CANDIDATES))
+        gate, cand = memo(stand_in, "swap", noise.seed, lambda: (
+            (rng := stream_rng("swap", stand_in.seed, noise.seed)).uniform(size=m),
+            rng.integers(0, cloud.shape[0], size=(m, _SWAP_CANDIDATES))))
         rows = np.flatnonzero(gate < swap_p)
         if rows.size:
             gaps = np.linalg.norm(cloud[cand[rows]] - cloud[points[rows]][:, None, :], axis=2)
             far = gaps > 3.0 * noise.tau1_m
             pick = np.where(far.any(axis=1), np.argmax(far, axis=1), np.argmax(gaps, axis=1))
             f_img[rows] = f_cloud[cand[rows, pick]]
-    return f_img, f_cloud
+    return f_img, f_cloud.copy()

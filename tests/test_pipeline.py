@@ -4,17 +4,20 @@ import dataclasses
 import math
 import multiprocessing
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import crossreg.graph
 import crossreg.normals
 import crossreg.pipeline as pipeline
+import crossreg.synth
 from crossreg.errors import (
+    REGISTRATION_FAILURES,
     ConfigError,
     CoordinateOverflowError,
     InsufficientPointsError,
@@ -48,6 +51,7 @@ from crossreg.synth import (
     CorruptionConfig,
     PixelTable,
     SceneSpec,
+    StandIn,
     SyntheticScene,
     corrupt_depth,
     generate_scene,
@@ -506,6 +510,76 @@ class TestScenePrep:
             register_scene(scene, cfg, prepare_scene(other, cfg))
 
 
+# Config fields outside _PREP_FIELDS that a registration through one prep reads,
+# each with a few values; every field's values keep the others valid.
+MEMO_FIELDS = {
+    "feature_noise_sigma": (0.0, 0.02, 0.05),
+    "noise_seed": (0, 1, 2),
+    "normal_channel_weight": (0.0, 0.5, 2.0),
+    "epoch": (0, 15, 25),
+    "warmup_start": (0, 10),
+    "warmup_end": (10, 20),
+    "param_seed": (0, 1),
+    "guidance_noise_scale": (0.0, 0.2, 0.4),
+    "guidance_swap_scale": (0.0, 0.25, 0.5),
+    "outlier_fraction": (0.0, 0.1),
+    "mask_ratio": (0.0, 0.2),
+    "gaussian_sigma_m": (0.0, 0.005),
+}
+# every draw, the cloud side's refinement and its swaps in play
+NOISY = dict(feature_noise_sigma=0.05, outlier_fraction=0.1, mask_ratio=0.2, epoch=25)
+
+
+@st.composite
+def setting_pairs(draw):
+    """Two settings of MEMO_FIELDS that differ in at least one field."""
+    first = {name: draw(st.sampled_from(values)) for name, values in MEMO_FIELDS.items()}
+    changed = draw(st.lists(st.sampled_from(sorted(MEMO_FIELDS)), min_size=1, unique=True))
+    second = dict(first)
+    for name in changed:
+        second[name] = draw(st.sampled_from([v for v in MEMO_FIELDS[name] if v != first[name]]))
+    return first, second
+
+
+def memo_pair(name, second):
+    """NOISY against NOISY with one field set to second."""
+    return {**NOISY}, {**NOISY, name: second}
+
+
+class TestPrepMemos:
+    """A prep and its stand-in keep work keyed by config fields beyond
+    _PREP_FIELDS; each key must name every field the work reads."""
+
+    # RANSAC, which reads no memo, is cut short so a harsh setting stays cheap
+    scene, base = small_scene(seed=5, point_count=400, ransac_iterations=50)
+
+    @settings(max_examples=8)
+    @given(setting_pairs())
+    # one example per field of the two memo keys, with every memo in use
+    @example(memo_pair("feature_noise_sigma", 0.02))
+    @example(memo_pair("noise_seed", 1))
+    @example(memo_pair("normal_channel_weight", 2.0))
+    @example(memo_pair("epoch", 15))
+    @example(memo_pair("param_seed", 1))
+    def test_registrations_through_one_prep_match_fresh_ones(self, pair):
+        configs = [self.base.replace(**updates) for updates in pair]
+        preps = [prepare_scene(self.scene, cfg) for cfg in configs]
+        fresh = [self.outcome(cfg, prep) for cfg, prep in zip(configs, preps)]
+        # each setting through the prep the other one registered first
+        for cfg, prep, want in zip(configs, preps[::-1], fresh):
+            got = self.outcome(cfg, prep)
+            if isinstance(want, str):  # a setting too harsh to register
+                assert got == want
+            else:
+                assert_same_registration(got, want)
+
+    def outcome(self, cfg, prep):
+        try:
+            return register_scene(self.scene, cfg, prep)
+        except REGISTRATION_FAILURES as exc:
+            return repr(exc)
+
+
 class TestBestPerPixel:
     @given(fine_emissions())
     def test_matches_loop_oracle(self, case):
@@ -782,6 +856,66 @@ class TestSkippedWork:
             "corrupt_depth": calls, "lifted_pixel_normals": 1 + calls,
             "synthesize_features": 1, "knn_indices": 1 + calls,
         }
+
+
+def kept_arrays(owner) -> list:
+    """The arrays synth.memo keeps in owner's __dict__."""
+    return [array for _key, value in vars(owner).get("_memos", {}).values()
+            for array in (value if isinstance(value, tuple) else (value,))]
+
+
+class TestMemoizedWork:
+    """The work a prep or its stand-in keeps is done once per key."""
+
+    def count_work(self, monkeypatch) -> tuple[Counter, dict]:
+        """(stream_rng calls by stream name, cloud sides built)."""
+        drawn, built = Counter(), {}
+        stream_rng = crossreg.synth.stream_rng
+
+        def counting(name, *seeds):
+            drawn[name] += 1
+            return stream_rng(name, *seeds)
+
+        monkeypatch.setattr(crossreg.synth, "stream_rng", counting)
+        # only a cloud side built anew gives the cloud points their normals
+        count_calls(monkeypatch, built, StandIn, "cloud_normals")
+        return drawn, built
+
+    def test_mask_ratio_sweep_draws_once_per_prep(self, monkeypatch):
+        drawn, built = self.count_work(monkeypatch)
+        cfg = small_config(scene_count=1, feature_noise_sigma=0.05, outlier_fraction=0.1)
+        values = SWEEP_DEFAULTS["mask_ratio"]
+        assert len(values) == 5
+        ablation_rows(cfg, "mask_ratio", values)
+        # mask_ratio 0.0 keeps the agreement at 1, so it draws no guidance
+        assert drawn == {
+            "pose": 1, "sample": 1, "base": 1, "img_noise": 1, "cloud_noise": 1,
+            "outlier": len(values), "guidance": 1, "swap": 1,
+        }
+        assert built == {"cloud_normals": 1}
+
+    def test_warmup_sweep_builds_a_cloud_side_per_blend(self, monkeypatch):
+        _, built = self.count_work(monkeypatch)
+        scenes, epochs = 2, (0, 5, 15, 25)
+        ablation_rows(small_config(scene_count=scenes), "warmup", epochs)
+        # the blends are 0, 0, 0.5 and 1
+        assert built == {"cloud_normals": scenes * 3}
+
+    def test_lone_registration_draws_each_stream_once(self, monkeypatch):
+        scene, cfg = small_scene(seed=4, **NOISY)
+        drawn, built = self.count_work(monkeypatch)
+        prep = prepare_scene(scene, cfg)
+        register_scene(scene, cfg, prep)
+        assert drawn == {
+            "base": 1, "img_noise": 1, "cloud_noise": 1, "outlier": 1, "guidance": 1, "swap": 1,
+        }
+        register_scene(scene, cfg, prep)
+        assert drawn["outlier"] == 2 and sum(drawn.values()) == 7
+        assert built == {"cloud_normals": 1}
+        kept = kept_arrays(prep) + kept_arrays(prep.stand_in)
+        # the cloud side's 2, the noised cloud, 3 streams' normals, the swaps' 2
+        assert len(kept) == 8
+        assert not any(array.flags.writeable for array in kept)
 
 
 class TestCoordinateOverflow:

@@ -274,24 +274,29 @@ def test_registration_pairs_at_positive_blend_are_fine_match(monkeypatch, epoch)
     # at a positive warm-up weight the refined rows are not unit
     cfg = PipelineConfig(point_count=600, epoch=epoch, gaussian_sigma_m=0.005)
     scene = generate_scene(cfg.scene_spec(), seed=2)
-    raw, calls = [], []
-    unit_features, fine_match_unit = matching.unit_features, matching.fine_match_unit
+    refined, calls = [], []
+    refine, fine_match_unit = pipeline._refine, matching.fine_match_unit
 
-    def spy_unit(f_img, f_cloud):
-        raw.append((f_img, f_cloud))
-        return unit_features(f_img, f_cloud)
+    def spy_refine(graph, features, params, blend):
+        out = refine(graph, features, params, blend)
+        refined.append((graph, out))
+        return out
 
     def spy_fine(img, cloud, min_score):
         out = fine_match_unit(img, cloud, min_score)
         calls.append((min_score, out))
         return out
 
-    monkeypatch.setattr(matching, "unit_features", spy_unit)
+    monkeypatch.setattr(pipeline, "_refine", spy_refine)
     monkeypatch.setattr(matching, "fine_match_unit", spy_fine)
     prep = prepare_scene(scene, cfg)
     result = pipeline.register_scene(scene, cfg, prep)
-    monkeypatch.undo()  # fine_match below calls both
-    f_img, f_cloud = raw[-1]  # the coarse descriptors are scaled first
+    monkeypatch.undo()  # fine_match below calls fine_match_unit
+    # the refined rows of each side, which registration scales to unit rows
+    f_img, f_cloud = (
+        next(out for graph, out in refined if graph is side)
+        for side in (prep.pixel_graph, prep.cloud_graph)
+    )
     assert f_img.shape == (len(scene.gt_correspondences), cfg.channels + 3)
     norms = np.linalg.norm(f_img, axis=1)
     assert np.abs(norms - 1.0).max() > 1e-3

@@ -442,6 +442,25 @@ class TestSynthesizeFeatures:
         # the base is read, never written, so a prep can reuse it
         assert stand_in.base.tobytes() == before
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_caller_owns_the_features_and_kept_draws_are_read_only(self, sigma):
+        cfg = CorruptionConfig(feature_noise_sigma=sigma, outlier_fraction=0.1, seed=2)
+        stand_in = StandIn.of(self.scene, 64)
+        features = synthesize_features(stand_in, cfg, agreement=0.5)
+        want = [f.tobytes() for f in features]
+        for f in features:
+            f[...] = 7.0
+        again = synthesize_features(stand_in, cfg, agreement=0.5)
+        assert [f.tobytes() for f in again] == want
+        kept = [stand_in.base] + [
+            array for _key, value in vars(stand_in)["_memos"].values()
+            for array in (value if isinstance(value, tuple) else (value,))
+        ]
+        # base, cloud rows, guidance, swap gates and candidates, and at a
+        # positive sigma the image and cloud noise
+        assert len(kept) == (7 if sigma else 5)
+        assert not any(array.flags.writeable for array in kept)
+
     def test_rows_are_unit(self):
         cfg = CorruptionConfig(feature_noise_sigma=0.4, outlier_fraction=0.2, seed=1)
         f_img, f_cloud = self.features(64, cfg)
