@@ -172,8 +172,8 @@ def fine_match(
 def fine_match_unit(
     img: F64, cloud: F64, min_score: float
 ) -> tuple[np.ndarray, np.ndarray, F64]:
-    """fine_match on rows unit_features has checked and scaled, as positions:
-    the (image rows, cloud rows, scores) of the matches, by image row."""
+    """fine_match by position, on unit rows checked as unit_features does or, in
+    registration, through their group means: (image rows, cloud rows, scores) by image row."""
     if img.shape[0] == 0 or cloud.shape[0] == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     scores = img @ cloud.T

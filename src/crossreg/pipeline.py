@@ -22,11 +22,11 @@ No work is repeated either. Registration and evaluation read the scene's
 pixel table, never a 640x480 raster: corrupt_depth and lifted_pixel_normals
 work on its rows (about 1.9k at the default size), the agreement compares
 row fields, and inlier_ratio looks its depths up in it. The stand-in's
-base features are drawn once per prep and its noise once per noise seed;
-the prep keeps the last cloud side (cell means and unit rows), which a sweep
-reaches through a few fields only. With unit rows made once, each coarse
-pair's fine matching is a slice, a product and a mutual argmax; its matches
-carry their rows, so the per-pixel dedup needs no pixel search.
+base features are drawn once per prep, its guidance and swap draws once per
+noise seed; the prep keeps the last cloud side (cell means and unit rows),
+which a sweep reaches through a few fields only. With unit rows made once,
+each coarse pair's fine matching is a slice, a product and a mutual argmax;
+its matches carry their rows, so the per-pixel dedup needs no pixel search.
 
 Registration reads the observation (table pixels and depths, cloud,
 intrinsics, seed) plus synth.StandIn, the only ground-truth reader, which
@@ -395,19 +395,21 @@ def register_scene(
         refine_img, refine_cloud = (functools.partial(_refine, graph, params=params, blend=blend)
                                     for graph in (prep.pixel_graph, prep.cloud_graph))
     weight = config.normal_channel_weight
-    # the cloud side reads these values beyond _PREP_FIELDS; the prep keeps the last
+    f_img, f_cloud = synthesize_features(prep.stand_in, corruption, agreement)
+    if corruption.feature_noise_sigma == 0.0:
+        f_cloud = prep.stand_in.base  # the same bytes, read without holding a copy
+    # the cloud side reads these values beyond _PREP_FIELDS; the prep keeps the last,
+    # and f_cloud goes unused while it holds
     key = (corruption.feature_noise_sigma, corruption.seed, weight, blend,
            config.param_seed if blend > 0.0 else None)
     cell_desc, cloud_unit = synth.memo(prep, "cloud_side", key, lambda: _side(
-        prep.stand_in.cloud_features(corruption),
-        prep.stand_in.cloud_normals(prep.clean_normals.normals), weight, prep.cells, refine_cloud,
+        f_cloud, prep.stand_in.cloud_normals(prep.clean_normals.normals), weight, prep.cells,
+        refine_cloud,
     ))
-    # the image rows are freed here; the cloud rows synthesize_features copies
-    # go unused, as the prep holds the cloud side
     tile_desc, img_unit = _side(
-        synthesize_features(prep.stand_in, corruption, agreement)[0],
-        live_normals.normals[prep.stand_in.rows], weight, prep.tiles, refine_img,
+        f_img, live_normals.normals[prep.stand_in.rows], weight, prep.tiles, refine_img,
     )
+    del f_img, f_cloud  # freed before fine matching
     # a coarse pair's rows are its tile and cell groups
     coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
 

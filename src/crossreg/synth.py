@@ -14,8 +14,8 @@ Features are constructed, not learned: both sides of a ground-truth
 pair share one random unit vector, which models a perfectly trained
 matcher; Gaussian feature noise, row outliers, depth noise, and depth
 masking model its degradation. A StandIn holds the ground truth this
-needs, and is the only code that reads it for registration; it keeps each
-fixed-shape noise draw, read-only, for the next call with the noise seed.
+needs, and is the only code that reads it for registration; it keeps the
+guidance and swap draws, read-only, for the next call with the noise seed.
 
 corrupt_depth works per scene and per table row: the rows, in row-major
 order, take one Gaussian deviate and one uniform each, from two
@@ -456,21 +456,6 @@ class StandIn:
         out[self.points] = row_normals[self.rows]
         return out
 
-    def cloud_features(self, noise: CorruptionConfig) -> F64:
-        """The cloud rows of synthesize_features, noised once per noise seed and sigma."""
-        return memo(self, "cloud", (noise.seed, noise.feature_noise_sigma), lambda: _noised(
-            self, self.base, "cloud_noise", noise.seed, noise.feature_noise_sigma))
-
-
-def _noised(stand_in: StandIn, features: F64, stream: str, noise_seed: int, sigma: float) -> F64:
-    """Unit rows of features plus sigma times stream's normals, drawn once per noise
-    seed (0.0 + sigma * z is rng.normal(0.0, sigma)'s deviate); at sigma 0, features."""
-    if sigma > 0.0:
-        z = memo(stand_in, stream, noise_seed, lambda: stream_rng(
-            stream, stand_in.seed, noise_seed).standard_normal(features.shape))
-        features = unit_rows(features + (0.0 + sigma * z))
-    return features
-
 
 def synthesize_features(
     stand_in: StandIn, noise: CorruptionConfig, agreement: float = 1.0
@@ -484,12 +469,19 @@ def synthesize_features(
     at a cloud point farther than 3 * tau1_m (an outlier downstream); swapped
     rows bypass the noise. Each Gaussian step re-normalizes. Draw counts are
     fixed by the row count, so more corruption only grows the affected sets;
-    the stand-in keeps all draws but the outliers'. The caller owns the result.
+    the stand-in keeps the guidance and swap draws. The caller owns the result.
     """
     base, points, cloud = stand_in.base, stand_in.points, stand_in.cloud
+
+    def noised(features: F64, stream: str, sigma: float) -> F64:
+        if sigma > 0.0:
+            rng = stream_rng(stream, stand_in.seed, noise.seed)
+            features = unit_rows(features + rng.normal(0.0, sigma, features.shape))
+        return features
+
     m = points.size
-    f_img = _noised(stand_in, base[points], "img_noise", noise.seed, noise.feature_noise_sigma)
-    f_cloud = stand_in.cloud_features(noise)
+    f_img = noised(base[points], "img_noise", noise.feature_noise_sigma)
+    f_cloud = noised(base, "cloud_noise", noise.feature_noise_sigma)
     outliers = int(round(noise.outlier_fraction * m))
     if outliers > 0:
         out_rng = stream_rng("outlier", stand_in.seed, noise.seed)
@@ -497,7 +489,11 @@ def synthesize_features(
         f_img[rows] = unit_rows(out_rng.standard_normal((outliers, base.shape[1])))
 
     scale = noise.guidance_noise_scale * (1.0 - agreement)
-    f_img = _noised(stand_in, f_img, "guidance", noise.seed, scale)
+    if scale > 0.0:
+        # the stand-in keeps the normals; 0.0 + scale * z is rng.normal(0.0, scale)'s deviate
+        z = memo(stand_in, "guidance", noise.seed, lambda: stream_rng(
+            "guidance", stand_in.seed, noise.seed).standard_normal(f_img.shape))
+        f_img = unit_rows(f_img + (0.0 + scale * z))
     swap_p = min(1.0, noise.guidance_swap_scale * (1.0 - agreement))
     if swap_p > 0.0:
         gate, cand = memo(stand_in, "swap", noise.seed, lambda: (
@@ -509,4 +505,4 @@ def synthesize_features(
             far = gaps > 3.0 * noise.tau1_m
             pick = np.where(far.any(axis=1), np.argmax(far, axis=1), np.argmax(gaps, axis=1))
             f_img[rows] = f_cloud[cand[rows, pick]]
-    return f_img, f_cloud.copy()
+    return f_img, f_cloud.copy() if f_cloud is base else f_cloud

@@ -888,9 +888,10 @@ class TestMemoizedWork:
         assert len(values) == 5
         ablation_rows(cfg, "mask_ratio", values)
         # mask_ratio 0.0 keeps the agreement at 1, so it draws no guidance
+        # the feature noise is drawn per registration, as the outliers are
         assert drawn == {
-            "pose": 1, "sample": 1, "base": 1, "img_noise": 1, "cloud_noise": 1,
-            "outlier": len(values), "guidance": 1, "swap": 1,
+            "pose": 1, "sample": 1, "base": 1, "img_noise": len(values),
+            "cloud_noise": len(values), "outlier": len(values), "guidance": 1, "swap": 1,
         }
         assert built == {"cloud_normals": 1}
 
@@ -910,11 +911,13 @@ class TestMemoizedWork:
             "base": 1, "img_noise": 1, "cloud_noise": 1, "outlier": 1, "guidance": 1, "swap": 1,
         }
         register_scene(scene, cfg, prep)
-        assert drawn["outlier"] == 2 and sum(drawn.values()) == 7
+        assert drawn == {
+            "base": 1, "img_noise": 2, "cloud_noise": 2, "outlier": 2, "guidance": 1, "swap": 1,
+        }
         assert built == {"cloud_normals": 1}
         kept = kept_arrays(prep) + kept_arrays(prep.stand_in)
-        # the cloud side's 2, the noised cloud, 3 streams' normals, the swaps' 2
-        assert len(kept) == 8
+        # the cloud side's 2, the guidance normals, the swaps' 2
+        assert len(kept) == 5
         assert not any(array.flags.writeable for array in kept)
 
 

@@ -456,9 +456,8 @@ class TestSynthesizeFeatures:
             array for _key, value in vars(stand_in)["_memos"].values()
             for array in (value if isinstance(value, tuple) else (value,))
         ]
-        # base, cloud rows, guidance, swap gates and candidates, and at a
-        # positive sigma the image and cloud noise
-        assert len(kept) == (7 if sigma else 5)
+        # base, guidance, swap gates and candidates; the feature noise is drawn per call
+        assert len(kept) == 4
         assert not any(array.flags.writeable for array in kept)
 
     def test_rows_are_unit(self):
