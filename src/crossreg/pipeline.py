@@ -396,10 +396,8 @@ def register_scene(
                                     for graph in (prep.pixel_graph, prep.cloud_graph))
     weight = config.normal_channel_weight
     f_img, f_cloud = synthesize_features(prep.stand_in, corruption, agreement)
-    if corruption.feature_noise_sigma == 0.0:
-        f_cloud = prep.stand_in.base  # the same bytes, read without holding a copy
     # the cloud side reads these values beyond _PREP_FIELDS; the prep keeps the last,
-    # and f_cloud goes unused while it holds
+    # and f_cloud (the stand-in's read-only base when noise-free) goes unused while it holds
     key = (corruption.feature_noise_sigma, corruption.seed, weight, blend,
            config.param_seed if blend > 0.0 else None)
     cell_desc, cloud_unit = synth.memo(prep, "cloud_side", key, lambda: _side(

@@ -13,9 +13,9 @@ correspondences are a read-only view of the table.
 Features are constructed, not learned: both sides of a ground-truth
 pair share one random unit vector, which models a perfectly trained
 matcher; Gaussian feature noise, row outliers, depth noise, and depth
-masking model its degradation. A StandIn holds the ground truth this
-needs, and is the only code that reads it for registration; it keeps the
-guidance and swap draws, read-only, for the next call with the noise seed.
+masking model its degradation. A StandIn, registration's only reader of
+that ground truth, keeps its base rows, which are the noise-free cloud
+features, and each noise seed's guidance and swap draws, all read-only.
 
 corrupt_depth works per scene and per table row: the rows, in row-major
 order, take one Gaussian deviate and one uniform each, from two
@@ -467,9 +467,9 @@ def synthesize_features(
     directions, and then the lost depth agreement, 1 - agreement, scales the
     guidance noise on the image rows and the rate of a swap that points a row
     at a cloud point farther than 3 * tau1_m (an outlier downstream); swapped
-    rows bypass the noise. Each Gaussian step re-normalizes. Draw counts are
-    fixed by the row count, so more corruption only grows the affected sets;
-    the stand-in keeps the guidance and swap draws. The caller owns the result.
+    rows bypass the noise; each Gaussian step re-normalizes. Draws are sized
+    by the row count, so more corruption only grows the affected sets. The
+    caller owns the image rows; the cloud rows are read-only, base at sigma 0.
     """
     base, points, cloud = stand_in.base, stand_in.points, stand_in.cloud
 
@@ -481,7 +481,8 @@ def synthesize_features(
 
     m = points.size
     f_img = noised(base[points], "img_noise", noise.feature_noise_sigma)
-    f_cloud = noised(base, "cloud_noise", noise.feature_noise_sigma)
+    f_cloud = noised(base, "cloud_noise", noise.feature_noise_sigma)  # base itself at sigma 0
+    f_cloud.flags.writeable = False
     outliers = int(round(noise.outlier_fraction * m))
     if outliers > 0:
         out_rng = stream_rng("outlier", stand_in.seed, noise.seed)
@@ -505,4 +506,4 @@ def synthesize_features(
             far = gaps > 3.0 * noise.tau1_m
             pick = np.where(far.any(axis=1), np.argmax(far, axis=1), np.argmax(gaps, axis=1))
             f_img[rows] = f_cloud[cand[rows, pick]]
-    return f_img, f_cloud.copy() if f_cloud is base else f_cloud
+    return f_img, f_cloud

@@ -920,6 +920,22 @@ class TestMemoizedWork:
         assert len(kept) == 5
         assert not any(array.flags.writeable for array in kept)
 
+    def test_noise_free_registration_reads_the_base_rows_uncopied(self, monkeypatch):
+        scene, cfg = small_scene(seed=4, mask_ratio=0.2)
+        returned = []
+        synthesize = pipeline.synthesize_features
+
+        def spy(*args, **kwargs):
+            returned.append(synthesize(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(pipeline, "synthesize_features", spy)
+        prep = prepare_scene(scene, cfg)
+        register_scene(scene, cfg, prep)
+        [(f_img, f_cloud)] = returned
+        assert f_cloud is prep.stand_in.base
+        assert f_img.flags.writeable and not f_cloud.flags.writeable
+
 
 class TestCoordinateOverflow:
     def far_vertex_scene(self, coordinate: float, **overrides):

@@ -446,12 +446,17 @@ class TestSynthesizeFeatures:
     def test_caller_owns_the_features_and_kept_draws_are_read_only(self, sigma):
         cfg = CorruptionConfig(feature_noise_sigma=sigma, outlier_fraction=0.1, seed=2)
         stand_in = StandIn.of(self.scene, 64)
-        features = synthesize_features(stand_in, cfg, agreement=0.5)
-        want = [f.tobytes() for f in features]
-        for f in features:
-            f[...] = 7.0
+        f_img, f_cloud = synthesize_features(stand_in, cfg, agreement=0.5)
+        want = [f_img.tobytes(), f_cloud.tobytes()]
+        f_img[...] = 7.0
         again = synthesize_features(stand_in, cfg, agreement=0.5)
         assert [f.tobytes() for f in again] == want
+        # the cloud rows are read-only: the base itself without noise, else rows of their own
+        assert not f_cloud.flags.writeable
+        if sigma == 0.0:
+            assert f_cloud is stand_in.base
+        else:
+            assert not np.shares_memory(f_cloud, stand_in.base)
         kept = [stand_in.base] + [
             array for _key, value in vars(stand_in)["_memos"].values()
             for array in (value if isinstance(value, tuple) else (value,))
