@@ -10,7 +10,10 @@ and it round-trips exactly:
 - depth.bin is the scene's pixel table: float64 (u, v, depth, point index)
   rows behind a 'PIXELROWS <w> <h> <n>' line, with index -1 for a pixel
   without a ground-truth point;
-- normal rasters are float32 behind a 'NORMAL <w> <h>' line.
+- normals are float32 behind a 'NORMAL <n> 1' line for an (n, 3) field
+  and a 'NORMAL <w> <h> raster' line for an (h, w, 3) raster, so a one-row
+  raster keeps its shape; an older 'NORMAL <w> <h>' raster taller than
+  one row still reads.
 
 Older layouts (an ASCII PLY, a float32 'DEPTH' raster, 3-column
 'DEPTHROWS' rows beside a gt_corrs.csv) are rejected, naming their format;
@@ -184,21 +187,21 @@ def read_pixel_table(path) -> PixelTable:
 
 
 def write_normals(path, field: NormalField) -> None:
-    """float32 normals, NaN where invalid; an (N, 3) field is one raster row."""
+    """float32 normals, NaN where invalid; an (N, 3) field is one untagged row."""
     arr = np.where(field.valid[..., None], field.normals, np.nan)
-    height, width = arr.shape[:2] if arr.ndim == 3 else (1, arr.shape[0])
-    header = f"NORMAL {width} {height}\n".encode("ascii")
+    size = f"{arr.shape[1]} {arr.shape[0]} raster" if arr.ndim == 3 else f"{len(arr)} 1"
+    header = f"NORMAL {size}\n".encode("ascii")
     Path(path).write_bytes(header + np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 @_reader
 def read_normals(path) -> NormalField:
     tokens, payload = _split_header(Path(path).read_bytes())
-    if len(tokens) != 3 or tokens[0] != "NORMAL":
-        raise BundleError(f"{path}: expected 'NORMAL <w> <h>' header, got {tokens}")
+    if len(tokens) < 3 or tokens[0] != "NORMAL" or tokens[3:] not in ([], ["raster"]):
+        raise BundleError(f"{path}: expected 'NORMAL <w> <h> [raster]' header, got {tokens}")
     width, height = int(tokens[1]), int(tokens[2])
     arr = _payload(path, payload, (height, width, 3), "<f4", "raster rows").astype(np.float64)
-    if height == 1:
+    if height == 1 and len(tokens) == 3:  # an untagged row is a field
         arr = arr[0]
     valid = np.all(np.isfinite(arr), axis=-1)
     # Re-normalize to absorb float32 quantization of unit vectors.

@@ -38,7 +38,7 @@ from crossreg.matching import CorrespondenceSet
 from crossreg.normals import DepthMap, NormalField
 from crossreg.pipeline import PipelineConfig, register_scene
 from crossreg.pose import PoseEstimate
-from crossreg.geometry import RigidTransform, rotation_from_axis_angle
+from crossreg.geometry import RigidTransform, rotation_from_axis_angle, unit_rows
 from crossreg.synth import PixelTable, SceneSpec, generate_scene
 from rasters import depth_raster
 
@@ -233,6 +233,7 @@ class TestRasters:
         valid = rng.random((6, 8)) > 0.3
         field = NormalField(np.where(valid[..., None], raw, 0.0), valid)
         write_normals(tmp_path / "n.bin", field)
+        assert (tmp_path / "n.bin").read_bytes().startswith(b"NORMAL 8 6 raster\n")
         back = read_normals(tmp_path / "n.bin")
         np.testing.assert_array_equal(back.valid, valid)
         assert np.abs(back.normals[valid] - raw[valid]).max() < 1e-6
@@ -245,10 +246,43 @@ class TestRasters:
         valid[4] = False
         field = NormalField(np.where(valid[:, None], raw, 0.0), valid)
         write_normals(tmp_path / "n.bin", field)
+        assert (tmp_path / "n.bin").read_bytes().startswith(b"NORMAL 30 1\n")
         back = read_normals(tmp_path / "n.bin")
         assert back.normals.shape == (30, 3)
         np.testing.assert_array_equal(back.valid, valid)
         assert np.abs(back.normals[valid] - raw[valid]).max() < 1e-6
+
+    @pytest.mark.parametrize(
+        "shape, header",
+        [((1, 3), b"NORMAL 1 1\n"), ((1, 5, 3), b"NORMAL 5 1 raster\n")],
+        ids=["one-point field", "one-row raster"],
+    )
+    def test_one_row_normals_keep_their_shape(self, tmp_path, shape, header):
+        rng = np.random.default_rng(6)
+        raw = unit_rows(rng.normal(size=shape).reshape(-1, 3)).reshape(shape)
+        valid = rng.random(shape[:-1]) > 0.3
+        valid.flat[0] = True
+        write_normals(tmp_path / "n.bin", NormalField(np.where(valid[..., None], raw, 0.0), valid))
+        assert (tmp_path / "n.bin").read_bytes().startswith(header)
+        back = read_normals(tmp_path / "n.bin")
+        assert back.normals.shape == shape
+        np.testing.assert_array_equal(back.valid, valid)
+        assert np.abs(back.normals[valid] - raw[valid]).max() < 1e-6
+
+    def test_untagged_raster_still_reads(self, tmp_path):
+        raw = np.zeros((2, 3, 3), dtype="<f4")
+        raw[..., 2] = 1.0
+        (tmp_path / "n.bin").write_bytes(b"NORMAL 3 2\n" + raw.tobytes())
+        back = read_normals(tmp_path / "n.bin")
+        assert back.normals.shape == (2, 3, 3) and back.valid.all()
+        np.testing.assert_array_equal(back.normals, raw)
+
+    @pytest.mark.parametrize("tail", [b" grid", b" raster raster", b""], ids=["tag", "five", "two"])
+    def test_bad_normal_header_rejected(self, tmp_path, tail):
+        header = b"NORMAL 3 2" if tail else b"NORMAL 3"
+        (tmp_path / "n.bin").write_bytes(header + tail + b"\n" + bytes(72))
+        with pytest.raises(BundleError, match=r"n\.bin: expected 'NORMAL <w> <h> \[raster\]'"):
+            read_normals(tmp_path / "n.bin")
 
 
 class TestJsonRecords:
