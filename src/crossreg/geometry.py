@@ -1,4 +1,4 @@
-"""Rigid transforms, pinhole camera operations, and row normalization.
+"""Input checks, rigid transforms, pinhole camera operations, and row normalization.
 
 Conventions used throughout the package:
 
@@ -17,11 +17,14 @@ from typing import TypeAlias
 import numpy as np
 import numpy.typing as npt
 
-from .errors import CoordinateOverflowError, InvalidRotationError, NonPositiveDepthError
+from .errors import (
+    CoordinateOverflowError, InvalidRotationError, NonPositiveDepthError, NotNormalizedError,
+)
 
 F64: TypeAlias = npt.NDArray[np.float64]
 
 ROTATION_TOL = 1e-9
+UNIT_TOL = 1e-6
 # Within it, a gap between two points moved by a rigid transform, squared
 # and summed over the axes, stays finite (the gaps reach about 6e150).
 COORDINATE_LIMIT = 1e150
@@ -39,6 +42,16 @@ def as_float_array(x, shape: tuple[int, ...] | None = None, name: str = "array")
         raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: contains non-finite values")
+    return arr
+
+
+def as_unit_rows(x, name: str = "rows") -> F64:
+    """as_float_array, with every vector along the last axis of unit length
+    within UNIT_TOL; NotNormalizedError names the worst deviation."""
+    arr = as_float_array(x, name=name)
+    worst = float(np.max(np.abs(np.linalg.norm(arr, axis=-1) - 1.0), initial=0.0))
+    if worst > UNIT_TOL:
+        raise NotNormalizedError(f"{name}: row norm deviates from 1 by {worst:.3e}")
     return arr
 
 

@@ -108,7 +108,7 @@ def knn_indices(
     Raises CoordinateOverflowError, a ValueError, when coordinates are so
     large that squared distances would overflow.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = as_float_array(points, name="points")
     if pts.ndim != 2:
         raise ValueError(f"points must be (N, d), got {pts.shape}")
     n, d = pts.shape
@@ -116,8 +116,6 @@ def knn_indices(
         raise ValueError(f"need at least 2 points, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points contain non-finite values")
     k_eff = min(k, n - 1)
 
     idx = np.empty((n, k_eff), dtype=np.int64)
@@ -267,7 +265,7 @@ class GraphAttentionParams:
 
 
 def _check_features(graph: KnnGraph, features, params: GraphAttentionParams) -> F64:
-    feats = np.asarray(features, dtype=np.float64)
+    feats = as_float_array(features, name="features")
     if feats.ndim != 2:
         raise ValueError(f"features must be (N, C), got {feats.shape}")
     if feats.shape[0] != graph.node_count:
@@ -278,8 +276,6 @@ def _check_features(graph: KnnGraph, features, params: GraphAttentionParams) -> 
         raise ChannelMismatchError(
             f"features have {feats.shape[1]} channels, params expect {params.channels}"
         )
-    if not np.all(np.isfinite(feats)):
-        raise ValueError("features contain non-finite values")
     return feats
 
 
@@ -319,8 +315,8 @@ def gated_fusion(original, refined, params: GraphAttentionParams) -> F64:
     g = sigmoid(W2 relu(W1 [orig || refined] + b1) + b2), output is
     g * refined + (1 - g) * original, element-wise.
     """
-    orig = np.asarray(original, dtype=np.float64)
-    refi = np.asarray(refined, dtype=np.float64)
+    orig = as_float_array(original, name="original")
+    refi = as_float_array(refined, name="refined")
     if orig.shape != refi.shape or orig.ndim != 2:
         raise ValueError(f"shape mismatch: {orig.shape} vs {refi.shape}")
     if orig.shape[1] != params.channels:

@@ -17,12 +17,9 @@ from .errors import (
     EmptyOverlapError,
     EmptySampleError,
     LengthMismatchError,
-    NotNormalizedError,
 )
-from .geometry import F64, as_float_array
+from .geometry import F64, as_float_array, as_unit_rows
 from .normals import NormalField
-
-ROW_NORM_TOL = 1e-6
 
 
 # --------------------------------------------------------------------------- #
@@ -63,12 +60,7 @@ def _check_normalized(features, name: str) -> F64:
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ValueError(f"{name}: expected (M, C) with M >= 1, got {feats.shape}")
-    feats = as_float_array(feats, name=name)
-    norms = np.linalg.norm(feats, axis=1)
-    worst = float(np.abs(norms - 1.0).max())
-    if worst > ROW_NORM_TOL:
-        raise NotNormalizedError(f"{name}: row norm deviates from 1 by {worst:.3e}")
-    return feats
+    return as_unit_rows(feats, name)
 
 
 def gdc_loss(f_img, f_cloud) -> tuple[float, F64, F64]:
@@ -131,14 +123,14 @@ def circle_loss(
     there is nothing to contrast: the loss is exactly 0. Computed in
     log-sum-exp form so large gaps cannot overflow.
     """
-    pos = np.asarray(pos_dists, dtype=np.float64).ravel()
-    neg = np.asarray(neg_dists, dtype=np.float64).ravel()
+    pos = as_float_array(pos_dists, name="pos_dists").ravel()
+    neg = as_float_array(neg_dists, name="neg_dists").ravel()
     if pos.size == 0 or neg.size == 0:
         return 0.0
     if np.any(pos < 0) or np.any(neg < 0):
         raise ValueError("distances must be non-negative")
-    lam_p = np.ones_like(pos) if pos_weights is None else np.asarray(pos_weights, dtype=np.float64)
-    lam_n = np.ones_like(neg) if neg_weights is None else np.asarray(neg_weights, dtype=np.float64)
+    lam_p = np.ones_like(pos) if pos_weights is None else as_float_array(pos_weights, name="pos_weights")
+    lam_n = np.ones_like(neg) if neg_weights is None else as_float_array(neg_weights, name="neg_weights")
     if lam_p.shape != pos.shape or lam_n.shape != neg.shape:
         raise ValueError("weights must match distances in shape")
 
@@ -219,7 +211,7 @@ def _pairwise_sq(x: F64, y: F64) -> F64:
 
 def median_heuristic_bandwidth(a, b) -> float:
     """Median pairwise distance over the pooled sample (fallback 1.0)."""
-    pooled = np.vstack([np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)])
+    pooled = np.vstack([as_float_array(a, name="a"), as_float_array(b, name="b")])
     n = pooled.shape[0]
     if n < 2:
         return 1.0
@@ -238,8 +230,8 @@ def mmd(a, b, bandwidth: float | None = None) -> float:
 
     bandwidth defaults to the median heuristic over the pooled sample.
     """
-    xa = np.asarray(a, dtype=np.float64)
-    xb = np.asarray(b, dtype=np.float64)
+    xa = as_float_array(a, name="a")
+    xb = as_float_array(b, name="b")
     if xa.ndim != 2 or xb.ndim != 2:
         raise ValueError(f"samples must be (N, d), got {xa.shape} and {xb.shape}")
     if xa.shape[0] == 0 or xb.shape[0] == 0:

@@ -43,15 +43,13 @@ class CorrespondenceSet:
     scores: F64
 
     def __post_init__(self) -> None:
-        px = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
+        px = as_float_array(self.pixels, name="pixels").reshape(-1, 2)
         idx = np.asarray(self.point_indices, dtype=np.int64).reshape(-1)
         sc = np.asarray(self.scores, dtype=np.float64).reshape(-1)
         if not (px.shape[0] == idx.shape[0] == sc.shape[0]):
             raise ValueError(
                 f"column lengths differ: {px.shape[0]}, {idx.shape[0]}, {sc.shape[0]}"
             )
-        if px.size and not np.all(np.isfinite(px)):
-            raise ValueError("pixels contain non-finite values")
         object.__setattr__(self, "pixels", px)
         object.__setattr__(self, "point_indices", idx)
         object.__setattr__(self, "scores", sc)
@@ -112,11 +110,9 @@ def coarse_match(scores, top_k: int) -> list[tuple[int, int, float]]:
     among column j's top_k scores. Within a row or column, ties prefer the
     smaller index. The result is sorted by descending score, ties by (i, j).
     """
-    s = np.asarray(scores, dtype=np.float64)
+    s = as_float_array(scores, name="score map")
     if s.ndim != 2:
         raise ValueError(f"score map must be 2D, got {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("score map contains non-finite values")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     n_rows, n_cols = s.shape

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNeighborhoodError
-from .geometry import F64, CameraIntrinsics, as_points, backproject_pixels, unit_rows
+from .geometry import F64, CameraIntrinsics, as_points, as_unit_rows, backproject_pixels, unit_rows
 from .graph import knn_indices
 
 EIGENVALUE_GAP_TOL = 1e-12
@@ -71,11 +71,7 @@ class NormalField:
         mask = np.asarray(self.valid, dtype=bool)
         if nor.ndim not in (2, 3) or nor.shape[-1] != 3 or nor.shape[:-1] != mask.shape:
             raise ValueError(f"normals {nor.shape} and valid {mask.shape} do not align")
-        picked = nor[mask]
-        if picked.size:
-            norms = np.linalg.norm(picked, axis=-1)
-            if not np.all(np.isfinite(picked)) or np.any(np.abs(norms - 1.0) > 1e-6):
-                raise ValueError("valid normals must be finite unit vectors")
+        as_unit_rows(nor[mask], "valid normals")
         object.__setattr__(self, "normals", nor)
         object.__setattr__(self, "valid", mask)
 
@@ -234,8 +230,10 @@ def metric_normals_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> 
 
     Uses the same two-pixel central-difference stencil as depth_to_normals
     but on backprojected 3D positions, so the result lives in metric camera
-    space. Normals are oriented to face the camera. Pixels with a (near)
-    degenerate tangent cross product are invalid.
+    space. Normals are oriented by _canonical_sign, as point normals are: to
+    face the camera at the origin, and where a normal is exactly perpendicular
+    to its pixel's ray, with its first nonzero component positive. Pixels with
+    a (near) degenerate tangent cross product are invalid.
     """
     vals, mask = depth.values, depth.valid
     h, w = vals.shape
@@ -250,11 +248,7 @@ def metric_normals_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> 
 
     cross = np.cross(*_central_differences(pos))
     ok = ok & (np.linalg.norm(cross, axis=-1) > 1e-300)
-    cross = unit_rows(cross)
-    # orient toward the camera at the origin
-    inward = np.einsum("hwc,hwc->hw", cross, pos) > 0.0
-    cross[inward] = -cross[inward]
-    normals[ok] = cross[ok]
+    normals[ok] = _canonical_sign(unit_rows(cross[ok]), pos[ok])
     return NormalField(normals, ok)
 
 

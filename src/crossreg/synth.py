@@ -45,6 +45,7 @@ from .geometry import (
     F64,
     RigidTransform,
     as_points,
+    as_unit_rows,
     as_vec3,
     project_points,
     rotation_from_axis_angle,
@@ -119,9 +120,7 @@ class Plane:
 
     def __post_init__(self) -> None:
         for name in ("x_axis", "y_axis"):
-            ax = as_vec3(getattr(self, name), name=name)
-            if abs(np.linalg.norm(ax) - 1.0) > 1e-6:
-                raise ValueError(f"{name} must be a unit vector")
+            as_unit_rows(as_vec3(getattr(self, name), name=name), name)
         if min(self.half_extents) <= 0.0:
             raise ValueError("half_extents must be positive")
 

@@ -9,10 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from crossreg.errors import CoordinateOverflowError, InvalidRotationError, NonPositiveDepthError
+from crossreg.errors import (
+    CoordinateOverflowError,
+    InvalidRotationError,
+    NonPositiveDepthError,
+    NotNormalizedError,
+)
 from crossreg.geometry import (
     CameraIntrinsics,
     RigidTransform,
+    as_unit_rows,
     backproject_pixels,
     project_points,
     rotation_from_axis_angle,
@@ -186,3 +192,34 @@ class TestUnitRows:
         np.testing.assert_array_equal(got[0, 1], [0.6, 0.0, 0.8])
         got[0, 1] = 0.0
         assert not np.any(got)
+
+
+class TestAsUnitRows:
+    def test_unit_rows_pass_as_float64(self):
+        rows = unit_rows(np.random.default_rng(4).standard_normal((20, 6)))
+        rows[0] = [1.0 + 9e-7, 0.0, 0.0, 0.0, 0.0, 0.0]  # within UNIT_TOL
+        got = as_unit_rows(rows.tolist(), "rows")
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, rows)
+
+    def test_off_unit_row_names_its_deviation(self):
+        rows = np.eye(3)
+        rows[1, 1] = 1.0 + 2e-6
+        with pytest.raises(NotNormalizedError, match=r"^rows: row norm deviates from 1 by 2\.000e-06$"):
+            as_unit_rows(rows, "rows")
+
+    def test_last_axis_is_checked(self):
+        grid = np.zeros((2, 2, 3))
+        grid[..., 2] = 1.0
+        assert as_unit_rows(grid, "grid").shape == (2, 2, 3)
+        grid[1, 0, 2] = 0.5
+        with pytest.raises(NotNormalizedError, match="grid: row norm deviates from 1 by 5.000e-01"):
+            as_unit_rows(grid, "grid")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(ValueError, match="rows: contains non-finite values"):
+            as_unit_rows(np.array([[1.0, 0.0], [bad, 0.0]]), "rows")
+
+    def test_empty_passes(self):
+        assert as_unit_rows(np.zeros((0, 3)), "rows").shape == (0, 3)

@@ -388,6 +388,15 @@ class TestFusion:
         b = rng.standard_normal((5, c))
         np.testing.assert_array_equal(gated_fusion(a, b, params), b)
 
+    @pytest.mark.parametrize("side", ["original", "refined"])
+    def test_non_finite_features_raise(self, side):
+        # a NaN refined row once passed through the gate
+        params = GraphAttentionParams.initialize(3, seed=0)
+        feats = {"original": np.ones((4, 3)), "refined": np.ones((4, 3))}
+        feats[side][1, 2] = np.nan
+        with pytest.raises(ValueError, match=f"{side}: contains non-finite"):
+            gated_fusion(feats["original"], feats["refined"], params)
+
     def test_sigmoid_saturates_exactly(self):
         assert stable_sigmoid(np.array([-1000.0]))[0] == 0.0
         assert stable_sigmoid(np.array([1000.0]))[0] == 1.0

@@ -171,6 +171,16 @@ class TestCircleLoss:
         with pytest.raises(ValueError):
             circle_loss([-0.1], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_distances_and_weights(self, bad):
+        # a NaN distance once gave a NaN loss
+        with pytest.raises(ValueError, match="pos_dists: contains non-finite"):
+            circle_loss([bad, 0.1], [1.0])
+        with pytest.raises(ValueError, match="neg_dists: contains non-finite"):
+            circle_loss([0.1], [1.0, bad])
+        with pytest.raises(ValueError, match="neg_weights: contains non-finite"):
+            circle_loss([0.1], [1.0], neg_weights=[bad])
+
 
 class TestTotalAndWarmup:
     def test_total_weighted_sum(self):
@@ -237,3 +247,18 @@ class TestMmd:
         rng = np.random.default_rng(6)
         value = mmd(rng.standard_normal((20, 3)), 1.0 + rng.standard_normal((25, 3)))
         assert value >= 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_raises(self, bad):
+        # mmd once returned 0.0, and the bandwidth fell back to 1.0
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((6, 2))
+        y = x.copy()
+        y[2, 1] = bad
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="non-finite"):
+                mmd(a, b)
+            with pytest.raises(ValueError, match="non-finite"):
+                mmd(a, b, bandwidth=1.0)
+            with pytest.raises(ValueError, match="non-finite"):
+                median_heuristic_bandwidth(a, b)

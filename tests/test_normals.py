@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import crossreg.normals as normals_module
-from crossreg.errors import DegenerateNeighborhoodError
+from crossreg.errors import DegenerateNeighborhoodError, NotNormalizedError
 from crossreg.geometry import CameraIntrinsics
 from crossreg.graph import knn_indices
 from crossreg.normals import (
@@ -230,6 +230,26 @@ class TestMetricNormals:
         facing = np.einsum("hwc,hwc->hw", field.normals, pos)[field.valid]
         assert np.all(facing <= 1e-12)
 
+    @pytest.mark.parametrize("surface", ["tilted_plane", "sphere"])
+    def test_oriented_by_the_point_normal_rule(self, surface):
+        # _canonical_sign of the field's own valid rows changes no bit
+        k = CameraIntrinsics(fx=60.0, fy=60.0, cx=20.0, cy=15.0, width=40, height=30)
+        us, vs = np.meshgrid(np.arange(40, dtype=np.float64), np.arange(30, dtype=np.float64))
+        rays = np.stack([(us - k.cx) / k.fx, (vs - k.cy) / k.fy, np.ones_like(us)], axis=-1)
+        if surface == "tilted_plane":  # 0.4 x - 0.3 y + z = 2
+            vals = 2.0 / (rays @ np.array([0.4, -0.3, 1.0]))
+        else:  # the near side of the unit sphere around (0.1, 0, 3)
+            center = np.array([0.1, 0.0, 3.0])
+            dc = rays @ center
+            dd = np.einsum("hwc,hwc->hw", rays, rays)
+            disc = dc * dc - dd * (center @ center - 1.0)
+            vals = np.where(disc > 0.0, (dc - np.sqrt(np.abs(disc))) / dd, np.nan)
+        field = metric_normals_from_depth(DepthMap.from_values(vals), k)
+        assert field.valid.sum() > 100
+        rows = field.normals[field.valid]
+        pos = (rays * vals[..., None])[field.valid]
+        assert normals_module._canonical_sign(rows, pos).tobytes() == rows.tobytes()
+
     def test_agreement_identity_is_one(self):
         rng = np.random.default_rng(2)
         vals = 2.0 + 0.02 * rng.standard_normal((12, 16)).cumsum(axis=1)
@@ -261,3 +281,16 @@ class TestDepthMapType:
     def test_from_values_masks_bad_entries(self):
         d = DepthMap.from_values(np.array([[1.0, np.nan], [0.0, 3.0]]))
         np.testing.assert_array_equal(d.valid, [[True, False], [False, True]])
+
+
+class TestNormalFieldType:
+    def test_rejects_an_off_unit_valid_normal(self):
+        normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.5]])
+        with pytest.raises(NotNormalizedError, match="valid normals: row norm deviates"):
+            NormalField(normals, np.array([True, True]))
+        # an invalid position carries no constraint
+        assert NormalField(normals, np.array([True, False])).normals.shape == (2, 3)
+
+    def test_rejects_a_non_finite_valid_normal(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            NormalField(np.array([[np.nan, 0.0, 1.0]]), np.array([True]))

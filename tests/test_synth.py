@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from crossreg.errors import ConfigError, EmptyVisibleSetError
+from crossreg.errors import ConfigError, EmptyVisibleSetError, NotNormalizedError
 from crossreg.geometry import CameraIntrinsics, RigidTransform, project_points
 from crossreg.matching import fine_match, patch_overlap
 from crossreg.normals import depth_to_normals
@@ -165,6 +165,8 @@ class TestGenerateScene:
     def test_primitive_validation(self):
         with pytest.raises(ValueError):
             Plane(center=(0, 0, 2), x_axis=(2.0, 0.0, 0.0))
+        with pytest.raises(NotNormalizedError, match="y_axis: row norm deviates from 1 by 1.000e-05"):
+            Plane(center=(0, 0, 2), y_axis=(0.0, 1.00001, 0.0))
         with pytest.raises(ValueError):
             Box(center=(0, 0, 2), half_sizes=(0.1, -0.1, 0.1))
         with pytest.raises(ValueError):
