@@ -188,7 +188,18 @@ run losses_huge_gdc_weight losses --out "$out/huge_gdc_weight.json" \
 run synth_unallocatable_point_count synth --out "$out/unallocatable_point_count" \
     --set point_count=100000000000000
 run register_unallocatable_channels register --scene "$small0" \
-    --out "$out/unallocatable_channels" --set channels=1000000000000
+    --out "$out/unallocatable_channels" --set channels=536870912
+
+# sizes past what the arithmetic they feed can hold, which once ended with a
+# traceback: tile ids past int64, a neighbour count past the int64 cast, and
+# arrays past numpy's maximum size; each now lies outside its key's range
+run register_int64_tile_cols register --scene "$small0" --out "$out/int64_tile_cols" \
+    --set tile_rows=1 --set tile_cols=9223372036854775808
+run normals_huge_k normals --scene "$small0" --out "$out/huge_k" --set k_neighbors=1e30
+run register_huge_channels register --scene "$small0" --out "$out/huge_channels" \
+    --set channels=1e30
+run losses_huge_channels losses --out "$out/huge_channels.json" --set channels=1e30
+run synth_huge_point_count synth --out "$out/huge_point_count" --set point_count=1e30
 
 # bundle values that once ended with a traceback or a numeric warning: a true
 # translation whose squares overflow the metrics (register exits 0, eval 1), a

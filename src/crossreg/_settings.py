@@ -10,7 +10,9 @@ Upper bounds other than the float64 limit keep arithmetic finite: at most
 _SCALE, the feature scales keep geometry.unit_rows' sums of squares finite,
 gaussian_sigma_m keeps the lifted depths' products finite, the loss
 weights keep losses.total_loss finite, and ransac_threshold_px keeps
-pnp_ransac's squared threshold finite.
+pnp_ransac's squared threshold finite. The size bounds keep the tile ids
+and normal_ks' k + 4 within int64, and the arrays that point_count and
+channels shape within numpy's maximum size.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ class Setting(NamedTuple):
 
 
 SETTINGS = {
-    "k_neighbors": Setting(8, 2, _MAX),
+    "k_neighbors": Setting(8, 2, 2**62),
     "adaptive_k": Setting(False, False, True),
-    "channels": Setting(64, 4, _MAX),
+    "channels": Setting(64, 4, 2**29),
     "top_k_coarse": Setting(3, 1, _MAX),
     "min_fine_score": Setting(0.75, -1.0, 1.0),
-    "tile_rows": Setting(6, 1, _MAX),
-    "tile_cols": Setting(8, 1, _MAX),
+    "tile_rows": Setting(6, 1, 2**63 - 1),
+    "tile_cols": Setting(8, 1, 2**63 - 1),
     "voxel_size": Setting(0.4, _ABOVE_0, _MAX),
     "normal_channel_weight": Setting(0.5, 0.0, _SCALE),
     "guidance_noise_scale": Setting(0.2, 0.0, _SCALE),
@@ -68,7 +70,7 @@ SETTINGS = {
     "param_seed": Setting(0, 0, _MAX),
     "scene_count": Setting(20, 1, _MAX),
     "base_seed": Setting(0, 0, _MAX),
-    "point_count": Setting(2000, 100, _MAX),
+    "point_count": Setting(2000, 100, 2**58),
     # a full turn covers every rotation; past max / 4 the draw or the
     # inverse pose overflows
     "max_rotation_deg": Setting(30.0, 0.0, 360.0),

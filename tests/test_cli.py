@@ -108,6 +108,29 @@ class TestConfigPlumbing:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, settings, message", [
+        ("register", ["tile_rows=1", "tile_cols=9223372036854775808"],
+         "tile_cols must be finite and lie in [1, 9223372036854775807], got 9223372036854775808"),
+        ("normals", ["k_neighbors=1e30"],
+         "k_neighbors must be finite and lie in [2, 4611686018427387904], got 1e+30"),
+        ("register", ["channels=1e30"],
+         "channels must be finite and lie in [4, 536870912], got 1e+30"),
+        ("losses", ["channels=1e30"],
+         "channels must be finite and lie in [4, 536870912], got 1e+30"),
+        ("synth", ["point_count=1e30"],
+         "point_count must be finite and lie in [100, 288230376151711744], got 1e+30"),
+    ], ids=["tile_cols", "k_neighbors", "register_channels", "losses_channels", "point_count"])
+    def test_size_past_its_range_exits_1(self, request, tmp_path, capsys, command, settings, message):
+        # the int64 tile ids, the int64 cast of k and numpy's maximum array
+        # size once overflowed on these, and the command ended with a traceback
+        argv = [command, *(arg for kv in settings for arg in ("--set", kv))]
+        if command in ("register", "normals"):
+            argv += ["--scene", str(request.getfixturevalue("tiny_bundle"))]
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, tmp_path):
         assert run("synth", "--out", str(tmp_path / "s"), "--config", "/no/such.json") == 1
 
@@ -815,8 +838,9 @@ class TestAllocationFailure:
         assert "Unable to allocate" in err
 
     def test_register_channels(self, tiny_bundle, tmp_path, capsys):
+        # 2**29, the table's largest channel count
         err = self.exits_1(capsys, tmp_path / "res", "register", "--scene", str(tiny_bundle),
-                           "--set", "channels=1000000000000")
+                           "--set", "channels=536870912")
         assert "Unable to allocate" in err
 
     def test_a_memory_error_without_a_message(self, tmp_path, capsys, monkeypatch):

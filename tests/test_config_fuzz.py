@@ -23,13 +23,13 @@ from crossreg.io import save_scene_bundle
 from crossreg.pipeline import PipelineConfig
 from crossreg.synth import generate_scene
 
+# tile_rows, tile_cols and k_neighbors size no allocation (tile groups hold
+# only the ids present, and k-NN clamps k to n - 1), so their table edges
+# and 2**64 are drawn in full
 ENVELOPE = {
     "point_count": 400,
     "channels": 64,
     "scene_count": 2,
-    "k_neighbors": 16,
-    "tile_rows": 48,
-    "tile_cols": 64,
     "ransac_iterations": 20,  # every call runs at most this many
     "top_k_coarse": 8,
 }
