@@ -45,7 +45,7 @@ def as_float_array(x, shape: tuple[int, ...] | None = None, name: str = "array")
     return arr
 
 
-def as_unit_rows(x, name: str = "rows") -> F64:
+def as_unit_rows(x, name: str) -> F64:
     """as_float_array, with every vector along the last axis of unit length
     within UNIT_TOL; NotNormalizedError names the worst deviation."""
     arr = as_float_array(x, name=name)
