@@ -13,6 +13,10 @@ The matrix (about 4 s on one core of a 2-vCPU Xeon):
   scene, the benchmark's register size. The k-NN's BLAS block shape, and so
   its rounding, depends on the row count, so only a default-size scene pins
   the bytes the benchmark produces;
+- register/refit_fallback/seed2: an 800-point scene with half its rows
+  outliers, every fine match kept and 30% of the pixels masked, whose
+  RANSAC refit keeps fewer than min_sample inliers, so the voted pose and
+  mask come back; no other key reaches that fallback;
 - bundle_bytes: the bytes of a bundle saved, loaded and saved again;
 - sweep/<name>: the four ablation sweeps at their default values over two
   600-point scenes;
@@ -74,6 +78,10 @@ VARIANTS = {
 }
 # the noise the sweep/noisy_mask_ratio keys add to the mask_ratio sweep
 NOISY_SWEEP = {"feature_noise_sigma": 0.05, "outlier_fraction": 0.1, "gaussian_sigma_m": 0.01}
+# the scene of register/refit_fallback/seed2, whose refit falls back to the vote
+REFIT_FALLBACK = {
+    "point_count": 800, "outlier_fraction": 0.5, "min_fine_score": 0.0, "mask_ratio": 0.3,
+}
 
 
 def _digest(parts) -> str:
@@ -142,6 +150,10 @@ def compute() -> dict[str, str]:
     default_size = PipelineConfig(**VARIANTS["corrupted"])
     digests[f"register/default_size/seed{SEEDS[0]}"] = _digest(_register_parts(
         generate_scene(default_size.scene_spec(), SEEDS[0]), default_size
+    ))
+    fallback = PipelineConfig(**REFIT_FALLBACK)
+    digests["register/refit_fallback/seed2"] = _digest(_register_parts(
+        generate_scene(fallback.scene_spec(), 2), fallback
     ))
 
     with tempfile.TemporaryDirectory() as tmp:
