@@ -254,13 +254,13 @@ def cmd_ablate(args) -> int:
 def cmd_normals(args) -> int:
     config = load_config(args)
     scene = load_scene_bundle(args.scene)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     k, adaptive, table = config.k_neighbors, config.adaptive_k, scene.table
     field = point_normals(scene.cloud, k, adaptive)
-    write_normals(out / "point_normals.bin", field)
     # one lifted normal per depth row, as registration computes them
     lifted = lifted_pixel_normals(table.pixels, table.depths, scene.intrinsics, k, adaptive)
+    out = Path(args.out)  # made only once both fields are fit
+    out.mkdir(parents=True, exist_ok=True)
+    write_normals(out / "point_normals.bin", field)
     write_normals(out / "depth_normals.bin", lifted)
     print(
         f"wrote normals for {field.valid.sum()} of {scene.cloud.shape[0]} points under {out}"

@@ -1121,6 +1121,16 @@ class TestNormals:
         assert run("normals", "--scene", str(scenes / "scene_0000"), "--out", str(b)) == 0
         assert file_bytes(a) == file_bytes(b)
 
+    def test_failed_fit_leaves_no_directory(self, tmp_path, capsys):
+        # the output directory was once made before the fit and left empty
+        scenes = tmp_path / "scenes"
+        assert run("synth", "--out", str(scenes), "--set", "point_count=300",
+                   "--set", "scene_count=1") == 0
+        out = tmp_path / "n"
+        assert run("normals", "--scene", str(scenes / "scene_0000"), "--out", str(out),
+                   "--set", "k_neighbors=400") == 1
+        assert "cloud of 300 points cannot support k = 400" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_adaptive_k_below_three_floors_at_three(self, tmp_path):
         scene = str(synth_scenes(tmp_path) / "scene_0000")
