@@ -240,8 +240,8 @@ def mmd(a, b, bandwidth: float | None = None) -> float:
         raise ChannelMismatchError(f"dimensions differ: {xa.shape[1]} vs {xb.shape[1]}")
     if bandwidth is None:
         bandwidth = median_heuristic_bandwidth(xa, xb)
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+    if not 0.0 < bandwidth < np.inf:  # also refuses NaN
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
     value = (
         _gaussian_kernel_mean(xa, xa, bandwidth)
         - 2.0 * _gaussian_kernel_mean(xa, xb, bandwidth)

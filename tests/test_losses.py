@@ -248,6 +248,13 @@ class TestMmd:
         value = mmd(rng.standard_normal((20, 3)), 1.0 + rng.standard_normal((25, 3)))
         assert value >= 0.0
 
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, -np.inf, 0.0])
+    def test_bandwidth_not_finite_and_positive_raises(self, bandwidth):
+        # a NaN or infinite bandwidth once gave 0.0 for samples a unit apart
+        x = np.zeros((4, 2))
+        with pytest.raises(ValueError, match=r"bandwidth must be finite and > 0"):
+            mmd(x, x + 1.0, bandwidth=bandwidth)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_raises(self, bad):
         # mmd once returned 0.0, and the bandwidth fell back to 1.0
