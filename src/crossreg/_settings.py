@@ -58,7 +58,7 @@ SETTINGS = {
     "ransac_iterations": Setting(1000, 1, _MAX),
     "ransac_threshold_px": Setting(8.0, _ABOVE_0, _SCALE),
     "ransac_confidence": Setting(0.999, _ABOVE_0, math.nextafter(1.0, 0.0)),
-    "ransac_min_sample": Setting(6, 6, _MAX),  # the DLT solver's pose.MIN_SOLVE_POINTS
+    "ransac_min_sample": Setting(6, 6, _MAX),  # lo is the DLT floor, pose.MIN_SOLVE_POINTS
     "tau1_m": Setting(0.05, _ABOVE_0, _MAX),
     "tau2_ratio": Setting(0.1, 0.0, 1.0),
     "tau3_m": Setting(0.1, _ABOVE_0, _MAX),

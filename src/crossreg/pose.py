@@ -7,10 +7,11 @@ updates and step halving. pnp_solve runs it on a whole set and RANSAC on
 each sampled hypothesis, in a seeded loop; reruns with the same seed are
 bit-identical.
 
-The camera is geometry's: backproject_pixels, and project_unchecked, as each
-projecting step checks depth itself. A pose's inliers are the correspondences
-in front of it reprojecting strictly within the threshold, and RANSAC always
-returns a pose with its own inliers and their mean error.
+The camera is geometry's: backproject_pixels, and project_unchecked behind
+_reproject, the one residual that Gauss-Newton, the RANSAC vote, the refit
+and the mean error read. A pose's inliers are the correspondences in front
+of it reprojecting strictly within the threshold, and RANSAC always returns
+a pose with its own inliers and their mean error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._settings import check_fields, setting
+from ._settings import SETTINGS, check_fields, setting
 from .errors import (
     DegenerateConfigurationError,
     InsufficientPointsError,
@@ -36,7 +37,7 @@ from .geometry import (
 )
 from .matching import CorrespondenceSet
 
-MIN_SOLVE_POINTS = 6
+MIN_SOLVE_POINTS = SETTINGS["ransac_min_sample"].lo  # the DLT's floor
 DEGENERACY_GAP = 1e-9
 STEP_TOL = 1e-10  # Gauss-Newton stops once an accepted step is shorter
 
@@ -134,16 +135,17 @@ def _dlt_pose(pts: F64, obs: F64, intrinsics: CameraIntrinsics) -> tuple[F64, F6
 # --------------------------------------------------------------------------- #
 
 
-def _reprojection_residuals(
+def _reproject(
     pts: F64, obs: F64, intrinsics: CameraIntrinsics, rot: F64, tra: F64
-) -> tuple[F64, F64, float] | None:
-    """Per-point pixel residuals, the camera-frame points and the squared
-    error; None unless every point lies in front of the camera under (rot, tra)."""
+) -> tuple[F64, F64]:
+    """The camera-frame points under (rot, tra) and their per-point pixel
+    residuals; a point not in front of the camera (depth <= 0 or NaN) gets an
+    infinite residual, and no depth <= 0 is divided by."""
     pc = pts @ rot.T + tra
-    if not (pc[:, 2] > 0.0).all():  # also False for a NaN depth
-        return None
-    res = project_unchecked(intrinsics, pc) - obs
-    return res, pc, float(np.sum(res * res))
+    front = (pc[:, 2] > 0.0)[:, None]  # also False for a NaN depth
+    # a point not in front is projected from (1, 1, 1), then given inf
+    res = project_unchecked(intrinsics, np.where(front, pc, 1.0)) - obs
+    return pc, np.where(front, res, np.inf)
 
 
 def _solve(
@@ -153,15 +155,15 @@ def _solve(
     reprojection error over (axis-angle, translation) unless a point lies behind it.
 
     The rotation update composes multiplicatively: R <- exp(delta) R.
-    A step that would increase the error is halved (up to 20 times) and
-    dropped if it never helps, so the accepted error sequence is
-    non-increasing.
+    A step that would increase the error or put a point behind the camera
+    is halved (up to 20 times) and dropped if it never helps, so the
+    accepted error sequence is non-increasing.
     """
     rot, tra = _dlt_pose(pts, obs, intrinsics)
-    start = _reprojection_residuals(pts, obs, intrinsics, rot, tra)
-    if start is None:
+    pc, res = _reproject(pts, obs, intrinsics, rot, tra)
+    if not (pc[:, 2] > 0.0).all():  # also False for a NaN depth
         return rot, tra
-    res, pc, err = start
+    err = float(np.sum(res * res))
 
     for _ in range(max_iterations):
         z = pc[:, 2]
@@ -197,9 +199,12 @@ def _solve(
         for _ in range(20):
             cand_rot = rotation_from_axis_angle(factor * delta[:3]) @ rot
             cand_tra = tra + factor * delta[3:]
-            cand = _reprojection_residuals(pts, obs, intrinsics, cand_rot, cand_tra)
-            if cand is not None and cand[2] <= err:
-                rot, tra, (res, pc, err) = cand_rot, cand_tra, cand
+            cand_pc, cand_res = _reproject(pts, obs, intrinsics, cand_rot, cand_tra)
+            # the error is summed only once every point is in front
+            if (cand_pc[:, 2] > 0.0).all() and (
+                cand_err := float(np.sum(cand_res * cand_res))
+            ) <= err:
+                rot, tra, pc, res, err = cand_rot, cand_tra, cand_pc, cand_res, cand_err
                 break
             factor *= 0.5
         else:  # no halving helped
@@ -248,17 +253,12 @@ def pnp_ransac(
     rng = np.random.default_rng(config.seed)
     thr2 = config.inlier_threshold_px**2
 
-    def inlier_mask(rot: F64, tra: F64) -> np.ndarray:
-        pc = pts @ rot.T + tra
-        ok = pc[:, 2] > 0.0
-        mask = np.zeros(n, dtype=bool)
-        d = project_unchecked(intrinsics, pc[ok]) - obs[ok]
-        mask[ok] = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < thr2
-        return mask
+    def squared_errors(rot: F64, tra: F64) -> F64:
+        _, d = _reproject(pts, obs, intrinsics, rot, tra)
+        return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
 
     best_count = 0
-    best_mask: np.ndarray | None = None
-    best_pose: tuple[F64, F64] | None = None
+    best: tuple[F64, F64, F64] | None = None  # the voted pose and its squared errors
     needed = config.max_iterations
     for iteration in range(config.max_iterations):
         sample = rng.choice(n, size=config.min_sample, replace=False)
@@ -266,12 +266,11 @@ def pnp_ransac(
             rot, tra = _solve(pts[sample], obs[sample], intrinsics, max_iterations=10)
         except DegenerateConfigurationError:
             continue
-        mask = inlier_mask(rot, tra)
-        count = int(mask.sum())
+        err2 = squared_errors(rot, tra)
+        count = int(np.count_nonzero(err2 < thr2))
         if count > best_count:
             best_count = count
-            best_mask = mask
-            best_pose = (rot, tra)
+            best = (rot, tra, err2)
             if best_count == n:
                 break
             # adaptive stopping: enough iterations for the current inlier rate
@@ -281,26 +280,21 @@ def pnp_ransac(
         if iteration + 1 >= needed:
             break
 
-    if best_mask is None or best_count < config.min_sample:
+    if best is None or best_count < config.min_sample:
         raise NoConsensusError(
             f"no hypothesis reached {config.min_sample} inliers "
             f"(best {best_count} of {n})"
         )
 
-    kept = CorrespondenceSet(
-        corrs.pixels[best_mask], corrs.point_indices[best_mask], corrs.scores[best_mask]
-    )
+    rot, tra, err2 = best
+    voted = err2 < thr2
+    kept = CorrespondenceSet(corrs.pixels[voted], corrs.point_indices[voted], corrs.scores[voted])
     try:
-        transform = pnp_solve(kept, cloud, intrinsics)
-        final_mask = inlier_mask(transform.rotation, transform.translation)
+        refit = pnp_solve(kept, cloud, intrinsics)
+        refit_err2 = squared_errors(refit.rotation, refit.translation)
+        if np.count_nonzero(refit_err2 < thr2) >= config.min_sample:
+            rot, tra, err2 = refit.rotation, refit.translation, refit_err2
     except DegenerateConfigurationError:  # the inliers as a whole are degenerate
-        final_mask = np.zeros(n, dtype=bool)
-    if int(final_mask.sum()) < config.min_sample:  # a failed or degraded refit
-        transform, final_mask = RigidTransform(*best_pose), best_mask
-
-    # the inliers lie in front of the pose, so their residuals are defined
-    res, _, _ = _reprojection_residuals(
-        pts[final_mask], obs[final_mask], intrinsics, transform.rotation, transform.translation
-    )
-    mean_err = float(np.linalg.norm(res, axis=1).mean())
-    return PoseEstimate(transform, final_mask, mean_err)
+        pass  # a failed or degraded refit leaves the vote's pose and errors
+    mask = err2 < thr2
+    return PoseEstimate(RigidTransform(rot, tra), mask, float(np.sqrt(err2[mask]).mean()))

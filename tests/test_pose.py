@@ -150,6 +150,56 @@ class TestPnpSolve:
         assert float(np.linalg.norm(est.translation - gt.translation)) < 1e-8
 
 
+class TestSolve:
+    @staticmethod
+    def noisy_views(behind: bool):
+        # ten camera-frame points, the first 2 m behind the camera if asked,
+        # seen at the identity pose with half-pixel noise
+        rng = np.random.default_rng(3)
+        cam = rng.uniform([-1.0, -0.75, 1.5], [1.0, 0.75, 4.0], (10, 3))
+        if behind:
+            cam[0] = [0.5, 0.3, -2.0]
+        obs = np.column_stack([
+            K.fx * cam[:, 0] / cam[:, 2] + K.cx, K.fy * cam[:, 1] / cam[:, 2] + K.cy,
+        ])
+        return cam, obs + rng.normal(0.0, 0.5, obs.shape)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("behind", [False, True])
+    def test_dlt_pose_with_a_point_behind_is_not_polished(self, behind):
+        pts, obs = self.noisy_views(behind)
+        rot, tra = pose._dlt_pose(pts, obs, K)
+        assert ((pts @ rot.T + tra)[:, 2] <= 0.0).any() == behind
+        got = pose._solve(pts, obs, K)
+        polished = not all(g.tobytes() == w.tobytes() for g, w in zip(got, (rot, tra)))
+        assert polished != behind
+
+    @pytest.mark.parametrize("behind", [False, True])
+    def test_no_step_that_puts_a_point_behind_is_accepted(self, monkeypatch, behind):
+        # every candidate step is made to reproject perfectly, and, if asked,
+        # to put point 0 behind the camera at a finite error of zero
+        pts, obs = self.noisy_views(False)
+        real, calls = pose._reproject, []
+
+        def perfect_step(*args):
+            pc, res = real(*args)
+            calls.append(args)
+            if len(calls) == 1:  # the DLT pose
+                return pc, res
+            if behind:
+                pc = pc.copy()
+                pc[0, 2] = -pc[0, 2]
+            return pc, np.zeros_like(res)
+
+        monkeypatch.setattr(pose, "_reproject", perfect_step)
+        got = pose._solve(pts, obs, K)
+        dlt = pose._dlt_pose(pts, obs, K)
+        unmoved = all(g.tobytes() == w.tobytes() for g, w in zip(got, dlt))
+        assert unmoved == behind
+        if behind:  # the DLT pose's residuals, then all twenty halvings refused
+            assert len(calls) == 21
+
+
 def plant_outliers(corrs: CorrespondenceSet, fraction: float, rng: np.random.Generator):
     """Replace a fraction of pixels with locations far from the truth."""
     n = len(corrs)
@@ -176,6 +226,16 @@ def own_mask(transform: RigidTransform, corrs, cloud, intrinsics, threshold_px=8
     du = intrinsics.fx * cam[:, 0] / z + intrinsics.cx - corrs.pixels[:, 0]
     dv = intrinsics.fy * cam[:, 1] / z + intrinsics.cy - corrs.pixels[:, 1]
     return front & (du * du + dv * dv < threshold_px**2)
+
+
+def mean_error_loop(transform: RigidTransform, corrs, cloud, intrinsics, mask) -> float:
+    """Oracle: the mean of math.hypot over each inlier's pixel residual."""
+    errors = []
+    for i in np.flatnonzero(mask):
+        x, y, z = transform.apply(np.asarray(cloud)[corrs.point_indices[i]][None])[0]
+        errors.append(math.hypot(intrinsics.fx * x / z + intrinsics.cx - corrs.pixels[i, 0],
+                                 intrinsics.fy * y / z + intrinsics.cy - corrs.pixels[i, 1]))
+    return sum(errors) / len(errors)
 
 
 class TestPnpRansac:
@@ -224,11 +284,15 @@ class TestPnpRansac:
         gt, cloud, corrs, rng = make_instance(91, n=60)
         contaminated, truth = plant_outliers(corrs, 0.3, rng)
 
+        refits = []
+
         def degenerate_refit(*args, **kwargs):
+            refits.append(args)
             raise DegenerateConfigurationError("inlier set is degenerate")
 
         monkeypatch.setattr(pose, "pnp_solve", degenerate_refit)
         est = pnp_ransac(contaminated, cloud, K, RansacConfig(seed=3))
+        assert len(refits) == 1
         # the kept mask is exactly the vote of the kept pose
         np.testing.assert_array_equal(
             est.inlier_mask, own_mask(est.transform, contaminated, cloud, K)
@@ -269,6 +333,33 @@ class TestPnpRansac:
         )
         assert est.inlier_count >= cfg.ransac_min_sample
         assert est.mean_reprojection_px < cfg.ransac_threshold_px
+        assert est.mean_reprojection_px == pytest.approx(mean_error_loop(
+            est.transform, corrs, scene.cloud, scene.intrinsics, est.inlier_mask
+        ), rel=1e-12)
+
+    @pytest.mark.parametrize("refit", ["kept", "degenerate"])
+    def test_mean_error_is_the_inliers_mean_hypot(self, monkeypatch, refit):
+        gt, cloud, corrs, rng = make_instance(91, n=60)
+        contaminated, _ = plant_outliers(corrs, 0.3, rng)
+        noisy = CorrespondenceSet(
+            contaminated.pixels + rng.normal(0.0, 0.5, corrs.pixels.shape),
+            contaminated.point_indices, contaminated.scores,
+        )
+        refits = []
+
+        def hook(*args, **kwargs):
+            refits.append(args)
+            if refit == "degenerate":
+                raise DegenerateConfigurationError("inlier set is degenerate")
+            return pnp_solve(*args, **kwargs)
+
+        monkeypatch.setattr(pose, "pnp_solve", hook)
+        est = pnp_ransac(noisy, cloud, K, RansacConfig(seed=3))
+        assert len(refits) == 1
+        assert est.inlier_count >= 40
+        assert 0.1 < est.mean_reprojection_px == pytest.approx(
+            mean_error_loop(est.transform, noisy, cloud, K, est.inlier_mask), rel=1e-12
+        )
 
     def test_too_few_for_ransac(self):
         gt, cloud, corrs, _ = make_instance(8, n=5)
