@@ -7,9 +7,9 @@ updates and step halving. pnp_solve runs it on a whole set and RANSAC on
 each sampled hypothesis, in a seeded loop; reruns with the same seed are
 bit-identical.
 
-The camera is geometry's: backproject_pixels, and project_unchecked behind
-_reproject, the one residual that Gauss-Newton, the RANSAC vote, the refit
-and the mean error read. A pose's inliers are the correspondences in front
+The camera is geometry's: backproject_pixels for the DLT's rays, and
+project_unchecked inside _reproject, the one residual that Gauss-Newton,
+the RANSAC vote, the refit and the mean error read. A pose's inliers are the correspondences in front
 of it reprojecting strictly within the threshold, and RANSAC always returns
 a pose with its own inliers and their mean error.
 """
