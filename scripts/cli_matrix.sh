@@ -162,6 +162,11 @@ run register_negative_bundle_seed register --scene "$bad" --out "$bad/result"
 rm -rf "$bad"
 run register_int64_tile_grid register --scene "$out/small/scene_0000" \
     --out "$out/int64_tile_grid" --set tile_rows=1000000000000 --set tile_cols=1000000000000
+# and a best inlier rate whose min_sample-th power underflows to 0, which once
+# ended RANSAC's stop in a ZeroDivisionError; it exits 2, no consensus
+run register_ransac_underflow register --scene "$out/scenes/scene_0002" \
+    --out "$out/ransac_underflow" --set outlier_fraction=0.6 --set min_fine_score=0.0 \
+    --set ransac_min_sample=400 --set ransac_iterations=20
 
 # values past a key's declared range that once ended with a traceback or a
 # numeric warning: a threshold whose square overflows, -0.0 at a closed 0

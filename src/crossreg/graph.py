@@ -232,7 +232,6 @@ class GraphAttentionParams:
     """Projection and fusion-gate weights for one refinement layer."""
 
     channels: int
-    seed: int
     query_proj: F64
     key_proj: F64
     value_proj: F64
@@ -256,7 +255,7 @@ class GraphAttentionParams:
             name: rng.uniform(-bound, bound, shape)
             for name, shape in _param_shapes(channels).items()
         }
-        return cls(channels=channels, seed=seed, **drawn)
+        return cls(channels=channels, **drawn)
 
 
 # --------------------------------------------------------------------------- #

@@ -46,8 +46,8 @@ STEP_TOL = 1e-10  # Gauss-Newton stops once an accepted step is shorter
 class RansacConfig:
     """Hypothesize-and-verify settings.
 
-    min_sample is floored at MIN_SOLVE_POINTS because the DLT hypothesis
-    solver is underdetermined below that.
+    The config table's range refuses a min_sample below MIN_SOLVE_POINTS,
+    where the DLT hypothesis solver is underdetermined; nothing floors it.
     """
 
     max_iterations: int = setting("ransac_iterations")
@@ -239,9 +239,11 @@ def pnp_ransac(
 
     Classic loop: sample min_sample correspondences, solve, count strict
     reprojection inliers, keep the best (ties keep the earlier hypothesis),
-    stop early once the usual confidence bound is met, then refit on all
-    inliers and recompute the mask with the refit pose. When the refit
-    fails (a degenerate inlier set) or leaves fewer than min_sample
+    and stop after the k-th solved hypothesis once every correspondence is
+    an inlier or k * log1p(-(best / n) ** min_sample) <= log1p(-confidence);
+    an underflowing rate gives -0.0 and runs to max_iterations. Then refit
+    on all inliers and recompute the mask with the refit pose. When the
+    refit fails (a degenerate inlier set) or leaves fewer than min_sample
     inliers, the voted hypothesis's pose and mask are returned together.
     """
     n = len(corrs)
@@ -259,7 +261,7 @@ def pnp_ransac(
 
     best_count = 0
     best: tuple[F64, F64, F64] | None = None  # the voted pose and its squared errors
-    needed = config.max_iterations
+    log_miss = math.log1p(-config.confidence)
     for iteration in range(config.max_iterations):
         sample = rng.choice(n, size=config.min_sample, replace=False)
         try:
@@ -271,13 +273,9 @@ def pnp_ransac(
         if count > best_count:
             best_count = count
             best = (rot, tra, err2)
-            if best_count == n:
+            if best_count == n:  # log1p(-1.0) below would raise
                 break
-            # adaptive stopping: enough iterations for the current inlier rate
-            w = best_count / n
-            denom = math.log1p(-min(w**config.min_sample, 1.0 - 1e-16))
-            needed = math.ceil(math.log1p(-config.confidence) / denom)
-        if iteration + 1 >= needed:
+        if (iteration + 1) * math.log1p(-(best_count / n) ** config.min_sample) <= log_miss:
             break
 
     if best is None or best_count < config.min_sample:

@@ -31,6 +31,9 @@ from crossreg.pipeline import PipelineConfig, evaluate_scene, prepare_scene, reg
 from crossreg.synth import SceneSpec, generate_scene
 
 SMALL = ["--set", "point_count=600", "--set", "scene_count=2"]
+# settings under which the best inlier rate's 400th power underflows to 0.0
+RANSAC_UNDERFLOW = ["--set", "outlier_fraction=0.6", "--set", "min_fine_score=0.0",
+                    "--set", "ransac_min_sample=400", "--set", "ransac_iterations=20"]
 
 
 def run(*argv) -> int:
@@ -251,6 +254,21 @@ class TestRegister:
 
     def test_missing_bundle_exit_1(self, tmp_path):
         assert run("register", "--scene", str(tmp_path / "nope"), "--out", str(tmp_path / "r")) == 1
+
+    def test_underflowing_inlier_rate_exit_2(self, tmp_path, capsys):
+        # the best hypothesis keeps 5 of 910 inliers, and (5/910)**400 is 0.0:
+        # RANSAC's stop once divided by log1p(-0.0) and ended in a traceback
+        scenes = tmp_path / "scenes"
+        assert run("synth", "--out", str(scenes), "--set", "scene_count=1",
+                   "--set", "base_seed=3") == 0
+        capsys.readouterr()
+        out = tmp_path / "res"
+        assert run("register", "--scene", str(scenes / "scene_0000"), "--out", str(out),
+                   *RANSAC_UNDERFLOW) == 2
+        assert capsys.readouterr().err == (
+            "registration failed: no hypothesis reached 400 inliers (best 5 of 910)\n"
+        )
+        assert not out.exists()
 
 
 def edit_line(path: Path, index: int, edit) -> None:
@@ -1075,6 +1093,13 @@ class TestAblate:
         assert run("ablate", "--sweep", "mask_ratio", "--values", "[0.0]",
                    "--set", "point_count=300", "--set", "scene_count=1",
                    "--set", "outlier_fraction=1.0", "--out", str(out)) == 0
+        assert out.read_text() == "setting,ir,fmr,rr\n0.0,0.0,0.0,0.0\n"
+
+    def test_underflowing_inlier_rate_is_a_miss_row(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run("ablate", "--sweep", "mask_ratio", "--values", "[0.0]",
+                   "--set", "scene_count=1", "--set", "base_seed=3",
+                   *RANSAC_UNDERFLOW, "--out", str(out)) == 0
         assert out.read_text() == "setting,ir,fmr,rr\n0.0,0.0,0.0,0.0\n"
 
     def test_invalid_sweep_name_rejected(self, tmp_path):

@@ -238,6 +238,25 @@ def mean_error_loop(transform: RigidTransform, corrs, cloud, intrinsics, mask) -
     return sum(errors) / len(errors)
 
 
+def ceil_rule_stop(counts, n: int, config: RansacConfig) -> int:
+    """Oracle: how many hypotheses the count-and-ceil stop rule draws, given
+    each one's inlier count (None for a degenerate sample, which it skips);
+    max_iterations if it does not stop within them."""
+    best, needed = 0, config.max_iterations
+    for i, count in enumerate(counts):
+        if count is None:
+            continue
+        if count > best:
+            best = count
+            if best == n:
+                return i + 1
+            rate = min((best / n) ** config.min_sample, 1.0 - 1e-16)
+            needed = math.ceil(math.log1p(-config.confidence) / math.log1p(-rate))
+        if i + 1 >= needed:
+            return i + 1
+    return config.max_iterations
+
+
 class TestPnpRansac:
     def test_thirty_percent_outliers_exact_mask(self):
         failures = 0
@@ -279,6 +298,30 @@ class TestPnpRansac:
         corrs = CorrespondenceSet(pixels, np.arange(40), np.ones(40))
         with pytest.raises(NoConsensusError):
             pnp_ransac(corrs, cloud, K, RansacConfig(seed=2, max_iterations=200))
+
+    @pytest.mark.parametrize("m, underflow", [(215, "subnormal"), (250, "zero")])
+    def test_underflowing_inlier_rate_raises_no_consensus(self, monkeypatch, m, underflow):
+        # 40 px of noise on every pixel leaves about 10 of 300 within 8 px, so
+        # (best / n) ** m ends subnormal or 0.0; the stop once divided by
+        # log1p(-0.0) on the way there, and now the loop runs out
+        gt, cloud, corrs, rng = make_instance(0, n=300)
+        noisy = CorrespondenceSet(
+            corrs.pixels + rng.normal(0.0, 40.0, corrs.pixels.shape),
+            corrs.point_indices, corrs.scores,
+        )
+        solve, solves = pose._solve, []
+
+        def spy(*args, **kwargs):
+            solves.append(kwargs)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pose, "_solve", spy)
+        with pytest.raises(NoConsensusError, match=r"best \d+ of 300") as exc:
+            pnp_ransac(noisy, cloud, K, RansacConfig(seed=0, min_sample=m, max_iterations=20))
+        best = int(str(exc.value).split("best ")[1].split()[0])
+        rate = (best / 300) ** m
+        assert best > 0 and rate < np.finfo(float).tiny and (rate == 0.0) == (underflow == "zero")
+        assert solves == [{"max_iterations": 10}] * 20  # every hypothesis, no refit
 
     def test_degenerate_refit_keeps_voted_hypothesis(self, monkeypatch):
         gt, cloud, corrs, rng = make_instance(91, n=60)
@@ -360,6 +403,27 @@ class TestPnpRansac:
         assert 0.1 < est.mean_reprojection_px == pytest.approx(
             mean_error_loop(est.transform, noisy, cloud, K, est.inlier_mask), rel=1e-12
         )
+
+    @pytest.mark.parametrize("fraction, confidence", [(0.2, 0.999), (0.4, 0.99), (0.6, 0.5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stops_where_the_ceil_rule_stops(self, monkeypatch, seed, fraction, confidence):
+        gt, cloud, corrs, rng = make_instance(400 + seed, n=100)
+        contaminated, _ = plant_outliers(corrs, fraction, rng)
+        config = RansacConfig(seed=seed, confidence=confidence)
+        solve = pose._solve
+        counts = []  # per hypothesis: its inlier count, None for a degenerate sample
+
+        def spy(*args, **kwargs):
+            if kwargs.get("max_iterations") != 10:  # the refit
+                return solve(*args, **kwargs)
+            counts.append(None)
+            rot, tra = solve(*args, **kwargs)  # a degenerate sample raises here
+            counts[-1] = int(own_mask(RigidTransform(rot, tra), contaminated, cloud, K).sum())
+            return rot, tra
+
+        monkeypatch.setattr(pose, "_solve", spy)
+        pnp_ransac(contaminated, cloud, K, config)
+        assert len(counts) == ceil_rule_stop(counts, len(contaminated), config)
 
     def test_too_few_for_ransac(self):
         gt, cloud, corrs, _ = make_instance(8, n=5)
