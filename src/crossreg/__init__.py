@@ -66,7 +66,6 @@ from .matching import (
 )
 from .metrics import (
     SceneEvaluation,
-    euler_xyz,
     feature_matching_recall,
     inlier_ratio,
     patch_inlier_ratio,

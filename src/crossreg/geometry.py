@@ -87,7 +87,7 @@ def as_rotation(x, name: str = "rotation") -> F64:
         raise InvalidRotationError(f"{name}: entry {big!r} lies outside [-1, 1]")
     err = np.abs(rot.T @ rot - np.eye(3)).max()
     if err > ROTATION_TOL:
-        raise InvalidRotationError(f"{name}: R^T R deviates from identity by {err:.3e}")
+        raise InvalidRotationError(f"{name}: R^T R deviates from I by {err:.3e}")
     det = float(np.linalg.det(rot))
     if abs(det - 1.0) > ROTATION_TOL:
         raise InvalidRotationError(f"{name}: det(R) = {det:.12f}, expected +1")
@@ -115,10 +115,6 @@ class RigidTransform:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rotation", as_rotation(self.rotation))
         object.__setattr__(self, "translation", as_vec3(self.translation, name="translation"))
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
 
     def apply(self, points) -> F64:
         """Apply to an (N, 3) batch of points."""

@@ -1,4 +1,4 @@
-"""File formats: point clouds, depth/normal rasters, JSON records, bundles.
+"""File formats: point clouds, pixel tables, normal fields, JSON records, bundles.
 
 Writers are byte-deterministic: CSV fields serialize with repr (a float's
 shortest round-trip form), JSON uses sorted keys and a fixed indent, and binary
@@ -10,10 +10,8 @@ and it round-trips exactly:
 - depth.bin is the scene's pixel table: float64 (u, v, depth, point index)
   rows behind a 'PIXELROWS <w> <h> <n>' line, with index -1 for a pixel
   without a ground-truth point;
-- normals are float32 behind a 'NORMAL <n> 1' line for an (n, 3) field
-  and a 'NORMAL <w> <h> raster' line for an (h, w, 3) raster, so a one-row
-  raster keeps its shape; an older 'NORMAL <w> <h>' raster taller than
-  one row still reads.
+- normals are an (n, 3) field: float32 rows, NaN where invalid, behind a
+  'NORMAL <n> 1' line, the one normal format written or read.
 
 Older layouts (an ASCII PLY, a float32 'DEPTH' raster, 3-column
 'DEPTHROWS' rows beside a gt_corrs.csv) are rejected, naming their format;
@@ -142,7 +140,7 @@ def read_ply(path) -> F64:
 
 
 # --------------------------------------------------------------------------- #
-#  Depth rows and normal rasters: one ASCII header line, then little-endian data
+#  Pixel tables and normal fields: one ASCII header line, then little-endian data
 # --------------------------------------------------------------------------- #
 
 
@@ -187,25 +185,23 @@ def read_pixel_table(path) -> PixelTable:
 
 
 def write_normals(path, field: NormalField) -> None:
-    """float32 normals, NaN where invalid; an (N, 3) field is one untagged row."""
-    arr = np.where(field.valid[..., None], field.normals, np.nan)
-    size = f"{arr.shape[1]} {arr.shape[0]} raster" if arr.ndim == 3 else f"{len(arr)} 1"
-    header = f"NORMAL {size}\n".encode("ascii")
+    """An (N, 3) field as float32 rows, NaN where invalid, behind 'NORMAL <n> 1'."""
+    if field.normals.ndim != 2:
+        raise ValueError(f"{path}: normals must be an (N, 3) field, not {field.normals.shape}")
+    arr = np.where(field.valid[:, None], field.normals, np.nan)
+    header = f"NORMAL {len(arr)} 1\n".encode("ascii")
     Path(path).write_bytes(header + np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 @_reader
 def read_normals(path) -> NormalField:
     tokens, payload = _split_header(Path(path).read_bytes())
-    if len(tokens) < 3 or tokens[0] != "NORMAL" or tokens[3:] not in ([], ["raster"]):
-        raise BundleError(f"{path}: expected 'NORMAL <w> <h> [raster]' header, got {tokens}")
-    width, height = int(tokens[1]), int(tokens[2])
-    arr = _payload(path, payload, (height, width, 3), "<f4", "raster rows").astype(np.float64)
-    if height == 1 and len(tokens) == 3:  # an untagged row is a field
-        arr = arr[0]
+    if len(tokens) != 3 or tokens[0] != "NORMAL" or tokens[2] != "1":
+        raise BundleError(f"{path}: expected 'NORMAL <n> 1' header, got {tokens}")
+    arr = _payload(path, payload, (int(tokens[1]), 3), "<f4", "normals").astype(np.float64)
     valid = np.all(np.isfinite(arr), axis=-1)
     # Re-normalize to absorb float32 quantization of unit vectors.
-    return NormalField(np.where(valid[..., None], unit_rows(arr), 0.0), valid)
+    return NormalField(np.where(valid[:, None], unit_rows(arr), 0.0), valid)
 
 
 # --------------------------------------------------------------------------- #

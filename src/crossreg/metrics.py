@@ -45,7 +45,6 @@ __all__ = [
     "registration_rmse",
     "registration_recall",
     "patch_inlier_ratio",
-    "euler_xyz",
     "relative_rotation_error",
     "relative_translation_error",
 ]
@@ -154,16 +153,12 @@ def patch_inlier_ratio(pairs: Sequence[PatchPair], threshold: float = PIR_THRESH
     return hits / len(pairs)
 
 
-def euler_xyz(rotation) -> tuple[float, float, float]:
-    """Intrinsic XYZ Euler angles (radians) with R = Rx(a) @ Ry(b) @ Rz(c).
+def _euler_xyz(m: F64) -> tuple[float, float, float]:
+    """Intrinsic XYZ Euler angles (radians) with m = Rx(a) @ Ry(b) @ Rz(c).
 
     Near gimbal lock (|b| = pi/2) the split between a and c is not
     unique; the third angle is pinned to zero there.
     """
-    return _euler_xyz(as_rotation(rotation))
-
-
-def _euler_xyz(m: F64) -> tuple[float, float, float]:
     sb = min(1.0, max(-1.0, float(m[0, 2])))
     b = math.asin(sb)
     if abs(sb) > 1.0 - 1e-9:

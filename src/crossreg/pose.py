@@ -171,7 +171,7 @@ def _solve(
         zeros = np.zeros_like(z)
         j_u = np.stack([intrinsics.fx / z, zeros, -intrinsics.fx * pc[:, 0] / z**2], axis=1)
         j_v = np.stack([zeros, intrinsics.fy / z, -intrinsics.fy * pc[:, 1] / z**2], axis=1)
-        # d(camera point)/d(axis angle) = -[R X]_x ; translation part is identity
+        # d(camera point)/d(axis angle) = -[R X]_x ; translation part is I
         y = pc - tra
         skews = np.zeros((pts.shape[0], 3, 3))
         skews[:, 0, 1] = y[:, 2]

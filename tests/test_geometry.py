@@ -55,7 +55,7 @@ class TestRigidTransform:
     @pytest.mark.parametrize("shape", [(3,), (1, 3, 1), (2, 4)])
     def test_apply_takes_point_batches_only(self, shape):
         with pytest.raises(ValueError, match=r"expected shape \(N, 3\)"):
-            RigidTransform.identity().apply(np.ones(shape))
+            RigidTransform(np.eye(3), np.zeros(3)).apply(np.ones(shape))
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(13)

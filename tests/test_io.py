@@ -226,17 +226,13 @@ class TestRasters:
         ):
             load_scene_bundle(tmp_path / "scene")
 
-    def test_grid_normals_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        raw = rng.normal(size=(6, 8, 3))
-        raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-        valid = rng.random((6, 8)) > 0.3
-        field = NormalField(np.where(valid[..., None], raw, 0.0), valid)
-        write_normals(tmp_path / "n.bin", field)
-        assert (tmp_path / "n.bin").read_bytes().startswith(b"NORMAL 8 6 raster\n")
-        back = read_normals(tmp_path / "n.bin")
-        np.testing.assert_array_equal(back.valid, valid)
-        assert np.abs(back.normals[valid] - raw[valid]).max() < 1e-6
+    def test_normal_raster_is_not_written(self, tmp_path):
+        # a raster stays in memory (depth_to_normals); only a field is a file
+        raw = np.zeros((6, 8, 3))
+        raw[..., 2] = 1.0
+        with pytest.raises(ValueError, match=r"n\.bin: .*\(N, 3\) field, not \(6, 8, 3\)"):
+            write_normals(tmp_path / "n.bin", NormalField(raw, np.ones((6, 8), dtype=bool)))
+        assert not (tmp_path / "n.bin").exists()
 
     def test_point_normals_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -254,8 +250,8 @@ class TestRasters:
 
     @pytest.mark.parametrize(
         "shape, header",
-        [((1, 3), b"NORMAL 1 1\n"), ((1, 5, 3), b"NORMAL 5 1 raster\n")],
-        ids=["one-point field", "one-row raster"],
+        [((1, 3), b"NORMAL 1 1\n")],
+        ids=["one-point field"],
     )
     def test_one_row_normals_keep_their_shape(self, tmp_path, shape, header):
         rng = np.random.default_rng(6)
@@ -269,19 +265,24 @@ class TestRasters:
         np.testing.assert_array_equal(back.valid, valid)
         assert np.abs(back.normals[valid] - raw[valid]).max() < 1e-6
 
-    def test_untagged_raster_still_reads(self, tmp_path):
-        raw = np.zeros((2, 3, 3), dtype="<f4")
-        raw[..., 2] = 1.0
-        (tmp_path / "n.bin").write_bytes(b"NORMAL 3 2\n" + raw.tobytes())
-        back = read_normals(tmp_path / "n.bin")
-        assert back.normals.shape == (2, 3, 3) and back.valid.all()
-        np.testing.assert_array_equal(back.normals, raw)
+    @pytest.mark.parametrize(
+        "header, rows",
+        [(b"NORMAL 8 6 raster", 48), (b"NORMAL 5 1 raster", 5), (b"NORMAL 3 2", 6)],
+        ids=["tagged", "one-row tagged", "untagged"],
+    )
+    def test_normal_raster_is_not_read(self, tmp_path, header, rows):
+        # each payload holds the raster's rows exactly, so only the header is refused
+        raw = np.zeros((rows, 3), dtype="<f4")
+        raw[:, 2] = 1.0
+        (tmp_path / "n.bin").write_bytes(header + b"\n" + raw.tobytes())
+        with pytest.raises(BundleError, match=r"n\.bin: expected 'NORMAL <n> 1' header"):
+            read_normals(tmp_path / "n.bin")
 
     @pytest.mark.parametrize("tail", [b" grid", b" raster raster", b""], ids=["tag", "five", "two"])
     def test_bad_normal_header_rejected(self, tmp_path, tail):
         header = b"NORMAL 3 2" if tail else b"NORMAL 3"
         (tmp_path / "n.bin").write_bytes(header + tail + b"\n" + bytes(72))
-        with pytest.raises(BundleError, match=r"n\.bin: expected 'NORMAL <w> <h> \[raster\]'"):
+        with pytest.raises(BundleError, match=r"n\.bin: expected 'NORMAL <n> 1'"):
             read_normals(tmp_path / "n.bin")
 
 

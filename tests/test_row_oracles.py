@@ -111,7 +111,7 @@ def scene_on_depth(values: np.ndarray, gt_cells: np.ndarray, seed: int) -> Synth
     indices[is_gt] = np.arange(gt_cells.size)
     cloud = backproject_pixels(SMALL_K, pixels[is_gt], depths[is_gt])
     table = PixelTable(SMALL_K.width, SMALL_K.height, pixels, depths, indices)
-    return SyntheticScene(cloud, table, SMALL_K, RigidTransform.identity(), seed)
+    return SyntheticScene(cloud, table, SMALL_K, RigidTransform(np.eye(3), np.zeros(3)), seed)
 
 
 @st.composite
