@@ -25,6 +25,8 @@ F64: TypeAlias = npt.NDArray[np.float64]
 
 ROTATION_TOL = 1e-9
 UNIT_TOL = 1e-6
+# Entries per block of unit_rows: its norm temporaries stay near 128 kB.
+UNIT_ROWS_BLOCK_ENTRIES = 16_384
 # Within it, a gap between two points moved by a rigid transform, squared
 # and summed over the axes, stays finite (the gaps reach about 6e150).
 COORDINATE_LIMIT = 1e150
@@ -94,10 +96,26 @@ def as_rotation(x, name: str = "rotation") -> F64:
     return rot
 
 
-def unit_rows(rows) -> F64:
-    """Scale each vector along the last axis to unit length; zero rows stay zero."""
-    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
-    return rows / np.where(norms > 0.0, norms, 1.0)
+def unit_rows(rows, out: F64 | None = None) -> F64:
+    """Scale each vector along the last axis to unit length; zero rows stay zero.
+
+    Writes to out, a new array by default; a C-contiguous float64 array of
+    rows' shape, rows itself included, may be given. The norms are taken
+    about UNIT_ROWS_BLOCK_ENTRIES entries at a time, and a row's norm does
+    not depend on its block: the bytes are those of one np.linalg.norm call.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if out is None:
+        out = np.empty(rows.shape)
+    width = rows.shape[-1]
+    src = rows.reshape(-1, width)
+    dst = out.reshape(-1, width, copy=False)
+    step = max(1, UNIT_ROWS_BLOCK_ENTRIES // width)
+    for start in range(0, src.shape[0], step):
+        block = src[start:start + step]
+        norms = np.linalg.norm(block, axis=-1, keepdims=True)
+        np.divide(block, np.where(norms > 0.0, norms, 1.0), out=dst[start:start + step])
+    return out
 
 
 # --------------------------------------------------------------------------- #

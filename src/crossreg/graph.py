@@ -91,7 +91,8 @@ def knn_indices(
     """Exact k nearest neighbors per point, self excluded.
 
     Squared distances are ranked in the dot form (|a|^2 + |b|^2) - 2 a.b,
-    built in cache-sized row blocks of about KNN_BLOCK_ENTRIES entries.
+    built in cache-sized row blocks of about KNN_BLOCK_ENTRIES entries; the
+    filter and the distance products of a block share one float buffer.
     No row is selected over in full: each row's k-th squared distance is
     first bounded from above by its Morton-order neighbours, and a block
     keeps only the entries at most that bound plus a rounding margin.
@@ -150,30 +151,31 @@ def knn_indices(
     right = np.column_stack([-2.0 * pts, sq, np.ones(n)])
     chunk = max(1, KNN_BLOCK_ENTRIES // n)
     rows_max = min(chunk, n)
-    dot = np.empty((rows_max, n))
-    filt = np.empty((rows_max, n))
+    # one float block: the filter product, then the distance product over it
+    block = np.empty((rows_max, n))
     keep = np.empty((rows_max, n), dtype=bool)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         m = stop - start
+        np.matmul(left[start:stop], right.T, out=block[:m])
+        rows = np.arange(m)
+        block[rows, rows + start] = np.inf
+        np.less_equal(block[:m], 0.0, out=keep[:m])
         # the transposed view, not a contiguous copy: the BLAS call shape
         # fixes the rounding of each dot product. Distances computed in any
         # other call shape change bytes: with OpenBLAS 0.3.31 on a 2-vCPU
         # Xeon, the 84 x 1550 product of standard-normal points (seed 0)
         # differs from the same rows taken two at a time in 33 entries, all
         # in columns 1544-1547. So the golden digests name their BLAS, and
-        # faster k-NN work must keep these block calls.
-        np.matmul(pts[start:stop], pts.T, out=dot[:m])
-        np.matmul(left[start:stop], right.T, out=filt[:m])
-        rows = np.arange(m)
-        filt[rows, rows + start] = np.inf
-        np.less_equal(filt[:m], 0.0, out=keep[:m])
+        # faster k-NN work must keep these block calls. Writing it over the
+        # filter's block keeps the call shape and the output strides.
+        np.matmul(pts[start:stop], pts.T, out=block[:m])
         # flat indices are row-major, so columns ascend within each row
         flat = np.flatnonzero(keep[:m])
         cand_row, cand_col = np.divmod(flat, n)
         # the value and clamp a full (sq_i + sq_j) + (-2 dot) block would
         # hold; doubling is exact, so x - 2 a.b rounds as x + (-2 a.b)
-        cand_d2 = (sq[cand_row + start] + sq[cand_col]) - 2.0 * dot[:m].ravel()[flat]
+        cand_d2 = (sq[cand_row + start] + sq[cand_col]) - 2.0 * block[:m].ravel()[flat]
         np.maximum(cand_d2, 0.0, out=cand_d2)
         # lexsort is stable, so equal distances keep the smaller index
         # first; a narrow row type lets its stable row pass radix-sort

@@ -24,9 +24,11 @@ work on its rows (about 1.9k at the default size), the agreement compares
 row fields, and inlier_ratio looks its depths up in it. The stand-in's
 base features are drawn once per prep, its guidance and swap draws once per
 noise seed; the prep keeps the last cloud side (cell means and unit rows),
-which a sweep reaches through a few fields only. With unit rows made once,
-each coarse pair's fine matching is a slice, a product and a mutual argmax;
-its matches carry their rows, so the per-pixel dedup needs no pixel search.
+which a sweep reaches through a few fields only. Each side's feature matrix,
+normal channels included, is allocated once and scaled to unit rows in place.
+With unit rows made once, each coarse pair's fine matching is a slice, a
+product and a mutual argmax; its matches carry their rows, so the per-pixel
+dedup needs no pixel search.
 
 Registration reads the observation (table pixels and depths, cloud,
 intrinsics, seed) plus synth.StandIn, the only ground-truth reader, which
@@ -396,18 +398,18 @@ def register_scene(
                                     for graph in (prep.pixel_graph, prep.cloud_graph))
     weight = config.normal_channel_weight
     f_img, f_cloud = synthesize_features(prep.stand_in, corruption, agreement)
+    img = _with_normals(f_img, live_normals.normals[prep.stand_in.rows], weight)
+    del f_img  # img is the image side's one matrix from here on
+    tile_desc, img_unit = _side(img, prep.tiles, refine_img)
     # the cloud side reads these values beyond _PREP_FIELDS; the prep keeps the last,
     # and f_cloud (the stand-in's read-only base when noise-free) goes unused while it holds
     key = (corruption.feature_noise_sigma, corruption.seed, weight, blend,
            config.param_seed if blend > 0.0 else None)
     cell_desc, cloud_unit = synth.memo(prep, "cloud_side", key, lambda: _side(
-        f_cloud, prep.stand_in.cloud_normals(prep.clean_normals.normals), weight, prep.cells,
-        refine_cloud,
+        _with_normals(f_cloud, prep.stand_in.cloud_normals(prep.clean_normals.normals), weight),
+        prep.cells, refine_cloud,
     ))
-    tile_desc, img_unit = _side(
-        f_img, live_normals.normals[prep.stand_in.rows], weight, prep.tiles, refine_img,
-    )
-    del f_img, f_cloud  # freed before fine matching
+    del f_cloud  # freed before fine matching
     # a coarse pair's rows are its tile and cell groups
     coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
 
@@ -447,13 +449,23 @@ def _best_per_pixel(pixels: F64, fine: list[tuple]) -> CorrespondenceSet:
     return CorrespondenceSet(pixels[rows[winner]], points[winner], scores[winner])
 
 
-def _side(features: F64, normals: F64, weight: float, groups: _Members, refine) -> tuple[F64, F64]:
-    """(group means, unit rows) of features with normal channels (zero where invalid)
-    at weight, refined unless refine is None; fine matching may slice the unit rows."""
-    rows = geometry.unit_rows(np.hstack([features, weight * normals]))
+def _with_normals(features: F64, normals: F64, weight: float) -> F64:
+    """A fresh (rows, C + 3) matrix: features, then normals (zero where invalid) at weight."""
+    rows = np.empty((features.shape[0], features.shape[1] + 3))
+    rows[:, :-3] = features
+    np.multiply(weight, normals, out=rows[:, -3:])
+    return rows
+
+
+def _side(rows: F64, groups: _Members, refine) -> tuple[F64, F64]:
+    """(group means, unit rows) of rows, which _with_normals made, scaled to unit
+    length in place and refined unless refine is None; the refined rows are
+    scaled in place again after their means. Fine matching may slice the unit rows."""
+    geometry.unit_rows(rows, out=rows)
     if refine is not None:
         rows = refine(rows)
-    return _group_means(rows, groups), geometry.unit_rows(rows)
+    means = _group_means(rows, groups)
+    return means, geometry.unit_rows(rows, out=rows)
 
 
 def _refine(

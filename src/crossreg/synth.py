@@ -444,7 +444,8 @@ class StandIn:
         if channels < 4:
             raise ValueError(f"channels must be >= 4, got {channels}")
         base_rng = stream_rng("base", scene.seed)
-        base = unit_rows(base_rng.standard_normal((len(scene.cloud), channels)))
+        base = base_rng.standard_normal((len(scene.cloud), channels))
+        unit_rows(base, out=base)
         base.flags.writeable = False
         rows = scene.gt_rows
         return cls(scene.seed, scene.cloud, rows, scene.table.point_indices[rows], base)
@@ -475,7 +476,8 @@ def synthesize_features(
     def noised(features: F64, stream: str, sigma: float) -> F64:
         if sigma > 0.0:
             rng = stream_rng(stream, stand_in.seed, noise.seed)
-            features = unit_rows(features + rng.normal(0.0, sigma, features.shape))
+            draw = rng.normal(0.0, sigma, features.shape)
+            features = unit_rows(np.add(features, draw, out=draw), out=draw)
         return features
 
     m = points.size
@@ -493,7 +495,9 @@ def synthesize_features(
         # the stand-in keeps the normals; 0.0 + scale * z is rng.normal(0.0, scale)'s deviate
         z = memo(stand_in, "guidance", noise.seed, lambda: stream_rng(
             "guidance", stand_in.seed, noise.seed).standard_normal(f_img.shape))
-        f_img = unit_rows(f_img + (0.0 + scale * z))
+        step = scale * z
+        f_img += np.add(0.0, step, out=step)
+        unit_rows(f_img, out=f_img)
     swap_p = min(1.0, noise.guidance_swap_scale * (1.0 - agreement))
     if swap_p > 0.0:
         gate, cand = memo(stand_in, "swap", noise.seed, lambda: (

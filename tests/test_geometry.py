@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from crossreg import geometry
 from crossreg.errors import (
     CoordinateOverflowError,
     InvalidRotationError,
@@ -192,6 +193,40 @@ class TestUnitRows:
         np.testing.assert_array_equal(got[0, 1], [0.6, 0.0, 0.8])
         got[0, 1] = 0.0
         assert not np.any(got)
+
+
+class TestUnitRowsOut:
+    """unit_rows into out, rows itself or a fresh array, one block at a time,
+    gives the bytes of dividing by the norms of all rows at once."""
+
+    @staticmethod
+    def whole(x):
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+        return x / np.where(norms > 0.0, norms, 1.0)
+
+    @pytest.mark.parametrize("case", [
+        "draw", "zero rows", "one row", "ragged last block", "vector", "raster",
+    ])
+    def test_out_matches_a_fresh_result(self, case):
+        rng = np.random.default_rng(11)
+        block = geometry.UNIT_ROWS_BLOCK_ENTRIES // 67
+        x = {
+            "draw": lambda: rng.standard_normal((1939, 67)),
+            "zero rows": lambda: np.zeros((40, 67)),
+            "one row": lambda: rng.standard_normal((1, 67)),
+            "ragged last block": lambda: rng.standard_normal((3 * block + 5, 67)),
+            "vector": lambda: rng.standard_normal(3),
+            "raster": lambda: rng.standard_normal((48, 64, 3)),
+        }[case]()
+        x[::7] = 0.0  # zero rows among the others; the vector's first entry
+        fresh = unit_rows(x)
+        np.testing.assert_array_equal(fresh, self.whole(x))
+        into = np.empty_like(x)
+        assert unit_rows(x, out=into) is into
+        assert np.array_equal(into, fresh)
+        same = x.copy()
+        assert unit_rows(same, out=same) is same
+        assert np.array_equal(same, fresh)
 
 
 class TestAsUnitRows:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import multiprocessing
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -478,6 +479,27 @@ def assert_same_registration(got, want):
     assert got.patches == want.patches
     assert got.agreement == want.agreement
     assert got.blend == want.blend
+
+
+class TestWorkingSet:
+    def test_a_registration_holds_few_feature_matrices(self):
+        # each feature matrix is allocated once and scaled in place; with the
+        # copies of np.hstack and unit_rows and a second k-NN block buffer, a
+        # registration peaked at 6.5 image matrices
+        cfg = PipelineConfig(gaussian_sigma_m=0.01, mask_ratio=0.2)
+        # the first registration in a process peaks about one matrix higher:
+        # np.unique imports numpy.ma on first use
+        register_scene(generate_scene(cfg.scene_spec(), seed=1000), cfg)
+        for seed in (1001, 1002, 1003):
+            scene = generate_scene(cfg.scene_spec(), seed=seed)
+            matrix = scene.gt_rows.size * (cfg.channels + 3) * 8
+            tracemalloc.start()
+            try:
+                register_scene(scene, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5.5 * matrix, (seed, peak / matrix)
 
 
 class TestScenePrep:

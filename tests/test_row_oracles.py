@@ -279,7 +279,7 @@ def test_registration_pairs_at_positive_blend_are_fine_match(monkeypatch, epoch)
 
     def spy_refine(graph, features, params, blend):
         out = refine(graph, features, params, blend)
-        refined.append((graph, out))
+        refined.append((graph, out.copy()))  # registration scales out in place
         return out
 
     def spy_fine(img, cloud, min_score):
