@@ -1,4 +1,5 @@
-"""Input checks, rigid transforms, pinhole camera operations, and row normalization.
+"""Input checks, rigid transforms, pinhole camera operations, row normalization
+and the median.
 
 Conventions used throughout the package:
 
@@ -116,6 +117,18 @@ def unit_rows(rows, out: F64 | None = None) -> F64:
         norms = np.linalg.norm(block, axis=-1, keepdims=True)
         np.divide(block, np.where(norms > 0.0, norms, 1.0), out=dst[start:start + step])
     return out
+
+
+def median(values) -> float:
+    """np.median of values' entries, bit for bit; np.median imports numpy.ma.
+
+    Like np.median it partitions, averages the middle entry or two with
+    np.mean, and gives NaN when any entry is NaN.
+    """
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    lo, hi, last = (x.size - 1) // 2, x.size // 2, x.size - 1
+    part = np.partition(x, (lo, hi, last))  # NaN sorts last
+    return np.nan if np.isnan(part[last]) else float(np.mean(part[lo:hi + 1]))
 
 
 # --------------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ from .errors import (
     EmptySampleError,
     LengthMismatchError,
 )
-from .geometry import F64, as_float_array, as_unit_rows
+from .geometry import F64, as_float_array, as_unit_rows, median
 from .normals import NormalField
 
 
@@ -216,7 +216,7 @@ def median_heuristic_bandwidth(a, b) -> float:
     if n < 2:
         return 1.0
     upper = _pairwise_sq(pooled, pooled)[np.triu_indices(n, k=1)]
-    med = float(np.median(np.sqrt(upper)))
+    med = median(np.sqrt(upper))
     return med if med > 0.0 else 1.0
 
 

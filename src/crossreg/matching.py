@@ -257,10 +257,14 @@ def patch_overlap(
     out = []
     for (i, c), (n_img, n_cloud) in zip(pairs, sizes):
         both = (pi_tile == i) & (qj_cell == c)
-        out.append(PatchPair(
-            i, c, np.unique(pi[both]).size / n_img, np.unique(qj[both]).size / n_cloud
-        ))
+        out.append(PatchPair(i, c, _distinct(pi[both]) / n_img, _distinct(qj[both]) / n_cloud))
     return out
+
+
+def _distinct(rows: np.ndarray) -> int:
+    """How many distinct values rows holds; np.unique would import numpy.ma."""
+    rows = np.sort(rows)
+    return int(rows.size > 0) + int(np.count_nonzero(rows[1:] != rows[:-1]))
 
 
 def _positive_pairs(

@@ -142,7 +142,7 @@ def _fit_normals(pts: F64, k, neigh: np.ndarray | None = None) -> NormalField:
         neigh = knn_indices(pts, k_max)
     normals = np.zeros((n, 3))
     gaps = np.zeros(n)
-    for kv in np.unique(ks):
+    for kv in np.flatnonzero(np.bincount(ks)):  # the distinct k values, ascending
         rows = np.nonzero(ks == kv)[0]
         gathered = pts[neigh[rows, :kv]]  # (m, kv, 3)
         centroid = gathered.mean(axis=1, keepdims=True)

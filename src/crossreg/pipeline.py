@@ -22,11 +22,13 @@ No work is repeated either. Registration and evaluation read the scene's
 pixel table, never a 640x480 raster: corrupt_depth and lifted_pixel_normals
 work on its rows (about 1.9k at the default size), the agreement compares
 row fields, and inlier_ratio looks its depths up in it. The stand-in's
-base features are drawn once per prep, its guidance and swap draws once per
-noise seed; the prep keeps the last cloud side (cell means and unit rows),
-which a sweep reaches through a few fields only. Each side's feature matrix,
-normal channels included, is allocated once and scaled to unit rows in place.
-With unit rows made once, each coarse pair's fine matching is a slice, a
+base features are drawn once per prep. Only a prep the caller passed keeps
+the stand-in's guidance and swap draws, once per noise seed; a one-shot
+registration drops them when synthesize_features returns. The prep keeps
+the last cloud side (cell means and unit rows), which a sweep reaches
+through a few fields only. Each side's feature matrix, normal channels
+included, is allocated once and scaled to unit rows in place. With unit
+rows made once, each coarse pair's fine matching is a slice, a
 product and a mutual argmax; its matches carry their rows, so the per-pixel
 dedup needs no pixel search.
 
@@ -303,7 +305,9 @@ class ScenePrep:
 
     Registration works on the rows of the scene's pixel table, never on
     the image grid: clean_normals holds one lifted normal per table row.
-    stand_in, at the config's channel count, names the rows registered.
+    stand_in, at the config's channel count, names the rows registered;
+    a prep passed to register_scene keeps its guidance and swap draws for
+    the registrations to come.
 
     The refinement graphs are built on first read, so a registration at
     warm-up weight 0 never builds them; a cached_property, like synth.memo,
@@ -379,7 +383,10 @@ def register_scene(
     scene: SyntheticScene, config: PipelineConfig, prep: ScenePrep | None = None
 ) -> RegistrationResult:
     """Register one scene; prep, from prepare_scene(scene, config), is reused."""
-    if prep is None:
+    # a caller's prep keeps the stand-in's draws for the registrations to come;
+    # a one-shot hands synthesize_features a copy, whose draws go when it returns
+    one_shot = prep is None
+    if one_shot:
         prep = prepare_scene(scene, config)
     elif prep.scene is not scene or prep.key != _prep_key(config):
         raise ConfigError(f"prep is for another scene or other {', '.join(_PREP_FIELDS)}")
@@ -397,7 +404,9 @@ def register_scene(
         refine_img, refine_cloud = (functools.partial(_refine, graph, params=params, blend=blend)
                                     for graph in (prep.pixel_graph, prep.cloud_graph))
     weight = config.normal_channel_weight
-    f_img, f_cloud = synthesize_features(prep.stand_in, corruption, agreement)
+    f_img, f_cloud = synthesize_features(
+        dataclasses.replace(prep.stand_in) if one_shot else prep.stand_in, corruption, agreement
+    )
     img = _with_normals(f_img, live_normals.normals[prep.stand_in.rows], weight)
     del f_img  # img is the image side's one matrix from here on
     tile_desc, img_unit = _side(img, prep.tiles, refine_img)
@@ -559,7 +568,7 @@ def evaluation_report(evaluations: list[SceneEvaluation]) -> dict:
     )
     mean["registration_recall"] = float(np.mean([ev.rr_flag for ev in evaluations]))
     median = {
-        name: float(np.median([getattr(ev, name) for ev in evaluations]))
+        name: geometry.median([getattr(ev, name) for ev in evaluations])
         for name in _NUMERIC_FIELDS
     }
     return {"scenes": scenes, "mean": mean, "median": median}

@@ -41,6 +41,7 @@ import numpy as np
 from ._settings import check_fields, setting
 from .errors import EmptyVisibleSetError
 from .geometry import (
+    UNIT_ROWS_BLOCK_ENTRIES,
     CameraIntrinsics,
     F64,
     RigidTransform,
@@ -470,6 +471,8 @@ def synthesize_features(
     rows bypass the noise; each Gaussian step re-normalizes. Draws are sized
     by the row count, so more corruption only grows the affected sets. The
     caller owns the image rows; the cloud rows are read-only, base at sigma 0.
+    The stand-in keeps the guidance and swap draws of the last noise seed,
+    read-only, for as long as it lives.
     """
     base, points, cloud = stand_in.base, stand_in.points, stand_in.cloud
 
@@ -492,11 +495,14 @@ def synthesize_features(
 
     scale = noise.guidance_noise_scale * (1.0 - agreement)
     if scale > 0.0:
-        # the stand-in keeps the normals; 0.0 + scale * z is rng.normal(0.0, scale)'s deviate
+        # the stand-in keeps the normals; 0.0 + scale * z is rng.normal(0.0, scale)'s deviate,
+        # added one block of rows at a time, so no step of f_img's size is made
         z = memo(stand_in, "guidance", noise.seed, lambda: stream_rng(
             "guidance", stand_in.seed, noise.seed).standard_normal(f_img.shape))
-        step = scale * z
-        f_img += np.add(0.0, step, out=step)
+        block = max(1, UNIT_ROWS_BLOCK_ENTRIES // z.shape[1])
+        for start in range(0, m, block):
+            step = scale * z[start:start + block]
+            f_img[start:start + block] += np.add(0.0, step, out=step)
         unit_rows(f_img, out=f_img)
     swap_p = min(1.0, noise.guidance_swap_scale * (1.0 - agreement))
     if swap_p > 0.0:

@@ -229,6 +229,30 @@ class TestUnitRowsOut:
         assert np.array_equal(same, fresh)
 
 
+class TestMedian:
+    @given(hnp.arrays(
+        np.float64, st.integers(1, 40),
+        elements=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        ),
+    ))
+    def test_bits_of_np_median(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # -inf + inf, in both
+            want, got = np.float64(np.median(x)), np.float64(geometry.median(x))
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "values, want", [([3.0], 3.0), ([2, 1], 1.5), ([5.0, 1.0, 4.0], 4.0), ([[1.0, 9.0]], 5.0)]
+    )
+    def test_middle_entry_or_mean_of_two(self, values, want):
+        assert geometry.median(values) == want
+
+
 class TestAsUnitRows:
     def test_unit_rows_pass_as_float64(self):
         rows = unit_rows(np.random.default_rng(4).standard_normal((20, 6)))
