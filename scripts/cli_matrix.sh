@@ -137,7 +137,8 @@ run ablate_mask_ratio_noisy ablate --sweep mask_ratio \
 # bad input that once ended with a traceback; each exits 1 and leaves no file:
 # a result whose first correspondence names a point outside the cloud, a
 # non-finite integer setting, two pose bounds past their range, a negative
-# seed in four settings and in a bundle, and a tile grid whose ids overflow int64
+# seed in four settings and in a bundle, a tile grid whose ids overflow int64,
+# and a config file that is not UTF-8 text
 bad="$out/.bad_point_index"
 cp -r "$out/results_plain_small/scene_0000" "$bad"
 awk -F, -v OFS=, 'NR == 2 { $3 = 99999 } { print }' "$bad/correspondences.csv" \
@@ -162,6 +163,10 @@ run register_negative_bundle_seed register --scene "$bad" --out "$bad/result"
 rm -rf "$bad"
 run register_int64_tile_grid register --scene "$out/small/scene_0000" \
     --out "$out/int64_tile_grid" --set tile_rows=1000000000000 --set tile_cols=1000000000000
+printf '\377{}' > "$out/.non_utf8_config.json"
+run losses_non_utf8_config losses --out "$out/non_utf8_config.json" \
+    --config "$out/.non_utf8_config.json"
+rm -f "$out/.non_utf8_config.json"
 # and a best inlier rate whose min_sample-th power underflows to 0, which once
 # ended RANSAC's stop in a ZeroDivisionError; it exits 2, no consensus
 run register_ransac_underflow register --scene "$out/scenes/scene_0002" \

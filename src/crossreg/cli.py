@@ -103,7 +103,7 @@ def load_config(args) -> PipelineConfig:
     if args.config:
         try:
             raw = read_json(args.config)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")

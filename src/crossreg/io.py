@@ -13,11 +13,11 @@ and it round-trips exactly:
 - normals are an (n, 3) field: float32 rows, NaN where invalid, behind a
   'NORMAL <n> 1' line, the one normal format written or read.
 
-Older layouts (an ASCII PLY, a float32 'DEPTH' raster, 3-column
-'DEPTHROWS' rows beside a gt_corrs.csv) are rejected, naming their format;
-no file is read two ways. Readers report a malformed file, metadata
-included (integer sizes and seeds, finite focal lengths), as a BundleError
-naming it.
+Each binary reader accepts exactly the header its writer writes and refuses
+any other, an older layout included, through that one check: a BundleError
+naming the file and showing the header found. Readers report any other
+malformed file, metadata included (integer sizes and seeds, finite focal
+lengths), as a BundleError naming it.
 """
 
 from __future__ import annotations
@@ -121,11 +121,6 @@ def read_ply(path) -> F64:
     lines = blob.split(b"\n", 3)
     if len(lines) < 4 or lines[0] != b"ply":
         raise BundleError(f"{path}: not a PLY file")
-    if lines[1] == b"format ascii 1.0":
-        raise BundleError(
-            f"{path}: ASCII PLY ('format ascii 1.0') is no longer read; "
-            "expected 'format binary_little_endian 1.0'"
-        )
     tokens = lines[2].split()
     if len(tokens) != 3 or tokens[:2] != [b"element", b"vertex"]:
         raise BundleError(f"{path}: expected 'element vertex <n>', got {lines[2]!r}")
@@ -149,12 +144,6 @@ def _split_header(blob: bytes) -> tuple[list[str], bytes]:
     nl = blob.find(b"\n")
     return blob[:max(nl, 0)].decode("ascii", errors="replace").split(), blob[nl + 1:]
 
-# the magic of each depth.bin layout no longer read -> how to name it
-_OLD_DEPTH_LAYOUTS = {
-    "DEPTH": "a float32 'DEPTH <w> <h>' raster",
-    "DEPTHROWS": "a 3-column 'DEPTHROWS <w> <h> <n>' file (the layout with gt_corrs.csv)",
-}
-
 
 def write_pixel_table(path, table: PixelTable) -> None:
     """The table as float64 (u, v, depth, point index) rows behind a header."""
@@ -168,11 +157,6 @@ def read_pixel_table(path) -> PixelTable:
     """The PixelTable write_pixel_table wrote; PixelTable checks the rows,
     so any depth.bin that loads is rewritten byte for byte."""
     tokens, payload = _split_header(Path(path).read_bytes())
-    if tokens and tokens[0] in _OLD_DEPTH_LAYOUTS:
-        raise BundleError(
-            f"{path}: {_OLD_DEPTH_LAYOUTS[tokens[0]]} is no longer read; expected "
-            "float64 (u, v, depth, point index) rows behind 'PIXELROWS <w> <h> <n>'"
-        )
     if len(tokens) != 4 or tokens[0] != "PIXELROWS":
         raise BundleError(f"{path}: expected 'PIXELROWS <w> <h> <n>' header, got {tokens}")
     width, height, count = (int(t) for t in tokens[1:])

@@ -137,6 +137,18 @@ class TestConfigPlumbing:
     def test_missing_config_file_exits_1(self, tmp_path):
         assert run("synth", "--out", str(tmp_path / "s"), "--config", "/no/such.json") == 1
 
+    def test_non_utf8_config_file_exits_1(self, tmp_path, capsys):
+        # reading it once raised a UnicodeDecodeError, and the command ended
+        # with a traceback
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(b"\xff{}")
+        out = tmp_path / "l.json"
+        assert run("losses", "--out", str(out), "--config", str(cfg_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg_file} is not valid JSON: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             run("synth")  # --out missing
@@ -667,25 +679,25 @@ class TestMalformedBundle:
 
     @pytest.mark.parametrize("command", ["register", "normals"])
     @pytest.mark.parametrize(
-        "name, write_old, format_name",
+        "name, write_old, magic",
         [
             ("cloud.ply", lambda bundle: old_ascii_ply(bundle / "cloud.ply"),
-             "ASCII PLY ('format ascii 1.0')"),
+             r"got b'ply\nformat ascii 1.0\n"),
             ("depth.bin", lambda bundle: old_float32_depth(bundle / "depth.bin"),
-             "a float32 'DEPTH <w> <h>' raster"),
-            ("depth.bin", old_depth_rows,
-             "a 3-column 'DEPTHROWS <w> <h> <n>' file (the layout with gt_corrs.csv)"),
+             "got ['DEPTH', "),
+            ("depth.bin", old_depth_rows, "got ['DEPTHROWS', "),
         ],
         ids=["ascii_ply", "float32_depth", "depth_rows_with_gt_csv"],
     )
     def test_old_bundle_format_exits_1(
-        self, tiny_bundle, tmp_path, capsys, command, name, write_old, format_name
+        self, tiny_bundle, tmp_path, capsys, command, name, write_old, magic
     ):
+        # an older layout fails the reader's one header check
         write_old(tiny_bundle)
         out = tmp_path / "res"
         assert run(command, "--scene", str(tiny_bundle), "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {tiny_bundle / name}: {format_name}")
+        assert err.startswith(f"error: {tiny_bundle / name}: expected") and magic in err
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -86,35 +86,35 @@ class TestPointClouds:
         assert payload == pts.astype("<f8").tobytes()
 
     @pytest.mark.parametrize(
-        "old, new",
+        "old, new, shown",
         [
-            (b"element vertex 5", b"element vertex 6"),  # count past the payload
-            (b"element vertex 5", b"element vertex 4"),  # payload past the count
-            (b"element vertex 5", b"element vertex -1"),
-            (b"element vertex 5", b"element vertex 5.0"),
-            (b"binary_little_endian", b"binary_big_endian"),
-            (b"property double x", b"property float x"),
-            (b"property double z\n", b"property double z\nproperty double w\n"),
-            (b"ply\nformat", b"ply\ncomment x\nformat"),
+            (b"element vertex 5", b"element vertex 6",  # count past the payload
+             "6 vertices need 144 payload bytes, found 120"),
+            (b"element vertex 5", b"element vertex 4",  # payload past the count
+             "4 vertices need 96 payload bytes, found 120"),
+            (b"element vertex 5", b"element vertex -1", "element vertex -1"),
+            (b"element vertex 5", b"element vertex 5.0", "with base 10: b'5.0'"),
+            (b"binary_little_endian", b"binary_big_endian",
+             r"got b'ply\nformat binary_big_endian 1.0\n"),
+            (b"property double x", b"property float x", r"\nproperty float x\n"),
+            (b"property double z\n", b"property double z\nproperty double w\n",
+             r"\nproperty double z\nproperty do'"),
+            (b"ply\nformat", b"ply\ncomment x\nformat",
+             "expected 'element vertex <n>', got b'format binary_little_endian 1.0'"),
+            (b"binary_little_endian", b"ascii", r"got b'ply\nformat ascii 1.0\n"),
         ],
         ids=["count_past_payload", "payload_past_count", "negative_count", "fractional_count",
-             "big_endian", "float_property", "fourth_property", "comment_line"],
+             "big_endian", "float_property", "fourth_property", "comment_line", "ascii"],
     )
-    def test_ply_header_other_than_written_rejected(self, tmp_path, old, new):
+    def test_ply_header_other_than_written_rejected(self, tmp_path, old, new, shown):
+        # one check refuses every header but write_ply's, an older layout's too
         write_ply(tmp_path / "c.ply", random_cloud(n=5))
         blob = (tmp_path / "c.ply").read_bytes()
         (tmp_path / "c.ply").write_bytes(blob.replace(old, new, 1))
-        with pytest.raises(BundleError, match=str(tmp_path / "c.ply")):
+        with pytest.raises(BundleError) as exc:
             read_ply(tmp_path / "c.ply")
-
-    def test_ascii_ply_rejected_naming_its_format(self, tmp_path):
-        pts = random_cloud(n=4)
-        lines = ["ply", "format ascii 1.0", "element vertex 4", "property double x",
-                 "property double y", "property double z", "end_header"]
-        lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in pts.tolist())
-        (tmp_path / "c.ply").write_text("\n".join(lines) + "\n")
-        with pytest.raises(BundleError, match=r"c\.ply: ASCII PLY \('format ascii 1\.0'\)"):
-            read_ply(tmp_path / "c.ply")
+        assert str(exc.value).startswith(f"{tmp_path / 'c.ply'}: ")
+        assert shown in str(exc.value)
 
 
 def old_float32_depth(depth: DepthMap) -> bytes:
@@ -168,16 +168,31 @@ class TestRasters:
                 read_pixel_table(tmp_path / "d.bin")
 
     @pytest.mark.parametrize(
-        "header",
-        [b"PIXELROWS 4 4\n", b"PIXELROWS 4 4 x\n", b"PIXELROWS 0 4 0\n",
-         b"PIXELROWS 4 4 -1\n", b"PIXELROWS 4 4 0", b""],
+        "blob, shown",
+        [
+            (b"PIXELROWS 4 4\n", "got ['PIXELROWS', '4', '4']"),
+            (b"PIXELROWS 4 4 x\n", "with base 10: 'x'"),
+            (b"PIXELROWS 0 4 0\n", "image size must be positive, got 0x4"),
+            (b"PIXELROWS 4 4 -1\n", "-1 pixel rows need -32 payload bytes, found 0"),
+            (b"PIXELROWS 4 4 0", "got []"),
+            (b"", "got []"),
+            (old_float32_depth(DepthMap.from_values(
+                np.random.default_rng(2).uniform(0.5, 4.0, (4, 5)))),
+             "expected 'PIXELROWS <w> <h> <n>' header, got ['DEPTH', '5', '4']"),
+            (b"DEPTHROWS 4 3 2\n" + np.array([[3.0, 0.0, 1.25], [1.0, 2.0, 0.5]], "<f8").tobytes(),
+             "expected 'PIXELROWS <w> <h> <n>' header, got ['DEPTHROWS', '4', '3', '2']"),
+        ],
         ids=["no_count", "non_integer_count", "empty_image", "negative_count",
-             "no_newline", "empty_file"],
+             "no_newline", "empty_file", "float32_raster", "three_column_rows"],
     )
-    def test_depth_header_tokens_checked(self, tmp_path, header):
-        (tmp_path / "d.bin").write_bytes(header)
-        with pytest.raises(BundleError, match=str(tmp_path / "d.bin")):
+    def test_depth_header_tokens_checked(self, tmp_path, blob, shown):
+        # one check refuses every header but write_pixel_table's, an older
+        # layout's too
+        (tmp_path / "d.bin").write_bytes(blob)
+        with pytest.raises(BundleError) as exc:
             read_pixel_table(tmp_path / "d.bin")
+        assert str(exc.value).startswith(f"{tmp_path / 'd.bin'}: ")
+        assert shown in str(exc.value)
 
     @pytest.mark.parametrize(
         "rows",
@@ -200,20 +215,6 @@ class TestRasters:
         payload = np.array(rows, dtype="<f8").tobytes()
         (tmp_path / "d.bin").write_bytes(f"PIXELROWS 4 3 {len(rows)}\n".encode() + payload)
         with pytest.raises(BundleError, match=f"d\\.bin: depth row {len(rows) - 1} "):
-            read_pixel_table(tmp_path / "d.bin")
-
-    def test_float32_raster_rejected_naming_its_format(self, tmp_path):
-        depth = DepthMap.from_values(np.random.default_rng(2).uniform(0.5, 4.0, (4, 5)))
-        (tmp_path / "d.bin").write_bytes(old_float32_depth(depth))
-        with pytest.raises(BundleError, match=r"d\.bin: a float32 'DEPTH <w> <h>' raster"):
-            read_pixel_table(tmp_path / "d.bin")
-
-    def test_three_column_depth_rows_rejected_naming_their_format(self, tmp_path):
-        rows = np.array([[3.0, 0.0, 1.25], [1.0, 2.0, 0.5]], dtype="<f8")
-        (tmp_path / "d.bin").write_bytes(b"DEPTHROWS 4 3 2\n" + rows.tobytes())
-        with pytest.raises(
-            BundleError, match=r"d\.bin: a 3-column 'DEPTHROWS <w> <h> <n>' file .* no longer"
-        ):
             read_pixel_table(tmp_path / "d.bin")
 
     def test_depth_of_another_size_rejected_before_allocation(self, tmp_path):
