@@ -2,9 +2,10 @@
 
 PipelineConfig has one field per key, in table order. The parts it builds
 (RansacConfig, CorruptionConfig, SceneSpec, WarmupSchedule, LossWeights)
-and metrics' TAU* take their defaults from the same rows, and all of them
-run the one range check, check. A key's type is its default's. An open
-end is written as the nearest float inside it, with math.nextafter.
+and metrics' TAU* take their defaults from the same rows, and each of
+them keeps what the one check, check, makes of its fields: it types,
+ranges and converts a value, as the CLI does. A key's type is its
+default's. An open end is written as the nearest float inside it.
 
 Upper bounds other than the float64 limit keep arithmetic finite: at most
 _SCALE, the feature scales keep geometry.unit_rows' sums of squares finite,
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import sys
 from typing import NamedTuple
 
@@ -91,20 +93,32 @@ def one_field_per_setting(cls):
     return dataclasses.dataclass(frozen=True)(cls)
 
 
-def check(key: str, value, name: str = "") -> None:
-    """ConfigError naming `name` (default key) unless value lies in key's range.
+_KIND_NAMES = {bool: "true/false", int: "an integer", float: "a number"}
 
-    NaN and inf lie in no range, and -0.0 lies outside one whose low end is 0.
+
+def check(key: str, value, name: str = "") -> bool | int | float:
+    """value as key's type, or a ConfigError naming `name` (default key).
+
+    A bool key takes a bool; any other, a non-bool number (numpy's too) in
+    its range, tested first since int() and float() raise past it, and a
+    whole one for an int key. NaN and inf lie in no range, and -0.0 lies
+    outside one whose low end is 0.
     """
-    _, lo, hi = SETTINGS[key]
+    default, lo, hi = SETTINGS[key]
+    kind = type(default)
+    name = name or key
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} expects {_KIND_NAMES[kind]}, got {value!r}")
     if not lo <= value <= hi or (value == lo == 0 and math.copysign(1.0, value) < 0):
-        raise ConfigError(
-            f"{name or key} must be finite and lie in [{lo!r}, {hi!r}], got {value!r}"
-        )
+        raise ConfigError(f"{name} must be finite and lie in [{lo!r}, {hi!r}], got {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(f"{name} expects an integer, got {value!r}")
+    return kind(value)
 
 
 def check_fields(obj) -> None:
-    """check each of the dataclass obj's setting fields."""
+    """Set each of the frozen dataclass obj's setting fields to check's value."""
     for f in dataclasses.fields(obj):
         if "key" in f.metadata:
-            check(f.metadata["key"], getattr(obj, f.name), f"{type(obj).__name__}.{f.name}")
+            name = f"{type(obj).__name__}.{f.name}"
+            object.__setattr__(obj, f.name, check(f.metadata["key"], getattr(obj, f.name), name))

@@ -153,19 +153,7 @@ class PipelineConfig:
         unknown = sorted(set(mapping) - set(_settings.SETTINGS))
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        return cls(**{key: cls._coerce(key, raw) for key, raw in mapping.items()})
-
-    @classmethod
-    def _coerce(cls, key: str, raw):
-        """raw as the type of key; ConfigError when it is not one or lies
-        outside key's range (checked first: int() and float() raise past it)."""
-        kind = type(_settings.SETTINGS[key].default)
-        if isinstance(raw, bool) != (kind is bool) or not isinstance(raw, (int, float)):
-            raise ConfigError(f"{key} expects {_KIND_NAMES[kind]}, got {raw!r}")
-        _settings.check(key, raw)
-        if kind is int and raw != int(raw):
-            raise ConfigError(f"{key} expects an integer, got {raw!r}")
-        return kind(raw)
+        return cls(**{key: _settings.check(key, raw) for key, raw in mapping.items()})
 
     def replace(self, **updates) -> "PipelineConfig":
         return dataclasses.replace(self, **updates)
@@ -189,9 +177,6 @@ class PipelineConfig:
 
     def scene_spec(self) -> SceneSpec:
         return self._part(SceneSpec)
-
-
-_KIND_NAMES = {bool: "true/false", int: "an integer", float: "a number"}
 
 
 # --------------------------------------------------------------------------- #
@@ -575,11 +560,11 @@ def evaluation_report(evaluations: list[SceneEvaluation]) -> dict:
 
 
 def apply_sweep_setting(config: PipelineConfig, sweep: str, value) -> PipelineConfig:
-    """config with the sweep's field set to value, coerced as a config value."""
+    """config with the sweep's field set to value, checked as a config value."""
     if sweep not in _SWEEPS:
         raise ConfigError(f"unknown sweep '{sweep}', expected one of {SWEEP_NAMES}")
     key = _SWEEPS[sweep][0]
-    return config.replace(**{key: PipelineConfig._coerce(key, value)})
+    return config.replace(**{key: _settings.check(key, value)})
 
 
 def parallel_map(fn, tasks, jobs: int) -> list:

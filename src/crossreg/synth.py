@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._settings import check_fields, setting
+from ._settings import check, check_fields, setting
 from .errors import EmptyVisibleSetError
 from .geometry import (
     UNIT_ROWS_BLOCK_ENTRIES,
@@ -335,9 +335,11 @@ def render_depth(points_cam, intrinsics: CameraIntrinsics) -> PixelTable:
     w, h = intrinsics.width, intrinsics.height
     idx = np.flatnonzero(pts[:, 2] > 0.0)
     sub = pts[idx]
-    iu, iv = np.rint(project_points(intrinsics, sub)).astype(np.int64).T
+    # a point near z = 0 projects to inf or past int64: cast only the rows inside
+    with np.errstate(over="ignore"):
+        iu, iv = np.rint(project_points(intrinsics, sub)).T
     inside = (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
-    idx, iu, iv = idx[inside], iu[inside], iv[inside]
+    idx, iu, iv = idx[inside], iu[inside].astype(np.int64), iv[inside].astype(np.int64)
     depths = sub[inside, 2]
     if idx.size == 0:
         raise EmptyVisibleSetError("no point projects inside the image")
@@ -442,10 +444,8 @@ class StandIn:
 
     @classmethod
     def of(cls, scene: SyntheticScene, channels: int) -> "StandIn":
-        if channels < 4:
-            raise ValueError(f"channels must be >= 4, got {channels}")
         base_rng = stream_rng("base", scene.seed)
-        base = base_rng.standard_normal((len(scene.cloud), channels))
+        base = base_rng.standard_normal((len(scene.cloud), check("channels", channels)))
         unit_rows(base, out=base)
         base.flags.writeable = False
         rows = scene.gt_rows

@@ -149,6 +149,15 @@ class TestConfigPlumbing:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_config_file_holding_an_array_exits_1(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text("[1, 2]")
+        out = tmp_path / "l.json"
+        assert run("losses", "--out", str(out), "--config", str(cfg_file)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config file {cfg_file} must hold a JSON object\n"
+        assert not out.exists()
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             run("synth")  # --out missing
@@ -923,6 +932,16 @@ class TestEval:
             "--results", str(results), "--out", str(tmp_path / "r.json"),
         ) == 1
 
+    def test_empty_scenes_directory_exits_1(self, tmp_path, capsys):
+        scenes, results = tmp_path / "scenes", tmp_path / "results"
+        scenes.mkdir()
+        results.mkdir()
+        out = tmp_path / "r.json"
+        assert run("eval", "--scenes", str(scenes), "--results", str(results),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: no scene bundles under {scenes}\n"
+        assert not out.exists()
+
     def test_coarser_voxels_than_register_exits_1(self, tmp_path, capsys):
         # eval recomputes each coarse pair's members from its own config
         scenes = tmp_path / "scenes"
@@ -1083,6 +1102,17 @@ class TestAblate:
         out = tmp_path / "x.csv"
         assert run("ablate", "--sweep", sweep, "--values", values, "--out", str(out)) == 1
         assert "expects" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values, message", [
+        ("[2,", "--values is not a JSON list: "),
+        ('{"a": 1}', "--values must be a JSON list of numbers"),
+    ], ids=["unparsable", "object"])
+    def test_values_not_a_json_list_exit_1(self, tmp_path, capsys, values, message):
+        out = tmp_path / "x.csv"
+        assert run("ablate", "--sweep", "k", "--values", values, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_non_finite_value_exits_1(self, tmp_path, capsys):

@@ -240,8 +240,11 @@ class TestMmd:
         rng = np.random.default_rng(4)
         bw = median_heuristic_bandwidth(rng.standard_normal((10, 2)), rng.standard_normal((8, 2)))
         assert bw > 0
-        # degenerate pooled sample falls back to 1.0
+        # degenerate pooled sample falls back to 1.0: every distance is 0, or
+        # a lone row has none
         assert median_heuristic_bandwidth(np.zeros((3, 2)), np.zeros((2, 2))) == 1.0
+        assert median_heuristic_bandwidth(np.ones((1, 2)), np.zeros((0, 2))) == 1.0
+        assert mmd(np.ones((3, 2)), np.ones((2, 2))) == 0.0
 
     def test_default_bandwidth_runs(self):
         rng = np.random.default_rng(6)

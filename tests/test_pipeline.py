@@ -153,6 +153,39 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(**overrides)
 
+    @pytest.mark.parametrize("key, value", [
+        ("k_neighbors", 8.5),
+        ("channels", 64.5),
+        ("adaptive_k", 1),
+        ("adaptive_k", np.True_),
+        ("scene_count", "3"),
+    ], ids=["fractional_k", "fractional_channels", "int_bool", "numpy_bool", "string"])
+    def test_constructor_refuses_what_from_mapping_refuses(self, key, value):
+        # the constructor once checked only the range: k_neighbors=8.5 fit
+        # normals over 8 neighbours, and scene_count="3" raised a TypeError
+        with pytest.raises(ConfigError, match=rf"^PipelineConfig\.{key} expects "):
+            PipelineConfig(**{key: value})
+        with pytest.raises(ConfigError, match=rf"^{key} expects "):
+            PipelineConfig.from_mapping({key: value})
+
+    def test_parts_refuse_what_the_config_refuses(self):
+        with pytest.raises(ConfigError, match=r"^RansacConfig\.max_iterations expects an integer"):
+            RansacConfig(max_iterations=10.5)
+        with pytest.raises(ConfigError, match=r"^WarmupSchedule\.start expects an integer"):
+            WarmupSchedule(start="3")
+
+    def test_constructors_store_each_value_as_its_key_type(self):
+        cfg = PipelineConfig(
+            k_neighbors=8.0, tile_rows=np.int64(6), voxel_size=1, mask_ratio=np.float32(0.5)
+        )
+        stored = (cfg.k_neighbors, cfg.tile_rows, cfg.voxel_size, cfg.mask_ratio)
+        assert [type(v) for v in stored] == [int, int, float, float]
+        assert stored == (8, 6, 1.0, 0.5)
+        assert cfg == PipelineConfig(k_neighbors=8, tile_rows=6, voxel_size=1.0, mask_ratio=0.5)
+        ransac = RansacConfig(max_iterations=10.0, inlier_threshold_px=4, seed=np.uint8(3))
+        assert (type(ransac.max_iterations), type(ransac.inlier_threshold_px)) == (int, float)
+        assert type(ransac.seed) is int
+
     @pytest.mark.parametrize("key", ["voxel_size", "gaussian_sigma_m", "max_rotation_deg"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_values_rejected(self, key, value):
@@ -413,10 +446,13 @@ class TestRegisterScene:
         assert (ev.inlier_ratio, ev.pir, ev.fmr_flag, ev.rr_flag) == (0.0, 0.0, False, False)
         assert ev.rmse_m > 1.0
 
-    @pytest.mark.parametrize("rows", ["all_unmatched", "none"])
-    def test_no_ground_truth_rows_is_too_few_correspondences(self, rows):
-        # grouping zero registered rows once raised numpy's reshape error
-        scene, cfg = small_scene(seed=0)
+    @pytest.mark.parametrize("rows, epoch", [
+        ("all_unmatched", 0), ("none", 0), ("all_unmatched", 25), ("none", 25),
+    ], ids=["all_unmatched", "none", "all_unmatched_epoch_25", "none_epoch_25"])
+    def test_no_ground_truth_rows_is_too_few_correspondences(self, rows, epoch):
+        # grouping zero registered rows once raised numpy's reshape error; at
+        # epoch 25 the image side, below two graph nodes, skips refinement
+        scene, cfg = small_scene(seed=0, epoch=epoch)
         table = scene.table
         kept = len(table) if rows == "all_unmatched" else 0
         bare = PixelTable(

@@ -118,6 +118,12 @@ class TestPnpSolve:
         with pytest.raises(DegenerateConfigurationError):
             pnp_solve(corrs, pts, K)
 
+    def test_one_point_named_six_times_degenerate(self):
+        _, cloud, corrs, _ = make_instance(2, n=6)
+        one = CorrespondenceSet(corrs.pixels, np.zeros(6, dtype=np.int64), corrs.scores)
+        with pytest.raises(DegenerateConfigurationError, match="3D points coincide"):
+            pnp_solve(one, cloud, K)
+
     def test_too_few_points(self):
         gt, cloud, corrs, _ = make_instance(3, n=5)
         with pytest.raises(InsufficientPointsError):

@@ -50,6 +50,12 @@ class TestRenderDepth:
         with pytest.raises(EmptyVisibleSetError):
             render_depth(pts, SMALL_K)
 
+    def test_point_just_in_front_of_the_camera_falls_outside(self):
+        # the first projects past int64 and the second overflows to inf; the
+        # int64 cast and the divide once warned on them
+        pts = np.array([[1.0, 0.0, 1e-17], [1.0, 0.0, 1e-310], [0.0, 0.0, 1.0]])
+        assert list(render_depth(pts, SMALL_K).point_indices) == [2]
+
     def test_correspondences_in_pixel_row_order(self):
         rng = np.random.default_rng(0)
         pts = np.column_stack(
