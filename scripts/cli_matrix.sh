@@ -294,3 +294,26 @@ run register_bool_translation register --scene "$odd/bool_translation" --out "$o
 run eval_string_pose eval --scenes "$small0" --results "$odd/string_pose" \
     --out "$odd/eval.json"
 rm -rf "$odd"
+
+# results that registration never writes and eval once scored, exiting 0: a
+# correspondence whose score is NaN and a patch whose score overflows to inf;
+# each exits 1. And a job count below one, which ablate refuses before any
+# scene is registered
+bad="$out/.non_finite_scores"
+mkdir -p "$bad"
+for name in nan_correspondence inf_patch; do
+    cp -r "$out/results_plain_small/scene_0000" "$bad/$name"
+done
+awk -F, -v OFS=, 'NR == 2 { $4 = "nan" } { print }' "$bad/nan_correspondence/correspondences.csv" \
+    > "$bad/edited.csv"
+mv "$bad/edited.csv" "$bad/nan_correspondence/correspondences.csv"
+awk -F, -v OFS=, 'NR == 2 { $3 = "1e999" } { print }' "$bad/inf_patch/patches.csv" \
+    > "$bad/edited.csv"
+mv "$bad/edited.csv" "$bad/inf_patch/patches.csv"
+run eval_nan_correspondence_score eval --scenes "$small0" --results "$bad/nan_correspondence" \
+    --out "$bad/eval.json"
+run eval_inf_patch_score eval --scenes "$small0" --results "$bad/inf_patch" \
+    --out "$bad/eval.json"
+rm -rf "$bad"
+run ablate_zero_jobs ablate --sweep k --values "[8]" --jobs 0 \
+    --out "$out/zero_jobs.csv" "${sweep[@]}"

@@ -7,13 +7,18 @@ them keeps what the one check, check, makes of its fields: it types,
 ranges and converts a value, as the CLI does. A key's type is its
 default's. An open end is written as the nearest float inside it.
 
+The second table, PARAMETERS, ranges the public functions' scalar
+parameters that no config key's range fits; no PipelineConfig field or CLI
+key reads it. Each public function checks its scalar parameters through
+check, by a row of either table, and uses the value it returns.
+
 Upper bounds other than the float64 limit keep arithmetic finite: at most
 _SCALE, the feature scales keep geometry.unit_rows' sums of squares finite,
 gaussian_sigma_m keeps the lifted depths' products finite, the loss
 weights keep losses.total_loss finite, and ransac_threshold_px keeps
 pnp_ransac's squared threshold finite. The size bounds keep the tile ids
-and normal_ks' k + 4 within int64, and the arrays that point_count and
-channels shape within numpy's maximum size.
+and the normal fit's k + 4 within int64, and the arrays that point_count,
+channels and the attention's channels shape within numpy's maximum size.
 """
 
 from __future__ import annotations
@@ -79,10 +84,25 @@ SETTINGS = {
     "max_translation_m": Setting(0.5, 0.0, _MAX / 4),
 }
 
+# A row's default is its parameter's, where it has one, else a value of its type.
+PARAMETERS = {
+    "knn_k": Setting(8, 1, _MAX),  # knn_indices clamps k to n - 1
+    "normal_k": Setting(8, 3, 2**62),  # the fit's own precondition; k + 4 stays in int64
+    "attention_channels": Setting(67, 1, 2**29 + 3),  # C + 3 at channels' bounds
+    "circle_gamma": Setting(24.0, _ABOVE_0, _MAX),
+    "circle_delta_p": Setting(0.1, 0.0, _MAX),  # margins of non-negative distances
+    "circle_delta_n": Setting(1.4, 0.0, _MAX),
+    "mmd_bandwidth": Setting(1.0, 2.0**-511, _MAX),  # below lo, 2 bandwidth^2 underflows
+    "jobs": Setting(1, 1, _MAX),
+    "pir_threshold": Setting(0.3, 0.0, 1.0),
+    "tau1": Setting(SETTINGS["tau1_m"].default, 0.0, _MAX),  # 0 counts no inlier
+}
+_ROWS = {**SETTINGS, **PARAMETERS}
+
 
 def setting(key: str):
     """A dataclass field holding key's default, checked by check_fields."""
-    return dataclasses.field(default=SETTINGS[key].default, metadata={"key": key})
+    return dataclasses.field(default=_ROWS[key].default, metadata={"key": key})
 
 
 def one_field_per_setting(cls):
@@ -97,14 +117,15 @@ _KIND_NAMES = {bool: "true/false", int: "an integer", float: "a number"}
 
 
 def check(key: str, value, name: str = "") -> bool | int | float:
-    """value as key's type, or a ConfigError naming `name` (default key).
+    """value as the type of key, a row of either table, or a ConfigError
+    naming `name` (default key).
 
     A bool key takes a bool; any other, a non-bool number (numpy's too) in
     its range, tested first since int() and float() raise past it, and a
     whole one for an int key. NaN and inf lie in no range, and -0.0 lies
     outside one whose low end is 0.
     """
-    default, lo, hi = SETTINGS[key]
+    default, lo, hi = _ROWS[key]
     kind = type(default)
     name = name or key
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, numbers.Real):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._settings import check
 from .errors import (
     REGISTRATION_FAILURES,
     ConfigError,
@@ -79,12 +80,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _job_count(text: str) -> int:
     try:
-        jobs = int(text)
+        return check("jobs", int(text))
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
 
 
 def _add_config_flags(sub) -> None:

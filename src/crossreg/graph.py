@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._settings import check
 from .errors import ChannelMismatchError, CoordinateOverflowError
 from .geometry import F64, as_float_array
 
@@ -115,9 +116,7 @@ def knn_indices(
     n, d = pts.shape
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    k_eff = min(k, n - 1)
+    k_eff = min(check("knn_k", k, "k"), n - 1)
 
     idx = np.empty((n, k_eff), dtype=np.int64)
     dst = np.empty((n, k_eff)) if return_distances else None
@@ -249,9 +248,8 @@ class GraphAttentionParams:
     @classmethod
     def initialize(cls, channels: int, seed: int) -> "GraphAttentionParams":
         """Uniform init in [-1/sqrt(C), 1/sqrt(C)], drawn in canonical order."""
-        if channels < 1:
-            raise ValueError(f"channels must be >= 1, got {channels}")
-        rng = np.random.default_rng(seed)
+        channels = check("attention_channels", channels, "channels")
+        rng = np.random.default_rng(check("param_seed", seed, "seed"))
         bound = 1.0 / np.sqrt(channels)
         drawn = {
             name: rng.uniform(-bound, bound, shape)

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BundleError, CrossregError
-from .geometry import CameraIntrinsics, F64, RigidTransform, as_points, unit_rows
+from .geometry import CameraIntrinsics, F64, RigidTransform, as_float_array, as_points, unit_rows
 from .matching import CorrespondenceSet
 from .normals import NormalField
 from .pose import PoseEstimate
@@ -306,8 +306,12 @@ def write_patches(path, patches) -> None:
     write_rows(path, _PATCH_HEADER, patches)
 
 
+@_reader
 def read_patches(path) -> tuple[tuple[int, int, float], ...]:
-    return tuple(_read_rows(path, _PATCH_HEADER, (int, int, float)))
+    """A patches.csv's rows; a non-finite score fails as a correspondence's does."""
+    rows = tuple(_read_rows(path, _PATCH_HEADER, (int, int, float)))
+    as_float_array([score for *_, score in rows], name="scores")
+    return rows
 
 
 def write_grid(path, tile_rows: int, tile_cols: int, voxel_size: float) -> None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._settings import check_fields, setting
+from ._settings import check, check_fields, setting
 from .errors import (
     ChannelMismatchError,
     ConfigError,
@@ -94,13 +94,12 @@ def gdc_loss(f_img, f_cloud) -> tuple[float, F64, F64]:
 class CircleLossConfig:
     """Margins and sharpness for the distance-domain circle loss."""
 
-    gamma: float = 24.0
-    delta_p: float = 0.1
-    delta_n: float = 1.4
+    gamma: float = setting("circle_gamma")
+    delta_p: float = setting("circle_delta_p")
+    delta_n: float = setting("circle_delta_n")
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        check_fields(self)
 
 
 def _logsumexp(values: F64) -> float:
@@ -188,6 +187,7 @@ def warmup_weight(epoch: int, schedule: WarmupSchedule = WarmupSchedule()) -> fl
 
     A schedule with start == end degenerates to a step at that epoch.
     """
+    epoch = check("epoch", epoch)
     if epoch >= schedule.end:
         return 1.0
     if epoch < schedule.start:
@@ -240,8 +240,7 @@ def mmd(a, b, bandwidth: float | None = None) -> float:
         raise ChannelMismatchError(f"dimensions differ: {xa.shape[1]} vs {xb.shape[1]}")
     if bandwidth is None:
         bandwidth = median_heuristic_bandwidth(xa, xb)
-    if not 0.0 < bandwidth < np.inf:  # also refuses NaN
-        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    bandwidth = check("mmd_bandwidth", bandwidth, "bandwidth")
     value = (
         _gaussian_kernel_mean(xa, xa, bandwidth)
         - 2.0 * _gaussian_kernel_mean(xa, xb, bandwidth)

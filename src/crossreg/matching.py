@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from ._settings import check
 from .errors import ChannelMismatchError, CoordinateOverflowError, EmptyPatchError, PointIndexError
 from .geometry import (
     F64,
@@ -45,7 +46,7 @@ class CorrespondenceSet:
     def __post_init__(self) -> None:
         px = as_float_array(self.pixels, name="pixels").reshape(-1, 2)
         idx = np.asarray(self.point_indices, dtype=np.int64).reshape(-1)
-        sc = np.asarray(self.scores, dtype=np.float64).reshape(-1)
+        sc = as_float_array(self.scores, name="scores").reshape(-1)
         if not (px.shape[0] == idx.shape[0] == sc.shape[0]):
             raise ValueError(
                 f"column lengths differ: {px.shape[0]}, {idx.shape[0]}, {sc.shape[0]}"
@@ -113,8 +114,7 @@ def coarse_match(scores, top_k: int) -> list[tuple[int, int, float]]:
     s = as_float_array(scores, name="score map")
     if s.ndim != 2:
         raise ValueError(f"score map must be 2D, got {s.shape}")
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    top_k = check("top_k_coarse", top_k, "top_k")
     n_rows, n_cols = s.shape
     if n_rows == 0 or n_cols == 0:
         return []
@@ -154,6 +154,7 @@ def fine_match(
     so the result is deterministic. Emits at most one correspondence per
     pixel.
     """
+    min_score = check("min_fine_score", min_score, "min_score")
     pix = np.asarray(pixel_coords, dtype=np.float64)
     pts_idx = np.asarray(point_indices, dtype=np.int64)
     img, cloud = unit_features(f_img, f_cloud)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._settings import SETTINGS
+from ._settings import PARAMETERS, SETTINGS, check
 from .errors import (
     EmptyCorrespondencesError,
     EmptySampleError,
@@ -36,7 +36,7 @@ from .matching import CorrespondenceSet, PatchPair
 from .normals import DepthMap
 
 TAU1_M, TAU2_RATIO, TAU3_M = (SETTINGS[k].default for k in ("tau1_m", "tau2_ratio", "tau3_m"))
-PIR_THRESHOLD = 0.3
+PIR_THRESHOLD = PARAMETERS["pir_threshold"].default
 
 __all__ = [
     "SceneEvaluation",
@@ -110,6 +110,7 @@ def inlier_ratio(
     into the camera frame by the ground-truth transform; the pair is an
     inlier when the gap is strictly below tau1.
     """
+    tau1 = check("tau1", tau1)
     if len(corrs) == 0:
         raise EmptyCorrespondencesError("inlier ratio of an empty set")
     moved = gt_transform.apply(corrs.matched_points(cloud))
@@ -121,6 +122,7 @@ def inlier_ratio(
 
 def feature_matching_recall(inlier_ratios, tau2: float = TAU2_RATIO) -> float:
     """Fraction of scenes whose inlier ratio is strictly above tau2."""
+    tau2 = check("tau2_ratio", tau2, "tau2")
     irs = as_float_array(inlier_ratios, name="inlier_ratios").reshape(-1)
     if irs.size == 0:
         raise EmptySampleError("feature matching recall of an empty batch")
@@ -138,6 +140,7 @@ def registration_rmse(cloud, est_transform: RigidTransform, gt_transform: RigidT
 
 def registration_recall(rmses, tau3: float = TAU3_M) -> float:
     """Fraction of scenes whose RMSE is strictly below tau3; +inf (unregistered) misses."""
+    tau3 = check("tau3_m", tau3, "tau3")
     vals = np.asarray(rmses, dtype=np.float64).reshape(-1)
     if vals.size == 0:
         raise EmptySampleError("registration recall of an empty batch")
@@ -147,6 +150,7 @@ def registration_recall(rmses, tau3: float = TAU3_M) -> float:
 
 def patch_inlier_ratio(pairs: Sequence[PatchPair], threshold: float = PIR_THRESHOLD) -> float:
     """Fraction of patch pairs whose overlap ratio is strictly above threshold."""
+    threshold = check("pir_threshold", threshold, "threshold")
     if len(pairs) == 0:
         raise EmptySampleError("patch inlier ratio of an empty pair list")
     hits = sum(1 for p in pairs if p.overlap_ratio > threshold)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._settings import check
 from .errors import DegenerateNeighborhoodError
 from .geometry import F64, CameraIntrinsics, as_points, as_unit_rows, backproject_pixels, unit_rows
 from .graph import knn_indices
@@ -103,7 +104,7 @@ def _canonical_sign(normals: F64, positions: F64) -> F64:
 def normal_ks(k: int, adaptive: bool) -> tuple[int, int]:
     """(k0, k_sparse) of the normal fit for a neighbour count k: k floored at
     3, the fit's own precondition; an adaptive fit's sparse points take 4 more."""
-    k0 = max(k, 3)
+    k0 = max(check("knn_k", k, "k"), 3)
     return k0, k0 + 4 if adaptive else k0
 
 
@@ -112,7 +113,7 @@ def estimate_point_normals(cloud, k: int | np.ndarray = 8) -> NormalField:
 
     Args:
         cloud: (N, 3) points.
-        k: neighborhood size, a scalar >= 3 or a per-point int array.
+        k: neighborhood size, a whole number >= 3 or a per-point array of them.
 
     Returns:
         NormalField with (N, 3) unit normals oriented toward the origin.
@@ -121,20 +122,21 @@ def estimate_point_normals(cloud, k: int | np.ndarray = 8) -> NormalField:
         with a zero normal.
         Raises DegenerateNeighborhoodError when the cloud has at most k points.
     """
-    return _fit_normals(as_points(cloud, name="cloud"), k)
-
-
-def _fit_normals(pts: F64, k, neigh: np.ndarray | None = None) -> NormalField:
-    """estimate_point_normals over checked points, reusing a k-NN list if given."""
+    pts = as_points(cloud, name="cloud")
     n = pts.shape[0]
-    ks = np.asarray(k, dtype=np.int64)
-    if ks.ndim == 0:
-        ks = np.full(n, int(ks))
-    elif ks.shape != (n,):
+    ks = np.asarray(k)
+    if ks.ndim and ks.shape != (n,):
         raise ValueError(f"per-point k must have shape ({n},), got {ks.shape}")
-    k_min, k_max = int(ks.min()), int(ks.max())
-    if k_min < 3:
-        raise ValueError(f"k must be >= 3, got {k_min}")
+    for value in set(ks.ravel().tolist()):  # as Python numbers, bools kept
+        check("normal_k", value, "k")
+    return _fit_normals(pts, np.broadcast_to(ks, (n,)).astype(np.int64))
+
+
+def _fit_normals(pts: F64, ks: np.ndarray, neigh: np.ndarray | None = None) -> NormalField:
+    """estimate_point_normals over checked points and per-point int64 ks,
+    reusing a k-NN list if given."""
+    n = pts.shape[0]
+    k_max = int(ks.max())
     if n < k_max + 1:
         raise DegenerateNeighborhoodError(f"cloud of {n} points cannot support k = {k_max}")
 
@@ -167,8 +169,7 @@ def estimate_point_normals_adaptive(cloud, k0: int = 8) -> NormalField:
     normal_ks's k_sparse = k0 + 4 neighbors, the rest over k0. The density
     and the fit both read one k-NN list of k_sparse.
     """
-    if k0 < 3:
-        raise ValueError(f"k0 must be >= 3, got {k0}")
+    k0 = check("normal_k", k0, "k0")
     k_sparse = normal_ks(k0, True)[1]
     pts = as_points(cloud, name="cloud")
     n = pts.shape[0]

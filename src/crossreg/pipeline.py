@@ -608,6 +608,7 @@ def ablation_rows(
     config: PipelineConfig, sweep: str, values, jobs: int = 1
 ) -> list[tuple[float, float, float, float]]:
     """One (setting, mean IR, FMR, RR) row per sweep value."""
+    jobs = _settings.check("jobs", jobs)
     values = list(values)
     if not values:
         raise ConfigError("ablation sweep needs at least one value")

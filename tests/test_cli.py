@@ -721,11 +721,14 @@ class TestMalformedBundle:
             ("grid.json", None, lambda text: "[6, 8, 0.4]"),
             ("grid.json", None, lambda text: json.dumps({"tile_rows": 6})),
             ("pose.json", None, lambda text: json_with(text, "translation", ["0.1", True, 0])),
+            # registration writes neither, and eval once scored both with exit 0
+            ("correspondences.csv", 1, lambda row: with_column(row, 3, "nan")),
+            ("patches.csv", 1, lambda row: with_column(row, 2, "1e999")),
         ],
         ids=[
             "non_integer_patch_id", "pose_not_json", "grid_not_json", "string_tile_rows",
             "null_voxel_size", "grid_not_an_object", "grid_missing_keys",
-            "string_and_bool_translation",
+            "string_and_bool_translation", "nan_correspondence_score", "infinite_patch_score",
         ],
     )
     def test_eval_of_unparsable_result_exits_1(

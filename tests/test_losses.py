@@ -255,7 +255,7 @@ class TestMmd:
     def test_bandwidth_not_finite_and_positive_raises(self, bandwidth):
         # a NaN or infinite bandwidth once gave 0.0 for samples a unit apart
         x = np.zeros((4, 2))
-        with pytest.raises(ValueError, match=r"bandwidth must be finite and > 0"):
+        with pytest.raises(ValueError, match=r"bandwidth must be finite and lie in \["):
             mmd(x, x + 1.0, bandwidth=bandwidth)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

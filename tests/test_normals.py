@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import crossreg.normals as normals_module
-from crossreg.errors import DegenerateNeighborhoodError, NotNormalizedError
+from crossreg.errors import ConfigError, DegenerateNeighborhoodError, NotNormalizedError
 from crossreg.geometry import CameraIntrinsics
 from crossreg.graph import knn_indices
 from crossreg.normals import (
@@ -89,6 +89,25 @@ class TestPointNormals:
             estimate_point_normals(cloud, k=2)
         with pytest.raises(ValueError):
             estimate_point_normals(cloud[:5], k=6)
+
+    @pytest.mark.parametrize(
+        "k, got",
+        [(8.5, "8.5"), (np.full(30, 8.5), "8.5"), (np.full(30, True), "True"),
+         (np.r_[np.full(29, 8), 8.25], "8.25")],
+        ids=["scalar_half", "array_half", "bool_array", "one_fractional_entry"],
+    )
+    def test_non_whole_or_bool_k_is_refused(self, k, got):
+        # each was once cast to int64 and fit over 8 (or 1) neighbours
+        cloud = np.random.default_rng(1).uniform(0, 1, (30, 3))
+        with pytest.raises(ConfigError, match=f"^k expects an integer, got {got}$"):
+            estimate_point_normals(cloud, k)
+
+    def test_whole_float_k_keeps_the_int_fit(self):
+        cloud = np.random.default_rng(2).uniform(0, 1, (30, 3))
+        want = estimate_point_normals(cloud, 8)
+        for k in (8.0, np.full(30, 8.0), np.full(30, 8, dtype=np.uint8)):
+            got = estimate_point_normals(cloud, k)
+            assert got.normals.tobytes() == want.normals.tobytes()
 
 
 def adaptive_sizes(cloud, k0: int = 8, k_sparse: int = 12) -> np.ndarray:

@@ -284,6 +284,15 @@ class TestLiftedPixelNormals:
         field = lifted_pixel_normals(uv, depths, SMALL_K, 2, False)
         assert field.valid.any()
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("rows", [5, 24 * 32], ids=["too_few", "fit"])
+    def test_fractional_k_is_refused_on_both_paths(self, rows, adaptive):
+        # the small-input return once read k = 8.5 as 8 and gave an empty field
+        values = np.full((24, 32), np.nan)
+        values.flat[:rows] = 2.0
+        with pytest.raises(ConfigError, match="^k expects an integer, got 8.5$"):
+            lifted_pixel_normals(*grid_rows(values), SMALL_K, 8.5, adaptive)
+
     @pytest.mark.parametrize("count", [9, 10, 11, 12, 13])
     def test_adaptive_needs_room_for_sparse_k(self, count):
         # scattered pixels: some are sparse and get k + 4 = 12 neighbors,
