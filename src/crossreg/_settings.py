@@ -19,6 +19,12 @@ weights keep losses.total_loss finite, and ransac_threshold_px keeps
 pnp_ransac's squared threshold finite. The size bounds keep the tile ids
 and the normal fit's k + 4 within int64, and the arrays that point_count,
 channels and the attention's channels shape within numpy's maximum size.
+
+The third table, STREAM_TAGS, names every random stream, and stream_rng
+alone opens one, as SeedSequence((*seeds, tag)). A None tag adds no word, so
+RANSAC and the attention draw what default_rng of their seed draws, and are
+one stream when the scene seed equals param_seed. Tags start at 1, since
+SeedSequence((s,)) and SeedSequence((s, 0)) draw alike.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ import math
 import numbers
 import sys
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -98,6 +106,27 @@ PARAMETERS = {
     "tau1": Setting(SETTINGS["tau1_m"].default, 0.0, _MAX),  # 0 counts no inlier
 }
 _ROWS = {**SETTINGS, **PARAMETERS}
+
+STREAM_TAGS = {
+    "pose": 1,  # generate_scene's ground-truth pose
+    "sample": 2,  # generate_scene's surface samples
+    "base": 3,  # StandIn.of
+    "img_noise": 4,  # synthesize_features
+    "cloud_noise": 5,
+    "outlier": 6,
+    "guidance": 7,  # synthesize_features' guidance noise
+    "swap": 8,  # and its row swaps
+    "loss_fixture": 9,  # the losses command's fixture
+    "depth_corruption": 10,  # corrupt_depth: noise and mask children
+    "ransac": None,  # pnp_ransac, under the scene seed
+    "attention": None,  # GraphAttentionParams.initialize, under param_seed
+}
+
+
+def stream_rng(name: str, *seeds: int) -> np.random.Generator:
+    """The generator of stream `name` under these seeds."""
+    tag = STREAM_TAGS[name]
+    return np.random.default_rng(np.random.SeedSequence(seeds if tag is None else (*seeds, tag)))
 
 
 def setting(key: str):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._settings import check
+from ._settings import check, stream_rng
 from .errors import ChannelMismatchError, CoordinateOverflowError
 from .geometry import F64, as_float_array
 
@@ -249,7 +249,7 @@ class GraphAttentionParams:
     def initialize(cls, channels: int, seed: int) -> "GraphAttentionParams":
         """Uniform init in [-1/sqrt(C), 1/sqrt(C)], drawn in canonical order."""
         channels = check("attention_channels", channels, "channels")
-        rng = np.random.default_rng(check("param_seed", seed, "seed"))
+        rng = stream_rng("attention", check("param_seed", seed, "seed"))
         bound = 1.0 / np.sqrt(channels)
         drawn = {
             name: rng.uniform(-bound, bound, shape)

@@ -6,6 +6,7 @@ is the warm-up schedule, which is itself just data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import (
     EmptySampleError,
     LengthMismatchError,
 )
-from .geometry import F64, as_float_array, as_unit_rows, median
+from .geometry import F64, as_float_array, as_unit_rows, check_coordinates, median
 from .normals import NormalField
 
 
@@ -104,6 +105,8 @@ class CircleLossConfig:
 
 def _logsumexp(values: F64) -> float:
     m = float(values.max())
+    if math.isinf(m):  # an exponent overflowed, or every term is 0
+        return m
     return m + float(np.log(np.exp(values - m).sum()))
 
 
@@ -120,7 +123,8 @@ def circle_loss(
     adaptive weights beta = gamma * lambda * (margin gap) taken as written,
     so each exponent is gamma * lambda * gap^2. Either side empty means
     there is nothing to contrast: the loss is exactly 0. Computed in
-    log-sum-exp form so large gaps cannot overflow.
+    log-sum-exp form so large gaps cannot overflow; where an exponent or
+    the final quotient passes the float64 range, the loss is inf.
     """
     pos = as_float_array(pos_dists, name="pos_dists").ravel()
     neg = as_float_array(neg_dists, name="neg_dists").ravel()
@@ -135,10 +139,11 @@ def circle_loss(
 
     gap_p = pos - config.delta_p
     gap_n = config.delta_n - neg
-    exp_p = config.gamma * lam_p * gap_p * gap_p
-    exp_n = config.gamma * lam_n * gap_n * gap_n
-    log_term = _logsumexp(exp_p) + _logsumexp(exp_n)
-    return float(np.logaddexp(0.0, log_term) / config.gamma)
+    with np.errstate(over="ignore"):  # an overflow is a diverging loss
+        exp_p = config.gamma * lam_p * gap_p * gap_p
+        exp_n = config.gamma * lam_n * gap_n * gap_n
+        log_term = _logsumexp(exp_p) + _logsumexp(exp_n)
+        return float(np.logaddexp(0.0, log_term) / config.gamma)
 
 
 # --------------------------------------------------------------------------- #
@@ -209,9 +214,15 @@ def _pairwise_sq(x: F64, y: F64) -> F64:
     return d2
 
 
+def _sample(values, name: str) -> F64:
+    """values as floats within COORDINATE_LIMIT, which keeps _pairwise_sq finite."""
+    check_coordinates(x := as_float_array(values, name=name), name)
+    return x
+
+
 def median_heuristic_bandwidth(a, b) -> float:
     """Median pairwise distance over the pooled sample (fallback 1.0)."""
-    pooled = np.vstack([as_float_array(a, name="a"), as_float_array(b, name="b")])
+    pooled = np.vstack([_sample(a, "a"), _sample(b, "b")])
     n = pooled.shape[0]
     if n < 2:
         return 1.0
@@ -222,7 +233,8 @@ def median_heuristic_bandwidth(a, b) -> float:
 
 def _gaussian_kernel_mean(x: F64, y: F64, bandwidth: float) -> float:
     d2 = _pairwise_sq(x, y)
-    return float(np.exp(-d2 / (2.0 * bandwidth * bandwidth)).mean())
+    with np.errstate(over="ignore"):  # an exponent past -max saturates the kernel to 0
+        return float(np.exp(-d2 / (2.0 * bandwidth * bandwidth)).mean())
 
 
 def mmd(a, b, bandwidth: float | None = None) -> float:
@@ -230,8 +242,8 @@ def mmd(a, b, bandwidth: float | None = None) -> float:
 
     bandwidth defaults to the median heuristic over the pooled sample.
     """
-    xa = as_float_array(a, name="a")
-    xb = as_float_array(b, name="b")
+    xa = _sample(a, "a")
+    xb = _sample(b, "b")
     if xa.ndim != 2 or xb.ndim != 2:
         raise ValueError(f"samples must be (N, d), got {xa.shape} and {xb.shape}")
     if xa.shape[0] == 0 or xb.shape[0] == 0:

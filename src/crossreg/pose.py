@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._settings import SETTINGS, check_fields, setting
+from ._settings import SETTINGS, check_fields, setting, stream_rng
 from .errors import (
     DegenerateConfigurationError,
     InsufficientPointsError,
@@ -252,7 +252,7 @@ def pnp_ransac(
             f"pnp_ransac needs >= {config.min_sample} correspondences, got {n}"
         )
     pts, obs = corrs.matched_points(cloud), corrs.pixels
-    rng = np.random.default_rng(config.seed)
+    rng = stream_rng("ransac", config.seed)
     thr2 = config.inlier_threshold_px**2
 
     def squared_errors(rot: F64, tra: F64) -> F64:

@@ -23,11 +23,8 @@ independent child streams of (scene seed, noise seed). Every scene of a
 batch thus gets its own noise and mask, and a sweep of the noise sigma
 keeps the mask while a sweep of the mask ratio keeps the noise.
 
-Every random stream of crossreg but two is named in STREAM_TAGS, so no two
-tagged purposes share one. The untagged two, pnp_ransac's default_rng(scene
-seed) and GraphAttentionParams.initialize's default_rng(param_seed), are one
-stream when the seeds are equal. PixelTable and SyntheticScene check every
-scene, generated or loaded, on construction.
+Every draw comes from a stream that _settings.stream_rng opens. PixelTable
+and SyntheticScene check every scene, generated or loaded, on construction.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._settings import check, check_fields, setting
+from ._settings import STREAM_TAGS, check, check_fields, setting, stream_rng
 from .errors import EmptyVisibleSetError
 from .geometry import (
     UNIT_ROWS_BLOCK_ENTRIES,
@@ -71,26 +68,7 @@ __all__ = [
     "synthesize_features",
 ]
 
-# The RNG streams of the package but RANSAC's and the attention initializer's:
-# a stream is SeedSequence((*seeds, tag)), so two never coincide as tags differ.
-STREAM_TAGS = {
-    "pose": 1,  # generate_scene's ground-truth pose
-    "sample": 2,  # generate_scene's surface samples
-    "base": 3,  # StandIn.of
-    "img_noise": 4,  # synthesize_features
-    "cloud_noise": 5,
-    "outlier": 6,
-    "guidance": 7,  # synthesize_features' guidance noise
-    "swap": 8,  # and its row swaps
-    "loss_fixture": 9,  # the losses command's fixture
-    "depth_corruption": 10,  # corrupt_depth: noise and mask children
-}
 _SWAP_CANDIDATES = 16  # cloud points a swapped row draws to find a far one
-
-
-def stream_rng(name: str, *seeds: int) -> np.random.Generator:
-    """The generator of stream `name` under these seeds."""
-    return np.random.default_rng(np.random.SeedSequence((*seeds, STREAM_TAGS[name])))
 
 
 def memo(owner, name: str, key, make):
@@ -413,16 +391,13 @@ def corrupt_depth(depths: F64, cfg: CorruptionConfig, scene_seed: int) -> tuple[
     depend on gaussian_sigma_m, and a higher mask_ratio drops a superset of
     the rows.
     """
-    noise_seq, mask_seq = np.random.SeedSequence(
-        (scene_seed, cfg.seed, STREAM_TAGS["depth_corruption"])
-    ).spawn(2)
+    noise_rng, mask_rng = stream_rng("depth_corruption", scene_seed, cfg.seed).spawn(2)
     values = depths
     if cfg.gaussian_sigma_m > 0.0:
-        noise_rng = np.random.default_rng(noise_seq)
         values = depths + noise_rng.normal(0.0, cfg.gaussian_sigma_m, depths.shape)
     keep = np.ones(depths.shape, dtype=bool)
     if cfg.mask_ratio > 0.0:
-        keep = np.random.default_rng(mask_seq).random(depths.shape) >= cfg.mask_ratio
+        keep = mask_rng.random(depths.shape) >= cfg.mask_ratio
     keep &= np.isfinite(values) & (values > 0.0)
     return values, keep
 

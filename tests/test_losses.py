@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crossreg.errors import (
+    CoordinateOverflowError,
     EmptyOverlapError,
     EmptySampleError,
     NotNormalizedError,
@@ -182,6 +183,17 @@ class TestCircleLoss:
             circle_loss([0.1], [1.0], neg_weights=[bad])
 
 
+    @pytest.mark.parametrize("pos, neg, cfg", [
+        ([0.1, 1e200], [1.0, 2.0], CircleLossConfig()),
+        ([0.1], [1.0], CircleLossConfig(delta_n=1e200)),
+        ([0.1], [1.0], CircleLossConfig(gamma=5e-324)),
+    ], ids=["overflowing_distance", "overflowing_margin", "subnormal_gamma"])
+    def test_a_diverging_loss_is_inf(self, pos, neg, cfg):
+        # an overflowing exponent once gave NaN, and a subnormal gamma an
+        # overflow warning
+        assert circle_loss(pos, neg, cfg) == math.inf
+
+
 class TestTotalAndWarmup:
     def test_total_weighted_sum(self):
         assert total_loss(2.0, 3.0, 4.0) == 2.0 + 3.0 + 0.5 * 4.0
@@ -272,3 +284,19 @@ class TestMmd:
                 mmd(a, b, bandwidth=1.0)
             with pytest.raises(ValueError, match="non-finite"):
                 median_heuristic_bandwidth(a, b)
+
+    def test_smallest_bandwidth_saturates_the_kernel(self):
+        # the exponent once overflowed with a warning
+        assert mmd(np.zeros((3, 2)), np.zeros((3, 2)) + 100, bandwidth=2.0**-511) == 2.0
+
+    def test_samples_beyond_the_coordinate_limit_raise(self):
+        # the squared distances once overflowed: the median heuristic
+        # returned inf, and mmd refused a bandwidth the caller never passed
+        with pytest.raises(CoordinateOverflowError, match="^a: "):
+            median_heuristic_bandwidth([[0.0], [1e300]], [[-1e300]])
+        with pytest.raises(CoordinateOverflowError, match="^b: "):
+            median_heuristic_bandwidth([[0.0]], [[-1e300]])
+        with pytest.raises(CoordinateOverflowError, match="^a: "):
+            mmd([[1e200]], [[-1e200]])
+        with pytest.raises(CoordinateOverflowError, match="^b: "):
+            mmd([[0.0]], [[-1e200]], bandwidth=1.0)

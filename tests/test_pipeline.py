@@ -18,10 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import crossreg._settings
 import crossreg.graph
 import crossreg.normals
 import crossreg.pipeline as pipeline
 import crossreg.synth
+from crossreg.cli import main
 from crossreg.errors import (
     REGISTRATION_FAILURES,
     ConfigError,
@@ -610,6 +612,22 @@ class TestScenePrep:
         with pytest.raises(ConfigError, match="prep"):
             register_scene(scene, cfg, prepare_scene(other, cfg))
 
+    def test_prep_reads_only_the_fields_of_its_key(self):
+        # a field the prep read but its key missed would let a sweep of that
+        # field reuse a stale prep
+        class Reading:
+            def __init__(self, config):
+                self.config, self.read = config, set()
+
+            def __getattr__(self, name):
+                self.read.add(name)
+                return getattr(self.config, name)
+
+        scene, cfg = small_scene(seed=2)
+        reading = Reading(cfg)
+        prepare_scene(scene, reading)
+        assert reading.read == set(pipeline._PREP_FIELDS)
+
 
 # Config fields outside _PREP_FIELDS that a registration through one prep reads,
 # each with a few values; every field's values keep the others valid.
@@ -989,10 +1007,12 @@ class TestMemoizedWork:
         assert len(values) == 5
         ablation_rows(cfg, "mask_ratio", values)
         # mask_ratio 0.0 keeps the agreement at 1, so it draws no guidance
-        # the feature noise is drawn per registration, as the outliers are
+        # and corrupts no depth; the feature noise is drawn per registration,
+        # as the outliers are
         assert drawn == {
             "pose": 1, "sample": 1, "base": 1, "img_noise": len(values),
             "cloud_noise": len(values), "outlier": len(values), "guidance": 1, "swap": 1,
+            "depth_corruption": len(values) - 1,
         }
         assert built == {"cloud_normals": 1}
 
@@ -1010,10 +1030,12 @@ class TestMemoizedWork:
         register_scene(scene, cfg, prep)
         assert drawn == {
             "base": 1, "img_noise": 1, "cloud_noise": 1, "outlier": 1, "guidance": 1, "swap": 1,
+            "depth_corruption": 1,
         }
         register_scene(scene, cfg, prep)
         assert drawn == {
             "base": 1, "img_noise": 2, "cloud_noise": 2, "outlier": 2, "guidance": 1, "swap": 1,
+            "depth_corruption": 2,
         }
         assert built == {"cloud_normals": 1}
         kept = kept_arrays(prep) + kept_arrays(prep.stand_in)
@@ -1033,6 +1055,7 @@ class TestMemoizedWork:
         assert drawn == {
             "base": 1, "img_noise": registrations, "cloud_noise": registrations,
             "outlier": registrations, "guidance": len(seeds), "swap": len(seeds),
+            "depth_corruption": len(seeds) * (len(ratios) - 1),  # mask_ratio 0.0 draws none
         }
         # a cloud side per noise seed; the stand-in keeps the last seed's guidance and swaps
         assert built == {"cloud_normals": len(seeds)}
@@ -1093,6 +1116,24 @@ class TestMemoizedWork:
         [(f_img, f_cloud)] = returned
         assert f_cloud is prep.stand_in.base
         assert f_img.flags.writeable and not f_cloud.flags.writeable
+
+
+def test_every_generator_is_opened_by_stream_rng(monkeypatch, tmp_path):
+    opened = Counter()  # (opening function, stream name)
+    default_rng = np.random.default_rng
+
+    def opening(*args, **kwargs):
+        caller = sys._getframe(1)
+        opened[caller.f_code, caller.f_locals.get("name")] += 1
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", opening)
+    scene, cfg = small_scene(seed=3, gaussian_sigma_m=0.01, **NOISY)
+    register_scene(scene, cfg)
+    ablation_rows(small_config(scene_count=1), "mask_ratio", SWEEP_DEFAULTS["mask_ratio"])
+    assert main(["losses", "--out", str(tmp_path / "losses.json")]) == 0
+    assert {code for code, _ in opened} == {crossreg._settings.stream_rng.__code__}
+    assert {name for _, name in opened} == set(crossreg._settings.STREAM_TAGS)
 
 
 class TestCoordinateOverflow:

@@ -1,6 +1,7 @@
 """Scene generator: self-consistency, determinism, and corruption statistics."""
 
 import dataclasses
+import itertools
 import re
 import sys
 
@@ -23,6 +24,7 @@ from crossreg.synth import (
     corrupt_depth,
     generate_scene,
     render_depth,
+    stream_rng,
     synthesize_features,
 )
 from rasters import depth_raster
@@ -313,6 +315,8 @@ class DrawLog:
 
         def draw(*args, **kwargs):
             out = method(*args, **kwargs)
+            if name == "spawn":  # the children's draws are logged too
+                return [DrawLog(child, self._log) for child in out]
             self._log.append((name, int(np.size(out))))
             return out
 
@@ -320,7 +324,31 @@ class DrawLog:
 
 
 def test_stream_tags_are_distinct():
-    assert len(set(STREAM_TAGS.values())) == len(STREAM_TAGS)
+    # RANSAC and the attention draw what default_rng of their seed draws
+    assert len(STREAM_TAGS) == 12
+    assert [name for name, tag in STREAM_TAGS.items() if tag is None] == ["ransac", "attention"]
+    tags = [tag for tag in STREAM_TAGS.values() if tag is not None]
+    assert all(type(tag) is int and tag >= 1 for tag in tags)
+    assert len(set(tags)) == len(tags)
+
+
+def test_no_two_streams_draw_alike_over_small_seeds():
+    # each stream under seeds 0-9 in each of its seed slots, depth
+    # corruption's two children included
+    two_seeds = {"img_noise", "cloud_noise", "outlier", "guidance", "swap", "depth_corruption"}
+    firsts = {}
+    for name in STREAM_TAGS:
+        slots = (range(10),) * (2 if name in two_seeds else 1)
+        for seeds in itertools.product(*slots):
+            rng = stream_rng(name, *seeds)
+            streams = {name: rng}
+            if name == "depth_corruption":
+                streams["depth_noise"], streams["depth_mask"] = rng.spawn(2)
+            for label, stream in streams.items():
+                firsts.setdefault(int(stream.bit_generator.random_raw()), []).append((label, seeds))
+    shared = [owners for owners in firsts.values() if len(owners) > 1]
+    # the one coincidence: RANSAC and the attention under one seed
+    assert sorted(shared) == [[("ransac", (s,)), ("attention", (s,))] for s in range(10)]
 
 
 class TestCorruptDepth:
