@@ -282,3 +282,16 @@ class TestAsUnitRows:
 
     def test_empty_passes(self):
         assert as_unit_rows(np.zeros((0, 3)), "rows").shape == (0, 3)
+
+
+_K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: geometry.as_float_array(np.zeros(2), (3,), "v"), ValueError),
+    (lambda: CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=0, height=1), ValueError),
+    (lambda: backproject_pixels(_K, np.zeros((2, 2)), np.ones(3)), ValueError),
+], ids=["array_shape", "empty_image", "backproject_depths_not_pixels"])
+def test_malformed_input_refused(call, error):
+    with pytest.raises(error):
+        call()

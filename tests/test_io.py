@@ -450,6 +450,16 @@ class TestSceneBundle:
         with pytest.raises(BundleError):
             save_scene_bundle(blocker / "scene", scene)
 
+    def test_target_replaced_by_a_file_raises(self, tmp_path, monkeypatch):
+        # mkdir itself refuses an existing file; the check after it catches
+        # a directory replaced by a file in between
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        scene = generate_scene(SceneSpec(point_count=300), seed=8)
+        monkeypatch.setattr(Path, "mkdir", lambda self, **kwargs: None)
+        with pytest.raises(BundleError, match="is not a directory"):
+            save_scene_bundle(blocker, scene)
+
 
 # --------------------------------------------------------------------------- #
 #  The bundle round trip as an oracle

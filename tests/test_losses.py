@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from crossreg.errors import (
+    ChannelMismatchError,
     CoordinateOverflowError,
     EmptyOverlapError,
     EmptySampleError,
+    LengthMismatchError,
     NotNormalizedError,
 )
 from crossreg.losses import (
@@ -300,3 +302,24 @@ class TestMmd:
             mmd([[1e200]], [[-1e200]])
         with pytest.raises(CoordinateOverflowError, match="^b: "):
             mmd([[0.0]], [[-1e200]], bandwidth=1.0)
+
+
+def _field(n: int) -> NormalField:
+    return NormalField(np.zeros((n, 3)), np.zeros(n, dtype=bool))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: normal_consistency_loss(_field(2), _field(3)), ValueError),
+    (lambda: gdc_loss(np.array([1.0]), np.eye(2)), ValueError),
+    (lambda: gdc_loss(np.zeros((0, 2)), np.zeros((0, 2))), ValueError),
+    (lambda: gdc_loss(np.eye(2), np.eye(2)[:1]), LengthMismatchError),
+    (lambda: gdc_loss(np.eye(2), np.eye(3)[:2]), ChannelMismatchError),
+    (lambda: circle_loss([0.1], [1.0], pos_weights=[1.0, 1.0]), ValueError),
+    (lambda: mmd(np.zeros(3), np.zeros((3, 1))), ValueError),
+    (lambda: mmd(np.zeros((2, 2)), np.zeros((2, 3))), ChannelMismatchError),
+], ids=["normal_fields_differ", "gdc_1d_features", "gdc_no_rows", "gdc_rows_differ",
+        "gdc_channels_differ", "circle_weights_not_distances", "mmd_1d_sample",
+        "mmd_dimensions_differ"])
+def test_malformed_input_refused(call, error):
+    with pytest.raises(error):
+        call()

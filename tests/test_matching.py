@@ -650,3 +650,13 @@ class TestCorrespondenceSet:
                            "the 3-point cloud") as caught:
             cs.matched_points(np.zeros((3, 3)))
         assert isinstance(caught.value, CrossregError) and isinstance(caught.value, IndexError)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: coarse_match(np.zeros(3), 1), ValueError),
+    (lambda: fine_match(np.eye(2), np.eye(2), np.zeros((3, 2)), np.arange(2)), ValueError),
+    (lambda: fine_match(np.eye(2), np.eye(2), np.zeros((2, 2)), np.arange(3)), ValueError),
+], ids=["coarse_1d_scores", "fine_pixels_not_rows", "fine_indices_not_rows"])
+def test_malformed_input_refused(call, error):
+    with pytest.raises(error):
+        call()

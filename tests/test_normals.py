@@ -313,3 +313,27 @@ class TestNormalFieldType:
     def test_rejects_a_non_finite_valid_normal(self):
         with pytest.raises(ValueError, match="non-finite"):
             NormalField(np.array([[np.nan, 0.0, 1.0]]), np.array([True]))
+
+
+def _field(n: int) -> NormalField:
+    return NormalField(np.zeros((n, 3)), np.zeros(n, dtype=bool))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: DepthMap(np.ones((2, 2)), np.ones((2, 3), dtype=bool)), ValueError),
+    (lambda: NormalField(np.zeros((2, 3)), np.zeros(3, dtype=bool)), ValueError),
+    (lambda: estimate_point_normals(fibonacci_sphere(10), np.full(9, 3)), ValueError),
+    (lambda: normal_agreement(_field(2), _field(3)), ValueError),
+], ids=["depth_mask_differs", "normal_mask_differs", "per_point_k_not_points",
+        "agreement_fields_differ"])
+def test_malformed_input_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_metric_normals_without_a_full_stencil_are_all_invalid():
+    # a 2x2 image has no interior pixel, so no pixel has four neighbours
+    k = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.5, cy=0.5, width=2, height=2)
+    field = metric_normals_from_depth(DepthMap.from_values(np.ones((2, 2))), k)
+    assert field.normals.shape == (2, 2, 3)
+    assert not field.valid.any() and not field.normals.any()

@@ -590,3 +590,12 @@ class TestStandIn:
         named[stand_in.points] = True
         assert np.array_equal(got[stand_in.points], row_normals[stand_in.rows])
         assert not got[~named].any()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Plane(center=(0.0, 0.0, 0.0), half_extents=(1.0, 0.0)), ValueError),
+    (lambda: PixelTable(4, 4, np.zeros((2, 2)), np.ones(1), np.zeros(2)), ValueError),
+], ids=["plane_flat", "pixel_table_columns_differ"])
+def test_malformed_input_refused(call, error):
+    with pytest.raises(error):
+        call()
