@@ -19,7 +19,8 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import (
-    CoordinateOverflowError, InvalidRotationError, NonPositiveDepthError, NotNormalizedError,
+    ChannelMismatchError, CoordinateOverflowError, InvalidRotationError, NonPositiveDepthError,
+    NotNormalizedError,
 )
 
 F64: TypeAlias = npt.NDArray[np.float64]
@@ -58,12 +59,19 @@ def as_unit_rows(x, name: str) -> F64:
     return arr
 
 
+def as_rows(x, name: str, width: int | None = None) -> F64:
+    """as_float_array of an (N, C) matrix: a ValueError naming `name` unless
+    x is 2-D, and a ChannelMismatchError when width is given and C is not it."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2 or (width is not None and arr.shape[1] != width):
+        error = ValueError if arr.ndim != 2 else ChannelMismatchError
+        raise error(f"{name}: expected shape (N, {'C' if width is None else width}), got {arr.shape}")
+    return as_float_array(arr, name=name)
+
+
 def as_points(x, name: str = "points") -> F64:
     """Coerce to an (N, 3) float64 array of finite 3D points."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"{name}: expected shape (N, 3), got {arr.shape}")
-    return as_float_array(arr, name=name)
+    return as_rows(x, name, 3)
 
 
 def as_vec3(x, name: str = "vector") -> F64:

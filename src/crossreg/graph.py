@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._settings import check, stream_rng
-from .errors import ChannelMismatchError, CoordinateOverflowError
-from .geometry import F64, as_float_array
+from .errors import CoordinateOverflowError
+from .geometry import F64, as_float_array, as_rows
 
 
 def _param_shapes(c: int) -> dict[str, tuple[int, ...]]:
@@ -110,9 +110,7 @@ def knn_indices(
     Raises CoordinateOverflowError, a ValueError, when coordinates are so
     large that squared distances would overflow.
     """
-    pts = as_float_array(points, name="points")
-    if pts.ndim != 2:
-        raise ValueError(f"points must be (N, d), got {pts.shape}")
+    pts = as_rows(points, "points")
     n, d = pts.shape
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
@@ -198,9 +196,9 @@ class KnnGraph:
     neighbor_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=np.float64)
+        pos = as_rows(self.positions, "positions")
         neigh = np.asarray(self.neighbor_indices, dtype=np.int64)
-        if pos.ndim != 2 or neigh.ndim != 2 or pos.shape[0] != neigh.shape[0]:
+        if neigh.ndim != 2 or pos.shape[0] != neigh.shape[0]:
             raise ValueError(
                 f"positions {pos.shape} and neighbors {neigh.shape} do not align"
             )
@@ -264,16 +262,10 @@ class GraphAttentionParams:
 
 
 def _check_features(graph: KnnGraph, features, params: GraphAttentionParams) -> F64:
-    feats = as_float_array(features, name="features")
-    if feats.ndim != 2:
-        raise ValueError(f"features must be (N, C), got {feats.shape}")
+    feats = as_rows(features, "features", params.channels)
     if feats.shape[0] != graph.node_count:
         raise ValueError(
             f"feature rows {feats.shape[0]} != graph nodes {graph.node_count}"
-        )
-    if feats.shape[1] != params.channels:
-        raise ChannelMismatchError(
-            f"features have {feats.shape[1]} channels, params expect {params.channels}"
         )
     return feats
 
@@ -314,14 +306,10 @@ def gated_fusion(original, refined, params: GraphAttentionParams) -> F64:
     g = sigmoid(W2 relu(W1 [orig || refined] + b1) + b2), output is
     g * refined + (1 - g) * original, element-wise.
     """
-    orig = as_float_array(original, name="original")
-    refi = as_float_array(refined, name="refined")
-    if orig.shape != refi.shape or orig.ndim != 2:
+    orig = as_rows(original, "original", params.channels)
+    refi = as_rows(refined, "refined", params.channels)
+    if len(orig) != len(refi):
         raise ValueError(f"shape mismatch: {orig.shape} vs {refi.shape}")
-    if orig.shape[1] != params.channels:
-        raise ChannelMismatchError(
-            f"features have {orig.shape[1]} channels, params expect {params.channels}"
-        )
     stacked = np.concatenate([orig, refi], axis=1)
     hidden = np.maximum(stacked @ params.gate_w1.T + params.gate_b1, 0.0)
     gate = stable_sigmoid(hidden @ params.gate_w2.T + params.gate_b2)

@@ -11,15 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._settings import check, check_fields, setting
+from ._settings import PARAMETERS, check, check_fields, setting
 from .errors import (
-    ChannelMismatchError,
     ConfigError,
     EmptyOverlapError,
     EmptySampleError,
     LengthMismatchError,
 )
-from .geometry import F64, as_float_array, as_unit_rows, check_coordinates, median
+from .geometry import F64, as_float_array, as_rows, as_unit_rows, check_coordinates, median
 from .normals import NormalField
 
 
@@ -57,9 +56,9 @@ def normal_consistency_loss(
 # --------------------------------------------------------------------------- #
 
 
-def _check_normalized(features, name: str) -> F64:
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1:
+def _check_normalized(features, name: str, width: int | None = None) -> F64:
+    feats = as_rows(features, name, width)
+    if feats.shape[0] < 1:
         raise ValueError(f"{name}: expected (M, C) with M >= 1, got {feats.shape}")
     return as_unit_rows(feats, name)
 
@@ -72,14 +71,10 @@ def gdc_loss(f_img, f_cloud) -> tuple[float, F64, F64]:
     gradients are 4 D f_img and -4 D f_cloud.
     """
     img = _check_normalized(f_img, "f_img")
-    cloud = _check_normalized(f_cloud, "f_cloud")
+    cloud = _check_normalized(f_cloud, "f_cloud", img.shape[1])
     if img.shape[0] != cloud.shape[0]:
         raise LengthMismatchError(
             f"matched sets must have equal rows: {img.shape[0]} vs {cloud.shape[0]}"
-        )
-    if img.shape[1] != cloud.shape[1]:
-        raise ChannelMismatchError(
-            f"channel counts differ: {img.shape[1]} vs {cloud.shape[1]}"
         )
     diff = img @ img.T - cloud @ cloud.T
     loss = float(np.sum(diff * diff))
@@ -121,10 +116,11 @@ def circle_loss(
 
     Positive pairs are pushed below delta_p, negatives above delta_n, with
     adaptive weights beta = gamma * lambda * (margin gap) taken as written,
-    so each exponent is gamma * lambda * gap^2. Either side empty means
-    there is nothing to contrast: the loss is exactly 0. Computed in
-    log-sum-exp form so large gaps cannot overflow; where an exponent or
-    the final quotient passes the float64 range, the loss is inf.
+    so each exponent is gamma * lambda * gap^2; distances and weights must
+    be non-negative. Either side empty means there is nothing to contrast:
+    the loss is exactly 0. Computed in log-sum-exp form so large gaps
+    cannot overflow; where an exponent or the final quotient passes the
+    float64 range, the loss is inf.
     """
     pos = as_float_array(pos_dists, name="pos_dists").ravel()
     neg = as_float_array(neg_dists, name="neg_dists").ravel()
@@ -136,6 +132,9 @@ def circle_loss(
     lam_n = np.ones_like(neg) if neg_weights is None else as_float_array(neg_weights, name="neg_weights")
     if lam_p.shape != pos.shape or lam_n.shape != neg.shape:
         raise ValueError("weights must match distances in shape")
+    for lam, name in ((lam_p, "pos_weights"), (lam_n, "neg_weights")):
+        if np.any(lam < 0):
+            raise ValueError(f"{name} must be non-negative")
 
     gap_p = pos - config.delta_p
     gap_n = config.delta_n - neg
@@ -221,14 +220,15 @@ def _sample(values, name: str) -> F64:
 
 
 def median_heuristic_bandwidth(a, b) -> float:
-    """Median pairwise distance over the pooled sample (fallback 1.0)."""
+    """Median pairwise distance over the pooled sample; 1.0 for fewer than two
+    rows, or a median below the smallest bandwidth mmd takes."""
     pooled = np.vstack([_sample(a, "a"), _sample(b, "b")])
     n = pooled.shape[0]
     if n < 2:
         return 1.0
     upper = _pairwise_sq(pooled, pooled)[np.triu_indices(n, k=1)]
     med = median(np.sqrt(upper))
-    return med if med > 0.0 else 1.0
+    return med if med >= PARAMETERS["mmd_bandwidth"].lo else 1.0
 
 
 def _gaussian_kernel_mean(x: F64, y: F64, bandwidth: float) -> float:
@@ -242,14 +242,10 @@ def mmd(a, b, bandwidth: float | None = None) -> float:
 
     bandwidth defaults to the median heuristic over the pooled sample.
     """
-    xa = _sample(a, "a")
-    xb = _sample(b, "b")
-    if xa.ndim != 2 or xb.ndim != 2:
-        raise ValueError(f"samples must be (N, d), got {xa.shape} and {xb.shape}")
+    xa = _sample(as_rows(a, "a"), "a")
+    xb = _sample(as_rows(b, "b", xa.shape[1]), "b")
     if xa.shape[0] == 0 or xb.shape[0] == 0:
         raise EmptySampleError("mmd needs non-empty samples on both sides")
-    if xa.shape[1] != xb.shape[1]:
-        raise ChannelMismatchError(f"dimensions differ: {xa.shape[1]} vs {xb.shape[1]}")
     if bandwidth is None:
         bandwidth = median_heuristic_bandwidth(xa, xb)
     bandwidth = check("mmd_bandwidth", bandwidth, "bandwidth")

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._settings import check
-from .errors import ChannelMismatchError, CoordinateOverflowError, EmptyPatchError, PointIndexError
+from .errors import CoordinateOverflowError, EmptyPatchError, PointIndexError
 from .geometry import (
     F64,
     CameraIntrinsics,
     RigidTransform,
     as_float_array,
     as_points,
+    as_rows,
     backproject_pixels,
     project_points,
     unit_rows,
@@ -81,16 +82,9 @@ def unit_features(f_img, f_cloud) -> tuple[F64, F64]:
     unit_rows scales each row on its own, so a block of rows of the result
     equals the unit rows of that block of the input, to the bit.
     """
-    img = np.asarray(f_img, dtype=np.float64)
-    cloud = np.asarray(f_cloud, dtype=np.float64)
-    if img.ndim != 2 or cloud.ndim != 2 or img.shape[1] != cloud.shape[1]:
-        raise ChannelMismatchError(
-            f"feature shapes incompatible: {img.shape} vs {cloud.shape}"
-        )
-    return (
-        unit_rows(as_float_array(img, name="f_img")),
-        unit_rows(as_float_array(cloud, name="f_cloud")),
-    )
+    img = as_rows(f_img, "f_img")
+    cloud = as_rows(f_cloud, "f_cloud", img.shape[1])
+    return unit_rows(img), unit_rows(cloud)
 
 
 def cosine_score_map(f_img, f_cloud) -> F64:
@@ -111,9 +105,7 @@ def coarse_match(scores, top_k: int) -> list[tuple[int, int, float]]:
     among column j's top_k scores. Within a row or column, ties prefer the
     smaller index. The result is sorted by descending score, ties by (i, j).
     """
-    s = as_float_array(scores, name="score map")
-    if s.ndim != 2:
-        raise ValueError(f"score map must be 2D, got {s.shape}")
+    s = as_rows(scores, "score map")
     top_k = check("top_k_coarse", top_k, "top_k")
     n_rows, n_cols = s.shape
     if n_rows == 0 or n_cols == 0:

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from crossreg import geometry
 from crossreg.errors import (
+    ChannelMismatchError,
     CoordinateOverflowError,
     InvalidRotationError,
     NonPositiveDepthError,
@@ -19,6 +20,7 @@ from crossreg.errors import (
 from crossreg.geometry import (
     CameraIntrinsics,
     RigidTransform,
+    as_rows,
     as_unit_rows,
     backproject_pixels,
     project_points,
@@ -282,6 +284,25 @@ class TestAsUnitRows:
 
     def test_empty_passes(self):
         assert as_unit_rows(np.zeros((0, 3)), "rows").shape == (0, 3)
+
+
+class TestAsRows:
+    @pytest.mark.parametrize("shape, width, error", [
+        ((3,), None, ValueError),
+        ((1, 2, 3), 3, ValueError),
+        ((2, 4), 3, ChannelMismatchError),
+    ], ids=["1d", "3d", "width"])
+    def test_rank_is_a_value_error_and_width_a_channel_mismatch(self, shape, width, error):
+        expected = "N, C" if width is None else f"N, {width}"
+        with pytest.raises(error, match=rf"^m: expected shape \({expected}\), got") as caught:
+            as_rows(np.ones(shape), "m", width)
+        assert type(caught.value) is error
+
+    def test_finite_matrix_of_any_rows_passes(self):
+        assert as_rows(np.zeros((0, 3)), "m", 3).shape == (0, 3)
+        assert as_rows([[1, 2]], "m").dtype == np.float64
+        with pytest.raises(ValueError, match="m: contains non-finite values"):
+            as_rows([[np.inf, 0.0]], "m", 2)
 
 
 _K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)

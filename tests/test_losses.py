@@ -174,6 +174,12 @@ class TestCircleLoss:
         with pytest.raises(ValueError):
             circle_loss([-0.1], [1.0])
 
+    @pytest.mark.parametrize("side", ["pos_weights", "neg_weights"])
+    def test_rejects_negative_weight(self, side):
+        # a negative weight once gave NaN, with an invalid-value warning
+        with pytest.raises(ValueError, match=f"^{side} must be non-negative"):
+            circle_loss([1e200], [1e200], **{side: [-1.0]})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_distances_and_weights(self, bad):
         # a NaN distance once gave a NaN loss
@@ -259,6 +265,11 @@ class TestMmd:
         assert median_heuristic_bandwidth(np.zeros((3, 2)), np.zeros((2, 2))) == 1.0
         assert median_heuristic_bandwidth(np.ones((1, 2)), np.zeros((0, 2))) == 1.0
         assert mmd(np.ones((3, 2)), np.ones((2, 2))) == 0.0
+
+    def test_a_median_below_the_smallest_bandwidth_falls_back(self):
+        # mmd once refused the bandwidth the heuristic chose for it
+        assert median_heuristic_bandwidth([[0.0], [1e-160]], [[0.0]]) == 1.0
+        assert mmd([[0.0], [1e-160]], [[0.0]]) == 0.0
 
     def test_default_bandwidth_runs(self):
         rng = np.random.default_rng(6)
