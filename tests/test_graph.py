@@ -455,18 +455,18 @@ def _graph3() -> KnnGraph:
     return build_knn_graph(np.eye(3), 1)
 
 
+def _params4() -> GraphAttentionParams:
+    return GraphAttentionParams.initialize(4, 0)
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: knn_indices(np.zeros(5), 2), ValueError),
     (lambda: KnnGraph(np.zeros((3, 2)), np.zeros((2, 1), dtype=np.int64)), ValueError),
     (lambda: KnnGraph(np.zeros((3, 2)), [[1], [2], [3]]), ValueError),
-    (lambda: light_gat_forward(_graph3(), np.zeros(4), GraphAttentionParams.initialize(4, 0)),
-     ValueError),
-    (lambda: light_gat_forward(_graph3(), np.zeros((2, 4)), GraphAttentionParams.initialize(4, 0)),
-     ValueError),
-    (lambda: gated_fusion(np.zeros((3, 4)), np.zeros((2, 4)), GraphAttentionParams.initialize(4, 0)),
-     ValueError),
-    (lambda: gated_fusion(np.zeros((3, 5)), np.zeros((3, 5)), GraphAttentionParams.initialize(4, 0)),
-     ChannelMismatchError),
+    (lambda: light_gat_forward(_graph3(), np.zeros(4), _params4()), ValueError),
+    (lambda: light_gat_forward(_graph3(), np.zeros((2, 4)), _params4()), ValueError),
+    (lambda: gated_fusion(np.zeros((3, 4)), np.zeros((2, 4)), _params4()), ValueError),
+    (lambda: gated_fusion(np.zeros((3, 5)), np.zeros((3, 5)), _params4()), ChannelMismatchError),
 ], ids=["knn_1d_points", "graph_rows_misaligned", "graph_index_out_of_range",
         "attention_1d_features", "attention_rows_not_nodes", "fusion_rows_differ",
         "fusion_channels_not_params"])
