@@ -213,16 +213,18 @@ def _pairwise_sq(x: F64, y: F64) -> F64:
     return d2
 
 
-def _sample(values, name: str) -> F64:
-    """values as floats within COORDINATE_LIMIT, which keeps _pairwise_sq finite."""
-    check_coordinates(x := as_float_array(values, name=name), name)
-    return x
+def _samples(a, b) -> tuple[F64, F64]:
+    """a and b as as_rows of a's width, within COORDINATE_LIMIT, which keeps
+    _pairwise_sq finite."""
+    check_coordinates(xa := as_rows(a, "a"), "a")
+    check_coordinates(xb := as_rows(b, "b", xa.shape[1]), "b")
+    return xa, xb
 
 
 def median_heuristic_bandwidth(a, b) -> float:
     """Median pairwise distance over the pooled sample; 1.0 for fewer than two
     rows, or a median below the smallest bandwidth mmd takes."""
-    pooled = np.vstack([_sample(a, "a"), _sample(b, "b")])
+    pooled = np.vstack(_samples(a, b))
     n = pooled.shape[0]
     if n < 2:
         return 1.0
@@ -242,8 +244,7 @@ def mmd(a, b, bandwidth: float | None = None) -> float:
 
     bandwidth defaults to the median heuristic over the pooled sample.
     """
-    xa = _sample(as_rows(a, "a"), "a")
-    xb = _sample(as_rows(b, "b", xa.shape[1]), "b")
+    xa, xb = _samples(a, b)
     if xa.shape[0] == 0 or xb.shape[0] == 0:
         raise EmptySampleError("mmd needs non-empty samples on both sides")
     if bandwidth is None:

@@ -1,36 +1,28 @@
 """End-to-end registration: corruption, features, refinement, matching, pose.
 
-The register flow mirrors a trained system at desk scale. Depth
-corruption lowers a normal-agreement score (k-NN covariance normals of
-the backprojected live depth against the clean ones), which injects
-guidance noise into the image features; both feature sets then carry
-weighted normal channels, pass through the shared graph-attention
-refinement blended in by the warm-up weight, and meet in coarse
-tile/cell matching, per-patch fine matching, and PnP-RANSAC.
+The register flow mirrors a trained system at desk scale, and
+register_scene is the list of its stages. _normals lifts the corrupted
+depth and scores the normals' agreement with the clean ones. _features
+gives both sides weighted normal channels, the image side guidance noise
+that grows as the agreement falls, and blends in the shared
+graph-attention refinement by the warm-up weight. coarse_match pairs
+image tiles with voxel cells, _fine matches within each pair and keeps
+each pixel's best match, and pnp_ransac fits the pose.
 
 With zero corruption every stage is exact: agreement is 1, guidance
 noise vanishes, both sides of a ground-truth pair carry identical rows,
 and the emitted correspondences reproduce the ground truth.
 
-No work is done whose result would be discarded: the refinement (its
-k-NN graphs, attention and fusion) runs only at a positive warm-up
-weight, the graphs are built on first use and then kept with the scene's
-prep, and an uncorrupted depth reuses the prep's clean normals as the
-live ones.
-
-No work is repeated either. Registration and evaluation read the scene's
-pixel table, never a 640x480 raster: corrupt_depth and lifted_pixel_normals
-work on its rows (about 1.9k at the default size), the agreement compares
-row fields, and inlier_ratio looks its depths up in it. The stand-in's
-base features are drawn once per prep. Only a prep the caller passed keeps
-the stand-in's guidance and swap draws, once per noise seed; a one-shot
-registration drops them when synthesize_features returns. The prep keeps
-the last cloud side (cell means and unit rows), which a sweep reaches
-through a few fields only. Each side's feature matrix, normal channels
-included, is allocated once and scaled to unit rows in place. With unit
-rows made once, each coarse pair's fine matching is a slice, a
-product and a mutual argmax; its matches carry their rows, so the per-pixel
-dedup needs no pixel search.
+No work is done whose result would be discarded, and none is repeated.
+The refinement runs only at a positive warm-up weight, on graphs built
+on first use and kept with the scene's prep. Registration and evaluation
+read the scene's pixel table, never a 640x480 raster: the depth stages
+work on its rows (about 1.9k at the default size), and inlier_ratio
+looks its depths up in it. The stand-in's base features are drawn once
+per prep. Each side's feature matrix, normal channels included, is
+allocated once and scaled to unit rows in place, so each coarse pair's
+fine matching is a slice, a product and a mutual argmax; its matches
+carry their rows, so the per-pixel dedup needs no pixel search.
 
 Registration reads the observation (table pixels and depths, cloud,
 intrinsics, seed) plus synth.StandIn, the only ground-truth reader, which
@@ -286,7 +278,7 @@ class RegistrationResult:
 @dataclass(frozen=True)
 class ScenePrep:
     """The work of a registration fixed by its scene and _PREP_FIELDS alone, and
-    the last cloud side, which register_scene keys by the other fields it reads.
+    the last cloud side, which _features keys by the other fields it reads.
 
     Registration works on the rows of the scene's pixel table, never on
     the image grid: clean_normals holds one lifted normal per table row.
@@ -323,26 +315,6 @@ class ScenePrep:
             return None
         return build_knn_graph(positions, self._field("k_neighbors"))
 
-    def live_normals(self, corruption: CorruptionConfig) -> NormalField:
-        """The lifted normals of the corrupted depth, on the table's rows.
-
-        Only the rows the corruption keeps are lifted; a dropped row is invalid.
-        """
-        if corruption.gaussian_sigma_m == 0.0 and corruption.mask_ratio == 0.0:
-            # the corruption would keep every row at its depth
-            return self.clean_normals
-        table = self.scene.table
-        depths, keep = corrupt_depth(table.depths, corruption, self.scene.seed)
-        lifted = lifted_pixel_normals(
-            table.pixels[keep], depths[keep], self.scene.intrinsics,
-            self._field("k_neighbors"), self._field("adaptive_k"),
-        )
-        out = np.zeros(self.clean_normals.normals.shape)
-        valid = np.zeros(keep.shape, dtype=bool)
-        out[keep] = lifted.normals
-        valid[keep] = lifted.valid
-        return NormalField(out, valid)
-
 
 def _prep_key(config: PipelineConfig) -> tuple:
     return tuple(getattr(config, name) for name in _PREP_FIELDS)
@@ -368,60 +340,87 @@ def register_scene(
     scene: SyntheticScene, config: PipelineConfig, prep: ScenePrep | None = None
 ) -> RegistrationResult:
     """Register one scene; prep, from prepare_scene(scene, config), is reused."""
-    # a caller's prep keeps the stand-in's draws for the registrations to come;
-    # a one-shot hands synthesize_features a copy, whose draws go when it returns
     one_shot = prep is None
     if one_shot:
         prep = prepare_scene(scene, config)
     elif prep.scene is not scene or prep.key != _prep_key(config):
         raise ConfigError(f"prep is for another scene or other {', '.join(_PREP_FIELDS)}")
-    corruption = config.corruption()
-    live_normals = prep.live_normals(corruption)
-    try:
-        agreement = normal_agreement(prep.clean_normals, live_normals)
-    except DegenerateNeighborhoodError:
-        agreement = 0.0
+    live_normals, agreement = _normals(prep, config)
+    (tile_desc, img_unit), (cell_desc, cloud_unit), blend = _features(
+        prep, config, live_normals, agreement, one_shot
+    )
+    coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
+    corrs, patches = _fine(prep, coarse, img_unit, cloud_unit, config.min_fine_score)
+    estimate = pnp_ransac(corrs, scene.cloud, scene.intrinsics, config.ransac(seed=scene.seed))
+    return RegistrationResult(estimate, corrs, patches, agreement, blend)
 
+
+def _normals(prep: ScenePrep, config: PipelineConfig) -> tuple[NormalField, float]:
+    """(live normals, agreement): the lifted normals of the corrupted depth on the
+    table's rows, and their agreement with the clean ones, 0 where undefined.
+
+    Only the rows the corruption keeps are lifted; a dropped row is invalid. A
+    corruption that keeps every row at its depth reuses the clean normals.
+    """
+    corruption, scene = config.corruption(), prep.scene
+    live = prep.clean_normals
+    if corruption.gaussian_sigma_m != 0.0 or corruption.mask_ratio != 0.0:
+        depths, keep = corrupt_depth(scene.table.depths, corruption, scene.seed)
+        lifted = lifted_pixel_normals(scene.table.pixels[keep], depths[keep],
+                                      scene.intrinsics, config.k_neighbors, config.adaptive_k)
+        normals, valid = np.zeros(live.normals.shape), np.zeros(keep.shape, dtype=bool)
+        normals[keep], valid[keep] = lifted.normals, lifted.valid
+        live = NormalField(normals, valid)
+    try:
+        return live, normal_agreement(prep.clean_normals, live)
+    except DegenerateNeighborhoodError:
+        return live, 0.0
+
+
+def _features(prep: ScenePrep, config: PipelineConfig, live_normals: NormalField,
+              agreement: float, one_shot: bool) -> tuple[tuple, tuple, float]:
+    """(image side, cloud side, blend): _side of each side's stand-in rows with
+    normal channels, refined at a positive warm-up blend over the prep's graphs,
+    which are built before the features are drawn. A one-shot hands
+    synthesize_features a copy of the stand-in, whose draws go when it returns.
+    The prep keeps the last cloud side, keyed by the values it reads beyond
+    _PREP_FIELDS; f_cloud (the stand-in's read-only base when noise-free) goes
+    unused while it holds."""
+    corruption, weight = config.corruption(), config.normal_channel_weight
     blend = warmup_weight(config.epoch, config.warmup())
-    refine_img = refine_cloud = None  # at weight 0 the blend keeps the features
+    params = pixel_graph = cloud_graph = None
     if blend > 0.0:
         params = GraphAttentionParams.initialize(config.channels + 3, config.param_seed)
-        refine_img, refine_cloud = (functools.partial(_refine, graph, params=params, blend=blend)
-                                    for graph in (prep.pixel_graph, prep.cloud_graph))
-    weight = config.normal_channel_weight
+        pixel_graph, cloud_graph = prep.pixel_graph, prep.cloud_graph
     f_img, f_cloud = synthesize_features(
         dataclasses.replace(prep.stand_in) if one_shot else prep.stand_in, corruption, agreement
     )
     img = _with_normals(f_img, live_normals.normals[prep.stand_in.rows], weight)
     del f_img  # img is the image side's one matrix from here on
-    tile_desc, img_unit = _side(img, prep.tiles, refine_img)
-    # the cloud side reads these values beyond _PREP_FIELDS; the prep keeps the last,
-    # and f_cloud (the stand-in's read-only base when noise-free) goes unused while it holds
+    img_side = _side(img, prep.tiles, pixel_graph, params, blend)
     key = (corruption.feature_noise_sigma, corruption.seed, weight, blend,
            config.param_seed if blend > 0.0 else None)
-    cell_desc, cloud_unit = synth.memo(prep, "cloud_side", key, lambda: _side(
+    cloud_side = synth.memo(prep, "cloud_side", key, lambda: _side(
         _with_normals(f_cloud, prep.stand_in.cloud_normals(prep.clean_normals.normals), weight),
-        prep.cells, refine_cloud,
+        prep.cells, cloud_graph, params, blend,
     ))
-    del f_cloud  # freed before fine matching
-    # a coarse pair's rows are its tile and cell groups
-    coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
+    return img_side, cloud_side, blend
 
+
+def _fine(prep: ScenePrep, coarse, img_unit: F64, cloud_unit: F64,
+          min_score: float) -> tuple[CorrespondenceSet, tuple]:
+    """(each registered pixel's best fine match, the coarse pairs as (tile id,
+    cell id, score) patches): a coarse pair's rows are its tile and cell groups,
+    which fine_match_unit matches, pair by pair in pair order."""
     fine = []  # (rows of pixels, point indices, scores) per coarse pair
     for t_row, c_row, _score in coarse:
         members_i, members_j = prep.tiles.of(t_row), prep.cells.of(c_row)
         rows, cols, scores = matching.fine_match_unit(
-            img_unit[members_i], cloud_unit[members_j], config.min_fine_score
+            img_unit[members_i], cloud_unit[members_j], min_score
         )
         fine.append((members_i[rows], members_j[cols], scores))
-    patches = tuple(
-        (int(prep.tiles.ids[t_row]), int(prep.cells.ids[c_row]), score)
-        for t_row, c_row, score in coarse
-    )
-
-    corrs = _best_per_pixel(scene.table.pixels[prep.stand_in.rows], fine)
-    estimate = pnp_ransac(corrs, scene.cloud, scene.intrinsics, config.ransac(seed=scene.seed))
-    return RegistrationResult(estimate, corrs, patches, agreement, blend)
+    patches = tuple((int(prep.tiles.ids[t]), int(prep.cells.ids[c]), s) for t, c, s in coarse)
+    return _best_per_pixel(prep.scene.table.pixels[prep.stand_in.rows], fine), patches
 
 
 def _best_per_pixel(pixels: F64, fine: list[tuple]) -> CorrespondenceSet:
@@ -451,22 +450,20 @@ def _with_normals(features: F64, normals: F64, weight: float) -> F64:
     return rows
 
 
-def _side(rows: F64, groups: _Members, refine) -> tuple[F64, F64]:
+def _side(rows: F64, groups: _Members, graph: KnnGraph | None,
+          params: GraphAttentionParams | None, blend: float) -> tuple[F64, F64]:
     """(group means, unit rows) of rows, which _with_normals made, scaled to unit
-    length in place and refined unless refine is None; the refined rows are
-    scaled in place again after their means. Fine matching may slice the unit rows."""
+    length in place and refined over graph unless it is None; the refined rows
+    are scaled in place again after their means. Fine matching may slice the
+    unit rows."""
     geometry.unit_rows(rows, out=rows)
-    if refine is not None:
-        rows = refine(rows)
+    if graph is not None:
+        rows = _refine(graph, rows, params, blend)
     means = _group_means(rows, groups)
     return means, geometry.unit_rows(rows, out=rows)
 
 
-def _refine(
-    graph: KnnGraph | None, features: F64, params: GraphAttentionParams, blend: float
-) -> F64:
-    if graph is None:
-        return features
+def _refine(graph: KnnGraph, features: F64, params: GraphAttentionParams, blend: float) -> F64:
     refined = gated_fusion(features, light_gat_forward(graph, features, params), params)
     return (1.0 - blend) * features + blend * refined
 

@@ -271,6 +271,20 @@ class TestMmd:
         assert median_heuristic_bandwidth([[0.0], [1e-160]], [[0.0]]) == 1.0
         assert mmd([[0.0], [1e-160]], [[0.0]]) == 0.0
 
+    @pytest.mark.parametrize("a, b, error", [
+        ([1.0, 2.0], [3.0, 4.0], ValueError),
+        ([1.0, 2.0], [3.0], ValueError),
+        ([[1.0], [2.0]], [3.0], ValueError),
+        ([[1.0, 2.0]], [[3.0]], ChannelMismatchError),
+    ])
+    def test_median_heuristic_reads_the_samples_mmd_reads(self, a, b, error):
+        # 1-D samples once pooled into a bandwidth, or ended in numpy's vstack error
+        side = "a" if np.ndim(a) == 1 else "b"
+        with pytest.raises(error, match=f"^{side}: expected shape"):
+            median_heuristic_bandwidth(a, b)
+        with pytest.raises(error, match=f"^{side}: expected shape"):
+            mmd(a, b)
+
     def test_default_bandwidth_runs(self):
         rng = np.random.default_rng(6)
         value = mmd(rng.standard_normal((20, 3)), 1.0 + rng.standard_normal((25, 3)))

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import crossreg.matching as matching
 import crossreg.pipeline as pipeline
-from crossreg.errors import DegenerateNeighborhoodError
 from crossreg.geometry import CameraIntrinsics, RigidTransform, backproject_pixels
 from crossreg.matching import CorrespondenceSet, fine_match
 from crossreg.normals import (
@@ -168,7 +167,7 @@ def test_row_normal_stage_matches_dense_grids(case):
     corruption = cfg.corruption()
     k, adaptive = cfg.k_neighbors, cfg.adaptive_k
     prep = prepare_scene(scene, cfg)
-    live = prep.live_normals(corruption)
+    live, agreement = pipeline._normals(prep, cfg)
 
     depth = depth_raster(scene.table)
     dense_live_depth = dense_corrupt_depth(depth, corruption, seed)
@@ -176,10 +175,6 @@ def test_row_normal_stage_matches_dense_grids(case):
     dense_live = dense_lifted_pixel_normals(dense_live_depth, SMALL_K, k, adaptive)
     assert_rows_of_grid(prep.clean_normals, dense_clean, depth)
     assert_rows_of_grid(live, dense_live, depth)
-    try:
-        agreement = pipeline.normal_agreement(prep.clean_normals, live)
-    except DegenerateNeighborhoodError:
-        agreement = 0.0
     assert np.float64(agreement).tobytes() == np.float64(
         dense_agreement(dense_clean, dense_live)
     ).tobytes()
