@@ -1,15 +1,16 @@
 """Paired benchmark runs of two source trees, written to one BENCH file.
 
     python3 scripts/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \
-        --label NAME [--pairs 10] [--seconds 30] [--seed 1] \
-        [--workloads register,sweep] [--out DIR]
+        --label NAME [--pairs 10] [--seconds 30] [--out DIR]
 
 Each tree is a checkout with `bench/run.py`, `src/` and `BENCHMARK.json`;
-a `git archive` of the parent commit will do. For every workload the script
-runs `bench/run.py --trace 0` on both trees `--pairs` times, alternating
-which tree goes first, always with the same seed, one BLAS thread and
-`PYTHONPATH` at that tree's `src`. It then writes `BENCH_<label>.json` in
-`--out` (the root of this checkout by default). Per workload the file holds:
+a `git archive` of the parent commit will do. For every workload that the
+change tree's `BENCHMARK.json` lists, the script runs each tree's own
+`bench/run.py --seed 1 --trace 0`, `--pairs` times per tree, alternating
+which tree goes first. run.py itself pins one BLAS thread and
+imports crossreg from its own tree's `src`. The script then writes
+`BENCH_<label>.json` in `--out` (the root of this checkout by default).
+Per workload the file holds:
 
 - per end-to-end metric of the change tree's `BENCHMARK.json`: each side's
   median and quartiles, the change's win share over the pairs (a tie is
@@ -19,8 +20,10 @@ which tree goes first, always with the same seed, one BLAS thread and
 - the machine, as the first run's details report it.
 
 A run that exits non-zero or prints no result stops the script with its
-standard error. Only the standard library is used, so the script runs under
-any Python that can run the benchmark.
+standard error. A run whose result is not correct, because the harness
+found wrong output, stops it with the problems the run reports. Only the
+standard library is used, so the script runs under any Python that can
+run the benchmark.
 """
 
 from __future__ import annotations
@@ -28,14 +31,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SEED = 1
 SIDES = ("parent", "change")
 
 
@@ -46,35 +48,35 @@ def parse_args(argv):
     parser.add_argument("--label", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workloads", default="register,sweep")
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
-        parser.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs must be >= 1 and --seconds > 0")
     for tree in (args.parent, args.change):
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"{tree} has no bench/run.py")
     return args
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str, seconds: float) -> tuple[dict, dict]:
     """(details, result): the last two lines bench/run.py prints, as JSON."""
-    env = dict(os.environ)
-    env.update({var: "1" for var in BLAS_ENV})
-    env["PYTHONPATH"] = str(tree.resolve() / "src")
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=env, capture_output=True, text=True,
+        cwd=tree, capture_output=True, text=True,
     )
+    run = f"bench/run.py in {tree} ({workload}, seed {SEED})"
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"{run} exited {done.returncode}:\n" + done.stderr[-4000:])
+    details = json.loads(lines[-2])["details"]
+    result = json.loads(lines[-1])
+    if not result["correct"]:
         raise SystemExit(
-            f"bench/run.py in {tree} ({workload}, seed {seed}) exited {done.returncode}:\n"
-            + done.stderr[-4000:]
+            f"{run} is not correct ({result['failed']} of {result['attempted']} "
+            "registrations failed); its problems:\n" + "\n".join(details["problems"])
         )
-    return json.loads(lines[-2])["details"], json.loads(lines[-1])
+    return details, result
 
 
 def summary(values: list[float]) -> dict:
@@ -128,21 +130,22 @@ def compare(runs: dict[str, list[tuple[dict, dict]]], metrics: list[dict]) -> di
 def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": args.parent, "change": args.change}
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = benchmark["end_to_end"]
     record = {
         "label": args.label,
         "pairs": args.pairs,
         "seconds": args.seconds,
-        "seed": args.seed,
+        "seed": SEED,
         "machine": None,
         "workloads": {},
     }
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in benchmark["workloads"]):
         runs = {side: [] for side in SIDES}
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                runs[side].append(run_once(trees[side], workload, args.seed, args.seconds))
+                runs[side].append(run_once(trees[side], workload, args.seconds))
             print(f"{workload}: pair {pair + 1}/{args.pairs} done", file=sys.stderr)
         record["machine"] = record["machine"] or runs["parent"][0][0]["machine"]
         record["workloads"][workload] = compare(runs, metrics)

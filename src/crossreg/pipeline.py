@@ -306,14 +306,11 @@ class ScenePrep:
     def cloud_graph(self) -> KnnGraph | None:
         return self._graph(self.scene.cloud)
 
-    def _field(self, name: str):
-        return self.key[_PREP_FIELDS.index(name)]
-
     def _graph(self, positions: F64) -> KnnGraph | None:
         """None below 2 nodes: refinement is skipped."""
         if positions.shape[0] < 2:
             return None
-        return build_knn_graph(positions, self._field("k_neighbors"))
+        return build_knn_graph(positions, self.key[_PREP_FIELDS.index("k_neighbors")])
 
 
 def _prep_key(config: PipelineConfig) -> tuple:
@@ -345,9 +342,10 @@ def register_scene(
         prep = prepare_scene(scene, config)
     elif prep.scene is not scene or prep.key != _prep_key(config):
         raise ConfigError(f"prep is for another scene or other {', '.join(_PREP_FIELDS)}")
-    live_normals, agreement = _normals(prep, config)
+    corruption = config.corruption()
+    live_normals, agreement = _normals(prep, corruption, config)
     (tile_desc, img_unit), (cell_desc, cloud_unit), blend = _features(
-        prep, config, live_normals, agreement, one_shot
+        prep, corruption, config, live_normals, agreement, one_shot
     )
     coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
     corrs, patches = _fine(prep, coarse, img_unit, cloud_unit, config.min_fine_score)
@@ -355,21 +353,24 @@ def register_scene(
     return RegistrationResult(estimate, corrs, patches, agreement, blend)
 
 
-def _normals(prep: ScenePrep, config: PipelineConfig) -> tuple[NormalField, float]:
+def _normals(prep: ScenePrep, corruption: CorruptionConfig,
+             config: PipelineConfig) -> tuple[NormalField, float]:
     """(live normals, agreement): the lifted normals of the corrupted depth on the
     table's rows, and their agreement with the clean ones, 0 where undefined.
 
     Only the rows the corruption keeps are lifted; a dropped row is invalid. A
     corruption that keeps every row at its depth reuses the clean normals.
     """
-    corruption, scene = config.corruption(), prep.scene
+    scene = prep.scene
     live = prep.clean_normals
     if corruption.gaussian_sigma_m != 0.0 or corruption.mask_ratio != 0.0:
         depths, keep = corrupt_depth(scene.table.depths, corruption, scene.seed)
         lifted = lifted_pixel_normals(scene.table.pixels[keep], depths[keep],
                                       scene.intrinsics, config.k_neighbors, config.adaptive_k)
-        normals, valid = np.zeros(live.normals.shape), np.zeros(keep.shape, dtype=bool)
-        normals[keep], valid[keep] = lifted.normals, lifted.valid
+        normals = np.zeros(live.normals.shape)
+        valid = np.zeros(keep.shape, dtype=bool)
+        normals[keep] = lifted.normals
+        valid[keep] = lifted.valid
         live = NormalField(normals, valid)
     try:
         return live, normal_agreement(prep.clean_normals, live)
@@ -377,8 +378,8 @@ def _normals(prep: ScenePrep, config: PipelineConfig) -> tuple[NormalField, floa
         return live, 0.0
 
 
-def _features(prep: ScenePrep, config: PipelineConfig, live_normals: NormalField,
-              agreement: float, one_shot: bool) -> tuple[tuple, tuple, float]:
+def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineConfig,
+              live: NormalField, agreement: float, one_shot: bool) -> tuple[tuple, tuple, float]:
     """(image side, cloud side, blend): _side of each side's stand-in rows with
     normal channels, refined at a positive warm-up blend over the prep's graphs,
     which are built before the features are drawn. A one-shot hands
@@ -386,16 +387,17 @@ def _features(prep: ScenePrep, config: PipelineConfig, live_normals: NormalField
     The prep keeps the last cloud side, keyed by the values it reads beyond
     _PREP_FIELDS; f_cloud (the stand-in's read-only base when noise-free) goes
     unused while it holds."""
-    corruption, weight = config.corruption(), config.normal_channel_weight
+    weight = config.normal_channel_weight
     blend = warmup_weight(config.epoch, config.warmup())
     params = pixel_graph = cloud_graph = None
     if blend > 0.0:
         params = GraphAttentionParams.initialize(config.channels + 3, config.param_seed)
-        pixel_graph, cloud_graph = prep.pixel_graph, prep.cloud_graph
+        pixel_graph = prep.pixel_graph
+        cloud_graph = prep.cloud_graph
     f_img, f_cloud = synthesize_features(
         dataclasses.replace(prep.stand_in) if one_shot else prep.stand_in, corruption, agreement
     )
-    img = _with_normals(f_img, live_normals.normals[prep.stand_in.rows], weight)
+    img = _with_normals(f_img, live.normals[prep.stand_in.rows], weight)
     del f_img  # img is the image side's one matrix from here on
     img_side = _side(img, prep.tiles, pixel_graph, params, blend)
     key = (corruption.feature_noise_sigma, corruption.seed, weight, blend,
@@ -419,7 +421,8 @@ def _fine(prep: ScenePrep, coarse, img_unit: F64, cloud_unit: F64,
             img_unit[members_i], cloud_unit[members_j], min_score
         )
         fine.append((members_i[rows], members_j[cols], scores))
-    patches = tuple((int(prep.tiles.ids[t]), int(prep.cells.ids[c]), s) for t, c, s in coarse)
+    patches = tuple((int(prep.tiles.ids[t_row]), int(prep.cells.ids[c_row]), score)
+                    for t_row, c_row, score in coarse)
     return _best_per_pixel(prep.scene.table.pixels[prep.stand_in.rows], fine), patches
 
 

@@ -1,7 +1,8 @@
 """scripts/bench_pairs.py: paired runs of two trees and the record it writes.
 
-The end-to-end test runs one tiny pair of the register workload on two
-copies of this checkout, about 8 s, most of it bench/run.py's import probes.
+The end-to-end test runs one tiny pair of every gated workload on two
+copies of this checkout, about 16 s, most of it bench/run.py's import
+probes.
 """
 
 import importlib.util
@@ -9,6 +10,7 @@ import json
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -37,24 +39,40 @@ def test_a_pair_of_one_tree_has_equal_digests(tmp_path):
     parent, change = copy_tree(tmp_path / "parent"), copy_tree(tmp_path / "change")
     done = subprocess.run(
         [sys.executable, str(SCRIPT), "--parent", str(parent), "--change", str(change),
-         "--label", "tiny", "--pairs", "1", "--seconds", "0.01", "--workloads", "register",
-         "--out", str(tmp_path)],
+         "--label", "tiny", "--pairs", "1", "--seconds", "0.01", "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     record = json.loads((tmp_path / "BENCH_tiny.json").read_text())
-    register = record["workloads"]["register"]
-    assert register["digests_equal"] is True
-    assert register["digests"]["parent"] == register["digests"]["change"]
-    assert len(register["digests"]["parent"]) == 1
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert record["seed"] == 1
     assert record["machine"]["blas_threads"] == "1"
-    gated = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    assert sorted(register["metrics"]) == sorted(gated)
-    for name in ("success_rate", "rr", "ir_mean"):
-        metric = register["metrics"][name]
-        # the same work on both sides: equal accuracy, a tie and no win
-        assert metric["parent"]["median"] == metric["change"]["median"]
-        assert metric["win_share"] == 0.0 and metric["within_bound"] is True
+    assert sorted(record["workloads"]) == sorted(w["name"] for w in benchmark["workloads"])
+    for workload in record["workloads"].values():
+        assert workload["digests_equal"] is True
+        assert workload["digests"]["parent"] == workload["digests"]["change"]
+        assert len(workload["digests"]["parent"]) == 1
+        assert sorted(workload["metrics"]) == sorted(m["name"] for m in benchmark["end_to_end"])
+        for name in ("success_rate", "rr", "ir_mean"):
+            metric = workload["metrics"][name]
+            # the same work on both sides: equal accuracy, a tie and no win
+            assert metric["parent"]["median"] == metric["change"]["median"]
+            assert metric["win_share"] == 0.0
+            assert metric["within_bound"] is True
+
+
+def test_a_run_judged_wrong_stops_with_its_problems(bench_pairs, tmp_path):
+    # a stand-in run.py that exits 0 but prints a result the harness judged wrong
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(textwrap.dedent("""\
+        import json
+        print(json.dumps({"details": {"problems": ["a pixel is matched twice"]}}))
+        print(json.dumps({"correct": False, "attempted": 3, "failed": 1, "metrics": {}}))
+    """))
+    with pytest.raises(SystemExit, match="not correct") as stop:
+        bench_pairs.run_once(tmp_path, "register", 0.01)
+    assert "1 of 3 registrations failed" in str(stop.value)
+    assert str(stop.value).endswith("a pixel is matched twice")
 
 
 def test_a_tie_is_not_a_win(bench_pairs):

@@ -167,7 +167,7 @@ def test_row_normal_stage_matches_dense_grids(case):
     corruption = cfg.corruption()
     k, adaptive = cfg.k_neighbors, cfg.adaptive_k
     prep = prepare_scene(scene, cfg)
-    live, agreement = pipeline._normals(prep, cfg)
+    live, agreement = pipeline._normals(prep, corruption, cfg)
 
     depth = depth_raster(scene.table)
     dense_live_depth = dense_corrupt_depth(depth, corruption, seed)
