@@ -24,7 +24,9 @@ The third table, STREAM_TAGS, names every random stream, and stream_rng
 alone opens one, as SeedSequence((*seeds, tag)). A None tag adds no word, so
 RANSAC and the attention draw what default_rng of their seed draws, and are
 one stream when the scene seed equals param_seed. Tags start at 1, since
-SeedSequence((s,)) and SeedSequence((s, 0)) draw alike.
+SeedSequence((s,)) and SeedSequence((s, 0)) draw alike. SeedSequence joins
+its seeds' 32-bit words, so (2**32 + 5, 7) would draw what (5, 1 + 7 * 2**32)
+draws; stream_rng gives a tuple with a later seed past one word its own words.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import ConfigError
 _MAX = sys.float_info.max  # past it, float() of a value raises or is inf
 _ABOVE_0 = math.nextafter(0.0, 1.0)
 _SCALE = 1e100
+_WORD = 2**32  # SeedSequence's word
 
 
 class Setting(NamedTuple):
@@ -124,9 +127,19 @@ STREAM_TAGS = {
 
 
 def stream_rng(name: str, *seeds: int) -> np.random.Generator:
-    """The generator of stream `name` under these seeds."""
+    """The generator of stream `name` under these seeds: of (*seeds, tag) while
+    every seed after the first is one word, else of each seed's word count and
+    words, then the tag and a word no tag equals, so that no other tuple of a
+    tagged stream draws alike."""
     tag = STREAM_TAGS[name]
-    return np.random.default_rng(np.random.SeedSequence(seeds if tag is None else (*seeds, tag)))
+    entropy = seeds if tag is None else (*seeds, tag)
+    if any(seed >= _WORD for seed in seeds[1:]):
+        entropy = []
+        for seed in map(int, seeds):
+            count = max(1, -(-seed.bit_length() // 32))
+            entropy += [count, *((seed >> 32 * i) % _WORD for i in range(count))]
+        entropy += [tag, _WORD - 1]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def setting(key: str):

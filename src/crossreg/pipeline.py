@@ -21,8 +21,7 @@ work on its rows (about 1.9k at the default size), and inlier_ratio
 looks its depths up in it. The stand-in's base features are drawn once
 per prep. Each side's feature matrix, normal channels included, is
 allocated once and scaled to unit rows in place, so each coarse pair's
-fine matching is a slice, a product and a mutual argmax; its matches
-carry their rows, so the per-pixel dedup needs no pixel search.
+fine matching is a slice, a product and a mutual argmax.
 
 Registration reads the observation (table pixels and depths, cloud,
 intrinsics, seed) plus synth.StandIn, the only ground-truth reader, which
@@ -412,37 +411,26 @@ def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineCon
 def _fine(prep: ScenePrep, coarse, img_unit: F64, cloud_unit: F64,
           min_score: float) -> tuple[CorrespondenceSet, tuple]:
     """(each registered pixel's best fine match, the coarse pairs as (tile id,
-    cell id, score) patches): a coarse pair's rows are its tile and cell groups,
-    which fine_match_unit matches, pair by pair in pair order."""
-    fine = []  # (rows of pixels, point indices, scores) per coarse pair
-    for t_row, c_row, _score in coarse:
+    cell id, score) patches): fine_match_unit matches each pair's tile and cell
+    groups, in pair order. A row keeps its best score so far and that score's
+    point; only a strictly higher score replaces them, so on an exact tie the
+    earliest pair wins. Rows come out in row order, which is pixel order."""
+    best = np.full(img_unit.shape[0], -np.inf)
+    points = np.zeros(img_unit.shape[0], dtype=np.int64)
+    patches = []
+    for t_row, c_row, score in coarse:
         members_i, members_j = prep.tiles.of(t_row), prep.cells.of(c_row)
         rows, cols, scores = matching.fine_match_unit(
             img_unit[members_i], cloud_unit[members_j], min_score
         )
-        fine.append((members_i[rows], members_j[cols], scores))
-    patches = tuple((int(prep.tiles.ids[t_row]), int(prep.cells.ids[c_row]), score)
-                    for t_row, c_row, score in coarse)
-    return _best_per_pixel(prep.scene.table.pixels[prep.stand_in.rows], fine), patches
-
-
-def _best_per_pixel(pixels: F64, fine: list[tuple]) -> CorrespondenceSet:
-    """Keep each pixel's best fine match across all coarse pairs.
-
-    fine holds (rows of pixels, point indices, scores) per coarse pair, and
-    pixels is the pixels registered, in row-major order. On an
-    exact score tie the earliest emission wins. Rows come out in row
-    order, which is pixel order.
-    """
-    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-    rows, points, scores = (np.concatenate(column) for column in zip(empty, *fine))
-    # highest score first within a row; lexsort is stable, so among equal
-    # scores the earliest emission leads
-    ranked = np.lexsort((-scores, rows))
-    lead = np.ones(ranked.size, dtype=bool)
-    lead[1:] = rows[ranked[1:]] != rows[ranked[:-1]]
-    winner = ranked[lead]
-    return CorrespondenceSet(pixels[rows[winner]], points[winner], scores[winner])
+        better = scores > best[members_i[rows]]
+        rows = members_i[rows[better]]
+        best[rows] = scores[better]
+        points[rows] = members_j[cols[better]]
+        patches.append((int(prep.tiles.ids[t_row]), int(prep.cells.ids[c_row]), score))
+    matched = np.flatnonzero(best > -np.inf)
+    pixels = prep.scene.table.pixels[prep.stand_in.rows[matched]]
+    return CorrespondenceSet(pixels, points[matched], best[matched]), tuple(patches)
 
 
 def _with_normals(features: F64, normals: F64, weight: float) -> F64:

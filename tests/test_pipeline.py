@@ -11,6 +11,7 @@ import warnings
 import weakref
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 import crossreg._settings
 import crossreg.graph
+import crossreg.matching
 import crossreg.normals
 import crossreg.pipeline as pipeline
 import crossreg.synth
@@ -44,7 +46,6 @@ from crossreg.metrics import TAU1_M, TAU2_RATIO, TAU3_M
 from crossreg.pipeline import (
     PipelineConfig,
     SWEEP_DEFAULTS,
-    _best_per_pixel,
     ablation_rows,
     apply_sweep_setting,
     evaluate_scene,
@@ -699,18 +700,56 @@ class TestPrepMemos:
             return repr(exc)
 
 
+def run_fine(pixels: np.ndarray, fine) -> CorrespondenceSet:
+    """pipeline._fine over one coarse pair per emission of fine, in order: the
+    pair's tile holds the emitted rows and its cell the emitted points, which
+    a stubbed fine_match_unit matches one to one."""
+    emissions = iter(fine)
+
+    def fine_match_unit(img, cloud, min_score):
+        rows, _points, scores = next(emissions)
+        assert img.shape == (rows.size, 1) and cloud.shape == (rows.size, 1)
+        return np.arange(rows.size), np.arange(rows.size), scores
+
+    def of(column):
+        return lambda pair: np.asarray(fine[pair][column], dtype=np.int64)
+
+    ids = np.arange(len(fine))
+    prep = SimpleNamespace(
+        tiles=SimpleNamespace(of=of(0), ids=ids), cells=SimpleNamespace(of=of(1), ids=ids),
+        scene=SimpleNamespace(table=SimpleNamespace(pixels=pixels)),
+        stand_in=SimpleNamespace(rows=np.arange(len(pixels))),
+    )
+    coarse = [(pair, pair, 0.5) for pair in range(len(fine))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crossreg.matching, "fine_match_unit", fine_match_unit)
+        corrs, patches = pipeline._fine(
+            prep, coarse, np.zeros((len(pixels), 1)), np.zeros((50, 1)), 0.0
+        )
+    assert patches == tuple(coarse)
+    return corrs
+
+
 class TestBestPerPixel:
     @given(fine_emissions())
     def test_matches_loop_oracle(self, case):
         pixels, fine = case
-        got = _best_per_pixel(pixels, fine)
+        got = run_fine(pixels, fine)
         want = best_per_pixel_loop(pixels, fine)
         assert got.pixels.tobytes() == want.pixels.tobytes()
-        np.testing.assert_array_equal(got.point_indices, want.point_indices)
+        assert got.point_indices.tobytes() == want.point_indices.tobytes()
         assert got.scores.tobytes() == want.scores.tobytes()
 
     def test_no_emissions_is_empty(self):
-        assert len(_best_per_pixel(np.zeros((3, 2)), [])) == 0
+        assert len(run_fine(np.zeros((3, 2)), [])) == 0
+
+    def test_a_tied_best_keeps_the_earlier_pairs_point(self):
+        pixels = np.array([[0.0, 0.0], [1.0, 0.0]])
+        fine = [(np.array([1]), np.array([7]), np.array([0.9])),
+                (np.array([0, 1]), np.array([3, 4]), np.array([0.5, 0.9]))]
+        got = run_fine(pixels, fine)
+        assert got.point_indices.tolist() == [3, 7]
+        assert got.scores.tolist() == [0.5, 0.9]
 
 
 class TestDegenerateRefit:

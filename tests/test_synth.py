@@ -332,13 +332,15 @@ def test_stream_tags_are_distinct():
     assert len(set(tags)) == len(tags)
 
 
+TWO_SEED_STREAMS = {"img_noise", "cloud_noise", "outlier", "guidance", "swap", "depth_corruption"}
+
+
 def test_no_two_streams_draw_alike_over_small_seeds():
     # each stream under seeds 0-9 in each of its seed slots, depth
     # corruption's two children included
-    two_seeds = {"img_noise", "cloud_noise", "outlier", "guidance", "swap", "depth_corruption"}
     firsts = {}
     for name in STREAM_TAGS:
-        slots = (range(10),) * (2 if name in two_seeds else 1)
+        slots = (range(10),) * (2 if name in TWO_SEED_STREAMS else 1)
         for seeds in itertools.product(*slots):
             rng = stream_rng(name, *seeds)
             streams = {name: rng}
@@ -349,6 +351,33 @@ def test_no_two_streams_draw_alike_over_small_seeds():
     shared = [owners for owners in firsts.values() if len(owners) > 1]
     # the one coincidence: RANSAC and the attention under one seed
     assert sorted(shared) == [[("ransac", (s,)), ("attention", (s,))] for s in range(10)]
+
+
+def test_a_later_seed_past_one_word_aliases_no_stream():
+    # SeedSequence joins the seeds' 32-bit words: both tuples spell 5, 1, 7
+    assert (stream_rng("img_noise", 2**32 + 5, 7).random()
+            != stream_rng("img_noise", 5, 1 + 7 * 2**32).random())
+
+
+def test_no_encoded_seed_tuple_meets_a_kept_one_over_edge_seeds():
+    # a tuple whose later seeds are one word each keeps (*seeds, tag); any other
+    # is encoded in words, and shares its entropy pool with no other tuple
+    edges = (0, 1, 5, 7, 2**32 - 1, 2**32, 2**32 + 5, 1 + 7 * 2**32, 2**64 - 1, 2**64, 2**96 + 3)
+    owners, encoded = {}, []
+    for name, tag in STREAM_TAGS.items():
+        for seeds in itertools.product(edges, repeat=2 if name in TWO_SEED_STREAMS else 1):
+            seed_seq = stream_rng(name, *seeds).bit_generator.seed_seq
+            pool = seed_seq.pool.tobytes()
+            owners.setdefault(pool, []).append((name, seeds))
+            if all(seed < 2**32 for seed in seeds[1:]):
+                assert seed_seq.entropy == (seeds if tag is None else (*seeds, tag))
+            else:
+                words = seed_seq.entropy
+                assert all(0 <= word < 2**32 for word in words) and words[-1] != 0
+                encoded.append(pool)
+    # 6 of the 11 edge seeds pass one word, in each two-seed stream's second slot
+    assert len(encoded) == len(TWO_SEED_STREAMS) * len(edges) * 6
+    assert all(len(owners[pool]) == 1 for pool in encoded)
 
 
 class TestCorruptDepth:
