@@ -1,14 +1,16 @@
 """Paired benchmark runs of two source trees, written to one BENCH file.
 
     python3 scripts/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \
-        --label NAME [--pairs 10] [--seconds 30] [--out DIR]
+        --label NAME [--pairs 10] [--seconds 30] [--seed 1] [--out DIR]
 
 Each tree is a checkout with `bench/run.py`, `src/` and `BENCHMARK.json`;
 a `git archive` of the parent commit will do. For every workload that the
 change tree's `BENCHMARK.json` lists, the script runs each tree's own
-`bench/run.py --seed 1 --trace 0`, `--pairs` times per tree, alternating
-which tree goes first. run.py itself pins one BLAS thread and
-imports crossreg from its own tree's `src`. The script then writes
+`bench/run.py --seed SEED --trace 0`, `--pairs` times per tree, alternating
+which tree goes first. The run seed (`--seed`, 1 by default) picks the
+scenes; a claim written against seed 1 is checked on another seed too.
+run.py itself pins one BLAS thread and imports crossreg from its own
+tree's `src`. The script then writes
 `BENCH_<label>.json` in `--out` (the root of this checkout by default).
 Per workload the file holds:
 
@@ -37,7 +39,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED = 1
 SIDES = ("parent", "change")
 
 
@@ -48,24 +49,25 @@ def parse_args(argv):
     parser.add_argument("--label", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
+        parser.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
     for tree in (args.parent, args.change):
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"{tree} has no bench/run.py")
     return args
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str, seconds: float, seed: int = 1) -> tuple[dict, dict]:
     """(details, result): the last two lines bench/run.py prints, as JSON."""
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
-    run = f"bench/run.py in {tree} ({workload}, seed {SEED})"
+    run = f"bench/run.py in {tree} ({workload}, seed {seed})"
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{run} exited {done.returncode}:\n" + done.stderr[-4000:])
@@ -136,7 +138,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "pairs": args.pairs,
         "seconds": args.seconds,
-        "seed": SEED,
+        "seed": args.seed,
         "machine": None,
         "workloads": {},
     }
@@ -145,7 +147,7 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                runs[side].append(run_once(trees[side], workload, args.seconds))
+                runs[side].append(run_once(trees[side], workload, args.seconds, args.seed))
             print(f"{workload}: pair {pair + 1}/{args.pairs} done", file=sys.stderr)
         record["machine"] = record["machine"] or runs["parent"][0][0]["machine"]
         record["workloads"][workload] = compare(runs, metrics)

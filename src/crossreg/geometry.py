@@ -108,8 +108,9 @@ def as_rotation(x, name: str = "rotation") -> F64:
 def unit_rows(rows, out: F64 | None = None) -> F64:
     """Scale each vector along the last axis to unit length; zero rows stay zero.
 
-    Writes to out, a new array by default; a C-contiguous float64 array of
-    rows' shape, rows itself included, may be given. The norms are taken
+    Writes to out, a new array by default; a float64 array of rows' shape,
+    rows itself included, may be given: C-contiguous, or 2-D with any row
+    strides, such as the first columns of a wider matrix. The norms are taken
     about UNIT_ROWS_BLOCK_ENTRIES entries at a time, and a row's norm does
     not depend on its block: the bytes are those of one np.linalg.norm call.
     """

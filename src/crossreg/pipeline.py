@@ -20,8 +20,10 @@ read the scene's pixel table, never a 640x480 raster: the depth stages
 work on its rows (about 1.9k at the default size), and inlier_ratio
 looks its depths up in it. The stand-in's base features are drawn once
 per prep. Each side's feature matrix, normal channels included, is
-allocated once and scaled to unit rows in place, so each coarse pair's
-fine matching is a slice, a product and a mutual argmax.
+allocated once and scaled to unit rows in place (synthesize_features
+writes the image rows straight into the first columns of theirs), so
+each coarse pair's fine matching is a slice, a product and a mutual
+argmax.
 
 Registration reads the observation (table pixels and depths, cloud,
 intrinsics, seed) plus synth.StandIn, the only ground-truth reader, which
@@ -381,7 +383,9 @@ def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineCon
               live: NormalField, agreement: float, one_shot: bool) -> tuple[tuple, tuple, float]:
     """(image side, cloud side, blend): _side of each side's stand-in rows with
     normal channels, refined at a positive warm-up blend over the prep's graphs,
-    which are built before the features are drawn. A one-shot hands
+    which are built before the features are drawn. The image side is one
+    (rows, C + 3) matrix: synthesize_features writes its first C columns and
+    the weighted live normals its last 3. A one-shot hands
     synthesize_features a copy of the stand-in, whose draws go when it returns.
     The prep keeps the last cloud side, keyed by the values it reads beyond
     _PREP_FIELDS; f_cloud (the stand-in's read-only base when noise-free) goes
@@ -393,11 +397,12 @@ def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineCon
         params = GraphAttentionParams.initialize(config.channels + 3, config.param_seed)
         pixel_graph = prep.pixel_graph
         cloud_graph = prep.cloud_graph
-    f_img, f_cloud = synthesize_features(
-        dataclasses.replace(prep.stand_in) if one_shot else prep.stand_in, corruption, agreement
+    img = np.empty((prep.stand_in.rows.size, config.channels + 3))
+    _, f_cloud = synthesize_features(
+        dataclasses.replace(prep.stand_in) if one_shot else prep.stand_in, corruption, agreement,
+        out=img[:, :-3],
     )
-    img = _with_normals(f_img, live.normals[prep.stand_in.rows], weight)
-    del f_img  # img is the image side's one matrix from here on
+    np.multiply(weight, live.normals[prep.stand_in.rows], out=img[:, -3:])
     img_side = _side(img, prep.tiles, pixel_graph, params, blend)
     key = (corruption.feature_noise_sigma, corruption.seed, weight, blend,
            config.param_seed if blend > 0.0 else None)
@@ -434,7 +439,8 @@ def _fine(prep: ScenePrep, coarse, img_unit: F64, cloud_unit: F64,
 
 
 def _with_normals(features: F64, normals: F64, weight: float) -> F64:
-    """A fresh (rows, C + 3) matrix: features, then normals (zero where invalid) at weight."""
+    """A fresh (rows, C + 3) matrix: features, then normals (zero where invalid) at
+    weight; the cloud side's, as _features writes the image side's in place."""
     rows = np.empty((features.shape[0], features.shape[1] + 3))
     rows[:, :-3] = features
     np.multiply(weight, normals, out=rows[:, -3:])
@@ -443,10 +449,10 @@ def _with_normals(features: F64, normals: F64, weight: float) -> F64:
 
 def _side(rows: F64, groups: _Members, graph: KnnGraph | None,
           params: GraphAttentionParams | None, blend: float) -> tuple[F64, F64]:
-    """(group means, unit rows) of rows, which _with_normals made, scaled to unit
-    length in place and refined over graph unless it is None; the refined rows
-    are scaled in place again after their means. Fine matching may slice the
-    unit rows."""
+    """(group means, unit rows) of rows, a side's one (rows, C + 3) matrix,
+    scaled to unit length in place and refined over graph unless it is None;
+    the refined rows are scaled in place again after their means. Fine
+    matching may slice the unit rows."""
     geometry.unit_rows(rows, out=rows)
     if graph is not None:
         rows = _refine(graph, rows, params, blend)

@@ -434,7 +434,7 @@ class StandIn:
 
 
 def synthesize_features(
-    stand_in: StandIn, noise: CorruptionConfig, agreement: float = 1.0
+    stand_in: StandIn, noise: CorruptionConfig, agreement: float = 1.0, out: F64 | None = None
 ) -> tuple[F64, F64]:
     """Aligned features: one image row per stand-in row, one cloud row per point.
 
@@ -444,22 +444,33 @@ def synthesize_features(
     guidance noise on the image rows and the rate of a swap that points a row
     at a cloud point farther than 3 * tau1_m (an outlier downstream); swapped
     rows bypass the noise; each Gaussian step re-normalizes. Draws are sized
-    by the row count, so more corruption only grows the affected sets. The
-    caller owns the image rows; the cloud rows are read-only, base at sigma 0.
+    by the row count, so more corruption only grows the affected sets.
+    The image rows go to out, a (rows, channels) float64 array or view such
+    as the first columns of a wider matrix, else to a new array, a block of
+    rows at a time. The caller owns them; the cloud rows are read-only, base
+    at sigma 0.
     The stand-in keeps the guidance and swap draws of the last noise seed,
     read-only, for as long as it lives.
     """
     base, points, cloud = stand_in.base, stand_in.points, stand_in.cloud
+    m, shape = points.size, (points.size, base.shape[1])
+    if out is not None and (out.shape != shape or out.dtype != np.float64):
+        raise ValueError(f"out is {out.dtype} {out.shape}, expected float64 {shape}")
+    f_img = np.empty(shape) if out is None else out
+    block = max(1, UNIT_ROWS_BLOCK_ENTRIES // shape[1])
+    for start in range(0, m, block):
+        f_img[start:start + block] = base[points[start:start + block]]
 
-    def noised(features: F64, stream: str, sigma: float) -> F64:
+    def noised(features: F64, stream: str, sigma: float, dst: F64 | None = None) -> F64:
+        """features plus the stream's noise, as unit rows in dst (else in the
+        draw); features themselves at sigma 0."""
         if sigma > 0.0:
             rng = stream_rng(stream, stand_in.seed, noise.seed)
             draw = rng.normal(0.0, sigma, features.shape)
-            features = unit_rows(np.add(features, draw, out=draw), out=draw)
+            features = unit_rows(np.add(features, draw, out=draw), out=draw if dst is None else dst)
         return features
 
-    m = points.size
-    f_img = noised(base[points], "img_noise", noise.feature_noise_sigma)
+    noised(f_img, "img_noise", noise.feature_noise_sigma, dst=f_img)
     f_cloud = noised(base, "cloud_noise", noise.feature_noise_sigma)  # base itself at sigma 0
     f_cloud.flags.writeable = False
     outliers = int(round(noise.outlier_fraction * m))
@@ -474,7 +485,6 @@ def synthesize_features(
         # added one block of rows at a time, so no step of f_img's size is made
         z = memo(stand_in, "guidance", noise.seed, lambda: stream_rng(
             "guidance", stand_in.seed, noise.seed).standard_normal(f_img.shape))
-        block = max(1, UNIT_ROWS_BLOCK_ENTRIES // z.shape[1])
         for start in range(0, m, block):
             step = scale * z[start:start + block]
             f_img[start:start + block] += np.add(0.0, step, out=step)

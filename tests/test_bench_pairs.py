@@ -75,6 +75,46 @@ def test_a_run_judged_wrong_stops_with_its_problems(bench_pairs, tmp_path):
     assert str(stop.value).endswith("a pixel is matched twice")
 
 
+def test_run_once_passes_the_run_seed(bench_pairs, tmp_path):
+    # a stand-in run.py that records its arguments and prints a correct result
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(textwrap.dedent("""\
+        import json, sys
+        print(json.dumps({"details": {"argv": sys.argv[1:]}}))
+        print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}}))
+    """))
+    details, _ = bench_pairs.run_once(tmp_path, "sweep", 0.5, 3)
+    argv = details["argv"]
+    assert argv[argv.index("--seed") + 1] == "3"
+    assert argv[argv.index("--workload") + 1] == "sweep"
+    details, _ = bench_pairs.run_once(tmp_path, "sweep", 0.5)
+    assert details["argv"][details["argv"].index("--seed") + 1] == "1"
+
+
+def test_the_seed_lands_in_the_record(bench_pairs, tmp_path):
+    # a stand-in tree: one workload, one metric, and a run.py that reports its seed
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(textwrap.dedent("""\
+        import json, sys
+        seed = sys.argv[sys.argv.index("--seed") + 1]
+        print(json.dumps({"details": {"digest": seed, "machine": {}}}))
+        print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                          "metrics": {"rr": {"value": 1.0}}}))
+    """))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "register"}],
+        "end_to_end": [{"name": "rr", "unit": "ratio", "better": "higher", "bound": 0.1}],
+    }))
+    tree = ["--parent", str(tmp_path), "--change", str(tmp_path), "--label", "seeded",
+            "--pairs", "1", "--out", str(tmp_path)]
+    assert bench_pairs.main(tree + ["--seed", "3"]) == 0
+    record = json.loads((tmp_path / "BENCH_seeded.json").read_text())
+    assert record["seed"] == 3
+    assert record["workloads"]["register"]["digests"] == {"parent": ["3"], "change": ["3"]}
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(tree + ["--seed", "-1"])
+
+
 def test_a_tie_is_not_a_win(bench_pairs):
     parent, change = [1.0, 2.0, 3.0, 4.0], [0.5, 2.0, 3.5, 4.0]
     assert bench_pairs.win_share(parent, change, "lower") == 0.25

@@ -42,7 +42,13 @@ from crossreg.geometry import (
 from crossreg.graph import GraphAttentionParams
 from crossreg.losses import LossWeights, WarmupSchedule
 from crossreg.matching import CorrespondenceSet
-from crossreg.metrics import TAU1_M, TAU2_RATIO, TAU3_M
+from crossreg.metrics import (
+    TAU1_M,
+    TAU2_RATIO,
+    TAU3_M,
+    registration_rmse,
+    relative_rotation_error,
+)
 from crossreg.pipeline import (
     PipelineConfig,
     SWEEP_DEFAULTS,
@@ -552,6 +558,27 @@ class TestWorkingSet:
                 tracemalloc.stop()
             assert peak <= 4.0 * matrix, (seed, peak / matrix)
 
+    def test_a_warm_prep_registration_allocates_one_image_matrix(self):
+        # as ablation_rows does after its first settings: the prep already holds
+        # the guidance and swap draws and the cloud side, so a registration's
+        # new allocations are its image side's; synthesize_features writes
+        # straight into the (rows, C + 3) matrix, where a (rows, C) matrix
+        # copied into it peaked at 2.1 matrices
+        warm = PipelineConfig(mask_ratio=0.1)
+        cfg = warm.replace(mask_ratio=0.3)
+        for seed in (1001, 1002, 1003):
+            scene = generate_scene(cfg.scene_spec(), seed=seed)
+            prep = prepare_scene(scene, warm)
+            register_scene(scene, warm, prep)
+            matrix = scene.gt_rows.size * (cfg.channels + 3) * 8
+            tracemalloc.start()
+            try:
+                register_scene(scene, cfg, prep)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.85 * matrix, (seed, peak / matrix)
+
     def test_no_path_imports_numpy_ma(self):
         # np.unique and np.median import numpy.ma on first use, about 1.6 MB
         # of RSS and 14 ms a process; so a fresh interpreter is asked
@@ -767,6 +794,35 @@ class TestDegenerateRefit:
         rows = ablation_rows(cfg, "mask_ratio", (0.0,))
         assert len(rows) == 1
         assert rows[0][0] == 0.0
+
+
+class TestOutlierHeavyScenes:
+    """ROADMAP item 17's test bed, at the outliers workload's settings with half
+    the image rows outliers: one scene that registers, and one whose capped
+    RANSAC returns a wrong pose without an error, which a fix must register."""
+
+    CONFIG = dict(point_count=800, outlier_fraction=0.5, min_fine_score=0.0)
+
+    def register(self, seed):
+        cfg = PipelineConfig(**self.CONFIG)
+        scene = generate_scene(cfg.scene_spec(), seed=seed)
+        result = register_scene(scene, cfg)
+        est = result.estimate
+        rmse = registration_rmse(scene.cloud, est.transform, scene.gt_transform)
+        rre = relative_rotation_error(scene.gt_transform.rotation, est.transform.rotation)
+        return cfg, result, rmse, rre
+
+    def test_seed_1_registers(self):
+        cfg, result, rmse, rre = self.register(1)
+        assert rmse < cfg.tau3_m
+        assert rre == pytest.approx(4.0, abs=0.05)
+        assert (result.estimate.inlier_count, len(result.correspondences)) == (40, 344)
+
+    def test_seed_23_returns_a_wrong_pose_without_an_error(self):
+        cfg, result, rmse, rre = self.register(23)
+        assert rmse >= cfg.tau3_m
+        assert rre == pytest.approx(24.3, abs=0.05)
+        assert (result.estimate.inlier_count, len(result.correspondences)) == (10, 330)
 
 
 class TestEvaluationReport:

@@ -594,6 +594,32 @@ class TestSynthesizeFeatures:
         assert not np.array_equal(lost[0], want[0])
         assert lost[1].tobytes() == want[1].tobytes()
 
+    @pytest.mark.parametrize("sigma, outliers, agreement", list(
+        itertools.product((0.0, 0.05), (0.0, 0.1), (1.0, 0.6))
+    ))
+    def test_out_takes_the_image_rows_in_place(self, sigma, outliers, agreement):
+        # the rows land in a view of a wider matrix, as registration passes its
+        # image matrix's first C columns, byte for byte the default call's rows
+        cfg = CorruptionConfig(feature_noise_sigma=sigma, outlier_fraction=outliers, seed=5)
+        want = synthesize_features(StandIn.of(self.scene, 64), cfg, agreement)
+        stand_in = StandIn.of(self.scene, 64)
+        buf = np.full((stand_in.rows.size, 67), 7.0)
+        view = buf[:, :64]
+        f_img, f_cloud = synthesize_features(stand_in, cfg, agreement, out=view)
+        assert f_img is view
+        assert view.tobytes() == want[0].tobytes()
+        assert f_cloud.tobytes() == want[1].tobytes()
+        assert np.all(buf[:, 64:] == 7.0)
+
+    @pytest.mark.parametrize("extra_rows, channels, dtype", [
+        (-1, 64, np.float64), (0, 63, np.float64), (0, 64, np.float32),
+    ], ids=["rows", "channels", "float32"])
+    def test_out_of_another_shape_or_type_is_refused(self, extra_rows, channels, dtype):
+        stand_in = StandIn.of(self.scene, 64)
+        out = np.zeros((stand_in.rows.size + extra_rows, channels), dtype=dtype)
+        with pytest.raises(ValueError, match="out is"):
+            synthesize_features(stand_in, CorruptionConfig(), out=out)
+
 
 class TestStandIn:
     def test_registers_the_rows_with_a_point(self):
