@@ -1,11 +1,11 @@
 """Outlier-heavy registrations: how many register, how many end wrong, and why.
 
-    python3 scripts/outlier_table.py [--fractions 0.5 0.6 0.7] [--seeds 30]
+    python3 scripts/outlier_table.py
 
 Each scene is a `generate_scene` of seed 1..SEEDS at the `outliers` workload's
-settings (800 points, `min_fine_score` 0), registered at each
-`outlier_fraction`, one process, one scene at a time. Per fraction the script
-prints one Markdown table row:
+settings (bench/harness.py: 800 points, `min_fine_score` 0), registered at
+each of FRACTIONS in place of the workload's `outlier_fraction`, one process,
+one scene at a time. Per fraction the script prints one Markdown table row:
 
 - registered: scenes whose RMSE is below `tau3_m`;
 - wrong, exit 0: scenes registered without an error but at or past `tau3_m`,
@@ -23,7 +23,6 @@ The whole run takes about a minute on one core of a 2-vCPU Xeon.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -32,15 +31,18 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
 
 import crossreg.pipeline as pipeline  # noqa: E402
 from crossreg.errors import REGISTRATION_FAILURES  # noqa: E402
 from crossreg.metrics import registration_rmse, relative_rotation_error  # noqa: E402
 from crossreg.pipeline import PipelineConfig, register_scene  # noqa: E402
 from crossreg.synth import generate_scene  # noqa: E402
+from harness import WORKLOADS  # noqa: E402
 
-# the outliers workload of bench/harness.py, but for its outlier fraction
-SETTINGS = {"point_count": 800, "min_fine_score": 0.0}
+SETTINGS = WORKLOADS["outliers"].settings
+FRACTIONS = (0.5, 0.6, 0.7)
+SEEDS = 30
 
 
 def exact_share(scene, corrs) -> float:
@@ -70,15 +72,15 @@ def spread(values: list[float]) -> str:
     return f"{np.median(values):.3f} ({min(values):.3f}–{max(values):.3f})"
 
 
-def fraction_row(fraction: float, seeds: int) -> tuple[str, list[str]]:
-    cfg = PipelineConfig(outlier_fraction=fraction, **SETTINGS)
+def fraction_row(fraction: float) -> tuple[str, list[str]]:
+    cfg = PipelineConfig().replace(**{**SETTINGS, "outlier_fraction": fraction})
     seconds: list[float] = []
     shares = {"registered": ([], []), "wrong": ([], [])}
     raised, wrong = 0, []
     ransac = pipeline.pnp_ransac
     pipeline.pnp_ransac = timed(ransac, seconds)  # the name register_scene calls
     try:
-        for seed in range(1, seeds + 1):
+        for seed in range(1, SEEDS + 1):
             scene = generate_scene(cfg.scene_spec(), seed=seed)
             try:
                 result = register_scene(scene, cfg)
@@ -104,22 +106,17 @@ def fraction_row(fraction: float, seeds: int) -> tuple[str, list[str]]:
     return "| " + " | ".join(row) + " |", wrong
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fractions", type=float, nargs="+", default=[0.5, 0.6, 0.7])
-    parser.add_argument("--seeds", type=int, default=30)
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be >= 1")
-    print(f"seeds 1–{args.seeds}, " + ", ".join(f"{k} {v}" for k, v in SETTINGS.items()))
+def main() -> int:
+    shared = {k: v for k, v in SETTINGS.items() if k != "outlier_fraction"}
+    print(f"seeds 1–{SEEDS}, " + ", ".join(f"{k} {v}" for k, v in shared.items()))
     print()
     print("| `outlier_fraction` | registered | wrong, exit 0 | raised | RANSAC ms "
           "| exact share, registered | inlier share, registered "
           "| exact share, wrong | inlier share, wrong |")
     print("| --- " * 9 + "|")
     wrong_poses = {}
-    for fraction in args.fractions:
-        row, wrong_poses[fraction] = fraction_row(fraction, args.seeds)
+    for fraction in FRACTIONS:
+        row, wrong_poses[fraction] = fraction_row(fraction)
         print(row, flush=True)
     print()
     for fraction, wrong in wrong_poses.items():

@@ -167,9 +167,7 @@ def fine_match_unit(
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     scores = img @ cloud.T
     row_best = np.argmax(scores, axis=1)
-    # np.argmax(scores, axis=0) would copy the block; the first row holding
-    # each column's maximum is the same index, ties included
-    col_best = np.argmax(scores == scores.max(axis=0), axis=0)
+    col_best = np.argmax(scores, axis=0)
     rows = np.arange(scores.shape[0])
     picked = scores[rows, row_best]
     keep = np.flatnonzero((col_best[row_best] == rows) & (picked >= min_score))

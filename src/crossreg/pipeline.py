@@ -252,11 +252,13 @@ def _group_means(features: F64, groups: _Members) -> F64:
     """Mean feature per group, in group order.
 
     Each group's rows are summed in row order onto +0.0, as np.add.at
-    accumulates them, so the means match it to the bit.
+    accumulates them, so the means match it to the bit. numpy sums a
+    one-column block pairwise, so one column is summed by cumsum instead.
     """
     sums = np.zeros((groups.ids.size, features.shape[1]))
     for group in range(groups.ids.size):
-        sums[group] += features[groups.of(group)].sum(axis=0)
+        rows = features[groups.of(group)]
+        sums[group] += rows.sum(axis=0) if rows.shape[1] > 1 else rows.cumsum(axis=0)[-1]
     return sums / np.diff(groups.offsets)[:, None].astype(np.float64)
 
 
@@ -383,9 +385,9 @@ def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineCon
               live: NormalField, agreement: float, one_shot: bool) -> tuple[tuple, tuple, float]:
     """(image side, cloud side, blend): _side of each side's stand-in rows with
     normal channels, refined at a positive warm-up blend over the prep's graphs,
-    which are built before the features are drawn. The image side is one
-    (rows, C + 3) matrix: synthesize_features writes its first C columns and
-    the weighted live normals its last 3. A one-shot hands
+    which are built before the features are drawn. Each side is one
+    _with_normals matrix: synthesize_features writes the image rows straight
+    into the first C columns of theirs. A one-shot hands
     synthesize_features a copy of the stand-in, whose draws go when it returns.
     The prep keeps the last cloud side, keyed by the values it reads beyond
     _PREP_FIELDS; f_cloud (the stand-in's read-only base when noise-free) goes
@@ -397,20 +399,22 @@ def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineCon
         params = GraphAttentionParams.initialize(config.channels + 3, config.param_seed)
         pixel_graph = prep.pixel_graph
         cloud_graph = prep.cloud_graph
-    img = np.empty((prep.stand_in.rows.size, config.channels + 3))
+    img = _with_normals(live.normals[prep.stand_in.rows], config.channels, weight)
     _, f_cloud = synthesize_features(
         dataclasses.replace(prep.stand_in) if one_shot else prep.stand_in, corruption, agreement,
         out=img[:, :-3],
     )
-    np.multiply(weight, live.normals[prep.stand_in.rows], out=img[:, -3:])
     img_side = _side(img, prep.tiles, pixel_graph, params, blend)
     key = (corruption.feature_noise_sigma, corruption.seed, weight, blend,
            config.param_seed if blend > 0.0 else None)
-    cloud_side = synth.memo(prep, "cloud_side", key, lambda: _side(
-        _with_normals(f_cloud, prep.stand_in.cloud_normals(prep.clean_normals.normals), weight),
-        prep.cells, cloud_graph, params, blend,
-    ))
-    return img_side, cloud_side, blend
+
+    def cloud_side() -> tuple[F64, F64]:
+        rows = _with_normals(prep.stand_in.cloud_normals(prep.clean_normals.normals),
+                             config.channels, weight)
+        rows[:, :-3] = f_cloud
+        return _side(rows, prep.cells, cloud_graph, params, blend)
+
+    return img_side, synth.memo(prep, "cloud_side", key, cloud_side), blend
 
 
 def _fine(prep: ScenePrep, coarse, img_unit: F64, cloud_unit: F64,
@@ -438,11 +442,10 @@ def _fine(prep: ScenePrep, coarse, img_unit: F64, cloud_unit: F64,
     return CorrespondenceSet(pixels, points[matched], best[matched]), tuple(patches)
 
 
-def _with_normals(features: F64, normals: F64, weight: float) -> F64:
-    """A fresh (rows, C + 3) matrix: features, then normals (zero where invalid) at
-    weight; the cloud side's, as _features writes the image side's in place."""
-    rows = np.empty((features.shape[0], features.shape[1] + 3))
-    rows[:, :-3] = features
+def _with_normals(normals: F64, channels: int, weight: float) -> F64:
+    """A fresh (rows, channels + 3) matrix whose last 3 columns are normals (zero
+    where invalid) at weight; the caller writes the features into the rest."""
+    rows = np.empty((normals.shape[0], channels + 3))
     np.multiply(weight, normals, out=rows[:, -3:])
     return rows
 

@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from crossreg.geometry import (
     as_points,
     backproject_pixels,
     rotation_from_axis_angle,
-    unit_rows,
 )
 from crossreg.matching import (
     POS_2D_PX,
@@ -28,7 +26,6 @@ from crossreg.matching import (
     coarse_match,
     cosine_score_map,
     fine_match,
-    fine_match_unit,
     patch_overlap,
 )
 from crossreg.pipeline import PipelineConfig, _Members, _patch_ids
@@ -331,36 +328,6 @@ class TestFineMatch:
             np.zeros((0, 3)), np.zeros((4, 3)), np.zeros((0, 2)), np.arange(4)
         )
         assert len(out) == 0
-
-    @given(fine_inputs())
-    @example((np.ones((3, 2)), np.ones((4, 2)), 0.0))  # every entry ties
-    def test_unit_columns_pick_the_first_best_row_as_argmax_does(self, inputs):
-        f_img, f_cloud, floor = inputs
-        img, cloud = unit_rows(f_img), unit_rows(f_cloud)
-        scores = img @ cloud.T
-        row_best = np.argmax(scores, axis=1)
-        col_best = np.argmax(scores, axis=0)
-        rows = np.arange(scores.shape[0])
-        picked = scores[rows, row_best]
-        keep = np.flatnonzero((col_best[row_best] == rows) & (picked >= floor))
-        got = fine_match_unit(img, cloud, floor)
-        want = (keep, row_best[keep], picked[keep])
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-
-    def test_a_large_block_is_not_copied(self):
-        # np.argmax(scores, axis=0) copied the whole score block, for a peak of
-        # 2.0 blocks; the column maxima and a boolean mask stay near 1.25
-        rng = np.random.default_rng(52)
-        img = unit_rows(rng.standard_normal((1005, 67)))
-        cloud = unit_rows(rng.standard_normal((1307, 67)))
-        block = img.shape[0] * cloud.shape[0] * 8
-        tracemalloc.start()
-        try:
-            fine_match_unit(img, cloud, 0.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * block, peak / block
 
 
 @st.composite

@@ -42,13 +42,7 @@ from crossreg.geometry import (
 from crossreg.graph import GraphAttentionParams
 from crossreg.losses import LossWeights, WarmupSchedule
 from crossreg.matching import CorrespondenceSet
-from crossreg.metrics import (
-    TAU1_M,
-    TAU2_RATIO,
-    TAU3_M,
-    registration_rmse,
-    relative_rotation_error,
-)
+from crossreg.metrics import TAU1_M, TAU2_RATIO, TAU3_M, registration_rmse
 from crossreg.pipeline import (
     PipelineConfig,
     SWEEP_DEFAULTS,
@@ -797,32 +791,32 @@ class TestDegenerateRefit:
 
 
 class TestOutlierHeavyScenes:
-    """ROADMAP item 17's test bed, at the outliers workload's settings with half
-    the image rows outliers: one scene that registers, and one whose capped
-    RANSAC returns a wrong pose without an error, which a fix must register."""
-
-    CONFIG = dict(point_count=800, outlier_fraction=0.5, min_fine_score=0.0)
+    """ROADMAP item 17's test bed, at the outliers workload's settings
+    (bench/harness.py), half the image rows outliers: one scene that
+    registers, and one that must register once item 17 is fixed; today its
+    capped RANSAC returns a pose 24.3 degrees off without an error."""
 
     def register(self, seed):
-        cfg = PipelineConfig(**self.CONFIG)
+        bench = str(Path(__file__).resolve().parent.parent / "bench")
+        if bench not in sys.path:
+            sys.path.insert(0, bench)
+        from harness import WORKLOADS
+
+        cfg = PipelineConfig().replace(**WORKLOADS["outliers"].settings)
+        assert cfg.outlier_fraction == 0.5
         scene = generate_scene(cfg.scene_spec(), seed=seed)
-        result = register_scene(scene, cfg)
-        est = result.estimate
-        rmse = registration_rmse(scene.cloud, est.transform, scene.gt_transform)
-        rre = relative_rotation_error(scene.gt_transform.rotation, est.transform.rotation)
-        return cfg, result, rmse, rre
+        est = register_scene(scene, cfg).estimate
+        return cfg, registration_rmse(scene.cloud, est.transform, scene.gt_transform)
 
     def test_seed_1_registers(self):
-        cfg, result, rmse, rre = self.register(1)
+        cfg, rmse = self.register(1)
         assert rmse < cfg.tau3_m
-        assert rre == pytest.approx(4.0, abs=0.05)
-        assert (result.estimate.inlier_count, len(result.correspondences)) == (40, 344)
 
-    def test_seed_23_returns_a_wrong_pose_without_an_error(self):
-        cfg, result, rmse, rre = self.register(23)
-        assert rmse >= cfg.tau3_m
-        assert rre == pytest.approx(24.3, abs=0.05)
-        assert (result.estimate.inlier_count, len(result.correspondences)) == (10, 330)
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 17: a wrong pose returned without an error")
+    def test_seed_23_registers(self):
+        cfg, rmse = self.register(23)
+        assert rmse < cfg.tau3_m
 
 
 class TestEvaluationReport:
@@ -1340,6 +1334,8 @@ class TestGroupingOracles:
     # one channel, groups of one member, empty groups, and sums of -0.0
     @example(grouped=(np.array([[-0.0], [1.0], [-0.0]]), (5, np.array([3, 1, 0]))))
     @example(grouped=(np.array([[-0.0, 2.0], [-0.0, -2.0]]), (2, np.array([1, 1]))))
+    # one column of eight rows, which numpy's sum adds pairwise
+    @example(grouped=(np.full((8, 1), 0.1), (1, np.zeros(8, dtype=np.int64))))
     @given(grouped=_GROUPED)
     def test_group_means_match_add_at(self, grouped):
         feats, (groups, ids) = grouped
