@@ -3,12 +3,12 @@
     python3 scripts/golden_digests.py          # print the digests as JSON
     python3 scripts/golden_digests.py --write  # regenerate tests/golden_digests.json
 
-The matrix (about 4 s on one core of a 2-vCPU Xeon):
+The matrix (about 5 s on a 2-vCPU Xeon, one core but for the --jobs 2 runs):
 
-- register/<variant>/seed<s>: the six register variants of
-  scripts/cli_matrix.sh on two 600-point scenes; each digest covers the
-  correspondences, the pose, the inlier mask, the coarse patches, the
-  agreement, the blend and the evaluation;
+- register/<variant>/seed<s>: six register variants (plain, adaptive_k,
+  epoch 25, corrupted depth, row outliers, 32 channels) on two 600-point
+  scenes; each digest covers the correspondences, the pose, the inlier
+  mask, the coarse patches, the agreement, the blend and the evaluation;
 - register/default_size/seed21: the corrupted variant on one 2,000-point
   scene, the benchmark's register size. The k-NN's BLAS block shape, and so
   its rounding, depends on the row count, so only a default-size scene pins
@@ -25,14 +25,23 @@ The matrix (about 4 s on one core of a 2-vCPU Xeon):
   row outliers (0.1) and depth noise (0.01 m), at epoch 0 and at epoch 25,
   so one prep serves settings whose features are noised and refined;
 - normals/<variant> and losses/epoch<e>: the files the normals and losses
-  commands write;
+  commands write, normals plain, adaptive and adaptive at k 16;
+- cli/synth: the two 600-point bundles `synth --jobs 2` writes;
 - cli/register/<file>, cli/eval and cli/ablate: the four files register
   writes for the seed-21 bundle, the eval report of that result, and an
-  ablate CSV of a two-value mask_ratio sweep over two 600-point scenes.
+  ablate CSV of a two-value mask_ratio sweep over two 600-point scenes;
+- cli/ablate/<variant>: ablate CSVs on two workers over the same scenes,
+  the default mask_ratio sweep with adaptive_k and a warmup sweep of
+  explicit values with half the rows outliers, every fine match kept and
+  a RANSAC budget of 100.
 
-tests/test_golden_digests.py compares a fresh run with the checked-in file.
-The file records the numpy and BLAS versions it was made with, since BLAS
-rounding can move the low bits of a float on another build.
+Every subcommand writes at least one digested output; the refusals the
+CLI prints instead of an output are tier-1 tests (tests/test_cli.py,
+tests/test_config_fuzz.py). tests/test_golden_digests.py compares a fresh
+run with the checked-in file. The file records the numpy and BLAS versions
+it was made with, since BLAS rounding can move the low bits of a float on
+another build. A numeric warning is an error here, as in the tests, so
+--write cannot record the digests of a run that raised one.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ import io
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +77,7 @@ GOLDEN = ROOT / "tests" / "golden_digests.json"
 POINTS = 600
 SEEDS = (21, 22)
 
-# the register variants of scripts/cli_matrix.sh
+# the register variants, each pinned on every scene of SEEDS
 VARIANTS = {
     "plain": {},
     "adaptive": {"adaptive_k": True},
@@ -81,6 +91,16 @@ NOISY_SWEEP = {"feature_noise_sigma": 0.05, "outlier_fraction": 0.1, "gaussian_s
 # the scene of register/refit_fallback/seed2, whose refit falls back to the vote
 REFIT_FALLBACK = {
     "point_count": 800, "outlier_fraction": 0.5, "min_fine_score": 0.0, "mask_ratio": 0.3,
+}
+# the ablate runs of the cli/ablate/<variant> keys, on two workers; at the
+# default 1,000 RANSAC iterations the outlier-heavy warmup sweep takes about
+# 4 s, at 100 under 1 s, and its rows then hold both hits and misses
+ABLATE_VARIANTS = {
+    "adaptive_mask_ratio": ["--sweep", "mask_ratio", "--set", "adaptive_k=true"],
+    "outliers_warmup": [
+        "--sweep", "warmup", "--values", "[0, 10, 12, 20]", "--set", "min_fine_score=0.0",
+        "--set", "outlier_fraction=0.5", "--set", "ransac_iterations=100",
+    ],
 }
 
 
@@ -164,9 +184,15 @@ def compute() -> dict[str, str]:
             raise AssertionError("a bundle saved after a load differs from the first save")
         digests["bundle_bytes"] = _digest(_tree_bytes(second))
 
+        synth = Path(tmp) / "synth"
+        _cli(["synth", "--out", str(synth), "--jobs", "2", "--set", f"point_count={POINTS}",
+              "--set", "scene_count=2", "--set", f"base_seed={SEEDS[0]}"])
+        digests["cli/synth"] = _digest(_tree_bytes(synth))
+
         for name, sets in (
             ("plain", []),
             ("adaptive", ["--set", "adaptive_k=true"]),
+            ("adaptive_k16", ["--set", "adaptive_k=true", "--set", "k_neighbors=16"]),
         ):
             out = Path(tmp) / f"normals_{name}"
             _cli(["normals", "--scene", str(first), "--out", str(out), *sets])
@@ -189,6 +215,11 @@ def compute() -> dict[str, str]:
             "--set", f"point_count={POINTS}", "--set", "scene_count=2",
         ])
         digests["cli/ablate"] = _digest([table.read_bytes()])
+        for name, args in ABLATE_VARIANTS.items():
+            table = Path(tmp) / f"ablate_{name}.csv"
+            _cli(["ablate", *args, "--jobs", "2", "--out", str(table),
+                  "--set", f"point_count={POINTS}", "--set", "scene_count=2"])
+            digests[f"cli/ablate/{name}"] = _digest([table.read_bytes()])
 
     sweep_config = PipelineConfig(point_count=POINTS, scene_count=2, base_seed=SEEDS[0])
     for name, values in SWEEP_DEFAULTS.items():
@@ -216,7 +247,8 @@ def versions() -> dict[str, str]:
 
 def main(argv: list[str]) -> int:
     # the summaries of the CLI commands go to stdout; keep them off the JSON
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         payload = {"versions": versions(), "digests": compute()}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if argv == ["--write"]:

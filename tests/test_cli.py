@@ -832,6 +832,9 @@ class TestCoordinateOverflow:
         pose = tiny_bundle / "gt_pose.json"
         translation = json.loads(pose.read_text())["translation"]
         edit_file(pose, None, lambda text: json_with(text, "translation", [x, *translation[1:]]))
+        again = tmp_path / "again"
+        assert run("register", "--scene", str(tiny_bundle), "--out", str(again)) == 0
+        assert file_bytes(again) == file_bytes(results)
         capsys.readouterr()
         err = self.exits_1(capsys, "eval", "--scenes", str(tiny_bundle),
                            "--results", str(results), "--out", str(tmp_path / "r.json"))
