@@ -15,7 +15,7 @@ and the emitted correspondences reproduce the ground truth.
 
 No work is done whose result would be discarded, and none is repeated.
 The refinement runs only at a positive warm-up weight, on graphs built
-on first use and kept with the scene's prep. Registration and evaluation
+on first use and kept by a caller's prep. Registration and evaluation
 read the scene's pixel table, never a 640x480 raster: the depth stages
 work on its rows (about 1.9k at the default size), and inlier_ratio
 looks its depths up in it. The stand-in's base features are drawn once
@@ -34,13 +34,12 @@ corruption, the cloud's normal channels. Evaluation scores its patch pairs.
 from __future__ import annotations
 
 import dataclasses
-import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
 
-from . import _settings, geometry, matching, normals, synth
+from . import _settings, geometry, matching, normals
 from .errors import (
     REGISTRATION_FAILURES,
     ConfigError,
@@ -281,17 +280,15 @@ class RegistrationResult:
 @dataclass(frozen=True)
 class ScenePrep:
     """The work of a registration fixed by its scene and _PREP_FIELDS alone, and
-    the last cloud side, which _features keys by the other fields it reads.
+    a store, kept, for the values later registrations can reuse.
 
     Registration works on the rows of the scene's pixel table, never on
     the image grid: clean_normals holds one lifted normal per table row.
-    stand_in, at the config's channel count, names the rows registered;
-    a prep passed to register_scene keeps its guidance and swap draws for
-    the registrations to come.
-
-    The refinement graphs are built on first read, so a registration at
-    warm-up weight 0 never builds them; a cached_property, like synth.memo,
-    writes the instance __dict__ directly, which the frozen dataclass allows.
+    stand_in, at the config's channel count, names the rows registered.
+    keep is the only code that stores a value for a later registration, and
+    a prep with kept None, as a one-shot register_scene makes, keeps none.
+    The refinement graphs are built through it on first read, so a
+    registration at warm-up weight 0 never builds them.
     """
 
     scene: SyntheticScene
@@ -300,14 +297,28 @@ class ScenePrep:
     stand_in: StandIn
     tiles: _Members  # the rows registered, by image tile
     cells: _Members  # cloud points by voxel cell
+    kept: dict | None = field(default=None, compare=False, repr=False)
 
-    @functools.cached_property
+    def keep(self, name: str, key, make):
+        """make(), its arrays read-only, kept under name until another key is
+        asked for; the frozen dataclass lets kept, a dict, change."""
+        kept = {} if self.kept is None else self.kept
+        if name not in kept or kept[name][0] != key:
+            value = make()
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+            kept[name] = (key, value)
+        return kept[name][1]
+
+    @property
     def pixel_graph(self) -> KnnGraph | None:
-        return self._graph(self.scene.table.pixels[self.stand_in.rows])
+        return self.keep("pixel_graph", None, lambda: self._graph(
+            self.scene.table.pixels[self.stand_in.rows]))
 
-    @functools.cached_property
+    @property
     def cloud_graph(self) -> KnnGraph | None:
-        return self._graph(self.scene.cloud)
+        return self.keep("cloud_graph", None, lambda: self._graph(self.scene.cloud))
 
     def _graph(self, positions: F64) -> KnnGraph | None:
         """None below 2 nodes: refinement is skipped."""
@@ -333,22 +344,22 @@ def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
         table.pixels[stand_in.rows], scene.cloud, scene.intrinsics, config
     )
     groups = (_Members.index(tiles)[0], _Members.index(cells)[0])
-    return ScenePrep(scene, _prep_key(config), clean, stand_in, *groups)
+    return ScenePrep(scene, _prep_key(config), clean, stand_in, *groups, kept={})
 
 
 def register_scene(
     scene: SyntheticScene, config: PipelineConfig, prep: ScenePrep | None = None
 ) -> RegistrationResult:
-    """Register one scene; prep, from prepare_scene(scene, config), is reused."""
-    one_shot = prep is None
-    if one_shot:
-        prep = prepare_scene(scene, config)
+    """Register one scene; prep, from prepare_scene(scene, config), is reused.
+    Without one, the prep made here keeps nothing."""
+    if prep is None:
+        prep = dataclasses.replace(prepare_scene(scene, config), kept=None)
     elif prep.scene is not scene or prep.key != _prep_key(config):
         raise ConfigError(f"prep is for another scene or other {', '.join(_PREP_FIELDS)}")
     corruption = config.corruption()
     live_normals, agreement = _normals(prep, corruption, config)
     (tile_desc, img_unit), (cell_desc, cloud_unit), blend = _features(
-        prep, corruption, config, live_normals, agreement, one_shot
+        prep, corruption, config, live_normals, agreement
     )
     coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
     corrs, patches = _fine(prep, coarse, img_unit, cloud_unit, config.min_fine_score)
@@ -382,16 +393,13 @@ def _normals(prep: ScenePrep, corruption: CorruptionConfig,
 
 
 def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineConfig,
-              live: NormalField, agreement: float, one_shot: bool) -> tuple[tuple, tuple, float]:
+              live: NormalField, agreement: float) -> tuple[tuple, tuple, float]:
     """(image side, cloud side, blend): _side of each side's stand-in rows with
     normal channels, refined at a positive warm-up blend over the prep's graphs,
     which are built before the features are drawn. Each side is one
     _with_normals matrix: synthesize_features writes the image rows straight
-    into the first C columns of theirs. A one-shot hands
-    synthesize_features a copy of the stand-in, whose draws go when it returns.
-    The prep keeps the last cloud side, keyed by the values it reads beyond
-    _PREP_FIELDS; f_cloud (the stand-in's read-only base when noise-free) goes
-    unused while it holds."""
+    into the first C columns of theirs. Its draws and cloud rows, and the cloud
+    side, go through prep.keep under the values they read beyond _PREP_FIELDS."""
     weight = config.normal_channel_weight
     blend = warmup_weight(config.epoch, config.warmup())
     params = pixel_graph = cloud_graph = None
@@ -401,8 +409,7 @@ def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineCon
         cloud_graph = prep.cloud_graph
     img = _with_normals(live.normals[prep.stand_in.rows], config.channels, weight)
     _, f_cloud = synthesize_features(
-        dataclasses.replace(prep.stand_in) if one_shot else prep.stand_in, corruption, agreement,
-        out=img[:, :-3],
+        prep.stand_in, corruption, agreement, out=img[:, :-3], keep=prep.keep
     )
     img_side = _side(img, prep.tiles, pixel_graph, params, blend)
     key = (corruption.feature_noise_sigma, corruption.seed, weight, blend,
@@ -414,7 +421,7 @@ def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineCon
         rows[:, :-3] = f_cloud
         return _side(rows, prep.cells, cloud_graph, params, blend)
 
-    return img_side, synth.memo(prep, "cloud_side", key, cloud_side), blend
+    return img_side, prep.keep("cloud_side", key, cloud_side), blend
 
 
 def _fine(prep: ScenePrep, coarse, img_unit: F64, cloud_unit: F64,

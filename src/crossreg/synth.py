@@ -14,8 +14,8 @@ Features are constructed, not learned: both sides of a ground-truth
 pair share one random unit vector, which models a perfectly trained
 matcher; Gaussian feature noise, row outliers, depth noise, and depth
 masking model its degradation. A StandIn, registration's only reader of
-that ground truth, keeps its base rows, which are the noise-free cloud
-features, and each noise seed's guidance and swap draws, all read-only.
+that ground truth, holds its base rows, the noise-free cloud features,
+read-only. This module keeps no draw between calls; a caller may.
 
 corrupt_depth works per scene and per table row: the rows, in row-major
 order, take one Gaussian deviate and one uniform each, from two
@@ -69,18 +69,6 @@ __all__ = [
 ]
 
 _SWAP_CANDIDATES = 16  # cloud points a swapped row draws to find a far one
-
-
-def memo(owner, name: str, key, make):
-    """make()'s arrays, read-only, kept as owner's name until asked for another
-    key; in the instance __dict__, which a frozen dataclass lets us write."""
-    memos = owner.__dict__.setdefault("_memos", {})
-    if name not in memos or memos[name][0] != key:
-        value = make()
-        for array in value if isinstance(value, tuple) else (value,):
-            array.flags.writeable = False
-        memos[name] = (key, value)
-    return memos[name][1]
 
 
 # --------------------------------------------------------------------------- #
@@ -434,7 +422,8 @@ class StandIn:
 
 
 def synthesize_features(
-    stand_in: StandIn, noise: CorruptionConfig, agreement: float = 1.0, out: F64 | None = None
+    stand_in: StandIn, noise: CorruptionConfig, agreement: float = 1.0, out: F64 | None = None,
+    keep=None,
 ) -> tuple[F64, F64]:
     """Aligned features: one image row per stand-in row, one cloud row per point.
 
@@ -449,8 +438,9 @@ def synthesize_features(
     as the first columns of a wider matrix, else to a new array, a block of
     rows at a time. The caller owns them; the cloud rows are read-only, base
     at sigma 0.
-    The stand-in keeps the guidance and swap draws of the last noise seed,
-    read-only, for as long as it lives.
+    keep(name, key, make), as ScenePrep.keep, may return a value kept from an
+    earlier call; the cloud rows and the guidance and swap draws are read
+    through it, under the values they read. Without it every call draws them.
     """
     base, points, cloud = stand_in.base, stand_in.points, stand_in.cloud
     m, shape = points.size, (points.size, base.shape[1])
@@ -471,7 +461,9 @@ def synthesize_features(
         return features
 
     noised(f_img, "img_noise", noise.feature_noise_sigma, dst=f_img)
-    f_cloud = noised(base, "cloud_noise", noise.feature_noise_sigma)  # base itself at sigma 0
+    keep = keep or (lambda _name, _key, make: make())
+    f_cloud = keep("cloud_rows", (noise.feature_noise_sigma, noise.seed),  # base at sigma 0
+                   lambda: noised(base, "cloud_noise", noise.feature_noise_sigma))
     f_cloud.flags.writeable = False
     outliers = int(round(noise.outlier_fraction * m))
     if outliers > 0:
@@ -481,9 +473,9 @@ def synthesize_features(
 
     scale = noise.guidance_noise_scale * (1.0 - agreement)
     if scale > 0.0:
-        # the stand-in keeps the normals; 0.0 + scale * z is rng.normal(0.0, scale)'s deviate,
+        # 0.0 + scale * z is rng.normal(0.0, scale)'s deviate,
         # added one block of rows at a time, so no step of f_img's size is made
-        z = memo(stand_in, "guidance", noise.seed, lambda: stream_rng(
+        z = keep("guidance", noise.seed, lambda: stream_rng(
             "guidance", stand_in.seed, noise.seed).standard_normal(f_img.shape))
         for start in range(0, m, block):
             step = scale * z[start:start + block]
@@ -491,7 +483,7 @@ def synthesize_features(
         unit_rows(f_img, out=f_img)
     swap_p = min(1.0, noise.guidance_swap_scale * (1.0 - agreement))
     if swap_p > 0.0:
-        gate, cand = memo(stand_in, "swap", noise.seed, lambda: (
+        gate, cand = keep("swap", noise.seed, lambda: (
             (rng := stream_rng("swap", stand_in.seed, noise.seed)).uniform(size=m),
             rng.integers(0, cloud.shape[0], size=(m, _SWAP_CANDIDATES))))
         rows = np.flatnonzero(gate < swap_p)

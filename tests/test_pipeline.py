@@ -4,6 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1066,14 +1067,15 @@ class TestSkippedWork:
         }
 
 
-def kept_arrays(owner) -> list:
-    """The arrays synth.memo keeps in owner's __dict__."""
-    return [array for _key, value in vars(owner).get("_memos", {}).values()
-            for array in (value if isinstance(value, tuple) else (value,))]
+def kept_arrays(prep) -> list:
+    """The arrays prep.keep holds; a kept graph is not one."""
+    return [array for _key, value in prep.kept.values()
+            for array in (value if isinstance(value, tuple) else (value,))
+            if isinstance(array, np.ndarray)]
 
 
 class TestMemoizedWork:
-    """The work a prep or its stand-in keeps is done once per key."""
+    """The work a prep keeps is done once per key."""
 
     def count_work(self, monkeypatch) -> tuple[Counter, dict]:
         """(stream_rng calls by stream name, cloud sides built)."""
@@ -1096,11 +1098,11 @@ class TestMemoizedWork:
         assert len(values) == 5
         ablation_rows(cfg, "mask_ratio", values)
         # mask_ratio 0.0 keeps the agreement at 1, so it draws no guidance
-        # and corrupts no depth; the feature noise is drawn per registration,
-        # as the outliers are
+        # and corrupts no depth; the image rows' noise is drawn per
+        # registration, as the outliers are, and the cloud rows' once per prep
         assert drawn == {
             "pose": 1, "sample": 1, "base": 1, "img_noise": len(values),
-            "cloud_noise": len(values), "outlier": len(values), "guidance": 1, "swap": 1,
+            "cloud_noise": 1, "outlier": len(values), "guidance": 1, "swap": 1,
             "depth_corruption": len(values) - 1,
         }
         assert built == {"cloud_normals": 1}
@@ -1123,13 +1125,16 @@ class TestMemoizedWork:
         }
         register_scene(scene, cfg, prep)
         assert drawn == {
-            "base": 1, "img_noise": 2, "cloud_noise": 2, "outlier": 2, "guidance": 1, "swap": 1,
+            "base": 1, "img_noise": 2, "cloud_noise": 1, "outlier": 2, "guidance": 1, "swap": 1,
             "depth_corruption": 2,
         }
         assert built == {"cloud_normals": 1}
-        kept = kept_arrays(prep) + kept_arrays(prep.stand_in)
-        # the cloud side's 2, the guidance normals, the swaps' 2
-        assert len(kept) == 5
+        assert sorted(prep.kept) == [
+            "cloud_graph", "cloud_rows", "cloud_side", "guidance", "pixel_graph", "swap",
+        ]
+        kept = kept_arrays(prep)
+        # the cloud rows, the cloud side's 2, the guidance normals, the swaps' 2
+        assert len(kept) == 6
         assert not any(array.flags.writeable for array in kept)
 
     def test_a_prep_draws_guidance_and_swaps_once_per_noise_seed(self, monkeypatch):
@@ -1142,13 +1147,16 @@ class TestMemoizedWork:
                 register_scene(scene, cfg.replace(noise_seed=seed, mask_ratio=ratio), prep)
         registrations = len(seeds) * len(ratios)
         assert drawn == {
-            "base": 1, "img_noise": registrations, "cloud_noise": registrations,
+            "base": 1, "img_noise": registrations, "cloud_noise": len(seeds),
             "outlier": registrations, "guidance": len(seeds), "swap": len(seeds),
             "depth_corruption": len(seeds) * (len(ratios) - 1),  # mask_ratio 0.0 draws none
         }
-        # a cloud side per noise seed; the stand-in keeps the last seed's guidance and swaps
+        # a cloud side per noise seed; the prep keeps the last seed's draws
         assert built == {"cloud_normals": len(seeds)}
-        assert len(kept_arrays(prep.stand_in)) == 3
+        assert {name: prep.kept[name][0] for name in ("cloud_rows", "guidance", "swap")} == {
+            "cloud_rows": (cfg.feature_noise_sigma, seeds[-1]),
+            "guidance": seeds[-1], "swap": seeds[-1],
+        }
 
     def test_only_a_callers_prep_keeps_the_draws(self, monkeypatch):
         scene, cfg = small_scene(seed=4, **NOISY)
@@ -1189,6 +1197,37 @@ class TestMemoizedWork:
         kept = register_scene(scene, cfg, prep)
         assert len(draws) == 3 and alive == [0, 3]
         assert_same_registration(kept, one_shot)
+
+    def test_a_one_shot_registration_keeps_nothing(self, monkeypatch):
+        scene, cfg = small_scene(seed=4, **NOISY)
+        preps = []
+        features = pipeline._features
+
+        def spy(prep, *args):
+            preps.append(prep)
+            return features(prep, *args)
+
+        monkeypatch.setattr(pipeline, "_features", spy)
+        register_scene(scene, cfg)
+        [prep] = preps
+        assert prep.kept is None
+        # each read builds its graph anew
+        assert prep.pixel_graph is not prep.pixel_graph and prep.kept is None
+
+    def test_keep_holds_a_value_per_name_until_another_key(self):
+        scene, cfg = small_scene(seed=4)
+        prep = prepare_scene(scene, cfg)
+        made = []
+
+        def make():
+            made.append(np.zeros(2))
+            return made[-1]
+
+        first = prep.keep("x", 1, make)
+        assert prep.keep("x", 1, make) is first and not first.flags.writeable
+        assert prep.keep("x", 2, make) is made[1]
+        assert prep.keep("x", 1, make) is made[2] and len(made) == 3
+        assert list(prep.kept) == ["x"]
 
     def test_noise_free_registration_reads_the_base_rows_uncopied(self, monkeypatch):
         scene, cfg = small_scene(seed=4, mask_ratio=0.2)
@@ -1381,3 +1420,17 @@ class TestGroupingOracles:
         )
         assert prep.tiles.ids.tolist() == np.unique(tiles).tolist()
         assert prep.tiles.offsets.size == prep.tiles.ids.size + 1
+
+
+def test_the_readme_library_tour_runs_and_a_prep_changes_no_byte(capsys):
+    # README's python blocks, in order and in one namespace, as a reader runs them
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 2
+    tour = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), tour)
+    assert len(capsys.readouterr().out.split()) == 4  # the tour prints four metrics
+    # the second block's claim: same bytes as without prep
+    assert tour["sigma"] > 0.0
+    assert_same_registration(tour["result"], register_scene(tour["scene"], tour["noisy"]))

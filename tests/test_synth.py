@@ -4,14 +4,17 @@ import dataclasses
 import itertools
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import crossreg.synth
 from crossreg.errors import ConfigError, EmptyVisibleSetError, NotNormalizedError
 from crossreg.geometry import CameraIntrinsics, RigidTransform, project_points
 from crossreg.matching import fine_match, patch_overlap
 from crossreg.normals import depth_to_normals
+from crossreg.pipeline import PipelineConfig, prepare_scene
 from crossreg.synth import (
     Box,
     CorruptionConfig,
@@ -510,25 +513,47 @@ class TestSynthesizeFeatures:
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_caller_owns_the_features_and_kept_draws_are_read_only(self, sigma):
         cfg = CorruptionConfig(feature_noise_sigma=sigma, outlier_fraction=0.1, seed=2)
-        stand_in = StandIn.of(self.scene, 64)
-        f_img, f_cloud = synthesize_features(stand_in, cfg, agreement=0.5)
+        prep = prepare_scene(self.scene, PipelineConfig(channels=64))
+        stand_in = prep.stand_in
+        f_img, f_cloud = synthesize_features(stand_in, cfg, agreement=0.5, keep=prep.keep)
         want = [f_img.tobytes(), f_cloud.tobytes()]
         f_img[...] = 7.0
-        again = synthesize_features(stand_in, cfg, agreement=0.5)
-        assert [f.tobytes() for f in again] == want
+        again = synthesize_features(stand_in, cfg, agreement=0.5, keep=prep.keep)
+        assert [f.tobytes() for f in again] == want and again[1] is f_cloud
+        # a call that keeps nothing gives the same bytes
+        assert [f.tobytes() for f in synthesize_features(stand_in, cfg, agreement=0.5)] == want
         # the cloud rows are read-only: the base itself without noise, else rows of their own
         assert not f_cloud.flags.writeable
         if sigma == 0.0:
             assert f_cloud is stand_in.base
         else:
             assert not np.shares_memory(f_cloud, stand_in.base)
+        assert sorted(prep.kept) == ["cloud_rows", "guidance", "swap"]
         kept = [stand_in.base] + [
-            array for _key, value in vars(stand_in)["_memos"].values()
+            array for _key, value in prep.kept.values()
             for array in (value if isinstance(value, tuple) else (value,))
         ]
-        # base, guidance, swap gates and candidates; the feature noise is drawn per call
-        assert len(kept) == 4
+        # base, cloud rows, guidance, swap gates and candidates; the image rows'
+        # noise is drawn per call
+        assert len(kept) == 5
         assert not any(array.flags.writeable for array in kept)
+
+    def test_without_keep_each_call_draws_and_the_stand_in_holds_only_its_fields(
+        self, monkeypatch
+    ):
+        stand_in = StandIn.of(self.scene, 64)
+        drawn = Counter()
+
+        def counting(name, *seeds):
+            drawn[name] += 1
+            return stream_rng(name, *seeds)
+
+        monkeypatch.setattr(crossreg.synth, "stream_rng", counting)
+        cfg = CorruptionConfig(feature_noise_sigma=0.3, seed=2)
+        for _ in range(2):
+            synthesize_features(stand_in, cfg, agreement=0.5)
+        assert drawn == {"img_noise": 2, "cloud_noise": 2, "guidance": 2, "swap": 2}
+        assert set(vars(stand_in)) == {f.name for f in dataclasses.fields(StandIn)}
 
     def test_rows_are_unit(self):
         cfg = CorruptionConfig(feature_noise_sigma=0.4, outlier_fraction=0.2, seed=1)
