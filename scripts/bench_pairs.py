@@ -17,7 +17,10 @@ Per workload the file holds:
 - per end-to-end metric of the change tree's `BENCHMARK.json`: each side's
   median and quartiles, the change's win share over the pairs (a tie is
   not a win), how much worse the change's median is than the parent's as a
-  fraction of it, and whether that stays within the metric's bound;
+  fraction of it, whether that stays within the metric's bound, and whether
+  a claimed gain on it would hold (`claim_holds`: the change wins at least
+  9 of 10 pairs, and its median beats the parent's by more than the
+  parent's q3 - q1);
 - each side's workload digests and whether every pair's two digests agree;
 - the machine, as the first run's details report it.
 
@@ -95,6 +98,16 @@ def win_share(parent: list[float], change: list[float], better: str) -> float:
     return wins / len(parent)
 
 
+def claim_holds(parent: dict, change: dict, wins: float, better: str) -> bool:
+    """Whether a gain may be claimed: a win share of at least 0.9 (9 of 10
+    pairs), and a median better than the parent's by more than the parent's
+    q3 - q1. parent and change are summary records."""
+    gap = change["median"] - parent["median"]
+    if better == "lower":
+        gap = -gap
+    return wins >= 0.9 and gap > parent["q3"] - parent["q1"]
+
+
 def worse_by(parent: float, change: float, better: str) -> float:
     """How much worse the change is than the parent, as a fraction of the parent."""
     gap = change - parent if better == "lower" else parent - change
@@ -110,16 +123,18 @@ def compare(runs: dict[str, list[tuple[dict, dict]]], metrics: list[dict]) -> di
         name, better = metric["name"], metric["better"]
         values = {side: [result["metrics"][name]["value"] for _, result in runs[side]]
                   for side in SIDES}
-        slip = worse_by(statistics.median(values["parent"]),
-                        statistics.median(values["change"]), better)
+        sides = {side: summary(values[side]) for side in SIDES}
+        slip = worse_by(sides["parent"]["median"], sides["change"]["median"], better)
+        wins = win_share(values["parent"], values["change"], better)
         out[name] = {
             "unit": metric["unit"],
             "better": better,
             "bound": metric["bound"],
-            **{side: summary(values[side]) for side in SIDES},
-            "win_share": win_share(values["parent"], values["change"], better),
+            **sides,
+            "win_share": wins,
             "worse_by": slip,
             "within_bound": slip <= metric["bound"],
+            "claim_holds": claim_holds(sides["parent"], sides["change"], wins, better),
         }
     digests = {side: [details["digest"] for details, _ in runs[side]] for side in SIDES}
     return {

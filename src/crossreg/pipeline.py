@@ -23,7 +23,8 @@ per prep. Each side's feature matrix, normal channels included, is
 allocated once and scaled to unit rows in place (synthesize_features
 writes the image rows straight into the first columns of theirs), so
 each coarse pair's fine matching is a slice, a product and a mutual
-argmax.
+argmax. The prep register_scene makes for itself serves one
+registration, and lends the base rows' matrix to the cloud side.
 
 Registration reads the observation (table pixels and depths, cloud,
 intrinsics, seed) plus synth.StandIn, the only ground-truth reader, which
@@ -287,6 +288,8 @@ class ScenePrep:
     stand_in, at the config's channel count, names the rows registered.
     keep is the only code that stores a value for a later registration, and
     a prep with kept None, as a one-shot register_scene makes, keeps none.
+    The one-shot prep alone serves one registration, which may overwrite its
+    stand-in's base rows (see _features); a prep a caller passes is read only.
     The refinement graphs are built through it on first read, so a
     registration at warm-up weight 0 never builds them.
     """
@@ -351,15 +354,17 @@ def register_scene(
     scene: SyntheticScene, config: PipelineConfig, prep: ScenePrep | None = None
 ) -> RegistrationResult:
     """Register one scene; prep, from prepare_scene(scene, config), is reused.
-    Without one, the prep made here keeps nothing."""
-    if prep is None:
+    Without one, the prep made here serves this registration alone: it keeps
+    nothing and lends its base rows to the cloud side."""
+    own = prep is None
+    if own:
         prep = dataclasses.replace(prepare_scene(scene, config), kept=None)
     elif prep.scene is not scene or prep.key != _prep_key(config):
         raise ConfigError(f"prep is for another scene or other {', '.join(_PREP_FIELDS)}")
     corruption = config.corruption()
     live_normals, agreement = _normals(prep, corruption, config)
     (tile_desc, img_unit), (cell_desc, cloud_unit), blend = _features(
-        prep, corruption, config, live_normals, agreement
+        prep, corruption, config, live_normals, agreement, own
     )
     coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
     corrs, patches = _fine(prep, coarse, img_unit, cloud_unit, config.min_fine_score)
@@ -393,13 +398,19 @@ def _normals(prep: ScenePrep, corruption: CorruptionConfig,
 
 
 def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineConfig,
-              live: NormalField, agreement: float) -> tuple[tuple, tuple, float]:
+              live: NormalField, agreement: float, own: bool) -> tuple[tuple, tuple, float]:
     """(image side, cloud side, blend): _side of each side's stand-in rows with
     normal channels, refined at a positive warm-up blend over the prep's graphs,
     which are built before the features are drawn. Each side is one
     _with_normals matrix: synthesize_features writes the image rows straight
     into the first C columns of theirs. Its draws and cloud rows, and the cloud
-    side, go through prep.keep under the values they read beyond _PREP_FIELDS."""
+    side, go through prep.keep under the values they read beyond _PREP_FIELDS.
+
+    A prep that register_scene made for itself (own) has no later reader: it
+    is given no keep, so the guidance is drawn a block of rows at a time, and
+    cloud rows that are the base become the cloud side in the stand-in's own
+    matrix, after the image rows and the swaps have read them. A caller's prep,
+    kept None included, may serve another registration and lends nothing."""
     weight = config.normal_channel_weight
     blend = warmup_weight(config.epoch, config.warmup())
     params = pixel_graph = cloud_graph = None
@@ -409,16 +420,19 @@ def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineCon
         cloud_graph = prep.cloud_graph
     img = _with_normals(live.normals[prep.stand_in.rows], config.channels, weight)
     _, f_cloud = synthesize_features(
-        prep.stand_in, corruption, agreement, out=img[:, :-3], keep=prep.keep
+        prep.stand_in, corruption, agreement, out=img[:, :-3], keep=None if own else prep.keep
     )
     img_side = _side(img, prep.tiles, pixel_graph, params, blend)
     key = (corruption.feature_noise_sigma, corruption.seed, weight, blend,
            config.param_seed if blend > 0.0 else None)
 
     def cloud_side() -> tuple[F64, F64]:
-        rows = _with_normals(prep.stand_in.cloud_normals(prep.clean_normals.normals),
-                             config.channels, weight)
-        rows[:, :-3] = f_cloud
+        normals = prep.stand_in.cloud_normals(prep.clean_normals.normals)
+        if own and f_cloud is prep.stand_in.base:
+            rows = _with_normals(normals, config.channels, weight, prep.stand_in.lend_base())
+        else:
+            rows = _with_normals(normals, config.channels, weight)
+            rows[:, :-3] = f_cloud
         return _side(rows, prep.cells, cloud_graph, params, blend)
 
     return img_side, prep.keep("cloud_side", key, cloud_side), blend
@@ -449,10 +463,12 @@ def _fine(prep: ScenePrep, coarse, img_unit: F64, cloud_unit: F64,
     return CorrespondenceSet(pixels, points[matched], best[matched]), tuple(patches)
 
 
-def _with_normals(normals: F64, channels: int, weight: float) -> F64:
-    """A fresh (rows, channels + 3) matrix whose last 3 columns are normals (zero
-    where invalid) at weight; the caller writes the features into the rest."""
-    rows = np.empty((normals.shape[0], channels + 3))
+def _with_normals(normals: F64, channels: int, weight: float, rows: F64 | None = None) -> F64:
+    """A (rows, channels + 3) matrix, rows if given, else fresh, whose last 3
+    columns are normals (zero where invalid) at weight; the caller writes the
+    features into the rest, unless rows holds them."""
+    if rows is None:
+        rows = np.empty((normals.shape[0], channels + 3))
     np.multiply(weight, normals, out=rows[:, -3:])
     return rows
 

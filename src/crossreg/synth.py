@@ -15,7 +15,10 @@ pair share one random unit vector, which models a perfectly trained
 matcher; Gaussian feature noise, row outliers, depth noise, and depth
 masking model its degradation. A StandIn, registration's only reader of
 that ground truth, holds its base rows, the noise-free cloud features,
-read-only. This module keeps no draw between calls; a caller may.
+read-only, in the first columns of a (points, channels + 3) matrix: the
+prep that register_scene makes for itself serves one registration and
+lends that matrix to the cloud side, whose normal channels fill the rest.
+This module keeps no draw between calls; a caller may.
 
 corrupt_depth works per scene and per table row: the rows, in row-major
 order, take one Gaussian deviate and one uniform each, from two
@@ -397,6 +400,9 @@ class StandIn:
     of snapshots, from the scene's ground truth, the table rows that have
     a point (ascending), their point indices and one unit base vector per
     cloud point (read-only); the rest is observation (the cloud and the seed).
+    The base rows are the first columns of an (N, channels + 3) matrix, drawn
+    a block of rows at a time (the bytes of one whole draw), whose last 3
+    columns are left for the cloud normals: lend_base gives it away.
     """
 
     seed: int
@@ -407,12 +413,22 @@ class StandIn:
 
     @classmethod
     def of(cls, scene: SyntheticScene, channels: int) -> "StandIn":
+        n, channels = len(scene.cloud), check("channels", channels)
+        matrix = np.empty((n, channels + 3))
+        base = matrix[:, :channels]
         base_rng = stream_rng("base", scene.seed)
-        base = base_rng.standard_normal((len(scene.cloud), check("channels", channels)))
-        unit_rows(base, out=base)
+        block = max(1, UNIT_ROWS_BLOCK_ENTRIES // channels)
+        for start in range(0, n, block):
+            draw = base_rng.standard_normal((min(block, n - start), channels))
+            unit_rows(draw, out=base[start:start + block])
         base.flags.writeable = False
         rows = scene.gt_rows
         return cls(scene.seed, scene.cloud, rows, scene.table.point_indices[rows], base)
+
+    def lend_base(self) -> F64:
+        """The writeable (N, channels + 3) matrix whose first columns are base.
+        Writing it changes base, so only a stand-in's last reader may take it."""
+        return self.base.base
 
     def cloud_normals(self, row_normals: F64) -> F64:
         """(N, 3): each point's normal from its row of row_normals, or zero."""
@@ -440,7 +456,9 @@ def synthesize_features(
     at sigma 0.
     keep(name, key, make), as ScenePrep.keep, may return a value kept from an
     earlier call; the cloud rows and the guidance and swap draws are read
-    through it, under the values they read. Without it every call draws them.
+    through it, under the values they read. Without it every call draws them,
+    the guidance deviates a block of rows at a time from one generator (the
+    bytes of one whole draw), so no draw of f_img's size is made.
     """
     base, points, cloud = stand_in.base, stand_in.points, stand_in.cloud
     m, shape = points.size, (points.size, base.shape[1])
@@ -461,9 +479,10 @@ def synthesize_features(
         return features
 
     noised(f_img, "img_noise", noise.feature_noise_sigma, dst=f_img)
-    keep = keep or (lambda _name, _key, make: make())
-    f_cloud = keep("cloud_rows", (noise.feature_noise_sigma, noise.seed),  # base at sigma 0
-                   lambda: noised(base, "cloud_noise", noise.feature_noise_sigma))
+    keep_or_make = keep or (lambda _name, _key, make: make())
+    f_cloud = keep_or_make(  # base at sigma 0
+        "cloud_rows", (noise.feature_noise_sigma, noise.seed),
+        lambda: noised(base, "cloud_noise", noise.feature_noise_sigma))
     f_cloud.flags.writeable = False
     outliers = int(round(noise.outlier_fraction * m))
     if outliers > 0:
@@ -475,15 +494,20 @@ def synthesize_features(
     if scale > 0.0:
         # 0.0 + scale * z is rng.normal(0.0, scale)'s deviate,
         # added one block of rows at a time, so no step of f_img's size is made
-        z = keep("guidance", noise.seed, lambda: stream_rng(
-            "guidance", stand_in.seed, noise.seed).standard_normal(f_img.shape))
+        if keep is None:  # and z is drawn a block at a time too
+            rng = stream_rng("guidance", stand_in.seed, noise.seed)
+            deviates = lambda rows: rng.standard_normal(f_img[rows].shape)
+        else:
+            deviates = keep("guidance", noise.seed, lambda: stream_rng(
+                "guidance", stand_in.seed, noise.seed).standard_normal(shape)).__getitem__
         for start in range(0, m, block):
-            step = scale * z[start:start + block]
-            f_img[start:start + block] += np.add(0.0, step, out=step)
+            rows = slice(start, min(start + block, m))
+            step = scale * deviates(rows)
+            f_img[rows] += np.add(0.0, step, out=step)
         unit_rows(f_img, out=f_img)
     swap_p = min(1.0, noise.guidance_swap_scale * (1.0 - agreement))
     if swap_p > 0.0:
-        gate, cand = keep("swap", noise.seed, lambda: (
+        gate, cand = keep_or_make("swap", noise.seed, lambda: (
             (rng := stream_rng("swap", stand_in.seed, noise.seed)).uniform(size=m),
             rng.integers(0, cloud.shape[0], size=(m, _SWAP_CANDIDATES))))
         rows = np.flatnonzero(gate < swap_p)

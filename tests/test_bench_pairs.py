@@ -59,6 +59,7 @@ def test_a_pair_of_one_tree_has_equal_digests(tmp_path):
             assert metric["parent"]["median"] == metric["change"]["median"]
             assert metric["win_share"] == 0.0
             assert metric["within_bound"] is True
+            assert metric["claim_holds"] is False
 
 
 def test_a_run_judged_wrong_stops_with_its_problems(bench_pairs, tmp_path):
@@ -120,6 +121,17 @@ def test_a_tie_is_not_a_win(bench_pairs):
     assert bench_pairs.win_share(parent, change, "lower") == 0.25
     assert bench_pairs.win_share(parent, change, "higher") == 0.25
     assert bench_pairs.win_share(parent, parent, "higher") == 0.0
+
+
+def test_a_claim_needs_9_wins_in_10_and_a_gap_past_the_parents_spread(bench_pairs):
+    parent = bench_pairs.summary([10.0, 11.0, 12.0, 13.0, 14.0])  # q3 - q1 = 2
+    lower = bench_pairs.summary([7.0, 8.0, 9.0, 10.0, 11.0])  # 3 below the parent
+    assert bench_pairs.claim_holds(parent, lower, 0.9, "lower")
+    assert not bench_pairs.claim_holds(parent, lower, 0.8, "lower")
+    assert not bench_pairs.claim_holds(parent, lower, 1.0, "higher")
+    assert bench_pairs.claim_holds(lower, parent, 1.0, "higher")
+    # a gap of exactly the parent's spread is not past it
+    assert not bench_pairs.claim_holds(parent, bench_pairs.summary([10.0]), 1.0, "lower")
 
 
 def test_worse_by_is_a_fraction_of_the_parent(bench_pairs):
