@@ -5,6 +5,40 @@ neighbors: the normal is the eigenvector of the smallest eigenvalue,
 flipped to face the coordinate origin (the camera). Depth-map normals
 come from central finite differences of the raw depth values; note the
 differences span two pixels and are used as-is, without dividing by 2.
+
+The 3x3 eigenproblem is solved in closed form, elementwise over all
+points, with + - * / and sqrt alone: no LAPACK, no BLAS and none of the
+numpy functions (arccos, exp, ...) whose last bits depend on the CPU's
+SIMD kernels, so the fit adds no dependence on the CPU's kernels to the
+k-NN ranking it reads.
+
+- Only the 6 distinct entries of each covariance are formed, and each
+  covariance is divided by its largest diagonal entry, which bounds every
+  entry of a positive semidefinite matrix, so no term of the cubic
+  overflows at any scale of finite entries.
+- The smallest eigenvalue lambda0 is found by Newton's method on
+  det(C - lambda I) from 0. On [0, lambda0] the cubic is convex and
+  falling, so every step rises toward lambda0 without passing it (in
+  exact arithmetic). A point stops once its step rises by no more than
+  one double epsilon, the rounding of C - lambda I itself.
+- The gap lambda1 - lambda0 is the smaller root of the quadratic left by
+  deflation, x^2 - t x + s, where t is the trace of C - lambda0 I and s
+  the sum of its principal 2x2 minors. Validity reads that gap against
+  EIGENVALUE_GAP_TOL, as it always has.
+- The normal is the largest column of the adjugate of C - lambda0 I (by
+  its largest entry), each column the cross product of two of its rows,
+  divided by that entry and then scaled to unit length.
+
+It lies within 8 eps lambda2 / (lambda1 - lambda0) rad of np.linalg.eigh's
+eigenvector (eps the double epsilon; tests/test_normals.py checks this on
+random, near-planar, collinear and zero covariances scaled from 1e-150 to
+1e150, and 2.6 eps lambda2 / (lambda1 - lambda0) was the largest angle seen).
+
+Orientation: each normal faces the camera at the origin; one exactly
+perpendicular to its ray takes the sign that makes its first nonzero
+component positive. A neighbourhood that lies exactly in an axis plane
+through the origin has a normal with exact zeros off the axis, so it is
+perpendicular to every ray in that plane and faces +axis, by rule.
 """
 
 from __future__ import annotations
@@ -19,6 +53,7 @@ from .geometry import F64, CameraIntrinsics, as_points, as_unit_rows, backprojec
 from .graph import knn_indices
 
 EIGENVALUE_GAP_TOL = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 
 # --------------------------------------------------------------------------- #
@@ -86,7 +121,8 @@ def _canonical_sign(normals: F64, positions: F64) -> F64:
     """Flip each normal to have non-negative dot with (origin - position).
 
     Exactly perpendicular cases fall back to making the first nonzero
-    component positive, so the result never depends on eigensolver sign.
+    component positive, so the sign of such a normal never depends on the
+    sign the fit happened to produce.
     """
     toward = np.einsum("nd,nd->n", normals, -positions)
     flip = toward < 0.0
@@ -142,23 +178,58 @@ def _fit_normals(pts: F64, ks: np.ndarray, neigh: np.ndarray | None = None) -> N
 
     if neigh is None:
         neigh = knn_indices(pts, k_max)
-    normals = np.zeros((n, 3))
-    gaps = np.zeros(n)
+    axes = np.ascontiguousarray(pts.T)
+    cov = np.empty((6, n))  # xx, yy, zz, xy, xz, yz of each point's covariance
     for kv in np.flatnonzero(np.bincount(ks)):  # the distinct k values, ascending
         rows = np.nonzero(ks == kv)[0]
-        gathered = pts[neigh[rows, :kv]]  # (m, kv, 3)
-        centroid = gathered.mean(axis=1, keepdims=True)
-        centered = gathered - centroid
-        cov = np.einsum("mki,mkj->mij", centered, centered) / float(kv)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        normals[rows] = eigvecs[:, :, 0]
-        gaps[rows] = eigvals[:, 1] - eigvals[:, 0]
+        idx = neigh[rows, :kv].T  # (kv, m): sums over axis 0 add whole rows in order
+        x, y, z = (g - g.mean(axis=0) for g in (axis[idx] for axis in axes))
+        for out, (p, q) in zip(cov, ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z))):
+            out[rows] = (p * q).sum(axis=0) / float(kv)
+    gaps, normals = _smallest_eigenpairs(cov)
 
     valid = gaps > EIGENVALUE_GAP_TOL
-    # eigh returns orthonormal vectors; renormalize to pin down the last ulp
     normals = np.where(valid[:, None], unit_rows(normals), 0.0)
     normals[valid] = _canonical_sign(normals[valid], pts[valid])
     return NormalField(normals, valid)
+
+
+def _smallest_eigenpairs(cov: F64) -> tuple[F64, F64]:
+    """(lambda1 - lambda0, an eigenvector of lambda0 whose largest entry is
+    +-1, or zero) of m symmetric positive semidefinite 3x3 matrices given as
+    (6, m) entries xx, yy, zz, xy, xz, yz; the module docstring gives the
+    method. A positive gap implies a nonzero eigenvector.
+    """
+    scale = cov[:3].max(axis=0)  # no entry of a PSD matrix exceeds its largest diagonal one
+    a, d, f, b, c, e = cov / np.where(scale > 0.0, scale, 1.0)
+    lam = np.zeros(a.shape)
+    todo = np.arange(a.size)
+    while todo.size:  # Newton on det(C - lam I) from 0, for the rows still rising
+        now = lam[todo]
+        at, dt, ft = a[todo] - now, d[todo] - now, f[todo] - now
+        bt, ct, et = b[todo], c[todo], e[todo]
+        adj00 = dt * ft - et * et
+        det = at * adj00 + bt * (ct * et - bt * ft) + ct * (bt * et - ct * dt)
+        slope = adj00 + (at * ft - ct * ct) + (at * dt - bt * bt)  # -d det / d lam
+        rise = det / np.where(slope > 0.0, slope, np.inf)
+        rose = rise > _EPS  # lam stays below 2, so now + rise > now
+        lam[todo[rose]] = now[rose] + rise[rose]
+        todo = todo[rose]
+
+    a, d, f = a - lam, d - lam, f - lam
+    adj = np.array([  # the adjugate of C - lam I; column j is a cross product of two rows
+        [d * f - e * e, c * e - b * f, b * e - c * d],
+        [c * e - b * f, a * f - c * c, b * c - a * e],
+        [b * e - c * d, b * c - a * e, a * d - b * b],
+    ])
+    trace, minors = a + d + f, adj[0, 0] + adj[1, 1] + adj[2, 2]
+    root = trace + np.sqrt(np.maximum(trace * trace - 4.0 * minors, 0.0))
+    gaps = 2.0 * minors / np.where(root > 0.0, root, np.inf) * scale
+    size = np.abs(adj).max(axis=1)  # each column's largest entry, which cannot underflow
+    best = size.argmax(axis=0)
+    columns = np.arange(a.size)
+    peak = size[best, columns]
+    return gaps, adj[best, :, columns] / np.where(peak > 0.0, peak, 1.0)[:, None]
 
 
 def estimate_point_normals_adaptive(cloud, k0: int = 8) -> NormalField:

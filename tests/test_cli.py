@@ -277,7 +277,7 @@ class TestRegister:
         assert run("register", "--scene", str(tmp_path / "nope"), "--out", str(tmp_path / "r")) == 1
 
     def test_underflowing_inlier_rate_exit_2(self, tmp_path, capsys):
-        # the best hypothesis keeps 5 of 910 inliers, and (5/910)**400 is 0.0:
+        # the best hypothesis keeps 4 of 919 inliers, and (4/919)**400 is 0.0:
         # RANSAC's stop once divided by log1p(-0.0) and ended in a traceback
         scenes = tmp_path / "scenes"
         assert run("synth", "--out", str(scenes), "--set", "scene_count=1",
@@ -287,7 +287,7 @@ class TestRegister:
         assert run("register", "--scene", str(scenes / "scene_0000"), "--out", str(out),
                    *RANSAC_UNDERFLOW) == 2
         assert capsys.readouterr().err == (
-            "registration failed: no hypothesis reached 400 inliers (best 5 of 910)\n"
+            "registration failed: no hypothesis reached 400 inliers (best 4 of 919)\n"
         )
         assert not out.exists()
 

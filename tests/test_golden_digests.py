@@ -2,7 +2,8 @@
 
 scripts/golden_digests.py computes the digests and, with --write,
 regenerates tests/golden_digests.json. A change that moves an output on
-purpose regenerates the file and names the changed keys.
+purpose regenerates the file and names the changed keys, with the report
+of --against PARENT_TREE.
 """
 
 import importlib.util
@@ -62,10 +63,7 @@ def test_outputs_match_their_golden_digests(run):
     want = json.loads(golden.GOLDEN.read_text())
     changed = sorted(k for k in set(want["digests"]) | set(got)
                      if want["digests"].get(k) != got.get(k))
-    note = ""
-    if golden.versions() != want["versions"]:
-        note = (f"; the digests were made with {want['versions']} and this run uses "
-                f"{golden.versions()}, so BLAS or numpy rounding may explain the change")
+    note = golden.version_note(want["versions"], golden.versions())
     assert not changed, (
         f"outputs moved: {changed}{note}. If the change is intended, run "
         "`python3 scripts/golden_digests.py --write` and name these keys in CHANGES.md"
@@ -92,3 +90,59 @@ def test_write_refuses_a_run_that_raised_a_numeric_warning(tmp_path, monkeypatch
         with pytest.raises(RuntimeWarning, match="overflow"):
             golden.main(["--write"])
     assert not golden.GOLDEN.exists()
+
+
+def test_a_kernel_mismatch_is_named_apart_from_a_build_mismatch():
+    golden = load_script()
+    have = golden.versions()
+    assert set(golden.KERNEL_FIELDS) <= set(have)
+    assert golden.version_note(have, dict(have)) == ""
+    core = "Zen" if have["openblas_core"] == "Haswell" else "Haswell"
+    note = golden.version_note({**have, "openblas_core": core}, have)
+    assert f"{{'openblas_core': '{core}'}}" in note and "CPU kernels' rounding" in note
+    assert "BLAS or numpy rounding" not in note
+    note = golden.version_note({**have, "numpy": "0.0"}, have)
+    assert "BLAS or numpy rounding" in note and "CPU kernels" not in note
+
+
+def pose_record(angle: float = 0.0, shift: float = 0.0, pairs=None, ir: float = 1.0) -> dict:
+    """A hand-made register record: a pose turned by angle about z and moved by
+    shift along z, two (pixel, point) pairs unless given, IR ir and RR 1."""
+    c, s = np.cos(angle), np.sin(angle)
+    return {
+        "rotation": np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
+        "translation": np.array([0.0, 0.0, 1.0 + shift]),
+        "pairs": pairs if pairs is not None else {((10.0, 20.0), 3), ((11.0, 20.0), 4)},
+        "ir": ir, "rr": 1.0,
+    }
+
+
+def payload(record: dict, digest: str) -> dict:
+    return {"digests": {"register/plain/seed21": digest, "bundle_bytes": "same"},
+            "outputs": {"register/plain/seed21": {"seed21": record}}}
+
+
+def test_the_report_gives_a_moved_pose():
+    golden = load_script()
+    before = payload(pose_record(), "a")
+    lines = golden.report(before, payload(pose_record(angle=1e-3, shift=2e-3), "b"))
+    assert lines[:2] == ["register/plain/seed21", "  seed21: pose moved 0.001 rad, 0.002 m; "
+                         "pairs Jaccard 1.0000 (2 -> 2); IR 1 -> 1; RR 1 -> 1"]
+    assert lines[2] == (
+        "summary: 1 of 2 keys moved; largest pose rotation 0.001 rad; largest pose "
+        "translation 0.002 m; smallest pair Jaccard 1.0000; largest IR change 0; "
+        "outcome or RR changed on no scene or row"
+    )
+    assert golden.report(before, before) == [
+        "summary: 0 of 2 keys moved; outcome or RR changed on no scene or row"
+    ]
+
+
+def test_the_report_gives_a_moved_correspondence():
+    golden = load_script()
+    moved = {((10.0, 20.0), 3), ((11.0, 20.0), 5)}  # the second pixel takes another point
+    lines = golden.report(payload(pose_record(), "a"),
+                          payload(pose_record(pairs=moved, ir=0.5), "b"))
+    assert lines[1] == ("  seed21: pose moved 0 rad, 0 m; pairs Jaccard 0.3333 (2 -> 2); "
+                        "IR 1 -> 0.5; RR 1 -> 1")
+    assert "smallest pair Jaccard 0.3333; largest IR change 0.5" in lines[-1]

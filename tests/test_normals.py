@@ -1,9 +1,12 @@
 """Point-cloud and depth-map normal estimation against analytic oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import crossreg.normals as normals_module
 from crossreg.errors import ConfigError, DegenerateNeighborhoodError, NotNormalizedError
@@ -109,6 +112,92 @@ class TestPointNormals:
             got = estimate_point_normals(cloud, k)
             assert got.normals.tobytes() == want.normals.tobytes()
 
+
+    @pytest.mark.parametrize("fit", ["plain", "adaptive"])
+    def test_a_plane_through_the_origin_faces_plus_y_exactly(self, fit):
+        # every normal of the plane y = 0 is perpendicular to its ray, so the
+        # orientation falls back to the first nonzero component positive; a
+        # fit whose rounding left the dot at +-1e-16 would turn some to -y
+        rng = np.random.default_rng(7)
+        cloud = np.column_stack([rng.uniform(-1.0, 1.0, 500), np.zeros(500),
+                                 rng.uniform(1.0, 3.0, 500)])
+        if fit == "plain":
+            field = estimate_point_normals(cloud, k=8)
+        else:
+            field = estimate_point_normals_adaptive(cloud)
+        assert np.all(field.valid)
+        assert np.all(field.normals == [0.0, 1.0, 0.0])
+
+    def test_a_strip_spanning_80_orders_of_magnitude_keeps_its_normal(self):
+        # the covariance's scaled y variance is about 1e-160, so its adjugate's
+        # entries square below the smallest normal double; eigh fits it too
+        rng = np.random.default_rng(3)
+        cloud = np.column_stack([rng.uniform(-1.0, 1.0, 200) * 1e75,
+                                 rng.uniform(-1.0, 1.0, 200) * 1e-5, np.zeros(200)])
+        field = estimate_point_normals(cloud, k=8)
+        assert np.all(field.valid)
+        assert np.all(field.normals == [0.0, 0.0, 1.0])
+
+    def test_the_fit_calls_no_lapack(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the normal fit called LAPACK")
+
+        for name in ("eigh", "eig", "eigvalsh", "svd", "solve"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        field = estimate_point_normals(fibonacci_sphere(200, center=(0.0, 0.0, 3.0)), k=8)
+        assert field.valid.all()
+
+
+COVARIANCE_KINDS = ("random", "near_planar", "collinear", "zero")
+
+
+def neighbourhood_covariances(kind: str, seed: int, exponent: int, m: int = 64, k: int = 8):
+    """(m, 3, 3) covariances of k-point neighbourhoods of one kind, times 10**exponent."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((m, k, 3))
+    if kind == "near_planar":
+        pts[..., 2] *= 10.0 ** rng.uniform(-9.0, -1.0, (m, 1))
+    elif kind == "collinear":
+        pts = pts[..., :1] * rng.standard_normal((m, 1, 3))
+    elif kind == "zero":
+        pts = np.broadcast_to(rng.standard_normal((m, 1, 3)), (m, k, 3))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    centered = pts @ q
+    centered = centered - centered.mean(axis=1, keepdims=True)
+    return np.einsum("mki,mkj->mij", centered, centered) / k * 10.0 ** exponent
+
+
+@given(kind=st.sampled_from(COVARIANCE_KINDS), seed=st.integers(0, 2**32 - 1),
+       exponent=st.integers(-150, 150))
+def test_closed_form_eigenpair_matches_eigh(kind, seed, exponent):
+    """The closed form against LAPACK: the same validity wherever eigh's gap
+    lies clear of EIGENVALUE_GAP_TOL by more than rounding (64 eps lambda2;
+    nearer, both solvers' validity is rounding), and on every valid row whose
+    gap is clear of that rounding, a normal within the module's stated
+    8 eps lambda2 / (lambda1 - lambda0) rad of eigh's."""
+    cov = neighbourhood_covariances(kind, seed, exponent)
+    entries = np.stack([cov[:, 0, 0], cov[:, 1, 1], cov[:, 2, 2],
+                        cov[:, 0, 1], cov[:, 0, 2], cov[:, 1, 2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gaps, vectors = normals_module._smallest_eigenpairs(entries)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    want = eigvals[:, 1] - eigvals[:, 0]
+    eps = np.finfo(np.float64).eps
+    rounding = 64.0 * eps * np.abs(eigvals).max(axis=1)
+    tol = normals_module.EIGENVALUE_GAP_TOL
+    valid = gaps > tol
+    clear = np.abs(want - tol) > rounding
+    np.testing.assert_array_equal(valid[clear], want[clear] > tol)
+    if kind == "zero":
+        assert not valid.any()
+    rows = valid & (want > rounding)
+    got = vectors[rows] / np.linalg.norm(vectors[rows], axis=1, keepdims=True)
+    ref = eigvecs[rows, :, 0]
+    angle = np.arctan2(np.linalg.norm(np.cross(got, ref), axis=1),
+                       np.abs(np.einsum("nd,nd->n", got, ref)))
+    bound = 8.0 * eps * eigvals[rows, 2] / want[rows]
+    assert np.all(angle <= bound), float(np.max(angle / bound))
 
 def adaptive_sizes(cloud, k0: int = 8, k_sparse: int = 12) -> np.ndarray:
     """Oracle: k_sparse where a point's mean k0-NN distance, from its own

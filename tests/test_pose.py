@@ -361,11 +361,13 @@ class TestPnpRansac:
 
     def test_degraded_refit_returns_the_vote_with_its_mask(self, monkeypatch):
         # the refit on the voted inliers keeps fewer than min_sample of them;
-        # the vote's pose and mask come back together, all inliers in front
+        # the vote's pose and mask come back together, all inliers in front.
+        # Seed 35 is the first seed at these settings whose refit falls back
+        # (golden key register/refit_fallback/seed35)
         cfg = PipelineConfig(
             point_count=800, outlier_fraction=0.5, min_fine_score=0.0, mask_ratio=0.3
         )
-        scene = generate_scene(cfg.scene_spec(), seed=2)
+        scene = generate_scene(cfg.scene_spec(), seed=35)
         refits = []
 
         def spy(*args, **kwargs):
