@@ -3,6 +3,7 @@
     python3 scripts/golden_digests.py          # print the digests as JSON
     python3 scripts/golden_digests.py --write  # regenerate tests/golden_digests.json
     python3 scripts/golden_digests.py --against PARENT_TREE  # what each moved key did
+    python3 scripts/golden_digests.py --kernel CORETYPE  # what moves under that OpenBLAS core
 
 The matrix (about 5 s on a 2-vCPU Xeon, one core but for the --jobs 2 runs):
 
@@ -11,9 +12,11 @@ The matrix (about 5 s on a 2-vCPU Xeon, one core but for the --jobs 2 runs):
   scenes; each digest covers the correspondences, the pose, the inlier
   mask, the coarse patches, the agreement, the blend and the evaluation;
 - register/default_size/seed21: the corrupted variant on one 2,000-point
-  scene, the benchmark's register size. The k-NN's BLAS block shape, and so
-  its rounding, depends on the row count, so only a default-size scene pins
-  the bytes the benchmark produces;
+  scene, the benchmark's register size. The k-NN's bytes do not depend
+  on its block shape, but the score maps, fine blocks and attention are
+  still BLAS products whose rounding can follow their shape, which the row
+  count sets, so only a default-size scene pins the bytes the benchmark
+  produces;
 - register/refit_fallback/seed35: an 800-point scene with half its rows
   outliers, every fine match kept and 30% of the pixels masked, whose
   RANSAC refit keeps fewer than min_sample inliers, so the voted pose and
@@ -56,6 +59,11 @@ before and after, a changed registration outcome, the largest change among
 a registration's other numbers, and for a normals file the rows that
 changed validity, the normals that turned over and the largest angle
 between the others; then a summary line.
+
+--kernel CORETYPE computes the matrix here and again in a child process
+with OPENBLAS_CORETYPE=CORETYPE (such as Haswell or Prescott), and prints
+the OpenBLAS core each ran and the --against report of the second run
+against the first.
 """
 
 from __future__ import annotations
@@ -66,6 +74,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -382,18 +391,20 @@ if not crossreg.__file__.startswith(src):
 outputs = {}
 digests = module.quietly(module.compute, outputs)
 with open(out, "wb") as fh:
-    pickle.dump({"digests": digests, "outputs": outputs}, fh)
+    pickle.dump({"digests": digests, "outputs": outputs, "versions": module.versions()}, fh)
 """
 
 
-def computed_in(tree: Path) -> dict:
-    """{"digests", "outputs"} of compute() with tree's src, in a child process."""
+def computed_in(tree: Path, env: dict[str, str] | None = None) -> dict:
+    """{"digests", "outputs", "versions"} of compute() with tree's src, in a
+    child process that adds env to this process's environment."""
     src = (tree / "src").resolve()
     if not (src / "crossreg").is_dir():
         raise SystemExit(f"{tree} has no src/crossreg")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "outputs.pickle"
-        subprocess.run([sys.executable, "-c", _CHILD, str(src), __file__, str(out)], check=True)
+        subprocess.run([sys.executable, "-c", _CHILD, str(src), __file__, str(out)],
+                       check=True, env={**os.environ, **(env or {})})
         return pickle.loads(out.read_bytes())
 
 
@@ -502,10 +513,16 @@ def report(before: dict, after: dict) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--against":
+    if len(argv) == 2 and argv[0] in ("--against", "--kernel"):
         outputs = {}
-        after = {"digests": quietly(compute, outputs), "outputs": outputs}
-        print("\n".join(report(computed_in(Path(argv[1])), after)))
+        here = {"digests": quietly(compute, outputs), "outputs": outputs}
+        if argv[0] == "--against":
+            before, after = computed_in(Path(argv[1])), here
+        else:
+            before, after = here, computed_in(ROOT, {"OPENBLAS_CORETYPE": argv[1]})
+            print(f"openblas_core {versions()['openblas_core']} -> "
+                  f"{after['versions']['openblas_core']}")
+        print("\n".join(report(before, after)))
         return 0
     if argv not in ([], ["--write"]):
         print(__doc__, file=sys.stderr)

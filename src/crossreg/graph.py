@@ -58,14 +58,26 @@ def _morton_order(pts: F64) -> np.ndarray:
     return np.argsort(code, kind="stable")
 
 
+def _sq_dists(pts: F64, rows: np.ndarray, cols: np.ndarray) -> F64:
+    """Difference-form squared distances from the points at rows to those at
+    cols (index arrays that broadcast): (p_j - p_i)^2 per axis, summed onto
+    +0.0 in axis order. Each reads its two points alone and is within
+    (d + 2) u of the true distance, relatively (u = eps / 2), however far
+    the points sit from the origin."""
+    d2 = np.zeros(np.broadcast_shapes(rows.shape, cols.shape))
+    for axis in range(pts.shape[1]):
+        col = pts[:, axis]
+        diff = col[cols] - col[rows]
+        d2 += diff * diff
+    return d2
+
+
 def _kth_bound(pts: F64, k: int) -> F64:
     """Each row's k-th squared distance among its Morton-order neighbours.
 
     The w = min(n - 1, max(2k, 16)) points nearest a row in Morton order
-    are w distinct other points, so the k-th smallest of their squared
-    distances bounds the row's true k-th from above. Computed in
-    difference form, which keeps its relative accuracy however far the
-    points sit from the origin.
+    are w distinct other points, so the k-th smallest of their _sq_dists
+    values is at least the row's k-th smallest over all other points.
     """
     n = pts.shape[0]
     w = min(n - 1, max(2 * k, 16))
@@ -74,11 +86,7 @@ def _kth_bound(pts: F64, k: int) -> F64:
     # itself included, shifted inwards at both ends of the order
     first = np.clip(np.arange(n) - w // 2, 0, n - 1 - w)
     window = order[first[:, None] + np.arange(w + 1)]
-    d2 = np.zeros(window.shape)
-    for axis in range(pts.shape[1]):
-        col = pts[:, axis]
-        diff = col[window] - col[order][:, None]
-        d2 += diff * diff
+    d2 = _sq_dists(pts, order[:, None], window)
     # the point's own 0 is the smallest entry, so position k holds the
     # k-th smallest over the other points
     bound = np.empty(n)
@@ -91,19 +99,18 @@ def knn_indices(
 ) -> np.ndarray | tuple[np.ndarray, F64]:
     """Exact k nearest neighbors per point, self excluded.
 
-    Squared distances are ranked in the dot form (|a|^2 + |b|^2) - 2 a.b,
-    built in cache-sized row blocks of about KNN_BLOCK_ENTRIES entries; the
-    filter and the distance products of a block share one float buffer.
-    No row is selected over in full: each row's k-th squared distance is
-    first bounded from above by its Morton-order neighbours, and a block
-    keeps only the entries at most that bound plus a rounding margin.
-    Every entry at or below the row's true k-th distance survives, so ties
-    straddling the boundary all compete, and the survivors are ordered by
-    (distance, index). Neighbors therefore come in ascending dot-form
-    value, as the row block's BLAS product rounds it, with ties broken by
-    the smaller point index -- the order of a stable argsort of the whole
-    row of those values -- and results are reproducible bit-for-bit on one
-    BLAS build. k is clamped to n - 1.
+    Neighbors come in ascending _sq_dists value, ties going to the smaller
+    point index: the order of a stable argsort of each whole row of those
+    values. Each value reads only its two points, so the result is the same,
+    bit for bit, for any KNN_BLOCK_ENTRIES and BLAS kernel, and it keeps
+    its accuracy far from the origin. k is clamped to n - 1.
+
+    No row is ranked in full: each row's k-th squared distance is first
+    bounded from above by its Morton-order neighbours, and one BLAS product
+    per block of about KNN_BLOCK_ENTRIES entries keeps the entries at most
+    that bound plus a rounding margin. Every entry at or below the row's
+    k-th value survives, so ties straddling the boundary all compete, and
+    only the survivors are ranked.
 
     Returns (N, k') int64 indices, plus matching distances when asked:
     the square roots of the same squared distances the ranking used.
@@ -119,7 +126,7 @@ def knn_indices(
     idx = np.empty((n, k_eff), dtype=np.int64)
     dst = np.empty((n, k_eff)) if return_distances else None
     sq = np.einsum("nd,nd->n", pts, pts)
-    # |a|^2 + |b|^2 - 2 a.b never exceeds 4 max|p|^2 at any step
+    # a squared distance never exceeds 4 max|p|^2
     max_sq = sq.max()
     f64 = np.finfo(np.float64)
     # 4 S is finite exactly when S <= max / 4, and the compare cannot overflow
@@ -130,25 +137,23 @@ def knn_indices(
     # An entry is kept when F_ij <= 0, where one BLAS call per block gives
     #   F_ij = [p_i, 1, -limit_i] . [-2 p_j, |p_j|^2, 1]
     #        = |p_j|^2 - 2 p_i.p_j - ((bound_i + margin) - |p_i|^2).
-    # The margin covers rounding. With u = eps / 2, S = max|p|^2 and every
-    # intermediate at most 4S, to first order:
-    #   - the ranked value is off the true distance by (4d + 6) u S: d u S
-    #     per square, 2 d u S for -2 a.b, 2 u S + 4 u S for the additions;
-    #   - the difference-form bound is off it by (d + 2) u 4S;
-    #   - relating F to the ranked value costs (2d + 6) u S, rounding
-    #     limit_i 8 u S, and F's own d + 2 products, whose magnitudes sum
-    #     to at most 7S, (d + 2) u 7S.
-    # So every entry at or below its row's k-th ranked value has
-    # F <= (17d + 42) u S - margin. The margin is 8 times (17d + 42) u S,
-    # plus a smallest subnormal per unit for products that underflow; a
-    # larger margin only admits a few more candidates.
+    # The bound is one of the row's own ranked values, at least its k-th,
+    # so the margin covers only the difference form's error and the
+    # filter's rounding. With u = eps / 2 and S = max|p|^2, to first order:
+    #   - an entry ranked at most the bound is at most (d + 2) u 4S past it;
+    #   - F is off that true distance minus (bound + margin) by 2 d u S for
+    #     the two rounded |p|^2, 8 u S for rounding limit_i, and (d + 2) u 7S
+    #     for F's own d + 2 products, whose magnitudes sum to at most 7S.
+    # So every entry to keep has F <= (13d + 30) u S - margin. The margin,
+    # 8 (17d + 42) u S, is more than 8 times that, plus a smallest subnormal
+    # per unit for products that underflow; a larger margin only admits a
+    # few more candidates.
     margin = 4 * (17 * d + 42) * (f64.eps * max_sq + f64.smallest_subnormal)
     limit = (_kth_bound(pts, k_eff) + margin) - sq
     left = np.column_stack([pts, np.ones(n), -limit])
     right = np.column_stack([-2.0 * pts, sq, np.ones(n)])
     chunk = max(1, KNN_BLOCK_ENTRIES // n)
     rows_max = min(chunk, n)
-    # one float block: the filter product, then the distance product over it
     block = np.empty((rows_max, n))
     keep = np.empty((rows_max, n), dtype=bool)
     for start in range(0, n, chunk):
@@ -158,22 +163,9 @@ def knn_indices(
         rows = np.arange(m)
         block[rows, rows + start] = np.inf
         np.less_equal(block[:m], 0.0, out=keep[:m])
-        # the transposed view, not a contiguous copy: the BLAS call shape
-        # fixes the rounding of each dot product. Distances computed in any
-        # other call shape change bytes: with OpenBLAS 0.3.31 on a 2-vCPU
-        # Xeon, the 84 x 1550 product of standard-normal points (seed 0)
-        # differs from the same rows taken two at a time in 33 entries, all
-        # in columns 1544-1547. So the golden digests name their BLAS, and
-        # faster k-NN work must keep these block calls. Writing it over the
-        # filter's block keeps the call shape and the output strides.
-        np.matmul(pts[start:stop], pts.T, out=block[:m])
         # flat indices are row-major, so columns ascend within each row
-        flat = np.flatnonzero(keep[:m])
-        cand_row, cand_col = np.divmod(flat, n)
-        # the value and clamp a full (sq_i + sq_j) + (-2 dot) block would
-        # hold; doubling is exact, so x - 2 a.b rounds as x + (-2 a.b)
-        cand_d2 = (sq[cand_row + start] + sq[cand_col]) - 2.0 * block[:m].ravel()[flat]
-        np.maximum(cand_d2, 0.0, out=cand_d2)
+        cand_row, cand_col = np.divmod(np.flatnonzero(keep[:m]), n)
+        cand_d2 = _sq_dists(pts, cand_row + start, cand_col)
         # lexsort is stable, so equal distances keep the smaller index
         # first; a narrow row type lets its stable row pass radix-sort
         order = np.lexsort((cand_d2, cand_row.astype(np.min_scalar_type(m - 1))))

@@ -1,6 +1,7 @@
 """Transforms, camera model, and row normalization against independent oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -237,6 +238,27 @@ class TestUnitRowsOut:
         same = x.copy()
         assert unit_rows(same, out=same) is same
         assert np.array_equal(same, fresh)
+
+    @pytest.mark.parametrize("ragged", [0, 5])
+    def test_strided_rows_give_contiguous_bytes_in_block_sized_memory(self, ragged):
+        # the first 64 columns of a 67-column matrix, as a registration's
+        # image rows sit in theirs
+        rows = 40 * (geometry.UNIT_ROWS_BLOCK_ENTRIES // 64) + ragged
+        wide = np.random.default_rng(12).standard_normal((rows, 67))
+        wide[::7] = 0.0
+        view = wide[:, :64]
+        want = unit_rows(np.ascontiguousarray(view)).tobytes()
+        into = np.empty((rows, 67))[:, :64]
+        assert unit_rows(view, out=into) is into
+        assert into.tobytes() == want
+        tracemalloc.start()
+        try:
+            assert unit_rows(view, out=view) is view
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert view.tobytes() == want
+        assert peak < 3 * 8 * geometry.UNIT_ROWS_BLOCK_ENTRIES
 
 
 class TestMedian:

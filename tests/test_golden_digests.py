@@ -8,6 +8,9 @@ of --against PARENT_TREE.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,8 +18,14 @@ import numpy as np
 import pytest
 
 from crossreg.cli import build_parser
+from crossreg.geometry import backproject_pixels
+from crossreg.graph import knn_indices
+from crossreg.normals import normal_ks
+from crossreg.pipeline import PipelineConfig, lifted_pixel_normals
+from crossreg.synth import generate_scene
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "golden_digests.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "golden_digests.py"
 
 
 def load_script():
@@ -146,3 +155,67 @@ def test_the_report_gives_a_moved_correspondence():
     assert lines[1] == ("  seed21: pose moved 0 rad, 0 m; pairs Jaccard 0.3333 (2 -> 2); "
                         "IR 1 -> 0.5; RR 1 -> 1")
     assert "smallest pair Jaccard 0.3333; largest IR change 0.5" in lines[-1]
+
+
+def test_kernel_reruns_the_matrix_under_that_core_and_reports_it(monkeypatch, capsys):
+    golden = load_script()
+    calls = []
+
+    def child(tree, env=None):
+        calls.append((tree, env))
+        return {"digests": {"key": "b"}, "outputs": {}, "versions": {"openblas_core": "Haswell"}}
+
+    monkeypatch.setattr(golden, "compute", lambda outputs: {"key": "a"})
+    monkeypatch.setattr(golden, "computed_in", child)
+    assert golden.main(["--kernel", "Haswell"]) == 0
+    assert calls == [(golden.ROOT, {"OPENBLAS_CORETYPE": "Haswell"})]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("-> Haswell")
+    assert lines[1:] == ["key", "  no pose, pairs, scores or normals to compare",
+                         "summary: 1 of 1 keys moved; outcome or RR changed on no scene or row"]
+
+
+def kernel_outputs() -> dict[str, np.ndarray]:
+    """The k-NN, with distances, of a default-size scene's lifted pixel rows
+    at the adaptive fit's k, and the scene's plain and adaptive lifted normals."""
+    config = PipelineConfig()
+    scene = generate_scene(config.scene_spec(), 21)
+    table = scene.table
+    rows = backproject_pixels(scene.intrinsics, table.pixels, table.depths)
+    idx, dst = knn_indices(rows, normal_ks(config.k_neighbors, True)[1], return_distances=True)
+    got = {"knn": idx, "knn_distances": dst}
+    for adaptive in (False, True):
+        field = lifted_pixel_normals(
+            table.pixels, table.depths, scene.intrinsics, config.k_neighbors, adaptive
+        )
+        got[f"normals_{adaptive}"], got[f"valid_{adaptive}"] = field.normals, field.valid
+    return got
+
+
+# kernel_outputs() and the OpenBLAS core, written by a child process
+_KERNEL_CHILD = """
+import sys
+import numpy as np
+tests, out = sys.argv[1:]
+sys.path.insert(0, tests)
+from test_golden_digests import kernel_outputs, load_script
+np.savez(out, core=load_script()._openblas_core(), **kernel_outputs())
+"""
+
+
+def test_knn_and_lifted_normals_keep_their_bytes_under_prescott(tmp_path):
+    # Prescott's kernels have no FMA, so its products round unlike this host's
+    core = load_script()._openblas_core()
+    if core == "unknown":
+        pytest.skip("the OpenBLAS core name cannot be read, so the switch cannot be seen")
+    out = tmp_path / "child.npz"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", _KERNEL_CHILD, str(ROOT / "tests"), str(out)],
+                   env=env, check=True)
+    with np.load(out) as child:
+        assert str(child["core"]) != core, "the child ran this process's kernels"
+        for name, want in kernel_outputs().items():
+            got = child[name]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name

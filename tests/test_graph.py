@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 import tracemalloc
 import warnings
 
@@ -11,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from crossreg import graph as graph_module
 from crossreg.errors import ChannelMismatchError, CoordinateOverflowError
+from crossreg.geometry import backproject_pixels
 from crossreg.graph import (
     KNN_BLOCK_ENTRIES,
     GraphAttentionParams,
@@ -22,6 +25,8 @@ from crossreg.graph import (
     light_gat_forward,
     stable_sigmoid,
 )
+from crossreg.pipeline import PipelineConfig
+from crossreg.synth import generate_scene
 
 
 def brute_force_knn(points: np.ndarray, k: int) -> list[list[int]]:
@@ -52,27 +57,24 @@ def piecewise_sigmoid(x) -> np.ndarray:
 def argsort_knn(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Oracle: the full stable argsort of every squared-distance row.
 
-    Same distance blocks as knn_indices, read from the same constant:
-    BLAS may round a dot product differently for another call shape, so
-    only equal blocks give comparable distance bytes. Each row is sorted
-    completely, so ties go to the smaller index by stability.
+    Each row holds the difference-form squared distances, (p_j - p_i)^2
+    per axis summed onto +0.0 in axis order, and is sorted completely, so
+    ties go to the smaller index by stability.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     k_eff = min(k, n - 1)
     idx = np.empty((n, k_eff), dtype=np.int64)
     dst = np.empty((n, k_eff))
-    sq = np.einsum("nd,nd->n", pts, pts)
-    chunk = max(1, KNN_BLOCK_ENTRIES // n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (pts[start:stop] @ pts.T)
-        np.maximum(d2, 0.0, out=d2)
-        rows = np.arange(start, stop)
-        d2[rows - start, rows] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
-        idx[start:stop] = order
-        dst[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    for i in range(n):
+        d2 = np.zeros(n)
+        for axis in range(pts.shape[1]):
+            diff = pts[:, axis] - pts[i, axis]
+            d2 += diff * diff
+        d2[i] = np.inf
+        order = np.argsort(d2, kind="stable")[:k_eff]
+        idx[i] = order
+        dst[i] = np.sqrt(d2[order])
     return idx, dst
 
 
@@ -141,6 +143,26 @@ def bound_stress_sets(draw, min_n: int = 2, max_n: int = 300):
     side = 2 * draw(st.integers(1, 5))
     offset = draw(st.sampled_from([0.0, 2.0**20, 2.0**26]))
     return rng.integers(0, side, (n, d)).astype(np.float64) + offset
+
+
+def knn_bytes_by_block(points, k: int) -> list[tuple[bytes, bytes]]:
+    """knn_indices' (indices, distances) bytes at one row per block, at the
+    default KNN_BLOCK_ENTRIES and in one block of every row."""
+    n = points.shape[0]
+    got = []
+    for entries in (1, KNN_BLOCK_ENTRIES, n * n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "KNN_BLOCK_ENTRIES", entries)
+            idx, dst = knn_indices(points, k, return_distances=True)
+        got.append((idx.tobytes(), dst.tobytes()))
+    return got
+
+
+@pytest.fixture(scope="module")
+def lifted_rows():
+    """A default-size scene's pixels lifted to 3D: the rows its image normals fit over."""
+    scene = generate_scene(PipelineConfig().scene_spec(), 21)
+    return backproject_pixels(scene.intrinsics, scene.table.pixels, scene.table.depths)
 
 
 class TestKnn:
@@ -273,6 +295,33 @@ class TestKnn:
             pts = rng.integers(0, 4, (n, 2)).astype(np.float64)
         for k in (1, 8, 12):
             assert_matches_argsort(pts, k)
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_block_size_moves_no_byte_of_lifted_rows(self, lifted_rows, k):
+        first, *others = knn_bytes_by_block(lifted_rows, k)
+        assert all(other == first for other in others)
+
+    @given(points=bound_stress_sets(), k=st.integers(1, 20))
+    def test_block_size_moves_no_byte(self, points, k):
+        first, *others = knn_bytes_by_block(points, k)
+        assert all(other == first for other in others)
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_exact_order_far_from_the_origin(self, offset):
+        # a 1 mm cloud: the dot form's rounding near offset^2 eps swamps
+        # its squared distances, the difference form's does not
+        pts = offset + np.random.default_rng(7).uniform(-5e-4, 5e-4, (60, 3))
+        k = 8
+        idx, dst = knn_indices(pts, k, return_distances=True)
+        exact = [[Fraction(x) for x in row] for row in pts.tolist()]
+        for i, p in enumerate(exact):
+            ranked = sorted(
+                (sum((a - b) ** 2 for a, b in zip(q, p)), j)
+                for j, q in enumerate(exact) if j != i
+            )[:k]
+            assert idx[i].tolist() == [j for _, j in ranked], f"row {i}"
+            want = [math.sqrt(float(d2)) for d2, _ in ranked]
+            np.testing.assert_allclose(dst[i], want, rtol=4 * np.finfo(np.float64).eps)
 
     def test_peak_memory_stays_block_sized(self):
         # the blocks, not the (n, n) distance matrix, bound the transient:
