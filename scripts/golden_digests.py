@@ -54,11 +54,12 @@ cannot record the digests of a run that raised one.
 PARENT_TREE (a checkout, such as a `git archive` of the parent commit) in a
 child process, and prints, for each key whose digest differs, what moved in
 each of its scenes or rows: the angle and distance between the two poses,
-the Jaccard overlap of the (pixel, point) correspondence sets, IR and RR
-before and after, a changed registration outcome, the largest change among
-a registration's other numbers, and for a normals file the rows that
-changed validity, the normals that turned over and the largest angle
-between the others; then a summary line.
+the Jaccard overlaps of the (pixel, point) correspondence sets and of the
+coarse (tile id, cell id) patch pairs, IR and RR before and after, a
+changed registration outcome, the largest change among a registration's
+other numbers, and for a normals file the rows that changed validity, the
+normals that turned over and the largest angle between the others; then a
+summary line.
 
 --kernel CORETYPE computes the matrix here and again in a child process
 with OPENBLAS_CORETYPE=CORETYPE (such as Haswell or Prescott), and prints
@@ -94,6 +95,7 @@ from crossreg.io import (  # noqa: E402
     read_correspondences,
     read_json,
     read_normals,
+    read_patches,
     read_pose,
     save_scene_bundle,
 )
@@ -160,6 +162,11 @@ def _pairs(corrs) -> set:
     return set(zip(map(tuple, corrs.pixels.tolist()), corrs.point_indices.tolist()))
 
 
+def _patch_pairs(patches) -> set:
+    """The (tile id, cell id) pairs of (tile id, cell id, score) patches."""
+    return {(tile, cell) for tile, cell, _score in patches}
+
+
 def _register_parts(scene, config, record: dict) -> list:
     """The digested parts of one registration; record gets what --against compares."""
     try:
@@ -169,7 +176,8 @@ def _register_parts(scene, config, record: dict) -> list:
         return [type(exc).__name__, str(exc)]
     corrs, est = result.correspondences, result.estimate
     ev = evaluate_scene(scene, corrs, est.transform, result.patches, config)
-    record.update(_pose_record(est.transform), pairs=_pairs(corrs), ir=ev.inlier_ratio,
+    record.update(_pose_record(est.transform), pairs=_pairs(corrs),
+                  patches=_patch_pairs(result.patches), ir=ev.inlier_ratio,
                   rr=float(ev.rr_flag), floats={
                       "scores": corrs.scores, "agreement": result.agreement,
                       "reprojection_px": est.mean_reprojection_px, "rmse_m": ev.rmse_m,
@@ -220,8 +228,9 @@ def compute(outputs: dict | None = None) -> dict[str, str]:
     Given an outputs dict, it also fills it with what --against compares:
     digest name -> {scene or row label -> record}, a record holding any of
     a pose ("rotation", "translation"), "pairs" (a set of ((u, v), point)),
-    "ir", "rr", "error" (a failure's type), "normals" with "valid", and
-    "floats" (name -> the other digested numbers of a registration).
+    "patches" (a set of the coarse (tile id, cell id) pairs), "ir", "rr",
+    "error" (a failure's type), "normals" with "valid", and "floats" (name
+    -> the other digested numbers of a registration).
     """
     digests = {}
     records = {} if outputs is None else outputs
@@ -284,6 +293,7 @@ def compute(outputs: dict | None = None) -> dict[str, str]:
         record = {f"seed{SEEDS[0]}": {
             **_pose_record(read_pose(result / "pose.json")),
             "pairs": _pairs(read_correspondences(result / "correspondences.csv")),
+            "patches": _patch_pairs(read_patches(result / "patches.csv")),
             "ir": scored["inlier_ratio"], "rr": float(scored["rr_flag"]),
         }}
         records["cli/eval"] = record
@@ -448,11 +458,12 @@ def record_changes(a: dict, b: dict) -> tuple[list[str], dict]:
         figures["rad"] = _rotation_angle(a["rotation"], b["rotation"])
         figures["m"] = float(np.linalg.norm(np.asarray(a["translation"]) - b["translation"]))
         said.append(f"pose moved {figures['rad']:.3g} rad, {figures['m']:.3g} m")
-    if "pairs" in a and "pairs" in b:
-        union = len(a["pairs"] | b["pairs"])
-        figures["jaccard"] = len(a["pairs"] & b["pairs"]) / union if union else 1.0
-        said.append(f"pairs Jaccard {figures['jaccard']:.4f} "
-                    f"({len(a['pairs'])} -> {len(b['pairs'])})")
+    for name, figure in (("pairs", "jaccard"), ("patches", "patch_jaccard")):
+        if name in a and name in b:
+            union = len(a[name] | b[name])
+            figures[figure] = len(a[name] & b[name]) / union if union else 1.0
+            said.append(f"{name} Jaccard {figures[figure]:.4f} "
+                        f"({len(a[name])} -> {len(b[name])})")
     for name in ("ir", "rr"):
         if name in a and name in b:
             figures[name] = abs(b[name] - a[name])
@@ -472,6 +483,7 @@ _SUMMARY = (
     ("rad", "largest pose rotation {:.3g} rad", False),
     ("m", "largest pose translation {:.3g} m", False),
     ("jaccard", "smallest pair Jaccard {:.4f}", True),
+    ("patch_jaccard", "smallest patch Jaccard {:.4f}", True),
     ("ir", "largest IR change {:.3g}", False),
     ("float", "largest change in another registration number {:.3g}", False),
     ("flips", "most validity changes in one normals file {}", False),

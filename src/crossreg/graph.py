@@ -182,35 +182,29 @@ def knn_indices(
 
 @dataclass(frozen=True)
 class KnnGraph:
-    """Directed k-NN graph: row i lists the neighbors of node i."""
+    """Directed k-NN graph: row i of neighbor_indices lists node i's neighbors."""
 
-    positions: F64
     neighbor_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = as_rows(self.positions, "positions")
         neigh = np.asarray(self.neighbor_indices, dtype=np.int64)
-        if neigh.ndim != 2 or pos.shape[0] != neigh.shape[0]:
-            raise ValueError(
-                f"positions {pos.shape} and neighbors {neigh.shape} do not align"
-            )
-        n = pos.shape[0]
+        if neigh.ndim != 2:
+            raise ValueError(f"neighbor lists must be (N, k), got {neigh.shape}")
+        n = neigh.shape[0]
         if neigh.size and (neigh.min() < 0 or neigh.max() >= n):
             raise ValueError("neighbor index out of range")
         if np.any(neigh == np.arange(n)[:, None]):
             raise ValueError("self loop in neighbor lists")
-        object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "neighbor_indices", neigh)
 
     @property
     def node_count(self) -> int:
-        return self.positions.shape[0]
+        return self.neighbor_indices.shape[0]
 
 
 def build_knn_graph(positions, k: int) -> KnnGraph:
     """Exact k-NN graph over (N, d) positions; every node gets min(k, N-1) neighbors."""
-    pos = np.asarray(positions, dtype=np.float64)
-    return KnnGraph(pos, knn_indices(pos, k))
+    return KnnGraph(knn_indices(positions, k))
 
 
 # --------------------------------------------------------------------------- #

@@ -204,55 +204,57 @@ def warmup_weight(epoch: int, schedule: WarmupSchedule = WarmupSchedule()) -> fl
 # --------------------------------------------------------------------------- #
 
 
-def _pairwise_sq(x: F64, y: F64) -> F64:
-    """(len(x), len(y)) squared distances in dot form, clamped at 0 against rounding."""
-    sx = np.einsum("nd,nd->n", x, x)
-    sy = np.einsum("nd,nd->n", y, y)
-    d2 = sx[:, None] + sy[None, :] - 2.0 * (x @ y.T)
+def _samples(a, b) -> tuple[F64, F64]:
+    """a and b as as_rows of a's width, within COORDINATE_LIMIT, which keeps
+    _pooled_sq finite."""
+    check_coordinates(xa := as_rows(a, "a"), "a")
+    check_coordinates(xb := as_rows(b, "b", xa.shape[1]), "b")
+    return xa, xb
+
+
+def _pooled_sq(pooled: F64) -> F64:
+    """Squared distances among the rows of pooled, at least two, in dot form
+    about their mean, so that an offset shared by every row cancels before
+    any square is taken; clamped at 0 against rounding."""
+    centred = pooled - pooled.mean(axis=0)
+    sq = np.einsum("nd,nd->n", centred, centred)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (centred @ centred.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _samples(a, b) -> tuple[F64, F64]:
-    """a and b as as_rows of a's width, within COORDINATE_LIMIT, which keeps
-    _pairwise_sq finite."""
-    check_coordinates(xa := as_rows(a, "a"), "a")
-    check_coordinates(xb := as_rows(b, "b", xa.shape[1]), "b")
-    return xa, xb
+def _median_bandwidth(d2: F64) -> float:
+    """The median off-diagonal distance of _pooled_sq's d2; 1.0 where it falls
+    below the smallest bandwidth mmd takes."""
+    med = median(np.sqrt(d2[np.triu_indices(d2.shape[0], k=1)]))
+    return med if med >= PARAMETERS["mmd_bandwidth"].lo else 1.0
 
 
 def median_heuristic_bandwidth(a, b) -> float:
     """Median pairwise distance over the pooled sample; 1.0 for fewer than two
     rows, or a median below the smallest bandwidth mmd takes."""
     pooled = np.vstack(_samples(a, b))
-    n = pooled.shape[0]
-    if n < 2:
+    if pooled.shape[0] < 2:
         return 1.0
-    upper = _pairwise_sq(pooled, pooled)[np.triu_indices(n, k=1)]
-    med = median(np.sqrt(upper))
-    return med if med >= PARAMETERS["mmd_bandwidth"].lo else 1.0
-
-
-def _gaussian_kernel_mean(x: F64, y: F64, bandwidth: float) -> float:
-    d2 = _pairwise_sq(x, y)
-    with np.errstate(over="ignore"):  # an exponent past -max saturates the kernel to 0
-        return float(np.exp(-d2 / (2.0 * bandwidth * bandwidth)).mean())
+    return _median_bandwidth(_pooled_sq(pooled))
 
 
 def mmd(a, b, bandwidth: float | None = None) -> float:
     """Plug-in Gaussian-kernel MMD between two samples, clamped at 0.
 
-    bandwidth defaults to the median heuristic over the pooled sample.
+    bandwidth defaults to the median heuristic over the pooled sample. One
+    matrix of pooled squared distances serves the heuristic and all three
+    kernel means, so translating both samples moves the value by rounding only.
     """
     xa, xb = _samples(a, b)
     if xa.shape[0] == 0 or xb.shape[0] == 0:
         raise EmptySampleError("mmd needs non-empty samples on both sides")
+    d2 = _pooled_sq(np.vstack([xa, xb]))
     if bandwidth is None:
-        bandwidth = median_heuristic_bandwidth(xa, xb)
+        bandwidth = _median_bandwidth(d2)
     bandwidth = check("mmd_bandwidth", bandwidth, "bandwidth")
-    value = (
-        _gaussian_kernel_mean(xa, xa, bandwidth)
-        - 2.0 * _gaussian_kernel_mean(xa, xb, bandwidth)
-        + _gaussian_kernel_mean(xb, xb, bandwidth)
-    )
-    return max(0.0, value)
+    with np.errstate(over="ignore"):  # an exponent past -max saturates the kernel to 0
+        kernel = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
+    m = xa.shape[0]
+    value = kernel[:m, :m].mean() - 2.0 * kernel[:m, m:].mean() + kernel[m:, m:].mean()
+    return max(0.0, float(value))

@@ -15,7 +15,7 @@ and the emitted correspondences reproduce the ground truth.
 
 No work is done whose result would be discarded, and none is repeated.
 The refinement runs only at a positive warm-up weight, on graphs built
-on first use and kept by a caller's prep. Registration and evaluation
+on first use and kept in a caller's prep. Registration and evaluation
 read the scene's pixel table, never a 640x480 raster: the depth stages
 work on its rows (about 1.9k at the default size), and inlier_ratio
 looks its depths up in it. The stand-in's base features are drawn once
@@ -286,12 +286,10 @@ class ScenePrep:
     Registration works on the rows of the scene's pixel table, never on
     the image grid: clean_normals holds one lifted normal per table row.
     stand_in, at the config's channel count, names the rows registered.
-    keep is the only code that stores a value for a later registration, and
-    a prep with kept None, as a one-shot register_scene makes, keeps none.
-    The one-shot prep alone serves one registration, which may overwrite its
-    stand-in's base rows (see _features); a prep a caller passes is read only.
-    The refinement graphs are built through it on first read, so a
-    registration at warm-up weight 0 never builds them.
+    keep is the only code that stores a value for a later registration.
+    prepare_scene gives a prep its store; kept None marks the one-shot prep
+    register_scene makes for itself, which keeps nothing and alone may
+    overwrite its stand-in's base rows (see _features).
     """
 
     scene: SyntheticScene
@@ -304,30 +302,22 @@ class ScenePrep:
 
     def keep(self, name: str, key, make):
         """make(), its arrays read-only, kept under name until another key is
-        asked for; the frozen dataclass lets kept, a dict, change."""
-        kept = {} if self.kept is None else self.kept
-        if name not in kept or kept[name][0] != key:
+        asked for; the frozen dataclass lets kept, a dict, change. A prep with
+        no store keeps nothing: it returns make() as made."""
+        if self.kept is None:
+            return make()
+        if name not in self.kept or self.kept[name][0] != key:
             value = make()
             for array in value if isinstance(value, tuple) else (value,):
                 if isinstance(array, np.ndarray):
                     array.flags.writeable = False
-            kept[name] = (key, value)
-        return kept[name][1]
+            self.kept[name] = (key, value)
+        return self.kept[name][1]
 
-    @property
-    def pixel_graph(self) -> KnnGraph | None:
-        return self.keep("pixel_graph", None, lambda: self._graph(
-            self.scene.table.pixels[self.stand_in.rows]))
 
-    @property
-    def cloud_graph(self) -> KnnGraph | None:
-        return self.keep("cloud_graph", None, lambda: self._graph(self.scene.cloud))
-
-    def _graph(self, positions: F64) -> KnnGraph | None:
-        """None below 2 nodes: refinement is skipped."""
-        if positions.shape[0] < 2:
-            return None
-        return build_knn_graph(positions, self.key[_PREP_FIELDS.index("k_neighbors")])
+def _graph(positions: F64, k: int) -> KnnGraph | None:
+    """The k-NN graph of positions; None below 2 nodes: refinement is skipped."""
+    return build_knn_graph(positions, k) if positions.shape[0] >= 2 else None
 
 
 def _prep_key(config: PipelineConfig) -> tuple:
@@ -335,8 +325,8 @@ def _prep_key(config: PipelineConfig) -> tuple:
 
 
 def prepare_scene(scene: SyntheticScene, config: PipelineConfig) -> ScenePrep:
-    """The table rows' clean lifted normals, the stand-in and the tile and
-    voxel member indexes; the graphs wait for first use."""
+    """The table rows' clean lifted normals, the stand-in, the tile and voxel
+    member indexes, and an empty store."""
     table = scene.table
     clean = lifted_pixel_normals(
         table.pixels, table.depths, scene.intrinsics, config.k_neighbors, config.adaptive_k
@@ -354,17 +344,19 @@ def register_scene(
     scene: SyntheticScene, config: PipelineConfig, prep: ScenePrep | None = None
 ) -> RegistrationResult:
     """Register one scene; prep, from prepare_scene(scene, config), is reused.
-    Without one, the prep made here serves this registration alone: it keeps
-    nothing and lends its base rows to the cloud side."""
-    own = prep is None
-    if own:
+    Without one, the prep made here serves this registration alone: it has
+    no store, so it keeps nothing, and it lends its base rows to the cloud
+    side. A caller's prep without a store is a ConfigError."""
+    if prep is None:
         prep = dataclasses.replace(prepare_scene(scene, config), kept=None)
     elif prep.scene is not scene or prep.key != _prep_key(config):
         raise ConfigError(f"prep is for another scene or other {', '.join(_PREP_FIELDS)}")
+    elif prep.kept is None:
+        raise ConfigError("prep has no store: pass one from prepare_scene")
     corruption = config.corruption()
     live_normals, agreement = _normals(prep, corruption, config)
     (tile_desc, img_unit), (cell_desc, cloud_unit), blend = _features(
-        prep, corruption, config, live_normals, agreement, own
+        prep, corruption, config, live_normals, agreement
     )
     coarse = coarse_match(cosine_score_map(tile_desc, cell_desc), config.top_k_coarse)
     corrs, patches = _fine(prep, coarse, img_unit, cloud_unit, config.min_fine_score)
@@ -398,29 +390,33 @@ def _normals(prep: ScenePrep, corruption: CorruptionConfig,
 
 
 def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineConfig,
-              live: NormalField, agreement: float, own: bool) -> tuple[tuple, tuple, float]:
+              live: NormalField, agreement: float) -> tuple[tuple, tuple, float]:
     """(image side, cloud side, blend): _side of each side's stand-in rows with
-    normal channels, refined at a positive warm-up blend over the prep's graphs,
-    which are built before the features are drawn. Each side is one
+    normal channels, refined at a positive warm-up blend over each side's k-NN
+    graph, which is built before the features are drawn. Each side is one
     _with_normals matrix: synthesize_features writes the image rows straight
-    into the first C columns of theirs. Its draws and cloud rows, and the cloud
-    side, go through prep.keep under the values they read beyond _PREP_FIELDS.
+    into the first C columns of theirs. The graphs, its draws and cloud rows,
+    and the cloud side go through prep.keep, the graphs under no key, the
+    others under the values they read beyond _PREP_FIELDS.
 
-    A prep that register_scene made for itself (own) has no later reader: it
-    is given no keep, so the guidance is drawn a block of rows at a time, and
+    The one-shot prep (kept None) has no later reader: synthesize_features is
+    given no keep, so the guidance is drawn a block of rows at a time, and
     cloud rows that are the base become the cloud side in the stand-in's own
-    matrix, after the image rows and the swaps have read them. A caller's prep,
-    kept None included, may serve another registration and lends nothing."""
+    matrix, after the image rows and the swaps have read them. A caller's prep
+    may serve another registration and lends nothing."""
     weight = config.normal_channel_weight
     blend = warmup_weight(config.epoch, config.warmup())
     params = pixel_graph = cloud_graph = None
     if blend > 0.0:
         params = GraphAttentionParams.initialize(config.channels + 3, config.param_seed)
-        pixel_graph = prep.pixel_graph
-        cloud_graph = prep.cloud_graph
+        k = config.k_neighbors
+        pixel_graph = prep.keep("pixel_graph", None, lambda: _graph(
+            prep.scene.table.pixels[prep.stand_in.rows], k))
+        cloud_graph = prep.keep("cloud_graph", None, lambda: _graph(prep.scene.cloud, k))
     img = _with_normals(live.normals[prep.stand_in.rows], config.channels, weight)
     _, f_cloud = synthesize_features(
-        prep.stand_in, corruption, agreement, out=img[:, :-3], keep=None if own else prep.keep
+        prep.stand_in, corruption, agreement, out=img[:, :-3],
+        keep=None if prep.kept is None else prep.keep
     )
     img_side = _side(img, prep.tiles, pixel_graph, params, blend)
     key = (corruption.feature_noise_sigma, corruption.seed, weight, blend,
@@ -428,7 +424,7 @@ def _features(prep: ScenePrep, corruption: CorruptionConfig, config: PipelineCon
 
     def cloud_side() -> tuple[F64, F64]:
         normals = prep.stand_in.cloud_normals(prep.clean_normals.normals)
-        if own and f_cloud is prep.stand_in.base:
+        if prep.kept is None and f_cloud is prep.stand_in.base:
             rows = _with_normals(normals, config.channels, weight, prep.stand_in.lend_base())
         else:
             rows = _with_normals(normals, config.channels, weight)

@@ -37,7 +37,8 @@ def load_script():
 
 @pytest.fixture(scope="module")
 def run():
-    """(script module, its fresh digests, the CLI runs of that computation).
+    """(script module, its fresh digests, the CLI runs of that computation,
+    the outputs --against compares).
 
     Each run is (subcommand, digests of what it wrote): the digest of its
     whole --out file or tree, and one per file, as cli/register/<file> keys
@@ -63,12 +64,13 @@ def run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(golden, "cli_main", recording_main)
-        got = golden.compute()
-    return golden, got, runs
+        outputs = {}
+        got = golden.compute(outputs)
+    return golden, got, runs, outputs
 
 
 def test_outputs_match_their_golden_digests(run):
-    golden, got, _ = run
+    golden, got, _, _ = run
     want = json.loads(golden.GOLDEN.read_text())
     changed = sorted(k for k in set(want["digests"]) | set(got)
                      if want["digests"].get(k) != got.get(k))
@@ -82,7 +84,7 @@ def test_outputs_match_their_golden_digests(run):
 def test_every_subcommand_has_a_golden_key(run):
     # a key pins a subcommand when it digests all that one run of it wrote,
     # whole or file by file
-    _, got, runs = run
+    _, got, runs, _ = run
     keys = set(got.values())
     pinned = {command for command, whole, files in runs
               if whole in keys or files and keys.issuperset(files)}
@@ -155,6 +157,30 @@ def test_the_report_gives_a_moved_correspondence():
     assert lines[1] == ("  seed21: pose moved 0 rad, 0 m; pairs Jaccard 0.3333 (2 -> 2); "
                         "IR 1 -> 0.5; RR 1 -> 1")
     assert "smallest pair Jaccard 0.3333; largest IR change 0.5" in lines[-1]
+
+
+def test_the_report_gives_a_moved_patch_pair():
+    golden = load_script()
+    patches = {(0, 3), (1, 4), (2, 5)}
+    moved = {(0, 3), (1, 4), (2, 6)}  # the third tile pairs with another cell
+    lines = golden.report(payload({**pose_record(), "patches": patches}, "a"),
+                          payload({**pose_record(), "patches": moved}, "b"))
+    assert lines[1] == ("  seed21: pose moved 0 rad, 0 m; pairs Jaccard 1.0000 (2 -> 2); "
+                        "patches Jaccard 0.5000 (3 -> 3); IR 1 -> 1; RR 1 -> 1")
+    assert "smallest pair Jaccard 1.0000; smallest patch Jaccard 0.5000;" in lines[-1]
+
+
+def test_every_registration_record_holds_its_patch_pairs(run):
+    # the register keys and the cli/register files, patches.csv among them
+    _, _, _, outputs = run
+    keys = [k for k in outputs if k.startswith(("register/", "cli/register/"))]
+    assert "cli/register/patches.csv" in keys
+    for key in keys:
+        for record in outputs[key].values():
+            if "error" not in record:
+                assert record["patches"], key
+                assert all(isinstance(tile, int) and isinstance(cell, int)
+                           for tile, cell in record["patches"]), key
 
 
 def test_kernel_reruns_the_matrix_under_that_core_and_reports_it(monkeypatch, capsys):

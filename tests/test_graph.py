@@ -206,7 +206,16 @@ class TestKnn:
 
     def test_rejects_self_loops(self):
         with pytest.raises(ValueError):
-            KnnGraph(np.zeros((3, 2)), np.array([[0], [0], [1]]))
+            KnnGraph(np.array([[0], [0], [1]]))
+
+    def test_a_graph_is_its_neighbor_lists(self):
+        graph = KnnGraph([[1, 2], [2, 0], [0, 1]])
+        assert [f.name for f in dataclasses.fields(graph)] == ["neighbor_indices"]
+        assert graph.node_count == 3
+        assert graph.neighbor_indices.dtype == np.int64
+        pts = np.random.default_rng(3).uniform(0, 1, (20, 2))
+        np.testing.assert_array_equal(build_knn_graph(pts, 4).neighbor_indices,
+                                      knn_indices(pts, 4))
 
     @given(points=point_sets(), k=st.integers(1, 12))
     def test_matches_argsort_oracle(self, points, k):
@@ -510,13 +519,13 @@ def _params4() -> GraphAttentionParams:
 
 @pytest.mark.parametrize("call, error", [
     (lambda: knn_indices(np.zeros(5), 2), ValueError),
-    (lambda: KnnGraph(np.zeros((3, 2)), np.zeros((2, 1), dtype=np.int64)), ValueError),
-    (lambda: KnnGraph(np.zeros((3, 2)), [[1], [2], [3]]), ValueError),
+    (lambda: KnnGraph([1, 2, 0]), ValueError),
+    (lambda: KnnGraph([[1], [2], [3]]), ValueError),
     (lambda: light_gat_forward(_graph3(), np.zeros(4), _params4()), ValueError),
     (lambda: light_gat_forward(_graph3(), np.zeros((2, 4)), _params4()), ValueError),
     (lambda: gated_fusion(np.zeros((3, 4)), np.zeros((2, 4)), _params4()), ValueError),
     (lambda: gated_fusion(np.zeros((3, 5)), np.zeros((3, 5)), _params4()), ChannelMismatchError),
-], ids=["knn_1d_points", "graph_rows_misaligned", "graph_index_out_of_range",
+], ids=["knn_1d_points", "graph_lists_1d", "graph_index_out_of_range",
         "attention_1d_features", "attention_rows_not_nodes", "fusion_rows_differ",
         "fusion_channels_not_params"])
 def test_malformed_input_refused(call, error):

@@ -252,6 +252,17 @@ class TestMmd:
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_a_shared_translation_changes_nothing_but_rounding(self, offset):
+        # millimetre samples 2 mm apart; far from the origin the dot form
+        # once cancelled: at 1e6 mmd read 0.0 for 0.253, and the bandwidth
+        # fell back to 1.0
+        rng = np.random.default_rng(0)
+        a = 1e-3 * rng.standard_normal((30, 3))
+        b = 1e-3 * rng.standard_normal((30, 3)) + np.array([2e-3, 0.0, 0.0])
+        for fn in (mmd, median_heuristic_bandwidth):
+            np.testing.assert_allclose(fn(a + offset, b + offset), fn(a, b), rtol=1e-6)
+
     def test_empty_raises(self):
         with pytest.raises(EmptySampleError):
             mmd(np.zeros((0, 3)), np.zeros((5, 3)))

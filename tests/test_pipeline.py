@@ -41,7 +41,7 @@ from crossreg.geometry import (
     rotation_from_axis_angle,
     unit_rows,
 )
-from crossreg.graph import GraphAttentionParams
+from crossreg.graph import GraphAttentionParams, build_knn_graph
 from crossreg.losses import LossWeights, WarmupSchedule
 from crossreg.matching import CorrespondenceSet
 from crossreg.metrics import TAU1_M, TAU2_RATIO, TAU3_M, registration_rmse
@@ -1042,9 +1042,9 @@ class TestSkippedWork:
         cloud_n[gt.point_indices] = img_n
         weight = cfg.normal_channel_weight
         params = GraphAttentionParams.initialize(cfg.channels + 3, cfg.param_seed)
-        for graph, feats, n in (
-            (prep.pixel_graph, f_img, img_n), (prep.cloud_graph, f_cloud, cloud_n),
-        ):
+        pixel_graph = build_knn_graph(scene.table.pixels[prep.stand_in.rows], cfg.k_neighbors)
+        cloud_graph = build_knn_graph(scene.cloud, cfg.k_neighbors)
+        for graph, feats, n in ((pixel_graph, f_img, img_n), (cloud_graph, f_cloud, cloud_n)):
             aug = unit_rows(np.hstack([feats, weight * n]))
             assert np.array_equal(pipeline._refine(graph, aug, params, 0.0), aug)
 
@@ -1246,15 +1246,16 @@ class TestMemoizedWork:
         register_scene(scene, cfg)
         [prep] = preps
         assert prep.kept is None
-        # each read builds its graph anew
-        assert prep.pixel_graph is not prep.pixel_graph and prep.kept is None
+        # each keep makes its value anew
+        assert prep.keep("x", None, object) is not prep.keep("x", None, object)
+        assert prep.kept is None
 
     @pytest.mark.parametrize("sigma, lent", [(0.0, True), (0.05, False)])
     def test_only_a_one_shot_prep_lends_its_base_rows_to_the_cloud_side(
         self, monkeypatch, sigma, lent
     ):
         # lent only where the cloud rows are the base, and never by a prep
-        # a caller passes, kept None included
+        # a caller passes, on its first registration or a later one
         scene, cfg = small_scene(seed=4, mask_ratio=0.2, feature_noise_sigma=sigma)
         sides = []
         features = pipeline._features
@@ -1267,15 +1268,22 @@ class TestMemoizedWork:
         monkeypatch.setattr(pipeline, "_features", spy)
         register_scene(scene, cfg)
         prep = prepare_scene(scene, cfg)
-        register_scene(scene, cfg, dataclasses.replace(prep, kept=None))
+        register_scene(scene, cfg, prep)
         register_scene(scene, cfg, prep)
         shared = [np.shares_memory(base, cloud_unit) for base, cloud_unit in sides]
         assert shared == [lent, False, False]
 
-    def test_a_callers_prep_that_keeps_nothing_registers_the_same_bytes_twice(self):
+    def test_a_callers_prep_without_a_store_is_refused(self):
+        # only the prep register_scene makes for itself may go without one
+        scene, cfg = small_scene(seed=4)
+        prep = dataclasses.replace(prepare_scene(scene, cfg), kept=None)
+        with pytest.raises(ConfigError, match="no store"):
+            register_scene(scene, cfg, prep)
+
+    def test_a_callers_prep_registers_the_same_bytes_twice(self):
         # a prep that lent its base rows would read other rows the second time
         scene, cfg = small_scene(seed=4, mask_ratio=0.2, outlier_fraction=0.1)
-        prep = dataclasses.replace(prepare_scene(scene, cfg), kept=None)
+        prep = prepare_scene(scene, cfg)
         base = prep.stand_in.base.tobytes()
         first = register_scene(scene, cfg, prep)
         assert_same_registration(register_scene(scene, cfg, prep), first)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import crossreg.matching as matching
 import crossreg.pipeline as pipeline
 from crossreg.geometry import CameraIntrinsics, RigidTransform, backproject_pixels
+from crossreg.graph import build_knn_graph
 from crossreg.matching import CorrespondenceSet, fine_match
 from crossreg.normals import (
     DepthMap,
@@ -289,8 +290,10 @@ def test_registration_pairs_at_positive_blend_are_fine_match(monkeypatch, epoch)
     monkeypatch.undo()  # fine_match below calls fine_match_unit
     # the refined rows of each side, which registration scales to unit rows
     f_img, f_cloud = (
-        next(out for graph, out in refined if graph is side)
-        for side in (prep.pixel_graph, prep.cloud_graph)
+        next(out for graph, out in refined
+             if np.array_equal(graph.neighbor_indices, side.neighbor_indices))
+        for side in (build_knn_graph(positions, cfg.k_neighbors)
+                     for positions in (scene.table.pixels[prep.stand_in.rows], scene.cloud))
     )
     assert f_img.shape == (len(scene.gt_correspondences), cfg.channels + 3)
     norms = np.linalg.norm(f_img, axis=1)
