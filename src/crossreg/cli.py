@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._settings import check
+from ._settings import check, stream_rng
 from .errors import (
     REGISTRATION_FAILURES,
     ConfigError,
@@ -62,7 +62,7 @@ from .pipeline import (
     point_normals,
     register_scene,
 )
-from .synth import generate_scene, stream_rng
+from .synth import generate_scene
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1

@@ -1,5 +1,5 @@
-"""Input checks, rigid transforms, pinhole camera operations, row normalization
-and the median.
+"""Input checks, rigid transforms, pinhole camera operations, row normalization,
+the median and pairwise squared distances.
 
 Conventions used throughout the package:
 
@@ -144,6 +144,22 @@ def median(values) -> float:
     lo, hi, last = (x.size - 1) // 2, x.size // 2, x.size - 1
     part = np.partition(x, (lo, hi, last))  # NaN sorts last
     return np.nan if np.isnan(part[last]) else float(np.mean(part[lo:hi + 1]))
+
+
+def sq_dists(pts: F64, rows: np.ndarray, cols: np.ndarray) -> F64:
+    """Difference-form squared distances from the points at rows to those at
+    cols (index arrays that broadcast): (p_j - p_i)^2 per axis, summed onto
+    +0.0 in axis order. Each reads its two points alone and is within
+    (d + 2) u of the true distance, relatively (u = eps / 2), however far
+    the points sit from the origin. The package's one rule for a distance
+    between rows of one point set: the k-NN, MMD and the stand-in's swaps
+    read it."""
+    d2 = np.zeros(np.broadcast_shapes(rows.shape, cols.shape))
+    for axis in range(pts.shape[1]):
+        col = pts[:, axis]
+        diff = col[cols] - col[rows]
+        d2 += diff * diff
+    return d2
 
 
 # --------------------------------------------------------------------------- #

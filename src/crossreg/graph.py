@@ -13,7 +13,7 @@ import numpy as np
 
 from ._settings import check, stream_rng
 from .errors import CoordinateOverflowError
-from .geometry import F64, as_float_array, as_rows
+from .geometry import F64, as_float_array, as_rows, sq_dists
 
 
 def _param_shapes(c: int) -> dict[str, tuple[int, ...]]:
@@ -58,25 +58,11 @@ def _morton_order(pts: F64) -> np.ndarray:
     return np.argsort(code, kind="stable")
 
 
-def _sq_dists(pts: F64, rows: np.ndarray, cols: np.ndarray) -> F64:
-    """Difference-form squared distances from the points at rows to those at
-    cols (index arrays that broadcast): (p_j - p_i)^2 per axis, summed onto
-    +0.0 in axis order. Each reads its two points alone and is within
-    (d + 2) u of the true distance, relatively (u = eps / 2), however far
-    the points sit from the origin."""
-    d2 = np.zeros(np.broadcast_shapes(rows.shape, cols.shape))
-    for axis in range(pts.shape[1]):
-        col = pts[:, axis]
-        diff = col[cols] - col[rows]
-        d2 += diff * diff
-    return d2
-
-
 def _kth_bound(pts: F64, k: int) -> F64:
     """Each row's k-th squared distance among its Morton-order neighbours.
 
     The w = min(n - 1, max(2k, 16)) points nearest a row in Morton order
-    are w distinct other points, so the k-th smallest of their _sq_dists
+    are w distinct other points, so the k-th smallest of their sq_dists
     values is at least the row's k-th smallest over all other points.
     """
     n = pts.shape[0]
@@ -86,7 +72,7 @@ def _kth_bound(pts: F64, k: int) -> F64:
     # itself included, shifted inwards at both ends of the order
     first = np.clip(np.arange(n) - w // 2, 0, n - 1 - w)
     window = order[first[:, None] + np.arange(w + 1)]
-    d2 = _sq_dists(pts, order[:, None], window)
+    d2 = sq_dists(pts, order[:, None], window)
     # the point's own 0 is the smallest entry, so position k holds the
     # k-th smallest over the other points
     bound = np.empty(n)
@@ -99,7 +85,7 @@ def knn_indices(
 ) -> np.ndarray | tuple[np.ndarray, F64]:
     """Exact k nearest neighbors per point, self excluded.
 
-    Neighbors come in ascending _sq_dists value, ties going to the smaller
+    Neighbors come in ascending sq_dists value, ties going to the smaller
     point index: the order of a stable argsort of each whole row of those
     values. Each value reads only its two points, so the result is the same,
     bit for bit, for any KNN_BLOCK_ENTRIES and BLAS kernel, and it keeps
@@ -165,7 +151,7 @@ def knn_indices(
         np.less_equal(block[:m], 0.0, out=keep[:m])
         # flat indices are row-major, so columns ascend within each row
         cand_row, cand_col = np.divmod(np.flatnonzero(keep[:m]), n)
-        cand_d2 = _sq_dists(pts, cand_row + start, cand_col)
+        cand_d2 = sq_dists(pts, cand_row + start, cand_col)
         # lexsort is stable, so equal distances keep the smaller index
         # first; a narrow row type lets its stable row pass radix-sort
         order = np.lexsort((cand_d2, cand_row.astype(np.min_scalar_type(m - 1))))

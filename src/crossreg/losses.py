@@ -18,7 +18,9 @@ from .errors import (
     EmptySampleError,
     LengthMismatchError,
 )
-from .geometry import F64, as_float_array, as_rows, as_unit_rows, check_coordinates, median
+from .geometry import (
+    F64, as_float_array, as_rows, as_unit_rows, check_coordinates, median, sq_dists,
+)
 from .normals import NormalField
 
 
@@ -204,23 +206,14 @@ def warmup_weight(epoch: int, schedule: WarmupSchedule = WarmupSchedule()) -> fl
 # --------------------------------------------------------------------------- #
 
 
-def _samples(a, b) -> tuple[F64, F64]:
-    """a and b as as_rows of a's width, within COORDINATE_LIMIT, which keeps
-    _pooled_sq finite."""
+def _pooled_sq(a, b) -> tuple[F64, int]:
+    """sq_dists among every pair of rows of a and b pooled, with a's row
+    count. a and b are read as as_rows of a's width, within
+    COORDINATE_LIMIT, which keeps the squared distances finite."""
     check_coordinates(xa := as_rows(a, "a"), "a")
     check_coordinates(xb := as_rows(b, "b", xa.shape[1]), "b")
-    return xa, xb
-
-
-def _pooled_sq(pooled: F64) -> F64:
-    """Squared distances among the rows of pooled, at least two, in dot form
-    about their mean, so that an offset shared by every row cancels before
-    any square is taken; clamped at 0 against rounding."""
-    centred = pooled - pooled.mean(axis=0)
-    sq = np.einsum("nd,nd->n", centred, centred)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (centred @ centred.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    rows = np.arange(xa.shape[0] + xb.shape[0])
+    return sq_dists(np.vstack([xa, xb]), rows[:, None], rows), xa.shape[0]
 
 
 def _median_bandwidth(d2: F64) -> float:
@@ -233,28 +226,26 @@ def _median_bandwidth(d2: F64) -> float:
 def median_heuristic_bandwidth(a, b) -> float:
     """Median pairwise distance over the pooled sample; 1.0 for fewer than two
     rows, or a median below the smallest bandwidth mmd takes."""
-    pooled = np.vstack(_samples(a, b))
-    if pooled.shape[0] < 2:
-        return 1.0
-    return _median_bandwidth(_pooled_sq(pooled))
+    d2, _ = _pooled_sq(a, b)
+    return 1.0 if d2.shape[0] < 2 else _median_bandwidth(d2)
 
 
 def mmd(a, b, bandwidth: float | None = None) -> float:
     """Plug-in Gaussian-kernel MMD between two samples, clamped at 0.
 
     bandwidth defaults to the median heuristic over the pooled sample. One
-    matrix of pooled squared distances serves the heuristic and all three
-    kernel means, so translating both samples moves the value by rounding only.
+    matrix of pooled squared distances, each in difference form from its
+    two rows alone, serves the heuristic and all three kernel means, so the
+    value is as exact at any offset and separation of the samples as near
+    the origin.
     """
-    xa, xb = _samples(a, b)
-    if xa.shape[0] == 0 or xb.shape[0] == 0:
+    d2, m = _pooled_sq(a, b)
+    if m == 0 or m == d2.shape[0]:
         raise EmptySampleError("mmd needs non-empty samples on both sides")
-    d2 = _pooled_sq(np.vstack([xa, xb]))
     if bandwidth is None:
         bandwidth = _median_bandwidth(d2)
     bandwidth = check("mmd_bandwidth", bandwidth, "bandwidth")
     with np.errstate(over="ignore"):  # an exponent past -max saturates the kernel to 0
         kernel = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
-    m = xa.shape[0]
     value = kernel[:m, :m].mean() - 2.0 * kernel[:m, m:].mean() + kernel[m:, m:].mean()
     return max(0.0, float(value))

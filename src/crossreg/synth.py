@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._settings import STREAM_TAGS, check, check_fields, setting, stream_rng
+from ._settings import check, check_fields, setting, stream_rng
 from .errors import EmptyVisibleSetError
 from .geometry import (
     UNIT_ROWS_BLOCK_ENTRIES,
@@ -50,13 +50,12 @@ from .geometry import (
     as_vec3,
     project_points,
     rotation_from_axis_angle,
+    sq_dists,
     unit_rows,
 )
 from .matching import CorrespondenceSet
 
 __all__ = [
-    "STREAM_TAGS",
-    "stream_rng",
     "Plane",
     "Box",
     "Sphere",
@@ -512,7 +511,7 @@ def synthesize_features(
             rng.integers(0, cloud.shape[0], size=(m, _SWAP_CANDIDATES))))
         rows = np.flatnonzero(gate < swap_p)
         if rows.size:
-            gaps = np.linalg.norm(cloud[cand[rows]] - cloud[points[rows]][:, None, :], axis=2)
+            gaps = np.sqrt(sq_dists(cloud, points[rows][:, None], cand[rows]))
             far = gaps > 3.0 * noise.tau1_m
             pick = np.where(far.any(axis=1), np.argmax(far, axis=1), np.argmax(gaps, axis=1))
             f_img[rows] = f_cloud[cand[rows, pick]]

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,6 +284,26 @@ class TestMedian:
     )
     def test_middle_entry_or_mean_of_two(self, values, want):
         assert geometry.median(values) == want
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_each_entry_within_its_rounding_of_exact_arithmetic(self, offset):
+        # a 1 mm cloud far from the origin keeps every distance to
+        # (d + 2) eps / 2, relatively: each entry reads its two points alone
+        rng = np.random.default_rng(11)
+        m, k, d = 40, 6, 3
+        pts = offset + 1e-3 * rng.standard_normal((m, d))
+        rows, cols = np.arange(m)[:, None], rng.integers(0, m, (m, k))
+        got = geometry.sq_dists(pts, rows, cols)
+        assert got.shape == (m, k)
+        exact = [[Fraction(x) for x in row] for row in pts.tolist()]
+        tol = Fraction(d + 2) * Fraction(np.finfo(np.float64).eps) / 2
+        for i in range(m):
+            for c in range(k):
+                j = int(cols[i, c])
+                want = sum((a - b) ** 2 for a, b in zip(exact[j], exact[i]))
+                assert abs(Fraction(float(got[i, c])) - want) <= tol * want, (i, j)
 
 
 class TestAsUnitRows:

@@ -263,6 +263,28 @@ class TestMmd:
         for fn in (mmd, median_heuristic_bandwidth):
             np.testing.assert_allclose(fn(a + offset, b + offset), fn(a, b), rtol=1e-6)
 
+    @pytest.mark.parametrize("separation", [1.0, 1e3, 1e6])
+    def test_far_apart_samples_keep_their_within_sample_distances(self, separation):
+        # two millimetre samples; 1e6 m apart the dot form about the pooled
+        # mean once read 1.7556 here, beside the 0.4439 of difference form
+        rng = np.random.default_rng(0)
+        a = 1e-3 * rng.standard_normal((30, 3))
+        b = 1e-3 * rng.standard_normal((30, 3)) + np.array([separation, 0.0, 0.0])
+        pooled, m, bw = np.vstack([a, b]).tolist(), len(a), 1e-3
+
+        def kernel_mean(rows, cols):
+            total = 0.0
+            for i in rows:
+                for j in cols:
+                    d2 = sum((pooled[j][t] - pooled[i][t]) ** 2 for t in range(3))
+                    total += math.exp(-d2 / (2.0 * bw * bw))
+            return total / (len(rows) * len(cols))
+
+        first, second = range(m), range(m, len(pooled))
+        want = (kernel_mean(first, first) - 2.0 * kernel_mean(first, second)
+                + kernel_mean(second, second))
+        assert abs(mmd(a, b, bandwidth=bw) - want) <= 1e-12
+
     def test_empty_raises(self):
         with pytest.raises(EmptySampleError):
             mmd(np.zeros((0, 3)), np.zeros((5, 3)))

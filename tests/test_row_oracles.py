@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import crossreg.matching as matching
 import crossreg.pipeline as pipeline
+from crossreg._settings import STREAM_TAGS
 from crossreg.geometry import CameraIntrinsics, RigidTransform, backproject_pixels
 from crossreg.graph import build_knn_graph
 from crossreg.matching import CorrespondenceSet, fine_match
@@ -30,7 +31,6 @@ from crossreg.normals import (
 )
 from crossreg.pipeline import PipelineConfig, lifted_pixel_normals, prepare_scene
 from crossreg.synth import (
-    STREAM_TAGS,
     CorruptionConfig,
     PixelTable,
     SyntheticScene,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import crossreg.synth
+from crossreg._settings import STREAM_TAGS, stream_rng
 from crossreg.errors import ConfigError, EmptyVisibleSetError, NotNormalizedError
 from crossreg.geometry import CameraIntrinsics, RigidTransform, project_points
 from crossreg.matching import fine_match, patch_overlap
@@ -20,14 +21,12 @@ from crossreg.synth import (
     CorruptionConfig,
     PixelTable,
     Plane,
-    STREAM_TAGS,
     SceneSpec,
     Sphere,
     StandIn,
     corrupt_depth,
     generate_scene,
     render_depth,
-    stream_rng,
     synthesize_features,
 )
 from rasters import depth_raster
